@@ -379,39 +379,24 @@ func (d *Directory) Close() {
 	}
 }
 
-// ClusterBalancer drives policy-driven re-placement of a remote deployment:
-// each Tick snapshots cluster-wide stats over the §2.4 stats op, detects
-// per-node skew from epoch item deltas (the same math as graph.Balancer),
-// and re-places the busiest movable segment from the hottest node onto the
-// coolest via Deployment.Replace.  Segments Replace cannot move (sources,
-// tee hosts, directly wired boundaries) are never proposed.
+// ClusterBalancer drives policy-driven re-placement of a remote deployment
+// on a ticker: each Tick is one Deployment.Balance epoch — cluster-wide
+// stats over the §2.4 stats op, per-node skew from epoch item deltas, and
+// the busiest movable segment of the hottest node re-placed onto the
+// coolest via Deployment.Replace.
 type ClusterBalancer struct {
 	d *graph.Deployment
 	b *graph.Balancer
 }
 
 // NewClusterBalancer builds a balancer for one remote deployment; zero
-// policy fields take the graph.BalancePolicy defaults, and the movability
-// filter defaults to Deployment.Replaceable.
+// policy fields take the graph.BalancePolicy defaults.
 func NewClusterBalancer(d *graph.Deployment, p graph.BalancePolicy) *ClusterBalancer {
-	if p.Movable == nil {
-		p.Movable = func(seg string) bool { return d.Replaceable(seg) == nil }
-	}
 	return &ClusterBalancer{d: d, b: graph.NewBalancer(p)}
 }
 
-// Tick runs one balancing epoch: snapshot, plan, and re-place if the skew
-// warrants it.  Reports whether a move was made.
-func (cb *ClusterBalancer) Tick() (bool, error) {
-	hints, ok := cb.b.Plan(cb.d.Stats())
-	if !ok {
-		return false, nil
-	}
-	if err := cb.d.Replace(hints); err != nil {
-		return false, err
-	}
-	return true, nil
-}
+// Tick runs one balancing epoch.  Reports whether a move was made.
+func (cb *ClusterBalancer) Tick() (bool, error) { return cb.d.Balance(cb.b) }
 
 // Run ticks the balancer on an interval until stop closes or a tick fails
 // with anything but a benign skip.  The returned count is the number of

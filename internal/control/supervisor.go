@@ -3,7 +3,6 @@ package control
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -136,38 +135,11 @@ func (s *Supervisor) nodeDown(name string, downErr error) {
 // placements assigns every segment the deployment has on the dead node to
 // the healthy survivor hosting the fewest segments, spreading the orphans.
 func (s *Supervisor) placements(d *graph.Deployment, dead int) (map[string]int, error) {
-	placed := d.SegmentPlacements()
-	load := make(map[int]int)
+	var survivors []int
 	for _, h := range s.dir.Snapshot() {
 		if idx := s.dir.NodeIndex(h.Name); h.Healthy && idx != dead {
-			load[idx] = 0
+			survivors = append(survivors, idx)
 		}
 	}
-	if len(load) == 0 {
-		return nil, fmt.Errorf("control: no healthy node left to fail over to")
-	}
-	var orphans []string
-	for seg, node := range placed {
-		if node == dead {
-			orphans = append(orphans, seg)
-		} else if _, ok := load[node]; ok {
-			load[node]++
-		}
-	}
-	// The greedy least-loaded assignment below mutates load as it places,
-	// so the orphan order decides the placement: sort it, or two failovers
-	// of the same cluster state pick different homes (caught by ipvet).
-	sort.Strings(orphans)
-	hints := make(map[string]int, len(orphans))
-	for _, seg := range orphans {
-		best, bestLoad := -1, 0
-		for idx, n := range load {
-			if best < 0 || n < bestLoad || (n == bestLoad && idx < best) {
-				best, bestLoad = idx, n
-			}
-		}
-		hints[seg] = best
-		load[best]++
-	}
-	return hints, nil
+	return graph.Evacuate(d.SegmentPlacements(), dead, survivors)
 }

@@ -149,7 +149,9 @@ func (t *Tree) buildRelay(r int) *graph.Graph {
 }
 
 // Start deploys the trunk and every relay on the group and starts them
-// (relays first, so every level is listening before the trunk pushes).
+// (relays first, so every level is listening before the trunk pushes).  It
+// must precede Group.Start: Start is what deploys, and a group started
+// while still empty exits at once (graph.ErrGroupExited).
 func (t *Tree) Start() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

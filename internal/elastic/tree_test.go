@@ -80,10 +80,10 @@ func TestTreeFanOutBasic(t *testing.T) {
 			subs = append(subs, sub)
 		}
 	}
-	grp.Start()
 	if err := tree.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
+	grp.Start()
 	// Detach one leaf mid-stream; it must keep a contiguous prefix.
 	detached := sinks[3]
 	for detached.Count() < items/8 {
@@ -146,10 +146,10 @@ func TestTreeChurn50SeededSurvivors(t *testing.T) {
 					survivors = append(survivors, sink)
 				}
 			}
-			grp.Start()
 			if err := tree.Start(); err != nil {
 				t.Fatalf("start: %v", err)
 			}
+			grp.Start()
 
 			type churnLeaf struct {
 				sink *pipes.CollectSink

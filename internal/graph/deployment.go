@@ -26,18 +26,18 @@ type Deployment struct {
 	remote *remoteDeployment // non-nil for OnNodes deployments
 	ld     *localDeploy      // non-nil for local targets; wiring state for Stats/Rebalance
 
-	// rbMu serializes Rebalance calls against each other (a second
-	// Rebalance waits for the first to finish, then runs on the new
-	// placement).
+	// rbMu serializes reconfigurations — local transactions, remote moves,
+	// node-set changes — against each other (a second one waits for the
+	// first to finish, then runs on the state it left).
 	rbMu sync.Mutex
 
 	mu          sync.Mutex
 	pipelines   []*core.Pipeline
 	bySegment   map[string]*core.Pipeline
 	links       []*shard.Link
-	gen         int  // bumped by every rebalance; stale watchers exit
-	started     bool // Start was requested (re-broadcast after a rebalance)
-	stopReq     bool // Stop was requested (applied after a rebalance)
+	gen         int  // bumped by every transaction; stale watchers exit
+	started     bool // Start was requested (re-broadcast after a transaction)
+	stopReq     bool // Stop was requested (applied after a transaction)
 	rebalancing bool
 	finished    bool
 	deployErr   error

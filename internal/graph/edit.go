@@ -2,13 +2,9 @@ package graph
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"infopipes/internal/core"
-	"infopipes/internal/events"
-	"infopipes/internal/shard"
-	"infopipes/internal/typespec"
 	"infopipes/internal/uthread"
 )
 
@@ -16,9 +12,10 @@ import (
 // thesis — flow structure and placement are policy, not code — extends to
 // the time axis here: a subscriber joining a split, a filter spliced into an
 // edge, a stage implementation swapped, or a tenant's share retuned are all
-// runtime operations on a deployed graph, applied at pump-cycle boundaries
-// with the same quiesce machinery Rebalance uses, and rolled back without
-// touching the running flow when validation fails.
+// runtime operations on a deployed graph.  Each op type stages its delta
+// into the reconfiguration transaction (reconfigure.go), which applies the
+// batch at one pump-cycle boundary and rolls it back without touching the
+// running flow when validation fails.
 //
 // Determinism contract: an edit quiesces the deployment at a pump-cycle
 // boundary on the frozen virtual clock, so branches the edit does not touch
@@ -38,7 +35,9 @@ var (
 // EditOp is one live-edit operation.  Implementations: AttachBranch,
 // DetachBranch, InsertStage, SwapStage, ScaleStage (scale.go), RebindTenant.
 type EditOp interface {
-	editOp()
+	// stage validates the op against the declaration as left by the ops
+	// before it in the batch and records its delta in the transaction.
+	stage(*txn) error
 }
 
 // AttachBranch adds a new branch to a running split tee: the tee grows one
@@ -58,7 +57,38 @@ type AttachBranch struct {
 	Place int
 }
 
-func (AttachBranch) editOp() {}
+func (op AttachBranch) stage(t *txn) error {
+	g := t.ld.g
+	n, ok := g.index[op.Split]
+	if !ok || n.kind != nSplit {
+		return t.errf("AttachBranch target %q is not a split", op.Split)
+	}
+	if _, ok := t.ld.splits[op.Split].(outAdder); !ok {
+		return t.errf("split %q does not support live port surgery", op.Split)
+	}
+	if len(op.Stages) == 0 {
+		return t.errf("AttachBranch on %q with no stages", op.Split)
+	}
+	if op.Place < -1 || op.Place >= t.shards() {
+		return t.errf("AttachBranch on %q placed on shard %d, target has %d", op.Split, op.Place, t.shards())
+	}
+	port := n.outs
+	prev, prevPort := op.Split, port
+	for _, st := range op.Stages {
+		name, err := t.declare(st, op.Place)
+		if err != nil {
+			return err
+		}
+		g.edges = append(g.edges, core.GraphEdgeInfo{
+			From: prev, FromPort: prevPort, To: name, ToPort: core.GraphMainPort,
+		})
+		prev, prevPort = name, core.GraphMainPort
+	}
+	n.outs++
+	t.undo = append(t.undo, func() { n.outs-- })
+	t.attaches = append(t.attaches, attachRec{split: op.Split, port: port})
+	return nil
+}
 
 // DetachBranch removes a branch from a running split tee: the port is
 // tombstoned (never renumbered), the trunk stops feeding it, and the leaving
@@ -72,7 +102,59 @@ type DetachBranch struct {
 	Port  int
 }
 
-func (DetachBranch) editOp() {}
+func (op DetachBranch) stage(t *txn) error {
+	ld, g := t.ld, t.ld.g
+	n, ok := g.index[op.Split]
+	if !ok || n.kind != nSplit {
+		return t.errf("DetachBranch target %q is not a split", op.Split)
+	}
+	if _, ok := ld.splits[op.Split].(outDetacher); !ok {
+		return t.errf("split %q does not support live port surgery", op.Split)
+	}
+	branches := ld.plan.SplitBranch[op.Split]
+	if op.Port < 0 || op.Port >= len(branches) || branches[op.Port] < 0 {
+		return t.errf("split %q has no attached branch at port %d", op.Split, op.Port)
+	}
+	seg := ld.plan.Segments[branches[op.Port]]
+	if seg.Tail.Kind != core.EndNone {
+		return t.errf("branch %q of split %q feeds further graph structure; only pure sink branches detach",
+			seg.Name(), op.Split)
+	}
+	rec := &detachRec{
+		split: op.Split, port: op.Port, segName: seg.Name(),
+		stageNames: seg.Stages, branchShard: ld.shardOf[branches[op.Port]],
+	}
+	leaving := make(map[string]bool, len(seg.Stages))
+	for _, name := range seg.Stages {
+		st, ok := ld.stages[name]
+		if !ok {
+			return t.errf("branch stage %q has no live instance", name)
+		}
+		rec.stageInsts = append(rec.stageInsts, st)
+		leaving[name] = true
+	}
+	old := n.detachedOuts
+	n.detachedOuts = append(append([]int(nil), old...), op.Port)
+	t.undo = append(t.undo, func() { n.detachedOuts = old })
+	kept := g.edges[:0:0]
+	for _, e := range g.edges {
+		if !leaving[e.From] && !leaving[e.To] {
+			kept = append(kept, e)
+		}
+	}
+	g.edges = kept
+	keptNodes := g.nodes[:0:0]
+	for _, gn := range g.nodes {
+		if leaving[gn.name] {
+			delete(g.index, gn.name)
+		} else {
+			keptNodes = append(keptNodes, gn)
+		}
+	}
+	g.nodes = keptNodes
+	t.detaches = append(t.detaches, rec)
+	return nil
+}
 
 // InsertStage splices a stage into a live edge between two plain stages of
 // one segment: From >> To becomes From >> Stage >> To, with the in-flight
@@ -84,7 +166,39 @@ type InsertStage struct {
 	Stage core.Stage
 }
 
-func (InsertStage) editOp() {}
+func (op InsertStage) stage(t *txn) error {
+	g := t.ld.g
+	for _, ref := range []string{op.From, op.To} {
+		if n, ok := g.index[ref]; !ok || n.kind != nStage {
+			return t.errf("InsertStage endpoint %q is not a plain stage", ref)
+		}
+	}
+	ei := -1
+	for i, e := range g.edges {
+		if e.From == op.From && e.To == op.To &&
+			e.FromPort == core.GraphMainPort && e.ToPort == core.GraphMainPort {
+			ei = i
+			break
+		}
+	}
+	if ei < 0 {
+		return t.errf("no edge %s -> %s", op.From, op.To)
+	}
+	if g.edges[ei].Cut {
+		return t.errf("edge %s -> %s is a cut; stages do not insert across explicit boundaries", op.From, op.To)
+	}
+	name, err := t.declare(op.Stage, -1)
+	if err != nil {
+		return err
+	}
+	g.edges[ei] = core.GraphEdgeInfo{
+		From: op.From, FromPort: core.GraphMainPort, To: name, ToPort: core.GraphMainPort,
+	}
+	g.edges = append(g.edges, core.GraphEdgeInfo{
+		From: name, FromPort: core.GraphMainPort, To: op.To, ToPort: core.GraphMainPort,
+	})
+	return nil
+}
 
 // SwapStage replaces a stage's implementation in place at a pump-cycle
 // boundary: the node keeps its name and position, the new instance takes
@@ -98,7 +212,38 @@ type SwapStage struct {
 	Stage core.Stage
 }
 
-func (SwapStage) editOp() {}
+func (op SwapStage) stage(t *txn) error {
+	g := t.ld.g
+	n, ok := g.index[op.Node]
+	if !ok || n.kind != nStage {
+		return t.errf("SwapStage target %q is not a plain stage", op.Node)
+	}
+	cur, ok := t.ld.stages[op.Node]
+	if !ok {
+		return t.errf("stage %q has no live instance", op.Node)
+	}
+	if _, isBuf := cur.IsBuffer(); isBuf {
+		return t.errf("%q is a buffer; buffers hold in-flight items and do not swap", op.Node)
+	}
+	if _, isBuf := op.Stage.IsBuffer(); isBuf {
+		return t.errf("replacement for %q is a buffer; buffers do not swap", op.Node)
+	}
+	_, curPump := cur.IsPump()
+	_, newPump := op.Stage.IsPump()
+	if curPump != newPump {
+		return t.errf("replacement for %q changes the stage flavor (pump vs component)", op.Node)
+	}
+	if rn := op.Stage.Name(); rn != op.Node {
+		if _, dup := g.index[rn]; dup {
+			return t.errf("replacement name %q collides with another node", rn)
+		}
+	}
+	oldStage, oldSpec := n.stage, n.spec
+	n.stage, n.spec = op.Stage, nil
+	t.undo = append(t.undo, func() { n.stage, n.spec = oldStage, oldSpec })
+	t.newStages[op.Node] = op.Stage
+	return nil
+}
 
 // RebindTenant retunes the deployment's QoS binding live: weight drives the
 // scheduler credit classes (observable in grant shares within one pump
@@ -118,7 +263,10 @@ type RebindTenant struct {
 	SetPrio bool
 }
 
-func (RebindTenant) editOp() {}
+func (op RebindTenant) stage(t *txn) error {
+	t.rebinds = append(t.rebinds, op)
+	return nil
+}
 
 // outAdder / outDetacher are the live port-surgery capabilities a split tee
 // must implement to accept AttachBranch / DetachBranch (pipes.CopyTee and
@@ -129,27 +277,25 @@ type outDetacher interface{ DetachOut(int) error }
 // Edit applies a batch of live-edit operations to the running deployment as
 // one transaction: every op is validated against the current graph first —
 // a rejected batch leaves the flow untouched — then the deployment quiesces
-// at a pump-cycle boundary (the same detach/force-complete machinery
-// Rebalance uses), the graph is re-planned, and the touched pipelines are
-// recomposed while unchanged branches resume exactly where they left off.
-// RebindTenant ops need no quiesce and apply immediately.
+// at a pump-cycle boundary, the graph is re-planned, and the touched
+// pipelines are recomposed while unchanged branches resume exactly where
+// they left off.  RebindTenant ops need no quiesce: a batch of nothing else
+// applies immediately, and beside structural ops they apply as the flow
+// resumes.
 //
 // Failures after the quiesce point (a composition the planner could not
-// foresee) wind the deployment down exactly like a failed deploy or
-// rebalance: the error is preserved through Err/Wait and no item loss is
-// silently papered over.
+// foresee) wind the deployment down like a failed deploy: the error is
+// preserved through Err/Wait and no item loss is silently papered over.
 func (d *Deployment) Edit(ops ...EditOp) error {
-	var structural []EditOp
 	var rebinds []RebindTenant
 	for _, op := range ops {
 		if rb, ok := op.(RebindTenant); ok {
 			rebinds = append(rebinds, rb)
-		} else {
-			structural = append(structural, op)
 		}
 	}
+	structural := len(rebinds) < len(ops)
 	if d.remote != nil {
-		if len(structural) > 0 {
+		if structural {
 			return ErrNotEditable
 		}
 		return d.remote.rebindTenant(rebinds)
@@ -157,10 +303,13 @@ func (d *Deployment) Edit(ops ...EditOp) error {
 	if d.ld == nil {
 		return ErrNotEditable
 	}
-	if len(structural) == 0 {
+	if !structural {
 		return d.ld.applyRebinds(rebinds)
 	}
-	return d.editLocal(structural, rebinds)
+	if len(rebinds) > 0 && d.ld.tenant == nil {
+		return ErrNoTenant
+	}
+	return d.reconfigure("edit", ops)
 }
 
 // applyRebinds applies tenant retunes to the local deployment: the tenant's
@@ -193,15 +342,15 @@ func (ld *localDeploy) applyRebinds(rebinds []RebindTenant) error {
 	return nil
 }
 
-// attachRec carries one validated AttachBranch through the edit.
+// attachRec carries one validated AttachBranch to the commit: the new
+// port's index (the split's outs before the attach).
 type attachRec struct {
-	split  string
-	port   int // the new port's index (outs before the attach)
-	stages []core.Stage
-	names  []string
+	split string
+	port  int
 }
 
-// detachRec carries one validated DetachBranch through the edit.
+// detachRec carries one validated DetachBranch through the transaction and,
+// while the branch drains, across later ones (localDeploy.draining).
 type detachRec struct {
 	split       string
 	port        int
@@ -210,497 +359,7 @@ type detachRec struct {
 	stageInsts  []core.Stage
 	branchShard int
 	pipe        *core.Pipeline // the branch's detached pipeline (post-quiesce)
-	drain       *core.Pipeline // the off-plan drain pipeline, recomposed per edit
-}
-
-// editLocal runs a structural edit transaction on a local deployment.
-func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) error {
-	ld := d.ld
-	if len(rebinds) > 0 && ld.tenant == nil {
-		return ErrNoTenant
-	}
-	d.rbMu.Lock()
-	defer d.rbMu.Unlock()
-	g, plan := ld.g, ld.plan
-
-	nShards := 1
-	if ld.group != nil {
-		nShards = ld.group.Shards()
-	}
-
-	// Snapshot the declaration layer: a validation or planning failure
-	// restores it and the running flow never notices the attempt.
-	nodesSnap := append([]*node(nil), g.nodes...)
-	edgesSnap := append([]core.GraphEdgeInfo(nil), g.edges...)
-	indexSnap := make(map[string]*node, len(g.index))
-	for k, v := range g.index { //ipvet:allow maporder map-to-map copy is order-insensitive
-		indexSnap[k] = v
-	}
-	var undo []func()
-	restore := func() {
-		for i := len(undo) - 1; i >= 0; i-- {
-			undo[i]()
-		}
-		g.nodes, g.edges, g.index = nodesSnap, edgesSnap, indexSnap
-	}
-
-	// Phase 1: validate each op and apply it to the declaration layer (ops
-	// see the graph as left by earlier ops in the batch).  The running
-	// deployment is untouched throughout.
-	var attaches []*attachRec
-	var detaches []*detachRec
-	var scales []*scaleRec
-	newStages := make(map[string]core.Stage) // nodes gaining a (new) live instance
-	fresh := func(st core.Stage) (string, error) {
-		name := st.Name()
-		if _, c := st.IsComponent(); !c {
-			if _, b := st.IsBuffer(); !b {
-				if _, p := st.IsPump(); !p {
-					return "", fmt.Errorf("graph %q: edit: zero-valued stage", d.name)
-				}
-			}
-		}
-		if _, dup := g.index[name]; dup {
-			return "", fmt.Errorf("graph %q: edit: stage name %q already in the graph", d.name, name)
-		}
-		return name, nil
-	}
-	for _, op := range structural {
-		switch op := op.(type) {
-		case AttachBranch:
-			n, ok := g.index[op.Split]
-			if !ok || n.kind != nSplit {
-				restore()
-				return fmt.Errorf("graph %q: edit: AttachBranch target %q is not a split", d.name, op.Split)
-			}
-			if _, ok := ld.splits[op.Split].(outAdder); !ok {
-				restore()
-				return fmt.Errorf("graph %q: edit: split %q does not support live port surgery", d.name, op.Split)
-			}
-			if len(op.Stages) == 0 {
-				restore()
-				return fmt.Errorf("graph %q: edit: AttachBranch on %q with no stages", d.name, op.Split)
-			}
-			if op.Place < -1 || op.Place >= nShards {
-				restore()
-				return fmt.Errorf("graph %q: edit: AttachBranch on %q placed on shard %d, target has %d",
-					d.name, op.Split, op.Place, nShards)
-			}
-			rec := &attachRec{split: op.Split, port: n.outs, stages: op.Stages}
-			prevRef, prevPort := op.Split, rec.port
-			for _, st := range op.Stages {
-				name, err := fresh(st)
-				if err != nil {
-					restore()
-					return err
-				}
-				nn := &node{name: name, kind: nStage, stage: st, place: op.Place}
-				if op.Place < 0 {
-					nn.place = -1
-				}
-				g.nodes = append(g.nodes, nn)
-				g.index[name] = nn
-				g.edges = append(g.edges, core.GraphEdgeInfo{
-					From: prevRef, FromPort: prevPort, To: name, ToPort: core.GraphMainPort,
-				})
-				prevRef, prevPort = name, core.GraphMainPort
-				rec.names = append(rec.names, name)
-				newStages[name] = st
-			}
-			n.outs++
-			nref := n
-			undo = append(undo, func() { nref.outs-- })
-			attaches = append(attaches, rec)
-
-		case DetachBranch:
-			n, ok := g.index[op.Split]
-			if !ok || n.kind != nSplit {
-				restore()
-				return fmt.Errorf("graph %q: edit: DetachBranch target %q is not a split", d.name, op.Split)
-			}
-			if _, ok := ld.splits[op.Split].(outDetacher); !ok {
-				restore()
-				return fmt.Errorf("graph %q: edit: split %q does not support live port surgery", d.name, op.Split)
-			}
-			branches, planned := plan.SplitBranch[op.Split]
-			if op.Port < 0 || op.Port >= len(branches) || !planned || branches[op.Port] < 0 {
-				restore()
-				return fmt.Errorf("graph %q: edit: split %q has no attached branch at port %d",
-					d.name, op.Split, op.Port)
-			}
-			seg := plan.Segments[branches[op.Port]]
-			if seg.Tail.Kind != core.EndNone {
-				restore()
-				return fmt.Errorf("graph %q: edit: branch %q of split %q feeds further graph structure; only pure sink branches detach",
-					d.name, seg.Name(), op.Split)
-			}
-			rec := &detachRec{
-				split: op.Split, port: op.Port, segName: seg.Name(),
-				stageNames:  append([]string(nil), seg.Stages...),
-				branchShard: ld.shardOf[branches[op.Port]],
-			}
-			for _, name := range rec.stageNames {
-				st, ok := ld.stages[name]
-				if !ok {
-					restore()
-					return fmt.Errorf("graph %q: edit: branch stage %q has no live instance", d.name, name)
-				}
-				rec.stageInsts = append(rec.stageInsts, st)
-			}
-			nref := n
-			oldDetached := nref.detachedOuts
-			nref.detachedOuts = append(append([]int(nil), oldDetached...), op.Port)
-			undo = append(undo, func() { nref.detachedOuts = oldDetached })
-			leaving := make(map[string]bool, len(rec.stageNames))
-			for _, name := range rec.stageNames {
-				leaving[name] = true
-			}
-			kept := g.edges[:0:0]
-			for _, e := range g.edges {
-				if leaving[e.From] || leaving[e.To] {
-					continue
-				}
-				kept = append(kept, e)
-			}
-			g.edges = kept
-			keptNodes := g.nodes[:0:0]
-			for _, gn := range g.nodes {
-				if leaving[gn.name] {
-					delete(g.index, gn.name)
-					continue
-				}
-				keptNodes = append(keptNodes, gn)
-			}
-			g.nodes = keptNodes
-			detaches = append(detaches, rec)
-
-		case InsertStage:
-			for _, ref := range []string{op.From, op.To} {
-				if n, ok := g.index[ref]; !ok || n.kind != nStage {
-					restore()
-					return fmt.Errorf("graph %q: edit: InsertStage endpoint %q is not a plain stage", d.name, ref)
-				}
-			}
-			ei := -1
-			for i, e := range g.edges {
-				if e.From == op.From && e.To == op.To &&
-					e.FromPort == core.GraphMainPort && e.ToPort == core.GraphMainPort {
-					ei = i
-					break
-				}
-			}
-			if ei < 0 {
-				restore()
-				return fmt.Errorf("graph %q: edit: no edge %s -> %s", d.name, op.From, op.To)
-			}
-			if g.edges[ei].Cut {
-				restore()
-				return fmt.Errorf("graph %q: edit: edge %s -> %s is a cut; stages do not insert across explicit boundaries",
-					d.name, op.From, op.To)
-			}
-			name, err := fresh(op.Stage)
-			if err != nil {
-				restore()
-				return err
-			}
-			nn := &node{name: name, kind: nStage, stage: op.Stage, place: -1}
-			g.nodes = append(g.nodes, nn)
-			g.index[name] = nn
-			g.edges[ei] = core.GraphEdgeInfo{
-				From: op.From, FromPort: core.GraphMainPort, To: name, ToPort: core.GraphMainPort,
-			}
-			g.edges = append(g.edges, core.GraphEdgeInfo{
-				From: name, FromPort: core.GraphMainPort, To: op.To, ToPort: core.GraphMainPort,
-			})
-			newStages[name] = op.Stage
-
-		case ScaleStage:
-			rec, err := d.applyScaleOp(op, nShards, newStages, &undo, fresh)
-			if err != nil {
-				restore()
-				return err
-			}
-			scales = append(scales, rec)
-
-		case SwapStage:
-			n, ok := g.index[op.Node]
-			if !ok || n.kind != nStage {
-				restore()
-				return fmt.Errorf("graph %q: edit: SwapStage target %q is not a plain stage", d.name, op.Node)
-			}
-			cur, ok := ld.stages[op.Node]
-			if !ok {
-				restore()
-				return fmt.Errorf("graph %q: edit: stage %q has no live instance", d.name, op.Node)
-			}
-			if _, isBuf := cur.IsBuffer(); isBuf {
-				restore()
-				return fmt.Errorf("graph %q: edit: %q is a buffer; buffers hold in-flight items and do not swap", d.name, op.Node)
-			}
-			if _, isBuf := op.Stage.IsBuffer(); isBuf {
-				restore()
-				return fmt.Errorf("graph %q: edit: replacement for %q is a buffer; buffers do not swap", d.name, op.Node)
-			}
-			_, curPump := cur.IsPump()
-			_, newPump := op.Stage.IsPump()
-			if curPump != newPump {
-				restore()
-				return fmt.Errorf("graph %q: edit: replacement for %q changes the stage flavor (pump vs component)", d.name, op.Node)
-			}
-			if rn := op.Stage.Name(); rn != op.Node {
-				if _, dup := g.index[rn]; dup {
-					restore()
-					return fmt.Errorf("graph %q: edit: replacement name %q collides with another node", d.name, rn)
-				}
-			}
-			nref := n
-			oldStage, oldSpec := nref.stage, nref.spec
-			nref.stage, nref.spec = op.Stage, nil
-			undo = append(undo, func() { nref.stage, nref.spec = oldStage, oldSpec })
-			newStages[op.Node] = op.Stage
-
-		default:
-			restore()
-			return fmt.Errorf("graph %q: edit: unknown op %T", d.name, op)
-		}
-	}
-
-	// Phase 2: re-plan the edited graph and re-check event capabilities over
-	// the prospective stage set.  Still reversible.
-	newPlan, err := core.PlanGraph(g.infos(), g.edges)
-	if err != nil {
-		restore()
-		return fmt.Errorf("graph %q: edit: %w", d.name, err)
-	}
-	all := make([]core.Stage, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		if n.kind != nStage {
-			continue
-		}
-		if st, ok := newStages[n.name]; ok {
-			all = append(all, st)
-		} else {
-			all = append(all, ld.stages[n.name])
-		}
-	}
-	if err := core.CheckEventCapabilities(all); err != nil {
-		restore()
-		return fmt.Errorf("graph %q: edit: %w", d.name, err)
-	}
-
-	// Phase 3: remap the plan-indexed deployment state onto the new plan by
-	// segment name.  Edits never rename surviving segments (an insert lands
-	// strictly between a segment's first and last stage; a swap keeps the
-	// node name), so a name match means "same segment, keep its shard and
-	// out-spec".  New segments take their hint or inherit across their tee.
-	newShard := make([]int, len(newPlan.Segments))
-	newSegOut := make([]typespec.Typespec, len(newPlan.Segments))
-	for i := range newShard {
-		newShard[i] = -1
-	}
-	oldIdx := make(map[string]int, len(plan.Segments))
-	for i, seg := range plan.Segments {
-		oldIdx[seg.Name()] = i
-	}
-	for i, seg := range newPlan.Segments {
-		if oi, ok := oldIdx[seg.Name()]; ok {
-			newShard[i] = ld.shardOf[oi]
-			newSegOut[i] = ld.segOutSpec[oi]
-		}
-	}
-	for _, si := range newPlan.Order {
-		if newShard[si] >= 0 {
-			continue
-		}
-		seg := newPlan.Segments[si]
-		if seg.Place >= 0 {
-			newShard[si] = seg.Place
-			continue
-		}
-		switch h := seg.Head; h.Kind {
-		case core.EndSplitOut:
-			newShard[si] = newShard[newPlan.SplitTrunk[h.Node]]
-		case core.EndMergeOut:
-			for _, b := range newPlan.MergeBranch[h.Node] {
-				if b >= 0 && newShard[b] >= 0 {
-					newShard[si] = newShard[b]
-					break
-				}
-			}
-			if newShard[si] < 0 {
-				newShard[si] = 0
-			}
-		default:
-			newShard[si] = 0
-		}
-	}
-	pinScalePlacements(newPlan, newShard, scales)
-
-	// Phase 4: the point of no return.  Quiesce the whole deployment at a
-	// pump-cycle boundary (virtual clock frozen, in-flight items parked in
-	// buffers and links), exactly like Rebalance.
-	d.mu.Lock()
-	if d.finished {
-		d.mu.Unlock()
-		restore()
-		return ErrDeploymentDone
-	}
-	for _, p := range d.pipelines {
-		if perr := p.Err(); perr != nil {
-			d.mu.Unlock()
-			restore()
-			return fmt.Errorf("graph %q: edit refused, pipeline %s failed: %w", d.name, p.Name(), perr)
-		}
-		if !p.ReachedEOS() && hasCoroutines(p) {
-			d.mu.Unlock()
-			restore()
-			return fmt.Errorf("%w (%s)", ErrNotMigratable, p.Name())
-		}
-	}
-	d.rebalancing = true
-	d.gen++
-	old := make([]*core.Pipeline, len(d.pipelines))
-	copy(old, d.pipelines)
-	d.mu.Unlock()
-
-	for _, p := range old {
-		p.Detach()
-	}
-	for _, p := range old {
-		<-p.Done()
-	}
-	for _, p := range old {
-		if perr := p.Err(); perr != nil {
-			restore()
-			d.mu.Lock()
-			d.rebalancing = false
-			d.mu.Unlock()
-			d.seal()
-			d.abandon()
-			return fmt.Errorf("graph %q: edit aborted, pipeline %s failed: %w", d.name, p.Name(), perr)
-		}
-	}
-
-	// Phase 5: apply the runtime mutations while everything is parked — tee
-	// port surgery, the stage table, and the plan swap.
-	editErr := func() error {
-		for _, a := range attaches {
-			got := ld.splits[a.split].(outAdder).AddOut()
-			if got != a.port {
-				return fmt.Errorf("graph %q: edit: split %q port drift (declared %d, instance %d)",
-					d.name, a.split, a.port, got)
-			}
-			ld.splitLinks[a.split] = append(ld.splitLinks[a.split], nil)
-			for i, name := range a.names {
-				ld.stages[name] = a.stages[i]
-			}
-		}
-		for _, dr := range detaches {
-			if err := ld.splits[dr.split].(outDetacher).DetachOut(dr.port); err != nil {
-				return fmt.Errorf("graph %q: edit: %w", d.name, err)
-			}
-		}
-		for _, sr := range scales {
-			// The new tee pair goes on the deployment's books with fresh
-			// (unlinked) boundary tables, exactly as run() would have sized
-			// them from the plan.
-			ld.splits[sr.splitName] = sr.tee
-			ld.merges[sr.mergeName] = sr.om
-			ld.splitLinks[sr.splitName] = make([]*shard.Link, sr.replicas)
-			ld.mergeLinks[sr.mergeName] = make([]*shard.Link, sr.replicas)
-			ld.mergeInSpec[sr.mergeName] = make([]typespec.Typespec, sr.replicas)
-		}
-		for name, st := range newStages {
-			ld.stages[name] = st //ipvet:allow maporder map-to-map copy is order-insensitive
-		}
-		for _, dr := range detaches {
-			for _, name := range dr.stageNames {
-				delete(ld.stages, name)
-			}
-		}
-		return nil
-	}()
-
-	var redeployErr error
-	if editErr == nil {
-		d.mu.Lock()
-		for _, dr := range detaches {
-			dr.pipe = d.bySegment[dr.segName]
-			delete(d.bySegment, dr.segName)
-		}
-		ld.plan = newPlan
-		ld.shardOf = newShard
-		ld.segOutSpec = newSegOut
-		d.mu.Unlock()
-		for _, dr := range detaches {
-			if dr.pipe != nil {
-				ld.foldRetired(dr.segName, dr.pipe)
-			}
-		}
-		if len(scales) > 0 {
-			// A scale renames the segments around the scaled stage (the trunk
-			// and tail take new first>>last names), so the old names vanish
-			// from the plan: fold their counters into the retired stats and
-			// drop the stale book entries before redeploy composes the new
-			// names over the same stage instances.
-			newNames := make(map[string]bool, len(newPlan.Segments))
-			for _, seg := range newPlan.Segments {
-				newNames[seg.Name()] = true
-			}
-			d.mu.Lock()
-			var stale []string
-			for name := range d.bySegment {
-				if !newNames[name] {
-					stale = append(stale, name)
-				}
-			}
-			sort.Strings(stale)
-			pipes := make([]*core.Pipeline, len(stale))
-			for i, name := range stale {
-				pipes[i] = d.bySegment[name]
-				delete(d.bySegment, name)
-			}
-			d.mu.Unlock()
-			for i, name := range stale {
-				if pipes[i] != nil {
-					ld.foldRetired(name, pipes[i])
-				}
-			}
-		}
-		redeployErr = ld.redeploy()
-		if redeployErr == nil {
-			redeployErr = ld.drainDetached(detaches)
-		}
-	} else {
-		redeployErr = editErr
-	}
-
-	d.mu.Lock()
-	d.rebalancing = false
-	started := d.started
-	stopReq := d.stopReq
-	if redeployErr != nil && d.deployErr == nil {
-		d.deployErr = fmt.Errorf("graph %q: edit: %w", d.name, redeployErr)
-	}
-	d.mu.Unlock()
-	d.seal()
-	if redeployErr != nil {
-		// Past the quiesce point a failure winds the deployment down like a
-		// failed deploy/rebalance: stop what runs, close the links, surface
-		// the error — never resume a stream that silently lost structure.
-		d.abandon()
-		return d.Err()
-	}
-	if err := ld.applyRebinds(rebinds); err != nil {
-		return err
-	}
-	if started {
-		d.broadcast(events.Start)
-	}
-	if stopReq {
-		d.broadcast(events.Stop)
-	}
-	return nil
+	drain       *core.Pipeline // the off-plan drain pipeline, recomposed per txn
 }
 
 // drainDetached composes the leaving branches of DetachBranch ops: the
@@ -710,14 +369,12 @@ func (d *Deployment) editLocal(structural []EditOp, rebinds []RebindTenant) erro
 // had already reached end of stream needs no drain.
 //
 // Drain pipelines are off-plan, so redeploy drops them from the books on
-// the NEXT edit after quiescing them — they must be recomposed here until
-// they reach end of stream, or a branch still mid-drain would be stranded
-// with items in flight and, for a linked branch, a boundary link that never
-// closes (its wake registration would hold the receiving scheduler open
-// forever).  ld.draining carries them across edits.
+// the NEXT transaction after quiescing them — they must be recomposed here
+// until they reach end of stream, or a branch still mid-drain would be
+// stranded with items in flight and, for a linked branch, a boundary link
+// that never closes (its wake registration would hold the receiving
+// scheduler open forever).  ld.draining carries them across transactions.
 func (ld *localDeploy) drainDetached(detaches []*detachRec) error {
-	ld.rebalance = true
-	defer func() { ld.rebalance = false }()
 	for _, dr := range detaches {
 		ld.draining[dr.segName] = dr
 	}
@@ -738,7 +395,7 @@ func (ld *localDeploy) drainDetached(detaches []*detachRec) error {
 				delete(ld.draining, segName)
 				continue
 			}
-			// Quiesced mid-drain by this edit: fold the superseded
+			// Quiesced mid-drain by this transaction: fold the superseded
 			// pipeline's counters and recompose below.
 			ld.foldRetired(ld.g.name+"/"+dr.segName+"/detached", dr.drain)
 		} else if dr.pipe != nil && dr.pipe.ReachedEOS() {

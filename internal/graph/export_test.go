@@ -1,0 +1,45 @@
+package graph
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+)
+
+// Test-only windows into the reconfiguration engine.
+
+// MoveOp exposes Rebalance's delta as an EditOp, so a test can ride segment
+// moves in one transaction with structural ops.
+func MoveOp(hints map[string]int) EditOp { return moveOp(hints) }
+
+// Quiescing reports whether a transaction currently holds the deployment
+// parked.
+func (d *Deployment) Quiescing() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.rebalancing
+}
+
+// DeclString renders the declaration layer — every node with the fields an
+// edit can change, the edges, the index — for rollback assertions.
+func (g *Graph) DeclString() string {
+	var b strings.Builder
+	for _, n := range g.nodes {
+		stage := ""
+		if n.kind == nStage && n.spec == nil {
+			stage = n.stage.Name()
+		}
+		fmt.Fprintf(&b, "node %s kind=%d stage=%s outs=%d ins=%d place=%d detached=%v\n",
+			n.name, n.kind, stage, n.outs, n.ins, n.place, n.detachedOuts)
+	}
+	for _, e := range g.edges {
+		fmt.Fprintf(&b, "edge %s:%d -> %s:%d cut=%v\n", e.From, e.FromPort, e.To, e.ToPort, e.Cut)
+	}
+	keys := make([]string, 0, len(g.index))
+	for k, n := range g.index {
+		keys = append(keys, fmt.Sprintf("%s=%p", k, n))
+	}
+	sort.Strings(keys)
+	fmt.Fprintf(&b, "index %v\n", keys)
+	return b.String()
+}

@@ -450,46 +450,41 @@ var errNotSpecBacked = errors.New("graph: node is not spec-backed")
 
 // resolvePlacement turns the planner's per-segment hints into concrete
 // slot indices for a target with `capacity` slots (shards or nodes; `slot`
-// names them in errors).  Unhinted segments inherit across tee boundaries
-// — keeping a tee and its port pipelines together costs no links — and
-// free-standing chains (true sources, cut heads) fall to the target's
-// placement policy.  plan.Order guarantees the upstream side resolves
-// first.
+// names them in errors).
 func resolvePlacement(g *Graph, plan *core.GraphPlan, capacity int, slot string, fromPolicy func() int) ([]int, error) {
 	out := make([]int, len(plan.Segments))
-	for i := range out {
-		out[i] = -1
-	}
 	for i, seg := range plan.Segments {
-		if seg.Place < 0 {
-			continue
-		}
 		if seg.Place >= capacity {
 			return nil, fmt.Errorf("graph %q: segment %q hinted to %s %d, target has %d",
 				g.name, seg.Name(), slot, seg.Place, capacity)
 		}
-		out[i] = seg.Place
+		out[i] = -1
 	}
+	placeUnresolved(plan, out, fromPolicy)
+	return out, nil
+}
+
+// placeUnresolved fills the unresolved (-1) entries of out: a hinted
+// segment takes its hint, unhinted segments inherit across tee boundaries
+// — keeping a tee and its port pipelines together costs no links — and
+// free-standing chains (true sources, cut heads) fall to the target's
+// placement policy.  plan.Order guarantees the upstream side resolves
+// first.
+func placeUnresolved(plan *core.GraphPlan, out []int, fromPolicy func() int) {
 	for _, si := range plan.Order {
 		if out[si] >= 0 {
 			continue
 		}
-		switch h := plan.Segments[si].Head; h.Kind {
-		case core.EndSplitOut:
+		seg := plan.Segments[si]
+		switch h := seg.Head; {
+		case seg.Place >= 0:
+			out[si] = seg.Place
+		case h.Kind == core.EndSplitOut:
 			out[si] = out[plan.SplitTrunk[h.Node]]
-		case core.EndMergeOut:
-			for _, b := range plan.MergeBranch[h.Node] {
-				if out[b] >= 0 {
-					out[si] = out[b]
-					break
-				}
-			}
-			if out[si] < 0 {
-				out[si] = fromPolicy()
-			}
+		case h.Kind == core.EndMergeOut:
+			out[si] = out[plan.MergeBranch[h.Node][0]]
 		default:
 			out[si] = fromPolicy()
 		}
 	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 
 	"infopipes/internal/core"
@@ -88,7 +89,15 @@ func (t *GroupTarget) WithTenant(tn *qos.Tenant) *GroupTarget {
 	return t
 }
 
+// ErrGroupExited marks a deploy onto a group whose shards have already
+// returned from Run — a group started while still empty exits at once.
+// Deploy first, then start the group.
+var ErrGroupExited = errors.New("graph: group has already exited (deploy before Group.Start)")
+
 func (t *GroupTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error) {
+	if t.Group.Exited() {
+		return nil, fmt.Errorf("graph %q: %w", g.name, ErrGroupExited)
+	}
 	// The placement policy decides free-standing chains only; accounting
 	// happens per composed pipeline (placeAt/release in compose below), so
 	// undo Place's own bookkeeping right away.
@@ -189,8 +198,8 @@ type localDeploy struct {
 	// the work happened, not where the segment lives now, or the balancer
 	// would chase migrated history around the group.
 	retiredByShard []retiredCounts
-	// rebalance marks a re-composition pass: links are reused and
-	// retargeted instead of created, finished pipelines are kept.
+	// rebalance marks a transaction's re-composition pass: links are reused
+	// and retargeted instead of created, finished pipelines are kept.
 	rebalance bool
 	// draining records detached branches still draining their tombstoned
 	// tee ports, keyed by retired segment name.  A later edit quiesces
@@ -317,11 +326,11 @@ func (ld *localDeploy) run() (*Deployment, error) {
 	return ld.d, nil
 }
 
-// redeploy recomposes the graph after a rebalance changed ld.shardOf: the
-// caller (Deployment.Rebalance) has already detached every pipeline of the
-// previous generation.  Stages, tees and links are reused — their buffered
-// state carries the stream across — and segments whose stream already ended
-// are kept as-is instead of being recomposed.
+// redeploy recomposes the graph for the plan and placement a transaction
+// just committed; every pipeline of the previous generation is already
+// detached.  Stages, tees and links are reused — their buffered state
+// carries the stream across — and segments whose stream already ended are
+// kept as-is instead of being recomposed.
 func (ld *localDeploy) redeploy() error {
 	old := make(map[string]*core.Pipeline, len(ld.d.bySegment))
 	ld.d.mu.Lock()
@@ -331,8 +340,6 @@ func (ld *localDeploy) redeploy() error {
 	ld.d.pipelines = nil
 	ld.d.mu.Unlock()
 
-	ld.rebalance = true
-	defer func() { ld.rebalance = false }()
 	for _, si := range ld.plan.Order {
 		seg := ld.plan.Segments[si]
 		if p := old[seg.Name()]; p != nil && p.ReachedEOS() {

@@ -3,9 +3,8 @@ package graph
 import (
 	"errors"
 	"fmt"
-
-	"infopipes/internal/core"
-	"infopipes/internal/events"
+	"maps"
+	"sort"
 )
 
 // Rebalancing errors.
@@ -52,141 +51,24 @@ func (d *Deployment) Rebalance(hints map[string]int) error {
 	if d.remote != nil || d.ld == nil || d.ld.group == nil {
 		return ErrNotRebalancable
 	}
-	d.rbMu.Lock()
-	defer d.rbMu.Unlock()
-	ld := d.ld
+	return d.reconfigure("rebalance", []EditOp{moveOp(hints)})
+}
 
-	// Validate the hints against the plan and the group before touching
-	// anything.
-	segIdx := make(map[string]int, len(ld.plan.Segments))
-	for i, seg := range ld.plan.Segments {
-		segIdx[seg.Name()] = i
-	}
-	newShard := make([]int, len(ld.shardOf))
-	copy(newShard, ld.shardOf)
-	for name, sh := range hints {
-		i, ok := segIdx[name]
-		if !ok {
-			return fmt.Errorf("graph %q: rebalance hint for unknown segment %q", d.name, name)
+// moveOp is Rebalance's delta: segment name to destination shard.
+type moveOp map[string]int
+
+func (op moveOp) stage(t *txn) error {
+	for name, sh := range op {
+		if _, known := t.oldSeg[name]; !known {
+			return fmt.Errorf("graph %q: rebalance hint for unknown segment %q", t.d.name, name)
 		}
-		if sh < 0 || sh >= ld.group.Shards() {
+		if sh < 0 || sh >= t.shards() {
 			return fmt.Errorf("graph %q: segment %q hinted to shard %d, group has %d",
-				d.name, name, sh, ld.group.Shards())
-		}
-		newShard[i] = sh
-	}
-
-	d.mu.Lock()
-	if d.finished {
-		d.mu.Unlock()
-		return ErrDeploymentDone
-	}
-	for _, p := range d.pipelines {
-		if perr := p.Err(); perr != nil {
-			// A failed pipeline has already dropped its in-flight item and
-			// broadcast a stop; rebalancing a failing deployment would
-			// erase the evidence (see the post-quiesce check below for the
-			// race where the failure lands during the detach).
-			d.mu.Unlock()
-			return fmt.Errorf("graph %q: rebalance refused, pipeline %s failed: %w", d.name, p.Name(), perr)
-		}
-		if !p.ReachedEOS() && hasCoroutines(p) {
-			d.mu.Unlock()
-			return fmt.Errorf("%w (%s)", ErrNotMigratable, p.Name())
+				t.d.name, name, sh, t.shards())
 		}
 	}
-	d.rebalancing = true
-	d.gen++
-	old := make([]*core.Pipeline, len(d.pipelines))
-	copy(old, d.pipelines)
-	d.mu.Unlock()
-
-	// Quiesce: detach every pipeline of the old generation and wait for
-	// its threads to exit.  The shard pins taken at deploy keep every
-	// scheduler alive through the window, and with the pump timers purged
-	// the group's virtual clock freezes until the flow resumes.
-	for _, p := range old {
-		p.Detach()
-	}
-	for _, p := range old {
-		<-p.Done()
-	}
-
-	// A pipeline that FAILED (rather than detached cleanly) has already
-	// dropped its in-flight item and broadcast a stop: recomposing over it
-	// would erase the error and resume a stream that silently lost data.
-	// Abort instead — the old generation stays registered, so Err/Wait
-	// keep reporting the failure.
-	for _, p := range old {
-		if perr := p.Err(); perr != nil {
-			d.mu.Lock()
-			d.rebalancing = false
-			d.mu.Unlock()
-			d.seal()
-			d.abandon()
-			return fmt.Errorf("graph %q: rebalance aborted, pipeline %s failed: %w", d.name, p.Name(), perr)
-		}
-	}
-
-	d.mu.Lock()
-	ld.shardOf = newShard // under d.mu: SegmentPlacements/Stats read it there
-	d.mu.Unlock()
-	err := ld.redeploy()
-
-	d.mu.Lock()
-	d.rebalancing = false
-	started := d.started
-	stopReq := d.stopReq
-	if err != nil && d.deployErr == nil {
-		d.deployErr = fmt.Errorf("graph %q: rebalance: %w", d.name, err)
-	}
-	d.mu.Unlock()
-	d.seal()
-	if err != nil {
-		// The recomposition failed mid-way: stop whatever was composed and
-		// surface the error through Err/Wait.
-		d.abandon()
-		return d.Err()
-	}
-	if started {
-		d.broadcast(events.Start)
-	}
-	if stopReq {
-		d.broadcast(events.Stop)
-	}
+	maps.Copy(t.moves, op)
 	return nil
-}
-
-// abandon winds a dead deployment down after a failed rebalance: stop
-// whatever is composed AND close every auto-inserted link — a link whose
-// receiver was never recomposed has no component left to close it, and an
-// open link holds its receiving scheduler's external-source reference
-// forever (the group could never drain) — the same rollback run() performs
-// on a failed deploy.
-func (d *Deployment) abandon() {
-	d.broadcast(events.Stop)
-	for _, l := range d.Links() {
-		l.Close()
-	}
-}
-
-// hasCoroutines reports whether any component placement of the pipeline
-// needs a coroutine thread (migration quiesces pump threads at cycle
-// boundaries; coroutine rendezvous state cannot be carried across yet).
-func hasCoroutines(p *core.Pipeline) bool {
-	for _, sect := range p.Plan().Sections {
-		for _, pl := range sect.Upstream {
-			if !pl.Direct {
-				return true
-			}
-		}
-		for _, pl := range sect.Downstream {
-			if !pl.Direct {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // BalancePolicy parameterizes the automatic rebalancer.
@@ -200,9 +82,9 @@ type BalancePolicy struct {
 	// (default 1024).
 	MinItems int64
 	// Movable, when set, restricts which segments the balancer may propose
-	// moving.  The cluster balancer uses it to skip segments that
+	// moving.  Left nil, a remote deployment skips the segments
 	// Deployment.Replace cannot re-place (sources, tee hosts, directly
-	// wired boundaries); local rebalancing leaves it nil.
+	// wired boundaries) and a local one may move any.
 	Movable func(segment string) bool
 }
 
@@ -298,15 +180,64 @@ func (b *Balancer) Plan(st GraphStats) (map[string]int, bool) {
 }
 
 // Balance runs one epoch of the balancer against the deployment: snapshot
-// stats, plan, and rebalance if warranted.  Reports whether a move was
-// made.
+// stats, plan, and move if warranted — Rebalance between shards on a group
+// target, Replace between nodes on a remote one, where a policy without a
+// Movable filter proposes only segments that are Replaceable.  Reports
+// whether a move was made.
 func (d *Deployment) Balance(b *Balancer) (bool, error) {
+	move := d.Rebalance
+	if d.remote != nil {
+		move = d.Replace
+		if b.policy.Movable == nil {
+			b.policy.Movable = func(seg string) bool { return d.Replaceable(seg) == nil }
+		}
+	}
 	hints, ok := b.Plan(d.Stats())
 	if !ok {
 		return false, nil
 	}
-	if err := d.Rebalance(hints); err != nil {
+	if err := move(hints); err != nil {
 		return false, err
 	}
 	return true, nil
+}
+
+// Evacuate plans the moves that vacate one node (or shard): given where
+// every segment runs (SegmentPlacements), the slot to vacate and the usable
+// survivors, each segment hosted there goes to the survivor hosting the
+// fewest segments at that point — orphans in sorted order, ties to the
+// lowest index, so the same cluster state always evacuates the same way.
+// It returns no hints when the slot hosts nothing.
+func Evacuate(placed map[string]int, vacate int, survivors []int) (map[string]int, error) {
+	load := make(map[int]int, len(survivors))
+	for _, idx := range survivors {
+		load[idx] = 0
+	}
+	var orphans []string
+	for seg, slot := range placed {
+		if slot == vacate {
+			orphans = append(orphans, seg)
+		} else if _, ok := load[slot]; ok {
+			load[slot]++
+		}
+	}
+	if len(orphans) == 0 {
+		return nil, nil
+	}
+	if len(survivors) == 0 {
+		return nil, errors.New("graph: no healthy node left to evacuate onto")
+	}
+	sort.Strings(orphans)
+	hints := make(map[string]int, len(orphans))
+	for _, seg := range orphans {
+		best := survivors[0]
+		for _, idx := range survivors[1:] {
+			if load[idx] < load[best] || (load[idx] == load[best] && idx < best) {
+				best = idx
+			}
+		}
+		hints[seg] = best
+		load[best]++
+	}
+	return hints, nil
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,9 +61,9 @@ func (d *Deployment) Replace(hints map[string]int) error {
 	r := d.remote
 	rd := r.rd
 	if !rd.target.ClusterLanes {
-		return fmt.Errorf("%w: deployment lanes are not redialable (deploy with WithClusterLanes)",
-			ErrNotReplaceable)
+		return errNotRedialable
 	}
+	dests := make(map[int]int, len(hints))
 	for name, node := range hints {
 		si, err := rd.segIndex(name)
 		if err != nil {
@@ -75,19 +76,29 @@ func (d *Deployment) Replace(hints map[string]int) error {
 		if err := rd.replaceable(si, true); err != nil {
 			return err
 		}
+		if rd.nodeOf[si] != node {
+			dests[si] = node
+		}
 	}
-	for name, node := range hints {
-		si, _ := rd.segIndex(name)
-		if rd.nodeOf[si] == node {
-			continue
-		}
-		var err error
-		if rd.plan.Segments[si].Tail.Kind == core.EndSplitTrunk {
-			err = r.replaceSplitTrunk(si, node)
-		} else {
-			err = r.replaceSegment(si, node, true)
-		}
-		if err != nil {
+	return r.execute(dests, true)
+}
+
+var errNotRedialable = fmt.Errorf("%w: deployment lanes are not redialable (deploy with WithClusterLanes)",
+	ErrNotReplaceable)
+
+// execute runs validated moves (segment index to destination node) one at a
+// time, downstream-first — plan segments are indexed in topological order.
+// When a co-placed chain moves (or died) together, the upstream segment's
+// recompose dials its downstream lane, which must already be re-bound at
+// its destination.
+func (r *remoteDeployment) execute(dests map[int]int, oldUp bool) error {
+	order := make([]int, 0, len(dests))
+	for si := range dests {
+		order = append(order, si)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(order)))
+	for _, si := range order {
+		if err := r.move(si, dests[si], oldUp); err != nil {
 			return err
 		}
 	}
@@ -125,8 +136,8 @@ func (rd *remoteDeploy) segIndex(name string) (int, error) {
 // segment.  Split trunks are movable on the LIVE path only (live=true —
 // manual Replace): the trunk detaches, the tee's out-port buffers and relay
 // journals drain on the still-running old node, and the tee is rebuilt from
-// its spec on the destination (see replaceSplitTrunk).  A dead node cannot
-// drain, so failover keeps refusing trunk hosts.
+// its spec on the destination (see move).  A dead node cannot drain, so
+// failover keeps refusing trunk hosts.
 func (rd *remoteDeploy) replaceable(si int, live bool) error {
 	seg := rd.plan.Segments[si]
 	own := rd.nodeOf[si]
@@ -187,7 +198,7 @@ func (rd *remoteDeploy) replaceable(si int, live bool) error {
 		// Every branch must attach over a relay lane: a branch composed on
 		// the trunk's own node pulls the shared tee instance directly, and
 		// that reference cannot follow the tee to another node.
-		for _, bi := range rd.splitBranches(t.Node) {
+		for _, bi := range rd.plan.SplitBranch[t.Node] {
 			if rd.nodeOf[bi] == own {
 				return fmt.Errorf("%w: branch %q is wired directly to split %q (move the branch off node %d first)",
 					ErrNotReplaceable, rd.plan.Segments[bi].Name(), t.Node, own)
@@ -207,99 +218,52 @@ func (rd *remoteDeploy) replaceable(si int, live bool) error {
 	return nil
 }
 
-// splitBranches lists the segments headed by split name's out-ports, in
-// plan order.
-func (rd *remoteDeploy) splitBranches(name string) []int {
-	var out []int
-	for si, seg := range rd.plan.Segments {
-		if h := seg.Head; h.Kind == core.EndSplitOut && h.Node == name {
-			out = append(out, si)
-		}
-	}
-	return out
-}
-
-// preds lists the segments directly upstream of si.
-func (rd *remoteDeploy) preds(si int) []int {
-	var out []int
-	switch h := rd.plan.Segments[si].Head; h.Kind {
-	case core.EndSplitOut:
-		out = append(out, rd.plan.SplitTrunk[h.Node])
-	case core.EndMergeOut:
-		out = append(out, rd.plan.MergeBranch[h.Node]...)
-	case core.EndCut:
-		out = append(out, rd.plan.Cuts[h.Port].FromSeg)
-	}
-	return out
-}
-
-// ancestors lists every segment transitively upstream of si.
-func (rd *remoteDeploy) ancestors(si int) []int {
-	seen := make(map[int]bool)
-	var walk func(i int)
-	walk = func(i int) {
-		for _, p := range rd.preds(i) {
-			if !seen[p] {
-				seen[p] = true
-				walk(p)
-			}
-		}
-	}
-	walk(si)
-	out := make([]int, 0, len(seen))
-	for i := range seen {
-		out = append(out, i)
-	}
-	// Pause/resume fan-outs iterate this; keep the order deterministic
-	// instead of leaking the set's map order (caught by ipvet).
-	sort.Ints(out)
-	return out
-}
-
-// inboundLanes lists the lanes whose listener the segment hosts, paired
-// with the node holding the lane's stationary sender.
-func (rd *remoteDeploy) inboundLanes(si int) map[string]int {
-	out := make(map[string]int)
-	switch h := rd.plan.Segments[si].Head; h.Kind {
-	case core.EndSplitOut:
-		trunk := rd.plan.SplitTrunk[h.Node]
-		if rd.nodeOf[trunk] != rd.nodeOf[si] {
-			out[rd.laneName(h.Node, h.Port)] = rd.nodeOf[trunk]
-		}
-	case core.EndCut:
-		if rd.cutIsLane(h.Port) {
-			out[rd.cutLane(h.Port)] = rd.nodeOf[rd.plan.Cuts[h.Port].FromSeg]
-		}
-	}
-	return out
-}
-
-// outboundLanes lists the lanes the segment's pipeline sends on (their
-// listeners are stationary, downstream).
-func (rd *remoteDeploy) outboundLanes(si int) []string {
-	var out []string
-	switch t := rd.plan.Segments[si].Tail; t.Kind {
-	case core.EndMergeIn:
-		if rd.nodeOf[rd.plan.MergeDown[t.Node]] != rd.nodeOf[si] {
-			out = append(out, rd.laneName(t.Node, t.Port))
-		}
-	case core.EndCut:
-		if rd.cutIsLane(t.Port) {
-			out = append(out, rd.cutLane(t.Port))
-		}
-	}
-	return out
-}
-
-// replaceSegment executes the move of one (validated) segment.  oldUp says
-// whether the segment's current node is still reachable: a live node gets a
-// graceful detach and sided lane drops; a dead one is skipped entirely (its
-// sockets died with it).
-func (r *remoteDeployment) replaceSegment(si, dest int, oldUp bool) error {
+// move executes one validated segment move through the four steps of
+// Replace.  oldUp says whether the segment's current node is still
+// reachable: a live node gets a graceful detach and sided lane drops — the
+// segment owns its inbound LISTENER and outbound SENDERS there, and its
+// neighbours' halves of the same lanes (possibly on the same node) must
+// survive — while a dead one is never contacted (its sockets died with it).
+//
+// A segment hosting a split tee (live moves only, see replaceable) adds the
+// two steps only a trunk needs.  The tee instance cannot cross nodes, but
+// its SPEC can: after the detach the tee drains through its still-running
+// relays, which then retire with it (drainTee); on the destination the
+// relay pipelines recompose first — their tee factory materializes a fresh
+// tee from the carried spec (kind, ports, selector) — before the trunk
+// attaches the tee sink.  The branch listeners' dedup watermarks absorb
+// what the upstream journal replays through the fresh tee.
+//
+// Once a live move has detached the segment, any failure leaves it on
+// neither node: the error is latched and the graph stopped, like a failed
+// deploy.  Under failover nothing is latched — the caller retries another
+// survivor, and only it knows when to give up (Fail).
+func (r *remoteDeployment) move(si, dest int, oldUp bool) error {
 	rd := r.rd
 	seg := rd.plan.Segments[si]
 	old := rd.nodeOf[si]
 	pipeName := r.name + "/" + seg.Name()
+	stepErr := func(step string, err error) error {
+		return fmt.Errorf("graph %q: replace %q: %s: %w", r.name, seg.Name(), step, err)
+	}
+	latch := func(err error) error {
+		if oldUp {
+			r.fail(fmt.Errorf("graph %q: replace %q failed, deployment stopped: %w", r.name, seg.Name(), err))
+		}
+		return err
+	}
+
+	// A trunk moves with one relay pipeline per branch lane.
+	var relayLanes, relayPipes []string
+	teeName := seg.Tail.Node
+	teeKey := rd.g.name + "/" + teeName // the node registers shared tees graph-prefixed
+	if seg.Tail.Kind == core.EndSplitTrunk {
+		for port := range rd.plan.SplitBranch[teeName] {
+			lane := rd.laneName(teeName, port)
+			relayLanes = append(relayLanes, lane)
+			relayPipes = append(relayPipes, lane+"/relay")
+		}
+	}
 
 	r.mu.Lock()
 	r.replacing = true
@@ -313,107 +277,95 @@ func (r *remoteDeployment) replaceSegment(si, dest int, oldUp bool) error {
 		r.mu.Unlock()
 	}()
 
-	// Senders feeding the moved segment, looked up before placement flips.
-	inbound := rd.inboundLanes(si)
+	// The lanes at the segment's boundaries and the node holding the inbound
+	// lane's stationary sender, looked up before placement flips.
+	inLane, _ := rd.segInLane(si)
+	outLane, _ := rd.segOutLane(si)
+	sender := -1
+	if inLane != "" {
+		sender = rd.nodeOf[rd.plan.Upstream(si)[0]]
+	}
 
-	// 1. Retire the old generation.  Its counters are folded from the last
-	// snapshot that could be taken — best-effort: the recomposed generation
-	// reprocesses the replayed tail, so a small overlap is inherent and
-	// only affects telemetry, never the stream.
-	var last remote.PipeStat
+	r.retire(old, oldUp, append([]string{pipeName}, relayPipes...))
 	if oldUp {
-		if rows, err := r.clients[old].Stats(pipeName); err == nil {
-			for _, row := range rows {
-				if row.Name == pipeName {
-					last = row
-				}
-			}
-		}
 		// Detach BEFORE dropping the inbound listener: dropping first would
 		// close the lane inbox under the running pipeline, which reads that
 		// as end of stream and propagates a spurious EOS frame downstream.
 		if err := r.clients[old].Detach(pipeName); err != nil {
-			return fmt.Errorf("graph %q: replace %q: detach: %w", r.name, seg.Name(), err)
+			return stepErr("detach", err)
 		}
-	} else {
-		r.mu.Lock()
-		if row, ok := r.lastRows[old][pipeName]; ok {
-			last = row
-		}
-		r.mu.Unlock()
-	}
-	r.mu.Lock()
-	ret := r.retired[pipeName]
-	ret.items += last.Items
-	ret.cycles += last.Cycles
-	ret.busyNs += last.BusyNanos
-	r.retired[pipeName] = ret
-	if r.retiredByNode == nil {
-		r.retiredByNode = make([]retiredCounts, len(r.clients))
-	}
-	r.retiredByNode[old].items += last.Items
-	r.retiredByNode[old].busyNs += last.BusyNanos
-	r.mu.Unlock()
-	// Sides matter: the moved segment owns its inbound LISTENERS and its
-	// outbound SENDERS on the old node — its neighbours' halves of the
-	// same lanes (possibly on the same node) must survive.
-	if oldUp {
-		for lane := range inbound {
-			if _, err := r.clients[old].Control("drop",
-				map[string]string{"lane": lane, "side": "listener"}); err != nil {
-				return fmt.Errorf("graph %q: replace %q: drop %q: %w", r.name, seg.Name(), lane, err)
+		if len(relayLanes) > 0 {
+			drained, err := drainTee(r.clients[old], teeKey, relayLanes)
+			if err != nil {
+				return latch(stepErr("drain", err))
+			}
+			if !drained {
+				// The branches stopped acknowledging — re-attach the trunk
+				// where it was (its listener, tee and relays are all still in
+				// place) and leave the deployment running.
+				err := fmt.Errorf("graph %q: replace %q: split %q never drained (a branch is not consuming)",
+					r.name, seg.Name(), teeName)
+				if rerr := rd.recomposeSegment(si); rerr != nil {
+					return latch(err)
+				}
+				if started {
+					_ = r.clients[old].SendEvent(events.Event{Type: events.Start, Origin: r.name})
+				}
+				return err
 			}
 		}
-		for _, lane := range rd.outboundLanes(si) {
-			if _, err := r.clients[old].Control("drop",
-				map[string]string{"lane": lane, "side": "sender"}); err != nil {
-				return fmt.Errorf("graph %q: replace %q: drop %q: %w", r.name, seg.Name(), lane, err)
+		drop := func(lane, side string) error {
+			_, err := r.clients[old].Control("drop", map[string]string{"lane": lane, "side": side})
+			return err
+		}
+		if inLane != "" {
+			if err := drop(inLane, "listener"); err != nil {
+				return latch(stepErr("drop "+inLane, err))
+			}
+		}
+		senders := relayLanes // a trunk sends through its relays, any other segment on its outbound lane
+		if outLane != "" {
+			senders = []string{outLane}
+		}
+		for _, lane := range senders {
+			if err := drop(lane, "sender"); err != nil {
+				return latch(stepErr("drop "+lane, err))
+			}
+		}
+		if len(relayLanes) > 0 {
+			if _, err := r.clients[old].Control("droptee", map[string]string{"tee": teeKey}); err != nil {
+				return latch(stepErr("droptee", err))
 			}
 		}
 	}
 
-	// 2. Recompose on the destination: the same segment spec, the same
-	// pipeline name, fresh inbound listeners, outbound dials at the
-	// stationary listeners' unchanged addresses, the same upstream seed.
 	r.mu.Lock()
 	rd.nodeOf[si] = dest // under r.mu: SegmentPlacements reads it there
 	r.mu.Unlock()
-	if err := rd.recomposeSegment(si); err != nil {
+	err := rd.recomposeRelays(si)
+	if err == nil {
+		err = rd.recomposeSegment(si)
+	}
+	if err != nil {
 		r.mu.Lock()
 		rd.nodeOf[si] = old
 		r.mu.Unlock()
-		if oldUp {
-			// A manual Replace: the segment is gone from both nodes —
-			// surface the failure like a failed deploy, stop the graph and
-			// leave the error latched.
-			r.mu.Lock()
-			if r.startErr == nil {
-				r.startErr = fmt.Errorf("graph %q: replace %q failed, deployment stopped: %w", r.name, seg.Name(), err)
-			}
-			r.mu.Unlock()
-			r.stop()
-		}
-		// Under failover the caller retries another survivor, so nothing is
-		// latched here.
-		return err
+		return latch(err)
 	}
 	r.mu.Lock()
 	for i := range r.pipes {
-		if r.pipes[i].seg == si {
+		if r.pipes[i].seg == si || slices.Contains(relayPipes, r.pipes[i].name) {
 			r.pipes[i].client = dest
 		}
 	}
 	r.mu.Unlock()
 
-	// 3. Point the stationary upstream senders at the new listeners — their
-	// journals replay into them — and start the recomposed pipeline.
-	for lane, senderNode := range inbound {
-		if !oldUp && senderNode == old {
-			continue // the sender died with the node (co-placed chain)
-		}
-		if _, err := r.clients[senderNode].Control("redial",
-			map[string]string{"lane": lane, "addr": rd.laneAddr[lane]}); err != nil {
-			return fmt.Errorf("graph %q: replace %q: redial %q: %w", r.name, seg.Name(), lane, err)
+	// A sender that died with the node (a co-placed chain under failover) is
+	// not redialed: its own move recomposes it against the new listener.
+	if inLane != "" && (oldUp || sender != old) {
+		if _, err := r.clients[sender].Control("redial",
+			map[string]string{"lane": inLane, "addr": rd.laneAddr[inLane]}); err != nil {
+			return latch(stepErr("redial "+inLane, err))
 		}
 	}
 	if started {
@@ -422,202 +374,98 @@ func (r *remoteDeployment) replaceSegment(si, dest int, oldUp bool) error {
 	return nil
 }
 
-// replaceSplitTrunk moves a segment that hosts a split tee — the live-only
-// arm of Replace.  The tee instance cannot cross nodes, but its SPEC can:
-// the protocol empties the old instance and rebuilds an identical one on
-// the destination.
-//
-//  1. Detach the trunk pipeline.  Unconsumed inbound items stay covered by
-//     the upstream journal (the trunk's listener acks only consumption).
-//  2. Drain: the relay pipelines keep running and pump the tee's out-port
-//     buffers into the branch lanes; poll the drained probe until every
-//     buffer is empty and every relay lane is connected and quiescent — at
-//     that point every item that entered the tee is on a branch listener's
-//     side of the wire (consumed or in its inbox).  The relay journals'
-//     delivered-but-unacked tails are discarded with the relays; the
-//     listeners' dedup watermarks make any replayed overlap harmless (see
-//     nodeState.drained).  A drain that never completes (a wedged or
-//     disconnected branch) rolls the trunk back onto its old node and
-//     reports the failure.
-//  3. Detach the relays (a detach stops at a pump-cycle boundary, so no
-//     item is in a relay's hand), re-verify emptiness, and drop the old
-//     node's tee instance, relay senders and trunk listener.
-//  4. Rebuild on the destination: relay pipelines first (their tee factory
-//     materializes a fresh tee from the carried spec — kind, ports,
-//     selector — and dials the stationary branch listeners), then the
-//     trunk itself (recomposeSegment attaches the tee sink).
-//  5. Redial the stationary upstream sender at the trunk's new listener —
-//     its journal replays the unacked tail through the fresh tee — and
-//     re-broadcast start.  The branch listeners' dedup watermarks absorb
-//     the replayed overlap, so the move stays exactly-once on every branch.
-func (r *remoteDeployment) replaceSplitTrunk(si, dest int) error {
-	rd := r.rd
-	seg := rd.plan.Segments[si]
-	old := rd.nodeOf[si]
-	pipeName := r.name + "/" + seg.Name()
-	teeName := seg.Tail.Node
-	teeKey := rd.g.name + "/" + teeName
-
-	branches := rd.splitBranches(teeName)
-	var relayLanes, relayPipes []string
-	for _, bi := range branches {
-		lane := rd.laneName(teeName, rd.plan.Segments[bi].Head.Port)
-		relayLanes = append(relayLanes, lane)
-		relayPipes = append(relayPipes, lane+"/relay")
-	}
-
-	r.mu.Lock()
-	r.replacing = true
-	r.repGen++
-	started := r.started
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		r.replacing = false
-		r.repGen++
-		r.mu.Unlock()
-	}()
-
-	inbound := rd.inboundLanes(si)
-
-	// Fold the trunk's and relays' counters before their pipelines retire.
+// retire folds the last-known counters of the pipelines a move is about to
+// abandon on node into the retired stats — best-effort: the recomposed
+// generation reprocesses the replayed tail, so a small overlap is inherent
+// and only affects telemetry, never the stream.  A dead node's rows come
+// from the last snapshot that reached it.
+func (r *remoteDeployment) retire(node int, up bool, names []string) {
 	rows := make(map[string]remote.PipeStat)
-	if nodeRows, err := r.clients[old].Stats(r.name + "/"); err == nil {
-		for _, row := range nodeRows {
-			rows[row.Name] = row
+	if up {
+		if nodeRows, err := r.clients[node].Stats(r.name + "/"); err == nil {
+			for _, row := range nodeRows {
+				rows[row.Name] = row
+			}
 		}
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !up {
+		rows = r.lastRows[node]
+	}
 	if r.retiredByNode == nil {
 		r.retiredByNode = make([]retiredCounts, len(r.clients))
 	}
-	for _, name := range append([]string{pipeName}, relayPipes...) {
-		row := rows[name]
-		ret := r.retired[name]
+	for _, name := range names {
+		row, ret := rows[name], r.retired[name]
 		ret.items += row.Items
 		ret.cycles += row.Cycles
 		ret.busyNs += row.BusyNanos
 		r.retired[name] = ret
-		r.retiredByNode[old].items += row.Items
-		r.retiredByNode[old].busyNs += row.BusyNanos
+		r.retiredByNode[node].items += row.Items
+		r.retiredByNode[node].busyNs += row.BusyNanos
 	}
-	r.mu.Unlock()
+}
 
-	latch := func(err error) error {
-		r.mu.Lock()
-		if r.startErr == nil {
-			r.startErr = fmt.Errorf("graph %q: replace %q failed, deployment stopped: %w", r.name, seg.Name(), err)
-		}
-		r.mu.Unlock()
-		r.stop()
-		return err
-	}
-
-	// 1. Stop feeding the tee.
-	if err := r.clients[old].Detach(pipeName); err != nil {
-		return fmt.Errorf("graph %q: replace %q: detach: %w", r.name, seg.Name(), err)
-	}
-
-	// 2. Drain the tee through the still-running relays.
-	drainParams := map[string]string{"tee": teeKey, "lanes": strings.Join(relayLanes, ",")}
-	drained := false
+// drainTee empties a split tee whose trunk was just detached, then retires
+// its relays.  The relay pipelines keep running and pump the tee's out-port
+// buffers into the branch lanes; the drained probe is polled until every
+// buffer is empty and every relay lane is connected and quiescent — at that
+// point every item that entered the tee is on a branch listener's side of
+// the wire (consumed or in its inbox).  The relay journals'
+// delivered-but-unacked tails are discarded with the relays; the listeners'
+// dedup watermarks make any replayed overlap harmless (see
+// nodeState.drained).  It reports false, with the relays untouched, when
+// the tee never drains (a wedged or disconnected branch).  Otherwise the
+// relays detach — at a pump-cycle boundary, so no item is in a relay's
+// hand — and emptiness is re-verified: a straggler caught between a buffer
+// pop and a journal append by the LAST probe would have been journaled by
+// now and show up here.
+func drainTee(c *remote.Client, teeKey string, lanes []string) (bool, error) {
+	params := map[string]string{"tee": teeKey, "lanes": strings.Join(lanes, ",")}
 	deadline := time.Now().Add(10 * time.Second) //ipvet:allow wallclock drain deadline against a live remote node; its relays run on their own clock
-	for time.Now().Before(deadline) {            //ipvet:allow wallclock drain deadline check
-		v, err := r.clients[old].Control("drained", drainParams)
+	for {
+		v, err := c.Control("drained", params)
 		if err != nil {
-			return latch(fmt.Errorf("graph %q: replace %q: drain probe: %w", r.name, seg.Name(), err))
+			return false, fmt.Errorf("probe: %w", err)
 		}
 		if v == "1" {
-			drained = true
 			break
 		}
-	}
-	if !drained {
-		// The branches stopped acknowledging — re-attach the trunk where it
-		// was (its listener, tee and relays are all still in place) and
-		// leave the deployment running.
-		err := fmt.Errorf("graph %q: replace %q: split %q never drained (a branch is not consuming)",
-			r.name, seg.Name(), teeName)
-		if rerr := rd.recomposeSegment(si); rerr != nil {
-			return latch(err)
+		if !time.Now().Before(deadline) { //ipvet:allow wallclock drain deadline check
+			return false, nil
 		}
-		if started {
-			_ = r.clients[old].SendEvent(events.Event{Type: events.Start, Origin: r.name})
-		}
-		return err
 	}
+	for _, lane := range lanes {
+		if err := c.Detach(lane + "/relay"); err != nil {
+			return false, fmt.Errorf("detach relay of %q: %w", lane, err)
+		}
+	}
+	if v, err := c.Control("drained", params); err != nil || v != "1" {
+		return false, fmt.Errorf("split not empty after relay detach (err=%v)", err)
+	}
+	return true, nil
+}
 
-	// 3. Retire the relays at a pump-cycle boundary and re-verify: a
-	// straggler item caught between a buffer pop and a journal append by
-	// the LAST probe would have been journaled by now and show up here.
-	for _, name := range relayPipes {
-		if err := r.clients[old].Detach(name); err != nil {
-			return latch(fmt.Errorf("graph %q: replace %q: detach relay %q: %w", r.name, seg.Name(), name, err))
-		}
+// recomposeRelays rebuilds, on a trunk's (re-assigned) node, the relay
+// pipeline of every branch lane of its split, dialing the stationary branch
+// listeners.  A segment that hosts no split has none.
+func (rd *remoteDeploy) recomposeRelays(si int) error {
+	t, own := rd.plan.Segments[si].Tail, rd.nodeOf[si]
+	if t.Kind != core.EndSplitTrunk {
+		return nil
 	}
-	if v, err := r.clients[old].Control("drained", drainParams); err != nil || v != "1" {
-		return latch(fmt.Errorf("graph %q: replace %q: split %q not empty after relay detach (err=%v)",
-			r.name, seg.Name(), teeName, err))
-	}
-	for _, lane := range relayLanes {
-		if _, err := r.clients[old].Control("drop",
-			map[string]string{"lane": lane, "side": "sender"}); err != nil {
-			return latch(fmt.Errorf("graph %q: replace %q: drop %q: %w", r.name, seg.Name(), lane, err))
-		}
-	}
-	for lane := range inbound {
-		if _, err := r.clients[old].Control("drop",
-			map[string]string{"lane": lane, "side": "listener"}); err != nil {
-			return latch(fmt.Errorf("graph %q: replace %q: drop %q: %w", r.name, seg.Name(), lane, err))
-		}
-	}
-	if _, err := r.clients[old].Control("droptee", map[string]string{"tee": teeKey}); err != nil {
-		return latch(fmt.Errorf("graph %q: replace %q: droptee: %w", r.name, seg.Name(), err))
-	}
-
-	// 4. Rebuild on the destination: relays first (their factories carry
-	// the tee spec), then the trunk.
-	r.mu.Lock()
-	rd.nodeOf[si] = dest
-	r.mu.Unlock()
-	for i, bi := range branches {
-		lane := relayLanes[i]
-		relay := []remote.StageSpec{
-			rd.teeSpec("ip/teeout", fmt.Sprintf("%s.src%d", teeName, rd.plan.Segments[bi].Head.Port),
-				teeName, map[string]string{"port": strconv.Itoa(rd.plan.Segments[bi].Head.Port)}),
+	for port := range rd.plan.SplitBranch[t.Node] {
+		lane := rd.laneName(t.Node, port)
+		relay := append([]remote.StageSpec{
+			rd.teeSpec("ip/teeout", fmt.Sprintf("%s.src%d", t.Node, port), t.Node,
+				map[string]string{"port": strconv.Itoa(port)}),
 			rd.pumpSpec(lane),
+		}, rd.sendSpecs(lane, rd.laneAddr[lane], rd.laneDurable(si), "")...)
+		rd.touched[own] = true
+		if err := rd.client(own).ComposeTenantSegment(lane+"/relay", relay, rd.segOutSpec[si], rd.tenantSpec(), false); err != nil {
+			return fmt.Errorf("graph %q: node %d: recompose relay %q: %w", rd.g.name, own, lane+"/relay", err)
 		}
-		relay = append(relay, rd.sendSpecs(lane, rd.laneAddr[lane], rd.laneDurable(si), "")...)
-		rd.touched[dest] = true
-		if err := rd.client(dest).ComposeTenantSegment(relayPipes[i], relay, rd.segOutSpec[si], rd.tenantSpec(), false); err != nil {
-			return latch(fmt.Errorf("graph %q: node %d: recompose relay %q: %w", r.name, dest, relayPipes[i], err))
-		}
-	}
-	if err := rd.recomposeSegment(si); err != nil {
-		return latch(err)
-	}
-	r.mu.Lock()
-	for i := range r.pipes {
-		if r.pipes[i].seg == si {
-			r.pipes[i].client = dest
-		}
-		for _, name := range relayPipes {
-			if r.pipes[i].name == name {
-				r.pipes[i].client = dest
-			}
-		}
-	}
-	r.mu.Unlock()
-
-	// 5. Replay the upstream journal into the rebuilt trunk and start.
-	for lane, senderNode := range inbound {
-		if _, err := r.clients[senderNode].Control("redial",
-			map[string]string{"lane": lane, "addr": rd.laneAddr[lane]}); err != nil {
-			return latch(fmt.Errorf("graph %q: replace %q: redial %q: %w", r.name, seg.Name(), lane, err))
-		}
-	}
-	if started {
-		_ = r.clients[dest].SendEvent(events.Event{Type: events.Start, Origin: r.name})
 	}
 	return nil
 }
@@ -689,10 +537,13 @@ func (d *Deployment) Supervise() {
 // supervisor calls it when a dead node's segments cannot be placed on any
 // healthy survivor.  Wait and Err return the latched error.
 func (d *Deployment) Fail(err error) {
-	r := d.remote
-	if r == nil || err == nil {
-		return
+	if d.remote != nil && err != nil {
+		d.remote.fail(err)
 	}
+}
+
+// fail latches the first terminal error and stops the graph.
+func (r *remoteDeployment) fail(err error) {
 	r.mu.Lock()
 	if r.startErr == nil {
 		r.startErr = err
@@ -752,14 +603,13 @@ func (d *Deployment) Finished() bool {
 // segment on the dead node; a relay pipeline (split/merge anchor wiring) on
 // the dead node is not recoverable and fails the call.
 //
-// The move is two-phase: first every moved segment's inbound lanes are
-// pre-bound on their destinations (so co-placed chains that died together
-// can dial each other's fresh listeners), then the segments recompose in
-// topological order, stationary senders redial (replaying their journals),
-// and the destinations get a start event.  On error the failed segment's
-// placement reverts to the dead node and the error returns without
-// latching: the caller may retry with different survivors, and only it
-// knows when to give up (Fail).
+// The segments recompose one at a time, downstream-first (so co-placed
+// chains that died together can dial each other's fresh listeners),
+// stationary senders redial (replaying their journals), and the
+// destinations get a start event.  On error the failed segment's placement
+// reverts to the dead node and the error returns without latching: the
+// caller may retry with different survivors, and only it knows when to give
+// up (Fail).
 func (d *Deployment) FailOver(dead int, hints map[string]int) error {
 	if d.remote == nil {
 		return ErrNotRebalancable
@@ -769,55 +619,35 @@ func (d *Deployment) FailOver(dead int, hints map[string]int) error {
 	r := d.remote
 	rd := r.rd
 	if !rd.target.ClusterLanes {
-		return fmt.Errorf("%w: deployment lanes are not redialable (deploy with WithClusterLanes)",
-			ErrNotReplaceable)
+		return errNotRedialable
 	}
 	if dead < 0 || dead >= len(r.clients) {
 		return fmt.Errorf("graph %q: failover of node %d, cluster has %d", d.name, dead, len(r.clients))
 	}
 	// Everything hosted on the dead node must be recoverable and hinted.
-	var moves []int
-	r.mu.Lock()
-	for si := range rd.plan.Segments {
-		if rd.nodeOf[si] == dead {
-			moves = append(moves, si)
-		}
-	}
-	r.mu.Unlock()
 	for _, p := range r.pipeList() {
 		if p.client == dead && p.seg < 0 {
 			return fmt.Errorf("graph %q: failover: relay %q is anchored on dead node %d (its tee cannot move)",
 				d.name, p.name, dead)
 		}
 	}
-	if len(moves) == 0 {
-		return nil
-	}
-	// Recompose downstream-first (plan segments are indexed in topological
-	// order): when a co-placed chain dies together, the upstream segment's
-	// recompose dials its downstream lane — which must already be re-bound
-	// on the survivor, or the dial hits the dead node's stale address.
-	sort.Sort(sort.Reverse(sort.IntSlice(moves)))
-	dests := make(map[int]int, len(moves))
-	for _, si := range moves {
-		name := rd.plan.Segments[si].Name()
-		dest, ok := hints[name]
+	dests := make(map[int]int)
+	for si, seg := range rd.plan.Segments {
+		if rd.nodeOf[si] != dead {
+			continue
+		}
+		dest, ok := hints[seg.Name()]
 		if !ok {
 			return fmt.Errorf("graph %q: failover: no destination for segment %q on dead node %d",
-				d.name, name, dead)
+				d.name, seg.Name(), dead)
 		}
 		if dest == dead || dest < 0 || dest >= len(r.clients) {
-			return fmt.Errorf("graph %q: failover: segment %q hinted to unusable node %d", d.name, name, dest)
+			return fmt.Errorf("graph %q: failover: segment %q hinted to unusable node %d", d.name, seg.Name(), dest)
 		}
 		if err := rd.replaceable(si, false); err != nil {
 			return err
 		}
 		dests[si] = dest
 	}
-	for _, si := range moves {
-		if err := r.replaceSegment(si, dests[si], false); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.execute(dests, false)
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"infopipes/internal/core"
 	"infopipes/internal/pipes"
@@ -53,11 +54,8 @@ type ScaleStage struct {
 	Build func(i int) (core.Stage, error)
 }
 
-func (ScaleStage) editOp() {}
-
-// scaleRec carries one validated ScaleStage through the edit transaction.
+// scaleRec carries one validated ScaleStage through the transaction.
 type scaleRec struct {
-	node      string
 	splitName string
 	mergeName string
 	replicas  int
@@ -67,53 +65,148 @@ type scaleRec struct {
 	om        *pipes.OrderedMerge
 }
 
-// applyScaleOp validates one ScaleStage against the current declaration and
-// rewrites the declaration layer (nodes, edges, the new tees); the caller's
-// restore() undoes everything on failure.  New plain stages (replicas and
-// their pumps) are registered in newStages for the event-capability check
-// and the Phase-5 stage-table update.
-func (d *Deployment) applyScaleOp(op ScaleStage, nShards int,
-	newStages map[string]core.Stage, undo *[]func(),
-	fresh func(core.Stage) (string, error)) (*scaleRec, error) {
-	ld := d.ld
-	g, plan := ld.g, ld.plan
+// stage validates the op and rewrites the declaration layer: replica nodes,
+// the tee pair, and one branch per replica between them.
+func (op ScaleStage) stage(t *txn) error {
+	g := t.ld.g
+	inIdx, outIdx, err := op.validate(t)
+	if err != nil {
+		return err
+	}
+	n, in, out := g.index[op.Node], g.edges[inIdx], g.edges[outIdx]
+	oldShard, pumpDownstream, err := op.host(t)
+	if err != nil {
+		return err
+	}
 
+	// Replica 0 is the original (its state stays); 1..n-1 come from Build
+	// or the node's catalog spec.
+	repNames := make([]string, op.Replicas)
+	repNames[0] = op.Node
+	for i := 1; i < op.Replicas; i++ {
+		var st core.Stage
+		var err error
+		switch {
+		case op.Build != nil:
+			st, err = op.Build(i)
+		case n.spec != nil:
+			f, ok := g.catalog[n.spec.Kind]
+			if !ok {
+				return t.errf("ScaleStage %q: spec kind %q not in catalog", op.Node, n.spec.Kind)
+			}
+			st, err = f(fmt.Sprintf("%s#%d", op.Node, i), n.spec.Args, n.spec.Params)
+		default:
+			return t.errf("ScaleStage %q is live-declared; supply Build to make replicas", op.Node)
+		}
+		if err != nil {
+			return t.errf("ScaleStage %q replica %d: %w", op.Node, i, err)
+		}
+		if repNames[i], err = t.declare(st, -1); err != nil {
+			return err
+		}
+		if _, isComp := st.IsComponent(); !isComp {
+			return t.errf("ScaleStage %q replica %q is not a plain component", op.Node, repNames[i])
+		}
+	}
+
+	// The tees: an elastic splitter and its paired seq-ordered merge.  Both
+	// are declared unhinted, and the scaled node drops its own hint — a
+	// rebalance may have moved the segment off its declared shard, so
+	// placement is pinned per segment after the re-plan
+	// (pinScalePlacements), not through hints.
+	rec := &scaleRec{splitName: op.Node + ".split", mergeName: op.Node + ".merge",
+		replicas: op.Replicas, places: op.Places, oldShard: oldShard}
+	rec.tee = pipes.NewElasticTee(rec.splitName, op.Replicas, 8, typespec.Block, typespec.Block)
+	rec.om = pipes.NewOrderedMerge(rec.mergeName, op.Replicas, 8, typespec.Block, typespec.Block, rec.tee.BaseRef())
+	split := &node{name: rec.splitName, kind: nSplit, split: rec.tee, outs: op.Replicas, place: -1}
+	merge := &node{name: rec.mergeName, kind: nMerge, merge: rec.om, ins: op.Replicas, place: -1}
+	g.nodes = append(g.nodes, split, merge)
+	g.index[split.name], g.index[merge.name] = split, merge
+	oldPlace := n.place
+	n.place = -1
+	t.undo = append(t.undo, func() { n.place = oldPlace })
+
+	// Rewrite the edges: drop From->S and S->To, route the flow through the
+	// tees, and give every replica its own branch pump.  The segment's pump
+	// stays on whichever side of S it already was; the other side gains a
+	// fresh free pump (S/feed drives the trunk, S/fold the merged tail).
+	kept := g.edges[:0:0]
+	for i, e := range g.edges {
+		if i != inIdx && i != outIdx {
+			kept = append(kept, e)
+		}
+	}
+	g.edges = kept
+	from, fromPort := in.From, core.GraphMainPort
+	link := func(to string, toPort int) {
+		g.edges = append(g.edges, core.GraphEdgeInfo{From: from, FromPort: fromPort, To: to, ToPort: toPort})
+		from, fromPort = to, core.GraphMainPort
+	}
+	pump := func(name string) error {
+		if _, err := t.declare(core.Pmp(pipes.NewFreePump(name)), -1); err != nil {
+			return err
+		}
+		link(name, core.GraphMainPort)
+		return nil
+	}
+	if pumpDownstream {
+		if err := pump(op.Node + "/feed"); err != nil {
+			return err
+		}
+	}
+	link(rec.splitName, core.GraphMainPort)
+	for i, rep := range repNames {
+		from, fromPort = rec.splitName, i
+		link(rep, core.GraphMainPort)
+		if err := pump(fmt.Sprintf("%s#%d/p", op.Node, i)); err != nil {
+			return err
+		}
+		link(rec.mergeName, i)
+	}
+	if !pumpDownstream {
+		if err := pump(op.Node + "/fold"); err != nil {
+			return err
+		}
+	}
+	link(out.To, core.GraphMainPort)
+	t.scales = append(t.scales, rec)
+	return nil
+}
+
+// validate checks the op's shape and that the stage is a plain component
+// interior to its segment: exactly one plain non-cut in-edge and one plain
+// non-cut out-edge, both to plain stages.  It returns their edge indices.
+func (op ScaleStage) validate(t *txn) (inIdx, outIdx int, err error) {
+	g := t.ld.g
 	if op.Replicas < 2 {
-		return nil, fmt.Errorf("graph %q: edit: ScaleStage %q to %d replicas; want at least 2",
-			d.name, op.Node, op.Replicas)
+		return 0, 0, t.errf("ScaleStage %q to %d replicas; want at least 2", op.Node, op.Replicas)
 	}
 	if len(op.Places) != 0 && len(op.Places) != op.Replicas {
-		return nil, fmt.Errorf("graph %q: edit: ScaleStage %q carries %d placement hints for %d replicas",
-			d.name, op.Node, len(op.Places), op.Replicas)
+		return 0, 0, t.errf("ScaleStage %q carries %d placement hints for %d replicas",
+			op.Node, len(op.Places), op.Replicas)
 	}
 	for i, p := range op.Places {
-		if p < -1 || p >= nShards {
-			return nil, fmt.Errorf("graph %q: edit: ScaleStage %q replica %d placed on shard %d, target has %d",
-				d.name, op.Node, i, p, nShards)
+		if p < -1 || p >= t.shards() {
+			return 0, 0, t.errf("ScaleStage %q replica %d placed on shard %d, target has %d",
+				op.Node, i, p, t.shards())
 		}
 	}
-	n, ok := g.index[op.Node]
-	if !ok || n.kind != nStage {
-		return nil, fmt.Errorf("graph %q: edit: ScaleStage target %q is not a plain stage", d.name, op.Node)
+	if n, ok := g.index[op.Node]; !ok || n.kind != nStage {
+		return 0, 0, t.errf("ScaleStage target %q is not a plain stage", op.Node)
 	}
-	cur, ok := ld.stages[op.Node]
+	cur, ok := t.ld.stages[op.Node]
 	if !ok {
-		return nil, fmt.Errorf("graph %q: edit: stage %q has no live instance", d.name, op.Node)
+		return 0, 0, t.errf("stage %q has no live instance", op.Node)
 	}
 	if _, isComp := cur.IsComponent(); !isComp {
-		return nil, fmt.Errorf("graph %q: edit: ScaleStage %q: only plain components scale (pumps drive one pipeline, buffers hold its items)",
-			d.name, op.Node)
+		return 0, 0, t.errf("ScaleStage %q: only plain components scale (pumps drive one pipeline, buffers hold its items)", op.Node)
 	}
-	splitName, mergeName := op.Node+".split", op.Node+".merge"
-	for _, nm := range []string{splitName, mergeName} {
+	for _, nm := range []string{op.Node + ".split", op.Node + ".merge"} {
 		if _, dup := g.index[nm]; dup {
-			return nil, fmt.Errorf("graph %q: edit: %q already exists (stage %q scaled twice?)", d.name, nm, op.Node)
+			return 0, 0, t.errf("%q already exists (stage %q scaled twice?)", nm, op.Node)
 		}
 	}
-
-	// The stage must be interior: exactly one plain non-cut in-edge and one
-	// plain non-cut out-edge, both to plain stages of the same segment.
-	inIdx, outIdx := -1, -1
+	inIdx, outIdx = -1, -1
 	for i, e := range g.edges {
 		if e.To == op.Node && e.ToPort == core.GraphMainPort {
 			inIdx = i
@@ -123,180 +216,52 @@ func (d *Deployment) applyScaleOp(op ScaleStage, nShards int,
 		}
 	}
 	if inIdx < 0 || outIdx < 0 {
-		return nil, fmt.Errorf("graph %q: edit: ScaleStage %q is not interior (sources and sinks do not scale)",
-			d.name, op.Node)
+		return 0, 0, t.errf("ScaleStage %q is not interior (sources and sinks do not scale)", op.Node)
 	}
 	in, out := g.edges[inIdx], g.edges[outIdx]
 	if in.Cut || out.Cut {
-		return nil, fmt.Errorf("graph %q: edit: ScaleStage %q sits on a cut boundary; scale a stage interior to one segment",
-			d.name, op.Node)
+		return 0, 0, t.errf("ScaleStage %q sits on a cut boundary; scale a stage interior to one segment", op.Node)
 	}
 	for _, peer := range []string{in.From, out.To} {
 		if pn, ok := g.index[peer]; !ok || pn.kind != nStage {
-			return nil, fmt.Errorf("graph %q: edit: ScaleStage %q neighbors tee %q; scale a stage between plain stages",
-				d.name, op.Node, peer)
+			return 0, 0, t.errf("ScaleStage %q neighbors tee %q; scale a stage between plain stages", op.Node, peer)
 		}
 	}
 	if in.FromPort != core.GraphMainPort || out.ToPort != core.GraphMainPort {
-		return nil, fmt.Errorf("graph %q: edit: ScaleStage %q neighbors a tee port; scale a stage between plain stages",
-			d.name, op.Node)
+		return 0, 0, t.errf("ScaleStage %q neighbors a tee port; scale a stage between plain stages", op.Node)
 	}
+	return inIdx, outIdx, nil
+}
 
-	// Locate the hosting segment and its single pump: the pump stays on
-	// whichever side of the split it already was, and the other side gains a
-	// fresh free pump (S/feed drives the trunk when the pump is downstream
-	// of S, S/fold drives the merged tail when it is upstream).
-	si, nodeIdx := -1, -1
-	for i, seg := range plan.Segments {
-		for j, s := range seg.Stages {
-			if s == op.Node {
-				si, nodeIdx = i, j
-				break
-			}
-		}
-	}
-	if si < 0 {
-		return nil, fmt.Errorf("graph %q: edit: ScaleStage %q not in any planned segment", d.name, op.Node)
-	}
-	seg := plan.Segments[si]
-	pumpIdx, pumps := -1, 0
-	for j, s := range seg.Stages {
-		if _, isPump := ld.stages[s].IsPump(); isPump {
-			pumpIdx, pumps = j, pumps+1
-		}
-	}
-	if pumps != 1 {
-		return nil, fmt.Errorf("graph %q: edit: ScaleStage %q: segment %q has %d pumps, want exactly 1 (multi-section segments do not scale)",
-			d.name, op.Node, seg.Name(), pumps)
-	}
-	oldShard := ld.shardOf[si]
-
-	// Build the replica instances: replica 0 is the original (its state
-	// stays), 1..n-1 come from Build or the node's catalog spec.
-	repNames := make([]string, op.Replicas)
-	repNames[0] = op.Node
-	for i := 1; i < op.Replicas; i++ {
-		rname := fmt.Sprintf("%s#%d", op.Node, i)
-		var st core.Stage
-		var err error
-		switch {
-		case op.Build != nil:
-			st, err = op.Build(i)
-		case n.spec != nil:
-			f, ok := g.catalog[n.spec.Kind]
-			if !ok {
-				return nil, fmt.Errorf("graph %q: edit: ScaleStage %q: spec kind %q not in catalog", d.name, op.Node, n.spec.Kind)
-			}
-			st, err = f(rname, n.spec.Args, n.spec.Params)
-		default:
-			return nil, fmt.Errorf("graph %q: edit: ScaleStage %q is live-declared; supply Build to make replicas", d.name, op.Node)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("graph %q: edit: ScaleStage %q replica %d: %w", d.name, op.Node, i, err)
-		}
-		name, err := fresh(st)
-		if err != nil {
-			return nil, err
-		}
-		if _, isComp := st.IsComponent(); !isComp {
-			return nil, fmt.Errorf("graph %q: edit: ScaleStage %q replica %q is not a plain component", d.name, op.Node, name)
-		}
-		repNames[i] = name
-		g.nodes = append(g.nodes, &node{name: name, kind: nStage, stage: st, place: -1})
-		g.index[name] = g.nodes[len(g.nodes)-1]
-		newStages[name] = st
-	}
-
-	// The tees: an elastic splitter and its paired seq-ordered merge.  Both
-	// are declared unhinted — a rebalance may have moved the segment off its
-	// declared shard, so placement is pinned per segment after the re-plan
-	// (see the scale fix-ups in editLocal's Phase 3), not through hints.
-	tee := pipes.NewElasticTee(splitName, op.Replicas, 8, typespec.Block, typespec.Block)
-	om := pipes.NewOrderedMerge(mergeName, op.Replicas, 8, typespec.Block, typespec.Block, tee.BaseRef())
-	g.nodes = append(g.nodes, &node{name: splitName, kind: nSplit, split: tee, outs: op.Replicas, place: -1})
-	g.index[splitName] = g.nodes[len(g.nodes)-1]
-	g.nodes = append(g.nodes, &node{name: mergeName, kind: nMerge, merge: om, ins: op.Replicas, place: -1})
-	g.index[mergeName] = g.nodes[len(g.nodes)-1]
-
-	// The scaled node must not carry a stale placement hint into its branch
-	// segment: branch shards are pinned explicitly after the re-plan.
-	oldPlace := n.place
-	nref := n
-	n.place = -1
-	*undo = append(*undo, func() { nref.place = oldPlace })
-
-	// Rewrite the edges: drop From->S and S->To, route the flow through the
-	// tees, and give every replica its own branch pump.
-	kept := g.edges[:0:0]
-	for i, e := range g.edges {
-		if i == inIdx || i == outIdx {
+// host locates the live segment hosting the stage and its single pump: it
+// returns the segment's shard and whether the pump sits downstream of the
+// stage.
+func (op ScaleStage) host(t *txn) (shardIdx int, pumpDownstream bool, err error) {
+	ld := t.ld
+	for si, seg := range ld.plan.Segments {
+		nodeIdx := slices.Index(seg.Stages, op.Node)
+		if nodeIdx < 0 {
 			continue
 		}
-		kept = append(kept, e)
-	}
-	g.edges = kept
-	addPump := func(name string) error {
-		st := core.Pmp(pipes.NewFreePump(name))
-		if _, err := fresh(st); err != nil {
-			return err
+		pumpIdx, pumps := -1, 0
+		for j, s := range seg.Stages {
+			if _, isPump := ld.stages[s].IsPump(); isPump {
+				pumpIdx, pumps = j, pumps+1
+			}
 		}
-		g.nodes = append(g.nodes, &node{name: name, kind: nStage, stage: st, place: -1})
-		g.index[name] = g.nodes[len(g.nodes)-1]
-		newStages[name] = st
-		return nil
-	}
-	edge := func(from string, fromPort int, to string, toPort int) {
-		g.edges = append(g.edges, core.GraphEdgeInfo{From: from, FromPort: fromPort, To: to, ToPort: toPort})
-	}
-	trunkTail := in.From
-	if pumpIdx > nodeIdx {
-		// The segment's pump sits downstream of S and stays there; the trunk
-		// needs its own driver.
-		feed := op.Node + "/feed"
-		if err := addPump(feed); err != nil {
-			return nil, err
+		if pumps != 1 {
+			return 0, false, t.errf("ScaleStage %q: segment %q has %d pumps, want exactly 1 (multi-section segments do not scale)",
+				op.Node, seg.Name(), pumps)
 		}
-		edge(trunkTail, core.GraphMainPort, feed, core.GraphMainPort)
-		trunkTail = feed
+		return ld.shardOf[si], pumpIdx > nodeIdx, nil
 	}
-	edge(trunkTail, core.GraphMainPort, splitName, core.GraphMainPort)
-	for i := 0; i < op.Replicas; i++ {
-		pname := fmt.Sprintf("%s#%d/p", op.Node, i)
-		if err := addPump(pname); err != nil {
-			return nil, err
-		}
-		edge(splitName, i, repNames[i], core.GraphMainPort)
-		edge(repNames[i], core.GraphMainPort, pname, core.GraphMainPort)
-		edge(pname, core.GraphMainPort, mergeName, i)
-	}
-	downHead := out.To
-	if pumpIdx < nodeIdx {
-		// The segment's pump sits upstream of S and stays with the trunk;
-		// the merged tail needs its own driver.
-		fold := op.Node + "/fold"
-		if err := addPump(fold); err != nil {
-			return nil, err
-		}
-		edge(mergeName, core.GraphMainPort, fold, core.GraphMainPort)
-		downHead = fold
-		edge(op.Node+"/fold", core.GraphMainPort, out.To, core.GraphMainPort)
-		_ = downHead
-	} else {
-		edge(mergeName, core.GraphMainPort, out.To, core.GraphMainPort)
-	}
-
-	return &scaleRec{
-		node: op.Node, splitName: splitName, mergeName: mergeName,
-		replicas: op.Replicas, places: op.Places, oldShard: oldShard,
-		tee: tee, om: om,
-	}, nil
+	return 0, false, t.errf("ScaleStage %q not in any planned segment", op.Node)
 }
 
 // pinScalePlacements overrides the generic segment-name remap for the
 // segments a ScaleStage created or renamed: the trunk and the merged tail
 // stay on the scaled segment's shard, and each replica branch takes its
-// Places hint (or inherits the trunk's shard).  Runs after the generic
-// Phase-3 remap in editLocal.
+// Places hint (or inherits the trunk's shard).
 func pinScalePlacements(newPlan *core.GraphPlan, newShard []int, scales []*scaleRec) {
 	for _, sr := range scales {
 		if trunk, ok := newPlan.SplitTrunk[sr.splitName]; ok {

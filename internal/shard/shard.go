@@ -293,6 +293,17 @@ func (g *Group) Wait() error {
 	return g.err
 }
 
+// Exited reports whether every shard's Run has already returned: nothing
+// placed on the group from now on would ever run.
+func (g *Group) Exited() bool {
+	select {
+	case <-g.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // Run starts every shard and waits for all of them: the multi-shard
 // equivalent of Scheduler.Run.
 func (g *Group) Run() error {
