@@ -224,17 +224,3 @@ func TestMarshalAllocs(t *testing.T) {
 		t.Errorf("round trip allocates %v/op, want <= 12", roundTrip)
 	}
 }
-
-func TestEncodeFrameReusesBuffer(t *testing.T) {
-	buf := make([]byte, 0, 64)
-	payload := []byte("abc")
-	got := testing.AllocsPerRun(100, func() {
-		buf = encodeFrame(buf[:0], frameData, payload)
-	})
-	if got != 0 {
-		t.Errorf("encodeFrame into a sized buffer allocated %v/op", got)
-	}
-	if len(buf) != 5+len(payload) || buf[4] != frameData || string(buf[5:]) != "abc" {
-		t.Errorf("frame layout wrong: %v", buf)
-	}
-}

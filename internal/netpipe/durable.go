@@ -1,9 +1,7 @@
 package netpipe
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync/atomic"
 	"time"
@@ -30,9 +28,9 @@ import (
 // lane below one cannot journal on the bare sequence.  Each merge in-port
 // stamps the item's Origin (see item.Item.Origin), and the lane keys its
 // journal, acks and dedup on the (origin, seq) PAIR — monotone per origin by
-// construction.  Origin-0 traffic (no merge upstream) keeps the origin-less
-// wire frames byte-for-byte and the lock-free watermark fast paths;
-// non-zero origins ride the origin-qualified frames and per-origin maps.
+// construction.  Origin-0 traffic (no merge upstream) leaves the origin field
+// off the wire and keeps the lock-free watermark fast paths; non-zero origins
+// set the frame's origin bit and use the per-origin maps.
 
 // DurableConfig tunes a durable lane endpoint.
 type DurableConfig struct {
@@ -71,15 +69,13 @@ func (c DurableConfig) withDefaults() DurableConfig {
 	return c
 }
 
-// laneEntry is one journaled frame awaiting acknowledgement.  prio is the
-// wire priority byte the frame was (and will be re-) sent with, so a replay
-// after a Redial preserves the tenant's priority tag; origin is the item's
-// merge provenance (0 on unmerged flows).
+// laneEntry is one journaled frame awaiting acknowledgement: the header it
+// was (and will be re-) sent with — so a replay after a Redial preserves the
+// tenant's priority tag and the merge origin — and a private copy of the
+// payload.
 type laneEntry struct {
-	origin int64
-	seq    int64
-	prio   byte
-	data   []byte
+	hdr  frameHeader
+	data []byte
 }
 
 // durable is the per-link durable-lane state, guarded by TCPLink.mu.
@@ -115,7 +111,7 @@ type durable struct {
 	// guarded by TCPLink.mu.
 	dedup       atomic.Int64 // highest origin-0 sequence injected into the inbox
 	dups        atomic.Int64 // duplicate frames dropped
-	eosSeen     bool         // a terminal frameEOSSeq arrived
+	eosSeen     bool         // the terminal sequenced EOS frame arrived
 	lastPopped  int64        // consumer-thread private
 	lastPoppedO int64        // origin of the last popped frame, consumer-thread private
 	ackAnchor   atomic.Int64 // previous popped origin-0 sequence — safe to ack (see popDurable)
@@ -218,17 +214,17 @@ func (l *TCPLink) LaneStats() LaneStats {
 // deadlocks on a dead peer.  A write error parks the connection — the frame
 // is journaled, a later Redial replays it — so the pipeline keeps producing
 // into the journal while the lane is down.
-func (l *TCPLink) sendDurable(ctx *core.Ctx, origin, seq int64, data []byte, prio uthread.Priority) error {
-	detaching := ctx.Detaching
-	return l.sendDurableWith(ctx.Thread(), ctx.Stopping, detaching, origin, seq, data, prio)
+func (l *TCPLink) sendDurable(ctx *core.Ctx, h frameHeader, data []byte) error {
+	return l.sendDurableWith(ctx.Thread(), ctx.Stopping, ctx.Detaching, h, data)
 }
 
-// never is the nil-callback fallback for sendDurableWith: package-level so
-// the per-item send does not allocate a closure (caught by ipvet).
+// never is the nil-callback fallback for sendDurableWith and inbox.pop:
+// package-level so the per-item path does not allocate a closure (caught by
+// ipvet).
 func never() bool { return false }
 
 //ipvet:hotpath durable-lane send: journal append + framed write per item
-func (l *TCPLink) sendDurableWith(t *uthread.Thread, stopping, detaching func() bool, origin, seq int64, data []byte, prio uthread.Priority) error {
+func (l *TCPLink) sendDurableWith(t *uthread.Thread, stopping, detaching func() bool, h frameHeader, data []byte) error {
 	if stopping == nil {
 		stopping = never
 	}
@@ -236,6 +232,7 @@ func (l *TCPLink) sendDurableWith(t *uthread.Thread, stopping, detaching func() 
 		detaching = never
 	}
 	d := l.dur
+	origin, seq := h.origin, h.seq
 	for {
 		l.mu.Lock()
 		if l.closed {
@@ -260,12 +257,8 @@ func (l *TCPLink) sendDurableWith(t *uthread.Thread, stopping, detaching func() 
 				buf = d.free[n-1][:0]
 				d.free = d.free[:n-1]
 			}
-			pb := byte(0) // 0 marks the untagged frame format (default priority)
-			if prio != uthread.PriorityNormal {
-				pb = prioByte(prio)
-			}
 			//ipvet:allow hotalloc journal copy reuses acked buffers; it allocates only until the free pool warms up
-			d.journal = append(d.journal, laneEntry{origin: origin, seq: seq, prio: pb, data: append(buf, data...)})
+			d.journal = append(d.journal, laneEntry{hdr: h, data: append(buf, data...)})
 			d.sent++
 			if origin == 0 {
 				d.lastSent = seq
@@ -276,7 +269,7 @@ func (l *TCPLink) sendDurableWith(t *uthread.Thread, stopping, detaching func() 
 				}
 				d.lastSentO[origin] = seq
 			}
-			_ = l.writeDataFrameLocked(pb, origin, seq, data)
+			_ = l.writeOrParkLocked(h, data)
 			l.mu.Unlock()
 			return nil
 		}
@@ -309,7 +302,7 @@ func (l *TCPLink) sendEOSDurable() error {
 	}
 	// A write failure parks the connection with the EOS latched pending; the
 	// replay after a Redial re-sends it, so this is not the pipeline's error.
-	_ = l.writeSeqFrameLocked(frameEOSSeq, d.eosSeq, nil)
+	_ = l.writeOrParkLocked(frameHeader{kind: kindEOS}.withSeq(0, d.eosSeq), nil)
 	return nil
 }
 
@@ -342,84 +335,28 @@ func (l *TCPLink) armWriteDeadlineLocked() {
 	}
 }
 
-// writeSeqFrameLocked writes one sequence frame under l.mu, with the
-// configured write deadline.  On error the connection is parked (closed and
-// nilled) so the journal carries the stream until a Redial.
+// writeOrParkLocked writes one durable data or EOS frame.  On error the
+// connection is parked (closed and nilled) so the journal carries the stream
+// until a Redial.
 //
-//ipvet:hotpath per-frame write; reuses the connection's transmit buffer
-func (l *TCPLink) writeSeqFrameLocked(tag byte, seq int64, payload []byte) error {
-	if l.conn == nil {
-		return ErrNoConn
-	}
-	l.txBuf = encodeSeqFrame(l.txBuf[:0], tag, seq, payload)
-	l.armWriteDeadlineLocked()
-	if _, err := l.conn.Write(l.txBuf); err != nil {
+//ipvet:hotpath per-frame durable write
+func (l *TCPLink) writeOrParkLocked(h frameHeader, payload []byte) error {
+	err := l.writeFrameLocked(h, payload)
+	if err != nil && l.conn != nil {
 		l.conn.Close()
 		l.conn = nil
 		l.dur.wdUntil = time.Time{}
-		return err
 	}
-	return nil
+	return err
 }
 
-// writeDataFrameLocked writes one durable data frame, choosing among the
-// four durable formats: origin-less for unmerged flows (origin 0 — the wire
-// stays byte-identical to a merge-unaware sender), origin-qualified below a
-// merge, each untagged for default-priority traffic and priority-tagged
-// otherwise.
-//
-//ipvet:hotpath per-frame durable data write
-func (l *TCPLink) writeDataFrameLocked(prio byte, origin, seq int64, payload []byte) error {
-	if origin == 0 && prio == 0 {
-		return l.writeSeqFrameLocked(frameDataSeq, seq, payload)
-	}
-	if l.conn == nil {
-		return ErrNoConn
-	}
-	switch {
-	case origin == 0:
-		l.txBuf = encodeSeqPrioFrame(l.txBuf[:0], frameDataSeqPrio, prio, seq, payload)
-	case prio == 0:
-		l.txBuf = encodeOSeqFrame(l.txBuf[:0], frameDataOSeq, origin, seq, payload)
-	default:
-		l.txBuf = encodeOSeqPrioFrame(l.txBuf[:0], frameDataOSeqPrio, prio, origin, seq, payload)
-	}
-	l.armWriteDeadlineLocked()
-	if _, err := l.conn.Write(l.txBuf); err != nil {
-		l.conn.Close()
-		l.conn = nil
-		l.dur.wdUntil = time.Time{}
-		return err
-	}
-	return nil
-}
-
-// writeAckLocked writes a cumulative origin-0 ack on the receiver's
+// writeAckLocked writes a cumulative per-origin ack on the receiver's
 // connection, reporting success.  Failures are left for the reconnect
 // handshake.
 //
-//ipvet:hotpath ack write; runs once per consumed item on the receiver
-func (l *TCPLink) writeAckLocked(seq int64) bool {
-	if l.conn == nil {
-		return false
-	}
-	l.txBuf = encodeSeqFrame(l.txBuf[:0], frameAck, seq, nil)
-	l.armWriteDeadlineLocked()
-	_, err := l.conn.Write(l.txBuf)
-	return err == nil
-}
-
-// writeAckOLocked writes a cumulative per-origin ack, reporting success.
-//
-//ipvet:hotpath per-origin ack write on the receiver's ack cadence
-func (l *TCPLink) writeAckOLocked(origin, seq int64) bool {
-	if l.conn == nil {
-		return false
-	}
-	l.txBuf = encodeOSeqFrame(l.txBuf[:0], frameAckO, origin, seq, nil)
-	l.armWriteDeadlineLocked()
-	_, err := l.conn.Write(l.txBuf)
-	return err == nil
+//ipvet:hotpath ack write on the receiver's ack cadence
+func (l *TCPLink) writeAckLocked(origin, seq int64) bool {
+	return l.writeFrameLocked(frameHeader{kind: kindAck}.withSeq(origin, seq), nil) == nil
 }
 
 // writeHandshakeLocked re-announces the consumed watermarks to a
@@ -429,48 +366,44 @@ func (l *TCPLink) writeAckOLocked(origin, seq int64) bool {
 func (l *TCPLink) writeHandshakeLocked() {
 	d := l.dur
 	if d.finalAcked {
-		l.writeAckLocked(ackAll)
+		l.writeAckLocked(0, ackAll)
 		return
 	}
 	if d.cfg.Chained {
-		l.writeAckLocked(d.chainAck)
+		l.writeAckLocked(0, d.chainAck)
 		for _, o := range d.origins {
 			if w := d.chainAckO[o]; w > 0 {
-				l.writeAckOLocked(o, w)
+				l.writeAckLocked(o, w)
 			}
 		}
 		return
 	}
-	l.writeAckLocked(d.ackAnchor.Load())
+	l.writeAckLocked(0, d.ackAnchor.Load())
 	for _, o := range d.origins {
 		if w := d.anchorO[o]; w > 0 {
-			l.writeAckOLocked(o, w)
+			l.writeAckLocked(o, w)
 		}
 	}
 }
 
-// ackLoop reads cumulative acks off a sender connection until it dies.
+// ackLoop reads cumulative acks off a sender connection until it dies.  A
+// receiver writes nothing but acks, so anything else means the byte stream
+// can no longer be trusted: the connection is dropped, the next write parks
+// the lane, and a Redial's handshake + replay resynchronise it.
 func (l *TCPLink) ackLoop(conn net.Conn) {
 	var lenBuf [4]byte
 	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-			return
+		body, err := readFrame(conn, &lenBuf)
+		if err != nil {
+			break
 		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n == 0 || n > 64<<20 {
-			return
+		h, _, ok := parseFrame(body)
+		if !ok || h.kind != kindAck || h.flags&flagSeq == 0 {
+			break
 		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
-			return
-		}
-		switch {
-		case body[0] == frameAck && len(body) >= 9:
-			l.applyAck(0, int64(binary.BigEndian.Uint64(body[1:9])))
-		case body[0] == frameAckO && len(body) >= 17:
-			l.applyAck(int64(binary.BigEndian.Uint64(body[1:9])), int64(binary.BigEndian.Uint64(body[9:17])))
-		}
+		l.applyAck(h.origin, h.seq)
 	}
+	conn.Close()
 }
 
 // applyAck trims the journal up to a cumulative per-origin ack and wakes
@@ -499,7 +432,7 @@ func (l *TCPLink) applyAck(origin, seq int64) {
 			// Unmerged flow: the journal is sorted by seq, so the trim is a
 			// prefix cut that stops at the first unacknowledged entry.
 			i := 0
-			for i < len(d.journal) && d.journal[i].seq <= seq {
+			for i < len(d.journal) && d.journal[i].hdr.seq <= seq {
 				d.recycle(d.journal[i].data)
 				i++
 			}
@@ -544,10 +477,10 @@ func (d *durable) trimJournalLocked() {
 	for i := range d.journal {
 		e := &d.journal[i]
 		acked := d.acked
-		if e.origin != 0 {
-			acked = d.ackedO[e.origin]
+		if e.hdr.origin != 0 {
+			acked = d.ackedO[e.hdr.origin]
 		}
-		if e.seq <= acked {
+		if e.hdr.seq <= acked {
 			d.recycle(e.data)
 			continue
 		}
@@ -565,13 +498,13 @@ func (d *durable) trimJournalLocked() {
 func (l *TCPLink) replayLocked() error {
 	d := l.dur
 	for _, e := range d.journal {
-		if err := l.writeDataFrameLocked(e.prio, e.origin, e.seq, e.data); err != nil {
-			return fmt.Errorf("netpipe: durable replay origin %d seq %d: %w", e.origin, e.seq, err)
+		if err := l.writeOrParkLocked(e.hdr, e.data); err != nil {
+			return fmt.Errorf("netpipe: durable replay origin %d seq %d: %w", e.hdr.origin, e.hdr.seq, err)
 		}
 		d.replays++
 	}
 	if d.eosPend && !d.eosAcked {
-		if err := l.writeSeqFrameLocked(frameEOSSeq, d.eosSeq, nil); err != nil {
+		if err := l.writeOrParkLocked(frameHeader{kind: kindEOS}.withSeq(0, d.eosSeq), nil); err != nil {
 			return fmt.Errorf("netpipe: durable replay EOS: %w", err)
 		}
 	}
@@ -597,13 +530,13 @@ func (l *TCPLink) deregisterTx(tok uint64) bool {
 // from the downstream lane.
 //
 //ipvet:hotpath durable-lane receive: inbox pop + self-ack per item
-func (l *TCPLink) popDurable(t *uthread.Thread, stopping func() bool) (int64, int64, []byte, error) {
-	origin, seq, data, err := l.inbox.popSeqWith(t, stopping)
+func (l *TCPLink) popDurable(t *uthread.Thread, stopping func() bool) (frameEntry, error) {
+	e, err := l.inbox.pop(t, stopping)
 	if err != nil {
 		if err == core.ErrEOS {
 			l.ackEOS()
 		}
-		return 0, 0, nil, err
+		return e, err
 	}
 	d := l.dur
 	if d.lastPoppedO == 0 {
@@ -616,7 +549,7 @@ func (l *TCPLink) popDurable(t *uthread.Thread, stopping func() bool) (int64, in
 		d.anchorO[d.lastPoppedO] = d.lastPopped
 		l.mu.Unlock()
 	}
-	d.lastPopped, d.lastPoppedO = seq, origin
+	d.lastPopped, d.lastPoppedO = e.seq, e.origin
 	if !d.cfg.Chained {
 		d.sinceAck++
 		if d.sinceAck >= d.cfg.AckEvery {
@@ -624,12 +557,12 @@ func (l *TCPLink) popDurable(t *uthread.Thread, stopping func() bool) (int64, in
 			anchor := d.ackAnchor.Load()
 			l.mu.Lock()
 			wrote := false
-			if anchor > d.lastAck && l.writeAckLocked(anchor) {
+			if anchor > d.lastAck && l.writeAckLocked(0, anchor) {
 				d.lastAck = anchor
 				wrote = true
 			}
 			for _, o := range d.origins {
-				if a := d.anchorO[o]; a > d.lastAckO[o] && l.writeAckOLocked(o, a) {
+				if a := d.anchorO[o]; a > d.lastAckO[o] && l.writeAckLocked(o, a) {
 					d.lastAckO[o] = a
 					wrote = true
 				}
@@ -640,7 +573,7 @@ func (l *TCPLink) popDurable(t *uthread.Thread, stopping func() bool) (int64, in
 			l.mu.Unlock()
 		}
 	}
-	return origin, seq, data, nil
+	return e, nil
 }
 
 // ackEOS sends the final cumulative ack once the stream genuinely ended (a
@@ -649,7 +582,7 @@ func (l *TCPLink) ackEOS() {
 	d := l.dur
 	l.mu.Lock()
 	if d.eosSeen && !d.cfg.Chained && !d.finalAcked {
-		if l.writeAckLocked(ackAll) {
+		if l.writeAckLocked(0, ackAll) {
 			d.finalAcked = true
 		}
 	}
@@ -675,18 +608,18 @@ func (l *TCPLink) PushAck(origin, seq int64) {
 	case origin == 0 && seq == ackAll:
 		if !d.finalAcked {
 			d.finalAcked = true
-			_ = l.writeAckLocked(ackAll)
+			_ = l.writeAckLocked(0, ackAll)
 		}
 	case origin == 0 && seq > d.chainAck:
 		d.chainAck = seq
-		if l.writeAckLocked(seq) {
+		if l.writeAckLocked(0, seq) {
 			d.lastAck = seq
 		}
 	case origin != 0:
 		d.originSeen(origin)
 		if seq > d.chainAckO[origin] {
 			d.chainAckO[origin] = seq
-			if l.writeAckOLocked(origin, seq) {
+			if l.writeAckLocked(origin, seq) {
 				d.lastAckO[origin] = seq
 			}
 		}

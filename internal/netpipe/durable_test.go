@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,6 +194,59 @@ func TestDurableRedialReplaysJournal(t *testing.T) {
 	assertExactlyOnce(t, p.sink, 300)
 	if st := p.txLink.LaneStats(); st.Replays == 0 {
 		t.Errorf("no journal replay recorded across a redial")
+	}
+}
+
+// corruptingConn writes one frame with an unknown tag ahead of its at-th
+// Write — line noise between two well-formed frames.
+type corruptingConn struct {
+	net.Conn
+	at     int32
+	writes atomic.Int32
+}
+
+func (c *corruptingConn) Write(p []byte) (int, error) {
+	if c.writes.Add(1) == c.at {
+		if _, err := c.Conn.Write([]byte{0, 0, 0, 1, 0x7f}); err != nil {
+			return 0, err
+		}
+	}
+	return c.Conn.Write(p)
+}
+
+// TestDurableMalformedFrameParksLane: a corrupt frame mid-stream is a
+// connection failure, not an end of stream.  The listener severs the
+// connection and parks for a redial — the parent closed its inbox with
+// core.ErrEOS instead, finishing the consumer "successfully" 49 items in —
+// and the redial's replay + dedup deliver the stream exactly once.
+func TestDurableMalformedFrameParksLane(t *testing.T) {
+	cfg := netpipe.DurableConfig{JournalLimit: 64, AckEvery: 4}
+	dial := func(addr string) (net.Conn, error) {
+		conn, err := netpipe.Dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		return &corruptingConn{Conn: conn, at: 50}, nil
+	}
+	p := startDurablePair(t, 300, 2000, 16, cfg, cfg, dial, true)
+	poll(t, 10*time.Second, func() bool { return p.sink.Count() >= 40 }, "40 items before the corrupt frame")
+	poll(t, 10*time.Second, func() bool { return p.rxLink.LaneStats().Parked || p.cons.ReachedEOS() },
+		"the listener to drop the corrupt connection")
+	if p.cons.ReachedEOS() || p.cons.Err() != nil {
+		t.Fatalf("corrupt frame ended the consumer (EOS=%v, err=%v) after %d items; want the lane parked",
+			p.cons.ReachedEOS(), p.cons.Err(), p.sink.Count())
+	}
+	if got := p.sink.Count(); got > 49 {
+		t.Fatalf("sink holds %d items, but only 49 preceded the corrupt frame", got)
+	}
+	if err := p.txLink.Redial(p.addr); err != nil {
+		t.Fatalf("redial: %v", err)
+	}
+	waitSched(t, "producer", p.txDone, false)
+	waitSched(t, "consumer", p.rxDone, false)
+	assertExactlyOnce(t, p.sink, 300)
+	if st := p.txLink.LaneStats(); st.Replays == 0 {
+		t.Errorf("no journal replay recorded across the redial")
 	}
 }
 

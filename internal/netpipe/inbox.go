@@ -26,18 +26,18 @@ type frameEntry struct {
 // the netpipe analogue of a buffer's passive pull end, including control
 // delivery while blocked (§3.2).
 type inbox struct {
-	mu     sync.Mutex
-	q      []frameEntry
-	closed bool
-	// stopped distinguishes link teardown from end of stream: a closed
-	// inbox delivers ErrStopped to pullers when set, ErrEOS when not.  A
-	// link torn down mid-stream (node shutdown, segment re-placement) must
-	// stop its pipeline quietly — an ErrEOS there would propagate a bogus
-	// end-of-stream downstream and terminate lanes that the re-placed
-	// segment still needs.
-	stopped bool
-	sched   *uthread.Scheduler
-	limit   int
+	mu sync.Mutex
+	q  []frameEntry
+	// err is nil while the inbox is open and, once closed, what pullers get
+	// after the queue drains: core.ErrEOS for a stream that ended,
+	// core.ErrStopped for link teardown (a link torn down mid-stream — node
+	// shutdown, segment re-placement — must stop its pipeline quietly; an
+	// ErrEOS there would propagate a bogus end-of-stream downstream and
+	// terminate lanes the re-placed segment still needs), ErrMalformedFrame
+	// for a corrupt lane nobody can redial.
+	err   error
+	sched *uthread.Scheduler
+	limit int
 	// blockFull inboxes (durable lanes) park the injecting goroutine on
 	// pushCond while the queue is full, instead of dropping the frame: a
 	// dropped frame on a durable lane would be acked-but-lost.
@@ -52,58 +52,28 @@ func newInbox(sched *uthread.Scheduler, limit int) *inbox {
 	return &inbox{sched: sched, limit: limit}
 }
 
-// inject appends a frame, waking one blocked puller.  Safe from any
-// goroutine.  Frames injected after close, or beyond the limit, are
-// dropped.
-func (b *inbox) inject(data []byte) {
-	b.injectPrio(data, uthread.PriorityHigh)
-}
-
-// injectPrio is inject with an explicit wake constraint: the cross-flow QoS
-// path for priority-tagged frames, waking the puller at the SENDER's
-// effective priority so a high-priority tenant's items preempt on the
-// receiving scheduler too.  wakeAt must already be floored through
-// core.WakePrio.
-func (b *inbox) injectPrio(data []byte, wakeAt uthread.Priority) {
+// inject appends a frame and wakes one blocked puller at wakeAt — the
+// cross-flow QoS path: a priority-tagged frame wakes the puller at the
+// SENDER's effective priority (already floored through core.WakePrio), so a
+// high-priority tenant's items preempt on the receiving scheduler too.  Safe
+// from any goroutine.  A full blockFull inbox blocks the caller (a TCP reader
+// goroutine, never a scheduler thread), so durable-lane backpressure
+// propagates to the sender through TCP flow control; any other full inbox,
+// and a closed one, drops the frame and reports false.
+func (b *inbox) inject(e frameEntry, wakeAt uthread.Priority) bool {
 	b.mu.Lock()
-	if b.closed || (b.limit > 0 && len(b.q) >= b.limit) {
-		b.mu.Unlock()
-		b.drops.Inc()
-		return
-	}
-	b.q = append(b.q, frameEntry{data: data})
-	w, ok := b.waiters.PopFront()
-	b.mu.Unlock()
-	if ok {
-		w.WakeAt(msgNetWake, wakeAt)
-	}
-}
-
-// injectSeqWait appends a sequence-tagged frame.  On a blockFull inbox it
-// blocks the caller (a TCP reader goroutine, never a scheduler thread)
-// while the queue is full, so durable-lane backpressure propagates to the
-// sender through TCP flow control instead of dropping frames.  Reports
-// false when the inbox closed before the frame could be queued.
-func (b *inbox) injectSeqWait(seq int64, data []byte) bool {
-	return b.injectSeqPrioWait(0, seq, data, uthread.PriorityHigh)
-}
-
-// injectSeqPrioWait is injectSeqWait with an explicit origin and wake
-// constraint (see injectPrio).
-func (b *inbox) injectSeqPrioWait(origin, seq int64, data []byte, wakeAt uthread.Priority) bool {
-	b.mu.Lock()
-	for !b.closed && b.blockFull && b.limit > 0 && len(b.q) >= b.limit {
+	for b.err == nil && b.blockFull && b.limit > 0 && len(b.q) >= b.limit {
 		if b.pushCond == nil {
 			b.pushCond = sync.NewCond(&b.mu)
 		}
 		b.pushCond.Wait()
 	}
-	if b.closed || (!b.blockFull && b.limit > 0 && len(b.q) >= b.limit) {
+	if b.err != nil || (b.limit > 0 && len(b.q) >= b.limit) {
 		b.mu.Unlock()
 		b.drops.Inc()
 		return false
 	}
-	b.q = append(b.q, frameEntry{origin: origin, seq: seq, data: data})
+	b.q = append(b.q, e)
 	w, ok := b.waiters.PopFront()
 	b.mu.Unlock()
 	if ok {
@@ -112,22 +82,15 @@ func (b *inbox) injectSeqPrioWait(origin, seq int64, data []byte, wakeAt uthread
 	return true
 }
 
-// close marks end of stream and wakes all blocked pullers and injectors.
-func (b *inbox) close() { b.closeWith(false) }
-
-// closeStopped marks link teardown: pullers see core.ErrStopped instead of
-// core.ErrEOS once the queue drains, so the consuming pipeline stops
-// without propagating an end-of-stream it never received.
-func (b *inbox) closeStopped() { b.closeWith(true) }
-
-func (b *inbox) closeWith(stopped bool) {
+// close ends the inbox with err — what pullers get once the queue drains —
+// and wakes all blocked pullers and injectors.  The first close wins: a
+// stream that genuinely ended (EOS frame seen, reader exited) must keep
+// delivering ErrEOS even if the link is torn down while the pipeline is
+// still draining the queue.
+func (b *inbox) close(err error) {
 	b.mu.Lock()
-	if !b.closed {
-		// First close wins: a stream that genuinely ended (EOS frame seen,
-		// reader exited) must keep delivering ErrEOS even if the link is
-		// torn down while the pipeline is still draining the queue.
-		b.closed = true
-		b.stopped = stopped
+	if b.err == nil {
+		b.err = err
 	}
 	if b.pushCond != nil {
 		b.pushCond.Broadcast()
@@ -139,59 +102,37 @@ func (b *inbox) closeWith(stopped bool) {
 	}
 }
 
-// pop removes the next frame, blocking (with control dispatch) while empty.
-// Returns core.ErrEOS after close and drain, core.ErrStopped on pipeline
-// shutdown.
-func (b *inbox) pop(ctx *core.Ctx) ([]byte, error) {
-	_, _, data, err := b.popSeqWith(ctx.Thread(), ctx.Stopping)
-	return data, err
-}
-
-// popWith is pop against an explicit thread and stop predicate, so the
-// blocking protocol can be exercised (and tested) without a composed
-// pipeline.  stopping may be nil.
-func (b *inbox) popWith(t *uthread.Thread, stopping func() bool) ([]byte, error) {
-	_, _, data, err := b.popSeqWith(t, stopping)
-	return data, err
-}
-
-// popSeq is pop returning the frame's origin and lane sequence alongside
-// the data.
-func (b *inbox) popSeq(ctx *core.Ctx) (int64, int64, []byte, error) {
-	return b.popSeqWith(ctx.Thread(), ctx.Stopping)
-}
-
-func (b *inbox) popSeqWith(t *uthread.Thread, stopping func() bool) (int64, int64, []byte, error) {
+// pop removes the next frame, blocking t (with control dispatch) while the
+// inbox is empty.  After close and drain it returns the error the inbox
+// closed with; on pipeline shutdown, core.ErrStopped.  stopping may be nil.
+func (b *inbox) pop(t *uthread.Thread, stopping func() bool) (frameEntry, error) {
 	if stopping == nil {
-		stopping = func() bool { return false }
+		stopping = never
 	}
 	for {
 		b.mu.Lock()
 		if len(b.q) > 0 {
 			e := b.q[0]
+			b.q[0] = frameEntry{} // drop the queue's reference to the payload
 			b.q = b.q[1:]
 			if b.pushCond != nil {
 				b.pushCond.Signal()
 			}
 			b.mu.Unlock()
-			return e.origin, e.seq, e.data, nil
+			return e, nil
 		}
-		if b.closed {
-			stopped := b.stopped
+		if err := b.err; err != nil {
 			b.mu.Unlock()
-			if stopped {
-				return 0, 0, nil, core.ErrStopped
-			}
-			return 0, 0, nil, core.ErrEOS
+			return frameEntry{}, err
 		}
 		if stopping() {
 			b.mu.Unlock()
-			return 0, 0, nil, core.ErrStopped
+			return frameEntry{}, core.ErrStopped
 		}
 		tok := b.waiters.Register(t)
 		b.mu.Unlock()
 		if err := core.AwaitWake(t, msgNetWake, tok, stopping, b.deregister); err != nil {
-			return 0, 0, nil, err
+			return frameEntry{}, err
 		}
 	}
 }

@@ -24,13 +24,13 @@ func TestTCPSendAfterCloseReportsStopped(t *testing.T) {
 	go io.Copy(io.Discard, c2) //nolint:errcheck — drain until close
 	link := NewTCPSenderLink(c1)
 
-	if err := link.send(frameData, []byte("alive")); err != nil {
+	if err := link.send(dataHeader(uthread.PriorityNormal), []byte("alive")); err != nil {
 		t.Fatalf("send on live link: %v", err)
 	}
 	if err := link.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if err := link.send(frameData, []byte("dead")); !errors.Is(err, core.ErrStopped) {
+	if err := link.send(dataHeader(uthread.PriorityNormal), []byte("dead")); !errors.Is(err, core.ErrStopped) {
 		t.Fatalf("send after Close = %v, want core.ErrStopped", err)
 	}
 
@@ -50,7 +50,7 @@ func TestTCPSendAfterCloseReportsStopped(t *testing.T) {
 func TestInboxOverflowCountsDrops(t *testing.T) {
 	b := newInbox(uthread.New(), 2)
 	for i := 0; i < 5; i++ {
-		b.inject([]byte{byte(i)})
+		b.inject(frameEntry{data: []byte{byte(i)}}, uthread.PriorityHigh)
 	}
 	if got := b.length(); got != 2 {
 		t.Fatalf("length = %d, want limit 2", got)
@@ -58,8 +58,8 @@ func TestInboxOverflowCountsDrops(t *testing.T) {
 	if got := b.dropped(); got != 3 {
 		t.Fatalf("dropped = %d after overflow, want 3", got)
 	}
-	b.close()
-	b.inject([]byte{9})
+	b.close(core.ErrEOS)
+	b.inject(frameEntry{data: []byte{9}}, uthread.PriorityHigh)
 	if got := b.dropped(); got != 4 {
 		t.Fatalf("dropped = %d after post-close inject, want 4", got)
 	}
@@ -79,7 +79,7 @@ func TestInboxWaiterWokenExactlyOnceAtClose(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	th := s.Spawn("puller", uthread.PriorityNormal, func(th *uthread.Thread, m uthread.Message) uthread.Disposition {
-		_, err := b.popWith(th, nil)
+		_, err := b.pop(th, nil)
 		residual := 0
 		for {
 			if _, ok := th.TryReceive(nil); !ok {
@@ -107,8 +107,8 @@ func TestInboxWaiterWokenExactlyOnceAtClose(t *testing.T) {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-	b.close()
-	b.close() // idempotent: must not wake anybody a second time
+	b.close(core.ErrEOS)
+	b.close(core.ErrEOS) // idempotent: must not wake anybody a second time
 
 	res := <-done
 	if !errors.Is(res.err, core.ErrEOS) {
@@ -137,7 +137,7 @@ func TestInboxInjectCloseRace(t *testing.T) {
 	th := s.Spawn("puller", uthread.PriorityNormal, func(th *uthread.Thread, m uthread.Message) uthread.Disposition {
 		n := 0
 		for {
-			_, err := b.popWith(th, nil)
+			_, err := b.pop(th, nil)
 			if err != nil {
 				if !errors.Is(err, core.ErrEOS) {
 					t.Errorf("pop: %v", err)
@@ -158,7 +158,7 @@ func TestInboxInjectCloseRace(t *testing.T) {
 		go func(seed byte) {
 			defer wg.Done()
 			for j := 0; j < perInjector; j++ {
-				b.inject([]byte{seed, byte(j)})
+				b.inject(frameEntry{data: []byte{seed, byte(j)}}, uthread.PriorityHigh)
 			}
 		}(byte(i))
 	}
@@ -176,7 +176,7 @@ func TestInboxInjectCloseRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	b.close()
+	b.close(core.ErrEOS)
 	got := <-received
 	close(stopObs)
 	s.ReleaseExternalSource()

@@ -14,7 +14,6 @@ package netpipe
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"time"
@@ -22,7 +21,6 @@ import (
 	"infopipes/internal/core"
 	"infopipes/internal/item"
 	"infopipes/internal/typespec"
-	"infopipes/internal/uthread"
 )
 
 // ItemTypeWire is the Typespec item type of marshalled flows between the
@@ -169,127 +167,4 @@ func (f *unmarshalFilter) Convert(_ *core.Ctx, it *item.Item) (*item.Item, error
 	}
 	it.Recycle() // the wire item ends here; the information item travels on
 	return out, nil
-}
-
-// frame type tags on the wire.
-const (
-	frameData byte = 1
-	frameEOS  byte = 2
-	// Durable-lane frames (sequence-numbered, §2.4 + failover): the payload
-	// is prefixed with an 8-byte big-endian sequence number.  frameAck flows
-	// receiver→sender on the same connection (TCP is full duplex) and
-	// carries the cumulative highest sequence the receiver has durably
-	// consumed; frameEOSSeq is the terminal frame of a durable lane and
-	// carries the last data sequence, so the receiver can tell a complete
-	// stream from a truncated one.
-	frameDataSeq byte = 3
-	frameAck     byte = 4
-	frameEOSSeq  byte = 5
-	// QoS-tagged data frames: one extra byte right after the tag carries the
-	// SENDER's effective priority, so a lane relay stops being pass-through —
-	// the receiving scheduler wakes its consumer at the sender's priority and
-	// a tenant's priority survives the hop.  Senders emit these only for
-	// non-default priorities, so default-tenant traffic keeps the untagged
-	// wire format byte-for-byte.
-	frameDataPrio    byte = 6 // [prio][payload]
-	frameDataSeqPrio byte = 7 // [prio][8-byte seq][payload], durable lanes
-	// Origin-qualified durable frames, used downstream of a merge: a merge
-	// interleaves its branches' sequence numbers, so the lane journals and
-	// acknowledges the (origin, seq) PAIR instead of the bare sequence.
-	// Senders emit these only for items whose Origin is non-zero, so every
-	// flow that never crossed a merge keeps the origin-less wire format
-	// byte-for-byte.
-	frameDataOSeq     byte = 8  // [8-byte origin][8-byte seq][payload]
-	frameDataOSeqPrio byte = 9  // [prio][8-byte origin][8-byte seq][payload]
-	frameAckO         byte = 10 // [8-byte origin][8-byte seq], receiver→sender
-)
-
-// ackAll is the cumulative ack value meaning "everything, including the
-// EOS frame, has been delivered and drained".
-const ackAll int64 = 1<<63 - 1
-
-// encodeSeqFrame appends a length-prefixed frame whose body is
-// [tag][8-byte big-endian seq][payload].
-func encodeSeqFrame(dst []byte, tag byte, seq int64, payload []byte) []byte {
-	dst = append(dst, 0, 0, 0, 0, tag, 0, 0, 0, 0, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(dst[len(dst)-13:], uint32(len(payload)+9))
-	binary.BigEndian.PutUint64(dst[len(dst)-8:], uint64(seq))
-	return append(dst, payload...)
-}
-
-// encodePrioFrame appends a length-prefixed frame whose body is
-// [tag][prio][payload] — the QoS-tagged plain data frame.
-//
-//ipvet:hotpath per-item wire framing for non-default-priority tenants
-func encodePrioFrame(dst []byte, tag, prio byte, payload []byte) []byte {
-	dst = append(dst, 0, 0, 0, 0, tag, prio)
-	binary.BigEndian.PutUint32(dst[len(dst)-6:], uint32(len(payload)+2))
-	return append(dst, payload...)
-}
-
-// encodeSeqPrioFrame appends a length-prefixed frame whose body is
-// [tag][prio][8-byte big-endian seq][payload] — the QoS-tagged durable data
-// frame.
-//
-//ipvet:hotpath per-item durable framing for non-default-priority tenants
-func encodeSeqPrioFrame(dst []byte, tag, prio byte, seq int64, payload []byte) []byte {
-	dst = append(dst, 0, 0, 0, 0, tag, prio, 0, 0, 0, 0, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(dst[len(dst)-14:], uint32(len(payload)+10))
-	binary.BigEndian.PutUint64(dst[len(dst)-8:], uint64(seq))
-	return append(dst, payload...)
-}
-
-// encodeOSeqFrame appends a length-prefixed frame whose body is
-// [tag][8-byte origin][8-byte seq][payload] — the origin-qualified durable
-// data frame (also encodes frameAckO with an empty payload).
-//
-//ipvet:hotpath per-item durable framing downstream of a merge
-func encodeOSeqFrame(dst []byte, tag byte, origin, seq int64, payload []byte) []byte {
-	dst = append(dst, 0, 0, 0, 0, tag,
-		0, 0, 0, 0, 0, 0, 0, 0,
-		0, 0, 0, 0, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(dst[len(dst)-21:], uint32(len(payload)+17))
-	binary.BigEndian.PutUint64(dst[len(dst)-16:], uint64(origin))
-	binary.BigEndian.PutUint64(dst[len(dst)-8:], uint64(seq))
-	return append(dst, payload...)
-}
-
-// encodeOSeqPrioFrame appends a length-prefixed frame whose body is
-// [tag][prio][8-byte origin][8-byte seq][payload] — the QoS-tagged
-// origin-qualified durable data frame.
-//
-//ipvet:hotpath per-item durable framing downstream of a merge
-func encodeOSeqPrioFrame(dst []byte, tag, prio byte, origin, seq int64, payload []byte) []byte {
-	dst = append(dst, 0, 0, 0, 0, tag, prio,
-		0, 0, 0, 0, 0, 0, 0, 0,
-		0, 0, 0, 0, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(dst[len(dst)-22:], uint32(len(payload)+18))
-	binary.BigEndian.PutUint64(dst[len(dst)-16:], uint64(origin))
-	binary.BigEndian.PutUint64(dst[len(dst)-8:], uint64(seq))
-	return append(dst, payload...)
-}
-
-// prioByte encodes a scheduling priority into the wire's one-byte field
-// (clamped; every standard level fits).
-func prioByte(p uthread.Priority) byte {
-	if p < 0 {
-		return 0
-	}
-	if p > 255 {
-		return 255
-	}
-	return byte(p)
-}
-
-// encodeFrame appends a length-and-tag-prefixed frame for payload to dst
-// and returns the extended buffer.  Senders keep one transmit buffer per
-// connection and pass it as dst (re-sliced to zero length), so steady-state
-// framing reuses the same allocation instead of building a fresh frame per
-// send.
-//
-//ipvet:hotpath per-item wire framing; reuses the caller's transmit buffer
-func encodeFrame(dst []byte, tag byte, payload []byte) []byte {
-	dst = append(dst, 0, 0, 0, 0, tag)
-	binary.BigEndian.PutUint32(dst[len(dst)-5:], uint32(len(payload)+1))
-	return append(dst, payload...)
 }

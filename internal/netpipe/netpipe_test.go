@@ -2,6 +2,7 @@ package netpipe_test
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -249,4 +250,70 @@ func TestTCPLinkEndToEnd(t *testing.T) {
 	}
 	_ = txLink.Close()
 	_ = rxLink.Close()
+}
+
+// TestTCPMalformedFrameFailsPipeline: a corrupt frame on a link nobody can
+// redial is a failure the puller hears about, not a clean end of stream.
+// The parent reported it as core.ErrEOS — silent truncation counted as
+// success.  Both non-resumable receive paths are covered: a link wrapped
+// around an established connection, and a one-shot listener.
+func TestTCPMalformedFrameFailsPipeline(t *testing.T) {
+	for _, listener := range []bool{false, true} {
+		name := "receiver"
+		if listener {
+			name = "listener"
+		}
+		t.Run(name, func(t *testing.T) {
+			rxSched := uthread.New(uthread.WithClock(vclock.Real{}))
+			var rxLink *netpipe.TCPLink
+			var client net.Conn
+			if listener {
+				var addr string
+				var err error
+				rxLink, addr, err = netpipe.NewTCPListenerLink("127.0.0.1:0", rxSched, "rx-node", 0)
+				if err != nil {
+					t.Fatalf("listen: %v", err)
+				}
+				if client, err = netpipe.Dial(addr); err != nil {
+					t.Fatalf("dial: %v", err)
+				}
+				defer client.Close()
+			} else {
+				var server net.Conn
+				server, client = makeLoopbackPair(t)
+				rxLink = netpipe.NewTCPReceiverLink(server, rxSched, "rx-node", 0)
+			}
+			defer rxLink.Close()
+			sink := pipes.NewCollectSink("sink")
+			cons, err := core.Compose("consumer", rxSched, nil, []core.Stage{
+				core.Comp(rxLink.NewSource("netsource")),
+				core.Pmp(pipes.NewFreePump("rxpump")),
+				core.Comp(sink),
+			})
+			if err != nil {
+				t.Fatalf("compose consumer: %v", err)
+			}
+			rxDone := rxSched.RunBackground()
+			cons.Start()
+
+			// One good plain data frame, then a frame with an unknown tag.
+			if _, err := client.Write([]byte{0, 0, 0, 4, 0x01, 'a', 'b', 'c', 0, 0, 0, 1, 0x7f}); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			select {
+			case <-rxDone:
+			case <-time.After(10 * time.Second):
+				t.Fatal("consumer scheduler did not finish")
+			}
+			if !errors.Is(cons.Err(), netpipe.ErrMalformedFrame) {
+				t.Fatalf("pipeline Err() = %v, want ErrMalformedFrame", cons.Err())
+			}
+			if cons.ReachedEOS() {
+				t.Fatal("a corrupt frame was reported as end of stream")
+			}
+			if got := sink.Count(); got != 1 {
+				t.Fatalf("sink received %d items, want the 1 good frame", got)
+			}
+		})
+	}
 }

@@ -1,7 +1,6 @@
 package netpipe
 
 import (
-	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
@@ -12,50 +11,8 @@ import (
 	"infopipes/internal/vclock"
 )
 
-// TestPrioFrameWireLayout pins the byte layout of the QoS-tagged data
-// frames: [4-byte len][tag][prio](…)[payload] for plain lanes and
-// [4-byte len][tag][prio][8-byte seq][payload] for durable lanes.  The
-// layout is a wire contract between nodes of different builds — it must not
-// drift.
-func TestPrioFrameWireLayout(t *testing.T) {
-	payload := []byte("media")
-
-	f := encodePrioFrame(nil, frameDataPrio, prioByte(uthread.PriorityHigh), payload)
-	if got, want := binary.BigEndian.Uint32(f[:4]), uint32(len(payload)+2); got != want {
-		t.Fatalf("prio frame length %d, want %d", got, want)
-	}
-	if f[4] != frameDataPrio || f[5] != byte(uthread.PriorityHigh) {
-		t.Fatalf("prio frame header [%d %d], want [%d %d]",
-			f[4], f[5], frameDataPrio, byte(uthread.PriorityHigh))
-	}
-	if string(f[6:]) != string(payload) {
-		t.Fatalf("prio frame payload %q, want %q", f[6:], payload)
-	}
-
-	const seq = int64(0x0102030405060708)
-	f = encodeSeqPrioFrame(nil, frameDataSeqPrio, prioByte(uthread.PriorityControl), seq, payload)
-	if got, want := binary.BigEndian.Uint32(f[:4]), uint32(len(payload)+10); got != want {
-		t.Fatalf("seq-prio frame length %d, want %d", got, want)
-	}
-	if f[4] != frameDataSeqPrio || f[5] != byte(uthread.PriorityControl) {
-		t.Fatalf("seq-prio frame header [%d %d], want [%d %d]",
-			f[4], f[5], frameDataSeqPrio, byte(uthread.PriorityControl))
-	}
-	if got := int64(binary.BigEndian.Uint64(f[6:14])); got != seq {
-		t.Fatalf("seq-prio frame seq %#x, want %#x", got, seq)
-	}
-	if string(f[14:]) != string(payload) {
-		t.Fatalf("seq-prio frame payload %q, want %q", f[14:], payload)
-	}
-
-	// The one-byte priority field clamps instead of wrapping.
-	if prioByte(-3) != 0 || prioByte(1000) != 255 {
-		t.Fatalf("prioByte clamps: got %d/%d, want 0/255", prioByte(-3), prioByte(1000))
-	}
-}
-
 // TestPrioFramesThroughReader drives priority-tagged and untagged frames
-// through the real sender and reader paths: sendPrio on one end of a pipe,
+// through the real sender and reader paths: send on one end of a pipe,
 // readFrames injecting into the inbox on the other, a consumer thread
 // popping.  Order and payloads survive, the stream ends on the EOS frame.
 func TestPrioFramesThroughReader(t *testing.T) {
@@ -68,27 +25,27 @@ func TestPrioFramesThroughReader(t *testing.T) {
 	var popErr error
 	th := sched.Spawn("pop", uthread.PriorityNormal, func(th *uthread.Thread, m uthread.Message) uthread.Disposition {
 		for {
-			data, err := rx.inbox.popWith(th, nil)
+			e, err := rx.inbox.pop(th, nil)
 			if err != nil {
 				popErr = err
 				return uthread.Terminate
 			}
-			got = append(got, string(data))
+			got = append(got, string(e.data))
 		}
 	})
 	sched.Post(th, uthread.Message{Kind: kindTestKick})
 	done := sched.RunBackground()
 
-	if err := tx.sendPrio(uthread.PriorityControl, []byte("express")); err != nil {
-		t.Fatalf("sendPrio: %v", err)
+	if err := tx.send(dataHeader(uthread.PriorityControl), []byte("express")); err != nil {
+		t.Fatalf("send tagged: %v", err)
 	}
-	if err := tx.send(frameData, []byte("default")); err != nil {
+	if err := tx.send(dataHeader(uthread.PriorityNormal), []byte("default")); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	if err := tx.sendPrio(uthread.PriorityHigh, []byte("urgent")); err != nil {
-		t.Fatalf("sendPrio: %v", err)
+	if err := tx.send(dataHeader(uthread.PriorityHigh), []byte("urgent")); err != nil {
+		t.Fatalf("send tagged: %v", err)
 	}
-	if err := tx.send(frameEOS, nil); err != nil {
+	if err := tx.send(frameHeader{kind: kindEOS}, nil); err != nil {
 		t.Fatalf("send EOS: %v", err)
 	}
 
@@ -110,11 +67,11 @@ func TestPrioFramesThroughReader(t *testing.T) {
 	_ = rx.Close()
 }
 
-// TestDurableJournalKeepsPriority: the replay journal records each entry's
-// wire priority byte, so frames replayed after a redial keep the tenant's
-// priority tag (replayLocked writes e.prio back out).  Default-priority
-// entries journal prio 0 — the marker for the untagged frame format — which
-// keeps a QoS-unaware stream byte-identical on the wire even across replays.
+// TestDurableJournalKeepsPriority: the replay journal records the header
+// each entry was sent with, so frames replayed after a redial keep the
+// tenant's priority tag (replayLocked writes e.hdr back out).
+// Default-priority entries journal no priority bit, so a QoS-unaware stream
+// stays untagged on the wire even across replays.
 func TestDurableJournalKeepsPriority(t *testing.T) {
 	server, client := net.Pipe()
 	defer server.Close()
@@ -134,11 +91,11 @@ func TestDurableJournalKeepsPriority(t *testing.T) {
 
 	var sendErr error
 	th := sched.Spawn("send", uthread.PriorityHigh, func(th *uthread.Thread, m uthread.Message) uthread.Disposition {
-		if err := tx.sendDurableWith(th, nil, nil, 0, 1, []byte("tagged"), uthread.PriorityHigh); err != nil {
+		if err := tx.sendDurableWith(th, nil, nil, dataHeader(uthread.PriorityHigh).withSeq(0, 1), []byte("tagged")); err != nil {
 			sendErr = err
 			return uthread.Terminate
 		}
-		sendErr = tx.sendDurableWith(th, nil, nil, 0, 2, []byte("plain"), uthread.PriorityNormal)
+		sendErr = tx.sendDurableWith(th, nil, nil, dataHeader(uthread.PriorityNormal).withSeq(0, 2), []byte("plain"))
 		return uthread.Terminate
 	})
 	sched.Post(th, uthread.Message{Kind: kindTestKick})
@@ -155,13 +112,13 @@ func TestDurableJournalKeepsPriority(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("journal holds %d entries, want 2", len(entries))
 	}
-	if entries[0].prio != prioByte(uthread.PriorityHigh) || string(entries[0].data) != "tagged" {
-		t.Fatalf("entry 1 prio=%d data=%q, want prio=%d data=tagged",
-			entries[0].prio, entries[0].data, prioByte(uthread.PriorityHigh))
+	tagged := frameHeader{kind: kindData, flags: flagPrio | flagSeq, prio: prioByte(uthread.PriorityHigh), seq: 1}
+	if entries[0].hdr != tagged || string(entries[0].data) != "tagged" {
+		t.Fatalf("entry 1 hdr=%+v data=%q, want hdr=%+v data=tagged", entries[0].hdr, entries[0].data, tagged)
 	}
-	if entries[1].prio != 0 || string(entries[1].data) != "plain" {
-		t.Fatalf("entry 2 prio=%d data=%q, want untagged marker 0 and data=plain",
-			entries[1].prio, entries[1].data)
+	plain := frameHeader{kind: kindData, flags: flagSeq, seq: 2}
+	if entries[1].hdr != plain || string(entries[1].data) != "plain" {
+		t.Fatalf("entry 2 hdr=%+v data=%q, want untagged hdr=%+v data=plain", entries[1].hdr, entries[1].data, plain)
 	}
 	_ = tx.Close()
 }

@@ -218,10 +218,10 @@ func (l *SimLink) deliveryCode(t *uthread.Thread, m uthread.Message) uthread.Dis
 		l.inFlight -= a.size
 		l.mu.Unlock()
 		if a.eos {
-			l.inbox.close()
+			l.inbox.close(core.ErrEOS)
 		} else {
 			l.delivered.Inc()
-			l.inbox.inject(a.data)
+			l.inbox.inject(frameEntry{data: a.data}, uthread.PriorityHigh)
 		}
 	}
 	if finished {
@@ -240,7 +240,7 @@ func (l *SimLink) shutdown() {
 	}
 	l.done = true
 	l.mu.Unlock()
-	l.inbox.close()
+	l.inbox.close(core.ErrEOS)
 	l.rxSched.ReleaseExternalSource()
 }
 
@@ -352,9 +352,9 @@ func (s *simSource) TransformSpec(in typespec.Typespec) typespec.Typespec {
 
 // Pull implements core.Producer.
 func (s *simSource) Pull(ctx *core.Ctx) (*item.Item, error) {
-	data, err := s.link.inbox.pop(ctx)
+	e, err := s.link.inbox.pop(ctx.Thread(), ctx.Stopping)
 	if err != nil {
 		return nil, err
 	}
-	return item.New(data, 0, ctx.Now()).WithSize(len(data)), nil
+	return item.New(e.data, 0, ctx.Now()).WithSize(len(e.data)), nil
 }

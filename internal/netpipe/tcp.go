@@ -1,10 +1,8 @@
 package netpipe
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -114,16 +112,21 @@ func newListenerLink(addr string, rxSched *uthread.Scheduler, rxNode string, que
 // acceptAndRead serves inbound connections: one peer at a time, one total
 // unless the link is resumable.
 func (l *TCPLink) acceptAndRead(ln net.Listener) {
+	var end error // how the last connection ended; see closeInbox
 	defer close(l.readerDone)
 	defer l.rxSched.ReleaseExternalSource()
-	defer l.closeInbox()
+	defer func() { l.closeInbox(end) }()
+	defer func() {
+		l.mu.Lock()
+		l.ln = nil
+		l.mu.Unlock()
+		ln.Close()
+	}()
 	for {
 		conn, err := ln.Accept()
 		l.mu.Lock()
 		if err != nil || l.closed {
-			l.ln = nil
 			l.mu.Unlock()
-			ln.Close()
 			if conn != nil {
 				conn.Close()
 			}
@@ -144,15 +147,11 @@ func (l *TCPLink) acceptAndRead(ln net.Listener) {
 		if !l.resumable {
 			ln.Close()
 		}
-		terminal := l.readFrames(conn)
-		if terminal && l.dur != nil {
+		err = l.readFrames(conn)
+		if err == core.ErrEOS && l.dur != nil {
 			// Durable end of stream: keep the connection open so the final
 			// cumulative ack (sent when the pipeline drains the inbox)
 			// reaches the sender; Close tears the socket down.
-			l.mu.Lock()
-			l.ln = nil
-			l.mu.Unlock()
-			ln.Close()
 			return
 		}
 		conn.Close()
@@ -162,13 +161,12 @@ func (l *TCPLink) acceptAndRead(ln net.Listener) {
 		}
 		closed := l.closed
 		l.mu.Unlock()
-		if terminal || closed || !l.resumable {
-			if l.resumable {
-				l.mu.Lock()
-				l.ln = nil
-				l.mu.Unlock()
-				ln.Close()
-			}
+		// A resumable link outlives its connection — a bare EOF and a corrupt
+		// frame alike sever it and park the lane for a redial (on a durable
+		// lane the replay + dedup make that exactly-once); only an EOS frame
+		// or Close ends it.
+		if err == core.ErrEOS || closed || !l.resumable {
+			end = err
 			return
 		}
 	}
@@ -177,17 +175,19 @@ func (l *TCPLink) acceptAndRead(ln net.Listener) {
 // closeInbox ends the inbox as the reader exits.  A link torn down by an
 // explicit Close delivers core.ErrStopped to pullers (teardown is not end
 // of stream — a dying node's pipeline must not manufacture an EOS and send
-// it downstream); any other exit — an EOS frame, or sender EOF on a
-// non-resumable link — delivers core.ErrEOS.
-func (l *TCPLink) closeInbox() {
-	l.mu.Lock()
-	stopped := l.closed
-	l.mu.Unlock()
-	if stopped {
-		l.inbox.closeStopped()
-	} else {
-		l.inbox.close()
+// it downstream); any other exit delivers how readFrames ended: core.ErrEOS
+// for an EOS frame — and for nil, sender EOF on a non-resumable link —
+// ErrMalformedFrame for a corrupt one.
+func (l *TCPLink) closeInbox(end error) {
+	if end == nil {
+		end = core.ErrEOS
 	}
+	l.mu.Lock()
+	if l.closed {
+		end = core.ErrStopped
+	}
+	l.mu.Unlock()
+	l.inbox.close(end)
 }
 
 // readLoop reads frames until EOF or an EOS frame and injects them
@@ -195,116 +195,66 @@ func (l *TCPLink) closeInbox() {
 func (l *TCPLink) readLoop() {
 	defer close(l.readerDone)
 	defer l.rxSched.ReleaseExternalSource()
-	defer l.closeInbox()
-	l.readFrames(l.conn)
+	l.closeInbox(l.readFrames(l.conn))
 }
 
 // readFrames injects frames from conn into the inbox until the connection
-// ends.  It reports whether the stream itself ended (an explicit EOS frame
-// or a malformed frame): a bare EOF is non-terminal, so resumable listener
-// links can await a replacement sender.
-func (l *TCPLink) readFrames(conn net.Conn) bool {
+// ends, and reports how: nil for a bare EOF or a torn-down connection (not
+// the stream's end — a resumable listener awaits a replacement sender),
+// core.ErrEOS for an explicit EOS frame, ErrMalformedFrame for bytes that
+// are not a frame this link accepts from a sender.
+func (l *TCPLink) readFrames(conn net.Conn) error {
 	var lenBuf [4]byte
 	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-			return false // bare EOF or connection torn down
+		body, err := readFrame(conn, &lenBuf)
+		if err == ErrMalformedFrame {
+			return err
 		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n == 0 || n > 64<<20 {
-			return true // malformed frame
+		if err != nil {
+			return nil
 		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
-			return false
+		h, payload, ok := parseFrame(body)
+		if !ok || !h.fromSender(l.dur != nil) {
+			return ErrMalformedFrame
 		}
-		switch body[0] {
-		case frameData:
-			l.inbox.inject(body[1:])
-		case frameDataPrio:
-			if len(body) < 2 {
-				return true
+		if h.kind == kindEOS {
+			if l.dur != nil {
+				l.mu.Lock()
+				l.dur.eosSeen = true
+				l.mu.Unlock()
 			}
-			l.inbox.injectPrio(body[2:], core.WakePrio(uthread.Priority(body[1])))
-		case frameEOS:
-			return true
-		case frameDataSeq:
-			if l.dur == nil || len(body) < 9 {
-				return true
-			}
-			seq := int64(binary.BigEndian.Uint64(body[1:9]))
-			if seq <= l.dur.dedup.Load() {
-				l.dur.dups.Add(1)
-				continue // replayed frame the pipeline already consumed
-			}
-			// Advance the watermark before injecting: frames on one
-			// connection arrive in order, so nothing can overtake this
-			// sequence, and if the inject fails the link is closing anyway.
-			l.dur.dedup.Store(seq)
-			if !l.inbox.injectSeqWait(seq, body[9:]) {
-				return false // link closing
-			}
-		case frameDataSeqPrio:
-			if l.dur == nil || len(body) < 10 {
-				return true
-			}
-			seq := int64(binary.BigEndian.Uint64(body[2:10]))
-			if seq <= l.dur.dedup.Load() {
-				l.dur.dups.Add(1)
-				continue // replayed frame the pipeline already consumed
-			}
-			l.dur.dedup.Store(seq)
-			if !l.inbox.injectSeqPrioWait(0, seq, body[10:], core.WakePrio(uthread.Priority(body[1]))) {
-				return false // link closing
-			}
-		case frameDataOSeq:
-			if l.dur == nil || len(body) < 17 {
-				return true
-			}
-			origin := int64(binary.BigEndian.Uint64(body[1:9]))
-			seq := int64(binary.BigEndian.Uint64(body[9:17]))
-			if !l.passOSeq(origin, seq) {
-				continue // replayed frame the pipeline already consumed
-			}
-			if !l.inbox.injectSeqPrioWait(origin, seq, body[17:], uthread.PriorityHigh) {
-				return false // link closing
-			}
-		case frameDataOSeqPrio:
-			if l.dur == nil || len(body) < 18 {
-				return true
-			}
-			origin := int64(binary.BigEndian.Uint64(body[2:10]))
-			seq := int64(binary.BigEndian.Uint64(body[10:18]))
-			if !l.passOSeq(origin, seq) {
-				continue // replayed frame the pipeline already consumed
-			}
-			if !l.inbox.injectSeqPrioWait(origin, seq, body[18:], core.WakePrio(uthread.Priority(body[1]))) {
-				return false // link closing
-			}
-		case frameEOSSeq:
-			if l.dur == nil {
-				return true
-			}
-			l.mu.Lock()
-			l.dur.eosSeen = true
-			l.mu.Unlock()
-			return true
-		case frameAck, frameAckO:
-			// Receiver side never expects acks; tolerate and move on.
-		default:
-			return true
+			return core.ErrEOS
+		}
+		if l.dur != nil && !l.passSeq(h.origin, h.seq) {
+			continue // replayed frame the pipeline already consumed
+		}
+		wakeAt := uthread.PriorityHigh
+		if h.flags&flagPrio != 0 {
+			wakeAt = core.WakePrio(uthread.Priority(h.prio))
+		}
+		if !l.inbox.inject(frameEntry{origin: h.origin, seq: h.seq, data: payload}, wakeAt) && l.dur != nil {
+			return nil // a blocking inbox refuses only when the link is closing
 		}
 	}
 }
 
-// passOSeq advances the per-origin dedup watermark for one inbound frame,
+// passSeq advances the dedup watermark for one inbound durable frame,
 // reporting whether the frame is new.  Frames on one connection arrive in
 // order, so advancing before injecting is safe (nothing overtakes, and a
 // failed inject means the link is closing).  Merged flows pay the link lock
 // here; the origin-0 path keeps its lock-free atomic watermark.
 //
-//ipvet:hotpath per-frame dedup below a merge
-func (l *TCPLink) passOSeq(origin, seq int64) bool {
+//ipvet:hotpath per-frame dedup on a durable lane
+func (l *TCPLink) passSeq(origin, seq int64) bool {
 	d := l.dur
+	if origin == 0 {
+		if seq <= d.dedup.Load() {
+			d.dups.Add(1)
+			return false
+		}
+		d.dedup.Store(seq)
+		return true
+	}
 	l.mu.Lock()
 	d.originSeen(origin)
 	if seq <= d.dedupO[origin] {
@@ -317,50 +267,44 @@ func (l *TCPLink) passOSeq(origin, seq int64) bool {
 	return true
 }
 
-// send writes one frame on the sender side, reusing the link's transmit
-// buffer (the lock serialises senders, so one buffer per connection is
-// enough).  Sending on a closed link reports core.ErrStopped: silently
-// returning success here made tcpSink.Push drop items on the floor after
-// Close while the pipeline kept pumping.
-func (l *TCPLink) send(tag byte, payload []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return core.ErrStopped
-	}
+// writeFrameLocked encodes one frame into the link's transmit buffer (l.mu
+// serialises writers, so one buffer per connection is enough) and writes it,
+// under the durable lane's write deadline when there is one.  Every frame
+// this package puts on a TCP connection goes through here; what a failure
+// means is the caller's policy.
+//
+//ipvet:hotpath per-frame write; reuses the connection's transmit buffer
+func (l *TCPLink) writeFrameLocked(h frameHeader, payload []byte) error {
 	if l.conn == nil {
-		// A listener link whose peer has not connected yet: refuse rather
-		// than dereference (sender endpoints on listener links are legal
-		// to construct, just not to use before the rendezvous).
+		// A listener link whose peer has not connected yet, or a parked
+		// durable lane: refuse rather than dereference.
 		return ErrNoConn
 	}
-	l.txBuf = encodeFrame(l.txBuf[:0], tag, payload)
-	if _, err := l.conn.Write(l.txBuf); err != nil {
-		return fmt.Errorf("netpipe: tcp send: %w", err)
+	l.txBuf = appendFrame(l.txBuf[:0], h, payload)
+	if l.dur != nil {
+		l.armWriteDeadlineLocked()
 	}
-	return nil
+	_, err := l.conn.Write(l.txBuf)
+	return err
 }
 
-// sendPrio writes one priority-tagged data frame: the sender's effective
-// priority crosses the wire in one byte, so the receiving scheduler can wake
-// its consumer at the tenant's priority.  Used only for non-default
-// priorities — default traffic keeps the untagged wire format.
+// send writes one frame on a plain sender link.  Sending on a closed link
+// reports core.ErrStopped: silently returning success here made
+// tcpSink.Push drop items on the floor after Close while the pipeline kept
+// pumping.
 //
-//ipvet:hotpath per-item send for non-default-priority tenants
-func (l *TCPLink) sendPrio(prio uthread.Priority, payload []byte) error {
+//ipvet:hotpath per-item send on a plain lane
+func (l *TCPLink) send(h frameHeader, payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return core.ErrStopped
 	}
-	if l.conn == nil {
-		return ErrNoConn
-	}
-	l.txBuf = encodePrioFrame(l.txBuf[:0], frameDataPrio, prioByte(prio), payload)
-	if _, err := l.conn.Write(l.txBuf); err != nil {
+	err := l.writeFrameLocked(h, payload)
+	if err != nil && err != ErrNoConn {
 		return fmt.Errorf("netpipe: tcp send: %w", err) //ipvet:allow hotalloc dead-connection error path, not steady state
 	}
-	return nil
+	return err
 }
 
 // Close tears the link down.  On the receiver side it stops the reader
@@ -394,7 +338,7 @@ func (l *TCPLink) Close() error {
 		// or already past its terminal frame; closing the inbox unblocks it
 		// so readerDone cannot deadlock.  Teardown, not end of stream: the
 		// puller must stop quietly, not propagate a bogus EOS downstream.
-		l.inbox.closeStopped()
+		l.inbox.close(core.ErrStopped)
 	}
 	if l.readerDone != nil {
 		<-l.readerDone
@@ -485,9 +429,8 @@ func (s *tcpSink) Push(ctx *core.Ctx, it *item.Item) error {
 		return fmt.Errorf("netpipe: tcp sink %q: payload %T is not []byte (insert a marshal filter)", s.Name(), it.Payload)
 	}
 	// The sender's effective priority (the tenant priority carried by the
-	// pump constraint) rides the wire in one byte when it is non-default, so
-	// the receiving scheduler enqueues at the sender's priority; default
-	// traffic keeps the untagged wire format byte-for-byte.
+	// pump constraint) rides the wire when it is non-default, so the
+	// receiving scheduler enqueues at the sender's priority.
 	prio := uthread.PriorityNormal
 	if ctx != nil {
 		prio = core.SenderPriority(ctx.Thread())
@@ -496,11 +439,9 @@ func (s *tcpSink) Push(ctx *core.Ctx, it *item.Item) error {
 	if s.link.dur != nil {
 		// The marshal filter preserved the item's origin and sequence — the
 		// durable lane journals and dedups on the pair end to end.
-		err = s.link.sendDurable(ctx, it.Origin, it.Seq, data, prio)
-	} else if prio != uthread.PriorityNormal {
-		err = s.link.sendPrio(prio, data)
+		err = s.link.sendDurable(ctx, dataHeader(prio).withSeq(it.Origin, it.Seq), data)
 	} else {
-		err = s.link.send(frameData, data)
+		err = s.link.send(dataHeader(prio), data)
 	}
 	if err == nil {
 		it.Recycle() // wire item consumed: its bytes are on the network
@@ -523,7 +464,7 @@ func (s *tcpSink) sendEOS() {
 		_ = s.link.sendEOSDurable()
 		return
 	}
-	_ = s.link.send(frameEOS, nil)
+	_ = s.link.send(frameHeader{kind: kindEOS}, nil)
 }
 
 // NewSource returns the consumer-side endpoint component.
@@ -554,20 +495,20 @@ func (s *tcpSource) TransformSpec(in typespec.Typespec) typespec.Typespec {
 
 // Pull implements core.Producer.
 func (s *tcpSource) Pull(ctx *core.Ctx) (*item.Item, error) {
+	var e frameEntry
+	var err error
 	if s.link.dur != nil {
-		origin, seq, data, err := s.link.popDurable(ctx.Thread(), ctx.Stopping)
-		if err != nil {
-			return nil, err
-		}
-		it := item.New(data, seq, ctx.Now()).WithSize(len(data))
-		it.Origin = origin
-		return it, nil
+		e, err = s.link.popDurable(ctx.Thread(), ctx.Stopping)
+	} else {
+		e, err = s.link.inbox.pop(ctx.Thread(), ctx.Stopping)
 	}
-	data, err := s.link.inbox.pop(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return item.New(data, 0, ctx.Now()).WithSize(len(data)), nil
+	// Plain lanes carry neither field: the entry's zeros are the item's.
+	it := item.New(e.data, e.seq, ctx.Now()).WithSize(len(e.data))
+	it.Origin = e.origin
+	return it, nil
 }
 
 // SenderStages returns the canonical producer-side tail for this link —
