@@ -91,7 +91,6 @@ type Directory struct {
 
 	mu      sync.Mutex
 	names   []string
-	addrs   map[string]string
 	clients map[string]*remote.Client
 	health  map[string]*NodeHealth
 	stop    chan struct{}
@@ -104,7 +103,6 @@ func NewDirectory() *Directory {
 		MaxMisses:    3,
 		ProbeRetries: 2,
 		ProbeBackoff: 25 * time.Millisecond,
-		addrs:        make(map[string]string),
 		clients:      make(map[string]*remote.Client),
 		health:       make(map[string]*NodeHealth),
 	}
@@ -129,7 +127,6 @@ func (d *Directory) Register(addr string) (string, error) {
 		return "", fmt.Errorf("control: node %q already registered", name)
 	}
 	d.names = append(d.names, name)
-	d.addrs[name] = addr
 	d.clients[name] = c
 	//ipvet:allow wallclock operator-facing health stamp; the control plane runs on the real network, not the virtual clock
 	d.health[name] = &NodeHealth{Name: name, Addr: addr, Healthy: true, LastSeen: time.Now()}

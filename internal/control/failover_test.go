@@ -363,7 +363,7 @@ func TestFailoverTailSegmentDeath(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("upstream segment never finished")
 		}
-		if v, err := up.Lookup("done:taildeath/src>>pump"); err == nil && v == "true" {
+		if rows, err := up.Stats("taildeath/src>>pump"); err == nil && len(rows) == 1 && rows[0].Done {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)

@@ -1,39 +1,37 @@
 package control
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
-	"time"
 
 	"infopipes/internal/core"
 	"infopipes/internal/graph"
+	"infopipes/internal/remote"
 	"infopipes/internal/uthread"
 )
 
 // Operator serves deployment-level operations — segment placements and
-// manual Replace — over a small gob protocol, so the failover path is
-// operator-drivable (ipctl replace) and not only policy-drivable (the
-// Supervisor).  The deploying process owns the Deployment objects; Operator
-// is the wire between them and an out-of-process operator tool.
+// manual Replace — over the control transport the nodes speak (see
+// remote.Server), so the failover path is operator-drivable (ipctl replace)
+// and not only policy-drivable (the Supervisor).  The deploying process owns
+// the Deployment objects; Operator is the wire between them and an
+// out-of-process operator tool.
 type Operator struct {
 	mu      sync.Mutex
 	deps    map[string]*graph.Deployment
 	cat     graph.Catalog
 	cluster ClusterOps
-	ln      net.Listener
-	conns   map[net.Conn]struct{}
-	closed  bool
-	wg      sync.WaitGroup
+	srv     *remote.Server[opRequest, opResponse]
 }
 
 // NewOperator builds an empty operator endpoint; register deployments with
 // Register and expose it with Serve.
 func NewOperator() *Operator {
-	return &Operator{deps: make(map[string]*graph.Deployment), conns: make(map[net.Conn]struct{})}
+	o := &Operator{deps: make(map[string]*graph.Deployment)}
+	o.srv = remote.NewServer(o.handle)
+	return o
 }
 
 // OpNode is one cluster membership row on the operator wire.
@@ -104,59 +102,18 @@ func (o *Operator) WithCatalog(cat graph.Catalog) *Operator {
 // Serve binds addr (host:port, empty port for ephemeral) and answers
 // operator calls until Close.  Returns the bound address.
 func (o *Operator) Serve(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	bound, err := o.srv.Serve(addr)
 	if err != nil {
-		return "", fmt.Errorf("control: operator listen %s: %w", addr, err)
+		return "", fmt.Errorf("control: operator %w", err)
 	}
-	o.mu.Lock()
-	o.ln = ln
-	o.mu.Unlock()
-	o.wg.Add(1)
-	go o.acceptLoop(ln)
-	return ln.Addr().String(), nil
+	return bound, nil
 }
 
 // Close stops serving and tears down open operator connections.
-func (o *Operator) Close() {
-	o.mu.Lock()
-	o.closed = true
-	ln := o.ln
-	conns := make([]net.Conn, 0, len(o.conns))
-	for c := range o.conns {
-		conns = append(conns, c) //ipvet:allow maporder teardown fan-out; peers see concurrent EOFs, close order is unobservable
-	}
-	o.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	o.wg.Wait()
-}
+func (o *Operator) Close() { o.srv.Close() }
 
-func (o *Operator) acceptLoop(ln net.Listener) {
-	defer o.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		o.mu.Lock()
-		if o.closed {
-			o.mu.Unlock()
-			conn.Close()
-			return
-		}
-		o.conns[conn] = struct{}{}
-		o.wg.Add(1)
-		o.mu.Unlock()
-		go o.serveConn(conn)
-	}
-}
-
-// opRequest/opResponse mirror the node protocol's single request/response
-// pair: one gob stream per connection, calls answered in order.
+// opRequest/opResponse are the operator endpoint's request/response pair on
+// the control transport.
 type opRequest struct {
 	Op         string // deployments | placements | replace | edit | nodes | drain | events
 	Deployment string
@@ -168,12 +125,7 @@ type opRequest struct {
 
 // OpStage carries one stage of an operator-driven edit as a catalog spec;
 // the operator builds the live instance server-side.
-type OpStage struct {
-	Name   string
-	Kind   string
-	Args   []string
-	Params map[string]string
-}
+type OpStage = remote.StageSpec
 
 // OpEdit is one wire-encodable live-edit operation, mirroring the graph
 // package's EditOp variants.  Kind selects the variant; only that variant's
@@ -202,37 +154,14 @@ type OpEdit struct {
 }
 
 type opResponse struct {
-	Err         string
 	Deployments []string
 	Placements  map[string]int
 	Nodes       []OpNode
 	Events      []OpClusterEvent
 }
 
-func (o *Operator) serveConn(conn net.Conn) {
-	defer o.wg.Done()
-	defer func() {
-		o.mu.Lock()
-		delete(o.conns, conn)
-		o.mu.Unlock()
-		conn.Close()
-	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req opRequest
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		resp := o.handle(req)
-		if err := enc.Encode(&resp); err != nil {
-			return
-		}
-	}
-}
-
-// deployment resolves a request's target: a named lookup, or — with an
-// empty name — the sole registered deployment.
+// deployment resolves a request's target: by name, or — with an empty
+// name — the sole registered deployment.
 func (o *Operator) deployment(name string) (*graph.Deployment, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -251,7 +180,7 @@ func (o *Operator) deployment(name string) (*graph.Deployment, error) {
 	return d, nil
 }
 
-func (o *Operator) handle(req opRequest) opResponse {
+func (o *Operator) handle(req opRequest) (opResponse, error) {
 	switch req.Op {
 	case "deployments":
 		o.mu.Lock()
@@ -261,58 +190,41 @@ func (o *Operator) handle(req opRequest) opResponse {
 		}
 		o.mu.Unlock()
 		sort.Strings(names)
-		return opResponse{Deployments: names}
-	case "placements":
+		return opResponse{Deployments: names}, nil
+	case "placements", "replace", "edit":
 		d, err := o.deployment(req.Deployment)
 		if err != nil {
-			return opResponse{Err: err.Error()}
+			return opResponse{}, err
 		}
-		return opResponse{Placements: d.SegmentPlacements()}
-	case "replace":
-		d, err := o.deployment(req.Deployment)
+		switch req.Op {
+		case "replace":
+			err = d.Replace(req.Hints)
+		case "edit":
+			var ops []graph.EditOp
+			if ops, err = o.editOps(req.Edits); err == nil {
+				err = d.Edit(ops...)
+			}
+		}
 		if err != nil {
-			return opResponse{Err: err.Error()}
+			return opResponse{}, err
 		}
-		if err := d.Replace(req.Hints); err != nil {
-			return opResponse{Err: err.Error()}
-		}
-		return opResponse{Placements: d.SegmentPlacements()}
-	case "edit":
-		d, err := o.deployment(req.Deployment)
-		if err != nil {
-			return opResponse{Err: err.Error()}
-		}
-		ops, err := o.editOps(req.Edits)
-		if err != nil {
-			return opResponse{Err: err.Error()}
-		}
-		if err := d.Edit(ops...); err != nil {
-			return opResponse{Err: err.Error()}
-		}
-		return opResponse{Placements: d.SegmentPlacements()}
-	case "nodes":
+		return opResponse{Placements: d.SegmentPlacements()}, nil
+	case "nodes", "drain", "events":
 		c, err := o.clusterOps()
 		if err != nil {
-			return opResponse{Err: err.Error()}
+			return opResponse{}, err
 		}
-		return opResponse{Nodes: c.NodeRows()}
-	case "drain":
-		c, err := o.clusterOps()
-		if err != nil {
-			return opResponse{Err: err.Error()}
+		switch req.Op {
+		case "events":
+			return opResponse{Events: c.ClusterEvents(req.Since)}, nil
+		case "drain":
+			if err := c.Drain(req.Node); err != nil {
+				return opResponse{}, err
+			}
 		}
-		if err := c.Drain(req.Node); err != nil {
-			return opResponse{Err: err.Error()}
-		}
-		return opResponse{Nodes: c.NodeRows()}
-	case "events":
-		c, err := o.clusterOps()
-		if err != nil {
-			return opResponse{Err: err.Error()}
-		}
-		return opResponse{Events: c.ClusterEvents(req.Since)}
+		return opResponse{Nodes: c.NodeRows()}, nil
 	default:
-		return opResponse{Err: fmt.Sprintf("control: unknown operator op %q", req.Op)}
+		return opResponse{}, fmt.Errorf("control: unknown operator op %q", req.Op)
 	}
 }
 
@@ -378,76 +290,39 @@ func (o *Operator) editOps(edits []OpEdit) ([]graph.EditOp, error) {
 	return ops, nil
 }
 
-// OperatorClient is the dialing side of the operator protocol (ipctl).
+// OperatorClient is the dialing side of the operator protocol (ipctl).  It
+// inherits the control transport's per-call deadline, broken-connection
+// latch, Reconnect and Close from remote.Conn.
 type OperatorClient struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	enc     *gob.Encoder
-	dec     *gob.Decoder
-	timeout time.Duration
-	broken  error
+	*remote.Conn[opRequest, opResponse]
 }
 
-// DialOperator connects to an Operator's address.  Calls carry a 5s
-// deadline, matching the node control client's fail-fast discipline.
+// DialOperator connects to an Operator's address.
 func DialOperator(addr string) (*OperatorClient, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := remote.DialConn[opRequest, opResponse](addr)
 	if err != nil {
-		return nil, fmt.Errorf("control: dial operator %s: %w", addr, err)
+		return nil, fmt.Errorf("control: dial operator: %w", err)
 	}
-	return &OperatorClient{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn),
-		timeout: 5 * time.Second}, nil
-}
-
-// Close releases the operator connection.
-func (c *OperatorClient) Close() error { return c.conn.Close() }
-
-func (c *OperatorClient) call(req opRequest) (opResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken != nil {
-		return opResponse{}, c.broken
-	}
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout)) //ipvet:allow wallclock I/O deadline on a real operator socket
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	if err := c.enc.Encode(&req); err != nil {
-		c.broken = fmt.Errorf("control: operator send: %w", err)
-		c.conn.Close()
-		return opResponse{}, c.broken
-	}
-	var resp opResponse
-	if err := c.dec.Decode(&resp); err != nil {
-		// A half-finished exchange desynchronizes the shared gob stream;
-		// poison the client so no later call pairs with a stale response.
-		c.broken = fmt.Errorf("control: operator receive: %w", err)
-		c.conn.Close()
-		return opResponse{}, c.broken
-	}
-	if resp.Err != "" {
-		return resp, errors.New(resp.Err)
-	}
-	return resp, nil
+	return &OperatorClient{conn}, nil
 }
 
 // Deployments lists the registered deployment names.
 func (c *OperatorClient) Deployments() ([]string, error) {
-	resp, err := c.call(opRequest{Op: "deployments"})
+	resp, err := c.Call(opRequest{Op: "deployments"})
 	return resp.Deployments, err
 }
 
 // Placements reports a deployment's segment→node-index map.  An empty
 // deployment name resolves when exactly one deployment is registered.
 func (c *OperatorClient) Placements(deployment string) (map[string]int, error) {
-	resp, err := c.call(opRequest{Op: "placements", Deployment: deployment})
+	resp, err := c.Call(opRequest{Op: "placements", Deployment: deployment})
 	return resp.Placements, err
 }
 
 // Replace moves segments per hints (segment name → destination node index)
 // through Deployment.Replace and returns the placements afterwards.
 func (c *OperatorClient) Replace(deployment string, hints map[string]int) (map[string]int, error) {
-	resp, err := c.call(opRequest{Op: "replace", Deployment: deployment, Hints: hints})
+	resp, err := c.Call(opRequest{Op: "replace", Deployment: deployment, Hints: hints})
 	return resp.Placements, err
 }
 
@@ -455,26 +330,26 @@ func (c *OperatorClient) Replace(deployment string, hints map[string]int) (map[s
 // one transaction, rejected whole or applied whole — and returns the
 // placements afterwards.
 func (c *OperatorClient) Edit(deployment string, edits []OpEdit) (map[string]int, error) {
-	resp, err := c.call(opRequest{Op: "edit", Deployment: deployment, Edits: edits})
+	resp, err := c.Call(opRequest{Op: "edit", Deployment: deployment, Edits: edits})
 	return resp.Placements, err
 }
 
 // Nodes reports the cluster membership rows (Operator.WithCluster).
 func (c *OperatorClient) Nodes() ([]OpNode, error) {
-	resp, err := c.call(opRequest{Op: "nodes"})
+	resp, err := c.Call(opRequest{Op: "nodes"})
 	return resp.Nodes, err
 }
 
 // DrainNode migrates every segment off the named node through the wired
 // cluster's Drain, returning the membership rows afterwards.
 func (c *OperatorClient) DrainNode(name string) ([]OpNode, error) {
-	resp, err := c.call(opRequest{Op: "drain", Node: name})
+	resp, err := c.Call(opRequest{Op: "drain", Node: name})
 	return resp.Nodes, err
 }
 
 // ClusterEvents returns membership events with Seq > since — the watch
 // cursor for JOIN/DRAIN/LEAVE streams.
 func (c *OperatorClient) ClusterEvents(since int) ([]OpClusterEvent, error) {
-	resp, err := c.call(opRequest{Op: "events", Since: since})
+	resp, err := c.Call(opRequest{Op: "events", Since: since})
 	return resp.Events, err
 }

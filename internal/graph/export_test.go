@@ -20,6 +20,10 @@ func (d *Deployment) Quiescing() bool {
 	return d.rebalancing
 }
 
+// ReplaceWindow holds the deployment's replace window open, as a move does
+// while it rewires pipes, until the returned func is called.
+func (d *Deployment) ReplaceWindow() (done func()) { return d.remote.replaceWindow() }
+
 // DeclString renders the declaration layer — every node with the fields an
 // edit can change, the edges, the index — for rollback assertions.
 func (g *Graph) DeclString() string {

@@ -17,7 +17,7 @@ import (
 
 // nodeState holds the shared instances a graph deployment creates on one
 // remote node: tees referenced by several pipelines, same-node cut links,
-// and the bound addresses of rendezvous listeners.  Factories are
+// and rendezvous listeners with their bound addresses.  Factories are
 // idempotent per instance name, so composition order does not matter.
 type nodeState struct {
 	node *remote.Node
@@ -26,17 +26,21 @@ type nodeState struct {
 	splits    map[string]core.SplitPoint
 	merges    map[string]core.MergePoint
 	links     map[string]*shard.Link
-	listeners map[string]*netpipe.TCPLink
+	listeners map[string]laneListener
 	senders   map[string]*netpipe.TCPLink
-	addrs     map[string]string
+}
+
+// laneListener is a bound rendezvous listener and the address it answers on.
+type laneListener struct {
+	*netpipe.TCPLink
+	addr string
 }
 
 // abort tears down what a failed deployment left behind: the composed
 // pipelines are stopped and unregistered (freeing their names for a
-// retry), listener links are closed (their accept goroutines hold
-// scheduler external-source references), and same-node cut links plus the
-// recorded addresses are dropped — everything matched by the graph-name
-// prefix, so other deployments on the node are untouched.
+// retry), shared tees are forgotten, and the lane endpoints are closed —
+// everything matched by the graph-name prefix, so other deployments on the
+// node are untouched.
 func (s *nodeState) abort(prefix string) {
 	for _, name := range s.node.PipelineNames() {
 		if !strings.HasPrefix(name, prefix) {
@@ -47,8 +51,6 @@ func (s *nodeState) abort(prefix string) {
 		}
 	}
 	s.mu.Lock()
-	var tcpLinks []*netpipe.TCPLink
-	var links []*shard.Link
 	for key := range s.splits {
 		if strings.HasPrefix(key, prefix) {
 			delete(s.splits, key)
@@ -59,22 +61,32 @@ func (s *nodeState) abort(prefix string) {
 			delete(s.merges, key)
 		}
 	}
+	s.mu.Unlock()
+	s.closeLanes(prefix)
+}
+
+// closeLanes closes and forgets every lane endpoint under prefix — listener
+// links (their accept goroutines hold scheduler external-source
+// references), sender links, same-node cut links.
+func (s *nodeState) closeLanes(prefix string) {
+	s.mu.Lock()
+	var tcpLinks []*netpipe.TCPLink
+	var links []*shard.Link
 	for lane, l := range s.listeners {
 		if strings.HasPrefix(lane, prefix) {
-			tcpLinks = append(tcpLinks, l) //ipvet:allow maporder abort teardown fan-out; peers see concurrent EOFs, close order is unobservable
+			tcpLinks = append(tcpLinks, l.TCPLink) //ipvet:allow maporder teardown fan-out; peers see concurrent EOFs, close order is unobservable
 			delete(s.listeners, lane)
-			delete(s.addrs, lane)
 		}
 	}
 	for lane, l := range s.senders {
 		if strings.HasPrefix(lane, prefix) {
-			tcpLinks = append(tcpLinks, l) //ipvet:allow maporder abort teardown fan-out; close order is unobservable
+			tcpLinks = append(tcpLinks, l) //ipvet:allow maporder teardown fan-out; close order is unobservable
 			delete(s.senders, lane)
 		}
 	}
 	for lane, l := range s.links {
 		if strings.HasPrefix(lane, prefix) {
-			links = append(links, l) //ipvet:allow maporder abort teardown fan-out; close order is unobservable
+			links = append(links, l) //ipvet:allow maporder teardown fan-out; close order is unobservable
 			delete(s.links, lane)
 		}
 	}
@@ -100,9 +112,8 @@ func (s *nodeState) drop(lane, side string) {
 	var closers []*netpipe.TCPLink
 	if side == "" || side == "both" || side == "listener" {
 		if l, ok := s.listeners[lane]; ok {
-			closers = append(closers, l)
+			closers = append(closers, l.TCPLink)
 			delete(s.listeners, lane)
-			delete(s.addrs, lane)
 		}
 	}
 	if side == "" || side == "both" || side == "sender" {
@@ -124,32 +135,27 @@ func (s *nodeState) drop(lane, side string) {
 // the listener the deployer already created.  Durable lanes get the
 // sequence/ack protocol; a chained lane forwards its downstream watermark
 // (see chainAck) instead of acknowledging its own consumption.
-func (s *nodeState) listen(lane, bind string, depth int, resumable bool, dcfg *netpipe.DurableConfig) (string, error) {
+func (s *nodeState) listen(lane, bind string, depth int, dcfg *netpipe.DurableConfig) (laneListener, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if addr, ok := s.addrs[lane]; ok {
-		return addr, nil
+	if l, ok := s.listeners[lane]; ok {
+		return l, nil
 	}
 	if bind == "" {
 		bind = "127.0.0.1:0"
 	}
-	var link *netpipe.TCPLink
-	var bound string
+	var l laneListener
 	var err error
-	switch {
-	case dcfg != nil:
-		link, bound, err = netpipe.NewDurableTCPListenerLink(bind, s.node.Scheduler(), s.node.Name(), depth, *dcfg)
-	case resumable:
-		link, bound, err = netpipe.NewResumableTCPListenerLink(bind, s.node.Scheduler(), s.node.Name(), depth)
-	default:
-		link, bound, err = netpipe.NewTCPListenerLink(bind, s.node.Scheduler(), s.node.Name(), depth)
+	if dcfg != nil {
+		l.TCPLink, l.addr, err = netpipe.NewDurableTCPListenerLink(bind, s.node.Scheduler(), s.node.Name(), depth, *dcfg)
+	} else {
+		l.TCPLink, l.addr, err = netpipe.NewTCPListenerLink(bind, s.node.Scheduler(), s.node.Name(), depth)
 	}
 	if err != nil {
-		return "", err
+		return laneListener{}, err
 	}
-	s.listeners[lane] = link
-	s.addrs[lane] = bound
-	return bound, nil
+	s.listeners[lane] = l
+	return l, nil
 }
 
 // chainAck forwards a downstream ack watermark to the inbound listener of
@@ -167,36 +173,11 @@ func (s *nodeState) chainAck(lane string, origin, seq int64) {
 	}
 }
 
-// shutdown closes every lane endpoint on the node — listener links, sender
-// links, same-node cut links.  Registered as the node's closer so an
-// in-process Node.Close behaves like a process kill: peers observe EOF on
-// their lane sockets immediately, instead of zombie connections keeping
-// resumable listeners busy forever.
-func (s *nodeState) shutdown() {
-	s.mu.Lock()
-	var tcpLinks []*netpipe.TCPLink
-	var links []*shard.Link
-	for lane, l := range s.listeners {
-		tcpLinks = append(tcpLinks, l) //ipvet:allow maporder node-kill teardown; peers see concurrent EOFs, close order is unobservable
-		delete(s.listeners, lane)
-		delete(s.addrs, lane)
-	}
-	for lane, l := range s.senders {
-		tcpLinks = append(tcpLinks, l) //ipvet:allow maporder node-kill teardown; close order is unobservable
-		delete(s.senders, lane)
-	}
-	for lane, l := range s.links {
-		links = append(links, l) //ipvet:allow maporder node-kill teardown; close order is unobservable
-		delete(s.links, lane)
-	}
-	s.mu.Unlock()
-	for _, l := range tcpLinks {
-		l.Close()
-	}
-	for _, l := range links {
-		l.Close()
-	}
-}
+// shutdown closes every lane endpoint on the node.  Registered as the
+// node's closer so an in-process Node.Close behaves like a process kill:
+// peers observe EOF on their lane sockets immediately, instead of zombie
+// connections keeping resumable listeners busy forever.
+func (s *nodeState) shutdown() { s.closeLanes("") }
 
 // drained reports whether a split tee and the relay lanes pumping its
 // out-ports have pushed everything they will ever push onto the wire: every
@@ -361,18 +342,16 @@ func intParam(params map[string]string, key string, def int) (int, error) {
 // EnableNode prepares a remote node to host graph segments: every catalog
 // kind becomes a component factory, and the "ip/..." factories provide the
 // segment boundaries — tee ports shared between the node's pipelines,
-// rendezvous TCP endpoints for cross-node edges (listener addresses are
-// answered through the lookup resolver as "addr:LANE"), and same-node cut
-// links.  Call once per node before deploying graphs onto it.
+// rendezvous TCP endpoints for cross-node edges, and same-node cut links.
+// Call once per node before deploying graphs onto it.
 func EnableNode(n *remote.Node, cat Catalog) {
 	st := &nodeState{
 		node:      n,
 		splits:    make(map[string]core.SplitPoint),
 		merges:    make(map[string]core.MergePoint),
 		links:     make(map[string]*shard.Link),
-		listeners: make(map[string]*netpipe.TCPLink),
+		listeners: make(map[string]laneListener),
 		senders:   make(map[string]*netpipe.TCPLink),
-		addrs:     make(map[string]string),
 	}
 	for kind, f := range cat {
 		factory := f
@@ -515,23 +494,9 @@ func EnableNode(n *remote.Node, cat Catalog) {
 		// A lane the deployer pre-bound (the listen ctl op, or an earlier
 		// factory run of the same lane) is attached, not re-created — the
 		// listener's address is already in the sender's hands.
-		st.mu.Lock()
-		link, ok := st.listeners[lane]
-		st.mu.Unlock()
-		if !ok {
-			bind := spec.Params["addr"]
-			if bind == "" {
-				bind = "127.0.0.1:0"
-			}
-			var bound string
-			link, bound, err = netpipe.NewTCPListenerLink(bind, n.Scheduler(), n.Name(), depth)
-			if err != nil {
-				return core.Stage{}, err
-			}
-			st.mu.Lock()
-			st.listeners[lane] = link
-			st.addrs[lane] = bound
-			st.mu.Unlock()
+		link, err := st.listen(lane, spec.Params["addr"], depth, nil)
+		if err != nil {
+			return core.Stage{}, err
 		}
 		return core.Comp(link.NewSource(spec.Name)), nil
 	})
@@ -550,28 +515,12 @@ func EnableNode(n *remote.Node, cat Catalog) {
 		return core.Comp(st.link(spec.Params["lane"], depth).NewSource(spec.Name)), nil
 	})
 
-	n.SetResolver(func(key string) (string, error) {
-		if lane, ok := strings.CutPrefix(key, "addr:"); ok {
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			addr, exists := st.addrs[lane]
-			if !exists {
-				return "", fmt.Errorf("graph: no listener %q on node %s", lane, n.Name())
-			}
-			return addr, nil
-		}
-		if prefix, ok := strings.CutPrefix(key, "abort:"); ok {
-			st.abort(prefix)
-			return "ok", nil
-		}
-		return "", fmt.Errorf("graph: unknown lookup key %q", key)
-	})
-
 	// The controller serves the cluster lane operations of the extended
 	// §2.4 protocol: the deployer pre-binds rendezvous listeners so it can
-	// compose segments topologically (seeds flow downstream), and the
+	// compose segments topologically (seeds flow downstream), the
 	// re-placement path drops a moved segment's lane state and redials
-	// stationary senders at the segment's new home.
+	// stationary senders at the segment's new home, and a failed deploy
+	// aborts what it left behind.
 	n.SetController(func(op string, params map[string]string) (string, error) {
 		switch op {
 		case "listen":
@@ -587,7 +536,8 @@ func EnableNode(n *remote.Node, cat Catalog) {
 				}
 				dcfg = &netpipe.DurableConfig{AckEvery: ackEvery, Chained: params["chain"] == "1"}
 			}
-			return st.listen(params["lane"], params["bind"], depth, params["resume"] == "1", dcfg)
+			l, err := st.listen(params["lane"], params["bind"], depth, dcfg)
+			return l.addr, err
 		case "drop":
 			st.drop(params["lane"], params["side"])
 			return "ok", nil
@@ -607,6 +557,9 @@ func EnableNode(n *remote.Node, cat Catalog) {
 			if err := st.redial(params["lane"], params["addr"]); err != nil {
 				return "", err
 			}
+			return "ok", nil
+		case "abort":
+			st.abort(params["prefix"])
 			return "ok", nil
 		default:
 			return "", fmt.Errorf("graph: unknown control op %q on node %s", op, n.Name())

@@ -29,15 +29,14 @@ type NodesTarget struct {
 	// LinkDepth bounds the receive inboxes and same-node cut links
 	// (0 = default).
 	LinkDepth int
-	// ClusterLanes makes every cut edge a resumable TCP lane, even when
-	// both endpoints land on the same node: a lane parks on a bare
-	// connection EOF instead of ending the stream, and its sender can be
-	// redialed — the wiring contract Deployment.Replace needs to move a
-	// segment between nodes at run time.  Cluster lanes are also DURABLE
-	// wherever origin sequences stay monotone (no merge upstream): items are
-	// sequence-numbered, journaled on the sender until acknowledged, and
-	// deduplicated on the receiver, so a redial or failover resumes the
-	// stream with zero loss and zero duplication.
+	// ClusterLanes makes every cut edge a durable TCP lane, even when both
+	// endpoints land on the same node: a lane parks on a bare connection
+	// EOF instead of ending the stream, and its sender can be redialed — the
+	// wiring contract Deployment.Replace needs to move a segment between
+	// nodes at run time.  Items are sequence-numbered (per merge origin),
+	// journaled on the sender until acknowledged, and deduplicated on the
+	// receiver, so a redial or failover resumes the stream with zero loss
+	// and zero duplication.
 	ClusterLanes bool
 	// JournalLimit bounds each durable sender's replay journal (entries,
 	// 0 = netpipe default).  A full journal blocks the sending pipeline
@@ -134,7 +133,7 @@ type remoteDeploy struct {
 	laneSeed    map[string]typespec.Typespec
 	mergeInSpec map[string][]typespec.Typespec
 	// segSections[i] is the pump-driven section count of segment i's
-	// composed pipeline (read back from its node at deploy; buffers add
+	// composed pipeline (the compose reply carries it; buffers add
 	// sections).  A durable self-acking inbound lane anchors its acks one
 	// pop behind the FIRST pump, so only single-section segments can prove
 	// end-of-segment consumption — replaceable() refuses the rest.
@@ -144,8 +143,10 @@ type remoteDeploy struct {
 
 func (rd *remoteDeploy) run() (*Deployment, error) {
 	rd.d = &remoteDeployment{name: rd.g.name, clients: rd.target.Clients, rd: rd,
-		names:   make([]string, len(rd.target.Clients)),
-		retired: make(map[string]retiredCounts)}
+		names:          make([]string, len(rd.target.Clients)),
+		retired:        make(map[string]retiredCounts),
+		lastRows:       make(map[int]map[string]remote.PipeStat),
+		lastTenantRows: make(map[int]remote.TenantStat)}
 	for i, c := range rd.target.Clients {
 		name, err := c.Ping()
 		if err != nil {
@@ -212,7 +213,7 @@ func (rd *remoteDeploy) abort() {
 		_ = rd.client(p.client).Stop(p.name)
 	}
 	for node := range rd.touched {
-		_, _ = rd.client(node).Lookup("abort:" + rd.g.name + "/")
+		_, _ = rd.client(node).Control("abort", map[string]string{"prefix": rd.g.name + "/"})
 	}
 }
 
@@ -257,12 +258,12 @@ func (rd *remoteDeploy) recvSpecs(lane string) []remote.StageSpec {
 	}
 }
 
-// sendSpecs renders the sender tail of a lane.  Durable lanes journal on
+// sendSpecs renders the sender tail of a lane.  Cluster lanes journal on
 // the sender; chain names the sending segment's inbound lane, which should
 // receive the downstream ack watermark (see nodeState.chainAck).
-func (rd *remoteDeploy) sendSpecs(lane, addr string, durable bool, chain string) []remote.StageSpec {
+func (rd *remoteDeploy) sendSpecs(lane, addr, chain string) []remote.StageSpec {
 	params := map[string]string{"addr": addr, "lane": lane}
-	if durable {
+	if rd.target.ClusterLanes {
 		params["durable"] = "1"
 		params["journal"] = strconv.Itoa(rd.target.JournalLimit)
 		if chain != "" {
@@ -275,44 +276,39 @@ func (rd *remoteDeploy) sendSpecs(lane, addr string, durable bool, chain string)
 	}
 }
 
-// laneDurable reports whether the lane leaving fromSeg runs the durable
-// protocol.  Merged flows are no obstacle: each merge in-port stamps the
-// item's Origin, so the lane journals and dedups on the per-origin-monotone
-// (origin, seq) pair (see item.Item.Origin and netpipe's durable lanes).
-func (rd *remoteDeploy) laneDurable(fromSeg int) bool {
-	return rd.target.ClusterLanes
-}
-
 // segInLane returns segment si's inbound lane ("" when its head is wired
-// directly) and whether that lane is durable.
-func (rd *remoteDeploy) segInLane(si int) (string, bool) {
+// directly).  Cluster lanes are durable, merged flows included: each merge
+// in-port stamps the item's Origin, so the lane journals and dedups on the
+// per-origin-monotone (origin, seq) pair (see item.Item.Origin and netpipe's
+// durable lanes).
+func (rd *remoteDeploy) segInLane(si int) string {
 	switch h := rd.plan.Segments[si].Head; h.Kind {
 	case core.EndSplitOut:
-		trunk := rd.plan.SplitTrunk[h.Node]
-		if rd.nodeOf[trunk] != rd.nodeOf[si] {
-			return rd.laneName(h.Node, h.Port), rd.laneDurable(trunk)
+		if rd.nodeOf[rd.plan.SplitTrunk[h.Node]] != rd.nodeOf[si] {
+			return rd.laneName(h.Node, h.Port)
 		}
 	case core.EndCut:
 		if rd.cutIsLane(h.Port) {
-			return rd.cutLane(h.Port), rd.laneDurable(rd.plan.Cuts[h.Port].FromSeg)
+			return rd.cutLane(h.Port)
 		}
 	}
-	return "", false
+	return ""
 }
 
-// segOutLane returns segment si's (single) outbound lane and durability.
-func (rd *remoteDeploy) segOutLane(si int) (string, bool) {
+// segOutLane returns segment si's (single) outbound lane, "" when its tail
+// is wired directly.
+func (rd *remoteDeploy) segOutLane(si int) string {
 	switch t := rd.plan.Segments[si].Tail; t.Kind {
 	case core.EndMergeIn:
 		if rd.nodeOf[rd.plan.MergeDown[t.Node]] != rd.nodeOf[si] {
-			return rd.laneName(t.Node, t.Port), rd.laneDurable(si)
+			return rd.laneName(t.Node, t.Port)
 		}
 	case core.EndCut:
 		if rd.cutIsLane(t.Port) {
-			return rd.cutLane(t.Port), rd.laneDurable(si)
+			return rd.cutLane(t.Port)
 		}
 	}
-	return "", false
+	return ""
 }
 
 // chainLane returns the inbound lane that segment si's outbound sender
@@ -321,25 +317,21 @@ func (rd *remoteDeploy) segOutLane(si int) (string, bool) {
 // has not cleared the lane BELOW si, which is what makes losing si (and
 // everything in flight through it) recoverable by replay.
 func (rd *remoteDeploy) chainLane(si int) string {
-	in, inDur := rd.segInLane(si)
-	if _, outDur := rd.segOutLane(si); inDur && outDur {
-		return in
+	if rd.target.ClusterLanes && rd.segOutLane(si) != "" {
+		return rd.segInLane(si)
 	}
 	return ""
 }
 
 // listen pre-binds the rendezvous listener of a lane on a node and records
-// its address.  Cluster lanes are resumable: they park on a bare EOF so a
-// re-placed sender can dial back in.  Durable lanes add sequence dedup and
+// its address.  Cluster lanes are durable: they park on a bare EOF so a
+// re-placed sender can dial back in, dedup on sequence numbers and send
 // cumulative acks; chained listeners forward the downstream watermark
 // instead of acknowledging their own consumption.
-func (rd *remoteDeploy) listen(node int, lane string, durable, chained bool) (string, error) {
+func (rd *remoteDeploy) listen(node int, lane string, chained bool) (string, error) {
 	rd.touched[node] = true
 	params := map[string]string{"lane": lane, "depth": strconv.Itoa(rd.target.LinkDepth)}
 	if rd.target.ClusterLanes {
-		params["resume"] = "1"
-	}
-	if durable {
 		params["durable"] = "1"
 		params["ackevery"] = strconv.Itoa(rd.target.AckEvery)
 		if chained {
@@ -378,24 +370,13 @@ func (rd *remoteDeploy) tenantSpec() *remote.TenantSpec {
 // deployment (boundary-headed pipelines carry already-admitted items).
 func (rd *remoteDeploy) compose(node int, name string, specs []remote.StageSpec, seed typespec.Typespec, seg int, admit bool) error {
 	rd.touched[node] = true
-	if err := rd.client(node).ComposeTenantSegment(name, specs, seed, rd.tenantSpec(), admit); err != nil {
+	sections, err := rd.client(node).ComposeTenantSegment(name, specs, seed, rd.tenantSpec(), admit)
+	if err != nil {
 		return fmt.Errorf("graph %q: node %d: compose %q: %w", rd.g.name, node, name, err)
 	}
 	rd.d.pipes = append(rd.d.pipes, remotePipe{client: node, name: name, seg: seg})
 	if seg >= 0 {
-		// Record the composed pipeline's section count: spec kinds are
-		// opaque to the deployer, so only the node knows whether a stage
-		// materialized as a buffer (an extra pump-driven section), and
-		// replaceable() needs that to gate durable self-acking lanes.
-		v, err := rd.client(node).Lookup("sections:" + name)
-		if err != nil {
-			return fmt.Errorf("graph %q: node %d: sections %q: %w", rd.g.name, node, name, err)
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("graph %q: node %d: sections %q: bad count %q", rd.g.name, node, name, v)
-		}
-		rd.segSections[seg] = n
+		rd.segSections[seg] = sections
 	}
 	return nil
 }
@@ -459,8 +440,7 @@ func (rd *remoteDeploy) composeSegment(si int) error {
 			// The trunk composed earlier (topological order), so the tee
 			// already exists there and the relay's seed is resolved.
 			lane := rd.laneName(h.Node, h.Port)
-			durable := rd.laneDurable(trunk)
-			addr, err := rd.listen(own, lane, durable, rd.chainLane(si) == lane)
+			addr, err := rd.listen(own, lane, rd.chainLane(si) == lane)
 			if err != nil {
 				return err
 			}
@@ -469,7 +449,7 @@ func (rd *remoteDeploy) composeSegment(si int) error {
 					h.Node, map[string]string{"port": strconv.Itoa(h.Port)}),
 				rd.pumpSpec(lane),
 			}
-			relay = append(relay, rd.sendSpecs(lane, addr, durable, "")...)
+			relay = append(relay, rd.sendSpecs(lane, addr, "")...)
 			if err := rd.compose(rd.nodeOf[trunk], lane+"/relay", relay, seed, -1, false); err != nil {
 				return err
 			}
@@ -537,24 +517,22 @@ func (rd *remoteDeploy) composeSegment(si int) error {
 			// The merge relay is anchored (merge hosts cannot move), so its
 			// listener self-acks; the branch's sender still chains back to
 			// the branch's own inbound lane.
-			durable := rd.laneDurable(si)
-			addr, err := rd.listen(anchor, lane, durable, false)
+			addr, err := rd.listen(anchor, lane, false)
 			if err != nil {
 				return err
 			}
-			specs = append(specs, rd.sendSpecs(lane, addr, durable, rd.chainLane(si))...)
+			specs = append(specs, rd.sendSpecs(lane, addr, rd.chainLane(si))...)
 			pendingRelay = &mergeRelay{node: t.Node, port: t.Port, lane: lane}
 		}
 	case core.EndCut:
 		cut := plan.Cuts[t.Port]
 		lane := rd.cutLane(t.Port)
 		if rd.cutIsLane(t.Port) {
-			durable := rd.laneDurable(si)
-			addr, err := rd.listen(rd.nodeOf[cut.ToSeg], lane, durable, rd.chainLane(cut.ToSeg) == lane)
+			addr, err := rd.listen(rd.nodeOf[cut.ToSeg], lane, rd.chainLane(cut.ToSeg) == lane)
 			if err != nil {
 				return err
 			}
-			specs = append(specs, rd.sendSpecs(lane, addr, durable, rd.chainLane(si))...)
+			specs = append(specs, rd.sendSpecs(lane, addr, rd.chainLane(si))...)
 		} else {
 			specs = append(specs, remote.StageSpec{Kind: "ip/cutsink", Name: lane + "/sink",
 				Params: map[string]string{"lane": lane, "depth": depth}})
@@ -644,9 +622,7 @@ type remoteDeployment struct {
 	// segments over to survivors (and the poll heals) or latches a terminal
 	// error via Fail.  Unsupervised deployments keep the fail-fast contract.
 	supervised bool
-	// repGen increments at the start AND end of every Replace: a poller
-	// that saw an error can tell "a replace ran while my request was in
-	// flight" even when the replacing flag has already dropped again.
+	// repGen increments at the start AND end of every move (replaceWindow).
 	repGen uint64
 	// retired folds the pump counters of pipeline generations detached by
 	// Replace, keyed by pipeline name, so Stats stays cumulative.
@@ -725,17 +701,6 @@ func (r *remoteDeployment) failure() error {
 	return r.startErr
 }
 
-// replaceState reports whether a Replace is rewiring the deployment right
-// now — a window in which a pipeline may legitimately be missing from its
-// node — together with the replace generation, so a poller can also detect
-// a replace that STARTED AND FINISHED while its failing request was in
-// flight.  Pollers retry in either case instead of failing.
-func (r *remoteDeployment) replaceState() (bool, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.replacing, r.repGen
-}
-
 // pipeList snapshots the pipes under the lock (Replace rewrites entries).
 func (r *remoteDeployment) pipeList() []remotePipe {
 	r.mu.Lock()
@@ -751,28 +716,125 @@ func (r *remoteDeployment) isSupervised() bool {
 	return r.supervised
 }
 
+// rows fetches one node's telemetry rows for this deployment's pipelines,
+// keyed by pipeline name, and records them as the node's last-known rows
+// (see lastRows).  The returned map is never mutated afterwards.
+func (r *remoteDeployment) rows(c *remote.Client, node int) (map[string]remote.PipeStat, error) {
+	nodeRows, err := c.Stats(r.name + "/")
+	if err != nil {
+		return nil, err
+	}
+	rows := make(map[string]remote.PipeStat, len(nodeRows))
+	for _, row := range nodeRows {
+		rows[row.Name] = row
+	}
+	r.mu.Lock()
+	r.lastRows[node] = rows
+	r.mu.Unlock()
+	return rows, nil
+}
+
+// fetch asks every node hosting one of pipes for its rows — one round trip
+// per node, however many pipes it hosts — and returns them by node index,
+// with the error of each node that did not answer.  Nodes are polled in
+// sequence; a dead node costs one call deadline once, then its poisoned
+// client fails fast on every later fetch.
+func (r *remoteDeployment) fetch(pipes []remotePipe, clients []*remote.Client) (map[int]map[string]remote.PipeStat, map[int]error) {
+	rows := make(map[int]map[string]remote.PipeStat)
+	errs := make(map[int]error)
+	for _, p := range pipes {
+		if rows[p.client] != nil || errs[p.client] != nil {
+			continue
+		}
+		if nodeRows, err := r.rows(clients[p.client], p.client); err != nil {
+			errs[p.client] = err
+		} else {
+			rows[p.client] = nodeRows
+		}
+	}
+	return rows, errs
+}
+
+// polledPipe is one pipe as a poll saw it: seen with its row when its node
+// answered and hosts it, otherwise judged by the one rule in poll — pending
+// (look again), failed with err, or neither (nobody waits for it).
+type polledPipe struct {
+	remotePipe
+	// tail marks a terminal segment — one whose tail is a true sink
+	// (core.EndNone), the end of the information flow.  Relay pipelines
+	// (seg < 0) feed tees mid-graph and are never terminal.
+	tail    bool
+	seen    bool
+	row     remote.PipeStat
+	pending bool
+	err     error
+}
+
+// poll is the one place the deployer asks its nodes how the pipelines are
+// doing: it snapshots the pipes, then the clients (the client list only
+// grows, so the later snapshot covers every pipe's node index), fetches
+// each hosting node's rows once, and judges every pipe that has none.
+// Every pipe is looked at every time — stopping at the first unfinished one
+// would keep a dead node's pipelines out of reach of the unreachability
+// check and hang a Wait.
+func (r *remoteDeployment) poll() []polledPipe {
+	r.mu.Lock()
+	gen := r.repGen
+	r.mu.Unlock()
+	pipes := r.pipeList()
+	clients, _ := r.clientSnap()
+	rows, errs := r.fetch(pipes, clients)
+	// A move (Replace, FailOver) in flight at any point of the poll — even
+	// one that started AND finished while a request was out, hence the
+	// generation — may have left a pipe missing from the node the snapshot
+	// places it on.
+	r.mu.Lock()
+	rewiring, supervised := r.replacing || r.repGen != gen, r.supervised
+	r.mu.Unlock()
+	out := make([]polledPipe, len(pipes))
+	for i, p := range pipes {
+		pp := polledPipe{remotePipe: p,
+			tail: p.seg >= 0 && r.rd.plan.Segments[p.seg].Tail.Kind == core.EndNone}
+		lost := errs[p.client]
+		if lost == nil {
+			if pp.row, pp.seen = rows[p.client][p.name]; !pp.seen {
+				lost = fmt.Errorf("%w: %q", remote.ErrUnknownPipeline, p.name)
+			}
+		}
+		switch {
+		case pp.seen:
+		case rewiring:
+			pp.pending = true // the next poll sees it where the move put it
+		case supervised && errors.Is(lost, remote.ErrNodeUnreachable):
+			// A node died under supervision, and the supervisor owns that:
+			// it either fails the node's segments over to survivors (and the
+			// poll heals) or latches a terminal error via Fail.  The node's
+			// NON-terminal pipes don't block completion: either the stream
+			// is mid-flight — then some reachable pipe downstream is not
+			// done — or every reachable pipe already delivered its EOS,
+			// which means the flow finished end to end before the node died.
+			// An unreachable TERMINAL segment proves nothing, though:
+			// upstream journals may still hold items its dead node never
+			// consumed, so it stays pending.
+			pp.pending = pp.tail
+		default:
+			pp.err = lost
+		}
+		out[i] = pp
+	}
+	return out
+}
+
 func (r *remoteDeployment) err() error {
 	if err := r.failure(); err != nil {
 		return err
 	}
-	_, gen := r.replaceState()
-	pipes := r.pipeList()
-	// Snapshot the clients AFTER the pipes: the client list only grows
-	// (AddNode), so a later snapshot covers every pipe's node index.
-	clients, _ := r.clientSnap()
-	for _, p := range pipes {
-		v, err := clients[p.client].Lookup("err:" + p.name)
-		if err != nil {
-			if rep, g := r.replaceState(); rep || g != gen {
-				continue // a replace is (or was just) rewiring this pipe
-			}
-			if r.isSupervised() && errors.Is(err, remote.ErrNodeUnreachable) {
-				continue // the supervisor owns this failure
-			}
-			return err
+	for _, p := range r.poll() {
+		if p.err != nil {
+			return p.err
 		}
-		if v != "" {
-			return fmt.Errorf("%s: %s", p.name, v)
+		if p.row.Err != "" {
+			return fmt.Errorf("%s: %s", p.name, p.row.Err)
 		}
 	}
 	return nil
@@ -786,44 +848,16 @@ func (r *remoteDeployment) wait() error {
 		if err := r.failure(); err != nil {
 			return err
 		}
-		// Every pipe is probed every round — an early break on the first
-		// unfinished pipeline would keep a dead node's pipelines out of
-		// reach of the unreachability check and hang the Wait.
-		done := true
-		reachable := 0
-		_, gen := r.replaceState()
-		pipes := r.pipeList()
-		clients, _ := r.clientSnap() // after pipeList: covers every pipe index
-		for _, p := range pipes {
-			v, err := clients[p.client].Lookup("done:" + p.name)
-			if err != nil {
-				if rep, g := r.replaceState(); rep || g != gen {
-					done = false
-					continue // a replace is (or was just) rewiring this pipe
-				}
-				if r.isSupervised() && errors.Is(err, remote.ErrNodeUnreachable) {
-					// A node died under supervision.  Its NON-terminal pipes
-					// don't block completion: either the stream is mid-flight
-					// — then some reachable pipe downstream is not done and
-					// the poll keeps waiting while the supervisor fails the
-					// segments over (the poll heals once pipes move) — or
-					// every reachable pipe already delivered its EOS, which
-					// means the flow finished end to end before the node
-					// died.  An unreachable TERMINAL segment proves nothing,
-					// though: upstream journals may still hold items its dead
-					// node never consumed, so it keeps the wait pending until
-					// the supervisor re-places it (the poll heals) or latches
-					// a terminal error picked up above.
-					if r.tailPipe(p) {
-						done = false
-					}
-					continue
-				}
-				return err
-			}
-			reachable++
-			if v != "true" {
-				done = false
+		done, reachable := true, 0
+		for _, p := range r.poll() {
+			switch {
+			case p.err != nil:
+				return p.err
+			case p.seen:
+				reachable++
+				done = done && p.row.Done
+			default:
+				done = done && !p.pending
 			}
 		}
 		if done && reachable > 0 {
@@ -843,11 +877,9 @@ func (r *remoteDeployment) stats() GraphStats {
 	var st GraphStats
 	pipes := r.pipeList()
 	clients, _ := r.clientSnap() // after pipeList: covers every pipe index
-	r.mu.Lock()
-	st.Nodes = append(st.Nodes, r.names...)
-	r.mu.Unlock()
 	st.Shards = make([]ShardLoad, len(clients))
 	r.mu.Lock()
+	st.Nodes = append(st.Nodes, r.names...)
 	for i, ret := range r.retiredByNode {
 		if i < len(st.Shards) {
 			st.Shards[i].Items = ret.items
@@ -860,46 +892,18 @@ func (r *remoteDeployment) stats() GraphStats {
 	}
 	r.mu.Unlock()
 
-	rows := make(map[string]remote.PipeStat)
-	byNode := make(map[int]bool)
-	for _, p := range pipes {
-		byNode[p.client] = true
-	}
-	// Nodes are polled in sequence; a dead node costs one call deadline
-	// once, then its poisoned client fails fast on every later snapshot.
-	for node := range byNode {
-		nodeRows, err := clients[node].Stats(r.name + "/")
-		if err != nil {
-			continue
-		}
-		r.mu.Lock()
-		if r.lastRows == nil {
-			r.lastRows = make(map[int]map[string]remote.PipeStat)
-		}
-		cached := make(map[string]remote.PipeStat, len(nodeRows))
-		for _, row := range nodeRows {
-			rows[row.Name] = row
-			cached[row.Name] = row
-		}
-		r.lastRows[node] = cached
-		r.mu.Unlock()
-	}
-	// An unreachable node's pipes fall back to their LAST-KNOWN rows (from
-	// the node each pipe is currently assigned to) rather than zero: a
-	// zeroed snapshot would hand the balancer a false full-history delta
-	// the moment the node answers again.
+	// An unreachable node's pipes fall back to its LAST-KNOWN rows rather
+	// than zero: a zeroed snapshot would hand the balancer a false
+	// full-history delta the moment the node answers again.
+	rows, errs := r.fetch(pipes, clients)
 	r.mu.Lock()
-	for _, p := range pipes {
-		if _, ok := rows[p.name]; !ok {
-			if row, ok := r.lastRows[p.client][p.name]; ok {
-				rows[p.name] = row
-			}
-		}
+	for node := range errs {
+		rows[node] = r.lastRows[node]
 	}
 	r.mu.Unlock()
 
 	add := func(p remotePipe, segName string, relay bool) {
-		row := rows[p.name]
+		row := rows[p.client][p.name]
 		ret := retired[p.name]
 		s := SegmentStats{
 			Name: segName, Shard: p.client, Relay: relay, Finished: row.EOS,
@@ -961,42 +965,26 @@ func (r *remoteDeployment) tenantStats(st *GraphStats) {
 	clients, gone := r.clientSnap()
 	for node := range clients {
 		var nodeRow remote.TenantStat
-		found := false
-		if skipNode(gone, node) {
-			// A departed node's historical counters still count: fold its
-			// last-known row below instead of polling a closed client.
-			r.mu.Lock()
-			nodeRow, found = r.lastTenantRows[node]
-			r.mu.Unlock()
-			if found {
-				polled = true
-				row.Admitted += nodeRow.Admitted
-				row.Sheds += nodeRow.Sheds
-				row.CreditDebt += nodeRow.CreditDebt
-				granted += nodeRow.Granted
-				grants += nodeRow.SchedGrants
-			}
-			continue
-		}
-		if tenants, err := clients[node].Tenants(); err == nil {
-			for _, ts := range tenants {
-				if ts.Name == t.Name() {
-					nodeRow, found = ts, true
+		found, answered := false, false
+		// A departed node is not polled (its client is closed), but its
+		// historical counters still count: it folds in like an unreachable one.
+		if !skipNode(gone, node) {
+			if tenants, err := clients[node].Tenants(); err == nil {
+				answered = true
+				for _, ts := range tenants {
+					if ts.Name == t.Name() {
+						nodeRow, found = ts, true
+					}
 				}
 			}
-			if found {
-				r.mu.Lock()
-				if r.lastTenantRows == nil {
-					r.lastTenantRows = make(map[int]remote.TenantStat)
-				}
-				r.lastTenantRows[node] = nodeRow
-				r.mu.Unlock()
-			}
-		} else {
-			r.mu.Lock()
-			nodeRow, found = r.lastTenantRows[node]
-			r.mu.Unlock()
 		}
+		r.mu.Lock()
+		if found {
+			r.lastTenantRows[node] = nodeRow
+		} else if !answered {
+			nodeRow, found = r.lastTenantRows[node]
+		}
+		r.mu.Unlock()
 		if !found {
 			continue
 		}

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"net"
 	"strconv"
 	"sync"
 	"testing"
@@ -234,10 +235,25 @@ func TestGraphRemoteAbortOnFailure(t *testing.T) {
 	if _, err := declare(1).Deploy(graph.OnNodes(clientA, clientB)); err == nil {
 		t.Fatal("deploy succeeded although beta lacks the probe kind")
 	}
-	// Rollback removed the rendezvous state the partial deploy created on
-	// alpha (the merge relay's listener).
-	if _, err := clientA.Lookup("addr:ab/mrg:1"); err == nil {
-		t.Fatal("listener state survived the aborted deployment")
+	// Rollback removed what the partial deploy created on alpha: no pipeline
+	// row is left under the graph prefix, and the merge relay's rendezvous
+	// listener is gone — listen is idempotent per lane, so only a lane with
+	// no listener left binds the fresh address it is asked for.
+	if rows, err := clientA.Stats("ab/"); err != nil || len(rows) != 0 {
+		t.Fatalf("pipelines survived the aborted deployment: %+v (err %v)", rows, err)
+	}
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := probe.Addr().String()
+	probe.Close()
+	lane := map[string]string{"lane": "ab/mrg:1", "bind": free, "side": "listener"}
+	if addr, err := clientA.Control("listen", lane); err != nil || addr != free {
+		t.Fatalf("listener state survived the aborted deployment: listen = %q, %v; want %q", addr, err, free)
+	}
+	if _, err := clientA.Control("drop", lane); err != nil {
+		t.Fatal(err)
 	}
 
 	// The corrected graph — same name, branch B moved to alpha — deploys

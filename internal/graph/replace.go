@@ -152,7 +152,7 @@ func (rd *remoteDeploy) replaceable(si int, live bool) error {
 			return fmt.Errorf("%w: %q is wired directly to split %q (no lane to redial)",
 				ErrNotReplaceable, seg.Name(), h.Node)
 		}
-		if !rd.laneDurable(rd.plan.SplitTrunk[h.Node]) {
+		if !rd.target.ClusterLanes {
 			return fmt.Errorf("%w: %q's inbound lane is not durable (deploy with WithClusterLanes)",
 				ErrNotReplaceable, seg.Name())
 		}
@@ -161,7 +161,7 @@ func (rd *remoteDeploy) replaceable(si int, live bool) error {
 			return fmt.Errorf("%w: %q's inbound cut is a same-node link (deploy with WithClusterLanes)",
 				ErrNotReplaceable, seg.Name())
 		}
-		if !rd.laneDurable(rd.plan.Cuts[h.Port].FromSeg) {
+		if !rd.target.ClusterLanes {
 			return fmt.Errorf("%w: %q's inbound lane is not durable (deploy with WithClusterLanes)",
 				ErrNotReplaceable, seg.Name())
 		}
@@ -265,22 +265,15 @@ func (r *remoteDeployment) move(si, dest int, oldUp bool) error {
 		}
 	}
 
+	defer r.replaceWindow()()
 	r.mu.Lock()
-	r.replacing = true
-	r.repGen++
 	started := r.started
 	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		r.replacing = false
-		r.repGen++
-		r.mu.Unlock()
-	}()
 
 	// The lanes at the segment's boundaries and the node holding the inbound
 	// lane's stationary sender, looked up before placement flips.
-	inLane, _ := rd.segInLane(si)
-	outLane, _ := rd.segOutLane(si)
+	inLane := rd.segInLane(si)
+	outLane := rd.segOutLane(si)
 	sender := -1
 	if inLane != "" {
 		sender = rd.nodeOf[rd.plan.Upstream(si)[0]]
@@ -374,19 +367,33 @@ func (r *remoteDeployment) move(si, dest int, oldUp bool) error {
 	return nil
 }
 
+// replaceWindow opens the window in which a pipeline may legitimately be
+// missing from the node the deployment places it on (see poll) and returns
+// the func that closes it.  The generation moves on at both ends, so a poll
+// can tell a move ran while its requests were in flight even when the flag
+// has already dropped again.
+func (r *remoteDeployment) replaceWindow() (done func()) {
+	r.mu.Lock()
+	r.replacing = true
+	r.repGen++
+	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		r.replacing = false
+		r.repGen++
+		r.mu.Unlock()
+	}
+}
+
 // retire folds the last-known counters of the pipelines a move is about to
 // abandon on node into the retired stats — best-effort: the recomposed
 // generation reprocesses the replayed tail, so a small overlap is inherent
 // and only affects telemetry, never the stream.  A dead node's rows come
 // from the last snapshot that reached it.
 func (r *remoteDeployment) retire(node int, up bool, names []string) {
-	rows := make(map[string]remote.PipeStat)
+	var rows map[string]remote.PipeStat
 	if up {
-		if nodeRows, err := r.clients[node].Stats(r.name + "/"); err == nil {
-			for _, row := range nodeRows {
-				rows[row.Name] = row
-			}
-		}
+		rows, _ = r.rows(r.clients[node], node)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -461,9 +468,9 @@ func (rd *remoteDeploy) recomposeRelays(si int) error {
 			rd.teeSpec("ip/teeout", fmt.Sprintf("%s.src%d", t.Node, port), t.Node,
 				map[string]string{"port": strconv.Itoa(port)}),
 			rd.pumpSpec(lane),
-		}, rd.sendSpecs(lane, rd.laneAddr[lane], rd.laneDurable(si), "")...)
+		}, rd.sendSpecs(lane, rd.laneAddr[lane], "")...)
 		rd.touched[own] = true
-		if err := rd.client(own).ComposeTenantSegment(lane+"/relay", relay, rd.segOutSpec[si], rd.tenantSpec(), false); err != nil {
+		if _, err := rd.client(own).ComposeTenantSegment(lane+"/relay", relay, rd.segOutSpec[si], rd.tenantSpec(), false); err != nil {
 			return fmt.Errorf("graph %q: node %d: recompose relay %q: %w", rd.g.name, own, lane+"/relay", err)
 		}
 	}
@@ -484,14 +491,14 @@ func (rd *remoteDeploy) recomposeSegment(si int) error {
 	case core.EndSplitOut:
 		lane := rd.laneName(h.Node, h.Port)
 		seed = rd.laneSeed[lane]
-		if _, err := rd.listen(own, lane, rd.laneDurable(rd.plan.SplitTrunk[h.Node]), chain == lane); err != nil {
+		if _, err := rd.listen(own, lane, chain == lane); err != nil {
 			return err
 		}
 		specs = append(specs, rd.recvSpecs(lane)...)
 	case core.EndCut:
 		lane := rd.cutLane(h.Port)
 		seed = rd.laneSeed[lane]
-		if _, err := rd.listen(own, lane, rd.laneDurable(rd.plan.Cuts[h.Port].FromSeg), chain == lane); err != nil {
+		if _, err := rd.listen(own, lane, chain == lane); err != nil {
 			return err
 		}
 		specs = append(specs, rd.recvSpecs(lane)...)
@@ -504,17 +511,17 @@ func (rd *remoteDeploy) recomposeSegment(si int) error {
 		specs = append(specs, rd.teeSpec("ip/teesink", t.Node, t.Node, nil))
 	case core.EndMergeIn:
 		lane := rd.laneName(t.Node, t.Port)
-		specs = append(specs, rd.sendSpecs(lane, rd.laneAddr[lane], rd.laneDurable(si), chain)...)
+		specs = append(specs, rd.sendSpecs(lane, rd.laneAddr[lane], chain)...)
 	case core.EndCut:
 		lane := rd.cutLane(t.Port)
-		specs = append(specs, rd.sendSpecs(lane, rd.laneAddr[lane], rd.laneDurable(si), chain)...)
+		specs = append(specs, rd.sendSpecs(lane, rd.laneAddr[lane], chain)...)
 	}
 	name := rd.g.name + "/" + seg.Name()
 	rd.touched[own] = true
 	// Replaceable segments always have an upstream lane, so their items were
 	// admitted at the true source — the recomposed pipeline needs the
 	// tenant's scheduling class on its new node, but no admission gate.
-	if err := rd.client(own).ComposeTenantSegment(name, specs, seed, rd.tenantSpec(), false); err != nil {
+	if _, err := rd.client(own).ComposeTenantSegment(name, specs, seed, rd.tenantSpec(), false); err != nil {
 		return fmt.Errorf("graph %q: node %d: recompose %q: %w", rd.g.name, own, name, err)
 	}
 	return nil
@@ -552,13 +559,6 @@ func (r *remoteDeployment) fail(err error) {
 	r.stop()
 }
 
-// tailPipe reports whether a pipe hosts a terminal segment — one whose
-// tail is a true sink (core.EndNone), the end of the information flow.
-// Relay pipelines (seg < 0) feed tees mid-graph and are never terminal.
-func (r *remoteDeployment) tailPipe(p remotePipe) bool {
-	return p.seg >= 0 && r.rd.plan.Segments[p.seg].Tail.Kind == core.EndNone
-}
-
 // Finished reports whether the deployment's stream has provably delivered
 // its end of stream: every reachable pipeline is done AND every terminal
 // (true-sink) segment is among the reachable done pipes.  EOS observed at
@@ -569,23 +569,19 @@ func (r *remoteDeployment) tailPipe(p remotePipe) bool {
 // if the flow's EOS made it through the reachable tails, the stream is
 // over and a failover would only rebuild dead weight.
 func (d *Deployment) Finished() bool {
-	r := d.remote
-	if r == nil {
+	if d.remote == nil {
 		return false
 	}
 	tails := 0
-	for _, p := range r.pipeList() {
-		v, err := r.clients[p.client].Lookup("done:" + p.name)
-		if err != nil {
-			if r.tailPipe(p) {
+	for _, p := range d.remote.poll() {
+		switch {
+		case !p.seen:
+			if p.tail {
 				return false
 			}
-			continue
-		}
-		if v != "true" {
+		case !p.row.Done:
 			return false
-		}
-		if r.tailPipe(p) {
+		case p.tail:
 			tails++
 		}
 	}

@@ -167,11 +167,17 @@ func NewDurableTCPSenderLink(conn net.Conn, cfg DurableConfig) *TCPLink {
 	return l
 }
 
-// NewDurableTCPListenerLink is NewResumableTCPListenerLink with receiver-side
-// durability: sequence dedup, cumulative acks, and a blocking inbox (a full
-// queue exerts backpressure through TCP instead of dropping acked frames).
+// NewDurableTCPListenerLink is NewTCPListenerLink for cluster lanes.  The
+// listener stays open across connections, so a bare EOF (the sender died or
+// was re-placed onto another node) parks the lane until a replacement
+// sender dials in, instead of ending the stream: only an explicit EOS frame
+// — or Close — is terminal.  At most one sender is served at a time; a
+// second connection waits in the accept backlog until the current one goes
+// away.  The receiver side adds sequence dedup, cumulative acks, and a
+// blocking inbox (a full queue exerts backpressure through TCP instead of
+// dropping acked frames).
 func NewDurableTCPListenerLink(addr string, rxSched *uthread.Scheduler, rxNode string, queueLimit int, cfg DurableConfig) (*TCPLink, string, error) {
-	return newListenerLink(addr, rxSched, rxNode, queueLimit, true, &durable{cfg: cfg.withDefaults()})
+	return newListenerLink(addr, rxSched, rxNode, queueLimit, &durable{cfg: cfg.withDefaults()})
 }
 
 // Durable reports whether the link runs the durable-lane protocol.

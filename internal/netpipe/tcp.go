@@ -28,12 +28,11 @@ type TCPLink struct {
 	ln     net.Listener // non-nil on listener links until the peer connects
 	closed bool
 	txBuf  []byte // reusable transmit frame buffer, guarded by mu
-	// resumable listener links survive a bare connection EOF: the sender
-	// went away (crashed, or was re-placed onto another node) and a
-	// replacement may dial in; only an explicit EOS frame ends the stream.
-	resumable bool
 	// dur holds the durable-lane protocol state (journal/ack/dedup); nil on
-	// plain links.  See durable.go.
+	// plain links.  See durable.go.  A durable listener link is resumable:
+	// it survives a bare connection EOF — the sender went away (crashed, or
+	// was re-placed onto another node) and a replacement may dial in; only
+	// an explicit EOS frame ends the stream.
 	dur *durable
 
 	rxSched    *uthread.Scheduler
@@ -70,21 +69,12 @@ func NewTCPReceiverLink(conn net.Conn, rxSched *uthread.Scheduler, rxNode string
 // start, so a pipeline may be composed on the link and block pulling before
 // the sender has dialed.
 func NewTCPListenerLink(addr string, rxSched *uthread.Scheduler, rxNode string, queueLimit int) (*TCPLink, string, error) {
-	return newListenerLink(addr, rxSched, rxNode, queueLimit, false, nil)
+	return newListenerLink(addr, rxSched, rxNode, queueLimit, nil)
 }
 
-// NewResumableTCPListenerLink is NewTCPListenerLink for cluster lanes: the
-// listener stays open across connections, so a bare EOF (the sender died or
-// was re-placed onto another node) parks the lane until a replacement
-// sender dials in, instead of ending the stream.  Only an explicit EOS
-// frame — or Close — is terminal.  At most one sender is served at a time;
-// a second connection waits in the accept backlog until the current one
-// goes away.
-func NewResumableTCPListenerLink(addr string, rxSched *uthread.Scheduler, rxNode string, queueLimit int) (*TCPLink, string, error) {
-	return newListenerLink(addr, rxSched, rxNode, queueLimit, true, nil)
-}
-
-func newListenerLink(addr string, rxSched *uthread.Scheduler, rxNode string, queueLimit int, resumable bool, dur *durable) (*TCPLink, string, error) {
+// newListenerLink binds a listener link; a non-nil dur makes it a durable
+// (and therefore resumable) lane's receiver.
+func newListenerLink(addr string, rxSched *uthread.Scheduler, rxNode string, queueLimit int, dur *durable) (*TCPLink, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("netpipe: listen %s: %w", addr, err)
@@ -92,7 +82,6 @@ func newListenerLink(addr string, rxSched *uthread.Scheduler, rxNode string, que
 	l := &TCPLink{
 		ln:         ln,
 		rxNode:     rxNode,
-		resumable:  resumable,
 		dur:        dur,
 		rxSched:    rxSched,
 		inbox:      newInbox(rxSched, queueLimit),
@@ -112,6 +101,7 @@ func newListenerLink(addr string, rxSched *uthread.Scheduler, rxNode string, que
 // acceptAndRead serves inbound connections: one peer at a time, one total
 // unless the link is resumable.
 func (l *TCPLink) acceptAndRead(ln net.Listener) {
+	resumable := l.dur != nil
 	var end error // how the last connection ended; see closeInbox
 	defer close(l.readerDone)
 	defer l.rxSched.ReleaseExternalSource()
@@ -133,7 +123,7 @@ func (l *TCPLink) acceptAndRead(ln net.Listener) {
 			return
 		}
 		l.conn = conn
-		if !l.resumable {
+		if !resumable {
 			l.ln = nil
 		}
 		if l.dur != nil {
@@ -144,7 +134,7 @@ func (l *TCPLink) acceptAndRead(ln net.Listener) {
 			l.writeHandshakeLocked()
 		}
 		l.mu.Unlock()
-		if !l.resumable {
+		if !resumable {
 			ln.Close()
 		}
 		err = l.readFrames(conn)
@@ -165,7 +155,7 @@ func (l *TCPLink) acceptAndRead(ln net.Listener) {
 		// frame alike sever it and park the lane for a redial (on a durable
 		// lane the replay + dedup make that exactly-once); only an EOS frame
 		// or Close ends it.
-		if err == core.ErrEOS || closed || !l.resumable {
+		if err == core.ErrEOS || closed || !resumable {
 			end = err
 			return
 		}

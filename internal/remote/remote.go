@@ -11,12 +11,9 @@
 package remote
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -81,19 +78,6 @@ var ErrUnknownFactory = errors.New("remote: unknown component factory")
 // ErrUnknownPipeline is returned for operations on unknown pipeline names.
 var ErrUnknownPipeline = errors.New("remote: unknown pipeline")
 
-// ErrNodeUnreachable wraps every transport-level failure of a client call —
-// dial errors, send/receive errors, and per-call deadline expiry on a
-// wedged node.  Application-level errors (a factory rejecting a spec, an
-// unknown pipeline) are NOT wrapped: reaching the node and being told no is
-// not unreachability.  Inspect with errors.Is.
-var ErrNodeUnreachable = errors.New("remote: node unreachable")
-
-// DefaultCallTimeout bounds each control call unless the caller overrides
-// it with SetCallTimeout.  Control operations are small request/response
-// exchanges; a node that cannot answer within this window is treated as
-// unreachable rather than letting Start/Stop/Wait hang forever.
-const DefaultCallTimeout = 10 * time.Second
-
 // Node hosts remotely composable pipelines.
 type Node struct {
 	name  string
@@ -103,7 +87,6 @@ type Node struct {
 	mu            sync.Mutex
 	factories     map[string]Factory
 	specFactories map[string]SpecFactory
-	resolver      func(key string) (string, error)
 	controller    func(op string, params map[string]string) (string, error)
 	pipelines     map[string]*core.Pipeline
 	// tenants/classes hold the node-local materialization of TenantSpecs:
@@ -111,25 +94,23 @@ type Node struct {
 	// scheduler, so one class per tenant suffices).
 	tenants map[string]*qos.Tenant
 	classes map[string]*uthread.SchedClass
-	ln      net.Listener
-	closed  bool
+	srv     *Server[request, response]
 	closers []func()
-	conns   map[net.Conn]struct{}
-	wg      sync.WaitGroup
 	started time.Time
 }
 
 // NewNode creates a node over the given scheduler and bus.
 func NewNode(name string, sched *uthread.Scheduler, bus *events.Bus) *Node {
-	return &Node{
+	n := &Node{
 		name:          name,
 		sched:         sched,
 		bus:           bus,
 		factories:     make(map[string]Factory),
 		specFactories: make(map[string]SpecFactory),
 		pipelines:     make(map[string]*core.Pipeline),
-		conns:         make(map[net.Conn]struct{}),
 	}
+	n.srv = NewServer(n.handle)
+	return n
 }
 
 // Name returns the node name (the Typespec location of its pipelines).
@@ -155,20 +136,10 @@ func (n *Node) RegisterSpecFactory(kind string, f SpecFactory) {
 	n.specFactories[kind] = f
 }
 
-// SetResolver installs the handler behind the lookup op for node-specific
-// keys (the graph support registers listener addresses under "addr:NAME").
-// Built-in keys ("done:PIPELINE", "err:PIPELINE", "sections:PIPELINE") are
-// answered before the resolver is consulted.
-func (n *Node) SetResolver(r func(key string) (string, error)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.resolver = r
-}
-
 // SetController installs the handler behind the ctl op: parameterized
-// node-side actions beyond lookups (the graph support uses it to pre-bind
-// rendezvous listeners, drop lane state, and redial stationary senders when
-// a segment is re-placed onto another node).
+// node-side actions (the graph support uses it to pre-bind rendezvous
+// listeners, drop lane state, redial stationary senders when a segment is
+// re-placed onto another node, and abort a failed deployment).
 func (n *Node) SetController(c func(op string, params map[string]string) (string, error)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -209,40 +180,18 @@ func (n *Node) RemovePipeline(name string) (*core.Pipeline, bool) {
 // Serve starts the control server on addr ("host:0" picks a port) and
 // returns the bound address.  The server runs until Close.
 func (n *Node) Serve(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("remote: node %s listen: %w", n.name, err)
-	}
-	n.mu.Lock()
-	n.ln = ln
-	n.started = time.Now() //ipvet:allow wallclock uptime baseline for operator-facing health reports
-	n.mu.Unlock()
 	// While serving, remote clients can compose and post at any time, so
 	// the node's scheduler must idle rather than drain.
 	n.sched.AddExternalSource()
-	n.wg.Add(1)
-	go n.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (n *Node) acceptLoop(ln net.Listener) {
-	defer n.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
-			conn.Close()
-			return
-		}
-		n.conns[conn] = struct{}{}
-		n.mu.Unlock()
-		n.wg.Add(1)
-		go n.serveConn(conn)
+	bound, err := n.srv.Serve(addr)
+	if err != nil {
+		n.sched.ReleaseExternalSource()
+		return "", fmt.Errorf("remote: node %s: %w", n.name, err)
 	}
+	n.mu.Lock()
+	n.started = time.Now() //ipvet:allow wallclock uptime baseline for operator-facing health reports
+	n.mu.Unlock()
+	return bound, nil
 }
 
 // RegisterCloser adds a hook run by Close after the control server goes
@@ -256,51 +205,41 @@ func (n *Node) RegisterCloser(fn func()) {
 	n.closers = append(n.closers, fn)
 }
 
-// Close shuts the control server down and waits for connection handlers.
+// Close shuts the control server down, runs the closers, and waits for
+// connection handlers.
 func (n *Node) Close() {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	n.closed = true
-	ln := n.ln
-	closers := n.closers
-	n.closers = nil
-	for c := range n.conns {
-		c.Close()
-	}
-	n.mu.Unlock()
-	if ln != nil {
-		ln.Close()
+	if n.srv.stop() {
 		n.sched.ReleaseExternalSource()
 	}
+	n.mu.Lock()
+	closers := n.closers
+	n.closers = nil
+	n.mu.Unlock()
 	for _, fn := range closers {
 		fn()
 	}
-	n.wg.Wait()
+	n.srv.Close()
 }
 
 // Wire protocol.
 type request struct {
-	Op         string // compose | start | stop | detach | query | stats | health | caps | event | lookup | ctl | ping | rebind
+	Op         string // ping | compose | start | stop | detach | query | stats | tenants | rebind | health | caps | event | ctl
 	Pipeline   string
 	Stages     []StageSpec
 	StageIndex int
 	Event      events.Event
-	Key        string            // lookup key / ctl op name / stats prefix
+	Key        string            // ctl op name / stats prefix
 	Params     map[string]string // ctl parameters
 	// SkipEventCheck composes without the per-pipeline §2.3 event-
 	// capability check: graph deployments run that check graph-wide on
 	// the deployer instead, since an event emitted in one segment may be
 	// handled in another.
 	SkipEventCheck bool
-	// Seeded carries the upstream Typespec into a compose: the node seeds
-	// spec propagation with it (core.WithInputSpec), so §2.3 flow checking
-	// spans node boundaries — a mistyped cross-node edge fails right here,
-	// at composition.
-	Seeded bool
-	Seed   typespec.Typespec
+	// Seed carries the upstream Typespec into a compose (zero = none): the
+	// node seeds spec propagation with it (core.WithInputSpec), so §2.3 flow
+	// checking spans node boundaries — a mistyped cross-node edge fails
+	// right here, at composition.
+	Seed typespec.Typespec
 	// Tenant binds the composed pipeline to a QoS tenant (weighted-fair
 	// scheduling on the node); Admit additionally inserts the tenant's
 	// admission control behind the pipeline's first stage (set for
@@ -329,120 +268,87 @@ type Health struct {
 }
 
 type response struct {
-	Err     string
-	Spec    typespec.Typespec
-	Node    string
-	Value   string // lookup / ctl result
-	Stats   []PipeStat
-	Tenants []TenantStat
-	Health  Health
+	Spec typespec.Typespec
+	Node string
+	// Sections is the pump-driven section count of the pipeline a compose
+	// just built (buffers add sections).  Spec kinds are opaque to a
+	// deployer, so only the node knows whether a stage materialized as a
+	// buffer; the graph deployer gates Replace on it (see replaceable).
+	Sections int
+	Value    string // ctl result
+	Stats    []PipeStat
+	Tenants  []TenantStat
+	Health   Health
 	// Sends/Handles are the event-capability sets of a pipeline (caps op).
 	Sends, Handles []string
 }
 
-func (n *Node) serveConn(conn net.Conn) {
-	defer n.wg.Done()
-	defer func() {
-		n.mu.Lock()
-		delete(n.conns, conn)
-		n.mu.Unlock()
-		conn.Close()
-	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		resp := n.handle(req)
-		if err := enc.Encode(&resp); err != nil {
-			return
-		}
-	}
-}
-
-func (n *Node) handle(req request) response {
+// handle answers one control request (the Server's handler).
+func (n *Node) handle(req request) (response, error) {
+	resp := response{Node: n.name}
 	switch req.Op {
 	case "ping":
-		return response{Node: n.name}
 	case "compose":
-		if err := n.compose(req.Pipeline, req.Stages, req.SkipEventCheck, req.Seeded, req.Seed,
-			req.Tenant, req.Admit); err != nil {
-			return response{Err: err.Error()}
+		p, err := n.compose(req)
+		if err != nil {
+			return response{}, err
 		}
-		return response{Node: n.name}
-	case "start", "stop":
+		resp.Sections = len(p.Plan().Sections)
+	case "start", "stop", "query", "caps":
 		p, ok := n.Pipeline(req.Pipeline)
 		if !ok {
-			return response{Err: ErrUnknownPipeline.Error()}
+			return response{}, ErrUnknownPipeline
 		}
-		if req.Op == "start" {
+		switch req.Op {
+		case "start":
 			p.Start()
-		} else {
+		case "stop":
 			p.Stop()
+		case "query":
+			resp.Spec = p.SpecAt(req.StageIndex)
+		case "caps":
+			sends, handles := p.EventCapabilities()
+			resp.Sends, resp.Handles = typeStrings(sends), typeStrings(handles)
 		}
-		return response{}
 	case "detach":
 		// Tear one pipeline down for re-placement: no event broadcast (the
 		// rest of the node's pipelines are undisturbed), threads joined,
 		// name freed for a recomposition elsewhere.
 		p, ok := n.RemovePipeline(req.Pipeline)
 		if !ok {
-			return response{Err: ErrUnknownPipeline.Error()}
+			return response{}, ErrUnknownPipeline
 		}
 		p.Detach()
 		<-p.Done()
-		return response{Node: n.name}
-	case "query":
-		p, ok := n.Pipeline(req.Pipeline)
-		if !ok {
-			return response{Err: ErrUnknownPipeline.Error()}
-		}
-		return response{Spec: p.SpecAt(req.StageIndex), Node: n.name}
 	case "stats":
-		return response{Node: n.name, Stats: n.stats(req.Key)}
+		resp.Stats = n.stats(req.Key)
 	case "tenants":
-		return response{Node: n.name, Tenants: n.tenantStats()}
+		resp.Tenants = n.tenantStats()
 	case "rebind":
 		if req.Tenant == nil {
-			return response{Err: "remote: rebind without tenant spec"}
+			return response{}, errors.New("remote: rebind without tenant spec")
 		}
 		n.rebindTenant(req.Tenant)
-		return response{Node: n.name}
 	case "health":
-		return response{Node: n.name, Health: n.health()}
-	case "caps":
-		p, ok := n.Pipeline(req.Pipeline)
-		if !ok {
-			return response{Err: ErrUnknownPipeline.Error()}
-		}
-		sends, handles := p.EventCapabilities()
-		return response{Node: n.name, Sends: typeStrings(sends), Handles: typeStrings(handles)}
+		resp.Health = n.health()
 	case "event":
 		n.bus.Broadcast(req.Event)
-		return response{}
-	case "lookup":
-		v, err := n.lookup(req.Key)
-		if err != nil {
-			return response{Err: err.Error()}
-		}
-		return response{Value: v, Node: n.name}
 	case "ctl":
 		n.mu.Lock()
 		c := n.controller
 		n.mu.Unlock()
 		if c == nil {
-			return response{Err: fmt.Sprintf("remote: node %s has no controller (ctl %q)", n.name, req.Key)}
+			return response{}, fmt.Errorf("remote: node %s has no controller (ctl %q)", n.name, req.Key)
 		}
 		v, err := c(req.Key, req.Params)
 		if err != nil {
-			return response{Err: err.Error()}
+			return response{}, err
 		}
-		return response{Value: v, Node: n.name}
+		resp.Value = v
 	default:
-		return response{Err: fmt.Sprintf("remote: unknown op %q", req.Op)}
+		return response{}, fmt.Errorf("remote: unknown op %q", req.Op)
 	}
+	return resp, nil
 }
 
 func typeStrings(ts []events.Type) []string {
@@ -500,52 +406,6 @@ func (n *Node) health() Health {
 		h.UptimeNanos = int64(time.Since(started)) //ipvet:allow wallclock operator-facing uptime in the health payload
 	}
 	return h
-}
-
-// lookup answers the built-in keys and defers the rest to the resolver
-// (§2.4 remote queries beyond Typespecs: liveness, errors, rendezvous
-// addresses of graph deployments).
-func (n *Node) lookup(key string) (string, error) {
-	if name, ok := strings.CutPrefix(key, "done:"); ok {
-		p, exists := n.Pipeline(name)
-		if !exists {
-			return "", fmt.Errorf("%w: %q", ErrUnknownPipeline, name)
-		}
-		select {
-		case <-p.Done():
-			return "true", nil
-		default:
-			return "false", nil
-		}
-	}
-	if name, ok := strings.CutPrefix(key, "err:"); ok {
-		p, exists := n.Pipeline(name)
-		if !exists {
-			return "", fmt.Errorf("%w: %q", ErrUnknownPipeline, name)
-		}
-		if err := p.Err(); err != nil {
-			return err.Error(), nil
-		}
-		return "", nil
-	}
-	if name, ok := strings.CutPrefix(key, "sections:"); ok {
-		// The pump-driven section count of a composed pipeline (buffers add
-		// sections).  The graph deployer records it per segment: a durable
-		// self-acking lane can only prove consumption for single-section
-		// (single-pump) receivers, so multi-section segments refuse Replace.
-		p, exists := n.Pipeline(name)
-		if !exists {
-			return "", fmt.Errorf("%w: %q", ErrUnknownPipeline, name)
-		}
-		return strconv.Itoa(len(p.Plan().Sections)), nil
-	}
-	n.mu.Lock()
-	r := n.resolver
-	n.mu.Unlock()
-	if r == nil {
-		return "", fmt.Errorf("remote: no resolver for key %q", key)
-	}
-	return r(key)
 }
 
 // tenantFor materializes a TenantSpec into the node-local tenant and its
@@ -615,40 +475,42 @@ func (n *Node) tenantStats() []TenantStat {
 	return out
 }
 
-// compose builds a pipeline from stage specs via the factory registry.  A
-// seeded compose starts Typespec propagation from the upstream segment's
-// resolved spec instead of a blank one.  A tenant-bound compose schedules
-// the pipeline under the tenant's weighted-fair class; admit additionally
-// gates the flow with the tenant's admission control behind the first stage.
-func (n *Node) compose(name string, specs []StageSpec, skipEventCheck, seeded bool, seed typespec.Typespec, ts *TenantSpec, admit bool) error {
+// compose builds and registers a pipeline from a compose request's stage
+// specs via the factory registry.  A seeded compose starts Typespec
+// propagation from the upstream segment's resolved spec instead of a blank
+// one.  A tenant-bound compose schedules the pipeline under the tenant's
+// weighted-fair class; Admit additionally gates the flow with the tenant's
+// admission control behind the first stage.
+func (n *Node) compose(req request) (*core.Pipeline, error) {
+	name := req.Pipeline
 	var tenant *qos.Tenant
 	var class *uthread.SchedClass
-	if ts != nil {
-		tenant, class = n.tenantFor(ts)
+	if req.Tenant != nil {
+		tenant, class = n.tenantFor(req.Tenant)
 	}
-	stages := make([]core.Stage, 0, len(specs)+1)
+	stages := make([]core.Stage, 0, len(req.Stages)+1)
 	n.mu.Lock()
 	factories := n.factories
 	specFactories := n.specFactories
 	n.mu.Unlock()
-	for _, sp := range specs {
+	for _, sp := range req.Stages {
 		if sf, ok := specFactories[sp.Kind]; ok {
 			st, err := sf(sp)
 			if err != nil {
-				return fmt.Errorf("remote: factory %q: %w", sp.Kind, err)
+				return nil, fmt.Errorf("remote: factory %q: %w", sp.Kind, err)
 			}
 			stages = append(stages, st)
 		} else if f, ok := factories[sp.Kind]; ok {
 			st, err := f(sp.Name, sp.Params)
 			if err != nil {
-				return fmt.Errorf("remote: factory %q: %w", sp.Kind, err)
+				return nil, fmt.Errorf("remote: factory %q: %w", sp.Kind, err)
 			}
 			stages = append(stages, st)
 		} else {
-			return fmt.Errorf("%w: %q", ErrUnknownFactory, sp.Kind)
+			return nil, fmt.Errorf("%w: %q", ErrUnknownFactory, sp.Kind)
 		}
 	}
-	if admit && tenant != nil {
+	if req.Admit && tenant != nil {
 		// Admission gates the true source before the first queue — over-rate
 		// flows shed (or block) here instead of filling the node's shared
 		// buffers and lanes.  The gate runs in push mode behind the
@@ -659,142 +521,50 @@ func (n *Node) compose(name string, specs []StageSpec, skipEventCheck, seeded bo
 		copy(stages[at+1:], stages[at:])
 		stages[at] = gate
 	}
-	var opts []core.ComposeOption
-	if skipEventCheck {
+	opts := []core.ComposeOption{core.WithInputSpec(req.Seed)}
+	if req.SkipEventCheck {
 		opts = append(opts, core.SkipEventCapabilityCheck())
-	}
-	if seeded {
-		opts = append(opts, core.WithInputSpec(seed))
 	}
 	if class != nil {
 		opts = append(opts, core.WithSchedClass(class))
 	}
 	p, err := core.Compose(name, n.sched, n.bus, stages, opts...)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.pipelines == nil {
-		n.pipelines = make(map[string]*core.Pipeline)
-	}
 	if _, dup := n.pipelines[name]; dup {
-		return fmt.Errorf("remote: pipeline %q already exists", name)
+		return nil, fmt.Errorf("remote: pipeline %q already exists", name)
 	}
 	n.pipelines[name] = p
-	return nil
+	return p, nil
 }
 
-// Client drives a remote node.  Calls are serialized internally (one
-// request/response exchange at a time), so a client may be shared between a
-// deployment's Wait poller and a telemetry or balancer loop.
+// Client drives a remote node over the control transport (see Conn, whose
+// Addr, Reconnect, SetCallTimeout and Close it inherits).
 type Client struct {
-	mu      sync.Mutex
-	addr    string
-	conn    net.Conn
-	enc     *gob.Encoder
-	dec     *gob.Decoder
-	timeout time.Duration
-	// broken latches the first transport failure.  A timed-out or
-	// interrupted exchange leaves the shared gob stream desynchronized —
-	// the server's stale response would pair with the NEXT request — so
-	// the connection is closed and every later call fails fast with the
-	// latched error instead of silently decoding the wrong response.
-	broken error
+	*Conn[request, response]
 }
 
-// Dial connects to a node's control address.  Calls carry the default
-// per-call deadline (DefaultCallTimeout); adjust with SetCallTimeout.
+// Dial connects to a node's control address.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := DialConn[request, response](addr)
 	if err != nil {
-		return nil, fmt.Errorf("%w: dial %s: %v", ErrNodeUnreachable, addr, err)
+		return nil, err
 	}
-	return &Client{addr: addr, conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn),
-		timeout: DefaultCallTimeout}, nil
-}
-
-// Addr returns the control address the client was dialed against.
-func (c *Client) Addr() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.addr
-}
-
-// Reconnect re-dials the node's control address in place, clearing a broken
-// latch: a transport blip (a timed-out probe, a severed connection) poisons
-// the client permanently, but the node behind it may be perfectly healthy —
-// and the same *Client is held by deployments, so healing must happen here,
-// not by swapping in a fresh client.  On failure the client stays broken.
-func (c *Client) Reconnect() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	conn, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		return fmt.Errorf("%w: redial %s: %v", ErrNodeUnreachable, c.addr, err)
-	}
-	if c.conn != nil {
-		c.conn.Close()
-	}
-	c.conn = conn
-	c.enc = gob.NewEncoder(conn)
-	c.dec = gob.NewDecoder(conn)
-	c.broken = nil
-	return nil
-}
-
-// SetCallTimeout bounds each control call: a node that does not answer
-// within d makes the call fail with a wrapped ErrNodeUnreachable instead of
-// hanging Start/Stop/Wait forever.  Zero disables the deadline.
-func (c *Client) SetCallTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.timeout = d
-}
-
-// Close releases the control connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-func (c *Client) call(req request) (response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken != nil {
-		return response{}, c.broken
-	}
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout)) //ipvet:allow wallclock per-call I/O deadline on the control socket
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	if err := c.enc.Encode(&req); err != nil {
-		return response{}, c.breakConn("send", err)
-	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return response{}, c.breakConn("receive", err)
-	}
-	if resp.Err != "" {
-		return resp, errors.New(resp.Err)
-	}
-	return resp, nil
-}
-
-// breakConn (mu held) poisons the client after a transport failure and
-// closes the connection, so no later call can pair with a stale response.
-func (c *Client) breakConn(stage string, err error) error {
-	c.broken = fmt.Errorf("%w: %s: %v", ErrNodeUnreachable, stage, err)
-	c.conn.Close()
-	return c.broken
+	return &Client{conn}, nil
 }
 
 // Ping checks liveness and returns the node name.
 func (c *Client) Ping() (string, error) {
-	resp, err := c.call(request{Op: "ping"})
+	resp, err := c.Call(request{Op: "ping"})
 	return resp.Node, err
 }
 
 // Compose creates a pipeline on the remote node from stage specs.
 func (c *Client) Compose(pipeline string, stages []StageSpec) error {
-	_, err := c.call(request{Op: "compose", Pipeline: pipeline, Stages: stages})
+	_, err := c.Call(request{Op: "compose", Pipeline: pipeline, Stages: stages})
 	return err
 }
 
@@ -803,35 +573,29 @@ func (c *Client) Compose(pipeline string, stages []StageSpec) error {
 // exactly as the local graph deployer skips it — an event emitted in one
 // segment may be handled in another.
 func (c *Client) ComposeSegment(pipeline string, stages []StageSpec) error {
-	_, err := c.call(request{Op: "compose", Pipeline: pipeline, Stages: stages, SkipEventCheck: true})
+	_, err := c.Call(request{Op: "compose", Pipeline: pipeline, Stages: stages, SkipEventCheck: true})
 	return err
 }
 
-// ComposeSeededSegment is ComposeSegment carrying the upstream segment's
-// resolved Typespec: the node seeds spec propagation with it, so §2.3 flow
-// checking spans the node boundary and a mistyped cross-node edge fails at
-// composition with the typespec error.
-func (c *Client) ComposeSeededSegment(pipeline string, stages []StageSpec, seed typespec.Typespec) error {
-	_, err := c.call(request{Op: "compose", Pipeline: pipeline, Stages: stages,
-		SkipEventCheck: true, Seeded: true, Seed: seed})
-	return err
-}
-
-// ComposeTenantSegment is ComposeSeededSegment with a QoS tenant binding:
-// the node schedules the pipeline under the tenant's weighted-fair class,
-// and — when admit is set (true-source segments) — gates the flow with the
-// tenant's admission control behind the first stage.  A nil tenant behaves
-// exactly like ComposeSeededSegment.
-func (c *Client) ComposeTenantSegment(pipeline string, stages []StageSpec, seed typespec.Typespec, tenant *TenantSpec, admit bool) error {
-	_, err := c.call(request{Op: "compose", Pipeline: pipeline, Stages: stages,
-		SkipEventCheck: true, Seeded: true, Seed: seed, Tenant: tenant, Admit: admit})
-	return err
+// ComposeTenantSegment is ComposeSegment carrying the upstream segment's
+// resolved Typespec and an optional QoS tenant binding.  The node seeds
+// spec propagation with the seed, so §2.3 flow checking spans the node
+// boundary and a mistyped cross-node edge fails at composition with the
+// typespec error.  With a tenant, the node schedules the pipeline under the
+// tenant's weighted-fair class, and — when admit is set (true-source
+// segments) — gates the flow with the tenant's admission control behind the
+// first stage.  It returns the composed pipeline's pump-driven section
+// count.
+func (c *Client) ComposeTenantSegment(pipeline string, stages []StageSpec, seed typespec.Typespec, tenant *TenantSpec, admit bool) (sections int, err error) {
+	resp, err := c.Call(request{Op: "compose", Pipeline: pipeline, Stages: stages,
+		SkipEventCheck: true, Seed: seed, Tenant: tenant, Admit: admit})
+	return resp.Sections, err
 }
 
 // Tenants fetches the node's per-tenant QoS rollups (admission counters,
 // weighted-fair credit state), sorted by tenant name.
 func (c *Client) Tenants() ([]TenantStat, error) {
-	resp, err := c.call(request{Op: "tenants"})
+	resp, err := c.Call(request{Op: "tenants"})
 	return resp.Tenants, err
 }
 
@@ -840,7 +604,7 @@ func (c *Client) Tenants() ([]TenantStat, error) {
 // the named tenant (created with the new policy if the node never saw it).
 // The remote half of the graph layer's RebindTenant edit op.
 func (c *Client) RebindTenant(ts TenantSpec) error {
-	_, err := c.call(request{Op: "rebind", Tenant: &ts})
+	_, err := c.Call(request{Op: "rebind", Tenant: &ts})
 	return err
 }
 
@@ -848,7 +612,7 @@ func (c *Client) RebindTenant(ts TenantSpec) error {
 // node's other pipelines are undisturbed), joins its threads, and frees its
 // name — the teardown half of re-placing a segment onto another node.
 func (c *Client) Detach(pipeline string) error {
-	_, err := c.call(request{Op: "detach", Pipeline: pipeline})
+	_, err := c.Call(request{Op: "detach", Pipeline: pipeline})
 	return err
 }
 
@@ -856,13 +620,13 @@ func (c *Client) Detach(pipeline string) error {
 // name starts with prefix ("" = all) — remote telemetry over the §2.4
 // control protocol.
 func (c *Client) Stats(prefix string) ([]PipeStat, error) {
-	resp, err := c.call(request{Op: "stats", Key: prefix})
+	resp, err := c.Call(request{Op: "stats", Key: prefix})
 	return resp.Stats, err
 }
 
 // Health fetches the node's liveness report (heartbeat).
 func (c *Client) Health() (Health, error) {
-	resp, err := c.call(request{Op: "health"})
+	resp, err := c.Call(request{Op: "health"})
 	return resp.Health, err
 }
 
@@ -870,36 +634,37 @@ func (c *Client) Health() (Health, error) {
 // deployer can run the graph-wide §2.3 check across segments on different
 // nodes.
 func (c *Client) Caps(pipeline string) (sends, handles []string, err error) {
-	resp, err := c.call(request{Op: "caps", Pipeline: pipeline})
+	resp, err := c.Call(request{Op: "caps", Pipeline: pipeline})
 	return resp.Sends, resp.Handles, err
 }
 
 // Control invokes a node-side controller action (SetController) with
 // parameters — the §2.4 extension behind cluster lane management: the graph
 // support handles "listen" (pre-bind a rendezvous listener, returning its
-// address), "drop" (close and forget one lane's state) and "redial" (point
-// a stationary sender at a re-placed segment's new listener).
+// address), "drop" (close and forget one lane's state), "redial" (point a
+// stationary sender at a re-placed segment's new listener), "drained" and
+// "droptee" (move a split trunk) and "abort" (undo a failed deployment).
 func (c *Client) Control(op string, params map[string]string) (string, error) {
-	resp, err := c.call(request{Op: "ctl", Key: op, Params: params})
+	resp, err := c.Call(request{Op: "ctl", Key: op, Params: params})
 	return resp.Value, err
 }
 
 // Start broadcasts the start of a remote pipeline.
 func (c *Client) Start(pipeline string) error {
-	_, err := c.call(request{Op: "start", Pipeline: pipeline})
+	_, err := c.Call(request{Op: "start", Pipeline: pipeline})
 	return err
 }
 
 // Stop broadcasts the stop of a remote pipeline.
 func (c *Client) Stop(pipeline string) error {
-	_, err := c.call(request{Op: "stop", Pipeline: pipeline})
+	_, err := c.Call(request{Op: "stop", Pipeline: pipeline})
 	return err
 }
 
 // QuerySpec fetches the resolved Typespec after stage idx of a remote
 // pipeline (remote Typespec query, §2.4).
 func (c *Client) QuerySpec(pipeline string, idx int) (typespec.Typespec, error) {
-	resp, err := c.call(request{Op: "query", Pipeline: pipeline, StageIndex: idx})
+	resp, err := c.Call(request{Op: "query", Pipeline: pipeline, StageIndex: idx})
 	return resp.Spec, err
 }
 
@@ -907,17 +672,8 @@ func (c *Client) QuerySpec(pipeline string, idx int) (typespec.Typespec, error) 
 // control-event delivery, §2.4).  Event data must be gob-encodable;
 // register custom types with gob.Register.
 func (c *Client) SendEvent(ev events.Event) error {
-	_, err := c.call(request{Op: "event", Event: ev})
+	_, err := c.Call(request{Op: "event", Event: ev})
 	return err
-}
-
-// Lookup queries a node-side key: "done:PIPELINE", "err:PIPELINE" and
-// "sections:PIPELINE" are built in; anything else goes to the node's
-// resolver (the graph support answers "addr:NAME" with the bound address
-// of a listener it created).
-func (c *Client) Lookup(key string) (string, error) {
-	resp, err := c.call(request{Op: "lookup", Key: key})
-	return resp.Value, err
 }
 
 // ForwardEvents subscribes to a local bus and forwards events accepted by
