@@ -654,37 +654,33 @@ func (r *remoteDeployment) clientSnap() ([]*remote.Client, []bool) {
 // skip reports whether node i has left the deployment (see gone).
 func skipNode(gone []bool, i int) bool { return i < len(gone) && gone[i] }
 
+// broadcast sends the event to every node still in the deployment and
+// reports the first failure.  It does not stop at one: a dead node must not
+// keep the nodes after it from hearing a stop.
 func (r *remoteDeployment) broadcast(t events.Type) error {
 	clients, gone := r.clientSnap()
+	var first error
 	for i, c := range clients {
 		if skipNode(gone, i) {
 			continue
 		}
-		if err := c.SendEvent(events.Event{Type: t, Origin: r.name}); err != nil {
-			return err
+		if err := c.SendEvent(events.Event{Type: t, Origin: r.name}); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
-// start broadcasts the start event to every node.  A failure mid-broadcast
-// (a node died) leaves the deployment partially started: roll every
-// reachable node back with a stop and latch the error so Wait and Err
-// report it instead of polling never-started pipelines forever.
+// start broadcasts the start event to every node.  A failure (a node died)
+// leaves the deployment without one of its parts: roll every reachable node
+// back with a stop and latch the error so Wait and Err report it instead of
+// polling never-started pipelines forever.
 func (r *remoteDeployment) start() {
 	r.mu.Lock()
 	r.started = true
 	r.mu.Unlock()
 	if err := r.broadcast(events.Start); err != nil {
-		// Best-effort rollback on every node — the failed one is already
-		// gone, the others must not keep half a graph running.
-		clients, goneMarks := r.clientSnap()
-		for i, c := range clients {
-			if skipNode(goneMarks, i) {
-				continue
-			}
-			_ = c.SendEvent(events.Event{Type: events.Stop, Origin: r.name})
-		}
+		r.stop()
 		r.mu.Lock()
 		if r.startErr == nil {
 			r.startErr = fmt.Errorf("graph %q: start failed, deployment rolled back: %w", r.name, err)
@@ -693,6 +689,8 @@ func (r *remoteDeployment) start() {
 	}
 }
 
+// stop is best effort: a node it cannot reach is one Wait and Err already
+// report as unreachable, so the error is dropped here.
 func (r *remoteDeployment) stop() { _ = r.broadcast(events.Stop) }
 
 func (r *remoteDeployment) failure() error {

@@ -78,3 +78,68 @@ func TestRemoteWaitAfterFailedStart(t *testing.T) {
 	}
 	d.Stop() // best-effort rollback of the surviving node
 }
+
+// TestRemoteStopReachesNodesPastADeadOne: Stop is a broadcast, and it used
+// to end at the first node that could not be reached — so with node 0 dead,
+// the segments on nodes 1 and 2 were never told to stop and ran on, parked
+// on durable lanes nobody would redial (a plain lane would have ended its
+// receiver with the dead sender's connection and hidden the bug).
+func TestRemoteStopReachesNodesPastADeadOne(t *testing.T) {
+	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
+	cat := tc.catalog()
+	a := startNode(t, "alpha", cat)
+	b := startNode(t, "beta", cat)
+	c := startNode(t, "gamma", cat)
+
+	g := graph.New("stop3")
+	g.AddSpec("src", "counter", graph.WithArgs("1000000"), graph.Place(0))
+	g.AddSpec("pump", "cpump", graph.WithArgs("200"), graph.Place(0))
+	g.AddSpec("mid", "probe", graph.Place(1))
+	g.AddSpec("mp", "fpump", graph.Place(1))
+	g.AddSpec("out", "fpump", graph.Place(2))
+	g.AddSpec("sink", "collect", graph.Place(2))
+	g.Pipe("src", "pump")
+	g.Cut("pump", "mid")
+	g.Pipe("mid", "mp")
+	g.Cut("mp", "out")
+	g.Pipe("out", "sink")
+	d, err := g.Deploy(graph.OnNodes(a.client, b.client, c.client).WithClusterLanes())
+	if err != nil {
+		t.Fatalf("deploy: %v", err)
+	}
+	d.Start()
+	deadline := time.Now().Add(10 * time.Second)
+	for tc.sinks["sink"].Count() < 5 {
+		if time.Now().After(deadline) {
+			t.Fatal("the chain delivered nothing")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	a.close()
+	a.client.Close()
+	d.Stop()
+
+	deadline = time.Now().Add(5 * time.Second)
+	for _, n := range []*clusterNode{b, c} {
+		for {
+			rows, err := n.client.Stats("stop3/")
+			if err != nil {
+				t.Fatalf("stats: %v", err)
+			}
+			running := ""
+			for _, r := range rows {
+				if !r.Done {
+					running = r.Name
+				}
+			}
+			if len(rows) > 0 && running == "" {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("pipeline %q still runs after Stop (rows: %d): the broadcast ended at the dead node", running, len(rows))
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}

@@ -36,7 +36,6 @@ type inbox struct {
 	// terminate lanes the re-placed segment still needs), ErrMalformedFrame
 	// for a corrupt lane nobody can redial.
 	err   error
-	sched *uthread.Scheduler
 	limit int
 	// blockFull inboxes (durable lanes) park the injecting goroutine on
 	// pushCond while the queue is full, instead of dropping the frame: a
@@ -48,8 +47,8 @@ type inbox struct {
 }
 
 // newInbox builds an inbox holding at most limit frames (0 = unlimited).
-func newInbox(sched *uthread.Scheduler, limit int) *inbox {
-	return &inbox{sched: sched, limit: limit}
+func newInbox(limit int) *inbox {
+	return &inbox{limit: limit}
 }
 
 // inject appends a frame and wakes one blocked puller at wakeAt — the

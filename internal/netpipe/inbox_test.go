@@ -48,7 +48,7 @@ func TestTCPSendAfterCloseReportsStopped(t *testing.T) {
 // TestInboxOverflowCountsDrops: frames beyond the queue limit (and frames
 // arriving after close) are discarded and the drop counter says so.
 func TestInboxOverflowCountsDrops(t *testing.T) {
-	b := newInbox(uthread.New(), 2)
+	b := newInbox(2)
 	for i := 0; i < 5; i++ {
 		b.inject(frameEntry{data: []byte{byte(i)}}, uthread.PriorityHigh)
 	}
@@ -71,7 +71,7 @@ func TestInboxOverflowCountsDrops(t *testing.T) {
 func TestInboxWaiterWokenExactlyOnceAtClose(t *testing.T) {
 	s := uthread.New(uthread.WithClock(vclock.Real{}))
 	s.AddExternalSource()
-	b := newInbox(s, 0)
+	b := newInbox(0)
 
 	type outcome struct {
 		err      error
@@ -131,7 +131,7 @@ func TestInboxInjectCloseRace(t *testing.T) {
 	const perInjector = 200
 	s := uthread.New(uthread.WithClock(vclock.Real{}))
 	s.AddExternalSource()
-	b := newInbox(s, 8)
+	b := newInbox(8)
 
 	received := make(chan int, 1)
 	th := s.Spawn("puller", uthread.PriorityNormal, func(th *uthread.Thread, m uthread.Message) uthread.Disposition {

@@ -103,7 +103,7 @@ func NewSimLink(name string, rxSched *uthread.Scheduler, cfg SimConfig) *SimLink
 		name:    name,
 		cfg:     cfg,
 		rxSched: rxSched,
-		inbox:   newInbox(rxSched, 0),
+		inbox:   newInbox(0),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 	l.thread = rxSched.Spawn("simnet/"+name, uthread.PriorityHigh, l.deliveryCode)

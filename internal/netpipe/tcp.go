@@ -53,7 +53,7 @@ func NewTCPReceiverLink(conn net.Conn, rxSched *uthread.Scheduler, rxNode string
 		conn:       conn,
 		rxNode:     rxNode,
 		rxSched:    rxSched,
-		inbox:      newInbox(rxSched, queueLimit),
+		inbox:      newInbox(queueLimit),
 		readerDone: make(chan struct{}),
 	}
 	rxSched.AddExternalSource()
@@ -84,7 +84,7 @@ func newListenerLink(addr string, rxSched *uthread.Scheduler, rxNode string, que
 		rxNode:     rxNode,
 		dur:        dur,
 		rxSched:    rxSched,
-		inbox:      newInbox(rxSched, queueLimit),
+		inbox:      newInbox(queueLimit),
 		readerDone: make(chan struct{}),
 	}
 	if dur != nil {

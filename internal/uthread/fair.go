@@ -126,6 +126,7 @@ func (s *Scheduler) SpawnClassed(name string, prio Priority, class *SchedClass, 
 		gate:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+	t.sleepPred = t.matchSleep
 	s.threads[t.id] = t
 	s.live++
 	s.mu.Unlock()

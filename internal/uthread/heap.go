@@ -152,35 +152,68 @@ type timerEntry struct {
 // reach the root.  All access happens with the scheduler mutex held.
 type timerQueue struct {
 	items     timerHeap
-	pending   map[TimerToken]struct{} // live (uncancelled) tokens in the heap
+	pending   map[TimerToken]struct{} // live (uncancelled) tokens in the heap; made by New
 	cancelled map[TimerToken]struct{}
 }
 
+// timerHeap is the heap's array.  The sifts are written out because
+// container/heap moves elements through `any`, and a timerEntry is not
+// pointer-shaped: each Push and each Pop would box one (two allocations per
+// timed sleep).
 type timerHeap []timerEntry
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
+func (h timerHeap) less(i, j int) bool {
 	if !h[i].at.Equal(h[j].at) {
 		return h[i].at.Before(h[j].at)
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(timerEntry)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h timerHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
 }
 
-func (q *timerQueue) push(e timerEntry) {
-	if q.pending == nil {
-		q.pending = make(map[TimerToken]struct{})
+func (h timerHeap) down(i int) {
+	for {
+		j := 2*i + 1 // left child
+		if j >= len(h) {
+			return
+		}
+		if j+1 < len(h) && h.less(j+1, j) {
+			j++
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
 	}
+}
+
+//ipvet:hotpath timer admission; once per paced pump cycle
+func (q *timerQueue) push(e timerEntry) {
 	q.pending[e.token] = struct{}{}
-	heap.Push(&q.items, e)
+	q.items = append(q.items, e)
+	q.items.up(len(q.items) - 1)
+}
+
+// popRoot removes and returns the earliest entry of a non-empty heap.
+func (q *timerQueue) popRoot() timerEntry {
+	h := q.items
+	n := len(h) - 1
+	e := h[0]
+	h[0] = h[n]
+	h[n] = timerEntry{} // drop the thread reference
+	q.items = h[:n]
+	q.items.down(0)
+	return e
 }
 
 // cancel marks tok cancelled; reports whether it was pending.  O(1).
@@ -206,12 +239,14 @@ func (q *timerQueue) peek() (time.Time, bool) {
 }
 
 // popDue removes and returns the earliest timer due at or before now.
+//
+//ipvet:hotpath once per timer wake
 func (q *timerQueue) popDue(now time.Time) (timerEntry, bool) {
 	q.drainCancelled()
 	if len(q.items) == 0 || q.items[0].at.After(now) {
 		return timerEntry{}, false
 	}
-	e := heap.Pop(&q.items).(timerEntry)
+	e := q.popRoot()
 	delete(q.pending, e.token)
 	return e, true
 }
@@ -239,7 +274,9 @@ func (q *timerQueue) purgeDst(dst *Thread) {
 		return
 	}
 	q.items = kept
-	heap.Init(&q.items)
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		q.items.down(i)
+	}
 }
 
 // pendingLen reports the number of physical heap entries (tests).
@@ -251,7 +288,6 @@ func (q *timerQueue) drainCancelled() {
 		if _, dead := q.cancelled[q.items[0].token]; !dead {
 			return
 		}
-		e := heap.Pop(&q.items).(timerEntry)
-		delete(q.cancelled, e.token)
+		delete(q.cancelled, q.popRoot().token)
 	}
 }

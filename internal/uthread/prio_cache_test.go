@@ -231,7 +231,7 @@ func TestTimerCancelO1Semantics(t *testing.T) {
 	var toks []TimerToken
 	th := s.Spawn("sink", PriorityNormal, func(th *Thread, m Message) Disposition {
 		if m.Kind == KindTimer {
-			fired[m.Data.(TimerToken)] = true
+			fired[m.Timer()] = true
 		}
 		if len(fired) == 50 {
 			return Terminate

@@ -47,6 +47,15 @@ type Thread struct {
 	holding bool          // owns the run token (owning goroutine only)
 	gate    chan struct{} // scheduler grants the token here
 	done    chan struct{} // closed when the goroutine exits
+
+	// sleepTok is the timer a SleepUntilOr is waiting for and sleepPred the
+	// predicate that matches it, bound once at spawn so a sleep allocates
+	// nothing.  The owning goroutine sets sleepTok while it holds the run
+	// token; senders read it, through waitPred, only while the thread is
+	// blocked, under sched.mu.  (Last, so the fields every switch touches
+	// keep their cache lines.)
+	sleepTok  TimerToken
+	sleepPred func(Message) bool
 }
 
 // Name returns the thread's diagnostic name.
@@ -324,7 +333,7 @@ func (t *Thread) Call(dst *Thread, msg Message) Message {
 	s.nextCall++
 	id := s.nextCall
 	s.mu.Unlock()
-	msg.call = id
+	msg.id = id
 	t.sendInternal(dst, msg)
 	return t.awaitReply(id)
 }
@@ -334,12 +343,12 @@ func (t *Thread) Call(dst *Thread, msg Message) Message {
 func (t *Thread) awaitReply(id uint64) Message {
 	for {
 		m := t.awaitMessage(func(m Message) bool {
-			if m.Kind == KindReply && m.call == id {
+			if m.Kind == KindReply && m.id == id {
 				return true
 			}
 			return t.ctrlMatch != nil && t.ctrlMatch(m)
 		})
-		if m.Kind == KindReply && m.call == id {
+		if m.Kind == KindReply && m.id == id {
 			return m
 		}
 		t.dispatchControl(m)
@@ -375,10 +384,10 @@ func (t *Thread) dispatchControl(m Message) {
 // Reply answers a synchronous Call previously received as req.
 // Thread-side API.
 func (t *Thread) Reply(req Message, data any) {
-	if req.call == 0 || req.From == nil {
+	if req.id == 0 || req.From == nil {
 		return
 	}
-	t.sendInternal(req.From, Message{Kind: KindReply, Data: data, call: req.call})
+	t.sendInternal(req.From, Message{Kind: KindReply, Data: data, id: req.id})
 	t.preemptionPoint(true)
 }
 
@@ -390,25 +399,15 @@ func (t *Thread) SleepFor(d time.Duration) {
 
 // SleepUntil suspends the thread until instant at on the scheduler's clock,
 // dispatching control messages that arrive in the meantime.  Thread-side API.
-func (t *Thread) SleepUntil(at time.Time) {
-	if !at.After(t.sched.clock.Now()) {
-		t.Yield()
-		return
+func (t *Thread) SleepUntil(at time.Time) { t.SleepUntilOr(at, nil) }
+
+// matchSleep is the wait predicate of a sleep: the expiry of sleepTok, or a
+// control message.
+func (t *Thread) matchSleep(m Message) bool {
+	if m.Kind == KindTimer {
+		return TimerToken(m.id) == t.sleepTok
 	}
-	tok := t.sched.TimerAt(at, t)
-	for {
-		m := t.awaitMessage(func(m Message) bool {
-			if m.Kind == KindTimer {
-				tt, ok := m.Data.(TimerToken)
-				return ok && tt == tok
-			}
-			return t.ctrlMatch != nil && t.ctrlMatch(m)
-		})
-		if m.Kind == KindTimer {
-			return
-		}
-		t.dispatchControl(m)
-	}
+	return t.ctrlMatch != nil && t.ctrlMatch(m)
 }
 
 // SleepUntilOr suspends the thread until instant at, dispatching control
@@ -416,6 +415,8 @@ func (t *Thread) SleepUntil(at time.Time) {
 // consulted; if it reports true the sleep is abandoned early and
 // SleepUntilOr returns false.  Returns true when the full deadline was
 // slept.  Thread-side API.
+//
+//ipvet:hotpath the wait of every clocked pump cycle
 func (t *Thread) SleepUntilOr(at time.Time, cancelled func() bool) bool {
 	if cancelled != nil && cancelled() {
 		return false
@@ -424,21 +425,15 @@ func (t *Thread) SleepUntilOr(at time.Time, cancelled func() bool) bool {
 		t.Yield()
 		return true
 	}
-	tok := t.sched.TimerAt(at, t)
+	t.sleepTok = t.sched.TimerAt(at, t)
 	for {
-		m := t.awaitMessage(func(m Message) bool {
-			if m.Kind == KindTimer {
-				tt, ok := m.Data.(TimerToken)
-				return ok && tt == tok
-			}
-			return t.ctrlMatch != nil && t.ctrlMatch(m)
-		})
+		m := t.awaitMessage(t.sleepPred)
 		if m.Kind == KindTimer {
 			return true
 		}
 		t.dispatchControl(m)
 		if cancelled != nil && cancelled() {
-			t.sched.CancelTimer(tok)
+			t.sched.CancelTimer(t.sleepTok)
 			return false
 		}
 	}

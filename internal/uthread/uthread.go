@@ -76,7 +76,7 @@ type Kind int
 
 const (
 	// KindTimer is delivered when a timer registered with the scheduler
-	// expires.  Data holds the token returned by TimerAfter.
+	// expires.  Message.Timer reports the token returned by TimerAfter.
 	KindTimer Kind = iota + 1
 	// KindReply carries the response to a synchronous Call.
 	KindReply
@@ -95,13 +95,22 @@ type Message struct {
 	Data       any
 	Constraint Constraint
 
-	call uint64 // correlation id: nonzero marks a Call or its KindReply
-	seq  uint64 // arrival order, for FIFO stability within a priority level
+	// id is the correlation id of a Call and of its KindReply (nonzero), or
+	// the token of the expired timer on a KindTimer message.  One word for
+	// both keeps a Message at 64 bytes — one cache line per mailbox slot;
+	// the two kinds of message never meet (a timer has no sender to reply to).
+	id  uint64
+	seq uint64 // arrival order, for FIFO stability within a priority level
 }
 
-// CallID reports the correlation id if the message is a synchronous call
-// that expects a Reply, and 0 otherwise.
-func (m Message) CallID() uint64 { return m.call }
+// Timer reports the token of the timer whose expiry a KindTimer message
+// announces, and 0 for any other message.
+func (m Message) Timer() TimerToken {
+	if m.Kind != KindTimer {
+		return 0
+	}
+	return TimerToken(m.id)
+}
 
 // Disposition is returned by a code function to tell the scheduler whether
 // the thread continues to live.
@@ -196,6 +205,7 @@ func New(opts ...Option) *Scheduler {
 	s := &Scheduler{
 		clock:   vclock.NewVirtual(),
 		threads: make(map[uint64]*Thread),
+		timers:  timerQueue{pending: make(map[TimerToken]struct{})},
 		inherit: true,
 		wake:    make(chan struct{}, 1),
 		yielded: make(chan struct{}),
@@ -298,6 +308,8 @@ func (s *Scheduler) TimerAfter(d time.Duration, dst *Thread) TimerToken {
 // returned token at instant at.  A nil or already-terminated destination is
 // refused at push time (the timer would sit in the heap until due only to be
 // discarded); the zero token is returned and never fires.
+//
+//ipvet:hotpath once per paced pump cycle
 func (s *Scheduler) TimerAt(at time.Time, dst *Thread) TimerToken {
 	s.mu.Lock()
 	if dst == nil || dst.state == stateTerminated {
@@ -464,6 +476,8 @@ func (s *Scheduler) idleLocked() bool {
 
 // fireTimersLocked enqueues timer messages for every timer due at or before
 // the current instant.
+//
+//ipvet:hotpath once per timer wake
 func (s *Scheduler) fireTimersLocked() {
 	now := s.clock.Now()
 	for {
@@ -473,7 +487,7 @@ func (s *Scheduler) fireTimersLocked() {
 		}
 		s.timerCnt.Inc()
 		if e.dst != nil && e.dst.state != stateTerminated {
-			s.enqueueLocked(e.dst, Message{Kind: KindTimer, Data: e.token})
+			s.enqueueLocked(e.dst, Message{Kind: KindTimer, id: uint64(e.token)})
 		}
 	}
 }

@@ -61,30 +61,3 @@ func TestVirtualWaitUntilInterrupted(t *testing.T) {
 		t.Fatalf("clock moved to %v on interrupted wait", v.Now())
 	}
 }
-
-func TestRealWaitUntilPastDeadline(t *testing.T) {
-	c := Real{}
-	if !c.WaitUntil(time.Now().Add(-time.Second), nil) {
-		t.Fatal("WaitUntil(past) = false, want true")
-	}
-}
-
-func TestRealWaitUntilWake(t *testing.T) {
-	c := Real{}
-	wake := make(chan struct{})
-	go close(wake)
-	if c.WaitUntil(time.Now().Add(time.Hour), wake) {
-		t.Fatal("WaitUntil = true, want false on wake")
-	}
-}
-
-func TestRealWaitUntilShortDeadline(t *testing.T) {
-	c := Real{}
-	start := time.Now()
-	if !c.WaitUntil(start.Add(5*time.Millisecond), nil) {
-		t.Fatal("WaitUntil = false, want true")
-	}
-	if time.Since(start) < 5*time.Millisecond {
-		t.Fatal("WaitUntil returned before the deadline")
-	}
-}
