@@ -1,37 +1,17 @@
 // Benchmarks regenerating the paper's quantitative claims (see
 // EXPERIMENTS.md for the experiment index and recorded results).  Absolute
 // numbers depend on the host; the shapes — who wins and by roughly what
-// factor — are the reproduction targets.
+// factor — are the reproduction targets.  Per-rung costs (switch, direct
+// call, buffer handoff, codec) are bench/'s: `bash bench/run.sh --trace 1`.
 package infopipes_test
 
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"infopipes"
 	"infopipes/internal/experiments"
 )
-
-// BenchmarkContextSwitch measures one user-level context switch: the §4
-// claim is "about 1 µs" on 2001 hardware.
-func BenchmarkContextSwitch(b *testing.B) {
-	sw, _, err := experiments.SwitchVsCall(b.N/2 + 1000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(sw.Nanoseconds()), "ns/switch")
-}
-
-// BenchmarkDirectCall measures the marginal cost of one direct-called
-// pipeline stage: §4 says "two orders of magnitude" below a switch.
-func BenchmarkDirectCall(b *testing.B) {
-	_, call, err := experiments.SwitchVsCall(b.N/16 + 10000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(call.Nanoseconds()), "ns/call")
-}
 
 // BenchmarkFig9Configs composes and runs each of the eight Figure 9
 // pipelines, reporting the allocated coroutine-set sizes as metrics.
@@ -190,78 +170,6 @@ func BenchmarkPumpOverhead(b *testing.B) {
 	p, err := infopipes.Compose("pump-bench", sched, nil, []infopipes.Stage{
 		infopipes.Comp(infopipes.NewCounterSource("src", int64(b.N))),
 		infopipes.Pmp(infopipes.NewFreePump("pump")),
-		infopipes.Comp(sink),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	p.Start()
-	if err := sched.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	if sink.Count() != b.N {
-		b.Fatalf("sink received %d, want %d", sink.Count(), b.N)
-	}
-}
-
-// BenchmarkMarshalling measures the default wire-codec round trip used by
-// netpipes (E16): the binary codec with pooled buffers.  Compare against
-// BenchmarkMarshallingGob, the seed gob path it replaced.
-func BenchmarkMarshalling(b *testing.B) {
-	m := infopipes.DefaultMarshaller()
-	it := infopipes.NewItem(&infopipes.Frame{Type: infopipes.FrameI, Seq: 1, Bytes: 12000}, 1, time.Time{}).
-		WithSize(12000).
-		WithAttr("frametype", "I")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := m.Marshal(it)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out, err := m.Unmarshal(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out.Recycle()
-	}
-}
-
-// BenchmarkMarshallingGob measures the compatibility gob marshaller — the
-// per-item encoder/descriptor cost the binary codec eliminates.
-func BenchmarkMarshallingGob(b *testing.B) {
-	infopipes.RegisterWirePayload(&infopipes.Frame{})
-	m := infopipes.GobMarshaller{}
-	it := infopipes.NewItem(&infopipes.Frame{Type: infopipes.FrameI, Seq: 1, Bytes: 12000}, 1, time.Time{}).
-		WithSize(12000).
-		WithAttr("frametype", "I")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := m.Marshal(it)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out, err := m.Unmarshal(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out.Recycle()
-	}
-}
-
-// BenchmarkBufferHandoff measures one buffered section boundary: items
-// crossing a blocking buffer between two pumps.
-func BenchmarkBufferHandoff(b *testing.B) {
-	sched := infopipes.NewScheduler()
-	sink := infopipes.NewCollectSink("sink")
-	p, err := infopipes.Compose("buffered", sched, nil, []infopipes.Stage{
-		infopipes.Comp(infopipes.NewCounterSource("src", int64(b.N))),
-		infopipes.Pmp(infopipes.NewFreePump("p1")),
-		infopipes.Buf(infopipes.NewBuffer("buf", 32)),
-		infopipes.Pmp(infopipes.NewFreePump("p2")),
 		infopipes.Comp(sink),
 	})
 	if err != nil {

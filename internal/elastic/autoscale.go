@@ -97,7 +97,14 @@ func (a *Autoscaler) rate() int64 {
 // Tick runs one observe/decide/act cycle and reports the active replica
 // count chosen for each policy's stage (unchanged stages included).  The
 // first Tick only primes the rate baseline and changes nothing.
-func (a *Autoscaler) Tick() (map[string]int, error) {
+func (a *Autoscaler) Tick() (out map[string]int, err error) {
+	// One external action on the deployment's group: the scaling lands at
+	// the instant the rate was read.
+	a.d.External(func() { out, err = a.tick() })
+	return out, err
+}
+
+func (a *Autoscaler) tick() (map[string]int, error) {
 	now := a.rate()
 	a.mu.Lock()
 	delta := now - a.last

@@ -25,6 +25,7 @@ import (
 
 	"infopipes/internal/control"
 	"infopipes/internal/graph"
+	"infopipes/internal/remote"
 )
 
 // EventKind classifies a membership transition.
@@ -199,6 +200,9 @@ func (c *Cluster) Join(addr string) (string, error) {
 // greedy least-loaded over the survivors, orphans in sorted order, so two
 // drains of the same cluster state place identically.  Holds the cluster
 // gate for the whole migration: a concurrent failover or fold-back waits.
+// While another node is down and still hosts segments, Drain moves nothing
+// and returns an error wrapping remote.ErrNodeUnreachable: retry once the
+// Supervisor has recovered it.
 func (c *Cluster) Drain(name string) error {
 	idx := c.dir.NodeIndex(name)
 	if idx < 0 {
@@ -207,8 +211,24 @@ func (c *Cluster) Drain(name string) error {
 	c.gate.Lock()
 	defer c.gate.Unlock()
 
+	// A drain can win the gate in the instant between the directory marking
+	// another node down and the Supervisor taking the gate to recover it.
+	// Moving a segment then would redial its neighbour on the dead node, so
+	// refuse until the failover has moved everything off it.
+	deps := c.managed()
+	for _, h := range c.dir.Snapshot() {
+		if i := c.dir.NodeIndex(h.Name); !h.Healthy && !h.Left && i != idx {
+			for _, d := range deps {
+				if d.NodeHosts(i) > 0 {
+					return fmt.Errorf("elastic: drain %q: node %q is down and deployment %q has not been failed over yet: %w",
+						name, h.Name, d.Name(), remote.ErrNodeUnreachable)
+				}
+			}
+		}
+	}
+
 	moved := 0
-	for _, d := range c.managed() {
+	for _, d := range deps {
 		n, err := c.drainOne(d, idx)
 		if err != nil {
 			return fmt.Errorf("elastic: drain %q: deployment %q: %w", name, d.Name(), err)

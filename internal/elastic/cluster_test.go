@@ -1,7 +1,9 @@
 package elastic_test
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"strconv"
 	"strings"
@@ -379,20 +381,11 @@ func TestClusterKillReplicaFailover(t *testing.T) {
 	}
 }
 
-// TestClusterDrainSerializesWithFailover pins the shared-gate rule under
-// the race detector: a node dies (the Supervisor holds the gate across its
-// whole recovery) while an operator drain of ANOTHER node fires
-// concurrently.  The two segment-movers must serialize — never
-// double-Replace — and the stream must come out byte-identical.
-func TestClusterDrainSerializesWithFailover(t *testing.T) {
-	const items = 300
-	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
-	cat := ss.catalog()
-	alpha := startClusterNode(t, "dalpha", cat)
-	beta := startClusterNode(t, "dbeta", cat)
-	gamma := startClusterNode(t, "dgamma", cat)
-
-	g := graph.New("draincross")
+// crossChain declares src >> pump | mid0 >> mp0 | mid1 >> mp1 | out >> sink
+// over three nodes: source and sink on node 0, mid0 on node 1, mid1 on node
+// 2 — so mid0's outbound lane dials node 2.
+func crossChain(name string, items int) *graph.Graph {
+	g := graph.New(name)
 	g.AddSpec("src", "counter", graph.WithArgs(strconv.Itoa(items)), graph.Place(0))
 	g.AddSpec("pump", "cpump", graph.WithArgs("500"), graph.Place(0))
 	g.AddSpec("mid0", "probe", graph.Place(1))
@@ -408,20 +401,73 @@ func TestClusterDrainSerializesWithFailover(t *testing.T) {
 	g.Pipe("mid1", "mp1")
 	g.Cut("mp1", "out")
 	g.Pipe("out", "sink")
+	return g
+}
 
+// fastDirectory is a directory that declares a node down after two missed
+// 15 ms heartbeats.
+func fastDirectory(t *testing.T) *control.Directory {
+	t.Helper()
 	dir := control.NewDirectory()
 	dir.MaxMisses = 2
 	dir.ProbeRetries = 1
 	dir.ProbeBackoff = 5 * time.Millisecond
 	t.Cleanup(dir.Close)
+	return dir
+}
+
+// awaitDown blocks until the directory reports the named node unhealthy.
+func awaitDown(t *testing.T, dir *control.Directory, name string) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		for _, h := range dir.Snapshot() {
+			if h.Name == name && !h.Healthy {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("directory never noticed that %s died", name)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// announcedGate closes held the first time it is locked.
+type announcedGate struct {
+	sync.Locker
+	once sync.Once
+	held chan struct{}
+}
+
+func (g *announcedGate) Lock() {
+	g.Locker.Lock()
+	g.once.Do(func() { close(g.held) })
+}
+
+// TestClusterDrainSerializesWithFailover pins the shared-gate rule under
+// the race detector: a node dies (the Supervisor holds the gate across its
+// whole recovery) while an operator drain of ANOTHER node fires
+// concurrently.  The two segment-movers must serialize — never
+// double-Replace — and the stream must come out byte-identical.
+func TestClusterDrainSerializesWithFailover(t *testing.T) {
+	const items = 300
+	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
+	cat := ss.catalog()
+	alpha := startClusterNode(t, "dalpha", cat)
+	beta := startClusterNode(t, "dbeta", cat)
+	gamma := startClusterNode(t, "dgamma", cat)
+
+	dir := fastDirectory(t)
 	registerAll(t, dir, alpha, beta, gamma)
 
 	cl := elastic.NewCluster(dir)
 	sup := control.NewSupervisor(dir)
 	sup.Backoff = 25 * time.Millisecond
-	sup.Gate = cl.Gate()
+	gate := &announcedGate{Locker: cl.Gate(), held: make(chan struct{})}
+	sup.Gate = gate
 
-	d, err := g.Deploy(graph.OnNodes(dir.Clients()...).WithClusterLanes())
+	d, err := crossChain("draincross", items).Deploy(graph.OnNodes(dir.Clients()...).WithClusterLanes())
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
@@ -433,24 +479,16 @@ func TestClusterDrainSerializesWithFailover(t *testing.T) {
 	pollSink(t, ss, "sink", items/6)
 	gamma.close() // mid1's host dies; the supervisor will take the gate
 
-	// As soon as the directory notices, drain beta — while the recovery is
-	// typically still mid-flight.  The drain blocks on the gate until the
-	// failover finishes; it must never interleave with it.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		healthy := true
-		for _, h := range dir.Snapshot() {
-			if h.Name == "dgamma" {
-				healthy = h.Healthy
-			}
-		}
-		if !healthy {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("directory never noticed the dead node")
-		}
-		time.Sleep(time.Millisecond)
+	// Drain beta once the recovery HAS the gate — not as soon as the
+	// directory shows gamma down: the supervisor takes the gate on a
+	// goroutine of its own after that, and a drain that slips in between
+	// meets an unrecovered death (TestClusterDrainRefusesUnrecoveredDeath).
+	// The drain blocks on the gate until the failover finishes; it must
+	// never interleave with it.
+	select {
+	case <-gate.held:
+	case <-time.After(20 * time.Second):
+		t.Fatal("the supervisor never took the gate for the dead node")
 	}
 	if err := cl.Drain("dbeta"); err != nil {
 		t.Fatalf("drain racing failover: %v", err)
@@ -466,6 +504,54 @@ func TestClusterDrainSerializesWithFailover(t *testing.T) {
 		if node == 1 || node == 2 {
 			t.Errorf("segment %q still on drained/dead node %d", seg, node)
 		}
+	}
+}
+
+// TestClusterDrainRefusesUnrecoveredDeath: a drain that wins the gate while
+// another node is down and still hosts segments — here no supervisor ever
+// recovers it — moves nothing and says so with an error wrapping
+// remote.ErrNodeUnreachable, at once; it neither hangs nor recomposes a
+// segment against the dead node's port.
+func TestClusterDrainRefusesUnrecoveredDeath(t *testing.T) {
+	const items = 300
+	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
+	cat := ss.catalog()
+	alpha := startClusterNode(t, "ualpha", cat)
+	beta := startClusterNode(t, "ubeta", cat)
+	gamma := startClusterNode(t, "ugamma", cat)
+
+	dir := fastDirectory(t)
+	registerAll(t, dir, alpha, beta, gamma)
+	cl := elastic.NewCluster(dir)
+	d, err := crossChain("drainunrec", items).Deploy(graph.OnNodes(dir.Clients()...).WithClusterLanes())
+	if err != nil {
+		t.Fatalf("deploy: %v", err)
+	}
+	t.Cleanup(d.Stop)
+	cl.Manage(d)
+	dir.Start(15 * time.Millisecond)
+	d.Start()
+
+	pollSink(t, ss, "sink", items/6)
+	before := d.SegmentPlacements()
+	gamma.close()
+	awaitDown(t, dir, "ugamma")
+
+	done := make(chan error, 1)
+	go func() { done <- cl.Drain("ubeta") }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, remote.ErrNodeUnreachable) {
+			t.Fatalf("drain beside an unrecovered death = %v, want an error wrapping remote.ErrNodeUnreachable", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("drain beside an unrecovered death hung")
+	}
+	if after := d.SegmentPlacements(); !maps.Equal(before, after) {
+		t.Fatalf("a refused drain moved segments: %v -> %v", before, after)
+	}
+	if evs := cl.Events(0); len(evs) != 0 {
+		t.Fatalf("a refused drain logged %v", evs)
 	}
 }
 

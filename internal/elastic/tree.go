@@ -171,10 +171,14 @@ func (t *Tree) Start() error {
 	}
 	t.trunk = td
 	t.started = true
-	for _, rel := range t.relays {
-		rel.dep.Start()
-	}
-	t.trunk.Start()
+	// One external action: no level's pumps tick before every level has
+	// been told to start.
+	t.grp.External(func() {
+		for _, rel := range t.relays {
+			rel.dep.Start()
+		}
+		t.trunk.Start()
+	})
 	return nil
 }
 

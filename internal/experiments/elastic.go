@@ -1,22 +1,16 @@
 package experiments
 
-// E26 — elastic cluster: replica scale-out gain and drain zero-loss.  Two
-// measurements back the elasticity tentpole: (1) scaling a blocking stage to
-// 4 replicas behind the auto-inserted route-split must buy real throughput
-// (CI asserts >= 1.3x items/s over 1 active replica), and (2) draining a
-// live node mid-stream via elastic.Cluster must move every hosted segment
-// across in drain time, not stream time, with the delivered trace
-// exactly-once — the process can then Leave and exit unnoticed.
+// E26 — replica scale-out gain: scaling a blocking stage to 4 replicas
+// behind the auto-inserted route-split must buy real throughput (ipbench
+// elastic fails below 1.3x items/s over 1 active replica) and leave the
+// sink trace byte-identical.
 
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
-	"infopipes/internal/control"
 	"infopipes/internal/core"
-	"infopipes/internal/elastic"
 	"infopipes/internal/graph"
 	"infopipes/internal/item"
 	"infopipes/internal/pipes"
@@ -126,119 +120,4 @@ func ScaleOutGain(items int64, block time.Duration) (rows []ScaleRow, gain float
 		return nil, 0, fmt.Errorf("scaled trace diverged from the folded run: the merge leaked reordering")
 	}
 	return []ScaleRow{folded, scaled}, scaled.Throughput / folded.Throughput, nil
-}
-
-// DrainResult is one measured drain-a-live-node run.
-type DrainResult struct {
-	Items     int64
-	DrainAt   int64         // sink items delivered when the drain was issued
-	Moved     int           // segments migrated off the drained node
-	DrainWall time.Duration // Drain call, gate acquire -> every Replace done
-	Wall      time.Duration // whole stream, start -> Wait
-	Delivered int64
-	ExactOnce bool // delivered trace is exactly 1..Items in order
-}
-
-// DrainZeroLoss drains a live node mid-stream and measures the migration:
-// the same three-node chain as FailoverLatency — source on node 0, a probe
-// segment on node 1, sink on node 2 — streams at rate items/s over durable
-// lanes; once the sink has consumed a third of the stream, elastic.Cluster
-// drains node 1.  Unlike the failover run nothing dies: Drain quiesces the
-// hosted segment, the durable-lane journals carry its in-flight items to
-// the survivor, and the sink trace must still be exactly 1..items — the
-// drain is a planned, loss-free version of the same Replace move.
-func DrainZeroLoss(items int64, rate float64) (DrainResult, error) {
-	sinks := make(map[string]*pipes.CollectSink)
-	var mu sync.Mutex
-	nodes, clients, err := benchCluster(3, sinks, &mu)
-	if err != nil {
-		return DrainResult{}, err
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.close()
-		}
-	}()
-
-	g := graph.New("drain")
-	g.AddSpec("src", "counter", graph.WithArgs(strconv.FormatInt(items, 10)), graph.Place(0))
-	g.AddSpec("pump", "cpump", graph.WithArgs(strconv.FormatFloat(rate, 'f', -1, 64)), graph.Place(0))
-	g.Pipe("src", "pump")
-	g.AddSpec("mid", "probe", graph.Place(1))
-	g.AddSpec("mp", "fpump", graph.Place(1))
-	g.Cut("pump", "mid")
-	g.Pipe("mid", "mp")
-	g.AddSpec("out", "fpump", graph.Place(2))
-	g.AddSpec("sink", "collect", graph.Place(2))
-	g.Cut("mp", "out")
-	g.Pipe("out", "sink")
-
-	d, err := g.Deploy(graph.OnNodes(clients...).WithClusterLanes())
-	if err != nil {
-		return DrainResult{}, fmt.Errorf("deploy: %w", err)
-	}
-
-	dir := control.NewDirectory()
-	defer dir.Close()
-	names := make([]string, len(nodes))
-	for i, n := range nodes {
-		if names[i], err = dir.Register(n.addr); err != nil {
-			return DrainResult{}, fmt.Errorf("register: %w", err)
-		}
-	}
-	cl := elastic.NewCluster(dir)
-	cl.Manage(d)
-
-	start := time.Now()
-	d.Start()
-
-	drainAt := items / 3
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		mu.Lock()
-		sink := sinks["sink"]
-		mu.Unlock()
-		if sink != nil && int64(sink.Count()) >= drainAt {
-			break
-		}
-		if time.Now().After(deadline) {
-			return DrainResult{}, fmt.Errorf("sink never reached the drain point %d", drainAt)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	moved := d.NodeHosts(dir.NodeIndex(names[1]))
-	tDrain := time.Now()
-	if err := cl.Drain(names[1]); err != nil {
-		return DrainResult{}, fmt.Errorf("drain: %w", err)
-	}
-	drainWall := time.Since(tDrain)
-	if left := d.NodeHosts(dir.NodeIndex(names[1])); left != 0 {
-		return DrainResult{}, fmt.Errorf("node still hosts %d segment(s) after drain", left)
-	}
-
-	if err := d.Wait(); err != nil {
-		return DrainResult{}, fmt.Errorf("wait after drain: %w", err)
-	}
-	wall := time.Since(start)
-
-	mu.Lock()
-	sink := sinks["sink"]
-	mu.Unlock()
-	got := sink.Items()
-	exact := int64(len(got)) == items
-	for i, it := range got {
-		if it.Seq != int64(i+1) {
-			exact = false
-			break
-		}
-	}
-	return DrainResult{
-		Items:     items,
-		DrainAt:   drainAt,
-		Moved:     moved,
-		DrainWall: drainWall,
-		Wall:      wall,
-		Delivered: int64(len(got)),
-		ExactOnce: exact,
-	}, nil
 }

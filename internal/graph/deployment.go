@@ -161,6 +161,21 @@ func (d *Deployment) broadcast(t events.Type) {
 	d.bus.Broadcast(events.Event{Type: t, Time: d.now(), Origin: d.name})
 }
 
+// External runs fn as one action of an external actor on the deployment's
+// group (shard.Group.External): the group's virtual clock stands still
+// until fn returns, so whatever fn reads and posts happens at one instant.
+// Everything in this package that posts into a running deployment from the
+// caller's goroutine goes through here; so should a controller loop that
+// reads Stats and then acts on them.  Targets without a group clock —
+// one scheduler, remote nodes, a real-clock group — just run fn.
+func (d *Deployment) External(fn func()) {
+	if d.ld == nil || d.ld.group == nil {
+		fn()
+		return
+	}
+	d.ld.group.External(fn)
+}
+
 // Start broadcasts the start event once on the shared bus: every pump in
 // every segment reacts, exactly like Pipeline.Start on a linear pipeline.
 // During a rebalance the start is deferred until the recomposed pipelines
@@ -177,7 +192,7 @@ func (d *Deployment) Start() {
 	if rb {
 		return
 	}
-	d.broadcast(events.Start)
+	d.External(func() { d.broadcast(events.Start) })
 }
 
 // Stop broadcasts the stop event to the whole deployment.  A Stop that
@@ -194,7 +209,7 @@ func (d *Deployment) Stop() {
 	if rb {
 		return
 	}
-	d.broadcast(events.Stop)
+	d.External(func() { d.broadcast(events.Stop) })
 }
 
 // Done is closed when every pipeline of the deployment has terminated.

@@ -259,6 +259,55 @@ func (d *dagGen) total() int {
 	return n
 }
 
+// divergence reports where two traces part: the first sink whose streams
+// differ, the position of the first differing item in it, and eight items
+// either side of that position from both.  It reads the whole-deployment
+// form of trace() ("sink[items] sink[items] ") and the bare per-sink item
+// lists of traces().  Where a divergence STARTS is the evidence — a flow
+// that stalls at position 1 is a start-up race, one that swaps two
+// neighbours mid-stream is a merge race — and a truncated dump of both
+// strings shows it only for the first sink.
+func divergence(got, want string) string {
+	gs, ws := strings.SplitAfter(got, "] "), strings.SplitAfter(want, "] ")
+	for i := 0; i < len(gs) || i < len(ws); i++ {
+		var g, w string
+		if i < len(gs) {
+			g = gs[i]
+		}
+		if i < len(ws) {
+			w = ws[i]
+		}
+		if g == w {
+			continue
+		}
+		sink := "(the one compared)"
+		if k := strings.IndexByte(w, '['); k >= 0 {
+			sink = w[:k]
+		} else if k := strings.IndexByte(g, '['); k >= 0 {
+			sink = g[:k]
+		}
+		items := func(s string) []string {
+			s = strings.TrimSuffix(s[strings.IndexByte(s, '[')+1:], "] ")
+			return strings.Split(strings.TrimSuffix(s, ";"), ";")
+		}
+		gi, wi := items(g), items(w)
+		pos := 0
+		for pos < len(gi) && pos < len(wi) && gi[pos] == wi[pos] {
+			pos++
+		}
+		lo := max(0, pos-8)
+		around := func(xs []string) string {
+			if lo >= len(xs) {
+				return fmt.Sprintf("(ends after %d items)", len(xs))
+			}
+			return strings.Join(xs[lo:min(len(xs), pos+9)], " ")
+		}
+		return fmt.Sprintf("first divergence: sink %s, item %d of %d (want %d); items %d.. as seq/payload\n got: %s\nwant: %s",
+			sink, pos, len(gi), len(wi), lo, around(gi), around(wi))
+	}
+	return "no divergence"
+}
+
 // runOnScheduler deploys and drains the generated graph on one scheduler.
 func runOnScheduler(t *testing.T, seed int64) (string, int) {
 	t.Helper()
@@ -476,14 +525,14 @@ func TestRandomGraphEditDeterminism(t *testing.T) {
 				}
 				if name == detachedSink {
 					if !strings.HasPrefix(w, g) {
-						t.Fatalf("seed %d: %d-shard detached sink %s is not a prefix of the unedited trace\n got: %.200s\nwant: %.200s",
-							seed, shards, name, g, w)
+						t.Fatalf("seed %d: %d-shard detached sink %s is not a prefix of the unedited trace\n%s",
+							seed, shards, name, divergence(g, w))
 					}
 					continue
 				}
 				if g != w {
-					t.Fatalf("seed %d: %d-shard sink %s diverged after a mid-stream edit\n got: %.200s\nwant: %.200s",
-						seed, shards, name, g, w)
+					t.Fatalf("seed %d: %d-shard sink %s diverged after a mid-stream edit\n%s",
+						seed, shards, name, divergence(g, w))
 				}
 			}
 		}
@@ -511,14 +560,12 @@ func TestRandomGraphDeterminism(t *testing.T) {
 		}
 		for _, shards := range []int{2, 4} {
 			if got, _ := runOnGroup(t, seed, shards, 0); got != want {
-				t.Fatalf("seed %d: %d-shard trace diverged\n got: %.200s\nwant: %.200s",
-					seed, shards, got, want)
+				t.Fatalf("seed %d: %d-shard trace diverged\n%s", seed, shards, divergence(got, want))
 			}
 		}
 		got, migrated := runOnGroup(t, seed, 4, total/8+1)
 		if got != want {
-			t.Fatalf("seed %d: 4-shard trace with mid-stream rebalance diverged\n got: %.200s\nwant: %.200s",
-				seed, got, want)
+			t.Fatalf("seed %d: 4-shard trace with mid-stream rebalance diverged\n%s", seed, divergence(got, want))
 		}
 		if migrated {
 			migrations++
@@ -531,6 +578,35 @@ func TestRandomGraphDeterminism(t *testing.T) {
 		t.Fatalf("only %d/%d seeds rebalanced mid-stream — the harness is not exercising migration", migrations, seeds)
 	}
 	t.Logf("%d/%d seeds rebalanced mid-stream with byte-identical traces", migrations, seeds)
+}
+
+// TestDescheduledControllerCannotMoveTime reproduces, on any number of
+// cores, what a loaded multi-core host does to the harness once in a few
+// hundred runs: the goroutine that starts or rebalances a group deployment
+// loses the CPU in the middle of its action, with some pumps already told
+// to start and others not yet.  Every scheduler is idle then and no wake is
+// pending, so a group clock that counts only schedulers advances — the
+// source ticks on while half the flow stands still, and the merges see a
+// different arrival order.  The clock counts the controller too
+// (shard.Group.External); with that hold removed this test fails at its
+// first seed.
+func TestDescheduledControllerCannotMoveTime(t *testing.T) {
+	const seeds = 6
+	want, totals := make([]string, seeds+1), make([]int, seeds+1)
+	for seed := int64(1); seed <= seeds; seed++ {
+		want[seed], totals[seed] = runOnScheduler(t, seed)
+	}
+	defer graph.DescheduleControllers()()
+	for seed := int64(1); seed <= seeds; seed++ {
+		if got, _ := runOnGroup(t, seed, 2, 0); got != want[seed] {
+			t.Fatalf("seed %d: 2-shard trace diverged when Start was descheduled mid-broadcast\n%s",
+				seed, divergence(got, want[seed]))
+		}
+		if got, _ := runOnGroup(t, seed, 4, totals[seed]/8+1); got != want[seed] {
+			t.Fatalf("seed %d: 4-shard trace diverged when Rebalance was descheduled mid-transaction\n%s",
+				seed, divergence(got, want[seed]))
+		}
+	}
 }
 
 // TestRandomGraphRepeatability guards the generator itself: the same seed

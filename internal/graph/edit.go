@@ -304,7 +304,9 @@ func (d *Deployment) Edit(ops ...EditOp) error {
 		return ErrNotEditable
 	}
 	if !structural {
-		return d.ld.applyRebinds(rebinds)
+		var err error
+		d.External(func() { err = d.ld.applyRebinds(rebinds) })
+		return err
 	}
 	if len(rebinds) > 0 && d.ld.tenant == nil {
 		return ErrNoTenant

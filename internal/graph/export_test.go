@@ -2,8 +2,10 @@ package graph
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"time"
 )
 
 // Test-only windows into the reconfiguration engine.
@@ -11,6 +13,17 @@ import (
 // MoveOp exposes Rebalance's delta as an EditOp, so a test can ride segment
 // moves in one transaction with structural ops.
 func MoveOp(hints map[string]int) EditOp { return moveOp(hints) }
+
+// DescheduleControllers makes every half-done external action (see yield)
+// give the CPU away and stay away for a few milliseconds — long enough for
+// every scheduler to run itself idle — until the returned func is called.
+func DescheduleControllers() (restore func()) {
+	yield = func() {
+		runtime.Gosched()
+		time.Sleep(3 * time.Millisecond)
+	}
+	return func() { yield = nil }
+}
 
 // Quiescing reports whether a transaction currently holds the deployment
 // parked.

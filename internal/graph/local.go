@@ -618,6 +618,17 @@ func (ld *localDeploy) compose(name string, shardIdx int, stages []core.Stage, s
 	ld.d.pipelines = append(ld.d.pipelines, p)
 	ld.shardByPipe[p] = shardIdx
 	ld.d.mu.Unlock()
+	if yield != nil {
+		// A broadcast delivers in subscription order and runs function
+		// subscribers inline, so this one sits inside the Start loop,
+		// between p's threads and those of the pipeline composed next.
+		y := yield
+		ld.bus.SubscribeFunc(func(ev events.Event) {
+			if ev.Type == events.Start {
+				y()
+			}
+		})
+	}
 	if ld.placeAt != nil {
 		idx := shardIdx
 		ld.placeAt(idx)

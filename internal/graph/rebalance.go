@@ -39,8 +39,8 @@ var (
 //
 // Segments not named in hints keep their current shard.  Under the group's
 // shared virtual clock the migration is invisible in the item trace: the
-// clock freezes while the deployment is quiesced (detached pump timers are
-// purged) and the anchored pump schedules resume exactly where they left
+// transaction holds the clock from quiesce to resume (shard.Group.External)
+// and the anchored pump schedules resume exactly where they left
 // off — the randomized determinism harness asserts byte-identical traces
 // with and without a mid-stream rebalance.
 //
@@ -184,7 +184,7 @@ func (b *Balancer) Plan(st GraphStats) (map[string]int, bool) {
 // target, Replace between nodes on a remote one, where a policy without a
 // Movable filter proposes only segments that are Replaceable.  Reports
 // whether a move was made.
-func (d *Deployment) Balance(b *Balancer) (bool, error) {
+func (d *Deployment) Balance(b *Balancer) (moved bool, err error) {
 	move := d.Rebalance
 	if d.remote != nil {
 		move = d.Replace
@@ -192,14 +192,17 @@ func (d *Deployment) Balance(b *Balancer) (bool, error) {
 			b.policy.Movable = func(seg string) bool { return d.Replaceable(seg) == nil }
 		}
 	}
-	hints, ok := b.Plan(d.Stats())
-	if !ok {
-		return false, nil
-	}
-	if err := move(hints); err != nil {
-		return false, err
-	}
-	return true, nil
+	// One external action: the move lands at the instant the stats were read.
+	d.External(func() {
+		hints, ok := b.Plan(d.Stats())
+		if !ok {
+			return
+		}
+		if err = move(hints); err == nil {
+			moved = true
+		}
+	})
+	return moved, err
 }
 
 // Evacuate plans the moves that vacate one node (or shard): given where

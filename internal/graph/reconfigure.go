@@ -21,8 +21,8 @@ import (
 //     re-checked, and placement remapped onto the new plan by segment name,
 //  3. quiesce: every pipeline detaches at a pump-cycle boundary (an
 //     interrupted blocked push force-completes into its destination queue,
-//     which survives; the group's virtual clock freezes with the pump
-//     timers purged),
+//     which survives; the group's virtual clock is held from here to the
+//     end of step 5),
 //  4. commit: tee ports, stage table and plan are swapped while everything
 //     is parked, and the graph recomposes over the same stage instances
 //     and boundary links,
@@ -32,6 +32,14 @@ import (
 // flow never notices the attempt.  A failure in step 4 is past the point of
 // no return: the deployment winds down like a failed deploy and the error
 // is latched for Err/Wait.
+
+// yield is nil except in this package's tests (export_test.go), which point
+// it at a function that gives the CPU away for a few milliseconds.  It runs
+// where an external action is half done — between two Detach calls in
+// quiesce, and between two pipelines' deliveries of a Start broadcast (see
+// localDeploy.compose) — so that what a loaded multi-core host does to a
+// controller goroutine now and then happens every time, on one core.
+var yield func()
 
 // txn is one reconfiguration transaction.
 type txn struct {
@@ -94,11 +102,18 @@ func (d *Deployment) reconfigure(verb string, ops []EditOp) error {
 	if err := t.replan(); err != nil {
 		return err
 	}
-	if err := t.quiesce(); err != nil {
-		return err
-	}
-	committed = true
-	return t.resume(t.commit())
+	// From the first Detach to the last re-broadcast Start the flow is half
+	// parked: the group clock must not move, or the pipelines still (or
+	// already) running would tick ahead of the parked ones.
+	var err error
+	d.External(func() {
+		if err = t.quiesce(); err != nil {
+			return
+		}
+		committed = true
+		err = t.resume(t.commit())
+	})
+	return err
 }
 
 // errf renders a refusal in the transaction's voice.
@@ -220,6 +235,9 @@ func (t *txn) quiesce() error {
 
 	for _, p := range old {
 		p.Detach()
+		if yield != nil {
+			yield()
+		}
 	}
 	for _, p := range old {
 		<-p.Done()

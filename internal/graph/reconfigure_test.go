@@ -287,11 +287,8 @@ func moveDeltaRun(t *testing.T, seed int64, at int, viaEdit bool) string {
 // only delta is segment moves, so the same moves riding an Edit batch (next
 // to an identity insert) must give byte-identical sink traces on the seeded
 // DAGs of the determinism harness — and both must match the scheduler
-// baseline.  The test pins one P: which of two same-instant cross-shard
-// arrivals a merge sees first is still free on real cores (ROADMAP Open
-// item 1), and this test is about the engine, not about that ordering.
+// baseline.
 func TestMoveDeltaSameViaRebalanceAndEdit(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	compared := 0
 	for seed := int64(1); seed <= 20; seed++ {
 		gen := newDagGen(seed, 2)
@@ -303,11 +300,12 @@ func TestMoveDeltaSameViaRebalanceAndEdit(t *testing.T) {
 		viaRebalance := moveDeltaRun(t, seed, total/3, false)
 		viaEdit := moveDeltaRun(t, seed, total/3, true)
 		if viaRebalance != base {
-			t.Fatalf("seed %d: Rebalance trace diverged from the scheduler baseline", seed)
+			t.Fatalf("seed %d: Rebalance trace diverged from the scheduler baseline\n%s",
+				seed, divergence(viaRebalance, base))
 		}
 		if viaEdit != viaRebalance {
-			t.Fatalf("seed %d: the same moves via Edit diverged from Rebalance\n edit: %.200s\nrebal: %.200s",
-				seed, viaEdit, viaRebalance)
+			t.Fatalf("seed %d: the same moves via Edit (got) diverged from Rebalance (want)\n%s",
+				seed, divergence(viaEdit, viaRebalance))
 		}
 		compared++
 	}

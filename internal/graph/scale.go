@@ -292,7 +292,9 @@ func (d *Deployment) SetReplicas(stage string, replicas int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return tee.SetActive(replicas), nil
+	var active int
+	d.External(func() { active = tee.SetActive(replicas) })
+	return active, nil
 }
 
 // Replicas reports a scaled stage's active and declared replica counts.

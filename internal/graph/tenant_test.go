@@ -146,8 +146,8 @@ func TestMultiTenantGraphDeterminism(t *testing.T) {
 		got := runTenantsOnGroup(t, slots, shards)
 		for i := range slots {
 			if got[i].trace != want[i].trace {
-				t.Fatalf("tenant slot %d: %d-shard trace diverged\n got: %.200s\nwant: %.200s",
-					i, shards, got[i].trace, want[i].trace)
+				t.Fatalf("tenant slot %d: %d-shard trace diverged\n%s",
+					i, shards, divergence(got[i].trace, want[i].trace))
 			}
 			if got[i].admitted != want[i].admitted || got[i].sheds != want[i].sheds {
 				t.Fatalf("tenant slot %d: %d-shard admission diverged: admitted %d/sheds %d, want %d/%d",

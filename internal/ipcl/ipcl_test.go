@@ -42,24 +42,55 @@ func TestParseNamesStringsAndNumbers(t *testing.T) {
 	}
 }
 
+var parseErrorCases = []string{
+	"",                     // empty
+	"solo",                 // single stage
+	"a >> >> b",            // missing stage
+	"a > b",                // single >
+	"a(x=) >> b",           // missing value
+	"a( >> b",              // unterminated args
+	`a("unterminated >> b`, // unterminated string
+	"a >> b extra",         // trailing garbage
+	"a:(b) >> c",           // bad name
+	"9stage >> b",          // number as kind: lexes as number -> parse error
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"",                     // empty
-		"solo",                 // single stage
-		"a >> >> b",            // missing stage
-		"a > b",                // single >
-		"a(x=) >> b",           // missing value
-		"a( >> b",              // unterminated args
-		`a("unterminated >> b`, // unterminated string
-		"a >> b extra",         // trailing garbage
-		"a:(b) >> c",           // bad name
-		"9stage >> b",          // number as kind: lexes as number -> parse error
-	}
-	for _, src := range cases {
+	for _, src := range parseErrorCases {
 		if _, err := ipcl.Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		}
 	}
+}
+
+// FuzzIpclParse feeds arbitrary text to the composition-language parser —
+// ipctl and ipnode hand it whatever the operator typed.  It must never
+// panic, and it answers with an error or with stages, never both or
+// neither: a pipeline has at least two stages, each with a kind.
+func FuzzIpclParse(f *testing.F) {
+	for _, src := range parseErrorCases {
+		f.Add(src)
+	}
+	f.Add("counter(12) >> probe >> pump(rate=30) >> collect")
+	f.Add(`video(frames=300, gop="IBBP"):movie >> decoder(cost=200us):dec >> pump(29.97) >> display`)
+	f.Add("counter(5) >> pump@1 >> split{ probe | probe } >> merge >> collect")
+	f.Fuzz(func(t *testing.T, src string) {
+		stages, err := ipcl.Parse(src)
+		if err != nil {
+			if stages != nil {
+				t.Fatalf("Parse(%q) = %+v AND error %v", src, stages, err)
+			}
+			return
+		}
+		if len(stages) < 2 {
+			t.Fatalf("Parse(%q) accepted %d stage(s): %+v", src, len(stages), stages)
+		}
+		for i, e := range stages {
+			if e.Kind == "" {
+				t.Fatalf("Parse(%q): stage %d has no kind: %+v", src, i, stages)
+			}
+		}
+	})
 }
 
 func TestBuildUnknownKind(t *testing.T) {

@@ -1,6 +1,8 @@
 package netpipe
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -45,9 +47,10 @@ func TestBinaryRoundTripFrame(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTripScalars(t *testing.T) {
-	m := NewBinaryMarshaller()
-	cases := []any{
+// scalarPayloads is one payload per binary value code, plus a registered
+// payload codec.
+func scalarPayloads() []any {
+	return []any{
 		nil,
 		[]byte{1, 2, 3},
 		"hello",
@@ -57,7 +60,11 @@ func TestBinaryRoundTripScalars(t *testing.T) {
 		true,
 		&media.MidiEvent{Channel: 3, Note: 64, Velocity: 100},
 	}
-	for _, payload := range cases {
+}
+
+func TestBinaryRoundTripScalars(t *testing.T) {
+	m := NewBinaryMarshaller()
+	for _, payload := range scalarPayloads() {
 		it := item.New(payload, 1, time.Time{})
 		got := roundTrip(t, m, it)
 		switch want := payload.(type) {
@@ -223,4 +230,66 @@ func TestMarshalAllocs(t *testing.T) {
 	if roundTrip > 12 {
 		t.Errorf("round trip allocates %v/op, want <= 12", roundTrip)
 	}
+}
+
+// sameWireValue compares two decoded payload or attribute values; a NaN
+// equals the NaN with the same bits, which reflect.DeepEqual denies.
+func sameWireValue(a, b any) bool {
+	if fa, ok := a.(float64); ok {
+		fb, ok := b.(float64)
+		return ok && math.Float64bits(fa) == math.Float64bits(fb)
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// FuzzBinaryUnmarshal feeds arbitrary bytes to the item decoder, the parser
+// every byte a peer sends ends up in.  It must never panic, and whatever it
+// accepts must be an item the codec can carry: marshalled again and decoded
+// again it is the same item.  (Not the same BYTES: varints have more than
+// one spelling, attributes are a map, and bytes after the payload are
+// ignored.)  Seeded with the round-trip tables above.
+func FuzzBinaryUnmarshal(f *testing.F) {
+	RegisterPayload(exoticPayload{})
+	seed := func(m Marshaller, it *item.Item) {
+		data, err := m.Marshal(it)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for i, p := range scalarPayloads() {
+		seed(NewBinaryMarshaller(), item.New(p, int64(i), time.Time{}))
+	}
+	seed(NewBinaryMarshaller(), item.New(&media.Frame{Type: media.FrameP, Seq: 42, PTS: 350 * time.Millisecond,
+		Bytes: 6000, Refs: []int64{40, 37}}, 42, bt0).WithSize(6000).WithAttr("frametype", "P").WithAttr("prio", 3))
+	seed(NewBinaryMarshaller(), item.New(exoticPayload{Name: "x", N: 9}, 7, bt0).WithSize(11))
+	seed(NewStreamingBinaryMarshaller(), item.New(exoticPayload{Name: "s", N: 1}, 1, bt0))
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 1, 2})
+	f.Add([]byte{wireBinary})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A fresh codec per input: the streaming gob decoder keeps state.
+		it, err := NewBinaryMarshaller().Unmarshal(data)
+		if err != nil {
+			return
+		}
+		m := NewBinaryMarshaller()
+		again, err := m.Marshal(it)
+		if err != nil {
+			t.Fatalf("decoded % x to %+v, which does not marshal: %v", data, it, err)
+		}
+		it2, err := m.Unmarshal(again)
+		if err != nil {
+			t.Fatalf("decoded % x to %+v; its encoding % x does not decode: %v", data, it, again, err)
+		}
+		if it2.Seq != it.Seq || it2.Origin != it.Origin || it2.Size != it.Size || !it2.Created.Equal(it.Created) ||
+			len(it2.Attrs) != len(it.Attrs) || !sameWireValue(it2.Payload, it.Payload) {
+			t.Fatalf("% x decodes to %+v but re-marshals to %+v", data, it, it2)
+		}
+		for k, v := range it.Attrs {
+			if v2, ok := it2.Attrs[k]; !ok || !sameWireValue(v, v2) {
+				t.Fatalf("% x: attribute %q = %v re-marshals to %v", data, k, v, v2)
+			}
+		}
+	})
 }

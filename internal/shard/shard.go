@@ -145,6 +145,21 @@ func (g *Group) Scheduler(i int) *uthread.Scheduler { return g.shards[i] }
 // runs on the real clock.
 func (g *Group) Clock() *vclock.GroupVirtual { return g.group }
 
+// External runs fn as one action of an external actor: a goroutine that is
+// not one of the shards and starts, stops or reconfigures what runs on them.
+// It is the one door for that.  The coordinated clock stands still from
+// fn's first post to its last (vclock.GroupVirtual.Hold), so a controller
+// the host deschedules half-way through a broadcast cannot let one half of
+// a flow run ahead of the other.  fn must not wait for virtual time to
+// pass.  On the real clock there is nothing to hold and fn just runs.
+func (g *Group) External(fn func()) {
+	if g.group != nil {
+		g.group.Hold()
+		defer g.group.Release()
+	}
+	fn()
+}
+
 // Place picks a shard for the next pipeline according to the placement
 // policy and returns its index.  The load accounting assumes the caller
 // composes one pipeline on the returned shard; prefer Compose, which does

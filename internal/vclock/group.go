@@ -26,10 +26,21 @@ import (
 // simply defers the advance until the waiter has deregistered.  Members
 // leave the group when their scheduler shuts down, so finished schedulers
 // never hold time back.
+//
+// The schedulers are not the only actors.  A controller goroutine that
+// starts, stops or reconfigures flows posts to the members one by one, and
+// between two of its posts every member may well be idle with nothing
+// pending — the pumps it has reached so far have ticked and gone back to
+// sleep, the ones it has not reached yet were never told to start.  Moving
+// time then lets one half of a flow run ahead of the other by however long
+// the host keeps the controller off the CPU.  Hold/Release make the
+// controller count.  The invariant: time advances only when every scheduler
+// is idle AND no external actor is mid-action.
 type GroupVirtual struct {
 	mu      sync.Mutex
 	now     time.Time
 	members []*GroupMember
+	holds   int // external actors mid-action (Hold without Release)
 }
 
 // NewGroupVirtual returns a coordinated shared clock positioned at Epoch.
@@ -47,6 +58,25 @@ func (g *GroupVirtual) Now() time.Time {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.now
+}
+
+// Hold freezes the clock at the current instant while an external actor — a
+// goroutine that is not one of the member schedulers — acts on them.  Holds
+// nest; every Hold needs one Release.  Members keep running and wake-ups
+// are still delivered: only the advance of time waits.  An actor must not
+// wait for time to pass while it holds.
+func (g *GroupVirtual) Hold() {
+	g.mu.Lock()
+	g.holds++
+	g.mu.Unlock()
+}
+
+// Release ends one Hold and makes the advance decision the hold deferred.
+func (g *GroupVirtual) Release() {
+	g.mu.Lock()
+	g.holds--
+	g.tryAdvanceLocked()
+	g.mu.Unlock()
 }
 
 // Members reports how many members have joined (and not left) the group.
@@ -262,12 +292,16 @@ func (m *GroupMember) clearLocked() {
 }
 
 // tryAdvanceLocked is the heart of the coordinated advance.  Caller holds
-// g.mu.  It does nothing unless every live member is idle.  Then, if any
+// g.mu.  It does nothing while an external actor holds the clock, or unless
+// every live member is idle.  Then, if any
 // idle member has a wake already pending, that member is released as
 // interrupted instead (it has work at the current instant — advancing now
 // would be the time-travel bug).  Otherwise the clock moves to the minimum
 // pending deadline and every member due at that instant is released.
 func (g *GroupVirtual) tryAdvanceLocked() {
+	if g.holds > 0 {
+		return
+	}
 	live := 0
 	for _, m := range g.members {
 		if m.left {

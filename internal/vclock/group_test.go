@@ -189,6 +189,34 @@ func TestGroupSameDeadlineWakesAll(t *testing.T) {
 	}
 }
 
+// TestGroupHoldDefersAdvance: with every member idle and a deadline pending,
+// a held clock stays where it is — holds nest — and the last Release makes
+// the advance the hold deferred.
+func TestGroupHoldDefersAdvance(t *testing.T) {
+	g := NewGroupVirtual()
+	a, b := g.Member(), g.Member()
+	at := Epoch.Add(5 * time.Millisecond)
+	g.Hold()
+	g.Hold()
+	resA := waitAsync(g, a, at, nil)
+	resB := waitAsync(g, b, at, nil)
+	pollIdle(t, g, a)
+	pollIdle(t, g, b)
+	g.Release()
+	select {
+	case r := <-resA:
+		t.Fatalf("a woke (reached=%v at %v) while the clock was held", r.reached, r.at)
+	case <-time.After(5 * time.Millisecond):
+	}
+	if got := g.Now(); !got.Equal(Epoch) {
+		t.Fatalf("clock moved to %v while held", got)
+	}
+	g.Release()
+	if ra, rb := <-resA, <-resB; !ra.reached || !rb.reached || !g.Now().Equal(at) {
+		t.Fatalf("after Release: reached %v/%v at %v, want true/true at %v", ra.reached, rb.reached, g.Now(), at)
+	}
+}
+
 func TestGroupMemberBindRefusesSecondOwner(t *testing.T) {
 	g := NewGroupVirtual()
 	m := g.Member()
