@@ -106,7 +106,7 @@ func newNode(name string) (*infopipes.Node, *infopipes.Scheduler) {
 		return infopipes.Comp(infopipes.NewDisplay(n)), nil
 	})
 	// Cluster readiness: the standard catalog as spec factories, the ip/
-	// boundary factories, and the lane controller behind the ctl op.
+	// boundary factories, and the handler behind the typed lane op.
 	infopipes.EnableGraphNode(node, infopipes.StandardCatalog())
 	return node, sched
 }

@@ -59,10 +59,10 @@ var ctlEndpoints = []ctlEndpoint{
 		name: "node",
 		serve: func(t *testing.T, addr string, entered chan<- struct{}, park <-chan struct{}) (string, func()) {
 			node := remote.NewNode("n", uthread.New(uthread.WithClock(vclock.Real{})), &events.Bus{})
-			node.SetController(func(string, map[string]string) (string, error) {
+			node.HandleLanes(func(remote.LaneRequest) (remote.LaneReply, error) {
 				entered <- struct{}{}
 				<-park
-				return "", nil
+				return remote.LaneReply{}, nil
 			})
 			bound, err := node.Serve(addr)
 			if err != nil {
@@ -77,7 +77,7 @@ var ctlEndpoints = []ctlEndpoint{
 			}
 			return ctlClient{conn: c,
 				ping: func() error { _, err := c.Ping(); return err },
-				slow: func() error { _, err := c.Control("park", nil); return err }}, nil
+				slow: func() error { _, err := c.Lane(remote.LaneRequest{}); return err }}, nil
 		},
 	},
 	{

@@ -239,6 +239,7 @@ func TestClusterWaitSurvivesDeadNode(t *testing.T) {
 // recompose, redial — and the sink trace is byte-identical to a single-node
 // run of the same graph.
 func TestClusterReplaceTraceIdentical(t *testing.T) {
+	checkGoroutines(t)
 	const items = 40
 
 	run := func(twoNodes, replace bool) []int64 {

@@ -130,8 +130,8 @@ func (d *Deployment) SegmentPlacements() map[string]int {
 	if d.remote != nil {
 		d.remote.mu.Lock()
 		defer d.remote.mu.Unlock()
-		for i, seg := range d.remote.rd.plan.Segments {
-			out[seg.Name()] = d.remote.rd.nodeOf[i]
+		for i, seg := range d.remote.plan.Segments {
+			out[seg.Name()] = d.remote.nodeOf[i]
 		}
 		return out
 	}

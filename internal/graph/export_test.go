@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"infopipes/internal/remote"
 )
 
 // Test-only windows into the reconfiguration engine.
@@ -36,6 +38,31 @@ func (d *Deployment) Quiescing() bool {
 // ReplaceWindow holds the deployment's replace window open, as a move does
 // while it rewires pipes, until the returned func is called.
 func (d *Deployment) ReplaceWindow() (done func()) { return d.remote.replaceWindow() }
+
+// Rendered returns what the remote engine's one renderer makes of every
+// pipeline of the deployment right now, by pipeline name: the segments, and
+// the split and merge relays that are composed.
+func (d *Deployment) Rendered() map[string][]remote.StageSpec {
+	d.rbMu.Lock()
+	defer d.rbMu.Unlock()
+	r := d.remote
+	out := make(map[string][]remote.StageSpec)
+	for si, seg := range r.plan.Segments {
+		out[r.name+"/"+seg.Name()], _ = r.segmentSpecs(si)
+	}
+	relays := func(tees map[string][]int, render func(string, int) []remote.StageSpec) {
+		for tee, ports := range tees {
+			for port := range ports {
+				if name := r.laneName(tee, port) + "/relay"; r.hostOf(name) >= 0 {
+					out[name] = render(tee, port)
+				}
+			}
+		}
+	}
+	relays(r.plan.SplitBranch, r.splitRelaySpecs)
+	relays(r.plan.MergeBranch, r.mergeRelaySpecs)
+	return out
+}
 
 // DeclString renders the declaration layer — every node with the fields an
 // edit can change, the edges, the index — for rollback assertions.

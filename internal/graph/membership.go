@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"infopipes/internal/events"
 	"infopipes/internal/remote"
@@ -41,25 +42,19 @@ func (d *Deployment) AddNode(c *remote.Client) (int, error) {
 	r := d.remote
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Copy-on-write: published slices are never mutated, so lock-free
-	// snapshot holders (clientSnap) stay consistent.
-	clients := append(append([]*remote.Client(nil), r.clients...), c)
-	r.clients = clients
-	r.rd.target.Clients = clients
-	r.names = append(append([]string(nil), r.names...), name)
-	if len(r.gone) > 0 {
-		r.gone = append(append([]bool(nil), r.gone...), false)
-	}
-	if len(r.retiredByNode) > 0 {
-		r.retiredByNode = append(append([]retiredCounts(nil), r.retiredByNode...), retiredCounts{})
-	}
-	idx := len(clients) - 1
+	// Copy-on-write (a clipped slice reallocates on append): published
+	// slices are never mutated, so lock-free snapshot holders (clientSnap)
+	// stay consistent.
+	r.clients = append(slices.Clip(r.clients), c)
+	r.names = append(slices.Clip(r.names), name)
+	r.gone = append(slices.Clip(r.gone), false)
+	r.retiredByNode = append(slices.Clip(r.retiredByNode), retiredCounts{})
 	if r.started {
 		// The deployment already broadcast its start; a late joiner must
 		// hear it too or segments placed there later never start.
 		_ = c.SendEvent(events.Event{Type: events.Start, Origin: r.name})
 	}
-	return idx, nil
+	return len(r.clients) - 1, nil
 }
 
 // MarkNodeGone tombstones a node index after a drain: the deployment stops
@@ -83,10 +78,8 @@ func (d *Deployment) MarkNodeGone(node int) error {
 			return fmt.Errorf("graph %q: node %d still hosts %q; drain before leaving", d.name, node, p.name)
 		}
 	}
-	gone := make([]bool, len(r.clients))
-	copy(gone, r.gone)
-	gone[node] = true
-	r.gone = gone
+	r.gone = slices.Clone(r.gone)
+	r.gone[node] = true
 	return nil
 }
 

@@ -51,18 +51,22 @@ func (s *nodeState) abort(prefix string) {
 		}
 	}
 	s.mu.Lock()
-	for key := range s.splits {
-		if strings.HasPrefix(key, prefix) {
-			delete(s.splits, key)
-		}
-	}
-	for key := range s.merges {
-		if strings.HasPrefix(key, prefix) {
-			delete(s.merges, key)
-		}
-	}
+	takePrefix(s.splits, prefix)
+	takePrefix(s.merges, prefix)
 	s.mu.Unlock()
 	s.closeLanes(prefix)
+}
+
+// takePrefix removes and returns the entries of m whose key starts with
+// prefix.
+func takePrefix[T any](m map[string]T, prefix string) (out []T) {
+	for key, v := range m {
+		if strings.HasPrefix(key, prefix) {
+			out = append(out, v) //ipvet:allow maporder teardown fan-out; peers see concurrent EOFs, close order is unobservable
+			delete(m, key)
+		}
+	}
+	return out
 }
 
 // closeLanes closes and forgets every lane endpoint under prefix — listener
@@ -70,28 +74,14 @@ func (s *nodeState) abort(prefix string) {
 // references), sender links, same-node cut links.
 func (s *nodeState) closeLanes(prefix string) {
 	s.mu.Lock()
-	var tcpLinks []*netpipe.TCPLink
-	var links []*shard.Link
-	for lane, l := range s.listeners {
-		if strings.HasPrefix(lane, prefix) {
-			tcpLinks = append(tcpLinks, l.TCPLink) //ipvet:allow maporder teardown fan-out; peers see concurrent EOFs, close order is unobservable
-			delete(s.listeners, lane)
-		}
-	}
-	for lane, l := range s.senders {
-		if strings.HasPrefix(lane, prefix) {
-			tcpLinks = append(tcpLinks, l) //ipvet:allow maporder teardown fan-out; close order is unobservable
-			delete(s.senders, lane)
-		}
-	}
-	for lane, l := range s.links {
-		if strings.HasPrefix(lane, prefix) {
-			links = append(links, l) //ipvet:allow maporder teardown fan-out; close order is unobservable
-			delete(s.links, lane)
-		}
-	}
+	listeners := takePrefix(s.listeners, prefix)
+	senders := takePrefix(s.senders, prefix)
+	links := takePrefix(s.links, prefix)
 	s.mu.Unlock()
-	for _, l := range tcpLinks {
+	for _, l := range listeners {
+		l.Close()
+	}
+	for _, l := range senders {
 		l.Close()
 	}
 	for _, l := range links {
@@ -107,16 +97,19 @@ func (s *nodeState) closeLanes(prefix string) {
 // not tear down its stationary neighbour's listener.  Sender connections
 // close WITHOUT an EOS frame, so the peer's resumable listener parks the
 // lane for the replacement sender instead of ending the stream.
-func (s *nodeState) drop(lane, side string) {
+func (s *nodeState) drop(lane string, side remote.LaneSide) error {
+	if side < remote.BothSides || side > remote.SenderSide {
+		return fmt.Errorf("graph: drop %q: unknown lane side %d", lane, side)
+	}
 	s.mu.Lock()
 	var closers []*netpipe.TCPLink
-	if side == "" || side == "both" || side == "listener" {
+	if side != remote.SenderSide {
 		if l, ok := s.listeners[lane]; ok {
 			closers = append(closers, l.TCPLink)
 			delete(s.listeners, lane)
 		}
 	}
-	if side == "" || side == "both" || side == "sender" {
+	if side != remote.ListenerSide {
 		if l, ok := s.senders[lane]; ok {
 			closers = append(closers, l)
 			delete(s.senders, lane)
@@ -126,6 +119,7 @@ func (s *nodeState) drop(lane, side string) {
 	for _, l := range closers {
 		l.Close()
 	}
+	return nil
 }
 
 // listen pre-binds a rendezvous listener for a lane (idempotent: an
@@ -286,44 +280,26 @@ func teeKey(params map[string]string, name string) string {
 	return name
 }
 
-func (s *nodeState) split(name, kind string, outs int, params map[string]string) (core.SplitPoint, error) {
+// shared returns the instance registered under key in m, building and
+// registering it first when there is none: the ip/ factories are idempotent
+// per instance name.
+func shared[T any](s *nodeState, m map[string]T, key string, build func() (T, error)) (T, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := teeKey(params, name)
-	if sp, ok := s.splits[key]; ok {
-		return sp, nil
+	if v, ok := m[key]; ok {
+		return v, nil
 	}
-	sp, err := BuildSplit(name, kind, outs, params)
-	if err != nil {
-		return nil, err
+	v, err := build()
+	if err == nil {
+		m[key] = v
 	}
-	s.splits[key] = sp
-	return sp, nil
-}
-
-func (s *nodeState) merge(name string, ins int, params map[string]string) (core.MergePoint, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := teeKey(params, name)
-	if mp, ok := s.merges[key]; ok {
-		return mp, nil
-	}
-	mp, err := BuildMerge(name, ins, params)
-	if err != nil {
-		return nil, err
-	}
-	s.merges[key] = mp
-	return mp, nil
+	return v, err
 }
 
 func (s *nodeState) link(lane string, depth int) *shard.Link {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if l, ok := s.links[lane]; ok {
-		return l
-	}
-	l := shard.NewLink(lane, s.node.Scheduler(), depth)
-	s.links[lane] = l
+	l, _ := shared(s, s.links, lane, func() (*shard.Link, error) {
+		return shard.NewLink(lane, s.node.Scheduler(), depth), nil
+	})
 	return l
 }
 
@@ -364,41 +340,34 @@ func EnableNode(n *remote.Node, cat Catalog) {
 	// and park for a replacement instead of waiting on a zombie.
 	n.RegisterCloser(st.shutdown)
 
-	teeParams := func(spec remote.StageSpec) (string, string, int, error) {
+	splitOf := func(spec remote.StageSpec) (core.SplitPoint, error) {
 		tee := spec.Params["tee"]
 		if tee == "" {
 			tee = spec.Name
 		}
 		outs, err := intParam(spec.Params, "outs", 0)
 		if err != nil || outs < 2 {
-			return "", "", 0, fmt.Errorf("tee %q: bad outs", tee)
+			return nil, fmt.Errorf("tee %q: bad outs", tee)
 		}
-		return tee, spec.Params["kind"], outs, nil
+		return shared(st, st.splits, teeKey(spec.Params, tee), func() (core.SplitPoint, error) {
+			return BuildSplit(tee, spec.Params["kind"], outs, spec.Params)
+		})
 	}
-
 	n.RegisterSpecFactory("ip/teesink", func(spec remote.StageSpec) (core.Stage, error) {
-		tee, kind, outs, err := teeParams(spec)
-		if err != nil {
-			return core.Stage{}, err
-		}
-		sp, err := st.split(tee, kind, outs, spec.Params)
+		sp, err := splitOf(spec)
 		if err != nil {
 			return core.Stage{}, err
 		}
 		return core.Comp(sp), nil
 	})
 	n.RegisterSpecFactory("ip/teeout", func(spec remote.StageSpec) (core.Stage, error) {
-		tee, kind, outs, err := teeParams(spec)
+		sp, err := splitOf(spec)
 		if err != nil {
 			return core.Stage{}, err
 		}
 		port, err := intParam(spec.Params, "port", -1)
-		if err != nil || port < 0 || port >= outs {
-			return core.Stage{}, fmt.Errorf("tee %q: bad port", tee)
-		}
-		sp, err := st.split(tee, kind, outs, spec.Params)
-		if err != nil {
-			return core.Stage{}, err
+		if err != nil || port < 0 || port >= sp.Outs() {
+			return core.Stage{}, fmt.Errorf("tee %q: bad port", sp.Name())
 		}
 		return core.Comp(sp.OutPort(port)), nil
 	})
@@ -411,7 +380,9 @@ func EnableNode(n *remote.Node, cat Catalog) {
 		if err != nil || ins < 2 {
 			return nil, fmt.Errorf("merge %q: bad ins", name)
 		}
-		return st.merge(name, ins, spec.Params)
+		return shared(st, st.merges, teeKey(spec.Params, name), func() (core.MergePoint, error) {
+			return BuildMerge(name, ins, spec.Params)
+		})
 	}
 	n.RegisterSpecFactory("ip/mergeout", func(spec remote.StageSpec) (core.Stage, error) {
 		mp, err := mergeOf(spec)
@@ -473,7 +444,7 @@ func EnableNode(n *remote.Node, cat Catalog) {
 		} else {
 			link = netpipe.NewTCPSenderLink(conn)
 		}
-		// Register the sender by lane so the redial ctl op can retarget it
+		// Register the sender by lane so the redial lane op can retarget it
 		// when the receiving segment is re-placed onto another node.
 		if lane := spec.Params["lane"]; lane != "" {
 			st.mu.Lock()
@@ -491,7 +462,7 @@ func EnableNode(n *remote.Node, cat Catalog) {
 		if err != nil {
 			return core.Stage{}, err
 		}
-		// A lane the deployer pre-bound (the listen ctl op, or an earlier
+		// A lane the deployer pre-bound (the listen lane op, or an earlier
 		// factory run of the same lane) is attached, not re-created — the
 		// listener's address is already in the sender's hands.
 		link, err := st.listen(lane, spec.Params["addr"], depth, nil)
@@ -515,54 +486,36 @@ func EnableNode(n *remote.Node, cat Catalog) {
 		return core.Comp(st.link(spec.Params["lane"], depth).NewSource(spec.Name)), nil
 	})
 
-	// The controller serves the cluster lane operations of the extended
-	// §2.4 protocol: the deployer pre-binds rendezvous listeners so it can
-	// compose segments topologically (seeds flow downstream), the
-	// re-placement path drops a moved segment's lane state and redials
-	// stationary senders at the segment's new home, and a failed deploy
-	// aborts what it left behind.
-	n.SetController(func(op string, params map[string]string) (string, error) {
-		switch op {
-		case "listen":
-			depth, err := intParam(params, "depth", 0)
-			if err != nil {
-				return "", err
-			}
-			var dcfg *netpipe.DurableConfig
-			if params["durable"] == "1" {
-				ackEvery, err := intParam(params, "ackevery", 0)
-				if err != nil {
-					return "", err
-				}
-				dcfg = &netpipe.DurableConfig{AckEvery: ackEvery, Chained: params["chain"] == "1"}
-			}
-			l, err := st.listen(params["lane"], params["bind"], depth, dcfg)
-			return l.addr, err
-		case "drop":
-			st.drop(params["lane"], params["side"])
-			return "ok", nil
-		case "drained":
-			var lanes []string
-			if v := params["lanes"]; v != "" {
-				lanes = strings.Split(v, ",")
-			}
-			if st.drained(params["tee"], lanes) {
-				return "1", nil
-			}
-			return "0", nil
-		case "droptee":
-			st.droptee(params["tee"])
-			return "ok", nil
-		case "redial":
-			if err := st.redial(params["lane"], params["addr"]); err != nil {
-				return "", err
-			}
-			return "ok", nil
-		case "abort":
-			st.abort(params["prefix"])
-			return "ok", nil
-		default:
-			return "", fmt.Errorf("graph: unknown control op %q on node %s", op, n.Name())
+	n.HandleLanes(st.lane)
+}
+
+// lane serves the cluster lane operations of the extended §2.4 protocol:
+// the deployer pre-binds rendezvous listeners so it can compose segments
+// topologically (seeds flow downstream), the re-placement path drops a
+// moved segment's lane state and redials stationary senders at the segment's
+// new home, and a failed deploy aborts what it left behind.
+func (s *nodeState) lane(req remote.LaneRequest) (rep remote.LaneReply, err error) {
+	switch req.Kind {
+	case remote.LaneListen:
+		var dcfg *netpipe.DurableConfig
+		if req.Durable {
+			dcfg = &netpipe.DurableConfig{AckEvery: req.AckEvery, Chained: req.Chained}
 		}
-	})
+		var l laneListener
+		l, err = s.listen(req.Lane, req.Addr, req.Depth, dcfg)
+		rep.Addr = l.addr
+	case remote.LaneDrop:
+		err = s.drop(req.Lane, req.Side)
+	case remote.LaneRedial:
+		err = s.redial(req.Lane, req.Addr)
+	case remote.LaneDrained:
+		rep.Drained = s.drained(req.Tee, req.Lanes)
+	case remote.LaneDropTee:
+		s.droptee(req.Tee)
+	case remote.LaneAbort:
+		s.abort(req.Prefix)
+	default:
+		err = fmt.Errorf("graph: unknown lane op %d on node %s", req.Kind, s.node.Name())
+	}
+	return rep, err
 }

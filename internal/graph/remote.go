@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -19,12 +22,14 @@ import (
 // node through the control protocol, tees are shared between a node's
 // pipelines via the idempotent ip/ factories, and cross-node edges become
 // TCP netpipes.  Segments compose in TOPOLOGICAL order — the deployer
-// pre-binds every rendezvous listener through the listen control op before
+// pre-binds every rendezvous listener through the listen lane op before
 // the sender dials — so each segment's compose request carries its upstream
 // segment's resolved Typespec: §2.3 flow checking spans node boundaries,
 // and a mistyped cross-node edge fails at deploy time.  Every target node
 // must have been prepared with EnableNode.
 type NodesTarget struct {
+	// Clients are the nodes' control clients.  Deploy copies the list: a
+	// deployment that grows (AddNode) never touches its target.
 	Clients []*remote.Client
 	// LinkDepth bounds the receive inboxes and same-node cut links
 	// (0 = default).
@@ -102,170 +107,114 @@ func (t *NodesTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 		return nil, err
 	}
 
-	rd := &remoteDeploy{g: g, plan: plan, target: t, nodeOf: nodeOf,
-		laneAddr: make(map[string]string), touched: make(map[int]bool)}
-	return rd.run()
-}
-
-// remoteDeploy composes the segments in topological order: every upstream
-// segment resolves its Typespecs first, so the seed can ride each compose
-// request downstream.  Rendezvous listeners are pre-bound through the
-// listen control op — the sender side knows the address before the
-// receiving segment exists; the receiving segment's ip/tcprecv then
-// attaches to the listener instead of creating one.  The wiring survives on
-// the deployment for remote Stats and Replace.
-type remoteDeploy struct {
-	g      *Graph
-	plan   *core.GraphPlan
-	target *NodesTarget
-	nodeOf []int
-
-	laneAddr map[string]string
-	touched  map[int]bool // nodes a compose or listen was ATTEMPTED on (abort scope)
-	// segOutSpec[i] is the resolved Typespec of the flow leaving segment
-	// i's last declared stage — the seed carried into downstream segments.
-	segOutSpec []typespec.Typespec
-	// laneSeed is the WIRE Typespec entering each TCP lane — the upstream
-	// spec after its marshal stage, whose carried-item-type property lets
-	// the receiving node's unmarshal restore the logical type.  Seeding the
-	// lane's receiver with it keeps §2.3 checking honest across the hop
-	// (and Replace reuses it when recomposing the receiver elsewhere).
-	laneSeed    map[string]typespec.Typespec
-	mergeInSpec map[string][]typespec.Typespec
-	// segSections[i] is the pump-driven section count of segment i's
-	// composed pipeline (the compose reply carries it; buffers add
-	// sections).  A durable self-acking inbound lane anchors its acks one
-	// pop behind the FIRST pump, so only single-section segments can prove
-	// end-of-segment consumption — replaceable() refuses the rest.
-	segSections []int
-	d           *remoteDeployment
-}
-
-func (rd *remoteDeploy) run() (*Deployment, error) {
-	rd.d = &remoteDeployment{name: rd.g.name, clients: rd.target.Clients, rd: rd,
-		names:          make([]string, len(rd.target.Clients)),
+	r := &remoteDeployment{name: g.name, g: g, plan: plan, opt: *t, nodeOf: nodeOf,
+		clients:        slices.Clone(t.Clients),
+		names:          make([]string, len(t.Clients)),
+		gone:           make([]bool, len(t.Clients)),
+		retiredByNode:  make([]retiredCounts, len(t.Clients)),
+		laneAddr:       make(map[string]string),
+		segOutSpec:     make([]typespec.Typespec, len(plan.Segments)),
+		segSections:    make([]int, len(plan.Segments)),
+		laneSeed:       make(map[string]typespec.Typespec),
+		mergeInSpec:    make(map[string][]typespec.Typespec),
+		caps:           new(capSets),
 		retired:        make(map[string]retiredCounts),
 		lastRows:       make(map[int]map[string]remote.PipeStat),
 		lastTenantRows: make(map[int]remote.TenantStat)}
-	for i, c := range rd.target.Clients {
-		name, err := c.Ping()
-		if err != nil {
-			return nil, fmt.Errorf("graph %q: node %d: %w", rd.g.name, i, err)
-		}
-		rd.d.names[i] = name
-	}
-	rd.segOutSpec = make([]typespec.Typespec, len(rd.plan.Segments))
-	rd.segSections = make([]int, len(rd.plan.Segments))
-	rd.laneSeed = make(map[string]typespec.Typespec)
-	rd.mergeInSpec = make(map[string][]typespec.Typespec)
-	for name, ports := range rd.plan.MergeBranch {
-		rd.mergeInSpec[name] = make([]typespec.Typespec, len(ports))
-	}
-	for _, si := range rd.plan.Order {
-		if err := rd.composeSegment(si); err != nil {
-			rd.abort()
-			return nil, err
+	r.opt.Clients = nil // r.clients is the deployment's only client list
+	for i, c := range r.clients {
+		if r.names[i], err = c.Ping(); err != nil {
+			return nil, fmt.Errorf("graph %q: node %d: %w", g.name, i, err)
 		}
 	}
-	if err := rd.checkEventCoverage(); err != nil {
-		rd.abort()
+	for name, ports := range plan.MergeBranch {
+		r.mergeInSpec[name] = make([]typespec.Typespec, len(ports))
+	}
+	// Topological order with nothing recorded yet: every placement binds its
+	// own lanes and composes its own relays.
+	for _, si := range plan.Order {
+		if err = r.place(si); err != nil {
+			break
+		}
+	}
+	// The graph-wide §2.3 event-capability check spans every node: each
+	// compose reply carried its pipeline's sets, so an event emitted on one
+	// node still counts as handled when its handler was composed on another.
+	if err == nil {
+		if err = core.CheckEventCoverage(r.caps.sends, r.caps.handles); err != nil {
+			err = fmt.Errorf("graph %q: %w", g.name, err)
+		}
+	}
+	if err != nil {
+		r.abort()
 		return nil, err
 	}
-	d := newDeployment(rd.g.name, nil)
-	d.remote = rd.d
+	r.caps = nil
+	d := newDeployment(g.name, nil)
+	d.remote = r
 	return d, nil
-}
-
-// checkEventCoverage runs the graph-wide §2.3 event-capability check across
-// every node: the capability sets of each composed segment are fetched over
-// the caps op and unioned, so an event emitted on one node still counts as
-// handled when its handler was composed on another.
-func (rd *remoteDeploy) checkEventCoverage() error {
-	var sends, handles []events.Type
-	for _, p := range rd.d.pipes {
-		s, h, err := rd.client(p.client).Caps(p.name)
-		if err != nil {
-			return fmt.Errorf("graph %q: caps of %q: %w", rd.g.name, p.name, err)
-		}
-		for _, t := range s {
-			sends = append(sends, events.Type(t))
-		}
-		for _, t := range h {
-			handles = append(handles, events.Type(t))
-		}
-	}
-	if err := core.CheckEventCoverage(sends, handles); err != nil {
-		return fmt.Errorf("graph %q: %w", rd.g.name, err)
-	}
-	return nil
 }
 
 // abort best-effort-undoes a partial deployment: stop every pipeline
 // already composed (their threads exit and release the node schedulers'
-// external-source references) and have every node a compose was even
-// ATTEMPTED on drop the rendezvous listeners, cut links and pipeline
-// registrations of this graph — a failing compose may already have run
-// side-effectful factories (a bound listener holds an external-source
-// reference) before it errored.  A failed deploy thus neither wedges the
-// nodes nor leaks ports, and a retry starts clean.
-func (rd *remoteDeploy) abort() {
-	for _, p := range rd.d.pipes {
-		_ = rd.client(p.client).Stop(p.name)
+// external-source references) and have every node drop the rendezvous
+// listeners, cut links and pipeline registrations of this graph — a failing
+// compose may already have run side-effectful factories (a bound listener
+// holds an external-source reference) before it errored.  A failed deploy
+// thus neither wedges the nodes nor leaks ports, and a retry starts clean.
+func (r *remoteDeployment) abort() {
+	for _, p := range r.pipes {
+		_ = r.clients[p.client].Stop(p.name)
 	}
-	for node := range rd.touched {
-		_, _ = rd.client(node).Control("abort", map[string]string{"prefix": rd.g.name + "/"})
+	for _, c := range r.clients {
+		_, _ = c.Lane(remote.LaneRequest{Kind: remote.LaneAbort, Prefix: r.name + "/"})
 	}
 }
 
-func (rd *remoteDeploy) client(node int) *remote.Client { return rd.target.Clients[node] }
-
-// stageSpec renders one declared graph node as a wire spec.
-func (rd *remoteDeploy) stageSpec(name string) remote.StageSpec {
-	n := rd.g.index[name]
-	return remote.StageSpec{Kind: n.spec.Kind, Name: n.name, Args: n.spec.Args, Params: n.spec.Params}
-}
-
-// teeSpec renders the shared-tee boundary spec for a split or merge node.
-func (rd *remoteDeploy) teeSpec(kind, stageName, teeName string, extra map[string]string) remote.StageSpec {
-	n := rd.g.index[teeName]
-	params := make(map[string]string, len(n.spec.Params)+4)
-	for k, v := range n.spec.Params {
-		params[k] = v
-	}
+// The renderers below turn (plan, nodeOf, recorded lanes) into wire specs —
+// the only place a segment's or a relay's stages are spelled out, so a
+// deploy and a move render the same pipeline the same way.  teeSpec renders
+// the shared-tee boundary spec for a split or merge node; port < 0 means the
+// tee itself rather than one of its ports.
+func (r *remoteDeployment) teeSpec(kind, stageName, teeName string, port int) remote.StageSpec {
+	n := r.g.index[teeName]
+	params := make(map[string]string, len(n.spec.Params)+6)
+	maps.Copy(params, n.spec.Params)
 	params["tee"] = teeName
 	params["merge"] = teeName
 	// The node keys the shared instance by graph-prefixed name, so an
 	// aborted deployment's tees cannot leak into a retry (and two graphs
 	// may use the same tee name).
-	params["graph"] = rd.g.name
+	params["graph"] = r.name
 	if n.kind == nSplit {
 		params["kind"] = n.spec.Kind
 		params["outs"] = strconv.Itoa(n.outs)
 	} else {
 		params["ins"] = strconv.Itoa(n.ins)
 	}
-	for k, v := range extra {
-		params[k] = v
+	if port >= 0 {
+		params["port"] = strconv.Itoa(port)
 	}
 	return remote.StageSpec{Kind: kind, Name: stageName, Params: params}
 }
 
-func (rd *remoteDeploy) recvSpecs(lane string) []remote.StageSpec {
+func (r *remoteDeployment) recvSpecs(lane string) []remote.StageSpec {
 	return []remote.StageSpec{
 		{Kind: "ip/tcprecv", Name: lane + "/source", Params: map[string]string{
-			"lane": lane, "depth": strconv.Itoa(rd.target.LinkDepth)}},
+			"lane": lane, "depth": strconv.Itoa(r.opt.LinkDepth)}},
 		{Kind: "ip/unmarshal", Name: lane + "/unmarshal"},
 	}
 }
 
-// sendSpecs renders the sender tail of a lane.  Cluster lanes journal on
-// the sender; chain names the sending segment's inbound lane, which should
-// receive the downstream ack watermark (see nodeState.chainAck).
-func (rd *remoteDeploy) sendSpecs(lane, addr, chain string) []remote.StageSpec {
-	params := map[string]string{"addr": addr, "lane": lane}
-	if rd.target.ClusterLanes {
+// sendSpecs renders the sender tail of a lane, dialing its bound listener.
+// Cluster lanes journal on the sender; chain names the sending segment's
+// inbound lane, which should receive the downstream ack watermark (see
+// nodeState.chainAck).
+func (r *remoteDeployment) sendSpecs(lane, chain string) []remote.StageSpec {
+	params := map[string]string{"addr": r.laneAddr[lane], "lane": lane}
+	if r.opt.ClusterLanes {
 		params["durable"] = "1"
-		params["journal"] = strconv.Itoa(rd.target.JournalLimit)
+		params["journal"] = strconv.Itoa(r.opt.JournalLimit)
 		if chain != "" {
 			params["chain"] = chain
 		}
@@ -276,37 +225,134 @@ func (rd *remoteDeploy) sendSpecs(lane, addr, chain string) []remote.StageSpec {
 	}
 }
 
+// pumpSpec renders a relay pump stage.  Tenant-bound deployments run their
+// relays at the tenant's priority, so a high-priority tenant's items keep
+// their precedence through lane relays exactly as they do through local
+// boundary relays.
+func (r *remoteDeployment) pumpSpec(lane string) remote.StageSpec {
+	spec := remote.StageSpec{Kind: "ip/pump", Name: lane + "/pump"}
+	if t := r.opt.Tenant; t != nil {
+		spec.Params = map[string]string{"prio": strconv.Itoa(int(t.Priority()))}
+	}
+	return spec
+}
+
+func (r *remoteDeployment) teeOutSpec(tee string, port int) remote.StageSpec {
+	return r.teeSpec("ip/teeout", fmt.Sprintf("%s.src%d", tee, port), tee, port)
+}
+
+func (r *remoteDeployment) mergeInStage(merge string, port int) remote.StageSpec {
+	return r.teeSpec("ip/mergein", fmt.Sprintf("%s.in%d", merge, port), merge, port)
+}
+
+// splitRelaySpecs renders the sender relay of a cross-node split branch: it
+// runs on the trunk's node and pumps the tee port into the branch's lane.
+func (r *remoteDeployment) splitRelaySpecs(tee string, port int) []remote.StageSpec {
+	lane := r.laneName(tee, port)
+	return append([]remote.StageSpec{r.teeOutSpec(tee, port), r.pumpSpec(lane)}, r.sendSpecs(lane, "")...)
+}
+
+// mergeRelaySpecs renders the receiver relay of a cross-node merge branch:
+// it runs on the merge's node and pumps the branch's lane into the in-port.
+// The merge host cannot move, so the relay's listener self-acks.
+func (r *remoteDeployment) mergeRelaySpecs(merge string, port int) []remote.StageSpec {
+	lane := r.laneName(merge, port)
+	return append(r.recvSpecs(lane), r.pumpSpec(lane), r.mergeInStage(merge, port))
+}
+
+// segmentSpecs renders segment si's pipeline — head boundary, declared
+// stages, tail boundary — and the index of its first tail stage.
+func (r *remoteDeployment) segmentSpecs(si int) (specs []remote.StageSpec, tailStart int) {
+	seg := r.plan.Segments[si]
+	depth := strconv.Itoa(r.opt.LinkDepth)
+	inLane, outLane := r.segInLane(si), r.segOutLane(si)
+	switch h := seg.Head; {
+	case inLane != "":
+		specs = r.recvSpecs(inLane)
+	case h.Kind == core.EndSplitOut:
+		specs = append(specs, r.teeOutSpec(h.Node, h.Port))
+	case h.Kind == core.EndMergeOut:
+		specs = append(specs, r.teeSpec("ip/mergeout", h.Node+".src", h.Node, -1))
+	case h.Kind == core.EndCut:
+		lane := r.cutLane(h.Port)
+		specs = append(specs, remote.StageSpec{Kind: "ip/cutsrc", Name: lane + "/source",
+			Params: map[string]string{"lane": lane, "depth": depth}})
+	}
+	for _, name := range seg.Stages {
+		n := r.g.index[name]
+		specs = append(specs, remote.StageSpec{Kind: n.spec.Kind, Name: n.name, Args: n.spec.Args, Params: n.spec.Params})
+	}
+	tailStart = len(specs)
+	switch t := seg.Tail; {
+	case outLane != "":
+		specs = append(specs, r.sendSpecs(outLane, r.chainLane(si))...)
+	case t.Kind == core.EndSplitTrunk:
+		specs = append(specs, r.teeSpec("ip/teesink", t.Node, t.Node, -1))
+	case t.Kind == core.EndMergeIn:
+		specs = append(specs, r.mergeInStage(t.Node, t.Port))
+	case t.Kind == core.EndCut:
+		lane := r.cutLane(t.Port)
+		specs = append(specs, remote.StageSpec{Kind: "ip/cutsink", Name: lane + "/sink",
+			Params: map[string]string{"lane": lane, "depth": depth}})
+	}
+	return specs, tailStart
+}
+
+// seed returns the Typespec entering segment si, from what its upstream
+// recorded: the wire spec of its inbound lane, the out-spec of the segment
+// it is wired to directly, or the merge of a merge tee's in-ports.
+func (r *remoteDeployment) seed(si int) (seed typespec.Typespec, err error) {
+	if lane := r.segInLane(si); lane != "" {
+		return r.laneSeed[lane], nil
+	}
+	h := r.plan.Segments[si].Head
+	if h.Kind != core.EndMergeOut {
+		if up := r.plan.Upstream(si); len(up) > 0 {
+			seed = r.segOutSpec[up[0]]
+		}
+		return seed, nil
+	}
+	for port, ts := range r.mergeInSpec[h.Node] {
+		if seed, err = seed.Merge(ts); err != nil {
+			return seed, fmt.Errorf("graph %q: merging flows into %q: in-port %d: %w", r.name, h.Node, port, err)
+		}
+	}
+	return seed, nil
+}
+
+// laneIf returns lane when the boundary between segments from and to runs
+// over TCP: once bound a lane stays one wherever its ends move; unbound, it
+// is one when the ends sit on different nodes (or forced says so).
+func (r *remoteDeployment) laneIf(lane string, from, to int, forced bool) string {
+	if _, bound := r.laneAddr[lane]; bound || forced || r.nodeOf[from] != r.nodeOf[to] {
+		return lane
+	}
+	return ""
+}
+
 // segInLane returns segment si's inbound lane ("" when its head is wired
 // directly).  Cluster lanes are durable, merged flows included: each merge
 // in-port stamps the item's Origin, so the lane journals and dedups on the
 // per-origin-monotone (origin, seq) pair (see item.Item.Origin and netpipe's
-// durable lanes).
-func (rd *remoteDeploy) segInLane(si int) string {
-	switch h := rd.plan.Segments[si].Head; h.Kind {
+// durable lanes).  ClusterLanes forces every cut onto TCP.
+func (r *remoteDeployment) segInLane(si int) string {
+	switch h := r.plan.Segments[si].Head; h.Kind {
 	case core.EndSplitOut:
-		if rd.nodeOf[rd.plan.SplitTrunk[h.Node]] != rd.nodeOf[si] {
-			return rd.laneName(h.Node, h.Port)
-		}
+		return r.laneIf(r.laneName(h.Node, h.Port), r.plan.SplitTrunk[h.Node], si, false)
 	case core.EndCut:
-		if rd.cutIsLane(h.Port) {
-			return rd.cutLane(h.Port)
-		}
+		return r.laneIf(r.cutLane(h.Port), r.plan.Cuts[h.Port].FromSeg, si, r.opt.ClusterLanes)
 	}
 	return ""
 }
 
 // segOutLane returns segment si's (single) outbound lane, "" when its tail
 // is wired directly.
-func (rd *remoteDeploy) segOutLane(si int) string {
-	switch t := rd.plan.Segments[si].Tail; t.Kind {
+func (r *remoteDeployment) segOutLane(si int) string {
+	switch t := r.plan.Segments[si].Tail; t.Kind {
 	case core.EndMergeIn:
-		if rd.nodeOf[rd.plan.MergeDown[t.Node]] != rd.nodeOf[si] {
-			return rd.laneName(t.Node, t.Port)
-		}
+		return r.laneIf(r.laneName(t.Node, t.Port), si, r.plan.MergeDown[t.Node], false)
 	case core.EndCut:
-		if rd.cutIsLane(t.Port) {
-			return rd.cutLane(t.Port)
-		}
+		return r.laneIf(r.cutLane(t.Port), si, r.plan.Cuts[t.Port].ToSeg, r.opt.ClusterLanes)
 	}
 	return ""
 }
@@ -316,34 +362,21 @@ func (rd *remoteDeploy) segOutLane(si int) string {
 // durable.  Chaining keeps the UPSTREAM journal covering everything that
 // has not cleared the lane BELOW si, which is what makes losing si (and
 // everything in flight through it) recoverable by replay.
-func (rd *remoteDeploy) chainLane(si int) string {
-	if rd.target.ClusterLanes && rd.segOutLane(si) != "" {
-		return rd.segInLane(si)
+func (r *remoteDeployment) chainLane(si int) string {
+	if r.opt.ClusterLanes && r.segOutLane(si) != "" {
+		return r.segInLane(si)
 	}
 	return ""
 }
 
-// listen pre-binds the rendezvous listener of a lane on a node and records
-// its address.  Cluster lanes are durable: they park on a bare EOF so a
-// re-placed sender can dial back in, dedup on sequence numbers and send
-// cumulative acks; chained listeners forward the downstream watermark
-// instead of acknowledging their own consumption.
-func (rd *remoteDeploy) listen(node int, lane string, chained bool) (string, error) {
-	rd.touched[node] = true
-	params := map[string]string{"lane": lane, "depth": strconv.Itoa(rd.target.LinkDepth)}
-	if rd.target.ClusterLanes {
-		params["durable"] = "1"
-		params["ackevery"] = strconv.Itoa(rd.target.AckEvery)
-		if chained {
-			params["chain"] = "1"
-		}
-	}
-	addr, err := rd.client(node).Control("listen", params)
-	if err != nil {
-		return "", fmt.Errorf("graph %q: node %d: listen %q: %w", rd.g.name, node, lane, err)
-	}
-	rd.laneAddr[lane] = addr
-	return addr, nil
+// laneName renders the canonical name of a tee-boundary lane.
+func (r *remoteDeployment) laneName(node string, port int) string {
+	return fmt.Sprintf("%s/%s:%d", r.name, node, port)
+}
+
+// cutLane renders the canonical name of a cut-edge lane.
+func (r *remoteDeployment) cutLane(ci int) string {
+	return fmt.Sprintf("%s/cut%d", r.name, ci)
 }
 
 // tenantSpec renders the deployment's tenant as a wire spec (nil when the
@@ -351,8 +384,8 @@ func (rd *remoteDeploy) listen(node int, lane string, chained bool) (string, err
 // tenant once, keyed by name, so every segment and relay of every
 // deployment bound to the same tenant shares one weighted-fair class and
 // one set of admission counters per node.
-func (rd *remoteDeploy) tenantSpec() *remote.TenantSpec {
-	t := rd.target.Tenant
+func (r *remoteDeployment) tenantSpec() *remote.TenantSpec {
+	t := r.opt.Tenant
 	if t == nil {
 		return nil
 	}
@@ -361,237 +394,167 @@ func (rd *remoteDeploy) tenantSpec() *remote.TenantSpec {
 		Shed: int(t.ShedPolicy()), Prio: int(t.Priority())}
 }
 
-// compose sends one pipeline to a node, seeded with the upstream Typespec,
-// and records it in the deployment.  Segments skip the per-pipeline
-// event-capability check, exactly like the local deployer (events may be
-// handled in another segment); the graph-wide check runs after deployment.
-// admit asks the node to gate the pipeline's source with the tenant's
-// admission control — true only for true-source segments of a tenant-bound
-// deployment (boundary-headed pipelines carry already-admitted items).
-func (rd *remoteDeploy) compose(node int, name string, specs []remote.StageSpec, seed typespec.Typespec, seg int, admit bool) error {
-	rd.touched[node] = true
-	sections, err := rd.client(node).ComposeTenantSegment(name, specs, seed, rd.tenantSpec(), admit)
+// listen pre-binds the rendezvous listener of a lane on the node of its
+// receiving segment and records the address.  Cluster lanes are durable:
+// they park on a bare EOF so a re-placed sender can dial back in, dedup on
+// sequence numbers and send cumulative acks; a listener whose segment sends
+// on into another durable lane is chained — it forwards the downstream
+// watermark instead of acknowledging its own consumption.
+func (r *remoteDeployment) listen(lane string, receiver int) error {
+	node := r.nodeOf[receiver]
+	rep, err := r.clients[node].Lane(remote.LaneRequest{Kind: remote.LaneListen, Lane: lane,
+		Depth: r.opt.LinkDepth, Durable: r.opt.ClusterLanes, AckEvery: r.opt.AckEvery,
+		Chained: r.chainLane(receiver) == lane})
 	if err != nil {
-		return fmt.Errorf("graph %q: node %d: compose %q: %w", rd.g.name, node, name, err)
+		return fmt.Errorf("graph %q: node %d: listen %q: %w", r.name, node, lane, err)
 	}
-	rd.d.pipes = append(rd.d.pipes, remotePipe{client: node, name: name, seg: seg})
-	if seg >= 0 {
-		rd.segSections[seg] = sections
-	}
+	r.laneAddr[lane] = rep.Addr
 	return nil
 }
 
-// outSpec reads the resolved Typespec of the flow leaving stage idx of a
-// composed pipeline back from its node (remote Typespec query, §2.4).
-func (rd *remoteDeploy) outSpec(node int, name string, idx int) (typespec.Typespec, error) {
-	ts, err := rd.client(node).QuerySpec(name, idx)
+// compose sends one pipeline to a node, seeded with the upstream Typespec,
+// and records where it runs.  Segments skip the per-pipeline
+// event-capability check, exactly like the local deployer (events may be
+// handled in another segment); the deploy checks graph-wide from the sets
+// the replies carry.  admit asks the node to gate the pipeline's source with
+// the tenant's admission control — true only for true-source segments of a
+// tenant-bound deployment (boundary-headed pipelines carry already-admitted
+// items).
+func (r *remoteDeployment) compose(node int, name string, specs []remote.StageSpec, seed typespec.Typespec, seg int, admit bool) (remote.Composed, error) {
+	rep, err := r.clients[node].ComposeTenantSegment(name, specs, seed, r.tenantSpec(), admit)
 	if err != nil {
-		return typespec.Typespec{}, fmt.Errorf("graph %q: query %q stage %d: %w", rd.g.name, name, idx, err)
+		return rep, fmt.Errorf("graph %q: node %d: compose %q: %w", r.name, node, name, err)
 	}
-	return ts, nil
-}
-
-// laneName renders the canonical name of a tee-boundary lane.
-func (rd *remoteDeploy) laneName(node string, port int) string {
-	return fmt.Sprintf("%s/%s:%d", rd.g.name, node, port)
-}
-
-// cutLane renders the canonical name of a cut-edge lane.
-func (rd *remoteDeploy) cutLane(ci int) string {
-	return fmt.Sprintf("%s/cut%d", rd.g.name, ci)
-}
-
-// cutIsLane reports whether cut ci crosses nodes (or ClusterLanes forces
-// every cut onto TCP).
-func (rd *remoteDeploy) cutIsLane(ci int) bool {
-	cut := rd.plan.Cuts[ci]
-	return rd.target.ClusterLanes || rd.nodeOf[cut.FromSeg] != rd.nodeOf[cut.ToSeg]
-}
-
-// pumpSpec renders a relay pump stage.  Tenant-bound deployments run their
-// relays at the tenant's priority, so a high-priority tenant's items keep
-// their precedence through lane relays exactly as they do through local
-// boundary relays.
-func (rd *remoteDeploy) pumpSpec(lane string) remote.StageSpec {
-	spec := remote.StageSpec{Kind: "ip/pump", Name: lane + "/pump"}
-	if t := rd.target.Tenant; t != nil {
-		spec.Params = map[string]string{"prio": strconv.Itoa(int(t.Priority()))}
+	if c := r.caps; c != nil {
+		for _, t := range rep.Sends {
+			c.sends = append(c.sends, events.Type(t))
+		}
+		for _, t := range rep.Handles {
+			c.handles = append(c.handles, events.Type(t))
+		}
 	}
-	return spec
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i := r.pipeIndex(name); i >= 0 {
+		r.pipes[i].client = node
+	} else {
+		r.pipes = append(r.pipes, remotePipe{client: node, name: name, seg: seg})
+	}
+	return rep, nil
 }
 
-func (rd *remoteDeploy) composeSegment(si int) error {
-	g, plan, seg := rd.g, rd.plan, rd.plan.Segments[si]
-	own := rd.nodeOf[si]
-	depth := strconv.Itoa(rd.target.LinkDepth)
-	var specs []remote.StageSpec
-	var seed typespec.Typespec
+// pipeIndex finds a pipeline's record by name (-1 for none); mu is held.
+func (r *remoteDeployment) pipeIndex(name string) int {
+	return slices.IndexFunc(r.pipes, func(p remotePipe) bool { return p.name == name })
+}
 
-	switch h := seg.Head; h.Kind {
-	case core.EndSplitOut:
-		trunk := plan.SplitTrunk[h.Node]
-		seed = rd.segOutSpec[trunk]
-		if rd.nodeOf[trunk] == own {
-			specs = append(specs, rd.teeSpec("ip/teeout", fmt.Sprintf("%s.src%d", h.Node, h.Port),
-				h.Node, map[string]string{"port": strconv.Itoa(h.Port)}))
-		} else {
-			// Cross-node branch: this segment hosts the lane listener; a
-			// sender relay on the trunk's node pumps the tee port into it.
-			// The trunk composed earlier (topological order), so the tee
-			// already exists there and the relay's seed is resolved.
-			lane := rd.laneName(h.Node, h.Port)
-			addr, err := rd.listen(own, lane, rd.chainLane(si) == lane)
+// hostOf returns the node a pipeline was last composed on, -1 for none.
+func (r *remoteDeployment) hostOf(name string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i := r.pipeIndex(name); i >= 0 {
+		return r.pipes[i].client
+	}
+	return -1
+}
+
+// place puts segment si on its node: it binds the listeners of its boundary
+// lanes that are not bound, composes the split relays around it that are not
+// on their trunk's node, composes the segment seeded with what its upstream
+// recorded, records what its downstream will need, and composes its merge
+// relay if the merge's node lacks it.  A deploy calls it in topological
+// order with nothing recorded, so each call does all of that; a move calls
+// it for the one segment it unbound, against lanes recorded long ago.  When
+// it fails it drops the listeners it bound: each is a port and a scheduler
+// external-source reference.
+func (r *remoteDeployment) place(si int) (err error) {
+	seg := r.plan.Segments[si]
+	inLane, outLane := r.segInLane(si), r.segOutLane(si)
+	type end struct {
+		lane     string
+		receiver int // the segment the lane's listener belongs to
+	}
+	ends := []end{{inLane, si}}
+	if outLane != "" {
+		ends = append(ends, end{outLane, r.plan.Downstream(si)[0]})
+	}
+	for _, e := range ends {
+		if e.lane == "" || r.laneAddr[e.lane] != "" {
+			continue
+		}
+		if err = r.listen(e.lane, e.receiver); err != nil {
+			return err
+		}
+		defer func() {
+			if err != nil {
+				_, _ = r.clients[r.nodeOf[e.receiver]].Lane(remote.LaneRequest{
+					Kind: remote.LaneDrop, Lane: e.lane, Side: remote.ListenerSide})
+				r.laneAddr[e.lane] = ""
+			}
+		}()
+	}
+
+	// The split tees this segment touches — the one feeding its head, the
+	// one it hosts — want a sender relay beside the tee for every bound
+	// branch lane.  The tee factories are idempotent, so relays and trunk
+	// compose in either order.
+	for _, tee := range []string{seg.Head.Node, seg.Tail.Node} {
+		trunk := r.plan.SplitTrunk[tee]
+		for port := range r.plan.SplitBranch[tee] {
+			lane := r.laneName(tee, port)
+			if r.laneAddr[lane] == "" || r.hostOf(lane+"/relay") == r.nodeOf[trunk] {
+				continue
+			}
+			specs := r.splitRelaySpecs(tee, port)
+			rep, err := r.compose(r.nodeOf[trunk], lane+"/relay", specs, r.segOutSpec[trunk], -1, false)
 			if err != nil {
 				return err
 			}
-			relay := []remote.StageSpec{
-				rd.teeSpec("ip/teeout", fmt.Sprintf("%s.src%d", h.Node, h.Port),
-					h.Node, map[string]string{"port": strconv.Itoa(h.Port)}),
-				rd.pumpSpec(lane),
-			}
-			relay = append(relay, rd.sendSpecs(lane, addr, "")...)
-			if err := rd.compose(rd.nodeOf[trunk], lane+"/relay", relay, seed, -1, false); err != nil {
-				return err
-			}
-			// The branch's seed is the lane's wire spec — the relay's
-			// output after its marshal stage, carried-item-type included.
-			wire, err := rd.outSpec(rd.nodeOf[trunk], lane+"/relay", len(relay)-2)
-			if err != nil {
-				return err
-			}
-			rd.laneSeed[lane] = wire
-			seed = wire
-			specs = append(specs, rd.recvSpecs(lane)...)
-		}
-	case core.EndMergeOut:
-		for port, ts := range rd.mergeInSpec[h.Node] {
-			merged, err := seed.Merge(ts)
-			if err != nil {
-				return fmt.Errorf("graph %q: merging flows into %q: in-port %d: %w",
-					g.name, h.Node, port, err)
-			}
-			seed = merged
-		}
-		specs = append(specs, rd.teeSpec("ip/mergeout", h.Node+".src", h.Node, nil))
-	case core.EndCut:
-		cut := plan.Cuts[h.Port]
-		seed = rd.segOutSpec[cut.FromSeg]
-		lane := rd.cutLane(h.Port)
-		if rd.cutIsLane(h.Port) {
-			// The upstream segment composed first and already dialed the
-			// pre-bound listener; attach its source here, seeded with the
-			// lane's wire spec.
-			seed = rd.laneSeed[lane]
-			specs = append(specs, rd.recvSpecs(lane)...)
-		} else {
-			specs = append(specs, remote.StageSpec{Kind: "ip/cutsrc", Name: lane + "/source",
-				Params: map[string]string{"lane": lane, "depth": depth}})
+			r.laneSeed[lane] = rep.SpecAt(len(specs) - 2) // after the marshal stage
 		}
 	}
 
-	for _, name := range seg.Stages {
-		specs = append(specs, rd.stageSpec(name))
-	}
-	tailStart := len(specs)
-
-	type mergeRelay struct {
-		node string
-		port int
-		lane string
-	}
-	var pendingRelay *mergeRelay
-	switch t := seg.Tail; t.Kind {
-	case core.EndSplitTrunk:
-		specs = append(specs, rd.teeSpec("ip/teesink", t.Node, t.Node, nil))
-	case core.EndMergeIn:
-		anchor := rd.nodeOf[plan.MergeDown[t.Node]]
-		if anchor == own {
-			specs = append(specs, rd.teeSpec("ip/mergein", fmt.Sprintf("%s.in%d", t.Node, t.Port),
-				t.Node, map[string]string{"port": strconv.Itoa(t.Port)}))
-		} else {
-			// Cross-node branch tail: pre-bind the lane listener on the
-			// merge's node, dial it from this segment, and compose the
-			// relay (listener -> pump -> merge port) afterwards, seeded
-			// with this segment's out-spec.
-			lane := rd.laneName(t.Node, t.Port)
-			// The merge relay is anchored (merge hosts cannot move), so its
-			// listener self-acks; the branch's sender still chains back to
-			// the branch's own inbound lane.
-			addr, err := rd.listen(anchor, lane, false)
-			if err != nil {
-				return err
-			}
-			specs = append(specs, rd.sendSpecs(lane, addr, rd.chainLane(si))...)
-			pendingRelay = &mergeRelay{node: t.Node, port: t.Port, lane: lane}
-		}
-	case core.EndCut:
-		cut := plan.Cuts[t.Port]
-		lane := rd.cutLane(t.Port)
-		if rd.cutIsLane(t.Port) {
-			addr, err := rd.listen(rd.nodeOf[cut.ToSeg], lane, rd.chainLane(cut.ToSeg) == lane)
-			if err != nil {
-				return err
-			}
-			specs = append(specs, rd.sendSpecs(lane, addr, rd.chainLane(si))...)
-		} else {
-			specs = append(specs, remote.StageSpec{Kind: "ip/cutsink", Name: lane + "/sink",
-				Params: map[string]string{"lane": lane, "depth": depth}})
-		}
-	}
-
-	name := g.name + "/" + seg.Name()
-	admit := rd.target.Tenant != nil && seg.Head.Kind == core.EndNone
-	if err := rd.compose(own, name, specs, seed, si, admit); err != nil {
+	specs, tailStart := r.segmentSpecs(si)
+	seed, err := r.seed(si)
+	if err != nil {
 		return err
 	}
+	admit := r.opt.Tenant != nil && seg.Head.Kind == core.EndNone
+	rep, err := r.compose(r.nodeOf[si], r.name+"/"+seg.Name(), specs, seed, si, admit)
+	if err != nil {
+		return err
+	}
+	r.segSections[si] = rep.Sections
+	r.segOutSpec[si] = seed
 	if tailStart > 0 {
-		ts, err := rd.outSpec(own, name, tailStart-1)
-		if err != nil {
-			return err
-		}
-		rd.segOutSpec[si] = ts
-	} else {
-		rd.segOutSpec[si] = seed
+		r.segOutSpec[si] = rep.SpecAt(tailStart - 1)
 	}
-	// Lane-tailed segments record the wire spec entering the lane (the
-	// spec after their marshal stage, at index tailStart) for the
-	// receiver's seed.
-	recordLaneSeed := func(lane string) error {
-		wire, err := rd.outSpec(own, name, tailStart)
-		if err != nil {
-			return err
-		}
-		rd.laneSeed[lane] = wire
-		return nil
+	// A lane is seeded with its WIRE Typespec — the spec after the marshal
+	// stage, whose carried-item-type property lets the receiving node's
+	// unmarshal restore the logical type.
+	if outLane != "" {
+		r.laneSeed[outLane] = rep.SpecAt(tailStart)
 	}
-	if t := seg.Tail; t.Kind == core.EndCut && rd.cutIsLane(t.Port) {
-		if err := recordLaneSeed(rd.cutLane(t.Port)); err != nil {
-			return err
+
+	if t := seg.Tail; t.Kind == core.EndMergeIn {
+		anchor := r.nodeOf[r.plan.MergeDown[t.Node]]
+		switch {
+		case outLane == "":
+			r.mergeInSpec[t.Node][t.Port] = r.segOutSpec[si]
+		case r.hostOf(outLane+"/relay") != anchor:
+			specs := r.mergeRelaySpecs(t.Node, t.Port)
+			rep, err := r.compose(anchor, outLane+"/relay", specs, r.laneSeed[outLane], -1, false)
+			if err != nil {
+				return err
+			}
+			r.mergeInSpec[t.Node][t.Port] = rep.SpecAt(len(specs) - 2)
 		}
-	}
-	if t := seg.Tail; t.Kind == core.EndMergeIn && pendingRelay == nil {
-		rd.mergeInSpec[t.Node][t.Port] = rd.segOutSpec[si]
-	}
-	if r := pendingRelay; r != nil {
-		if err := recordLaneSeed(r.lane); err != nil {
-			return err
-		}
-		anchor := rd.nodeOf[plan.MergeDown[r.node]]
-		relay := append(rd.recvSpecs(r.lane),
-			rd.pumpSpec(r.lane),
-			rd.teeSpec("ip/mergein", fmt.Sprintf("%s.in%d", r.node, r.port),
-				r.node, map[string]string{"port": strconv.Itoa(r.port)}))
-		if err := rd.compose(anchor, r.lane+"/relay", relay, rd.laneSeed[r.lane], -1, false); err != nil {
-			return err
-		}
-		ts, err := rd.outSpec(anchor, r.lane+"/relay", len(relay)-2)
-		if err != nil {
-			return err
-		}
-		rd.mergeInSpec[r.node][r.port] = ts
 	}
 	return nil
 }
+
+// capSets are the events some set of pipelines emits and handles.
+type capSets struct{ sends, handles []events.Type }
 
 // remotePipe names one pipeline composed on one node.
 type remotePipe struct {
@@ -600,13 +563,44 @@ type remotePipe struct {
 	seg    int // plan segment index, -1 for relay pipelines
 }
 
-// remoteDeployment drives a deployed graph through the control clients.
+// remoteDeployment is a graph deployed onto remote nodes: the wiring the
+// deploy recorded (Stats and every move go on to use it) and the run state.
+// Segments compose in topological order, every upstream resolving its
+// Typespecs first, so the seed can ride each compose request downstream;
+// rendezvous listeners are pre-bound — the sender knows the address before
+// the receiving segment exists, and that segment's ip/tcprecv attaches to
+// the listener instead of creating one.
 type remoteDeployment struct {
-	name    string
+	name string
+	g    *Graph
+	plan *core.GraphPlan
+	// opt holds the target's settings as they were at deploy time; its
+	// Clients is nil — clients below is the deployment's own list.
+	opt     NodesTarget
 	clients []*remote.Client
 	names   []string // node names by client index (ping at deploy)
 	pipes   []remotePipe
-	rd      *remoteDeploy // retained wiring for Stats and Replace
+	nodeOf  []int // node index by segment; written under mu
+
+	// laneAddr records every boundary that runs over TCP: the address of the
+	// lane's listener, "" while a move has it unbound.
+	laneAddr map[string]string
+	// segOutSpec[i] is the resolved Typespec of the flow leaving segment
+	// i's last declared stage — the seed carried into downstream segments.
+	segOutSpec []typespec.Typespec
+	// laneSeed is the WIRE Typespec entering each TCP lane; seeding the
+	// lane's receiver with it keeps §2.3 checking honest across the hop.
+	laneSeed    map[string]typespec.Typespec
+	mergeInSpec map[string][]typespec.Typespec
+	// segSections[i] is the pump-driven section count of segment i's
+	// composed pipeline (buffers add sections).  A durable self-acking
+	// inbound lane anchors its acks one pop behind the FIRST pump, so only
+	// single-section segments can prove end-of-segment consumption —
+	// replaceable() refuses the rest.
+	segSections []int
+	// caps collects the event-capability sets the compose replies carry
+	// while the deploy runs; nil once its graph-wide check has passed.
+	caps *capSets
 
 	mu        sync.Mutex
 	startErr  error
@@ -640,9 +634,10 @@ type remoteDeployment struct {
 	lastTenantRows map[int]remote.TenantStat
 }
 
-// clientSnap returns the current client list and gone markers.  Both slices
-// are copy-on-write: AddNode and markGone publish fresh headers under mu and
-// never mutate a published slice, so a snapshot stays valid lock-free.
+// clientSnap returns the current client list and its gone markers, one per
+// client.  Both slices are copy-on-write: AddNode and MarkNodeGone publish
+// fresh ones under mu and never mutate a published slice, so a snapshot
+// stays valid lock-free.
 // Replace-path code running under Deployment.rbMu may keep reading r.clients
 // directly — AddNode serializes on rbMu too.
 func (r *remoteDeployment) clientSnap() ([]*remote.Client, []bool) {
@@ -651,9 +646,6 @@ func (r *remoteDeployment) clientSnap() ([]*remote.Client, []bool) {
 	return r.clients, r.gone
 }
 
-// skip reports whether node i has left the deployment (see gone).
-func skipNode(gone []bool, i int) bool { return i < len(gone) && gone[i] }
-
 // broadcast sends the event to every node still in the deployment and
 // reports the first failure.  It does not stop at one: a dead node must not
 // keep the nodes after it from hearing a stop.
@@ -661,7 +653,7 @@ func (r *remoteDeployment) broadcast(t events.Type) error {
 	clients, gone := r.clientSnap()
 	var first error
 	for i, c := range clients {
-		if skipNode(gone, i) {
+		if gone[i] {
 			continue
 		}
 		if err := c.SendEvent(events.Event{Type: t, Origin: r.name}); err != nil && first == nil {
@@ -680,12 +672,7 @@ func (r *remoteDeployment) start() {
 	r.started = true
 	r.mu.Unlock()
 	if err := r.broadcast(events.Start); err != nil {
-		r.stop()
-		r.mu.Lock()
-		if r.startErr == nil {
-			r.startErr = fmt.Errorf("graph %q: start failed, deployment rolled back: %w", r.name, err)
-		}
-		r.mu.Unlock()
+		r.fail(fmt.Errorf("graph %q: start failed, deployment rolled back: %w", r.name, err))
 	}
 }
 
@@ -703,15 +690,7 @@ func (r *remoteDeployment) failure() error {
 func (r *remoteDeployment) pipeList() []remotePipe {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]remotePipe, len(r.pipes))
-	copy(out, r.pipes)
-	return out
-}
-
-func (r *remoteDeployment) isSupervised() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.supervised
+	return slices.Clone(r.pipes)
 }
 
 // rows fetches one node's telemetry rows for this deployment's pipelines,
@@ -792,7 +771,7 @@ func (r *remoteDeployment) poll() []polledPipe {
 	out := make([]polledPipe, len(pipes))
 	for i, p := range pipes {
 		pp := polledPipe{remotePipe: p,
-			tail: p.seg >= 0 && r.rd.plan.Segments[p.seg].Tail.Kind == core.EndNone}
+			tail: p.seg >= 0 && r.plan.Segments[p.seg].Tail.Kind == core.EndNone}
 		lost := errs[p.client]
 		if lost == nil {
 			if pp.row, pp.seen = rows[p.client][p.name]; !pp.seen {
@@ -884,10 +863,7 @@ func (r *remoteDeployment) stats() GraphStats {
 			st.Shards[i].BusyNanos = ret.busyNs
 		}
 	}
-	retired := make(map[string]retiredCounts, len(r.retired))
-	for k, v := range r.retired {
-		retired[k] = v
-	}
+	retired := maps.Clone(r.retired)
 	r.mu.Unlock()
 
 	// An unreachable node's pipes fall back to its LAST-KNOWN rows rather
@@ -921,22 +897,15 @@ func (r *remoteDeployment) stats() GraphStats {
 			}
 		}
 	}
-	// Segments in plan order first, relays after — same shape as the local
-	// snapshot, so operator tooling and the Balancer read both alike.
-	bySeg := make(map[int]remotePipe, len(pipes))
-	for _, p := range pipes {
-		if p.seg >= 0 {
-			bySeg[p.seg] = p
-		}
-	}
-	for i, seg := range r.rd.plan.Segments {
-		if p, ok := bySeg[i]; ok {
-			add(p, seg.Name(), false)
-		}
-	}
+	// Segments in plan order first, relays (seg -1, the largest uint) after —
+	// same shape as the local snapshot, so operator tooling and the Balancer
+	// read both alike.
+	slices.SortStableFunc(pipes, func(a, b remotePipe) int { return cmp.Compare(uint(a.seg), uint(b.seg)) })
 	for _, p := range pipes {
 		if p.seg < 0 {
 			add(p, p.name, true)
+		} else {
+			add(p, r.plan.Segments[p.seg].Name(), false)
 		}
 	}
 	r.tenantStats(&st)
@@ -953,7 +922,7 @@ func (r *remoteDeployment) stats() GraphStats {
 // An unreachable node contributes its last-known row instead of zero (same
 // contract as the pipe rows above).
 func (r *remoteDeployment) tenantStats(st *GraphStats) {
-	t := r.rd.target.Tenant
+	t := r.opt.Tenant
 	if t == nil {
 		return
 	}
@@ -966,7 +935,7 @@ func (r *remoteDeployment) tenantStats(st *GraphStats) {
 		found, answered := false, false
 		// A departed node is not polled (its client is closed), but its
 		// historical counters still count: it folds in like an unreachable one.
-		if !skipNode(gone, node) {
+		if !gone[node] {
 			if tenants, err := clients[node].Tenants(); err == nil {
 				answered = true
 				for _, ts := range tenants {
@@ -1012,7 +981,7 @@ func (r *remoteDeployment) tenantStats(st *GraphStats) {
 // there the supervisor owns the node's fate, and a re-placement composes
 // against the updated TenantSpec anyway.
 func (r *remoteDeployment) rebindTenant(rebinds []RebindTenant) error {
-	t := r.rd.target.Tenant
+	t := r.opt.Tenant
 	if t == nil {
 		return ErrNoTenant
 	}
@@ -1027,14 +996,17 @@ func (r *remoteDeployment) rebindTenant(rebinds []RebindTenant) error {
 			t.SetPriority(rb.Prio)
 		}
 	}
-	spec := r.rd.tenantSpec()
+	spec := r.tenantSpec()
 	clients, gone := r.clientSnap()
+	r.mu.Lock()
+	supervised := r.supervised
+	r.mu.Unlock()
 	for i, c := range clients {
-		if skipNode(gone, i) {
+		if gone[i] {
 			continue
 		}
 		if err := c.RebindTenant(*spec); err != nil {
-			if r.isSupervised() && errors.Is(err, remote.ErrNodeUnreachable) {
+			if supervised && errors.Is(err, remote.ErrNodeUnreachable) {
 				continue
 			}
 			return fmt.Errorf("graph %q: node %d: rebind: %w", r.name, i, err)

@@ -1,7 +1,6 @@
 package graph_test
 
 import (
-	"net"
 	"strconv"
 	"sync"
 	"testing"
@@ -174,6 +173,7 @@ func TestGraphRemoteNeedsSpecs(t *testing.T) {
 // rendezvous listeners are closed and forgotten — and a corrected retry of
 // the same graph succeeds.
 func TestGraphRemoteAbortOnFailure(t *testing.T) {
+	checkGoroutines(t)
 	const items = 10
 	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
 	cat := tc.catalog()
@@ -242,19 +242,7 @@ func TestGraphRemoteAbortOnFailure(t *testing.T) {
 	if rows, err := clientA.Stats("ab/"); err != nil || len(rows) != 0 {
 		t.Fatalf("pipelines survived the aborted deployment: %+v (err %v)", rows, err)
 	}
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	free := probe.Addr().String()
-	probe.Close()
-	lane := map[string]string{"lane": "ab/mrg:1", "bind": free, "side": "listener"}
-	if addr, err := clientA.Control("listen", lane); err != nil || addr != free {
-		t.Fatalf("listener state survived the aborted deployment: listen = %q, %v; want %q", addr, err, free)
-	}
-	if _, err := clientA.Control("drop", lane); err != nil {
-		t.Fatal(err)
-	}
+	assertNoListener(t, clientA, "ab/mrg:1")
 
 	// The corrected graph — same name, branch B moved to alpha — deploys
 	// cleanly afterwards: the aborted pipelines freed their names.

@@ -3,16 +3,13 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"infopipes/internal/core"
 	"infopipes/internal/events"
 	"infopipes/internal/remote"
-	"infopipes/internal/typespec"
 )
 
 // ErrNotReplaceable marks a segment the cluster re-placement path cannot
@@ -39,9 +36,9 @@ var ErrNotReplaceable = errors.New("graph: segment cannot be re-placed")
 //  2. drops the old node's lane state — sender connections close WITHOUT
 //     an EOS frame, so the downstream resumable listeners park instead of
 //     ending the stream,
-//  3. recomposes the same segment spec on the new node, seeded with its
-//     upstream Typespec exactly like the original deploy, dialing the
-//     stationary downstream listeners at their unchanged addresses,
+//  3. places the segment on the new node the way the deploy placed it (the
+//     same rendered specs, the same seed), dialing the stationary downstream
+//     listeners at their unchanged addresses,
 //  4. redials the stationary upstream senders at the segment's new inbound
 //     listeners — which replays their journals — and re-broadcasts start.
 //
@@ -59,13 +56,12 @@ func (d *Deployment) Replace(hints map[string]int) error {
 	d.rbMu.Lock()
 	defer d.rbMu.Unlock()
 	r := d.remote
-	rd := r.rd
-	if !rd.target.ClusterLanes {
+	if !r.opt.ClusterLanes {
 		return errNotRedialable
 	}
 	dests := make(map[int]int, len(hints))
 	for name, node := range hints {
-		si, err := rd.segIndex(name)
+		si, err := r.segIndex(name)
 		if err != nil {
 			return err
 		}
@@ -73,10 +69,10 @@ func (d *Deployment) Replace(hints map[string]int) error {
 			return fmt.Errorf("graph %q: segment %q hinted to node %d, cluster has %d",
 				d.name, name, node, len(r.clients))
 		}
-		if err := rd.replaceable(si, true); err != nil {
+		if err := r.replaceable(si, true); err != nil {
 			return err
 		}
-		if rd.nodeOf[si] != node {
+		if r.nodeOf[si] != node {
 			dests[si] = node
 		}
 	}
@@ -89,15 +85,11 @@ var errNotRedialable = fmt.Errorf("%w: deployment lanes are not redialable (depl
 // execute runs validated moves (segment index to destination node) one at a
 // time, downstream-first — plan segments are indexed in topological order.
 // When a co-placed chain moves (or died) together, the upstream segment's
-// recompose dials its downstream lane, which must already be re-bound at
+// placement dials its downstream lane, which must already be re-bound at
 // its destination.
 func (r *remoteDeployment) execute(dests map[int]int, oldUp bool) error {
-	order := make([]int, 0, len(dests))
-	for si := range dests {
-		order = append(order, si)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(order)))
-	for _, si := range order {
+	order := slices.Sorted(maps.Keys(dests))
+	for _, si := range slices.Backward(order) {
 		if err := r.move(si, dests[si], oldUp); err != nil {
 			return err
 		}
@@ -106,25 +98,28 @@ func (r *remoteDeployment) execute(dests map[int]int, oldUp bool) error {
 }
 
 // Replaceable reports whether the named segment of a remote deployment can
-// be moved by Replace, and why not otherwise.
+// be moved by Replace, and why not otherwise.  It reads the wiring a move
+// rewrites, so it waits for one in flight.
 func (d *Deployment) Replaceable(segment string) error {
 	if d.remote == nil {
 		return ErrNotRebalancable
 	}
-	si, err := d.remote.rd.segIndex(segment)
+	d.rbMu.Lock()
+	defer d.rbMu.Unlock()
+	si, err := d.remote.segIndex(segment)
 	if err != nil {
 		return err
 	}
-	return d.remote.rd.replaceable(si, true)
+	return d.remote.replaceable(si, true)
 }
 
-func (rd *remoteDeploy) segIndex(name string) (int, error) {
-	for i, seg := range rd.plan.Segments {
+func (r *remoteDeployment) segIndex(name string) (int, error) {
+	for i, seg := range r.plan.Segments {
 		if seg.Name() == name {
 			return i, nil
 		}
 	}
-	return 0, fmt.Errorf("graph %q: replace hint for unknown segment %q", rd.g.name, name)
+	return 0, fmt.Errorf("graph %q: replace hint for unknown segment %q", r.name, name)
 }
 
 // replaceable checks the movability contract of one segment: every boundary
@@ -138,33 +133,22 @@ func (rd *remoteDeploy) segIndex(name string) (int, error) {
 // journals drain on the still-running old node, and the tee is rebuilt from
 // its spec on the destination (see move).  A dead node cannot drain, so
 // failover keeps refusing trunk hosts.
-func (rd *remoteDeploy) replaceable(si int, live bool) error {
-	seg := rd.plan.Segments[si]
-	own := rd.nodeOf[si]
-	switch h := seg.Head; h.Kind {
-	case core.EndNone:
-		return fmt.Errorf("%w: %q is a source segment (its stream position cannot move)",
-			ErrNotReplaceable, seg.Name())
-	case core.EndMergeOut:
-		return fmt.Errorf("%w: %q hosts the merge tee %q", ErrNotReplaceable, seg.Name(), h.Node)
-	case core.EndSplitOut:
-		if rd.nodeOf[rd.plan.SplitTrunk[h.Node]] == own {
-			return fmt.Errorf("%w: %q is wired directly to split %q (no lane to redial)",
-				ErrNotReplaceable, seg.Name(), h.Node)
-		}
-		if !rd.target.ClusterLanes {
-			return fmt.Errorf("%w: %q's inbound lane is not durable (deploy with WithClusterLanes)",
-				ErrNotReplaceable, seg.Name())
-		}
-	case core.EndCut:
-		if !rd.cutIsLane(h.Port) {
-			return fmt.Errorf("%w: %q's inbound cut is a same-node link (deploy with WithClusterLanes)",
-				ErrNotReplaceable, seg.Name())
-		}
-		if !rd.target.ClusterLanes {
-			return fmt.Errorf("%w: %q's inbound lane is not durable (deploy with WithClusterLanes)",
-				ErrNotReplaceable, seg.Name())
-		}
+func (r *remoteDeployment) replaceable(si int, live bool) error {
+	seg := r.plan.Segments[si]
+	refuse := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %q "+format, append([]any{ErrNotReplaceable, seg.Name()}, args...)...)
+	}
+	switch h := seg.Head; {
+	case h.Kind == core.EndNone:
+		return refuse("is a source segment (its stream position cannot move)")
+	case h.Kind == core.EndMergeOut:
+		return refuse("hosts the merge tee %q", h.Node)
+	case r.segInLane(si) == "" && h.Kind == core.EndSplitOut:
+		return refuse("is wired directly to split %q (no lane to redial)", h.Node)
+	case r.segInLane(si) == "":
+		return refuse("has a same-node link for its inbound cut (deploy with WithClusterLanes)")
+	case !r.opt.ClusterLanes:
+		return refuse("has an inbound lane that is not durable (deploy with WithClusterLanes)")
 	}
 	// A self-acking inbound listener (no durable outbound lane to chain to)
 	// anchors its acks one pop behind the pipeline's FIRST pump, which only
@@ -173,47 +157,39 @@ func (rd *remoteDeploy) replaceable(si int, live bool) error {
 	// acknowledge items still queued inside the segment, the upstream
 	// journal would trim them, and a replay after the move would lose them
 	// — refuse the move instead.
-	if rd.chainLane(si) == "" && rd.segSections[si] > 1 {
-		return fmt.Errorf("%w: %q buffers items internally (its self-acking inbound lane cannot prove end-of-segment consumption)",
-			ErrNotReplaceable, seg.Name())
+	if r.chainLane(si) == "" && r.segSections[si] > 1 {
+		return refuse("buffers items internally (its self-acking inbound lane cannot prove end-of-segment consumption)")
 	}
-	switch t := seg.Tail; t.Kind {
-	case core.EndSplitTrunk:
+	switch t := seg.Tail; {
+	case t.Kind == core.EndSplitTrunk:
 		if !live {
-			return fmt.Errorf("%w: %q hosts the split tee %q (its relay journals died with the node)",
-				ErrNotReplaceable, seg.Name(), t.Node)
+			return refuse("hosts the split tee %q (its relay journals died with the node)", t.Node)
 		}
 		// A live trunk move drains the tee and rebuilds it from its spec on
 		// the destination.  That replays the upstream journal's unacked tail
 		// through a FRESH tee, so the routing must be a pure function of the
 		// item (round-robin state would re-route the replayed overlap onto a
 		// different branch — a duplicate one branch's dedup cannot absorb).
-		n := rd.g.index[t.Node]
+		n := r.g.index[t.Node]
 		if n.spec.Kind == "route" {
 			if sel := n.spec.Params["sel"]; sel == "" || sel == "rr" {
-				return fmt.Errorf("%w: %q hosts split %q with stateful round-robin routing (a rebuilt tee would re-route the replayed overlap)",
-					ErrNotReplaceable, seg.Name(), t.Node)
+				return refuse("hosts split %q with stateful round-robin routing (a rebuilt tee would re-route the replayed overlap)", t.Node)
 			}
 		}
-		// Every branch must attach over a relay lane: a branch composed on
-		// the trunk's own node pulls the shared tee instance directly, and
-		// that reference cannot follow the tee to another node.
-		for _, bi := range rd.plan.SplitBranch[t.Node] {
-			if rd.nodeOf[bi] == own {
+		// Every branch must attach over a relay lane: a branch wired
+		// directly pulls the shared tee instance itself, and that reference
+		// cannot follow the tee to another node.
+		for _, bi := range r.plan.SplitBranch[t.Node] {
+			if bi >= 0 && r.segInLane(bi) == "" {
 				return fmt.Errorf("%w: branch %q is wired directly to split %q (move the branch off node %d first)",
-					ErrNotReplaceable, rd.plan.Segments[bi].Name(), t.Node, own)
+					ErrNotReplaceable, r.plan.Segments[bi].Name(), t.Node, r.nodeOf[si])
 			}
 		}
-	case core.EndMergeIn:
-		if rd.nodeOf[rd.plan.MergeDown[t.Node]] == own {
-			return fmt.Errorf("%w: %q is wired directly to merge %q (no lane to redial)",
-				ErrNotReplaceable, seg.Name(), t.Node)
-		}
-	case core.EndCut:
-		if !rd.cutIsLane(t.Port) {
-			return fmt.Errorf("%w: %q's outbound cut is a same-node link (deploy with WithClusterLanes)",
-				ErrNotReplaceable, seg.Name())
-		}
+	case r.segOutLane(si) != "":
+	case t.Kind == core.EndMergeIn:
+		return refuse("is wired directly to merge %q (no lane to redial)", t.Node)
+	case t.Kind == core.EndCut:
+		return refuse("has a same-node link for its outbound cut (deploy with WithClusterLanes)")
 	}
 	return nil
 }
@@ -239,9 +215,8 @@ func (rd *remoteDeploy) replaceable(si int, live bool) error {
 // deploy.  Under failover nothing is latched — the caller retries another
 // survivor, and only it knows when to give up (Fail).
 func (r *remoteDeployment) move(si, dest int, oldUp bool) error {
-	rd := r.rd
-	seg := rd.plan.Segments[si]
-	old := rd.nodeOf[si]
+	seg := r.plan.Segments[si]
+	old := r.nodeOf[si]
 	pipeName := r.name + "/" + seg.Name()
 	stepErr := func(step string, err error) error {
 		return fmt.Errorf("graph %q: replace %q: %s: %w", r.name, seg.Name(), step, err)
@@ -256,10 +231,10 @@ func (r *remoteDeployment) move(si, dest int, oldUp bool) error {
 	// A trunk moves with one relay pipeline per branch lane.
 	var relayLanes, relayPipes []string
 	teeName := seg.Tail.Node
-	teeKey := rd.g.name + "/" + teeName // the node registers shared tees graph-prefixed
+	teeKey := r.name + "/" + teeName // the node registers shared tees graph-prefixed
 	if seg.Tail.Kind == core.EndSplitTrunk {
-		for port := range rd.plan.SplitBranch[teeName] {
-			lane := rd.laneName(teeName, port)
+		for port := range r.plan.SplitBranch[teeName] {
+			lane := r.laneName(teeName, port)
 			relayLanes = append(relayLanes, lane)
 			relayPipes = append(relayPipes, lane+"/relay")
 		}
@@ -270,50 +245,46 @@ func (r *remoteDeployment) move(si, dest int, oldUp bool) error {
 	started := r.started
 	r.mu.Unlock()
 
-	// The lanes at the segment's boundaries and the node holding the inbound
-	// lane's stationary sender, looked up before placement flips.
-	inLane := rd.segInLane(si)
-	outLane := rd.segOutLane(si)
-	sender := -1
-	if inLane != "" {
-		sender = rd.nodeOf[rd.plan.Upstream(si)[0]]
-	}
+	inLane, outLane := r.segInLane(si), r.segOutLane(si)
 
 	r.retire(old, oldUp, append([]string{pipeName}, relayPipes...))
 	if oldUp {
+		c := r.clients[old]
 		// Detach BEFORE dropping the inbound listener: dropping first would
 		// close the lane inbox under the running pipeline, which reads that
 		// as end of stream and propagates a spurious EOS frame downstream.
-		if err := r.clients[old].Detach(pipeName); err != nil {
+		if err := c.Detach(pipeName); err != nil {
 			return stepErr("detach", err)
 		}
 		if len(relayLanes) > 0 {
-			drained, err := drainTee(r.clients[old], teeKey, relayLanes)
+			drained, err := drainTee(c, teeKey, relayLanes)
 			if err != nil {
 				return latch(stepErr("drain", err))
 			}
 			if !drained {
-				// The branches stopped acknowledging — re-attach the trunk
+				// The branches stopped acknowledging — put the trunk back
 				// where it was (its listener, tee and relays are all still in
 				// place) and leave the deployment running.
 				err := fmt.Errorf("graph %q: replace %q: split %q never drained (a branch is not consuming)",
 					r.name, seg.Name(), teeName)
-				if rerr := rd.recomposeSegment(si); rerr != nil {
+				if rerr := r.place(si); rerr != nil {
 					return latch(err)
 				}
 				if started {
-					_ = r.clients[old].SendEvent(events.Event{Type: events.Start, Origin: r.name})
+					_ = c.SendEvent(events.Event{Type: events.Start, Origin: r.name})
 				}
 				return err
 			}
 		}
-		drop := func(lane, side string) error {
-			_, err := r.clients[old].Control("drop", map[string]string{"lane": lane, "side": side})
-			return err
+		drop := func(lane string, side remote.LaneSide) error {
+			if _, err := c.Lane(remote.LaneRequest{Kind: remote.LaneDrop, Lane: lane, Side: side}); err != nil {
+				return latch(stepErr("drop "+lane, err))
+			}
+			return nil
 		}
 		if inLane != "" {
-			if err := drop(inLane, "listener"); err != nil {
-				return latch(stepErr("drop "+inLane, err))
+			if err := drop(inLane, remote.ListenerSide); err != nil {
+				return err
 			}
 		}
 		senders := relayLanes // a trunk sends through its relays, any other segment on its outbound lane
@@ -321,44 +292,43 @@ func (r *remoteDeployment) move(si, dest int, oldUp bool) error {
 			senders = []string{outLane}
 		}
 		for _, lane := range senders {
-			if err := drop(lane, "sender"); err != nil {
-				return latch(stepErr("drop "+lane, err))
+			if err := drop(lane, remote.SenderSide); err != nil {
+				return err
 			}
 		}
 		if len(relayLanes) > 0 {
-			if _, err := r.clients[old].Control("droptee", map[string]string{"tee": teeKey}); err != nil {
+			if _, err := c.Lane(remote.LaneRequest{Kind: remote.LaneDropTee, Tee: teeKey}); err != nil {
 				return latch(stepErr("droptee", err))
 			}
 		}
 	}
 
+	// Everything else stays recorded; the segment's node flips and its
+	// inbound listener — gone with the old node, or just dropped — is
+	// unbound, so place binds a fresh one, composes the segment (after its
+	// relays, under a trunk) and dials the stationary lanes below it.
 	r.mu.Lock()
-	rd.nodeOf[si] = dest // under r.mu: SegmentPlacements reads it there
+	r.nodeOf[si] = dest
 	r.mu.Unlock()
-	err := rd.recomposeRelays(si)
-	if err == nil {
-		err = rd.recomposeSegment(si)
+	if inLane != "" {
+		r.laneAddr[inLane] = ""
 	}
-	if err != nil {
+	if err := r.place(si); err != nil {
 		r.mu.Lock()
-		rd.nodeOf[si] = old
+		r.nodeOf[si] = old
 		r.mu.Unlock()
 		return latch(err)
 	}
-	r.mu.Lock()
-	for i := range r.pipes {
-		if r.pipes[i].seg == si || slices.Contains(relayPipes, r.pipes[i].name) {
-			r.pipes[i].client = dest
-		}
-	}
-	r.mu.Unlock()
 
-	// A sender that died with the node (a co-placed chain under failover) is
-	// not redialed: its own move recomposes it against the new listener.
-	if inLane != "" && (oldUp || sender != old) {
-		if _, err := r.clients[sender].Control("redial",
-			map[string]string{"lane": inLane, "addr": rd.laneAddr[inLane]}); err != nil {
-			return latch(stepErr("redial "+inLane, err))
+	// The inbound lane's stationary sender follows the listener.  A sender
+	// that died with the node (a co-placed chain under failover) is not
+	// redialed: its own move composes it against the new listener.
+	if inLane != "" {
+		if sender := r.nodeOf[r.plan.Upstream(si)[0]]; oldUp || sender != old {
+			if _, err := r.clients[sender].Lane(remote.LaneRequest{Kind: remote.LaneRedial,
+				Lane: inLane, Addr: r.laneAddr[inLane]}); err != nil {
+				return latch(stepErr("redial "+inLane, err))
+			}
 		}
 	}
 	if started {
@@ -400,9 +370,6 @@ func (r *remoteDeployment) retire(node int, up bool, names []string) {
 	if !up {
 		rows = r.lastRows[node]
 	}
-	if r.retiredByNode == nil {
-		r.retiredByNode = make([]retiredCounts, len(r.clients))
-	}
 	for _, name := range names {
 		row, ret := rows[name], r.retired[name]
 		ret.items += row.Items
@@ -429,14 +396,14 @@ func (r *remoteDeployment) retire(node int, up bool, names []string) {
 // pop and a journal append by the LAST probe would have been journaled by
 // now and show up here.
 func drainTee(c *remote.Client, teeKey string, lanes []string) (bool, error) {
-	params := map[string]string{"tee": teeKey, "lanes": strings.Join(lanes, ",")}
+	probe := remote.LaneRequest{Kind: remote.LaneDrained, Tee: teeKey, Lanes: lanes}
 	deadline := time.Now().Add(10 * time.Second) //ipvet:allow wallclock drain deadline against a live remote node; its relays run on their own clock
 	for {
-		v, err := c.Control("drained", params)
+		rep, err := c.Lane(probe)
 		if err != nil {
 			return false, fmt.Errorf("probe: %w", err)
 		}
-		if v == "1" {
+		if rep.Drained {
 			break
 		}
 		if !time.Now().Before(deadline) { //ipvet:allow wallclock drain deadline check
@@ -448,83 +415,10 @@ func drainTee(c *remote.Client, teeKey string, lanes []string) (bool, error) {
 			return false, fmt.Errorf("detach relay of %q: %w", lane, err)
 		}
 	}
-	if v, err := c.Control("drained", params); err != nil || v != "1" {
+	if rep, err := c.Lane(probe); err != nil || !rep.Drained {
 		return false, fmt.Errorf("split not empty after relay detach (err=%v)", err)
 	}
 	return true, nil
-}
-
-// recomposeRelays rebuilds, on a trunk's (re-assigned) node, the relay
-// pipeline of every branch lane of its split, dialing the stationary branch
-// listeners.  A segment that hosts no split has none.
-func (rd *remoteDeploy) recomposeRelays(si int) error {
-	t, own := rd.plan.Segments[si].Tail, rd.nodeOf[si]
-	if t.Kind != core.EndSplitTrunk {
-		return nil
-	}
-	for port := range rd.plan.SplitBranch[t.Node] {
-		lane := rd.laneName(t.Node, port)
-		relay := append([]remote.StageSpec{
-			rd.teeSpec("ip/teeout", fmt.Sprintf("%s.src%d", t.Node, port), t.Node,
-				map[string]string{"port": strconv.Itoa(port)}),
-			rd.pumpSpec(lane),
-		}, rd.sendSpecs(lane, rd.laneAddr[lane], "")...)
-		rd.touched[own] = true
-		if _, err := rd.client(own).ComposeTenantSegment(lane+"/relay", relay, rd.segOutSpec[si], rd.tenantSpec(), false); err != nil {
-			return fmt.Errorf("graph %q: node %d: recompose relay %q: %w", rd.g.name, own, lane+"/relay", err)
-		}
-	}
-	return nil
-}
-
-// recomposeSegment rebuilds one segment's pipeline on its (re-assigned)
-// node during a Replace: fresh listeners for inbound lanes, outbound dials
-// at the stationary lanes' recorded addresses, the deploy-time seed.
-func (rd *remoteDeploy) recomposeSegment(si int) error {
-	seg := rd.plan.Segments[si]
-	own := rd.nodeOf[si]
-	chain := rd.chainLane(si)
-	var specs []remote.StageSpec
-	var seed typespec.Typespec // replaceable segments always have an upstream
-
-	switch h := seg.Head; h.Kind {
-	case core.EndSplitOut:
-		lane := rd.laneName(h.Node, h.Port)
-		seed = rd.laneSeed[lane]
-		if _, err := rd.listen(own, lane, chain == lane); err != nil {
-			return err
-		}
-		specs = append(specs, rd.recvSpecs(lane)...)
-	case core.EndCut:
-		lane := rd.cutLane(h.Port)
-		seed = rd.laneSeed[lane]
-		if _, err := rd.listen(own, lane, chain == lane); err != nil {
-			return err
-		}
-		specs = append(specs, rd.recvSpecs(lane)...)
-	}
-	for _, name := range seg.Stages {
-		specs = append(specs, rd.stageSpec(name))
-	}
-	switch t := seg.Tail; t.Kind {
-	case core.EndSplitTrunk:
-		specs = append(specs, rd.teeSpec("ip/teesink", t.Node, t.Node, nil))
-	case core.EndMergeIn:
-		lane := rd.laneName(t.Node, t.Port)
-		specs = append(specs, rd.sendSpecs(lane, rd.laneAddr[lane], chain)...)
-	case core.EndCut:
-		lane := rd.cutLane(t.Port)
-		specs = append(specs, rd.sendSpecs(lane, rd.laneAddr[lane], chain)...)
-	}
-	name := rd.g.name + "/" + seg.Name()
-	rd.touched[own] = true
-	// Replaceable segments always have an upstream lane, so their items were
-	// admitted at the true source — the recomposed pipeline needs the
-	// tenant's scheduling class on its new node, but no admission gate.
-	if _, err := rd.client(own).ComposeTenantSegment(name, specs, seed, rd.tenantSpec(), false); err != nil {
-		return fmt.Errorf("graph %q: node %d: recompose %q: %w", rd.g.name, own, name, err)
-	}
-	return nil
 }
 
 // Supervise marks the deployment as owned by a failure supervisor: Wait and
@@ -613,8 +507,7 @@ func (d *Deployment) FailOver(dead int, hints map[string]int) error {
 	d.rbMu.Lock()
 	defer d.rbMu.Unlock()
 	r := d.remote
-	rd := r.rd
-	if !rd.target.ClusterLanes {
+	if !r.opt.ClusterLanes {
 		return errNotRedialable
 	}
 	if dead < 0 || dead >= len(r.clients) {
@@ -628,8 +521,8 @@ func (d *Deployment) FailOver(dead int, hints map[string]int) error {
 		}
 	}
 	dests := make(map[int]int)
-	for si, seg := range rd.plan.Segments {
-		if rd.nodeOf[si] != dead {
+	for si, seg := range r.plan.Segments {
+		if r.nodeOf[si] != dead {
 			continue
 		}
 		dest, ok := hints[seg.Name()]
@@ -640,7 +533,7 @@ func (d *Deployment) FailOver(dead int, hints map[string]int) error {
 		if dest == dead || dest < 0 || dest >= len(r.clients) {
 			return fmt.Errorf("graph %q: failover: segment %q hinted to unusable node %d", d.name, seg.Name(), dest)
 		}
-		if err := rd.replaceable(si, false); err != nil {
+		if err := r.replaceable(si, false); err != nil {
 			return err
 		}
 		dests[si] = dest

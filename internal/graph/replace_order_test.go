@@ -19,6 +19,7 @@ import (
 // Twenty Replaces shuttle two adjacent segments between two nodes before
 // the stream starts; the stream must then still arrive complete.
 func TestReplaceMoveOrderIsDeterministic(t *testing.T) {
+	checkGoroutines(t)
 	const items = 60
 	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
 	cat := tc.catalog()

@@ -424,8 +424,13 @@ func (l *TCPLink) applyAck(origin, seq int64) {
 	case origin == 0 && seq == ackAll:
 		d.eosAcked = true
 		d.acked = d.lastSent
-		for o, s := range d.lastSentO {
-			d.ackedO[o] = s
+		// ackedO is made by the first per-origin ack: a merged stream that
+		// this ack alone confirms has none, and with the journal emptied
+		// below nothing reads the per-origin watermarks again.
+		if d.ackedO != nil {
+			for o, s := range d.lastSentO {
+				d.ackedO[o] = s
+			}
 		}
 		for i := range d.journal {
 			d.recycle(d.journal[i].data)

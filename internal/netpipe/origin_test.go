@@ -187,3 +187,19 @@ func TestDurableOriginSenderReplacement(t *testing.T) {
 		t.Errorf("replacement sender re-emitted the stream but the receiver dropped no duplicates")
 	}
 }
+
+// TestDurableOriginAckedOnlyAtEOS: a merged-origin stream shorter than the
+// ack cadence gets no per-origin ack, only the final one that confirms
+// everything — which must find the sender's per-origin ack map in place
+// (it was made on the first per-origin ack only, and the final ack panicked).
+func TestDurableOriginAckedOnlyAtEOS(t *testing.T) {
+	cfg := netpipe.DurableConfig{JournalLimit: 64, AckEvery: 1000}
+	p := startOriginPair(t, 20, 0, cfg)
+	waitSched(t, "producer", p.txDone, false)
+	waitSched(t, "consumer", p.rxDone, false)
+	assertExactlyOncePerOrigin(t, p.sink, map[int64]int64{1: 10, 2: 10})
+	poll(t, 2*time.Second, func() bool {
+		st := p.txLink.LaneStats()
+		return !st.EOSPending && st.Journaled == 0
+	}, "final ack to drain the journal")
+}

@@ -6,16 +6,19 @@
 // A Node hosts a scheduler, an event bus and a registry of component
 // factories; it serves a small gob-encoded control protocol over TCP.  A
 // Client composes pipelines from stage specifications on a remote node,
-// starts and stops them, queries resolved Typespecs, and injects control
-// events into the remote bus.
+// starts and stops them, queries resolved Typespecs, injects control events
+// into the remote bus, and manages the node's cluster lanes through typed
+// requests (LaneRequest).
 package remote
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"infopipes/internal/core"
@@ -64,12 +67,13 @@ type TenantStat struct {
 	Granted, SchedGrants int64
 }
 
-// Factory builds a stage from a spec.  Factories are registered per node.
+// Factory builds a stage from a spec's name and parameters.  Factories are
+// registered per node.
 type Factory func(name string, params map[string]string) (core.Stage, error)
 
 // SpecFactory is the full-spec factory form: it sees the positional
-// arguments too, as the graph deployer's specs carry them.  A kind may be
-// registered as either form; SpecFactory wins.
+// arguments too, as the graph deployer's specs carry them.  A kind has one
+// factory: registering it again, in either form, replaces the earlier one.
 type SpecFactory func(spec StageSpec) (core.Stage, error)
 
 // ErrUnknownFactory is returned when a spec names an unregistered kind.
@@ -84,30 +88,29 @@ type Node struct {
 	sched *uthread.Scheduler
 	bus   *events.Bus
 
-	mu            sync.Mutex
-	factories     map[string]Factory
-	specFactories map[string]SpecFactory
-	controller    func(op string, params map[string]string) (string, error)
-	pipelines     map[string]*core.Pipeline
+	mu        sync.Mutex
+	factories map[string]SpecFactory
+	lanes     func(LaneRequest) (LaneReply, error)
+	pipelines map[string]*core.Pipeline
 	// tenants/classes hold the node-local materialization of TenantSpecs:
 	// one tenant and one weighted-fair class per tenant name (a node has one
 	// scheduler, so one class per tenant suffices).
-	tenants map[string]*qos.Tenant
-	classes map[string]*uthread.SchedClass
-	srv     *Server[request, response]
-	closers []func()
-	started time.Time
+	tenants  map[string]*qos.Tenant
+	classes  map[string]*uthread.SchedClass
+	srv      *Server[request, response]
+	closers  []func()
+	started  time.Time
+	requests atomic.Int64
 }
 
 // NewNode creates a node over the given scheduler and bus.
 func NewNode(name string, sched *uthread.Scheduler, bus *events.Bus) *Node {
 	n := &Node{
-		name:          name,
-		sched:         sched,
-		bus:           bus,
-		factories:     make(map[string]Factory),
-		specFactories: make(map[string]SpecFactory),
-		pipelines:     make(map[string]*core.Pipeline),
+		name:      name,
+		sched:     sched,
+		bus:       bus,
+		factories: make(map[string]SpecFactory),
+		pipelines: make(map[string]*core.Pipeline),
 	}
 	n.srv = NewServer(n.handle)
 	return n
@@ -124,26 +127,70 @@ func (n *Node) Scheduler() *uthread.Scheduler { return n.sched }
 
 // RegisterFactory adds a component factory under kind.
 func (n *Node) RegisterFactory(kind string, f Factory) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.factories[kind] = f
+	n.RegisterSpecFactory(kind, func(spec StageSpec) (core.Stage, error) { return f(spec.Name, spec.Params) })
 }
 
 // RegisterSpecFactory adds a full-spec component factory under kind.
 func (n *Node) RegisterSpecFactory(kind string, f SpecFactory) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.specFactories[kind] = f
+	n.factories[kind] = f
 }
 
-// SetController installs the handler behind the ctl op: parameterized
-// node-side actions (the graph support uses it to pre-bind rendezvous
-// listeners, drop lane state, redial stationary senders when a segment is
-// re-placed onto another node, and abort a failed deployment).
-func (n *Node) SetController(c func(op string, params map[string]string) (string, error)) {
+// LaneKind names a cluster lane operation of the extended §2.4 protocol.
+type LaneKind int
+
+const (
+	LaneListen  LaneKind = iota + 1 // pre-bind Lane's rendezvous listener (idempotent; Addr asks for a bind address), reply its address
+	LaneDrop                        // close and forget Side of Lane
+	LaneRedial                      // point the registered sender of Lane at Addr
+	LaneDrained                     // probe whether split Tee and its relay Lanes are empty
+	LaneDropTee                     // forget the shared split instance Tee
+	LaneAbort                       // tear down every pipeline, tee and lane under Prefix
+)
+
+// LaneSide selects which half of a lane a LaneDrop closes: a lane's sender
+// and listener may share a node.
+type LaneSide int
+
+const (
+	BothSides LaneSide = iota
+	ListenerSide
+	SenderSide
+)
+
+// LaneRequest is one lane operation; each kind reads the fields its comment
+// names and ignores the rest.
+type LaneRequest struct {
+	Kind LaneKind
+	Lane string
+	Side LaneSide
+	Addr string
+	// Depth bounds a listener's inbox (0 = default).  Durable listeners run
+	// the sequence/ack protocol, acknowledging every AckEvery items; a
+	// Chained one forwards its downstream watermark instead.
+	Depth    int
+	Durable  bool
+	Chained  bool
+	AckEvery int
+	Tee      string
+	Lanes    []string
+	Prefix   string
+}
+
+// LaneReply answers a LaneRequest: the bound address (listen) or the probe's
+// verdict (drained).
+type LaneReply struct {
+	Addr    string
+	Drained bool
+}
+
+// HandleLanes installs the handler behind the lane op (the graph support
+// does, in EnableNode: it owns the node's listeners, senders and tees).
+func (n *Node) HandleLanes(h func(LaneRequest) (LaneReply, error)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.controller = c
+	n.lanes = h
 }
 
 // Pipeline returns a locally hosted pipeline by name.
@@ -223,13 +270,13 @@ func (n *Node) Close() {
 
 // Wire protocol.
 type request struct {
-	Op         string // ping | compose | start | stop | detach | query | stats | tenants | rebind | health | caps | event | ctl
+	Op         string // ping | compose | start | stop | detach | query | stats | tenants | rebind | health | caps | event | lane
 	Pipeline   string
 	Stages     []StageSpec
 	StageIndex int
 	Event      events.Event
-	Key        string            // ctl op name / stats prefix
-	Params     map[string]string // ctl parameters
+	Prefix     string // stats: pipeline-name prefix
+	Lane       LaneRequest
 	// SkipEventCheck composes without the per-pipeline §2.3 event-
 	// capability check: graph deployments run that check graph-wide on
 	// the deployer instead, since an event emitted in one segment may be
@@ -265,6 +312,9 @@ type Health struct {
 	Pipelines   int
 	Switches    int64
 	UptimeNanos int64
+	// Requests counts the control requests the node has answered, this one
+	// included.
+	Requests int64
 }
 
 type response struct {
@@ -275,25 +325,37 @@ type response struct {
 	// deployer, so only the node knows whether a stage materialized as a
 	// buffer; the graph deployer gates Replace on it (see replaceable).
 	Sections int
-	Value    string // ctl result
-	Stats    []PipeStat
-	Tenants  []TenantStat
-	Health   Health
-	// Sends/Handles are the event-capability sets of a pipeline (caps op).
+	// Specs is the resolved Typespec after every stage a compose was asked
+	// for (an admission gate the node inserted is not counted).
+	Specs   []typespec.Typespec
+	Lane    LaneReply
+	Stats   []PipeStat
+	Tenants []TenantStat
+	Health  Health
+	// Sends/Handles are the event-capability sets of a pipeline (compose
+	// and caps ops).
 	Sends, Handles []string
 }
 
 // handle answers one control request (the Server's handler).
 func (n *Node) handle(req request) (response, error) {
+	n.requests.Add(1)
 	resp := response{Node: n.name}
 	switch req.Op {
 	case "ping":
 	case "compose":
-		p, err := n.compose(req)
+		p, gate, err := n.compose(req)
 		if err != nil {
 			return response{}, err
 		}
-		resp.Sections = len(p.Plan().Sections)
+		plan := p.Plan()
+		resp.Sections = len(plan.Sections)
+		resp.Specs = plan.Specs
+		if gate >= 0 {
+			resp.Specs = slices.Delete(slices.Clone(plan.Specs), gate, gate+1)
+		}
+		sends, handles := p.EventCapabilities()
+		resp.Sends, resp.Handles = typeStrings(sends), typeStrings(handles)
 	case "start", "stop", "query", "caps":
 		p, ok := n.Pipeline(req.Pipeline)
 		if !ok {
@@ -321,7 +383,7 @@ func (n *Node) handle(req request) (response, error) {
 		p.Detach()
 		<-p.Done()
 	case "stats":
-		resp.Stats = n.stats(req.Key)
+		resp.Stats = n.stats(req.Prefix)
 	case "tenants":
 		resp.Tenants = n.tenantStats()
 	case "rebind":
@@ -333,18 +395,17 @@ func (n *Node) handle(req request) (response, error) {
 		resp.Health = n.health()
 	case "event":
 		n.bus.Broadcast(req.Event)
-	case "ctl":
+	case "lane":
 		n.mu.Lock()
-		c := n.controller
+		h := n.lanes
 		n.mu.Unlock()
-		if c == nil {
-			return response{}, fmt.Errorf("remote: node %s has no controller (ctl %q)", n.name, req.Key)
+		if h == nil {
+			return response{}, fmt.Errorf("remote: node %s manages no lanes (lane op %d)", n.name, req.Lane.Kind)
 		}
-		v, err := c(req.Key, req.Params)
-		if err != nil {
+		var err error
+		if resp.Lane, err = h(req.Lane); err != nil {
 			return response{}, err
 		}
-		resp.Value = v
 	default:
 		return response{}, fmt.Errorf("remote: unknown op %q", req.Op)
 	}
@@ -401,7 +462,7 @@ func (n *Node) health() Health {
 	pipelines := len(n.pipelines)
 	started := n.started
 	n.mu.Unlock()
-	h := Health{Node: n.name, Pipelines: pipelines, Switches: n.sched.Stats().Switches}
+	h := Health{Node: n.name, Pipelines: pipelines, Switches: n.sched.Stats().Switches, Requests: n.requests.Load()}
 	if !started.IsZero() {
 		h.UptimeNanos = int64(time.Since(started)) //ipvet:allow wallclock operator-facing uptime in the health payload
 	}
@@ -480,8 +541,9 @@ func (n *Node) tenantStats() []TenantStat {
 // propagation from the upstream segment's resolved spec instead of a blank
 // one.  A tenant-bound compose schedules the pipeline under the tenant's
 // weighted-fair class; Admit additionally gates the flow with the tenant's
-// admission control behind the first stage.
-func (n *Node) compose(req request) (*core.Pipeline, error) {
+// admission control behind the first stage; gate is the index the node
+// inserted it at (-1 when it did not).
+func (n *Node) compose(req request) (p *core.Pipeline, gate int, err error) {
 	name := req.Pipeline
 	var tenant *qos.Tenant
 	var class *uthread.SchedClass
@@ -489,37 +551,28 @@ func (n *Node) compose(req request) (*core.Pipeline, error) {
 		tenant, class = n.tenantFor(req.Tenant)
 	}
 	stages := make([]core.Stage, 0, len(req.Stages)+1)
-	n.mu.Lock()
-	factories := n.factories
-	specFactories := n.specFactories
-	n.mu.Unlock()
 	for _, sp := range req.Stages {
-		if sf, ok := specFactories[sp.Kind]; ok {
-			st, err := sf(sp)
-			if err != nil {
-				return nil, fmt.Errorf("remote: factory %q: %w", sp.Kind, err)
-			}
-			stages = append(stages, st)
-		} else if f, ok := factories[sp.Kind]; ok {
-			st, err := f(sp.Name, sp.Params)
-			if err != nil {
-				return nil, fmt.Errorf("remote: factory %q: %w", sp.Kind, err)
-			}
-			stages = append(stages, st)
-		} else {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownFactory, sp.Kind)
+		n.mu.Lock()
+		f, ok := n.factories[sp.Kind]
+		n.mu.Unlock()
+		if !ok {
+			return nil, -1, fmt.Errorf("%w: %q", ErrUnknownFactory, sp.Kind)
 		}
+		st, err := f(sp)
+		if err != nil {
+			return nil, -1, fmt.Errorf("remote: factory %q: %w", sp.Kind, err)
+		}
+		stages = append(stages, st)
 	}
+	gate = -1
 	if req.Admit && tenant != nil {
 		// Admission gates the true source before the first queue — over-rate
 		// flows shed (or block) here instead of filling the node's shared
 		// buffers and lanes.  The gate runs in push mode behind the
 		// pipeline's pump (see qos.AdmissionIndex).
 		at := qos.AdmissionIndex(stages) + 1
-		gate := core.Comp(qos.NewAdmission(name+"/admit", tenant))
-		stages = append(stages, core.Stage{})
-		copy(stages[at+1:], stages[at:])
-		stages[at] = gate
+		stages = slices.Insert(stages, at, core.Comp(qos.NewAdmission(name+"/admit", tenant)))
+		gate = at
 	}
 	opts := []core.ComposeOption{core.WithInputSpec(req.Seed)}
 	if req.SkipEventCheck {
@@ -528,17 +581,16 @@ func (n *Node) compose(req request) (*core.Pipeline, error) {
 	if class != nil {
 		opts = append(opts, core.WithSchedClass(class))
 	}
-	p, err := core.Compose(name, n.sched, n.bus, stages, opts...)
-	if err != nil {
-		return nil, err
+	if p, err = core.Compose(name, n.sched, n.bus, stages, opts...); err != nil {
+		return nil, -1, err
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, dup := n.pipelines[name]; dup {
-		return nil, fmt.Errorf("remote: pipeline %q already exists", name)
+		return nil, -1, fmt.Errorf("remote: pipeline %q already exists", name)
 	}
 	n.pipelines[name] = p
-	return p, nil
+	return p, gate, nil
 }
 
 // Client drives a remote node over the control transport (see Conn, whose
@@ -584,12 +636,29 @@ func (c *Client) ComposeSegment(pipeline string, stages []StageSpec) error {
 // typespec error.  With a tenant, the node schedules the pipeline under the
 // tenant's weighted-fair class, and — when admit is set (true-source
 // segments) — gates the flow with the tenant's admission control behind the
-// first stage.  It returns the composed pipeline's pump-driven section
-// count.
-func (c *Client) ComposeTenantSegment(pipeline string, stages []StageSpec, seed typespec.Typespec, tenant *TenantSpec, admit bool) (sections int, err error) {
+// first stage.  The reply says everything a deployer goes on to need, so it
+// asks the node once.
+func (c *Client) ComposeTenantSegment(pipeline string, stages []StageSpec, seed typespec.Typespec, tenant *TenantSpec, admit bool) (Composed, error) {
 	resp, err := c.Call(request{Op: "compose", Pipeline: pipeline, Stages: stages,
 		SkipEventCheck: true, Seed: seed, Tenant: tenant, Admit: admit})
-	return resp.Sections, err
+	return Composed{Sections: resp.Sections, Specs: resp.Specs, Sends: resp.Sends, Handles: resp.Handles}, err
+}
+
+// Composed describes a pipeline a node just composed: its pump-driven
+// section count (buffers add sections), the resolved Typespec of the flow
+// leaving every requested stage, and its event-capability sets.
+type Composed struct {
+	Sections       int
+	Specs          []typespec.Typespec
+	Sends, Handles []string
+}
+
+// SpecAt returns the resolved Typespec of the flow leaving stage i.
+func (c Composed) SpecAt(i int) typespec.Typespec {
+	if i < 0 || i >= len(c.Specs) {
+		return typespec.Typespec{}
+	}
+	return c.Specs[i]
 }
 
 // Tenants fetches the node's per-tenant QoS rollups (admission counters,
@@ -620,7 +689,7 @@ func (c *Client) Detach(pipeline string) error {
 // name starts with prefix ("" = all) — remote telemetry over the §2.4
 // control protocol.
 func (c *Client) Stats(prefix string) ([]PipeStat, error) {
-	resp, err := c.Call(request{Op: "stats", Key: prefix})
+	resp, err := c.Call(request{Op: "stats", Prefix: prefix})
 	return resp.Stats, err
 }
 
@@ -638,15 +707,11 @@ func (c *Client) Caps(pipeline string) (sends, handles []string, err error) {
 	return resp.Sends, resp.Handles, err
 }
 
-// Control invokes a node-side controller action (SetController) with
-// parameters — the §2.4 extension behind cluster lane management: the graph
-// support handles "listen" (pre-bind a rendezvous listener, returning its
-// address), "drop" (close and forget one lane's state), "redial" (point a
-// stationary sender at a re-placed segment's new listener), "drained" and
-// "droptee" (move a split trunk) and "abort" (undo a failed deployment).
-func (c *Client) Control(op string, params map[string]string) (string, error) {
-	resp, err := c.Call(request{Op: "ctl", Key: op, Params: params})
-	return resp.Value, err
+// Lane runs one cluster lane operation on the node (see LaneKind) — the
+// §2.4 extension behind cluster lane management.
+func (c *Client) Lane(req LaneRequest) (LaneReply, error) {
+	resp, err := c.Call(request{Op: "lane", Lane: req})
+	return resp.Lane, err
 }
 
 // Start broadcasts the start of a remote pipeline.

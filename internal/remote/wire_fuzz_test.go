@@ -14,7 +14,7 @@ import (
 )
 
 // FuzzControlConn feeds arbitrary bytes to the control server's decode loop
-// (a bare node: no factories, no controller).  The server must never panic,
+// (a bare node: no factories, no lane handler).  The server must never panic,
 // and every connection must end the same way: a well-formed reply for each
 // request it could decode, then a close at the first thing it could not (or
 // at end of input) — never a wedged socket.
@@ -31,8 +31,19 @@ func FuzzControlConn(f *testing.F) {
 	}
 	f.Add(seed(request{Op: "ping"}))
 	f.Add(seed(request{Op: "compose", Pipeline: "p", Stages: []StageSpec{{Kind: "nope", Name: "x"}}},
-		request{Op: "stats", Key: "p"}, request{Op: "detach", Pipeline: "p"}))
-	f.Add(seed(request{Op: "ctl", Key: "listen", Params: map[string]string{"lane": "l"}}, request{Op: "lookup"}))
+		request{Op: "stats", Prefix: "p"}, request{Op: "detach", Pipeline: "p"}))
+	// One seed per typed lane op: the bare node answers each with a
+	// well-formed error reply, as it does the unknown op that follows.
+	for _, lane := range []LaneRequest{
+		{Kind: LaneListen, Lane: "l", Depth: 4, Durable: true, Chained: true, AckEvery: 8},
+		{Kind: LaneDrop, Lane: "l", Side: SenderSide},
+		{Kind: LaneRedial, Lane: "l", Addr: "127.0.0.1:1"},
+		{Kind: LaneDrained, Tee: "g/t", Lanes: []string{"g/t:0", "g/t:1"}},
+		{Kind: LaneDropTee, Tee: "g/t"},
+		{Kind: LaneAbort, Prefix: "g/"},
+	} {
+		f.Add(seed(request{Op: "lane", Lane: lane}, request{Op: "lookup"}))
+	}
 	f.Add(seed(request{Op: "rebind"}, request{Op: "event", Event: events.Event{Type: events.Stop}}))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})
