@@ -13,8 +13,9 @@ import (
 // uthread's carrier OS thread outside the scheduler's knowledge.
 //
 // Governed: every infopipes/internal package except vclock (it *is* the
-// abstraction over the time package) and experiments (the benchmark harness
-// measures real elapsed time by design).  Uses of time.Time / time.Duration
+// abstraction over the time package), experiments (the benchmark harness
+// measures real elapsed time by design) and leakcheck (test support: it
+// waits real time for goroutines to exit).  Uses of time.Time / time.Duration
 // as types are fine — only the clock-reading and clock-waiting functions
 // are flagged.  Legitimate uses (I/O deadlines in netpipe, heartbeat
 // tickers in control) carry //ipvet:allow wallclock annotations.
@@ -41,7 +42,7 @@ var wallclockBanned = map[string]string{
 }
 
 func runWallclock(pass *Pass) error {
-	if !pass.Governed([]string{"*"}, []string{"vclock", "experiments"}) {
+	if !pass.Governed([]string{"*"}, []string{"vclock", "experiments", "leakcheck"}) {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"infopipes/internal/events"
 	"infopipes/internal/uthread"
 )
 
@@ -11,7 +10,7 @@ import (
 // queue's wake message for that token arrives, dispatching control events
 // that arrive in the meantime (§3.2 — a blocked component still reacts to
 // stop/pause).  kind is the queue's private wake message kind, carrying the
-// token as its Data.
+// token as its Tag.
 //
 // On shutdown (stopping reports true after a control dispatch) the waiter is
 // deregistered through the supplied callback; if the wake was already posted
@@ -19,29 +18,27 @@ import (
 // cannot leak into the thread's next receive.  Returns ErrStopped in that
 // case, nil once the wake arrived.
 func AwaitWake(t *uthread.Thread, kind uthread.Kind, token uint64, stopping func() bool, deregister func(uint64) bool) error {
-	if stopping == nil {
-		stopping = func() bool { return false }
-	}
-	isWake := func(m uthread.Message) bool {
-		w, ok := m.Data.(uint64)
-		return m.Kind == kind && ok && w == token
-	}
 	for {
-		m := t.ReceiveMatch(func(m uthread.Message) bool {
-			return isWake(m) || events.IsControl(m)
-		})
-		if isWake(m) {
+		m := t.ReceiveTagged(kind, token)
+		if m.Kind == kind {
 			deregister(token)
 			return nil
 		}
 		t.DispatchControl(m)
-		if stopping() {
+		if stopping != nil && stopping() {
 			if !deregister(token) {
-				t.TryReceive(isWake) // consume the in-flight wake
+				DiscardWake(t, kind, token)
 			}
 			return ErrStopped
 		}
 	}
+}
+
+// DiscardWake consumes the wake message of an abandoned wait, already posted
+// when the waiter deregistered, so it cannot leak into the thread's next
+// receive.
+func DiscardWake(t *uthread.Thread, kind uthread.Kind, token uint64) {
+	t.TryReceive(func(m uthread.Message) bool { return m.Kind == kind && m.Tag == token })
 }
 
 // Waiter is one thread parked in a WaiterList, identified by its token.
@@ -67,7 +64,7 @@ func (w Waiter) Wake(kind uthread.Kind) {
 func (w Waiter) WakeAt(kind uthread.Kind, prio uthread.Priority) {
 	w.Thread.Scheduler().Post(w.Thread, uthread.Message{
 		Kind:       kind,
-		Data:       w.Token,
+		Tag:        w.Token,
 		Constraint: uthread.At(prio),
 	})
 }
@@ -132,7 +129,7 @@ func (l *WaiterList) PopFront() (Waiter, bool) {
 		return Waiter{}, false
 	}
 	w := l.entries[0]
-	l.entries = l.entries[1:]
+	l.entries = append(l.entries[:0], l.entries[1:]...) // in place: keep the capacity
 	return w, true
 }
 

@@ -15,6 +15,7 @@ import (
 	"infopipes/internal/item"
 	"infopipes/internal/pipes"
 	"infopipes/internal/shard"
+	"infopipes/internal/vclock"
 )
 
 // hotChain declares src >> pump >> work >> sink where work doubles the
@@ -75,76 +76,82 @@ func TestAutoscalerScaleUpFoldBack(t *testing.T) {
 		return payloadTrace(sink.Items())
 	}()
 
-	for attempt := 0; attempt < 6; attempt++ {
-		g, sink := hotChain(items)
-		grp := shard.NewGroup(shard.WithShardCount(1))
-		d, err := g.Deploy(graph.OnGroup(grp))
-		if err != nil {
-			t.Fatalf("deploy: %v", err)
-		}
-		var scaleLog []string
-		a := elastic.NewAutoscaler(d, &sync.Mutex{})
-		a.OnScale = func(stage string, active int) {
-			scaleLog = append(scaleLog, fmt.Sprintf("%s=%d", stage, active))
-		}
-		// TargetPerTick 1: any progress at all makes the stage hot, so the
-		// first post-prime tick scales to Max.
-		if err := a.Add(elastic.Policy{Stage: "work", Max: 4, TargetPerTick: 1, Build: hotReplica}); err != nil {
-			t.Fatalf("add policy: %v", err)
-		}
+	g, sink := hotChain(items)
+	grp := shard.NewGroup(shard.WithShardCount(1))
+	d, err := g.Deploy(graph.OnGroup(grp))
+	if err != nil {
+		t.Fatalf("deploy: %v", err)
+	}
+	var scaleLog []string
+	a := elastic.NewAutoscaler(d, &sync.Mutex{})
+	a.OnScale = func(stage string, active int) {
+		scaleLog = append(scaleLog, fmt.Sprintf("%s=%d", stage, active))
+	}
+	// TargetPerTick 1: any progress at all makes the stage hot, so the
+	// first post-prime tick scales to Max.
+	if err := a.Add(elastic.Policy{Stage: "work", Max: 4, TargetPerTick: 1, Build: hotReplica}); err != nil {
+		t.Fatalf("add policy: %v", err)
+	}
+	if out, err := a.Tick(); err != nil || out != nil {
+		t.Fatalf("priming tick: out=%v err=%v", out, err)
+	}
+	// The controller acts at the virtual instant the 2 kHz source is an
+	// eighth through: time stands still for the whole appointment, so the
+	// hot tick sees progress and the ticks after it see none.
+	res := make(chan error, 1)
+	grp.At(vclock.Epoch.Add(items/8*time.Second/2000), func() {
+		res <- func() error {
+			out, err := a.Tick()
+			if err != nil {
+				return fmt.Errorf("hot tick: %v", err)
+			}
+			active, declared, err := d.Replicas("work")
+			if err != nil || out["work"] != 4 || active != 4 || declared != 4 {
+				return fmt.Errorf("hot tick: out=%v replicas=%d/%d err=%v, want 4/4", out, active, declared, err)
+			}
+			// Two immediate ticks see zero delta: the stage is cold, fold
+			// back to the floor.  The split stays — only the active width
+			// shrinks.
+			if _, err := a.Tick(); err != nil {
+				return fmt.Errorf("cold tick: %v", err)
+			}
+			out, err = a.Tick()
+			if err != nil {
+				return fmt.Errorf("cold tick: %v", err)
+			}
+			if out["work"] != 1 {
+				return fmt.Errorf("cold tick: out=%v, want work=1", out)
+			}
+			if active, declared, err := d.Replicas("work"); err != nil || active != 1 || declared != 4 {
+				return fmt.Errorf("after fold: replicas=%d/%d err=%v, want 1/4", active, declared, err)
+			}
+			return nil
+		}()
+	})
+	grp.External(func() {
 		grp.Start()
 		d.Start()
-		if out, err := a.Tick(); err != nil || out != nil {
-			t.Fatalf("priming tick: out=%v err=%v", out, err)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for sink.Count() < items/8 {
-			if time.Now().After(deadline) {
-				t.Fatal("stream never progressed")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		out, err := a.Tick()
-		if err != nil {
-			t.Fatalf("hot tick: %v", err)
-		}
-		active, declared, rerr := d.Replicas("work")
-		if rerr != nil {
-			continue // stream drained before the split landed; retry
-		}
-		if out["work"] != 4 || active != 4 || declared != 4 {
-			t.Fatalf("hot tick: out=%v replicas=%d/%d, want 4/4", out, active, declared)
-		}
-		// Two immediate ticks see ~zero delta: the stage is cold, fold back
-		// to the floor.  The split stays — only the active width shrinks.
-		if _, err := a.Tick(); err != nil {
-			t.Fatalf("cold tick: %v", err)
-		}
-		out, err = a.Tick()
-		if err != nil {
-			t.Fatalf("cold tick: %v", err)
-		}
-		if out["work"] != 1 {
-			t.Fatalf("cold tick: out=%v, want work=1", out)
-		}
-		if active, declared, err := d.Replicas("work"); err != nil || active != 1 || declared != 4 {
-			t.Fatalf("after fold: replicas=%d/%d err=%v, want 1/4", active, declared, err)
-		}
-		if err := d.Wait(); err != nil {
-			t.Fatalf("wait: %v", err)
-		}
-		if err := grp.Wait(); err != nil {
-			t.Fatalf("group wait: %v", err)
-		}
-		if got := payloadTrace(sink.Items()); got != reference {
-			t.Fatalf("scaled trace diverged from reference (%d items vs %d)", sink.Count(), items)
-		}
-		if len(scaleLog) == 0 || scaleLog[len(scaleLog)-1] != "work=1" {
-			t.Fatalf("scale log = %v, want to end with work=1", scaleLog)
-		}
-		return
+	})
+	if err := d.Wait(); err != nil {
+		t.Fatalf("wait: %v", err)
 	}
-	t.Fatal("scale-up never landed mid-stream in 6 runs")
+	if err := grp.Wait(); err != nil {
+		t.Fatalf("group wait: %v", err)
+	}
+	select {
+	case err := <-res:
+		if err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Fatal("the stream drained and the controller's appointment never ran")
+	}
+	if got := payloadTrace(sink.Items()); got != reference {
+		t.Fatalf("scaled trace diverged from reference (%d items vs %d)", sink.Count(), items)
+	}
+	if len(scaleLog) == 0 || scaleLog[len(scaleLog)-1] != "work=1" {
+		t.Fatalf("scale log = %v, want to end with work=1", scaleLog)
+	}
 }
 
 // TestAutoscalerPolicyValidation pins the Add refusals.

@@ -11,6 +11,7 @@ import (
 	"infopipes/internal/events"
 	"infopipes/internal/graph"
 	"infopipes/internal/item"
+	"infopipes/internal/leakcheck"
 	"infopipes/internal/pipes"
 	"infopipes/internal/remote"
 	"infopipes/internal/typespec"
@@ -239,7 +240,7 @@ func TestClusterWaitSurvivesDeadNode(t *testing.T) {
 // recompose, redial — and the sink trace is byte-identical to a single-node
 // run of the same graph.
 func TestClusterReplaceTraceIdentical(t *testing.T) {
-	checkGoroutines(t)
+	leakcheck.Check(t)
 	const items = 40
 
 	run := func(twoNodes, replace bool) []int64 {

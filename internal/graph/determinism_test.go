@@ -2,10 +2,12 @@ package graph_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"infopipes/internal/core"
 	"infopipes/internal/graph"
@@ -14,6 +16,7 @@ import (
 	"infopipes/internal/shard"
 	"infopipes/internal/typespec"
 	"infopipes/internal/uthread"
+	"infopipes/internal/vclock"
 )
 
 // This file is the randomized cross-target determinism harness: seeded
@@ -39,6 +42,7 @@ type dagGen struct {
 	g      *graph.Graph
 	shards int
 	items  int64
+	period time.Duration // of the clocked source
 	nextID int
 	sinks  []*pipes.CollectSink
 
@@ -212,6 +216,7 @@ func (d *dagGen) build() {
 	d.g.Add(core.Comp(pipes.NewCounterSource(src, d.items)))
 	pump := d.name("p")
 	rate := 200 + float64(d.r.Intn(800))
+	d.period = time.Duration(float64(time.Second) / rate)
 	d.g.Add(core.Pmp(pipes.NewClockedPump(pump, rate)), d.hintOpt()...)
 	d.g.Pipe(src, pump)
 	tail := pump
@@ -249,6 +254,12 @@ func (d *dagGen) traces() map[string]string {
 		m[s.Name()] = b.String()
 	}
 	return m
+}
+
+// midStream is the virtual instant at which the clocked source, which ticks
+// from Epoch, is about to emit the item a quarter of the way through.
+func (d *dagGen) midStream() time.Time {
+	return vclock.Epoch.Add(time.Duration(d.items/4) * d.period)
 }
 
 func (d *dagGen) total() int {
@@ -328,11 +339,39 @@ func runOnScheduler(t *testing.T, seed int64) (string, int) {
 	return gen.trace(), gen.total()
 }
 
+// startWith books act, a controller action, for the instant the stream is a
+// quarter through, and starts the group and the flow.  Both start under one
+// hold: a group that idles with no deadline between the two would run the
+// appointment then.  The returned channel yields act's result once it ran.
+func startWith(grp *shard.Group, d *graph.Deployment, gen *dagGen, act func() error) <-chan error {
+	res := make(chan error, 1)
+	grp.At(gen.midStream(), func() { res <- act() })
+	grp.External(func() {
+		grp.Start()
+		d.Start()
+	})
+	return res
+}
+
+// acted collects the result of the action startWith booked, after the flow
+// has drained: time cannot pass the appointment without running it.
+func acted(t *testing.T, seed int64, what string, res <-chan error) {
+	t.Helper()
+	select {
+	case err := <-res:
+		if err != nil {
+			t.Fatalf("seed %d: %s: %v", seed, what, err)
+		}
+	default:
+		t.Fatalf("seed %d: the flow drained and the %s never ran", seed, what)
+	}
+}
+
 // runOnGroup deploys and drains the generated graph on an n-shard group.
-// With rebalanceAt > 0 it fires a Rebalance with random hints once the
-// sinks hold that many items; it reports whether the rebalance actually
-// interrupted a live stream.
-func runOnGroup(t *testing.T, seed int64, shards, rebalanceAt int) (string, bool) {
+// With rebalance set it moves a random subset of segments to random shards
+// at the virtual instant gen.midStream(); it reports whether the rebalance
+// interrupted a live stream — the sinks held some of the total items, not all.
+func runOnGroup(t *testing.T, seed int64, shards int, rebalance bool, total int) (string, bool) {
 	t.Helper()
 	gen := newDagGen(seed, shards)
 	gen.build()
@@ -341,47 +380,34 @@ func runOnGroup(t *testing.T, seed int64, shards, rebalanceAt int) (string, bool
 	if err != nil {
 		t.Fatalf("seed %d: %d-shard deploy: %v", seed, shards, err)
 	}
-	grp.Start()
-	d.Start()
 	migrated := false
-	if rebalanceAt > 0 {
-		// Busy-wait (virtual time races ahead in real milliseconds) until
-		// the flow is demonstrably mid-stream, then move a random subset of
-		// segments to random shards.  Hints come from a side PRNG so the
-		// topology draws stay untouched.
-		hr := rand.New(rand.NewSource(seed ^ 0x5eed))
-		for gen.total() < rebalanceAt {
-			select {
-			case <-d.Done():
-			default:
-				runtime.Gosched()
-				continue
+	var res <-chan error
+	if !rebalance {
+		grp.Start()
+		d.Start()
+	} else {
+		res = startWith(grp, d, gen, func() error {
+			// Hints come from a side PRNG so the topology draws stay untouched.
+			hr := rand.New(rand.NewSource(seed ^ 0x5eed))
+			hints := make(map[string]int)
+			for _, name := range slices.Sorted(maps.Keys(d.SegmentPlacements())) {
+				if hr.Intn(2) == 0 {
+					hints[name] = hr.Intn(shards)
+				}
 			}
-			break
-		}
-		hints := make(map[string]int)
-		for name := range d.SegmentPlacements() {
-			if hr.Intn(2) == 0 {
-				hints[name] = hr.Intn(shards)
-			}
-		}
-		before := gen.total()
-		err := d.Rebalance(hints)
-		switch {
-		case err == nil:
-			migrated = before < int(gen.items)
-		case err == graph.ErrDeploymentDone:
-			// The stream drained before the rebalance landed: valid run,
-			// nothing migrated.
-		default:
-			t.Fatalf("seed %d: rebalance: %v", seed, err)
-		}
+			before := gen.total()
+			migrated = 0 < before && before < total
+			return d.Rebalance(hints)
+		})
 	}
 	if err := d.Wait(); err != nil {
 		t.Fatalf("seed %d: %d-shard wait: %v", seed, shards, err)
 	}
 	if err := grp.Wait(); err != nil {
 		t.Fatalf("seed %d: %d-shard group wait: %v", seed, shards, err)
+	}
+	if rebalance {
+		acted(t, seed, "rebalance", res)
 	}
 	return gen.trace(), migrated
 }
@@ -408,15 +434,16 @@ func runOnSchedulerTraces(t *testing.T, seed int64) (map[string]string, int) {
 }
 
 // runOnGroupWithEdits deploys the generated graph on an n-shard group and
-// fires one random identity-preserving Edit batch once the sinks hold
-// editAt items: either a DetachBranch of a random pure sink branch, or a
+// fires one random identity-preserving Edit batch at the virtual instant
+// gen.midStream(): either a DetachBranch of a random pure sink branch, or a
 // batch of an identity InsertStage on a random plain edge, an
 // equivalent-implementation SwapStage on a random filter, and (half the
 // time) an AttachBranch subscriber on a random split.  The ops come from a
 // side PRNG so the topology draws stay untouched.  Returns the per-sink
-// traces, the name of the detached sink ("" if none), and whether an edit
-// landed while the stream was demonstrably mid-flight.
-func runOnGroupWithEdits(t *testing.T, seed int64, shards, editAt, baseTotal int) (map[string]string, string, bool) {
+// traces, the name of the detached sink ("" if none), whether an edit was
+// drawn (a graph may offer nothing to edit), and whether it landed while the
+// stream was mid-flight — the sinks held some of baseTotal items, not all.
+func runOnGroupWithEdits(t *testing.T, seed int64, shards, baseTotal int) (traces map[string]string, detached string, drawn, edited bool) {
 	t.Helper()
 	gen := newDagGen(seed, shards)
 	gen.build()
@@ -425,20 +452,8 @@ func runOnGroupWithEdits(t *testing.T, seed int64, shards, editAt, baseTotal int
 	if err != nil {
 		t.Fatalf("seed %d: %d-shard deploy: %v", seed, shards, err)
 	}
-	grp.Start()
-	d.Start()
 	hr := rand.New(rand.NewSource(seed ^ 0xed17))
-	for gen.total() < editAt {
-		select {
-		case <-d.Done():
-		default:
-			runtime.Gosched()
-			continue
-		}
-		break
-	}
 	var ops []graph.EditOp
-	detached := ""
 	if len(gen.detachable) > 0 && hr.Intn(3) == 0 {
 		bp := gen.detachable[hr.Intn(len(gen.detachable))]
 		detached = bp.sink
@@ -473,19 +488,17 @@ func runOnGroupWithEdits(t *testing.T, seed int64, shards, editAt, baseTotal int
 			})
 		}
 	}
-	edited := false
-	if len(ops) > 0 {
-		before := gen.total()
-		switch err := d.Edit(ops...); {
-		case err == nil:
-			edited = before < baseTotal
-		case err == graph.ErrDeploymentDone:
-			// The stream drained before the edit landed: valid run, and the
-			// declaration layer was left untouched.
-			detached = ""
-		default:
-			t.Fatalf("seed %d: %d-shard edit: %v", seed, shards, err)
-		}
+	drawn = len(ops) > 0
+	var res <-chan error
+	if !drawn {
+		grp.Start()
+		d.Start()
+	} else {
+		res = startWith(grp, d, gen, func() error {
+			before := gen.total()
+			edited = 0 < before && before < baseTotal
+			return d.Edit(ops...)
+		})
 	}
 	if err := d.Wait(); err != nil {
 		t.Fatalf("seed %d: %d-shard wait: %v", seed, shards, err)
@@ -493,7 +506,10 @@ func runOnGroupWithEdits(t *testing.T, seed int64, shards, editAt, baseTotal int
 	if err := grp.Wait(); err != nil {
 		t.Fatalf("seed %d: %d-shard group wait: %v", seed, shards, err)
 	}
-	return gen.traces(), detached, edited
+	if drawn {
+		acted(t, seed, "edit", res)
+	}
+	return gen.traces(), detached, drawn, edited
 }
 
 // TestRandomGraphEditDeterminism is the fourth harness run: the same 50
@@ -507,14 +523,17 @@ func runOnGroupWithEdits(t *testing.T, seed int64, shards, editAt, baseTotal int
 // already been fed).
 func TestRandomGraphEditDeterminism(t *testing.T) {
 	const seeds = 50
-	edits := 0
+	drawn, edits := 0, 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		want, total := runOnSchedulerTraces(t, seed)
 		if total == 0 {
 			t.Fatalf("seed %d: no items reached any sink", seed)
 		}
 		for _, shards := range []int{1, 2, 4} {
-			got, detachedSink, edited := runOnGroupWithEdits(t, seed, shards, total/8+1, total)
+			got, detachedSink, wasDrawn, edited := runOnGroupWithEdits(t, seed, shards, total)
+			if wasDrawn {
+				drawn++
+			}
 			if edited {
 				edits++
 			}
@@ -537,13 +556,12 @@ func TestRandomGraphEditDeterminism(t *testing.T) {
 			}
 		}
 	}
-	// 150 deployments; the tight poll should land the overwhelming majority
-	// of edits mid-stream — demand at least a third so the harness cannot
-	// silently degrade into editing drained flows.
-	if edits < seeds {
-		t.Fatalf("only %d/%d deployments edited mid-stream — the harness is not exercising live edits", edits, 3*seeds)
+	// The edit is an appointment at a virtual instant: none that was drawn
+	// may miss the stream, and most graphs must offer something to edit.
+	if edits != drawn || drawn < 2*seeds {
+		t.Fatalf("%d of %d drawn edits landed mid-stream, on %d deployments — the harness is not exercising live edits", edits, drawn, 3*seeds)
 	}
-	t.Logf("%d/%d deployments edited mid-stream with byte-identical surviving traces", edits, 3*seeds)
+	t.Logf("%d/%d drawn edits landed mid-stream with byte-identical surviving traces (%d deployments)", edits, drawn, 3*seeds)
 }
 
 // TestRandomGraphDeterminism is the harness: 50 seeded random DAGs, each
@@ -559,11 +577,11 @@ func TestRandomGraphDeterminism(t *testing.T) {
 			t.Fatalf("seed %d: no items reached any sink", seed)
 		}
 		for _, shards := range []int{2, 4} {
-			if got, _ := runOnGroup(t, seed, shards, 0); got != want {
+			if got, _ := runOnGroup(t, seed, shards, false, total); got != want {
 				t.Fatalf("seed %d: %d-shard trace diverged\n%s", seed, shards, divergence(got, want))
 			}
 		}
-		got, migrated := runOnGroup(t, seed, 4, total/8+1)
+		got, migrated := runOnGroup(t, seed, 4, true, total)
 		if got != want {
 			t.Fatalf("seed %d: 4-shard trace with mid-stream rebalance diverged\n%s", seed, divergence(got, want))
 		}
@@ -571,10 +589,9 @@ func TestRandomGraphDeterminism(t *testing.T) {
 			migrations++
 		}
 	}
-	// The harness is pointless if the rebalances keep missing the stream;
-	// under the virtual clock the tight poll catches the window in the
-	// overwhelming majority of runs.
-	if migrations < seeds/4 {
+	// The rebalance is an appointment at a virtual instant: none may miss
+	// the stream.
+	if migrations != seeds {
 		t.Fatalf("only %d/%d seeds rebalanced mid-stream — the harness is not exercising migration", migrations, seeds)
 	}
 	t.Logf("%d/%d seeds rebalanced mid-stream with byte-identical traces", migrations, seeds)
@@ -598,11 +615,11 @@ func TestDescheduledControllerCannotMoveTime(t *testing.T) {
 	}
 	defer graph.DescheduleControllers()()
 	for seed := int64(1); seed <= seeds; seed++ {
-		if got, _ := runOnGroup(t, seed, 2, 0); got != want[seed] {
+		if got, _ := runOnGroup(t, seed, 2, false, totals[seed]); got != want[seed] {
 			t.Fatalf("seed %d: 2-shard trace diverged when Start was descheduled mid-broadcast\n%s",
 				seed, divergence(got, want[seed]))
 		}
-		if got, _ := runOnGroup(t, seed, 4, totals[seed]/8+1); got != want[seed] {
+		if got, _ := runOnGroup(t, seed, 4, true, totals[seed]); got != want[seed] {
 			t.Fatalf("seed %d: 4-shard trace diverged when Rebalance was descheduled mid-transaction\n%s",
 				seed, divergence(got, want[seed]))
 		}

@@ -1,12 +1,9 @@
 package graph_test
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"reflect"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,6 +11,7 @@ import (
 	"time"
 
 	"infopipes/internal/graph"
+	"infopipes/internal/leakcheck"
 	"infopipes/internal/pipes"
 	"infopipes/internal/remote"
 	"infopipes/internal/typespec"
@@ -50,38 +48,6 @@ func assertNoListener(t *testing.T, c *remote.Client, lane string) {
 	if _, err := c.Lane(remote.LaneRequest{Kind: remote.LaneDrop, Lane: lane, Side: remote.ListenerSide}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// liveGoroutines counts the goroutines alive now, less the ones vclock
-// parks for the life of the process: one reader per pooled timerfd.
-func liveGoroutines() (n int) {
-	buf := make([]byte, 1<<20)
-	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if !strings.Contains(g, "vclock.(*kernelTimer).read") {
-			n++
-		}
-	}
-	return n
-}
-
-// checkGoroutines fails the test when, after everything registered later
-// than it has cleaned up (nodes closed, schedulers stopped), more goroutines
-// are alive than when it was called.  Call it first in a test.
-func checkGoroutines(t *testing.T) {
-	t.Helper()
-	base := liveGoroutines()
-	t.Cleanup(func() {
-		deadline := time.Now().Add(2 * time.Second)
-		for liveGoroutines() > base {
-			if time.Now().After(deadline) {
-				var dump bytes.Buffer
-				_ = pprof.Lookup("goroutine").WriteTo(&dump, 1)
-				t.Errorf("%d goroutines alive, %d when the test began:\n%s", liveGoroutines(), base, &dump)
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	})
 }
 
 // specLines renders stage specs one line each — kind, name, args, sorted
@@ -135,7 +101,7 @@ func renderGraph(name string, items int) *graph.Graph {
 // TestRenderPinned pins what the one renderer makes of every segment and
 // relay of renderGraph on plain lanes.
 func TestRenderPinned(t *testing.T) {
-	checkGoroutines(t)
+	leakcheck.Check(t)
 	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
 	cat := tc.catalog()
 	a, b, c := startNode(t, "alpha", cat), startNode(t, "beta", cat), startNode(t, "gamma", cat)
@@ -183,7 +149,7 @@ func TestRenderPinned(t *testing.T) {
 // back is rendered — durable and chain params included — exactly as the
 // deploy rendered it, and so are the stationary relays beside it.
 func TestReplaceRendersAsDeployDid(t *testing.T) {
-	checkGoroutines(t)
+	leakcheck.Check(t)
 	const items = 60
 	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
 	cat := tc.catalog()
@@ -223,7 +189,7 @@ func TestReplaceRendersAsDeployDid(t *testing.T) {
 // list.  Two deployments made from one NodesTarget must not come to share a
 // slice that one of them extends under its own lock.
 func TestAddNodeLeavesTargetAlone(t *testing.T) {
-	checkGoroutines(t)
+	leakcheck.Check(t)
 	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
 	cat := tc.catalog()
 	a, b, c := startNode(t, "alpha", cat), startNode(t, "beta", cat), startNode(t, "gamma", cat)
@@ -275,7 +241,7 @@ func TestAddNodeLeavesTargetAlone(t *testing.T) {
 // external-source reference — and a retry onto a good survivor still
 // delivers every item exactly once.
 func TestFailOverFailedMoveDropsListener(t *testing.T) {
-	checkGoroutines(t)
+	leakcheck.Check(t)
 	const items = 120
 	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
 	cat, lacking := tc.catalog(), tc.catalog()

@@ -8,6 +8,7 @@ import (
 	"infopipes/internal/core"
 	"infopipes/internal/events"
 	"infopipes/internal/graph"
+	"infopipes/internal/leakcheck"
 	"infopipes/internal/netpipe"
 	"infopipes/internal/pipes"
 	"infopipes/internal/remote"
@@ -173,7 +174,7 @@ func TestGraphRemoteNeedsSpecs(t *testing.T) {
 // rendezvous listeners are closed and forgotten — and a corrected retry of
 // the same graph succeeds.
 func TestGraphRemoteAbortOnFailure(t *testing.T) {
-	checkGoroutines(t)
+	leakcheck.Check(t)
 	const items = 10
 	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
 	cat := tc.catalog()

@@ -8,6 +8,7 @@ import (
 
 	"infopipes/internal/core"
 	"infopipes/internal/graph"
+	"infopipes/internal/leakcheck"
 	"infopipes/internal/pipes"
 )
 
@@ -19,7 +20,7 @@ import (
 // Twenty Replaces shuttle two adjacent segments between two nodes before
 // the stream starts; the stream must then still arrive complete.
 func TestReplaceMoveOrderIsDeterministic(t *testing.T) {
-	checkGoroutines(t)
+	leakcheck.Check(t)
 	const items = 60
 	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
 	cat := tc.catalog()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"infopipes/internal/graph"
+	"infopipes/internal/leakcheck"
 	"infopipes/internal/pipes"
 )
 
@@ -55,7 +56,7 @@ func sinkTrace(sink *pipes.CollectSink) string {
 // their deterministic sub-streams byte-identical to a no-move run — zero
 // loss, zero duplication, order preserved.
 func TestReplaceMovesSplitTrunkMidStream(t *testing.T) {
-	checkGoroutines(t)
+	leakcheck.Check(t)
 	const items = 160
 	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
 	cat := tc.catalog()

@@ -139,6 +139,8 @@ func (b *BoundedBuffer) Closed() bool {
 }
 
 // Insert implements core.Buffer (the push side).
+//
+//ipvet:hotpath one per item per buffer
 func (b *BoundedBuffer) Insert(ctx *core.Ctx, it *item.Item) error {
 	t := ctx.Thread()
 	for {
@@ -189,6 +191,8 @@ func (b *BoundedBuffer) Insert(ctx *core.Ctx, it *item.Item) error {
 }
 
 // Remove implements core.Buffer (the pull side).
+//
+//ipvet:hotpath one per item per buffer
 func (b *BoundedBuffer) Remove(ctx *core.Ctx) (*item.Item, error) {
 	t := ctx.Thread()
 	for {
@@ -225,16 +229,12 @@ func (b *BoundedBuffer) Remove(ctx *core.Ctx) (*item.Item, error) {
 // await suspends the calling thread until its wake token arrives,
 // dispatching control events that arrive in the meantime (§3.2).  On
 // return, the waiter registration and any in-flight wake are consumed.
+//
+//ipvet:hotpath one per blocked Insert or Remove: once per item on a saturated flow
 func (b *BoundedBuffer) await(ctx *core.Ctx, t *uthread.Thread, tok uint64) error {
-	isWake := func(m uthread.Message) bool {
-		w, ok := m.Data.(uint64)
-		return m.Kind == core.MsgBufferWake && ok && w == tok
-	}
 	for {
-		m := t.ReceiveMatch(func(m uthread.Message) bool {
-			return isWake(m) || events.IsControl(m)
-		})
-		if isWake(m) {
+		m := t.ReceiveTagged(core.MsgBufferWake, tok)
+		if m.Kind == core.MsgBufferWake {
 			b.deregister(tok)
 			return nil
 		}
@@ -243,7 +243,7 @@ func (b *BoundedBuffer) await(ctx *core.Ctx, t *uthread.Thread, tok uint64) erro
 			if !b.deregister(tok) {
 				// A wake was already posted; consume it so it cannot
 				// confuse a later wait.
-				t.TryReceive(isWake)
+				core.DiscardWake(t, core.MsgBufferWake, tok)
 			}
 			return core.ErrStopped
 		}
@@ -262,7 +262,7 @@ func (b *BoundedBuffer) registerLocked(list *[]bufWaiter, t *uthread.Thread) uin
 func (b *BoundedBuffer) deregister(tok uint64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, list := range []*[]bufWaiter{&b.itemWaiters, &b.spaceWaiters} {
+	for _, list := range [...]*[]bufWaiter{&b.itemWaiters, &b.spaceWaiters} {
 		for i, w := range *list {
 			if w.tok == tok {
 				*list = append((*list)[:i], (*list)[i+1:]...)
@@ -273,13 +273,15 @@ func (b *BoundedBuffer) deregister(tok uint64) bool {
 	return false
 }
 
-// wakeOneLocked pops the first waiter and posts its wake message.
+// wakeOneLocked pops the first waiter and posts its wake message.  The rest
+// shift down: re-slicing from the front would give the array's capacity away
+// one waiter at a time, and every later registration would reallocate.
 func (b *BoundedBuffer) wakeOneLocked(list *[]bufWaiter) {
 	if len(*list) == 0 {
 		return
 	}
 	w := (*list)[0]
-	*list = (*list)[1:]
+	*list = append((*list)[:0], (*list)[1:]...)
 	postWake(b.sched, w)
 }
 
@@ -289,7 +291,7 @@ func postWake(sched *uthread.Scheduler, w bufWaiter) {
 	}
 	sched.Post(w.th, uthread.Message{
 		Kind:       core.MsgBufferWake,
-		Data:       w.tok,
+		Tag:        w.tok,
 		Constraint: uthread.At(uthread.PriorityHigh),
 	})
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"infopipes/internal/core"
 	"infopipes/internal/events"
@@ -158,6 +159,20 @@ func (g *Group) External(fn func()) {
 		defer g.group.Release()
 	}
 	fn()
+}
+
+// At books fn, one action of an external actor, for the virtual instant t
+// (vclock.GroupVirtual.At): it runs under the hold when nothing before t is
+// left to happen on any shard, ahead of whatever is due at t.  Where External
+// says "not while I act", At also says when.  Book before Start, or Start the
+// group and the flow inside one External: an idle group with no deadline runs
+// a future appointment at once.  The real clock keeps no appointments, so a
+// group made WithRealClock panics.
+func (g *Group) At(t time.Time, fn func()) {
+	if g.group == nil {
+		panic("shard: Group.At needs the coordinated virtual clock")
+	}
+	g.group.At(t, fn)
 }
 
 // Place picks a shard for the next pipeline according to the placement

@@ -34,27 +34,30 @@ var ErrLinkClosed = errors.New("uthread: coroutine link closed")
 // hand-written passive implementation (experiment E3).
 type CoroLink struct {
 	name string
+	id   uint64  // rides in Message.Tag: which link a handoff belongs to
 	up   *Thread // putter side
 	down *Thread // getter side
 
+	isData func(Message) bool // IsCoroData, bound once: Get polls with it
+
 	// stash holds the payload of the message that invoked the getter's
 	// code function, so the component's first pull can consume it.
-	// Owning (getter) goroutine only.
+	// Getter thread only.
 	stash   any
 	stashOK bool
 
 	closed atomic.Bool
 }
 
-// coroPayload routes coroutine messages to their link.
-type coroPayload struct {
-	link *CoroLink
-	item any
-}
+// linkIDs numbers the links of the process; an id only ever meets the ids of
+// the links its two threads use.
+var linkIDs atomic.Uint64
 
 // NewCoroLink creates a named, unbound link.  Bind both sides before use.
 func NewCoroLink(name string) *CoroLink {
-	return &CoroLink{name: name}
+	l := &CoroLink{name: name, id: linkIDs.Add(1)}
+	l.isData = l.IsCoroData
+	return l
 }
 
 // Name returns the link's diagnostic name.
@@ -75,7 +78,7 @@ func (l *CoroLink) Down() *Thread { return l.down }
 // Offer stashes the item carried by the message that invoked the getter's
 // code function so that the component's first Get consumes it without a
 // handoff (the "first push call invokes the main function" case of §3.3).
-// Must be called from the getter-side goroutine.
+// Must be called from the getter-side thread.
 func (l *CoroLink) Offer(item any) {
 	l.stash = item
 	l.stashOK = true
@@ -91,20 +94,18 @@ func (l *CoroLink) Closed() bool { return l.closed.Load() }
 
 // IsCoroData reports whether m is a data message for this link.
 func (l *CoroLink) IsCoroData(m Message) bool {
-	p, ok := m.Data.(coroPayload)
-	return ok && m.Kind == KindCoroData && p.link == l
+	return m.Kind == KindCoroData && m.Tag == l.id
 }
 
 // isResume reports whether m is a resume message for this link.
 func (l *CoroLink) isResume(m Message) bool {
-	p, ok := m.Data.(coroPayload)
-	return ok && m.Kind == KindCoroResume && p.link == l
+	return m.Kind == KindCoroResume && m.Tag == l.id
 }
 
 // ItemOf extracts the data item from a coroutine data message.
 func ItemOf(m Message) any {
-	if p, ok := m.Data.(coroPayload); ok {
-		return p.item
+	if m.Kind == KindCoroData {
+		return m.Data
 	}
 	return nil
 }
@@ -113,23 +114,23 @@ func ItemOf(m Message) any {
 // It is a shutdown-path operation: the getter calls it just before
 // terminating so the last Put can return.  Calling Drain when no Put is
 // pending leaves a stale resume in the putter's mailbox, so it must only be
-// used when the link will not be used again.  Getter-side goroutine only.
+// used when the link will not be used again.  Getter-side thread only.
 func (l *CoroLink) Drain(t *Thread) {
-	t.sendInternal(l.up, Message{Kind: KindCoroResume, Data: coroPayload{link: l}})
+	t.sendInternal(l.up, Message{Kind: KindCoroResume, Tag: l.id})
 }
 
 // Put transfers item across the link from the putter side.  It returns when
 // the getter next drains the link (synchronous handoff), or ErrLinkClosed.
-// Must be called from the up-side goroutine while it holds the CPU.
+// Must be called from the up-side thread while it holds the CPU.
+//
+//ipvet:hotpath one per item per coroutine hop
 func (l *CoroLink) Put(t *Thread, item any) error {
 	if l.closed.Load() {
 		return ErrLinkClosed
 	}
-	t.sendInternal(l.down, Message{Kind: KindCoroData, Data: coroPayload{link: l, item: item}})
+	t.sendInternal(l.down, Message{Kind: KindCoroData, Data: item, Tag: l.id})
 	for {
-		m := t.awaitMessage(func(m Message) bool {
-			return l.isResume(m) || (t.ctrlMatch != nil && t.ctrlMatch(m))
-		})
+		m := t.ReceiveTagged(KindCoroResume, l.id)
 		if l.isResume(m) {
 			return nil
 		}
@@ -141,8 +142,10 @@ func (l *CoroLink) Put(t *Thread, item any) error {
 }
 
 // Get receives the next item from the link on the getter side, or
-// ErrLinkClosed.  Must be called from the down-side goroutine while it holds
+// ErrLinkClosed.  Must be called from the down-side thread while it holds
 // the CPU.
+//
+//ipvet:hotpath one per item per coroutine hop
 func (l *CoroLink) Get(t *Thread) (any, error) {
 	if l.stashOK {
 		item := l.stash
@@ -155,18 +158,16 @@ func (l *CoroLink) Get(t *Thread) (any, error) {
 	}
 	// An item may already be queued (putter ran ahead); taking it must not
 	// release the putter — it stays blocked until our next empty Get.
-	if m, ok := t.TryReceive(l.IsCoroData); ok {
-		return ItemOf(m), nil
+	if m, ok := t.TryReceive(l.isData); ok {
+		return m.Data, nil
 	}
 	// Empty link: release the putter (its previous Put returns), then wait
 	// for it to produce.
-	t.sendInternal(l.up, Message{Kind: KindCoroResume, Data: coroPayload{link: l}})
+	t.sendInternal(l.up, Message{Kind: KindCoroResume, Tag: l.id})
 	for {
-		m := t.awaitMessage(func(m Message) bool {
-			return l.IsCoroData(m) || (t.ctrlMatch != nil && t.ctrlMatch(m))
-		})
+		m := t.ReceiveTagged(KindCoroData, l.id)
 		if l.IsCoroData(m) {
-			return ItemOf(m), nil
+			return m.Data, nil
 		}
 		t.dispatchControl(m)
 		if l.closed.Load() {

@@ -123,13 +123,10 @@ func (s *Scheduler) SpawnClassed(name string, prio Priority, class *SchedClass, 
 		code:    code,
 		state:   stateBlocked, // waiting for first message
 		heapIdx: -1,
-		gate:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
-	t.sleepPred = t.matchSleep
+	t.tagPred = t.matchTagged
 	s.threads[t.id] = t
 	s.live++
 	s.mu.Unlock()
-	go t.run()
 	return t
 }

@@ -175,27 +175,6 @@ func (q *msgQueue) popMatch(pred func(Message) bool) (Message, bool) {
 	return Message{}, false
 }
 
-// anyMatch reports whether a queued message satisfies pred (nil = any).
-func (q *msgQueue) anyMatch(pred func(Message) bool) bool {
-	if pred == nil {
-		return q.count > 0
-	}
-	for i := range q.buckets {
-		r := &q.buckets[i].ring
-		for j := 0; j < r.len(); j++ {
-			if pred(*r.at(j)) {
-				return true
-			}
-		}
-	}
-	for j := 0; j < q.plain.len(); j++ {
-		if pred(*q.plain.at(j)) {
-			return true
-		}
-	}
-	return false
-}
-
 func (q *msgQueue) len() int { return q.count }
 
 func (q *msgQueue) clear() {

@@ -216,9 +216,6 @@ func TestMsgQueueMatchesReference(t *testing.T) {
 		if gb != wb || gf != wf {
 			t.Fatalf("op %d: bestConstraint (%d,%v), scan (%d,%v)", op, gb, gf, wb, wf)
 		}
-		if q.anyMatch(nil) != (len(ref) > 0) {
-			t.Fatalf("op %d: anyMatch(nil) inconsistent with length %d", op, len(ref))
-		}
 	}
 }
 

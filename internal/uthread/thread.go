@@ -39,23 +39,28 @@ type Thread struct {
 
 	// ctrlMatch/ctrlHandle implement §3.2/§4: control events are delivered
 	// even while the thread is blocked inside a synchronous Call (push/pull
-	// between coroutines).  Set via SetControlDispatch; read only by the
-	// owning goroutine.
+	// between coroutines).  Set via SetControlDispatch by the thread itself;
+	// senders read ctrlMatch, through waitPred, only while it is blocked.
 	ctrlMatch  func(Message) bool
 	ctrlHandle func(*Thread, Message)
 
-	holding bool          // owns the run token (owning goroutine only)
-	gate    chan struct{} // scheduler grants the token here
-	done    chan struct{} // closed when the goroutine exits
+	// The coroutine: next resumes it and stop unwinds it — both made at the
+	// first grant and used only by the goroutine in Run — and yield, the
+	// other end, returns the run token from inside the body.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
-	// sleepTok is the timer a SleepUntilOr is waiting for and sleepPred the
-	// predicate that matches it, bound once at spawn so a sleep allocates
-	// nothing.  The owning goroutine sets sleepTok while it holds the run
-	// token; senders read it, through waitPred, only while the thread is
-	// blocked, under sched.mu.  (Last, so the fields every switch touches
-	// keep their cache lines.)
-	sleepTok  TimerToken
-	sleepPred func(Message) bool
+	// waitKind/waitTag say which message a ReceiveTagged is waiting for and
+	// tagPred is the predicate that reads them, bound once at spawn so that
+	// no blocking wait — a reply, a timer, a coroutine handoff, a buffer
+	// wake — allocates.  The thread sets them while it holds the run token;
+	// senders read them, through waitPred, only while it is blocked, under
+	// sched.mu.  calls numbers this thread's Calls.
+	waitKind Kind
+	waitTag  uint64
+	tagPred  func(Message) bool
+	calls    uint64
 }
 
 // Name returns the thread's diagnostic name.
@@ -120,24 +125,16 @@ func (t *Thread) dequeueLocked(pred func(Message) bool) (Message, bool) {
 	return t.mq.popMatch(pred)
 }
 
-// run is the thread goroutine: the top-level message loop described in §4.
-func (t *Thread) run() {
-	defer close(t.done)
+// body is the thread's coroutine: the top-level message loop described in
+// §4.  It ends when the code function says Terminate, when the scheduler
+// stops (every blocking operation then panics with haltSignal) or when the
+// code function panics, which fails the scheduler.
+func (t *Thread) body(yield func(struct{}) bool) {
+	t.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
-			if _, stopped := r.(haltSignal); stopped {
-				return // clean shutdown unwind
-			}
-			t.sched.fail(fmt.Errorf("uthread %q: code function panicked: %v", t.name, r))
-			if t.holding {
-				// fail just closed stopCh, so Run may already have taken
-				// the stop arm of its handoff select and stopped listening
-				// for the token — a bare send would deadlock shutdown.
-				t.holding = false
-				select {
-				case t.sched.yielded <- struct{}{}:
-				case <-t.sched.stopCh:
-				}
+			if _, halted := r.(haltSignal); !halted {
+				t.sched.fail(fmt.Errorf("uthread %q: code function panicked: %v", t.name, r))
 			}
 		}
 	}()
@@ -154,7 +151,8 @@ func (t *Thread) run() {
 	}
 }
 
-// terminate marks the thread dead and returns the token.  Owning goroutine.
+// terminate marks the thread dead; the body returns next, and with it the
+// run token.
 func (t *Thread) terminate() {
 	s := t.sched
 	s.mu.Lock()
@@ -164,94 +162,53 @@ func (t *Thread) terminate() {
 	delete(s.threads, t.id)
 	s.live--
 	s.mu.Unlock()
-	if t.holding {
-		t.holding = false
-		select {
-		case s.yielded <- struct{}{}:
-		case <-s.stopCh:
-		}
-	}
 }
 
 // awaitMessage blocks until a message matching pred is available and returns
 // it.  It is the single suspension primitive: Receive, Call replies, timer
-// waits and coroutine handoffs all go through here.  Owning goroutine only.
+// waits and coroutine handoffs all go through here.  The thread runs only
+// when granted, so it always holds the run token here.
 //
-// A message may only be consumed while the thread holds the run token; the
-// not-holding branch covers goroutine startup, where a message (or even a
-// grant) can already be waiting before the goroutine first runs.
+//ipvet:hotpath every blocking operation of every thread
 func (t *Thread) awaitMessage(pred func(Message) bool) Message {
 	s := t.sched
 	for {
 		s.mu.Lock()
 		if s.stopped {
 			s.mu.Unlock()
-			panic(haltSignal{})
+			panic(halt)
 		}
-		if t.holding {
-			if m, ok := t.dequeueLocked(pred); ok {
-				s.mu.Unlock()
-				return m
-			}
-			t.state = stateBlocked
-			t.waitPred = pred
-		} else {
-			switch t.state {
-			case stateReady, stateRunning:
-				// A grant is queued or already in flight; pick up the
-				// token first, then consume the message.
-			case stateBlocked:
-				if t.peekLocked(pred) {
-					t.state = stateReady
-					t.waitPred = nil
-					s.ready.push(t)
-				} else {
-					t.waitPred = pred
-				}
-			case stateTerminated:
-				s.mu.Unlock()
-				panic(haltSignal{})
-			}
+		if m, ok := t.dequeueLocked(pred); ok {
+			s.mu.Unlock()
+			return m
 		}
+		t.state = stateBlocked
+		t.waitPred = pred
 		s.mu.Unlock()
 		t.yieldToken()
 	}
 }
 
-// peekLocked reports whether a queued message matches pred (nil = any).
-func (t *Thread) peekLocked(pred func(Message) bool) bool {
-	return t.mq.anyMatch(pred)
-}
-
-// yieldToken returns the run token to the scheduler (if held) and blocks
-// until it is granted again.  Owning goroutine only.
+// yieldToken returns the run token to the scheduler and blocks until it is
+// granted again.  A false from yield is the halt: Run is shutting down and
+// wants the coroutine unwound.
+//
+//ipvet:hotpath the switch itself
 func (t *Thread) yieldToken() {
-	s := t.sched
-	if t.holding {
-		t.holding = false
-		select {
-		case s.yielded <- struct{}{}:
-		case <-s.stopCh:
-			panic(haltSignal{})
-		}
-	}
-	select {
-	case <-t.gate:
-		t.holding = true
-	case <-s.stopCh:
-		panic(haltSignal{})
+	if !t.yield(struct{}{}) {
+		panic(halt)
 	}
 }
 
-// preemptionPoint offers the CPU to a higher-priority ready thread.  When
-// allowEqual is true, equal-priority threads are also given a turn
-// (round-robin at message boundaries).  Owning goroutine only.
+// preemptionPoint offers the CPU to a higher-priority ready thread.  Unless
+// strictOnly, equal-priority threads are also given a turn (round-robin at
+// message boundaries).
 func (t *Thread) preemptionPoint(strictOnly bool) {
 	s := t.sched
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
-		panic(haltSignal{})
+		panic(halt)
 	}
 	top := s.ready.peekMax()
 	if top == nil {
@@ -298,9 +255,11 @@ func (t *Thread) TryReceive(pred func(Message) bool) (Message, bool) {
 // inherits the constraint of the message t is currently processing — the §4
 // rule that lets a pump's constraint govern its whole coroutine set.  If the
 // receiver becomes runnable at a strictly higher effective priority the
-// sender is preempted (communication points are switch points).
-// Thread-side API.
+// sender is preempted (communication points are switch points).  The
+// message's Tag is cleared: a received message sent on must not pass for the
+// Call its Tag once numbered.  Thread-side API.
 func (t *Thread) Send(dst *Thread, msg Message) {
+	msg.Tag = 0
 	t.sendInternal(dst, msg)
 	t.preemptionPoint(true)
 }
@@ -314,7 +273,7 @@ func (t *Thread) sendInternal(dst *Thread, msg Message) {
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
-		panic(haltSignal{})
+		panic(halt)
 	}
 	if dst == nil || dst.state == stateTerminated {
 		s.mu.Unlock()
@@ -328,31 +287,37 @@ func (t *Thread) sendInternal(dst *Thread, msg Message) {
 // dispatching any control messages that arrive in between through the hook
 // installed with SetControlDispatch (§4).  Thread-side API.
 func (t *Thread) Call(dst *Thread, msg Message) Message {
-	s := t.sched
-	s.mu.Lock()
-	s.nextCall++
-	id := s.nextCall
-	s.mu.Unlock()
-	msg.id = id
+	t.calls++
+	id := t.calls // replies come to this thread's mailbox: its own count will do
+	msg.Tag = id
 	t.sendInternal(dst, msg)
-	return t.awaitReply(id)
-}
-
-// awaitReply waits for the reply with correlation id, interleaving control
-// dispatch.  Owning goroutine only.
-func (t *Thread) awaitReply(id uint64) Message {
 	for {
-		m := t.awaitMessage(func(m Message) bool {
-			if m.Kind == KindReply && m.id == id {
-				return true
-			}
-			return t.ctrlMatch != nil && t.ctrlMatch(m)
-		})
-		if m.Kind == KindReply && m.id == id {
+		m := t.ReceiveTagged(KindReply, id)
+		if m.Kind == KindReply && m.Tag == id {
 			return m
 		}
 		t.dispatchControl(m)
 	}
+}
+
+// ReceiveTagged suspends until a message of the given kind carrying tag
+// arrives, or one the control-dispatch hook claims, and returns it; the
+// caller tells the two apart by Kind.  It is the selective receive of every
+// wait on one expected message (a reply, a timer, a coroutine handoff, a wake
+// token) and, unlike ReceiveMatch with a closure, allocates nothing.
+// Thread-side API.
+func (t *Thread) ReceiveTagged(kind Kind, tag uint64) Message {
+	t.waitKind, t.waitTag = kind, tag
+	return t.awaitMessage(t.tagPred)
+}
+
+// matchTagged is tagPred: the message ReceiveTagged waits for, or a control
+// message.
+func (t *Thread) matchTagged(m Message) bool {
+	if m.Kind == t.waitKind && m.Tag == t.waitTag {
+		return true
+	}
+	return t.ctrlMatch != nil && t.ctrlMatch(m)
 }
 
 // DispatchControl runs the installed control hook on m if it matches,
@@ -381,13 +346,15 @@ func (t *Thread) dispatchControl(m Message) {
 	t.current = saved
 }
 
-// Reply answers a synchronous Call previously received as req.
-// Thread-side API.
+// Reply answers a synchronous Call previously received as req.  Only an
+// application message (Kind >= KindUserBase) with a sender and a call id is
+// a Call; anything else — a timer, a coroutine handoff, a posted wake, whose
+// Tag means something else — is not answered.  Thread-side API.
 func (t *Thread) Reply(req Message, data any) {
-	if req.id == 0 || req.From == nil {
+	if req.Kind < KindUserBase || req.Tag == 0 || req.From == nil {
 		return
 	}
-	t.sendInternal(req.From, Message{Kind: KindReply, Data: data, id: req.id})
+	t.sendInternal(req.From, Message{Kind: KindReply, Data: data, Tag: req.Tag})
 	t.preemptionPoint(true)
 }
 
@@ -400,15 +367,6 @@ func (t *Thread) SleepFor(d time.Duration) {
 // SleepUntil suspends the thread until instant at on the scheduler's clock,
 // dispatching control messages that arrive in the meantime.  Thread-side API.
 func (t *Thread) SleepUntil(at time.Time) { t.SleepUntilOr(at, nil) }
-
-// matchSleep is the wait predicate of a sleep: the expiry of sleepTok, or a
-// control message.
-func (t *Thread) matchSleep(m Message) bool {
-	if m.Kind == KindTimer {
-		return TimerToken(m.id) == t.sleepTok
-	}
-	return t.ctrlMatch != nil && t.ctrlMatch(m)
-}
 
 // SleepUntilOr suspends the thread until instant at, dispatching control
 // messages as they arrive.  After each control dispatch, cancelled is
@@ -425,15 +383,15 @@ func (t *Thread) SleepUntilOr(at time.Time, cancelled func() bool) bool {
 		t.Yield()
 		return true
 	}
-	t.sleepTok = t.sched.TimerAt(at, t)
+	tok := t.sched.TimerAt(at, t)
 	for {
-		m := t.awaitMessage(t.sleepPred)
+		m := t.ReceiveTagged(KindTimer, uint64(tok))
 		if m.Kind == KindTimer {
 			return true
 		}
 		t.dispatchControl(m)
 		if cancelled != nil && cancelled() {
-			t.sched.CancelTimer(t.sleepTok)
+			t.sched.CancelTimer(tok)
 			return false
 		}
 	}

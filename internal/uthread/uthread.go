@@ -23,18 +23,26 @@
 // scheme raises a thread's effective priority when a higher-constraint
 // message is pending, avoiding priority inversion.
 //
-// The Go realisation gates one goroutine per thread behind a run token so
-// that exactly one thread executes at any instant — the observable semantics
-// of the paper's uniprocessor user-level package.  A context switch is a
-// token handoff (two channel operations, on the order of a microsecond);
-// a direct function call inside a thread costs nanoseconds.  That two-orders-
-// of-magnitude gap is the quantitative claim of §4 and is reproduced by
-// BenchmarkContextSwitch / BenchmarkDirectCall.
+// The Go realisation is one pull coroutine (iter.Pull) per thread, all of
+// them resumed from the goroutine in Run, so that exactly one thread executes
+// at any instant — the observable semantics of the paper's uniprocessor
+// user-level package.  Granting the run token is next(), returning it is
+// yield: a context switch is two direct goroutine-to-goroutine switches that
+// never pass through the Go run queue, a third of a microsecond with the
+// scheduling decision around them; a direct function call inside a thread
+// costs nanoseconds.  That gap is the quantitative claim of §4 and is
+// reproduced by BenchmarkContextSwitch / BenchmarkDirectCall.  A thread
+// that has not been granted yet costs no goroutine, and neither the P nor
+// the OS thread changes hands at a switch: an outside goroutine that is
+// merely runnable on a one-P process waits until the scheduler parks.
 package uthread
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -95,11 +103,14 @@ type Message struct {
 	Data       any
 	Constraint Constraint
 
-	// id is the correlation id of a Call and of its KindReply (nonzero), or
-	// the token of the expired timer on a KindTimer message.  One word for
-	// both keeps a Message at 64 bytes — one cache line per mailbox slot;
-	// the two kinds of message never meet (a timer has no sender to reply to).
-	id  uint64
+	// Tag is the message's correlation word, read together with Kind: the
+	// id of a Call and of its KindReply (nonzero), the token of the expired
+	// timer on a KindTimer message, the link of a coroutine handoff, or, on
+	// a message Posted from outside, a word of the poster's choosing (a wake
+	// token) that ReceiveTagged matches without unboxing Data.  One word
+	// for all of them keeps a Message at 64 bytes — one cache line per
+	// mailbox slot.  Send clears it and Call overwrites it.
+	Tag uint64
 	seq uint64 // arrival order, for FIFO stability within a priority level
 }
 
@@ -109,7 +120,7 @@ func (m Message) Timer() TimerToken {
 	if m.Kind != KindTimer {
 		return 0
 	}
-	return TimerToken(m.id)
+	return TimerToken(m.Tag)
 }
 
 // Disposition is returned by a code function to tell the scheduler whether
@@ -124,8 +135,12 @@ const (
 )
 
 // CodeFunc is the body of a thread.  It is invoked once per received
-// message and runs on the thread's own goroutine while the thread holds the
+// message and runs on the thread's own coroutine while the thread holds the
 // scheduler's run token.  It may block in t.Receive, t.Call, t.Sleep, etc.
+// A panic in it makes Run return an error naming the thread.  It must not
+// call runtime.Goexit (a t.Fatal off the test goroutine): the exit passes
+// to the goroutine in Run, which shuts the scheduler down and ends without
+// returning to its caller.
 type CodeFunc func(t *Thread, msg Message) Disposition
 
 // ErrDeadlock is returned by Run when live threads remain but none can ever
@@ -136,9 +151,16 @@ var ErrDeadlock = errors.New("uthread: deadlock: all threads blocked")
 // is shut down underneath them.
 var ErrStopped = errors.New("uthread: scheduler stopped")
 
-// errHalt is the sentinel used internally to unwind a thread goroutine when
-// the scheduler stops.  It never escapes the package.
+// errGoexit is RunBackground's result when a code function ended Run's
+// goroutine with runtime.Goexit.
+var errGoexit = errors.New("uthread: a code function called runtime.Goexit")
+
+// haltSignal is the panic that unwinds a thread's coroutine when the
+// scheduler stops.  It never escapes the package.
 type haltSignal struct{}
+
+// halt is the one boxed haltSignal, so that raising it allocates nothing.
+var halt any = haltSignal{}
 
 // Stats is a snapshot of scheduler activity counters.
 type Stats struct {
@@ -154,24 +176,20 @@ type Stats struct {
 type Scheduler struct {
 	clock vclock.Clock
 
-	mu       sync.Mutex
-	ready    readyQueue
-	timers   timerQueue
-	threads  map[uint64]*Thread
-	live     int
-	extRefs  int
-	stopped  bool
-	err      error
-	nextID   uint64
-	nextSeq  uint64
-	nextCall uint64
-	nextTok  uint64
-	inherit  bool
-	running  *Thread
+	mu      sync.Mutex
+	ready   readyQueue
+	timers  timerQueue
+	threads map[uint64]*Thread
+	live    int
+	extRefs int
+	stopped bool
+	err     error
+	nextID  uint64
+	nextSeq uint64
+	nextTok uint64
+	inherit bool
 
-	wake    chan struct{} // signals the idle scheduler (size 1)
-	yielded chan struct{} // running thread returns the token
-	stopCh  chan struct{} // closed exactly once on stop
+	wake chan struct{} // signals the idle scheduler (size 1)
 
 	// notifyWake, when non-nil, announces a wake to a coordinated group
 	// clock BEFORE the channel signal, so the group's advance decision
@@ -208,8 +226,6 @@ func New(opts ...Option) *Scheduler {
 		timers:  timerQueue{pending: make(map[TimerToken]struct{})},
 		inherit: true,
 		wake:    make(chan struct{}, 1),
-		yielded: make(chan struct{}),
-		stopCh:  make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -333,14 +349,12 @@ func (s *Scheduler) CancelTimer(tok TimerToken) bool {
 	return s.timers.cancel(tok)
 }
 
-// Stop shuts the scheduler down: Run returns, and all thread goroutines
-// unwind.  Safe to call multiple times and from any goroutine.
+// Stop shuts the scheduler down: the running thread halts at its next
+// communication point, Run unwinds the others and returns.  Safe to call
+// multiple times and from any goroutine.
 func (s *Scheduler) Stop() {
 	s.mu.Lock()
-	if !s.stopped {
-		s.stopped = true
-		close(s.stopCh)
-	}
+	s.stopped = true
 	s.mu.Unlock()
 	s.signalWake()
 }
@@ -372,8 +386,8 @@ func (s *Scheduler) Run() error {
 		}
 	}
 	defer s.shutdown()
+	s.mu.Lock()
 	for {
-		s.mu.Lock()
 		if s.stopped {
 			err := s.err
 			s.mu.Unlock()
@@ -390,6 +404,7 @@ func (s *Scheduler) Run() error {
 			// peers' timers are not held back by an empty scheduler.
 			s.mu.Unlock()
 			s.waitForWake()
+			s.mu.Lock()
 			continue
 		}
 		t := s.ready.popMax()
@@ -399,12 +414,10 @@ func (s *Scheduler) Run() error {
 				s.mu.Unlock()
 				return err
 			}
-			s.mu.Unlock()
 			continue
 		}
 		t.state = stateRunning
 		t.waitPred = nil
-		s.running = t
 		s.grants.Inc()
 		if t != s.lastRun {
 			s.switches.Inc()
@@ -412,26 +425,19 @@ func (s *Scheduler) Run() error {
 		}
 		s.mu.Unlock()
 
-		// Hand the run token to the thread and wait for it to come back.
-		// A concurrent Stop can race the handoff: a stopping thread
-		// unwinds via haltSignal and may exit WITHOUT yielding (its gate
-		// receive and yield/terminate sends all select against stopCh), so
-		// both waits need the same stop escape — otherwise Run blocks
-		// forever on a token nobody holds.  The loop top then observes
-		// s.stopped and returns; shutdown still joins every thread
-		// goroutine.
-		select {
-		case t.gate <- struct{}{}:
-			select {
-			case <-s.yielded:
-			case <-s.stopCh:
-			}
-		case <-s.stopCh:
+		// Grant the run token: resume the thread's coroutine until it
+		// yields the token back, terminates, or fails (its own recover has
+		// called fail by the time next returns).  The coroutine is made
+		// here, at the first grant, never in Spawn: the runtime ties a
+		// coroutine to the OS-thread lock state of the goroutine that made
+		// it, and Spawn is called from goroutines that do not share Run's.
+		// The mutex is taken as soon as the token is back and kept up to
+		// the next grant.
+		if t.next == nil {
+			t.next, t.stop = iter.Pull(t.body)
 		}
-
+		t.next()
 		s.mu.Lock()
-		s.running = nil
-		s.mu.Unlock()
 	}
 }
 
@@ -439,7 +445,11 @@ func (s *Scheduler) Run() error {
 // yields Run's result exactly once.
 func (s *Scheduler) RunBackground() <-chan error {
 	errc := make(chan error, 1)
-	go func() { errc <- s.Run() }()
+	go func() {
+		err := errGoexit // what the caller reads if Run never returns
+		defer func() { errc <- err }()
+		err = s.Run()
+	}()
 	return errc
 }
 
@@ -470,7 +480,6 @@ func (s *Scheduler) idleLocked() bool {
 		s.err = fmt.Errorf("%w: %s", ErrDeadlock, s.blockedSummaryLocked())
 	}
 	s.stopped = true
-	close(s.stopCh)
 	return false
 }
 
@@ -487,13 +496,15 @@ func (s *Scheduler) fireTimersLocked() {
 		}
 		s.timerCnt.Inc()
 		if e.dst != nil && e.dst.state != stateTerminated {
-			s.enqueueLocked(e.dst, Message{Kind: KindTimer, id: uint64(e.token)})
+			s.enqueueLocked(e.dst, Message{Kind: KindTimer, Tag: uint64(e.token)})
 		}
 	}
 }
 
 // enqueueLocked appends msg to dst's mailbox, waking dst if the message
 // matches its wait predicate.  Caller holds s.mu.
+//
+//ipvet:hotpath every message of every kind lands here
 func (s *Scheduler) enqueueLocked(dst *Thread, msg Message) {
 	s.nextSeq++
 	msg.seq = s.nextSeq
@@ -517,18 +528,15 @@ func (s *Scheduler) enqueueLocked(dst *Thread, msg Message) {
 
 // waitForWake blocks the idle scheduler until it is nudged.  On a
 // coordinated group clock the wait is registered with the group (idle, no
-// deadline) so that the other members may advance shared time; Stop always
-// signals the wake channel, so no separate stop case is needed.  Called
+// deadline) so that the other members may advance shared time.  Stop always
+// signals the wake channel, so there is no separate stop case.  Called
 // without s.mu held.
 func (s *Scheduler) waitForWake() {
 	if iw, ok := s.clock.(vclock.IdleWaiter); ok {
 		iw.WaitIdle(s.wake)
 		return
 	}
-	select {
-	case <-s.wake:
-	case <-s.stopCh:
-	}
+	<-s.wake
 }
 
 // signalWake nudges an idle scheduler without blocking.  Group clocks hear
@@ -550,31 +558,30 @@ func (s *Scheduler) fail(err error) {
 	if s.err == nil {
 		s.err = err
 	}
-	if !s.stopped {
-		s.stopped = true
-		close(s.stopCh)
-	}
+	s.stopped = true
 	s.mu.Unlock()
 	s.signalWake()
 }
 
-// shutdown stops the world and waits for every thread goroutine to exit, so
-// that Run never leaks goroutines (every spawned goroutine is joined here).
-// The clock claim taken by Run is released last: a group-clock member leaves
-// the coordinated advance so peers are not held back by a dead scheduler.
+// shutdown stops the world and unwinds every thread that was ever granted,
+// in spawn order, so that Run leaves no coroutine behind: stop makes the
+// thread's pending yield report false, which halts it through its deferred
+// functions.  It runs on Run's goroutine, as every next did.  The clock claim
+// taken by Run is released last: a group-clock member leaves the coordinated
+// advance so peers are not held back by a dead scheduler.
 func (s *Scheduler) shutdown() {
 	s.mu.Lock()
-	if !s.stopped {
-		s.stopped = true
-		close(s.stopCh)
-	}
-	all := make([]*Thread, 0, len(s.threads))
+	s.stopped = true
+	started := make([]*Thread, 0, len(s.threads))
 	for _, t := range s.threads {
-		all = append(all, t) //ipvet:allow maporder shutdown join barrier waits for every thread; completion order is unobservable
+		if t.stop != nil {
+			started = append(started, t)
+		}
 	}
 	s.mu.Unlock()
-	for _, t := range all {
-		<-t.done
+	slices.SortFunc(started, func(a, b *Thread) int { return cmp.Compare(a.id, b.id) })
+	for _, t := range started {
+		t.stop()
 	}
 	if b, ok := s.clock.(vclock.Binder); ok {
 		b.Unbind(s)

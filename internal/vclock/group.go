@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,12 +36,20 @@ import (
 // time then lets one half of a flow run ahead of the other by however long
 // the host keeps the controller off the CPU.  Hold/Release make the
 // controller count.  The invariant: time advances only when every scheduler
-// is idle AND no external actor is mid-action.
+// is idle AND no external actor is mid-action.  At lets such an actor choose
+// the virtual instant of its action instead of racing the schedulers to it.
 type GroupVirtual struct {
 	mu      sync.Mutex
 	now     time.Time
 	members []*GroupMember
-	holds   int // external actors mid-action (Hold without Release)
+	holds   int           // external actors mid-action (Hold without Release)
+	appts   []appointment // booked with At; by instant, FIFO among equals
+}
+
+// appointment is an external actor's action booked for a virtual instant.
+type appointment struct {
+	at time.Time
+	fn func()
 }
 
 // NewGroupVirtual returns a coordinated shared clock positioned at Epoch.
@@ -75,6 +84,29 @@ func (g *GroupVirtual) Hold() {
 func (g *GroupVirtual) Release() {
 	g.mu.Lock()
 	g.holds--
+	g.tryAdvanceLocked()
+	g.mu.Unlock()
+}
+
+// At books fn, one action of an external actor, for the virtual instant t.
+// It runs when the group would otherwise move time to t or beyond: every
+// member idle, no wake pending, no hold out, and no member deadline before
+// t.  The clock moves to t (never backwards: a t already past runs at the
+// next decision, at the current instant) and fn runs on its own goroutine
+// under one Hold, released when it returns — so fn sees the flow exactly as
+// the instant before t left it, and the members due at t run after fn.
+// Appointments run one at a time, in order of t, FIFO among equals.
+//
+// A group whose members are all idle with no deadline has nothing to wait
+// for, and runs even a future appointment at once.  Book before anything
+// runs, or start the members and the flow under one Hold.
+func (g *GroupVirtual) At(t time.Time, fn func()) {
+	g.mu.Lock()
+	i := len(g.appts)
+	for i > 0 && g.appts[i-1].at.After(t) {
+		i--
+	}
+	g.appts = slices.Insert(g.appts, i, appointment{at: t, fn: fn})
 	g.tryAdvanceLocked()
 	g.mu.Unlock()
 }
@@ -296,8 +328,10 @@ func (m *GroupMember) clearLocked() {
 // every live member is idle.  Then, if any
 // idle member has a wake already pending, that member is released as
 // interrupted instead (it has work at the current instant — advancing now
-// would be the time-travel bug).  Otherwise the clock moves to the minimum
-// pending deadline and every member due at that instant is released.
+// would be the time-travel bug).  Otherwise the clock moves to the earliest
+// appointment, if none of the deadlines is before it, and the appointment
+// runs under a hold; or to the minimum pending deadline, and every member due
+// at that instant is released.
 func (g *GroupVirtual) tryAdvanceLocked() {
 	if g.holds > 0 {
 		return
@@ -350,6 +384,19 @@ func (g *GroupVirtual) tryAdvanceLocked() {
 			min = m.deadline
 			found = true
 		}
+	}
+	if len(g.appts) > 0 && (!found || !g.appts[0].at.After(min)) {
+		a := g.appts[0]
+		g.appts = slices.Delete(g.appts, 0, 1)
+		if a.at.After(g.now) {
+			g.now = a.at
+		}
+		g.holds++
+		go func() {
+			defer g.Release()
+			a.fn()
+		}()
+		return
 	}
 	if !found {
 		return // all idle with no deadlines: quiescent until external input

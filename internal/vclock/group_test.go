@@ -251,3 +251,111 @@ func TestVirtualBindRefusesConcurrentSharing(t *testing.T) {
 		t.Fatalf("sequential reuse after Unbind: %v", err)
 	}
 }
+
+// TestAtRunsBeforeAMemberDueAtTheSameInstant: an appointment and a deadline
+// at one instant — the appointment goes first, under a hold, and the member
+// is released only when it has returned.
+func TestAtRunsBeforeAMemberDueAtTheSameInstant(t *testing.T) {
+	g := NewGroupVirtual()
+	m := g.Member()
+	at := Epoch.Add(10 * time.Millisecond)
+	ran, proceed := make(chan time.Time), make(chan struct{})
+	g.At(at, func() {
+		ran <- g.Now()
+		<-proceed
+	})
+	res := waitAsync(g, m, at, nil)
+	if now := <-ran; !now.Equal(at) {
+		t.Fatalf("appointment ran at %v, want %v", now, at)
+	}
+	select {
+	case r := <-res:
+		t.Fatalf("member released (reached=%v at %v) while the appointment was still running", r.reached, r.at)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(proceed)
+	if r := <-res; !r.reached || !r.at.Equal(at) {
+		t.Fatalf("member woke reached=%v at %v, want true at %v", r.reached, r.at, at)
+	}
+}
+
+// TestAtKeepsOrderAndNeverMovesTimeBack: appointments run by instant and FIFO
+// among equals, one behind a member deadline waits for it, and one booked
+// for an instant already past runs at the next decision where the clock is.
+func TestAtKeepsOrderAndNeverMovesTimeBack(t *testing.T) {
+	g := NewGroupVirtual()
+	m := g.Member()
+	type run struct {
+		name string
+		now  time.Time
+	}
+	runs := make(chan run, 4)
+	book := func(name string, at time.Time) {
+		g.At(at, func() { runs <- run{name, g.Now()} })
+	}
+	t10, t20, t30 := Epoch.Add(10*time.Millisecond), Epoch.Add(20*time.Millisecond), Epoch.Add(30*time.Millisecond)
+	book("late", t30)
+	book("first", t10)
+	book("second", t10)
+	if !m.WaitUntil(t20, nil) {
+		t.Fatal("WaitUntil returned interrupted")
+	}
+	for _, want := range []string{"first", "second"} {
+		if r := <-runs; r.name != want || !r.now.Equal(t10) {
+			t.Fatalf("ran %q at %v, want %q at %v", r.name, r.now, want, t10)
+		}
+	}
+	select {
+	case r := <-runs:
+		t.Fatalf("%q ran at %v, ahead of the member deadline before it", r.name, r.now)
+	default:
+	}
+	book("past", Epoch)
+	res := waitAsync(g, m, Epoch.Add(40*time.Millisecond), nil)
+	if r := <-runs; r.name != "past" || !r.now.Equal(t20) {
+		t.Fatalf("ran %q at %v, want \"past\" at %v (time must not move back)", r.name, r.now, t20)
+	}
+	if r := <-runs; r.name != "late" || !r.now.Equal(t30) {
+		t.Fatalf("ran %q at %v, want \"late\" at %v", r.name, r.now, t30)
+	}
+	if r := <-res; !r.reached {
+		t.Fatal("member was interrupted")
+	}
+}
+
+// TestAtWaitsForHoldsAndPendingWakes: no appointment runs while an external
+// actor holds the clock or a member has work announced at the current instant.
+func TestAtWaitsForHoldsAndPendingWakes(t *testing.T) {
+	g := NewGroupVirtual()
+	m := g.Member()
+	ran := make(chan struct{}, 1)
+	notYet := func(why string) {
+		t.Helper()
+		select {
+		case <-ran:
+			t.Fatalf("appointment ran %s", why)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+
+	g.Hold()
+	g.At(Epoch.Add(time.Millisecond), func() { ran <- struct{}{} })
+	wake := make(chan struct{}, 1)
+	res := waitAsync(g, m, Epoch.Add(time.Second), wake)
+	pollIdle(t, g, m)
+	notYet("under a hold")
+
+	// A wake announced but not yet sent: the member is about to deregister.
+	m.NotifyWake()
+	g.Release()
+	notYet("with a wake pending")
+	wake <- struct{}{}
+	if r := <-res; r.reached {
+		t.Fatal("the woken member reached its deadline")
+	}
+	res = waitAsync(g, m, Epoch.Add(time.Second), wake)
+	<-ran
+	if r := <-res; !r.reached {
+		t.Fatal("member was interrupted")
+	}
+}

@@ -16,7 +16,12 @@
 // before the deadline and parks on a kernel timer (wait_linux.go): a timerfd
 // the netpoller watches, whose expiry ends epoll_wait on time; the scheduler
 // selects on its token and the wake channel, so a wake is seen at once.  One
-// timer expires at most every 100 us; a faster pump catches up at each wake.
+// timer expires at most every 100 us; a faster pump catches up at each wake,
+// and its items are late by a sawtooth of that gap plus what a wake costs to
+// be seen, less the time the scheduler was busy.  The timer learns the least
+// a wake costs on this host and arms that much early — never returning
+// before the deadline: an expiry seen early is followed by an exact one — so
+// what is left of the sawtooth is the gap.
 // Not a nanosleep that keeps the P: the runtime polls the network only from a
 // P with nothing to run, and what the sleeper readied waits for another thread
 // to steal it, so an item costs three thread wakes, each as slow as the host

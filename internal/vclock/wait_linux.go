@@ -28,7 +28,16 @@ const (
 	// until the next balancing tick (paced_ladder latency p95 at 20 kHz:
 	// 0.6-1.3 ms from one run to the next; at 15 kHz 0.2).  A pump faster
 	// than the gap catches up at each wake: two items per 100 us instead of
-	// one per 50.
+	// one per 50.  So the lateness of such a pump is a sawtooth: an item
+	// that falls due just after a wake waits gap + overshoot - busy, where
+	// overshoot is what the next expiry costs to be seen and busy is how
+	// long the scheduler worked at this wake; one due just before the next
+	// wake waits nothing.  A scheduler that finishes its burst sooner
+	// therefore reads as later items, unless the overshoot goes: the arm that
+	// is to reach a deadline is set early by kernelTimer.lead, the least a
+	// wake has lately cost, which takes most of the overshoot out of every
+	// tooth and shortens the cycle by as much (20 kHz: 7 300 -> 8 700 wakes
+	// a second, still under the 10 000 the gap allows).
 	wakeGap = 100 * time.Microsecond
 )
 
@@ -58,6 +67,10 @@ type kernelTimer struct {
 	file  *os.File      // owns fd; reading it parks in the netpoller
 	fired chan struct{} // one token per expiry read; closed if reading fails
 	last  time.Time     // when a wait on this timer last reached its deadline
+	// lead is the least an expiry of this timer has lately taken to be seen
+	// by wait (host wake, poller, two goroutine switches); the arm that is
+	// to reach a deadline is set that much early.
+	lead time.Duration
 }
 
 // kernelTimers holds the timers no wait is using.  It grows to the largest
@@ -86,7 +99,7 @@ func getKernelTimer() *kernelTimer {
 	if errno != 0 {
 		return nil
 	}
-	k := &kernelTimer{fd: fd, file: os.NewFile(fd, "timerfd"), fired: make(chan struct{}, 1)}
+	k := &kernelTimer{fd: fd, file: os.NewFile(fd, "timerfd"), fired: make(chan struct{}, 1), lead: wakeGap / 2}
 	go k.read()
 	return k
 }
@@ -123,9 +136,9 @@ func (k *kernelTimer) arm(d time.Duration) bool {
 	return errno == 0
 }
 
-// wait blocks until t or wake; a t already past does not block.  ok is false
-// when the timer can no longer be set or read; the caller waits out the rest
-// another way and does not reuse k.
+// wait blocks until t or wake; a t already past does not block, and no wait
+// returns reached before t.  ok is false when the timer can no longer be set
+// or read; the caller waits out the rest another way and does not reuse k.
 func (k *kernelTimer) wait(t time.Time, wake <-chan struct{}) (reached, ok bool) {
 	if time.Until(t) <= 0 {
 		return true, true
@@ -135,10 +148,22 @@ func (k *kernelTimer) wait(t time.Time, wake <-chan struct{}) (reached, ok bool)
 	if next := k.last.Add(wakeGap); next.After(t) {
 		t = next
 	}
+	var expiry time.Time // of the latest arm meant to reach t; zero before it
 	for {
-		d := time.Until(t)
+		now := time.Now()
+		d := t.Sub(now)
 		if d <= 0 {
-			k.last = time.Now()
+			k.last = now
+			// What this expiry cost to see: lead snaps down to any smaller
+			// reading and creeps up (about a second to forget a faster
+			// host).  A stale token leaves cost negative: no reading.
+			if cost := now.Sub(expiry); !expiry.IsZero() && cost >= 0 {
+				if cost < k.lead {
+					k.lead = cost
+				} else {
+					k.lead = min(k.lead+k.lead/1024+1, wakeGap/2)
+				}
+			}
 			return true, true
 		}
 		// Look before arming: the scheduler's own TimerAt leaves a token in
@@ -148,8 +173,14 @@ func (k *kernelTimer) wait(t time.Time, wake <-chan struct{}) (reached, ok bool)
 			return false, true
 		default:
 		}
-		if d > 2*wakeLead {
-			d -= wakeLead
+		switch {
+		case d > 2*wakeLead:
+			d -= wakeLead // the pre-wake; the next arm is the one for t
+		case expiry.IsZero():
+			d = max(d-k.lead, 1)
+			expiry = now.Add(d)
+		default:
+			expiry = t // the early arm was seen before t: the rest, exactly
 		}
 		if !k.arm(d) {
 			return false, false
