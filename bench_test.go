@@ -108,6 +108,7 @@ func BenchmarkMIDIMixer(b *testing.B) {
 				perEvent := float64(res.Wall.Nanoseconds()) / float64(count)
 				b.ReportMetric(perEvent, "ns/event")
 				b.ReportMetric(float64(res.Switches)/float64(count), "switches/event")
+				b.ReportMetric(float64(res.Hops)/float64(count), "hops/event")
 			})
 		}
 	}

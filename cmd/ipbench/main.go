@@ -101,8 +101,8 @@ func midi() error {
 	if minimal.Checksum != per.Checksum {
 		return fmt.Errorf("checksum mismatch: allocations changed results")
 	}
-	fmt.Println("E8 — §4: MIDI mixer, minimal allocation vs thread-per-component")
-	fmt.Printf("%-22s %10s %12s %12s\n", "allocation", "events", "switches", "events/ms")
+	fmt.Println("E8 — §4: MIDI mixer, minimal allocation vs coroutine-per-component")
+	fmt.Printf("%-23s %10s %12s %12s %12s\n", "allocation", "events", "switches", "hops", "events/ms")
 	rate := func(r experiments.AblationResult) float64 {
 		ms := float64(r.Wall.Microseconds()) / 1e3
 		if ms <= 0 {
@@ -110,9 +110,13 @@ func midi() error {
 		}
 		return float64(r.Events) / ms
 	}
-	fmt.Printf("%-22s %10d %12d %12.0f\n", "minimal (paper)", minimal.Events, minimal.Switches, rate(minimal))
-	fmt.Printf("%-22s %10d %12d %12.0f\n", "thread-per-component", per.Events, per.Switches, rate(per))
-	fmt.Printf("switch overhead ratio: %.1fx\n", float64(per.Switches)/float64(minimal.Switches+1))
+	row := func(name string, r experiments.AblationResult) {
+		fmt.Printf("%-23s %10d %12d %12d %12.0f\n", name, r.Events, r.Switches, r.Hops, rate(r))
+	}
+	row("minimal (paper)", minimal)
+	row("coroutine-per-component", per)
+	fmt.Printf("switch+hop overhead ratio: %.1fx\n",
+		float64(per.Switches+per.Hops)/float64(minimal.Switches+minimal.Hops+1))
 	return nil
 }
 

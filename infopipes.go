@@ -394,7 +394,7 @@ var (
 // Compose plans and instantiates a pipeline; see core.Compose.
 var Compose = core.Compose
 
-// ForceCoroutines is the thread-per-component ablation option.
+// ForceCoroutines is the coroutine-per-component ablation option.
 var ForceCoroutines = core.ForceCoroutines
 
 // SkipEventCapabilityCheck disables the §2.3 event-capability check.

@@ -23,49 +23,29 @@ type EOSSink interface {
 	HandleEOS(ctx *Ctx)
 }
 
-// eosToken is the end-of-stream marker passed across coroutine links.
-type eosToken struct{}
-
-// compRef pairs a component with its bound context for event dispatch.
-type compRef struct {
-	comp Component
-	ctx  *Ctx
-}
-
 // placementRT is the runtime realisation of a Placement.
 type placementRT struct {
-	comp   Component
-	pl     Placement
-	ctx    *Ctx
-	thread *uthread.Thread
-	// getLink is the link this placement's thread performs Get on (the
-	// inbound side for push-mode coroutines); used to stash the payload of
-	// the invoking message (§3.3 "the first push call invokes the main
-	// function").  Nil for pull-side coroutines and direct placements.
-	getLink *uthread.CoroLink
+	comp Component
+	pl   Placement
+	ctx  *Ctx
 	// eosDown propagates end-of-stream toward the sink from this
 	// placement's position.
 	eosDown func(*Ctx)
-	// installed tracks one-time control-dispatch installation.
-	installed bool
 }
 
-// section is the runtime of one pump-driven span: the pump's thread plus
-// the coroutine set the planner allocated (§4: "The Infopipe platform
-// creates a thread for each pump ... if coroutines are needed, each of them
-// is implemented by an additional thread of the underlying thread package").
+// section is the runtime of one pump-driven span, run by one user-level
+// thread: the pump's.  The paper's package had no coroutines, so §4 made
+// each coroutine of the set "an additional thread of the underlying thread
+// package"; iter.Pull is that primitive, so the coroutines the planner
+// allocated (Fig 9) are coros nested in this thread.
 type section struct {
 	pipeline *Pipeline
-	idx      int
 	pump     Pump
-	plan     SectionPlan
 	upBuf    Buffer
-	downBuf  Buffer
 
-	pumpThread *uthread.Thread
-	threads    []*uthread.Thread
-	links      []*uthread.CoroLink
-	owned      map[uint64][]compRef
+	thread *uthread.Thread
+	coros  []*coro        // the coroutine set less the pump, in build order
+	owned  []*placementRT // every component of the section, in stage order
 
 	stopping  atomic.Bool
 	migrating atomic.Bool
@@ -78,19 +58,20 @@ type section struct {
 	pumpCtx  *Ctx
 }
 
-// buildSection instantiates threads, links and call chains for one section.
-func buildSection(p *Pipeline, idx int, sp SectionPlan, upBuf, downBuf Buffer) *section {
-	s := &section{
-		pipeline: p,
-		idx:      idx,
-		plan:     sp,
-		upBuf:    upBuf,
-		downBuf:  downBuf,
-		owned:    make(map[uint64][]compRef),
+// buildSection spawns the section's thread and builds its call chains:
+// direct calls where the planner allows them, a coroutine where it does
+// not, each coroutine driven by the chain nearer the pump.
+func buildSection(p *Pipeline, sp SectionPlan, upBuf, downBuf Buffer) *section {
+	s := &section{pipeline: p, upBuf: upBuf}
+	s.pump, _ = p.stages[sp.PumpStageIndex].IsPump()
+	s.thread = p.sched.SpawnClassed(p.name+"/"+s.pump.Name(), s.pump.Priority(), p.class, s.pumpCode())
+	place := func(pl Placement) *placementRT {
+		comp, _ := p.stages[pl.StageIndex].IsComponent()
+		rt := &placementRT{comp: comp, pl: pl}
+		rt.ctx = &Ctx{sect: s, comp: comp, thread: s.thread}
+		p.placements[comp.Name()] = rt
+		return rt
 	}
-	pumpStage := p.stages[sp.PumpStageIndex]
-	s.pump, _ = pumpStage.IsPump()
-	prio := s.pump.Priority()
 
 	// ---- Upstream (pull-mode) side: boundary -> pump ----
 	var pull func(*Ctx) (*item.Item, error)
@@ -98,51 +79,21 @@ func buildSection(p *Pipeline, idx int, sp SectionPlan, upBuf, downBuf Buffer) *
 		buf := upBuf
 		pull = func(ctx *Ctx) (*item.Item, error) { return buf.Remove(ctx) }
 	}
-	var pendingDown []*uthread.CoroLink // links awaiting their getter thread
-	var run []*placementRT              // direct placements awaiting their thread
-
-	assignRun := func(th *uthread.Thread) {
-		for _, rt := range run {
-			rt.thread = th
-			rt.ctx.thread = th
-			s.owned[th.ID()] = append(s.owned[th.ID()], compRef{comp: rt.comp, ctx: rt.ctx})
-		}
-		run = nil
-		for _, l := range pendingDown {
-			l.BindDown(th)
-		}
-		pendingDown = nil
-	}
-
 	for _, pl := range sp.Upstream {
-		comp, _ := p.stages[pl.StageIndex].IsComponent()
-		rt := &placementRT{comp: comp, pl: pl}
-		rt.ctx = &Ctx{sect: s, comp: comp, pull: pull}
-		p.placements[comp.Name()] = rt
+		rt := place(pl)
+		rt.ctx.pull = pull
 		if pl.Direct {
 			pull = directPull(rt)
-			run = append(run, rt)
 			continue
 		}
 		// Coroutine: it runs everything upstream of itself (the chain
-		// built so far) and hands items toward the pump over a new link.
-		link := uthread.NewCoroLink(comp.Name() + ".out")
-		s.links = append(s.links, link)
-		rt.ctx.push = linkPush(s, link)
-		rt.eosDown = func(ctx *Ctx) { _ = link.Put(ctx.thread, eosToken{}) }
-		th := p.sched.SpawnClassed(p.name+"/"+comp.Name(), prio, p.class, s.coroCode(rt))
-		s.threads = append(s.threads, th)
-		rt.thread = th
-		rt.ctx.thread = th
-		s.owned[th.ID()] = append(s.owned[th.ID()], compRef{comp: comp, ctx: rt.ctx})
-		link.BindUp(th)
-		assignRun(th)
-		pendingDown = append(pendingDown, link)
-		pull = linkPull(s, link)
+		// built so far) and hands items toward the pump.
+		c := s.newCoro(rt)
+		rt.ctx.push = c.put
+		rt.eosDown = func(ctx *Ctx) { _ = c.put(ctx, eosToken) }
+		pull = c.get
 	}
 	s.pumpPull = pull
-	upRun, upPending := run, pendingDown
-	run, pendingDown = nil, nil
 
 	// ---- Downstream (push-mode) side: built boundary -> pump ----
 	var push func(*Ctx, *item.Item) error
@@ -166,62 +117,29 @@ func buildSection(p *Pipeline, idx int, sp SectionPlan, upBuf, downBuf Buffer) *
 			s.pipeline.sinkReachedEOS()
 		}
 	}
-	var pendingUp []*uthread.CoroLink // links awaiting their putter thread
-
-	assignRunPush := func(th *uthread.Thread) {
-		for _, rt := range run {
-			rt.thread = th
-			rt.ctx.thread = th
-			s.owned[th.ID()] = append(s.owned[th.ID()], compRef{comp: rt.comp, ctx: rt.ctx})
-		}
-		run = nil
-		for _, l := range pendingUp {
-			l.BindUp(th)
-		}
-		pendingUp = nil
-	}
-
 	for i := len(sp.Downstream) - 1; i >= 0; i-- {
-		pl := sp.Downstream[i]
-		comp, _ := p.stages[pl.StageIndex].IsComponent()
-		rt := &placementRT{comp: comp, pl: pl, eosDown: eos}
-		rt.ctx = &Ctx{sect: s, comp: comp, push: push}
-		p.placements[comp.Name()] = rt
-		if pl.Direct {
+		rt := place(sp.Downstream[i])
+		rt.ctx.push, rt.eosDown = push, eos
+		if rt.pl.Direct {
 			push = directPush(rt)
-			run = append(run, rt)
 			continue
 		}
-		// Coroutine: it receives items over a new link and runs everything
-		// downstream of itself.
-		link := uthread.NewCoroLink(comp.Name() + ".in")
-		s.links = append(s.links, link)
-		rt.getLink = link
-		rt.ctx.pull = linkPull(s, link)
-		th := p.sched.SpawnClassed(p.name+"/"+comp.Name(), prio, p.class, s.coroCode(rt))
-		s.threads = append(s.threads, th)
-		rt.thread = th
-		rt.ctx.thread = th
-		s.owned[th.ID()] = append(s.owned[th.ID()], compRef{comp: comp, ctx: rt.ctx})
-		link.BindDown(th)
-		assignRunPush(th)
-		pendingUp = append(pendingUp, link)
-		push = linkPush(s, link)
-		lnk := link
-		eos = func(ctx *Ctx) { _ = lnk.Put(ctx.thread, eosToken{}) }
+		// Coroutine: it receives items from the pump's side and runs
+		// everything downstream of itself.
+		c := s.newCoro(rt)
+		rt.ctx.pull = c.take
+		push = c.give
+		eos = func(ctx *Ctx) { _ = c.give(ctx, eosToken) }
 	}
 	s.pumpPush = push
 	s.eosDown = eos
+	s.pumpCtx = &Ctx{sect: s, thread: s.thread, pull: s.pumpPull, push: s.pumpPush}
 
-	// ---- Pump thread: terminal owner of both sides ----
-	s.pumpThread = p.sched.SpawnClassed(p.name+"/"+s.pump.Name(), prio, p.class, s.pumpCode())
-	s.threads = append(s.threads, s.pumpThread)
-	downRun := run
-	run, pendingDown = upRun, upPending
-	assignRun(s.pumpThread) // upstream-side leftovers: direct comps + link Get side
-	run = downRun
-	assignRunPush(s.pumpThread) // downstream-side leftovers: direct comps + link Put side
-	s.pumpCtx = &Ctx{sect: s, thread: s.pumpThread, pull: s.pumpPull, push: s.pumpPush}
+	for _, pls := range [][]Placement{sp.Upstream, sp.Downstream} {
+		for _, pl := range pls {
+			s.owned = append(s.owned, p.placements[pl.Component])
+		}
+	}
 	return s
 }
 
@@ -280,69 +198,6 @@ func directPush(rt *placementRT) func(*Ctx, *item.Item) error {
 	default:
 		return func(*Ctx, *item.Item) error {
 			return fmt.Errorf("infopipe: %s-style %q cannot run direct in push mode", rt.comp.Style(), rt.comp.Name())
-		}
-	}
-}
-
-// linkPull adapts a coroutine link's Get to the pull-chain signature,
-// unwrapping EOS markers and mapping closure to ErrStopped.
-func linkPull(s *section, link *uthread.CoroLink) func(*Ctx) (*item.Item, error) {
-	return func(ctx *Ctx) (*item.Item, error) {
-		x, err := link.Get(ctx.thread)
-		if err != nil {
-			return nil, ErrStopped
-		}
-		if _, isEOS := x.(eosToken); isEOS {
-			link.Drain(ctx.thread) // release the putter's final Put
-			return nil, ErrEOS
-		}
-		if x == nil {
-			return nil, nil
-		}
-		return x.(*item.Item), nil
-	}
-}
-
-// linkPush adapts a coroutine link's Put to the push-chain signature.
-func linkPush(s *section, link *uthread.CoroLink) func(*Ctx, *item.Item) error {
-	return func(ctx *Ctx, it *item.Item) error {
-		if err := link.Put(ctx.thread, it); err != nil {
-			return ErrStopped
-		}
-		return nil
-	}
-}
-
-// coroCode is the top-level code function of a coroutine thread: control
-// events are handled directly; the first data/resume message enters the
-// component's (possibly generated) main loop, which runs until stop or EOS.
-func (s *section) coroCode(rt *placementRT) uthread.CodeFunc {
-	return func(t *uthread.Thread, m uthread.Message) uthread.Disposition {
-		if !rt.installed {
-			s.installDispatch(t)
-			rt.installed = true
-		}
-		if events.IsControl(m) {
-			s.handleControlMsg(t, m)
-			if s.stopping.Load() {
-				s.pipeline.threadExited()
-				return uthread.Terminate
-			}
-			return uthread.Continue
-		}
-		switch m.Kind {
-		case uthread.KindCoroData, uthread.KindCoroResume:
-			if rt.getLink != nil && rt.getLink.IsCoroData(m) {
-				// The invoking push carries the first item (§3.3): stash
-				// it so the component's first pull consumes it.
-				rt.getLink.Offer(uthread.ItemOf(m))
-			}
-			s.runGlue(rt)
-			s.drainControls(t)
-			s.pipeline.threadExited()
-			return uthread.Terminate
-		default:
-			return uthread.Continue
 		}
 	}
 }
@@ -419,14 +274,14 @@ func (s *section) runGlue(rt *placementRT) {
 		if rt.eosDown != nil {
 			rt.eosDown(ctx)
 		}
-	case errors.Is(err, ErrStopped), errors.Is(err, uthread.ErrLinkClosed), err == nil:
+	case errors.Is(err, ErrStopped), err == nil:
 		// Normal shutdown.
 	default:
 		s.pipeline.fail(fmt.Errorf("component %q: %w", rt.comp.Name(), err))
 	}
 }
 
-// pumpCode is the top-level code function of the pump thread.
+// pumpCode is the code function of the section's thread.
 func (s *section) pumpCode() uthread.CodeFunc {
 	installed := false
 	return func(t *uthread.Thread, m uthread.Message) uthread.Disposition {
@@ -443,23 +298,26 @@ func (s *section) pumpCode() uthread.CodeFunc {
 			return uthread.Continue
 		}
 		if m.Kind == MsgPumpRun {
-			s.pumpLoop(t)
-			// On a stop the shutdown already ran (the stop handler calls
-			// beginShutdown).  On EOS no shutdown is wanted: the marker
-			// cascade lets every coroutine exit on its own, and closing
-			// links here could cut the cascade off before it reaches the
-			// sink.
-			//
-			// A failure inside this very cycle broadcasts a stop that
-			// lands in our own queue after pumpLoop has returned; drain
-			// pending controls so the components this thread operates
-			// still see it (a netpipe sink must forward EOS on stop).
-			s.drainControls(t)
+			s.run(t)
 			s.pipeline.threadExited()
 			return uthread.Terminate
 		}
 		return uthread.Continue
 	}
+}
+
+// run is the section's life once started: the pump loop, then the controls
+// still queued, then the coroutines still suspended.
+//
+// On EOS the marker cascade has already ended every coroutine it passed.  A
+// failure inside the last cycle broadcasts a stop that lands in our own
+// queue after pumpLoop has returned; draining the controls lets every
+// component of the section still see it (a netpipe sink must forward EOS on
+// stop), and raises the stopping flag before the coroutines are unwound.
+func (s *section) run(t *uthread.Thread) {
+	defer s.stopCoros()
+	s.pumpLoop(t)
+	s.drainControls(t)
 }
 
 // pumpLoop is the section's engine (§3.1/§4): the pump's thread calls the
@@ -580,14 +438,14 @@ func (s *section) handleControlMsg(t *uthread.Thread, m uthread.Message) {
 }
 
 // handleEvent applies framework semantics, then dispatches to the pump,
-// the owned buffer and the components this thread operates (§4: "each
-// thread needs to internally dispatch data and events to the respective
-// components").
+// the owned buffer and every component of the section, whichever coroutine
+// the thread is parked in (§4: "each thread needs to internally dispatch
+// data and events to the respective components").
 func (s *section) handleEvent(t *uthread.Thread, ev events.Event) {
 	if ev.Target == "" {
 		switch ev.Type {
 		case events.Start:
-			if t == s.pumpThread && !s.started.Swap(true) {
+			if !s.started.Swap(true) {
 				t.Send(t, uthread.Message{
 					Kind:       MsgPumpRun,
 					Constraint: uthread.At(s.pump.Priority()),
@@ -603,19 +461,17 @@ func (s *section) handleEvent(t *uthread.Thread, ev events.Event) {
 			return // pure wake-up, not delivered to components
 		}
 	}
-	if t == s.pumpThread {
-		if ev.Target == "" || ev.Target == s.pump.Name() {
-			s.pump.HandleEvent(ev)
-		}
-		// The section pulling from a buffer owns it for event dispatch,
-		// so shared buffers see each broadcast exactly once.
-		if s.upBuf != nil && (ev.Target == "" || ev.Target == s.upBuf.Name()) {
-			s.upBuf.HandleEvent(ev)
-		}
+	if ev.Target == "" || ev.Target == s.pump.Name() {
+		s.pump.HandleEvent(ev)
 	}
-	for _, ref := range s.owned[t.ID()] {
-		if ev.Target == "" || ev.Target == ref.comp.Name() {
-			ref.comp.HandleEvent(ref.ctx, ev)
+	// The section pulling from a buffer owns it for event dispatch, so
+	// shared buffers see each broadcast exactly once.
+	if s.upBuf != nil && (ev.Target == "" || ev.Target == s.upBuf.Name()) {
+		s.upBuf.HandleEvent(ev)
+	}
+	for _, rt := range s.owned {
+		if ev.Target == "" || ev.Target == rt.comp.Name() {
+			rt.comp.HandleEvent(rt.ctx, ev)
 		}
 	}
 }
@@ -628,17 +484,13 @@ func (s *section) detach() {
 	s.beginShutdown()
 }
 
-// beginShutdown initiates section teardown: set the flag, close links so
-// blocked handoffs fail fast, and nudge every thread so blocked operations
-// re-check the flag.  Idempotent.
+// beginShutdown initiates section teardown: set the flag, which every
+// coroutine hop reads, and nudge the thread so a blocked operation re-checks
+// it.  Detach calls it from outside the scheduler, so it touches no
+// coroutine.  Idempotent.
 func (s *section) beginShutdown() {
 	if s.stopping.Swap(true) {
 		return
 	}
-	for _, l := range s.links {
-		l.Close()
-	}
-	for _, th := range s.threads {
-		s.pipeline.sched.Post(th, events.NewMessage(events.Event{Type: evNudge}))
-	}
+	s.pipeline.sched.Post(s.thread, events.NewMessage(events.Event{Type: evNudge}))
 }

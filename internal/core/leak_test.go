@@ -1,12 +1,11 @@
 package core_test
 
 import (
-	"runtime"
 	"testing"
-	"time"
 
 	"infopipes/internal/core"
 	"infopipes/internal/item"
+	"infopipes/internal/leakcheck"
 	"infopipes/internal/pipes"
 	"infopipes/internal/uthread"
 )
@@ -15,7 +14,7 @@ import (
 // goroutine is joined: after Run returns, the process goroutine count must
 // return to its baseline, across EOS, stop and coroutine-heavy shutdowns.
 func TestNoGoroutineLeaks(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	leakcheck.Check(t)
 	for round := 0; round < 20; round++ {
 		sched := uthread.New()
 		sink := pipes.NewCollectSink("sink")
@@ -34,22 +33,12 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Allow the runtime a moment to retire exiting goroutines.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+2 {
-			return
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
 }
 
 // TestNoGoroutineLeaksAfterStop covers the abrupt-shutdown path: a stopped
 // infinite pipeline must also unwind every thread goroutine.
 func TestNoGoroutineLeaksAfterStop(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	leakcheck.Check(t)
 	for round := 0; round < 20; round++ {
 		sched := uthread.New()
 		var n int
@@ -77,13 +66,4 @@ func TestNoGoroutineLeaksAfterStop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+2 {
-			return
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked after stop: baseline %d, now %d", baseline, runtime.NumGoroutine())
 }

@@ -55,6 +55,7 @@ type pipeCounters struct {
 	items  atomic.Int64
 	cycles atomic.Int64
 	busyNs atomic.Int64
+	hops   atomic.Int64
 }
 
 // busySampleMask selects which pump cycles are timed for the approximate
@@ -71,6 +72,9 @@ type PipeStats struct {
 	// BusyNanos approximates wall-clock time spent inside pump cycles
 	// (pull + push, including blocking), sampled one cycle in 16.
 	BusyNanos int64
+	// Hops counts coroutine resumes: each is one switch into a coroutine
+	// of a section's set and one back, inside the section's thread.
+	Hops int64
 }
 
 // Class returns the weighted-fair scheduling class the pipeline's threads
@@ -83,6 +87,7 @@ func (p *Pipeline) Stats() PipeStats {
 		Items:     p.stats.items.Load(),
 		Cycles:    p.stats.cycles.Load(),
 		BusyNanos: p.stats.busyNs.Load(),
+		Hops:      p.stats.hops.Load(),
 	}
 }
 
@@ -97,8 +102,9 @@ func (p *Pipeline) Stats() PipeStats {
 //
 // If the components are not compatible, Compose returns an error (the C++
 // interface throws).  bus may be nil for a pipeline-private event service.
-// The pipeline's threads are created immediately but stay idle until a
-// start event is broadcast (p.Start or an application send_event).
+// The pipeline's threads — one per section — are created immediately but
+// stay idle until a start event is broadcast (p.Start or an application
+// send_event).
 func Compose(name string, sched *uthread.Scheduler, bus *events.Bus, stages []Stage, opts ...ComposeOption) (*Pipeline, error) {
 	var cfg composeCfg
 	for _, opt := range opts {
@@ -136,7 +142,7 @@ func Compose(name string, sched *uthread.Scheduler, bus *events.Bus, stages []St
 	}
 
 	// Locate the boundary buffers of each section and build the runtime.
-	for i, sp := range plan.Sections {
+	for _, sp := range plan.Sections {
 		var upBuf, downBuf Buffer
 		if sp.UpBoundary != "" {
 			upBuf, _ = stages[p.stageIdx[sp.UpBoundary]].IsBuffer()
@@ -144,15 +150,11 @@ func Compose(name string, sched *uthread.Scheduler, bus *events.Bus, stages []St
 		if sp.DownBoundary != "" {
 			downBuf, _ = stages[p.stageIdx[sp.DownBoundary]].IsBuffer()
 		}
-		sect := buildSection(p, i, sp, upBuf, downBuf)
+		sect := buildSection(p, sp, upBuf, downBuf)
 		p.sections = append(p.sections, sect)
+		p.subs = append(p.subs, bus.Subscribe(sched, sect.thread))
 	}
-	for _, sect := range p.sections {
-		p.liveThreads += len(sect.threads)
-		for _, th := range sect.threads {
-			p.subs = append(p.subs, bus.Subscribe(sched, th))
-		}
-	}
+	p.liveThreads = len(p.sections)
 	// Control events may arrive from outside the thread system at any
 	// time (application goroutines, remote nodes), so an idle scheduler
 	// must wait rather than declare deadlock while this pipeline lives.
@@ -355,8 +357,8 @@ func (p *Pipeline) emitAdjacent(from Component, dir int, ev events.Event) {
 	switch st.kind {
 	case kindComponent:
 		ev.Target = st.comp.Name()
-		if rt, ok := p.placements[st.comp.Name()]; ok && rt.thread != nil {
-			p.sched.Post(rt.thread, events.NewMessage(ev))
+		if rt, ok := p.placements[st.comp.Name()]; ok {
+			p.sched.Post(rt.ctx.thread, events.NewMessage(ev))
 		}
 	case kindBuffer:
 		st.buf.HandleEvent(ev)

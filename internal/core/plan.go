@@ -16,8 +16,8 @@ type Placement struct {
 	Component string
 	Style     Style
 	Mode      Mode
-	// Direct is true when the component runs by direct function call on
-	// the section's pump thread; false when it gets its own coroutine.
+	// Direct is true when the component is called as a plain function by
+	// its neighbour nearer the pump; false when it gets its own coroutine.
 	Direct bool
 	// StageIndex is the position in the original stage list.
 	StageIndex int
@@ -49,10 +49,10 @@ type SectionPlan struct {
 	// pipeline ends, where the source/sink components themselves are the
 	// passive boundaries).
 	UpBoundary, DownBoundary string
-	// CoroutineSetSize is the number of synchronously interacting threads
-	// in the section: the pump's thread plus one per coroutine placement.
-	// This is the quantity Figure 9 tabulates (configs a,b,c = 1;
-	// d,g,h = 2; e,f = 3).
+	// CoroutineSetSize is the number of synchronously interacting
+	// coroutines in the section: the pump's plus one per coroutine
+	// placement, all run by the section's one thread.  This is the
+	// quantity Figure 9 tabulates (configs a,b,c = 1; d,g,h = 2; e,f = 3).
 	CoroutineSetSize int
 }
 
@@ -77,15 +77,6 @@ type Plan struct {
 	Sections []SectionPlan
 	// Specs[i] is the resolved Typespec of the flow leaving stage i.
 	Specs []typespec.Typespec
-}
-
-// TotalThreads reports the number of user-level threads the pipeline needs.
-func (p Plan) TotalThreads() int {
-	n := 0
-	for _, s := range p.Sections {
-		n += s.CoroutineSetSize
-	}
-	return n
 }
 
 // String renders the plan for diagnostics and the Fig 9 experiment table.

@@ -7,7 +7,8 @@ import (
 
 // TestPumpCountersAllocFree pins the exact telemetry sequence the pump loop
 // executes per cycle — sampled wall-clock read, atomic cycle/item adds,
-// amortised busy-time add — at zero allocations.
+// amortised busy-time add, and a coroutine resume's hop add — at zero
+// allocations.
 func TestPumpCountersAllocFree(t *testing.T) {
 	var pc pipeCounters
 	var cycle int64
@@ -18,6 +19,7 @@ func TestPumpCountersAllocFree(t *testing.T) {
 			t0 = time.Now()
 		}
 		cycle++
+		pc.hops.Add(1)
 		pc.cycles.Add(1)
 		pc.items.Add(1)
 		if sampled {

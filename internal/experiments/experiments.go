@@ -201,9 +201,13 @@ func SwitchVsCall(rounds int) (switchCost, callCost time.Duration, err error) {
 // --------------------------------------------- E8: MIDI mixer ablation
 
 // AblationResult is one arm of the minimal-vs-per-component comparison.
+// Switches counts the scheduler's context switches between threads, Hops
+// the coroutine resumes inside a section's thread: §4 made every coroutine
+// a thread, so its switch overhead is the two together.
 type AblationResult struct {
 	Events   int64
 	Switches int64
+	Hops     int64
 	Wall     time.Duration
 	Checksum uint64
 }
@@ -239,6 +243,7 @@ func MIDIAblation(count int64, nStages int) (minimal, perComponent AblationResul
 		res.Wall = time.Since(start)
 		res.Events = sink.Count()
 		res.Switches = sched.Stats().Switches
+		res.Hops = p.Stats().Hops
 		res.Checksum = sink.Checksum()
 		return res, nil
 	}

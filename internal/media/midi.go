@@ -15,7 +15,7 @@ import (
 // important for pipelines that handle many control events or many small
 // data items such as a MIDI mixer."  MIDI events are tiny (3 bytes), so
 // per-item overhead dominates: experiment E8 compares the minimal-thread
-// plan against thread-per-component on exactly this flow.
+// plan against a coroutine per component on exactly this flow.
 
 // ItemTypeMIDI is the Typespec item type of MIDI event flows.
 const ItemTypeMIDI = "midi/events"

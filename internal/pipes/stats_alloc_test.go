@@ -73,8 +73,8 @@ func TestPipelineHotPathAllocSteadyState(t *testing.T) {
 }
 
 // passRelay is an active-style component (§3.3): it has its own loop, so the
-// planner gives it a coroutine and every item crosses a CoroLink to reach
-// the pump.
+// planner gives it a coroutine and every item crosses a hop to reach the
+// pump.
 type passRelay struct{ core.Base }
 
 func (*passRelay) Style() core.Style { return core.StyleActive }
@@ -95,14 +95,24 @@ func (*passRelay) Run(ctx *core.Ctx) error {
 	return nil
 }
 
+// passProducer is a producer-style identity: after a pump it is in push mode,
+// so the planner wraps it in a coroutine (Fig 7a) that the pump's push
+// resumes.
+type passProducer struct{ core.Base }
+
+func (*passProducer) Style() core.Style { return core.StyleProducer }
+
+func (*passProducer) Pull(ctx *core.Ctx) (*item.Item, error) { return ctx.PullUpstream() }
+
 // TestComposedChainAllocSteadyState is the flow-level guard: the components
 // were each allocation-free on their own while the composed chain allocated
 // eight times per item, all of it in the seams — a closure per selective
 // receive, a boxed payload per coroutine handoff, a boxed token per buffer
 // wake, a buffer waiter list that gave its capacity away.  The chain crosses
-// every seam once — two direct calls, a coroutine hop, a pump, a buffer
-// handoff between two pumps — on the real clock, with a pointer payload so
-// that nothing the test itself does allocates.  Measured as the per-item
+// every seam once — two direct calls, a coroutine hop in pull mode, a pump, a
+// buffer handoff between two pumps, a coroutine hop in push mode — on the
+// real clock, with a pointer payload so that nothing the test itself does
+// allocates.  Measured as the per-item
 // slope between two run lengths, so composition and thread start cancel out.
 func TestComposedChainAllocSteadyState(t *testing.T) {
 	if raceEnabled {
@@ -133,6 +143,7 @@ func TestComposedChainAllocSteadyState(t *testing.T) {
 			core.Pmp(pipes.NewFreePump("pump")),
 			core.Buf(pipes.NewBuffer("buf", 64)),
 			core.Pmp(pipes.NewFreePump("pump2")),
+			core.Comp(&passProducer{core.Base{CompName: "wrapped"}}),
 			core.Comp(pipes.NewFuncSink("sink", func(_ *core.Ctx, it *item.Item) error {
 				w := it.Payload.(*word)
 				sum += w.v - it.Seq

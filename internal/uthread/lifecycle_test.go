@@ -196,9 +196,9 @@ func TestPinnedShardGrantsThreadsSpawnedOutside(t *testing.T) {
 	}
 }
 
-// TestReplyAnswersOnlyACall: Message.Tag numbers a Call, but also names the
-// link of a coroutine handoff and carries a poster's wake token, and a thread
-// numbers its own Calls from one.  So Reply must answer only what is a Call
+// TestReplyAnswersOnlyACall: Message.Tag numbers a Call, but also carries a
+// timer's token and a poster's wake token, and a thread numbers its own
+// Calls from one.  So Reply must answer only what is a Call
 // — an application message with a sender and a number — and Send must not
 // pass a received Call's number on.
 func TestReplyAnswersOnlyACall(t *testing.T) {
@@ -234,14 +234,11 @@ func TestReplyAnswersOnlyACall(t *testing.T) {
 			t.Fatalf("a's Call returned %v, want b:d", got)
 		}
 	})
-	t.Run("a handoff, a timer and a posted wake are not Calls", func(t *testing.T) {
+	t.Run("a timer and a posted reply are not Calls", func(t *testing.T) {
 		s := uthread.New()
-		link := uthread.NewCoroLink("link")
 		var stray []uthread.Message
-		putter := s.Spawn("putter", uthread.PriorityNormal, func(t *uthread.Thread, _ uthread.Message) uthread.Disposition {
-			if err := link.Put(t, "item"); err != nil {
-				panic(err)
-			}
+		sender := s.Spawn("sender", uthread.PriorityNormal, func(t *uthread.Thread, _ uthread.Message) uthread.Disposition {
+			t.SleepFor(time.Second) // the receiver is done long before
 			for {
 				m, ok := t.TryReceive(nil)
 				if !ok {
@@ -250,30 +247,23 @@ func TestReplyAnswersOnlyACall(t *testing.T) {
 				stray = append(stray, m)
 			}
 		})
-		getter := s.Spawn("getter", uthread.PriorityNormal, func(t *uthread.Thread, m uthread.Message) uthread.Disposition {
-			switch {
-			case link.IsCoroData(m): // From the putter, Tag the link's id
+		receiver := s.Spawn("receiver", uthread.PriorityNormal, func(t *uthread.Thread, m uthread.Message) uthread.Disposition {
+			if m.Kind == uthread.KindTimer { // Tag the timer's token
 				t.Reply(m, "not asked")
-				s.TimerAfter(time.Millisecond, t)
-				return uthread.Continue
-			case m.Kind == uthread.KindTimer: // Tag the timer's token
-				t.Reply(m, "not asked")
-				link.Drain(t)
 				return uthread.Terminate
 			}
 			// Posted from outside below: a runtime kind with a Tag and a sender.
 			t.Reply(m, "not asked")
+			s.TimerAfter(time.Millisecond, t)
 			return uthread.Continue
 		})
-		link.BindUp(putter)
-		link.BindDown(getter)
-		s.Post(getter, uthread.Message{Kind: uthread.KindCoroResume, From: putter, Tag: 7})
-		s.Post(putter, uthread.Message{Kind: kindPing})
+		s.Post(receiver, uthread.Message{Kind: uthread.KindReply, From: sender, Tag: 7})
+		s.Post(sender, uthread.Message{Kind: kindPing})
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if len(stray) != 0 {
-			t.Fatalf("the putter was sent %d messages it never asked for: %+v", len(stray), stray)
+			t.Fatalf("the sender was sent %d messages it never asked for: %+v", len(stray), stray)
 		}
 	})
 }

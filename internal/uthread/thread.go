@@ -17,7 +17,9 @@ const (
 // Thread is a user-level thread: a code function plus a message queue.
 // All methods in the "thread-side API" group (Receive*, Send, Call, Reply,
 // Yield, Sleep*, …) must only be called from within the thread's own code
-// function; the scheduler-side API (on Scheduler) is safe from anywhere.
+// function — directly, or from a pull coroutine (iter.Pull) nested in it at
+// any depth, which a blocking call then parks along with the thread; the
+// scheduler-side API (on Scheduler) is safe from anywhere.
 type Thread struct {
 	id     uint64
 	name   string
@@ -38,23 +40,24 @@ type Thread struct {
 	current Constraint // constraint of the message being processed
 
 	// ctrlMatch/ctrlHandle implement §3.2/§4: control events are delivered
-	// even while the thread is blocked inside a synchronous Call (push/pull
-	// between coroutines).  Set via SetControlDispatch by the thread itself;
-	// senders read ctrlMatch, through waitPred, only while it is blocked.
+	// even while the thread is blocked inside a synchronous Call or a wait
+	// (a push or pull blocked in a buffer).  Set via SetControlDispatch by
+	// the thread itself; senders read ctrlMatch, through waitPred, only
+	// while it is blocked.
 	ctrlMatch  func(Message) bool
 	ctrlHandle func(*Thread, Message)
 
 	// The coroutine: next resumes it and stop unwinds it — both made at the
 	// first grant and used only by the goroutine in Run — and yield, the
-	// other end, returns the run token from inside the body.
+	// other end, returns the run token from inside the body or from a
+	// coroutine nested in it.
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
 
 	// waitKind/waitTag say which message a ReceiveTagged is waiting for and
 	// tagPred is the predicate that reads them, bound once at spawn so that
-	// no blocking wait — a reply, a timer, a coroutine handoff, a buffer
-	// wake — allocates.  The thread sets them while it holds the run token;
+	// no blocking wait — a reply, a timer, a buffer wake — allocates.  The thread sets them while it holds the run token;
 	// senders read them, through waitPred, only while it is blocked, under
 	// sched.mu.  calls numbers this thread's Calls.
 	waitKind Kind
@@ -83,9 +86,10 @@ func (t *Thread) Class() *SchedClass { return t.class }
 func (t *Thread) CurrentConstraint() Constraint { return t.current }
 
 // SetControlDispatch installs the control-event hook: while the thread is
-// blocked in Call/Get/Put, messages matching match are handed to handle and
-// the thread resumes waiting (paper §4: "the thread blocks waiting for
-// either a control message or the data reply message").  Thread-side API.
+// blocked in a Call, a sleep or a ReceiveTagged wait, messages matching
+// match are handed to handle and the thread resumes waiting (paper §4: "the
+// thread blocks waiting for either a control message or the data reply
+// message").  Thread-side API.
 func (t *Thread) SetControlDispatch(match func(Message) bool, handle func(*Thread, Message)) {
 	t.ctrlMatch = match
 	t.ctrlHandle = handle
@@ -166,7 +170,7 @@ func (t *Thread) terminate() {
 
 // awaitMessage blocks until a message matching pred is available and returns
 // it.  It is the single suspension primitive: Receive, Call replies, timer
-// waits and coroutine handoffs all go through here.  The thread runs only
+// waits and wake tokens all go through here.  The thread runs only
 // when granted, so it always holds the run token here.
 //
 //ipvet:hotpath every blocking operation of every thread
@@ -253,7 +257,7 @@ func (t *Thread) TryReceive(pred func(Message) bool) (Message, bool) {
 
 // Send delivers msg to dst asynchronously.  If msg carries no constraint it
 // inherits the constraint of the message t is currently processing — the §4
-// rule that lets a pump's constraint govern its whole coroutine set.  If the
+// rule that lets a pump's constraint govern what its section sends.  If the
 // receiver becomes runnable at a strictly higher effective priority the
 // sender is preempted (communication points are switch points).  The
 // message's Tag is cleared: a received message sent on must not pass for the
@@ -303,8 +307,8 @@ func (t *Thread) Call(dst *Thread, msg Message) Message {
 // ReceiveTagged suspends until a message of the given kind carrying tag
 // arrives, or one the control-dispatch hook claims, and returns it; the
 // caller tells the two apart by Kind.  It is the selective receive of every
-// wait on one expected message (a reply, a timer, a coroutine handoff, a wake
-// token) and, unlike ReceiveMatch with a closure, allocates nothing.
+// wait on one expected message (a reply, a timer, a wake token) and, unlike
+// ReceiveMatch with a closure, allocates nothing.
 // Thread-side API.
 func (t *Thread) ReceiveTagged(kind Kind, tag uint64) Message {
 	t.waitKind, t.waitTag = kind, tag
@@ -348,8 +352,8 @@ func (t *Thread) dispatchControl(m Message) {
 
 // Reply answers a synchronous Call previously received as req.  Only an
 // application message (Kind >= KindUserBase) with a sender and a call id is
-// a Call; anything else — a timer, a coroutine handoff, a posted wake, whose
-// Tag means something else — is not answered.  Thread-side API.
+// a Call; anything else — a timer, a runtime-kind message, a posted wake,
+// whose Tag means something else — is not answered.  Thread-side API.
 func (t *Thread) Reply(req Message, data any) {
 	if req.Kind < KindUserBase || req.Tag == 0 || req.From == nil {
 		return

@@ -35,6 +35,12 @@
 // that has not been granted yet costs no goroutine, and neither the P nor
 // the OS thread changes hands at a switch: an outside goroutine that is
 // merely runnable on a one-P process waits until the scheduler parks.
+//
+// The thread-side API may also be called from a pull coroutine nested in a
+// thread's body, at any depth: a blocking wait there parks the whole thread,
+// the next grant resumes exactly that nested coroutine, and a Stop unwinds
+// the chain of coroutines it was parked in.  The Infopipe layer runs a
+// section's coroutine set this way, inside the pump's one thread.
 package uthread
 
 import (
@@ -88,10 +94,6 @@ const (
 	KindTimer Kind = iota + 1
 	// KindReply carries the response to a synchronous Call.
 	KindReply
-	// KindCoroData carries a data item across a coroutine link.
-	KindCoroData
-	// KindCoroResume resumes the peer coroutine blocked in a Put.
-	KindCoroResume
 	// KindUserBase is the first kind available to applications.
 	KindUserBase Kind = 64
 )
@@ -105,11 +107,11 @@ type Message struct {
 
 	// Tag is the message's correlation word, read together with Kind: the
 	// id of a Call and of its KindReply (nonzero), the token of the expired
-	// timer on a KindTimer message, the link of a coroutine handoff, or, on
-	// a message Posted from outside, a word of the poster's choosing (a wake
-	// token) that ReceiveTagged matches without unboxing Data.  One word
-	// for all of them keeps a Message at 64 bytes — one cache line per
-	// mailbox slot.  Send clears it and Call overwrites it.
+	// timer on a KindTimer message, or, on a message Posted from outside, a
+	// word of the poster's choosing (a wake token) that ReceiveTagged
+	// matches without unboxing Data.  One word for all of them keeps a
+	// Message at 64 bytes — one cache line per mailbox slot.  Send clears
+	// it and Call overwrites it.
 	Tag uint64
 	seq uint64 // arrival order, for FIFO stability within a priority level
 }

@@ -324,31 +324,6 @@ func TestYieldRoundRobinAmongEquals(t *testing.T) {
 	}
 }
 
-func TestCoroLinkAccessors(t *testing.T) {
-	s := New()
-	l := NewCoroLink("x")
-	if l.Name() != "x" {
-		t.Error("name")
-	}
-	a := s.Spawn("a", PriorityNormal, func(t *Thread, m Message) Disposition { return Terminate })
-	b := s.Spawn("b", PriorityNormal, func(t *Thread, m Message) Disposition { return Terminate })
-	l.BindUp(a)
-	l.BindDown(b)
-	if l.Up() != a || l.Down() != b {
-		t.Error("bindings lost")
-	}
-	if l.Closed() {
-		t.Error("fresh link closed")
-	}
-	l.Close()
-	if !l.Closed() {
-		t.Error("Close had no effect")
-	}
-	s.Post(a, Message{Kind: kindStart})
-	s.Post(b, Message{Kind: kindStart})
-	runScheduler(t, s)
-}
-
 // TestMessageFitsACacheLine: every mailbox slot is a Message and every
 // switch copies a few; at 72 bytes (a field more) chain_local lost 3-4 % of
 // its saturated items/s.

@@ -490,133 +490,6 @@ func TestControlDispatchWhileBlockedInCall(t *testing.T) {
 	}
 }
 
-func TestCoroLinkHandoffPattern(t *testing.T) {
-	// Reproduces the Fig 5 control flow: a put into a fresh coroutine
-	// starts its main; the putter is released by the consumer's next
-	// empty Get.
-	s := New()
-	var trace []string
-	link := NewCoroLink("L")
-	consumer := s.Spawn("consumer", PriorityNormal, func(t *Thread, m Message) Disposition {
-		if link.IsCoroData(m) {
-			link.Offer(ItemOf(m))
-		}
-		for {
-			x, err := link.Get(t)
-			if err != nil {
-				return Terminate
-			}
-			if x == nil { // sentinel: end of stream
-				link.Drain(t) // release the producer's final Put
-				return Terminate
-			}
-			trace = append(trace, "got")
-		}
-	})
-	producer := s.Spawn("producer", PriorityNormal, func(t *Thread, m Message) Disposition {
-		for i := 0; i < 3; i++ {
-			trace = append(trace, "put-begin")
-			if err := link.Put(t, i); err != nil {
-				t.sched.fail(err)
-				return Terminate
-			}
-			trace = append(trace, "put-end")
-		}
-		if err := link.Put(t, nil); err != nil {
-			return Terminate
-		}
-		return Terminate
-	})
-	link.BindUp(producer)
-	link.BindDown(consumer)
-	s.Post(producer, Message{Kind: kindStart})
-	runScheduler(t, s)
-	// Expected interleaving: put-begin, got, put-end, put-begin, got, ...
-	want := []string{
-		"put-begin", "got",
-		"put-end", "put-begin", "got",
-		"put-end", "put-begin", "got",
-		"put-end",
-	}
-	if len(trace) != len(want) {
-		t.Fatalf("trace = %v\nwant %v", trace, want)
-	}
-	for i := range want {
-		if trace[i] != want[i] {
-			t.Fatalf("trace[%d] = %q, want %q\nfull: %v", i, trace[i], want[i], trace)
-		}
-	}
-}
-
-func TestCoroLinkPullModeStartsProducer(t *testing.T) {
-	// Pull-mode startup (Fig 6b): the consumer's Get on an empty link must
-	// start the producer coroutine's main function.
-	s := New()
-	var got []int
-	link := NewCoroLink("L")
-	producer := s.Spawn("producer", PriorityNormal, func(t *Thread, m Message) Disposition {
-		// m is the resume request that started us.
-		for i := 10; i < 13; i++ {
-			if err := link.Put(t, i); err != nil {
-				return Terminate
-			}
-		}
-		_ = link.Put(t, nil)
-		return Terminate
-	})
-	consumer := s.Spawn("consumer", PriorityNormal, func(t *Thread, m Message) Disposition {
-		for {
-			x, err := link.Get(t)
-			if err != nil || x == nil {
-				link.Drain(t) // release the producer's final Put
-				return Terminate
-			}
-			got = append(got, x.(int))
-		}
-	})
-	link.BindUp(producer)
-	link.BindDown(consumer)
-	s.Post(consumer, Message{Kind: kindStart})
-	runScheduler(t, s)
-	want := []int{10, 11, 12}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestCoroLinkCloseUnblocksViaControl(t *testing.T) {
-	s := New()
-	link := NewCoroLink("L")
-	var consumerErr error
-	consumer := s.Spawn("consumer", PriorityNormal, func(t *Thread, m Message) Disposition {
-		t.SetControlDispatch(
-			func(m Message) bool { return m.Kind == kindStop },
-			func(t *Thread, m Message) { link.Close() },
-		)
-		_, consumerErr = link.Get(t)
-		return Terminate
-	})
-	producer := s.Spawn("producer", PriorityNormal, func(t *Thread, m Message) Disposition {
-		// Never puts; just tells the consumer to stop, simulating a
-		// pipeline stop event arriving while blocked in pull.
-		t.Send(consumer, Message{Kind: kindStop, Constraint: At(PriorityControl)})
-		return Terminate
-	})
-	link.BindUp(producer)
-	link.BindDown(consumer)
-	s.Post(consumer, Message{Kind: kindStart})
-	// consumer's Get sends resume to producer, which starts producer main.
-	runScheduler(t, s)
-	if !errors.Is(consumerErr, ErrLinkClosed) {
-		t.Fatalf("Get = %v, want ErrLinkClosed", consumerErr)
-	}
-}
-
 func TestSchedulerStatsAndReset(t *testing.T) {
 	s := New()
 	th := s.Spawn("w", PriorityNormal, func(t *Thread, m Message) Disposition {
