@@ -653,8 +653,9 @@ type (
 	SimLink   = netpipe.SimLink
 	// TCPLink is the reliable TCP netpipe.
 	TCPLink = netpipe.TCPLink
-	// DurableLaneConfig tunes a durable lane's replay journal, ack cadence
-	// and write deadline; DurableLaneStats is its telemetry snapshot.
+	// DurableLaneConfig configures a durable lane endpoint (whether a
+	// listener forwards downstream acks); DurableLaneStats is its telemetry
+	// snapshot.
 	DurableLaneConfig = netpipe.DurableConfig
 	DurableLaneStats  = netpipe.LaneStats
 	// NetChaos configures seeded fault injection on a netpipe connection

@@ -18,8 +18,7 @@
 //     sample dynamically.
 //   - atomics: a field accessed through sync/atomic anywhere must never be
 //     plainly read or written elsewhere, and mixing mutex- and
-//     atomic-protection on one field is flagged (the single-writer
-//     discipline netpipe's durable lanes depend on).
+//     atomic-protection on one field is flagged.
 //   - rawgo: stage and pipeline implementations own no concurrency — no raw
 //     `go` statements or channel creation; threads belong to the uthread
 //     scheduler (thread transparency, §3 of the paper).

@@ -11,7 +11,7 @@ import (
 // API (atomic.AddInt64(&x.n, 1), atomic.LoadUint64(&v), ...), every other
 // access to that location must be atomic too.  A plain read racing an
 // atomic write is undefined; worse, a plain *write* mixed in silently
-// breaks the single-writer discipline the durable-lane counters depend on.
+// breaks any single-writer discipline built on the atomics.
 // Mixing a mutex into the same field is flagged with its own message: lock
 // and atomic do not compose into one protection.
 //

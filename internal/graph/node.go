@@ -430,11 +430,7 @@ func EnableNode(n *remote.Node, cat Catalog) {
 		}
 		var link *netpipe.TCPLink
 		if spec.Params["durable"] == "1" {
-			journal, err := intParam(spec.Params, "journal", 0)
-			if err != nil {
-				return core.Stage{}, err
-			}
-			link = netpipe.NewDurableTCPSenderLink(conn, netpipe.DurableConfig{JournalLimit: journal})
+			link = netpipe.NewDurableTCPSenderLink(conn, netpipe.DurableConfig{})
 			// A chained sender forwards its acks to the segment's inbound
 			// listener, so the upstream journal keeps covering this
 			// segment's in-flight items until they clear the lane below.
@@ -499,7 +495,7 @@ func (s *nodeState) lane(req remote.LaneRequest) (rep remote.LaneReply, err erro
 	case remote.LaneListen:
 		var dcfg *netpipe.DurableConfig
 		if req.Durable {
-			dcfg = &netpipe.DurableConfig{AckEvery: req.AckEvery, Chained: req.Chained}
+			dcfg = &netpipe.DurableConfig{Chained: req.Chained}
 		}
 		var l laneListener
 		l, err = s.listen(req.Lane, req.Addr, req.Depth, dcfg)

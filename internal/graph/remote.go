@@ -43,13 +43,6 @@ type NodesTarget struct {
 	// receiver, so a redial or failover resumes the stream with zero loss
 	// and zero duplication.
 	ClusterLanes bool
-	// JournalLimit bounds each durable sender's replay journal (entries,
-	// 0 = netpipe default).  A full journal blocks the sending pipeline
-	// until the receiver acknowledges.
-	JournalLimit int
-	// AckEvery makes durable receivers acknowledge after every N consumed
-	// items (0 = netpipe default).
-	AckEvery int
 	// Tenant binds the deployment to a QoS tenant (nil = default tenant).
 	// Every node hosting a segment materializes the tenant locally:
 	// weighted-fair scheduling against the node's other tenants, admission
@@ -66,15 +59,6 @@ func OnNodes(clients ...*remote.Client) *NodesTarget {
 // WithClusterLanes enables re-placeable, durable lanes (see ClusterLanes).
 func (t *NodesTarget) WithClusterLanes() *NodesTarget {
 	t.ClusterLanes = true
-	return t
-}
-
-// WithJournal tunes the durable-lane replay journal and ack cadence
-// (implies WithClusterLanes).
-func (t *NodesTarget) WithJournal(limit, ackEvery int) *NodesTarget {
-	t.ClusterLanes = true
-	t.JournalLimit = limit
-	t.AckEvery = ackEvery
 	return t
 }
 
@@ -214,7 +198,6 @@ func (r *remoteDeployment) sendSpecs(lane, chain string) []remote.StageSpec {
 	params := map[string]string{"addr": r.laneAddr[lane], "lane": lane}
 	if r.opt.ClusterLanes {
 		params["durable"] = "1"
-		params["journal"] = strconv.Itoa(r.opt.JournalLimit)
 		if chain != "" {
 			params["chain"] = chain
 		}
@@ -403,8 +386,7 @@ func (r *remoteDeployment) tenantSpec() *remote.TenantSpec {
 func (r *remoteDeployment) listen(lane string, receiver int) error {
 	node := r.nodeOf[receiver]
 	rep, err := r.clients[node].Lane(remote.LaneRequest{Kind: remote.LaneListen, Lane: lane,
-		Depth: r.opt.LinkDepth, Durable: r.opt.ClusterLanes, AckEvery: r.opt.AckEvery,
-		Chained: r.chainLane(receiver) == lane})
+		Depth: r.opt.LinkDepth, Durable: r.opt.ClusterLanes, Chained: r.chainLane(receiver) == lane})
 	if err != nil {
 		return fmt.Errorf("graph %q: node %d: listen %q: %w", r.name, node, lane, err)
 	}

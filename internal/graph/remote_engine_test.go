@@ -162,7 +162,7 @@ func TestReplaceRendersAsDeployDid(t *testing.T) {
 	deployed := d.Rendered()
 	want := []string{"ip/tcprecv rc/tee:1/source  depth=0 lane=rc/tee:1", "ip/unmarshal rc/tee:1/unmarshal",
 		"probe fb", "fpump pb", "ip/marshal rc/mrg:1/marshal",
-		"ip/tcpsend rc/mrg:1/sink  chain=rc/tee:1 durable=1 journal=0 lane=rc/mrg:1"}
+		"ip/tcpsend rc/mrg:1/sink  chain=rc/tee:1 durable=1 lane=rc/mrg:1"}
 	if got := specLines(deployed["rc/"+seg]); !reflect.DeepEqual(got, want) {
 		t.Fatalf("deploy rendered %s as\n  %q\nwant\n  %q", seg, got, want)
 	}

@@ -126,7 +126,7 @@ func (r *remoteDeployment) segIndex(name string) (int, error) {
 // must be a redialable TCP lane (or absent, for sinks), the inbound lane
 // must be durable (the upstream journal is what carries the in-flight items
 // through the move), a self-acking inbound lane requires a single-pump
-// segment (so the ack anchor proves consumption — see netpipe.popDurable),
+// segment (so the ack anchor proves consumption — see netpipe's laneRx.pop),
 // and neither stream position (sources) nor merge tees may live inside the
 // segment.  Split trunks are movable on the LIVE path only (live=true —
 // manual Replace): the trunk detaches, the tee's out-port buffers and relay

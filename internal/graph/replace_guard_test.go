@@ -13,7 +13,7 @@ import (
 
 // TestReplaceRefusesBufferedSelfAckingSegment: a buffered segment runs more
 // than one pump-driven section, so its self-acking inbound lane's ack
-// anchor (previous popped sequence, see netpipe.popDurable) cannot prove
+// anchor (previous popped sequence, see netpipe's laneRx.pop) cannot prove
 // end-of-segment consumption — items could still sit in the internal
 // buffer when the anchor acks them, and a journal replay after a move
 // would lose them.  Replace and Replaceable must refuse such a segment

@@ -32,13 +32,12 @@ type durablePair struct {
 // producer starts immediately, the consumer only if startCons is set (the
 // backpressure test delays it).  rate <= 0 means a free-running pump.
 func startDurablePair(t *testing.T, n int64, rate float64, queue int,
-	sCfg, rCfg netpipe.DurableConfig, dial func(addr string) (net.Conn, error),
-	startCons bool) *durablePair {
+	dial func(addr string) (net.Conn, error), startCons bool) *durablePair {
 	t.Helper()
 	p := &durablePair{}
 	p.rxSched = uthread.New(uthread.WithClock(vclock.Real{}))
 	var err error
-	p.rxLink, p.addr, err = netpipe.NewDurableTCPListenerLink("127.0.0.1:0", p.rxSched, "rx-node", queue, rCfg)
+	p.rxLink, p.addr, err = netpipe.NewDurableTCPListenerLink("127.0.0.1:0", p.rxSched, "rx-node", queue, netpipe.DurableConfig{})
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
@@ -49,7 +48,7 @@ func startDurablePair(t *testing.T, n int64, rate float64, queue int,
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	p.txLink = netpipe.NewDurableTCPSenderLink(p.conn, sCfg)
+	p.txLink = netpipe.NewDurableTCPSenderLink(p.conn, netpipe.DurableConfig{})
 	p.txSched = uthread.New(uthread.WithClock(vclock.Real{}))
 	pump := pipes.NewFreePump("txpump")
 	if rate > 0 {
@@ -127,16 +126,15 @@ func poll(t *testing.T, d time.Duration, cond func() bool, what string) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestDurableLaneExactlyOnceCleanRun drives 400 items through a journal of
-// 32 — the journal fills and trims a dozen times over — and checks the happy
-// path is invisible: no duplicates, no replays, journal drained, final ack
-// confirmed.
+// TestDurableLaneExactlyOnceCleanRun drives more items than the journal
+// holds, so acks must trim it over and over, and checks the happy path is
+// invisible: no duplicates, no replays, journal drained, final ack confirmed.
 func TestDurableLaneExactlyOnceCleanRun(t *testing.T) {
-	cfg := netpipe.DurableConfig{JournalLimit: 32, AckEvery: 4}
-	p := startDurablePair(t, 400, 0, 64, cfg, cfg, nil, true)
+	const n = 2*netpipe.JournalLimit + 100
+	p := startDurablePair(t, n, 0, 64, nil, true)
 	waitSched(t, "producer", p.txDone, false)
 	waitSched(t, "consumer", p.rxDone, false)
-	assertExactlyOnce(t, p.sink, 400)
+	assertExactlyOnce(t, p.sink, n)
 	st := p.rxLink.LaneStats()
 	if st.Dups != 0 {
 		t.Errorf("receiver dropped %d duplicates on a clean run", st.Dups)
@@ -155,17 +153,19 @@ func TestDurableLaneExactlyOnceCleanRun(t *testing.T) {
 // no acks flow: the sender must fill its journal to exactly the limit and
 // then block — not drop, not grow — until the consumer starts and acks trim
 // it.  This is the ack-starvation / journal-wraparound edge of the protocol.
+// The inbox is unbounded, so every frame lands in it and none waits in a
+// socket buffer (a full one would block the write until its deadline).
 func TestDurableJournalFullBackpressure(t *testing.T) {
-	cfg := netpipe.DurableConfig{JournalLimit: 8, AckEvery: 1}
-	p := startDurablePair(t, 100, 0, 2, cfg, cfg, nil, false)
+	const n = netpipe.JournalLimit + 1000
+	p := startDurablePair(t, n, 0, 0, nil, false)
 	poll(t, 5*time.Second, func() bool {
-		return p.txLink.LaneStats().Journaled == 8
+		return p.txLink.LaneStats().Journaled == netpipe.JournalLimit
 	}, "journal to fill to its limit")
 	// Hold the starved state for a beat: the journal must not creep past the
 	// limit and nothing may reach the (unstarted) consumer's sink.
 	time.Sleep(50 * time.Millisecond)
-	if st := p.txLink.LaneStats(); st.Journaled != 8 {
-		t.Fatalf("journal at %d entries, limit 8 (backpressure failed)", st.Journaled)
+	if st := p.txLink.LaneStats(); st.Journaled != netpipe.JournalLimit {
+		t.Fatalf("journal at %d entries, limit %d (backpressure failed)", st.Journaled, netpipe.JournalLimit)
 	}
 	if p.sink.Count() != 0 {
 		t.Fatalf("sink received %d items before consumer start", p.sink.Count())
@@ -173,7 +173,7 @@ func TestDurableJournalFullBackpressure(t *testing.T) {
 	p.cons.Start()
 	waitSched(t, "producer", p.txDone, false)
 	waitSched(t, "consumer", p.rxDone, false)
-	assertExactlyOnce(t, p.sink, 100)
+	assertExactlyOnce(t, p.sink, n)
 }
 
 // TestDurableRedialReplaysJournal kills the TCP connection mid-stream (bare
@@ -181,8 +181,7 @@ func TestDurableJournalFullBackpressure(t *testing.T) {
 // journal replay must close the gap with zero loss and the dedup watermark
 // must absorb the overlap with zero duplication at the sink.
 func TestDurableRedialReplaysJournal(t *testing.T) {
-	cfg := netpipe.DurableConfig{JournalLimit: 64, AckEvery: 4}
-	p := startDurablePair(t, 300, 2000, 16, cfg, cfg, nil, true)
+	p := startDurablePair(t, 300, 2000, 16, nil, true)
 	poll(t, 10*time.Second, func() bool { return p.sink.Count() >= 50 }, "50 items before the cut")
 	p.conn.Close() // the wire dies; both halves of the lane park
 	time.Sleep(20 * time.Millisecond)
@@ -220,7 +219,6 @@ func (c *corruptingConn) Write(p []byte) (int, error) {
 // core.ErrEOS instead, finishing the consumer "successfully" 49 items in —
 // and the redial's replay + dedup deliver the stream exactly once.
 func TestDurableMalformedFrameParksLane(t *testing.T) {
-	cfg := netpipe.DurableConfig{JournalLimit: 64, AckEvery: 4}
 	dial := func(addr string) (net.Conn, error) {
 		conn, err := netpipe.Dial(addr)
 		if err != nil {
@@ -228,7 +226,7 @@ func TestDurableMalformedFrameParksLane(t *testing.T) {
 		}
 		return &corruptingConn{Conn: conn, at: 50}, nil
 	}
-	p := startDurablePair(t, 300, 2000, 16, cfg, cfg, dial, true)
+	p := startDurablePair(t, 300, 2000, 16, dial, true)
 	poll(t, 10*time.Second, func() bool { return p.sink.Count() >= 40 }, "40 items before the corrupt frame")
 	poll(t, 10*time.Second, func() bool { return p.rxLink.LaneStats().Parked || p.cons.ReachedEOS() },
 		"the listener to drop the corrupt connection")
@@ -257,9 +255,36 @@ func TestDurableMalformedFrameParksLane(t *testing.T) {
 // watermark must drop everything already consumed, keeping the sink
 // exactly-once.
 func TestDurableSenderReplacement(t *testing.T) {
-	cfg := netpipe.DurableConfig{JournalLimit: 256, AckEvery: 2}
-	p := startDurablePair(t, 200, 2000, 16, cfg, cfg, nil, true)
+	p := startDurablePair(t, 200, 2000, 16, nil, true)
 	poll(t, 10*time.Second, func() bool { return p.sink.Count() >= 60 }, "60 items before the kill")
+	replaceSender(t, p, 200, nil)
+	if st := p.rxLink.LaneStats(); st.Dups == 0 {
+		t.Errorf("replacement sender re-emitted the stream but the receiver dropped no duplicates")
+	}
+}
+
+// TestDurableReplacementSkipsAcknowledged: a replacement sender hears, in the
+// receiver's handshake, that more items were consumed than its journal holds
+// (4096), and only then re-emits the stream from sequence 1.  It must not
+// journal what the handshake covered: a sender that journals every frame
+// above its own last sent sequence, and trims only on a new ack, fills its
+// journal with frames the receiver drops as duplicates, and its producer
+// blocks forever.
+func TestDurableReplacementSkipsAcknowledged(t *testing.T) {
+	const n = 20000
+	p := startDurablePair(t, n, 20000, 16, nil, true)
+	poll(t, 10*time.Second, func() bool { return p.sink.Count() >= 5000 }, "5000 items before the kill")
+	replaceSender(t, p, n, func(l *netpipe.TCPLink) {
+		poll(t, 5*time.Second, func() bool { return l.LaneStats().Acked > 0 }, "the receiver's handshake")
+	})
+}
+
+// replaceSender closes p's sender, as if its node died, and attaches a fresh
+// one whose producer re-emits the whole n-item stream from sequence 1; ready,
+// if set, runs on the connected link before that producer starts.  The sink
+// must end up holding the stream exactly once.
+func replaceSender(t *testing.T, p *durablePair, n int64, ready func(*netpipe.TCPLink)) {
+	t.Helper()
 	_ = p.txLink.Close() // the sender node dies; its journal dies with it
 	waitSched(t, "old producer", p.txDone, true)
 
@@ -268,10 +293,13 @@ func TestDurableSenderReplacement(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replacement dial: %v", err)
 	}
-	txLink2 := netpipe.NewDurableTCPSenderLink(conn2, cfg)
-	defer txLink2.Close()
+	txLink2 := netpipe.NewDurableTCPSenderLink(conn2, netpipe.DurableConfig{})
+	t.Cleanup(func() { _ = txLink2.Close() })
+	if ready != nil {
+		ready(txLink2)
+	}
 	prod2, err := core.Compose("producer2", txSched2, nil, []core.Stage{
-		core.Comp(pipes.NewCounterSource("src2", 200)),
+		core.Comp(pipes.NewCounterSource("src2", n)),
 		core.Pmp(pipes.NewFreePump("txpump2")),
 		core.Comp(netpipe.NewMarshalFilter("marshal2", netpipe.GobMarshaller{})),
 		core.Comp(txLink2.NewSink("netsink2")),
@@ -283,10 +311,7 @@ func TestDurableSenderReplacement(t *testing.T) {
 	prod2.Start()
 	waitSched(t, "replacement producer", txDone2, false)
 	waitSched(t, "consumer", p.rxDone, false)
-	assertExactlyOnce(t, p.sink, 200)
-	if st := p.rxLink.LaneStats(); st.Dups == 0 {
-		t.Errorf("replacement sender re-emitted the stream but the receiver dropped no duplicates")
-	}
+	assertExactlyOnce(t, p.sink, n)
 }
 
 // TestDurableListenerReplacement kills the listener half mid-stream and
@@ -296,15 +321,14 @@ func TestDurableSenderReplacement(t *testing.T) {
 // cover the stream with no gap, and the overlap must stay within the ack
 // window (items popped but not yet anchored by a later pop).
 func TestDurableListenerReplacement(t *testing.T) {
-	cfg := netpipe.DurableConfig{JournalLimit: 1024, AckEvery: 2}
-	p := startDurablePair(t, 200, 2000, 16, cfg, cfg, nil, true)
+	p := startDurablePair(t, 200, 2000, 16, nil, true)
 	poll(t, 10*time.Second, func() bool { return p.sink.Count() >= 60 }, "60 items before the kill")
 	_ = p.rxLink.Close() // the receiver node dies; dedup state dies with it
 	waitSched(t, "old consumer", p.rxDone, true)
 	oldItems := p.sink.Items()
 
 	rxSched2 := uthread.New(uthread.WithClock(vclock.Real{}))
-	rxLink2, addr2, err := netpipe.NewDurableTCPListenerLink("127.0.0.1:0", rxSched2, "rx-node-2", 16, cfg)
+	rxLink2, addr2, err := netpipe.NewDurableTCPListenerLink("127.0.0.1:0", rxSched2, "rx-node-2", 16, netpipe.DurableConfig{})
 	if err != nil {
 		t.Fatalf("replacement listen: %v", err)
 	}
@@ -346,7 +370,7 @@ func TestDurableListenerReplacement(t *testing.T) {
 	// The dedup watermark died with the listener, so re-delivery of the
 	// unacknowledged tail is expected — but it must stay within the ack
 	// window, not re-run the stream.
-	if maxOverlap := cfg.AckEvery + 16; /* pipeline in flight */ overlap > maxOverlap {
+	if maxOverlap := netpipe.AckEvery + 16; /* pipeline in flight */ overlap > maxOverlap {
 		t.Errorf("overlap of %d items after listener replacement, want <= %d", overlap, maxOverlap)
 	}
 }
@@ -424,14 +448,13 @@ func TestDurableLaneUnderChaos(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := netpipe.DurableConfig{JournalLimit: 128, AckEvery: 4}
 			var first *netpipe.ChaosConn
 			dial := func(addr string) (net.Conn, error) {
 				c, err := netpipe.ChaosDial(addr, seed, chaos)
 				first = c
 				return c, err
 			}
-			p := startDurablePair(t, 400, 0, 32, cfg, cfg, dial, true)
+			p := startDurablePair(t, 400, 0, 32, dial, true)
 			red := newChaosRedialer(p.txLink, p.addr, first, seed*1000, chaos)
 			waitSched(t, "producer", p.txDone, false)
 			waitSched(t, "consumer", p.rxDone, false)

@@ -25,12 +25,12 @@ type originPair struct {
 	*durablePair
 }
 
-func startOriginPair(t *testing.T, n int64, rate float64, cfg netpipe.DurableConfig) *originPair {
+func startOriginPair(t *testing.T, n int64, rate float64) *originPair {
 	t.Helper()
 	p := &durablePair{}
 	p.rxSched = uthread.New(uthread.WithClock(vclock.Real{}))
 	var err error
-	p.rxLink, p.addr, err = netpipe.NewDurableTCPListenerLink("127.0.0.1:0", p.rxSched, "rx-node", 16, cfg)
+	p.rxLink, p.addr, err = netpipe.NewDurableTCPListenerLink("127.0.0.1:0", p.rxSched, "rx-node", 16, netpipe.DurableConfig{})
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
@@ -38,7 +38,7 @@ func startOriginPair(t *testing.T, n int64, rate float64, cfg netpipe.DurableCon
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	p.txLink = netpipe.NewDurableTCPSenderLink(p.conn, cfg)
+	p.txLink = netpipe.NewDurableTCPSenderLink(p.conn, netpipe.DurableConfig{})
 	p.txSched = uthread.New(uthread.WithClock(vclock.Real{}))
 	pump := pipes.NewFreePump("txpump")
 	if rate > 0 {
@@ -106,15 +106,15 @@ func assertExactlyOncePerOrigin(t *testing.T, sink *pipes.CollectSink, perOrigin
 	}
 }
 
-// TestDurableOriginCleanRun pushes an interleaved two-origin stream through
-// a small journal: per-origin acks must trim it (a stuck journal would block
+// TestDurableOriginCleanRun pushes an interleaved two-origin stream longer
+// than the journal: per-origin acks must trim it (a stuck journal would block
 // the producer), and both sub-streams must arrive exactly once, in order.
 func TestDurableOriginCleanRun(t *testing.T) {
-	cfg := netpipe.DurableConfig{JournalLimit: 32, AckEvery: 4}
-	p := startOriginPair(t, 400, 0, cfg)
+	const perOrigin = netpipe.JournalLimit
+	p := startOriginPair(t, 2*perOrigin, 0)
 	waitSched(t, "producer", p.txDone, false)
 	waitSched(t, "consumer", p.rxDone, false)
-	assertExactlyOncePerOrigin(t, p.sink, map[int64]int64{1: 200, 2: 200})
+	assertExactlyOncePerOrigin(t, p.sink, map[int64]int64{1: perOrigin, 2: perOrigin})
 	if st := p.rxLink.LaneStats(); st.Dups != 0 {
 		t.Errorf("receiver dropped %d duplicates on a clean run", st.Dups)
 	}
@@ -128,8 +128,7 @@ func TestDurableOriginCleanRun(t *testing.T) {
 // journal replay must restore both origins' tails with zero loss, and the
 // per-origin dedup watermarks must absorb the overlap with zero duplication.
 func TestDurableOriginRedialReplays(t *testing.T) {
-	cfg := netpipe.DurableConfig{JournalLimit: 64, AckEvery: 4}
-	p := startOriginPair(t, 300, 2000, cfg)
+	p := startOriginPair(t, 300, 2000)
 	poll(t, 10*time.Second, func() bool { return p.sink.Count() >= 50 }, "50 items before the cut")
 	p.conn.Close()
 	time.Sleep(20 * time.Millisecond)
@@ -150,8 +149,7 @@ func TestDurableOriginRedialReplays(t *testing.T) {
 // per-origin dedup watermarks (re-announced in the reconnect handshake) must
 // drop everything already consumed, keeping each origin exactly-once.
 func TestDurableOriginSenderReplacement(t *testing.T) {
-	cfg := netpipe.DurableConfig{JournalLimit: 256, AckEvery: 2}
-	p := startOriginPair(t, 200, 2000, cfg)
+	p := startOriginPair(t, 200, 2000)
 	poll(t, 10*time.Second, func() bool { return p.sink.Count() >= 60 }, "60 items before the kill")
 	_ = p.txLink.Close()
 	waitSched(t, "old producer", p.txDone, true)
@@ -161,7 +159,7 @@ func TestDurableOriginSenderReplacement(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replacement dial: %v", err)
 	}
-	txLink2 := netpipe.NewDurableTCPSenderLink(conn2, cfg)
+	txLink2 := netpipe.NewDurableTCPSenderLink(conn2, netpipe.DurableConfig{})
 	defer txLink2.Close()
 	stamp2 := pipes.NewFuncFilter("stamp2", func(_ *core.Ctx, it *item.Item) (*item.Item, error) {
 		it.Origin = 1 + (it.Seq+1)%2
@@ -193,8 +191,7 @@ func TestDurableOriginSenderReplacement(t *testing.T) {
 // everything — which must find the sender's per-origin ack map in place
 // (it was made on the first per-origin ack only, and the final ack panicked).
 func TestDurableOriginAckedOnlyAtEOS(t *testing.T) {
-	cfg := netpipe.DurableConfig{JournalLimit: 64, AckEvery: 1000}
-	p := startOriginPair(t, 20, 0, cfg)
+	p := startOriginPair(t, 20, 0)
 	waitSched(t, "producer", p.txDone, false)
 	waitSched(t, "consumer", p.rxDone, false)
 	assertExactlyOncePerOrigin(t, p.sink, map[int64]int64{1: 10, 2: 10})

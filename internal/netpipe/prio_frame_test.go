@@ -69,48 +69,29 @@ func TestPrioFramesThroughReader(t *testing.T) {
 
 // TestDurableJournalKeepsPriority: the replay journal records the header
 // each entry was sent with, so frames replayed after a redial keep the
-// tenant's priority tag (replayLocked writes e.hdr back out).
-// Default-priority entries journal no priority bit, so a QoS-unaware stream
-// stays untagged on the wire even across replays.
+// tenant's priority tag (replay writes e.hdr back out).  Default-priority
+// entries journal no priority bit, so a QoS-unaware stream stays untagged on
+// the wire even across replays.
 func TestDurableJournalKeepsPriority(t *testing.T) {
-	server, client := net.Pipe()
-	defer server.Close()
-	go func() {
-		// Discard whatever the sender writes; the test only inspects the
-		// journal.
-		buf := make([]byte, 1<<10)
-		for {
-			if _, err := server.Read(buf); err != nil {
-				return
-			}
+	tx := newLaneTx(journalLimit)
+	for i, f := range []struct {
+		prio uthread.Priority
+		data string
+	}{{uthread.PriorityHigh, "tagged"}, {uthread.PriorityNormal, "plain"}} {
+		write, full, err := tx.admit(dataHeader(f.prio).withSeq(0, int64(i+1)), []byte(f.data), false)
+		if !write || full || err != nil {
+			t.Fatalf("admit %s: write=%v full=%v err=%v, want a journaled frame", f.data, write, full, err)
 		}
-	}()
-
-	sched := uthread.New(uthread.WithClock(vclock.Real{}))
-	tx := NewDurableTCPSenderLink(client, DurableConfig{JournalLimit: 8})
-
-	var sendErr error
-	th := sched.Spawn("send", uthread.PriorityHigh, func(th *uthread.Thread, m uthread.Message) uthread.Disposition {
-		if err := tx.sendDurableWith(th, nil, nil, dataHeader(uthread.PriorityHigh).withSeq(0, 1), []byte("tagged")); err != nil {
-			sendErr = err
-			return uthread.Terminate
-		}
-		sendErr = tx.sendDurableWith(th, nil, nil, dataHeader(uthread.PriorityNormal).withSeq(0, 2), []byte("plain"))
-		return uthread.Terminate
-	})
-	sched.Post(th, uthread.Message{Kind: kindTestKick})
-	if err := sched.Run(); err != nil {
-		t.Fatalf("scheduler: %v", err)
 	}
-	if sendErr != nil {
-		t.Fatalf("sendDurable: %v", sendErr)
+	var entries []laneEntry
+	if err := tx.replay(func(h frameHeader, data []byte) error {
+		entries = append(entries, laneEntry{h, data})
+		return nil
+	}); err != nil {
+		t.Fatalf("replay: %v", err)
 	}
-
-	tx.mu.Lock()
-	entries := append([]laneEntry(nil), tx.dur.journal...)
-	tx.mu.Unlock()
 	if len(entries) != 2 {
-		t.Fatalf("journal holds %d entries, want 2", len(entries))
+		t.Fatalf("replay wrote %d frames, want 2", len(entries))
 	}
 	tagged := frameHeader{kind: kindData, flags: flagPrio | flagSeq, prio: prioByte(uthread.PriorityHigh), seq: 1}
 	if entries[0].hdr != tagged || string(entries[0].data) != "tagged" {
@@ -120,5 +101,4 @@ func TestDurableJournalKeepsPriority(t *testing.T) {
 	if entries[1].hdr != plain || string(entries[1].data) != "plain" {
 		t.Fatalf("entry 2 hdr=%+v data=%q, want untagged hdr=%+v data=plain", entries[1].hdr, entries[1].data, plain)
 	}
-	_ = tx.Close()
 }

@@ -28,11 +28,9 @@ type TCPLink struct {
 	ln     net.Listener // non-nil on listener links until the peer connects
 	closed bool
 	txBuf  []byte // reusable transmit frame buffer, guarded by mu
-	// dur holds the durable-lane protocol state (journal/ack/dedup); nil on
-	// plain links.  See durable.go.  A durable listener link is resumable:
-	// it survives a bare connection EOF — the sender went away (crashed, or
-	// was re-placed onto another node) and a replacement may dial in; only
-	// an explicit EOS frame ends the stream.
+	// dur is the durable-lane state (durable.go); nil on plain links.  A
+	// durable listener is resumable: a bare EOF parks it until a replacement
+	// sender dials in, and only an explicit EOS frame ends the stream.
 	dur *durable
 
 	rxSched    *uthread.Scheduler
@@ -122,16 +120,12 @@ func (l *TCPLink) acceptAndRead(ln net.Listener) {
 			}
 			return
 		}
-		l.conn = conn
+		l.setConnLocked(conn)
 		if !resumable {
 			l.ln = nil
 		}
 		if l.dur != nil {
-			l.dur.wdUntil = time.Time{} // fresh connection, no deadline armed
-			// Handshake: re-announce the consumed watermarks (origin 0 plus
-			// one per merge origin seen) so a fresh or reconnecting sender
-			// trims its journal before replaying.
-			l.writeHandshakeLocked()
+			l.writeAcksLocked(l.dur.rx.handshake(l.dur.due[:0]))
 		}
 		l.mu.Unlock()
 		if !resumable {
@@ -207,16 +201,11 @@ func (l *TCPLink) readFrames(conn net.Conn) error {
 		if !ok || !h.fromSender(l.dur != nil) {
 			return ErrMalformedFrame
 		}
-		if h.kind == kindEOS {
-			if l.dur != nil {
-				l.mu.Lock()
-				l.dur.eosSeen = true
-				l.mu.Unlock()
-			}
-			return core.ErrEOS
-		}
-		if l.dur != nil && !l.passSeq(h.origin, h.seq) {
+		if l.dur != nil && !l.accept(h) {
 			continue // replayed frame the pipeline already consumed
+		}
+		if h.kind == kindEOS {
+			return core.ErrEOS
 		}
 		wakeAt := uthread.PriorityHigh
 		if h.flags&flagPrio != 0 {
@@ -228,33 +217,13 @@ func (l *TCPLink) readFrames(conn net.Conn) error {
 	}
 }
 
-// passSeq advances the dedup watermark for one inbound durable frame,
-// reporting whether the frame is new.  Frames on one connection arrive in
-// order, so advancing before injecting is safe (nothing overtakes, and a
-// failed inject means the link is closing).  Merged flows pay the link lock
-// here; the origin-0 path keeps its lock-free atomic watermark.
-//
-//ipvet:hotpath per-frame dedup on a durable lane
-func (l *TCPLink) passSeq(origin, seq int64) bool {
-	d := l.dur
-	if origin == 0 {
-		if seq <= d.dedup.Load() {
-			d.dups.Add(1)
-			return false
-		}
-		d.dedup.Store(seq)
-		return true
+// setConnLocked installs conn (nil parks the link).  A fresh connection has
+// no write deadline armed yet.
+func (l *TCPLink) setConnLocked(conn net.Conn) {
+	l.conn = conn
+	if l.dur != nil {
+		l.dur.wdUntil = time.Time{}
 	}
-	l.mu.Lock()
-	d.originSeen(origin)
-	if seq <= d.dedupO[origin] {
-		l.mu.Unlock()
-		d.dups.Add(1)
-		return false
-	}
-	d.dedupO[origin] = seq
-	l.mu.Unlock()
-	return true
 }
 
 // writeFrameLocked encodes one frame into the link's transmit buffer (l.mu
@@ -364,14 +333,11 @@ func (l *TCPLink) ResumeConn(conn net.Conn) error {
 		return core.ErrStopped
 	}
 	old := l.conn
-	l.conn = conn
+	l.setConnLocked(conn)
 	var rerr error
-	if l.dur != nil {
-		l.dur.wdUntil = time.Time{} // fresh connection, no deadline armed
-	}
 	if l.dur != nil && l.inbox == nil {
 		go l.ackLoop(conn)
-		rerr = l.replayLocked()
+		rerr = l.dur.tx.replay(l.writeOrParkLocked)
 	}
 	l.mu.Unlock()
 	if old != nil {
@@ -429,7 +395,7 @@ func (s *tcpSink) Push(ctx *core.Ctx, it *item.Item) error {
 	if s.link.dur != nil {
 		// The marshal filter preserved the item's origin and sequence — the
 		// durable lane journals and dedups on the pair end to end.
-		err = s.link.sendDurable(ctx, dataHeader(prio).withSeq(it.Origin, it.Seq), data)
+		err = s.link.sendDurable(ctx.Thread(), ctx.Stopping, ctx.Detaching, dataHeader(prio).withSeq(it.Origin, it.Seq), data)
 	} else {
 		err = s.link.send(dataHeader(prio), data)
 	}

@@ -167,15 +167,14 @@ type LaneRequest struct {
 	Side LaneSide
 	Addr string
 	// Depth bounds a listener's inbox (0 = default).  Durable listeners run
-	// the sequence/ack protocol, acknowledging every AckEvery items; a
-	// Chained one forwards its downstream watermark instead.
-	Depth    int
-	Durable  bool
-	Chained  bool
-	AckEvery int
-	Tee      string
-	Lanes    []string
-	Prefix   string
+	// the sequence/ack protocol, acknowledging what they consume; a Chained
+	// one forwards its downstream watermark instead.
+	Depth   int
+	Durable bool
+	Chained bool
+	Tee     string
+	Lanes   []string
+	Prefix  string
 }
 
 // LaneReply answers a LaneRequest: the bound address (listen) or the probe's

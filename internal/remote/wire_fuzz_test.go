@@ -35,7 +35,7 @@ func FuzzControlConn(f *testing.F) {
 	// One seed per typed lane op: the bare node answers each with a
 	// well-formed error reply, as it does the unknown op that follows.
 	for _, lane := range []LaneRequest{
-		{Kind: LaneListen, Lane: "l", Depth: 4, Durable: true, Chained: true, AckEvery: 8},
+		{Kind: LaneListen, Lane: "l", Depth: 4, Durable: true, Chained: true},
 		{Kind: LaneDrop, Lane: "l", Side: SenderSide},
 		{Kind: LaneRedial, Lane: "l", Addr: "127.0.0.1:1"},
 		{Kind: LaneDrained, Tee: "g/t", Lanes: []string{"g/t:0", "g/t:1"}},
