@@ -165,7 +165,9 @@ func pumps() error {
 }
 
 func rebalanceSkew() error {
-	const items, spin, chains, shards = 60_000, 400, 4, 4
+	// spin=4000 makes each chain work-bound, so what spreading buys is
+	// parallel cores, not the switches a shared shard costs.
+	const items, spin, chains, shards = 60_000, 4000, 4, 4
 	before, after, err := experiments.RebalanceSkew(items, spin, chains, shards)
 	if err != nil {
 		return err

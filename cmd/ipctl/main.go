@@ -27,7 +27,7 @@
 //
 //	ipctl tenants -nodes host:port,...
 //	    Per-node QoS tenant rollups: weight, admitted/shed counts at
-//	    admission control, weighted-fair credit debt and grant share.
+//	    admission control, weighted-fair credit debt and work share.
 //
 //	ipctl nodes  -op host:port
 //	    Cluster membership table from the deployment's operator endpoint
@@ -292,8 +292,8 @@ func tenants(addrs []string) error {
 		sort.Slice(rows, func(a, b int) bool { return rows[a].Name < rows[b].Name })
 		for _, row := range rows {
 			share := 0.0
-			if row.SchedGrants > 0 {
-				share = float64(row.Granted) / float64(row.SchedGrants)
+			if row.SchedCycles > 0 {
+				share = float64(row.Granted) / float64(row.SchedCycles)
 			}
 			fmt.Printf("%-12s %-20s %6d %12d %12d %12d %6.2f\n",
 				name, row.Name, row.Weight, row.Admitted, row.Sheds, row.CreditDebt, share)

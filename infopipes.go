@@ -542,7 +542,7 @@ type (
 	// TenantRegistry is a named collection of tenants (operator surface).
 	TenantRegistry = qos.Registry
 	// TenantQoSStats is one tenant's per-deployment telemetry row
-	// (GraphStats.Tenants): admission outcomes, credit debt, grant share.
+	// (GraphStats.Tenants): admission outcomes, credit debt, work share.
 	TenantQoSStats = graph.TenantStats
 	// SchedClass is a weighted-fair scheduling class of a Scheduler; the
 	// graph layer manages these per tenant — applications spawning their

@@ -208,6 +208,15 @@ func (c *Ctx) Stopping() bool { return c.sect.stopping.Load() }
 // stream resumes after recomposition; dropping it would lose the item.
 func (c *Ctx) Detaching() bool { return c.sect.migrating.Load() }
 
+// EndBatch tells the pump driving this call that its next step would block
+// or find nothing to do — a buffer stage just filled or emptied — so its
+// grant ends with this cycle instead of running the rest of its batch, and
+// the peer on the buffer's other side runs before anyone has to block.
+// Framework stages call it; ordinary components never need it.
+//
+//ipvet:hotpath a buffer's Insert or Remove, once per batch
+func (c *Ctx) EndBatch() { c.sect.endBatch = true }
+
 // Thread exposes the underlying user-level thread, for framework-level
 // components (buffers, netpipes) that integrate with the message layer.
 // Ordinary components never need it.

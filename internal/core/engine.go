@@ -56,7 +56,18 @@ type section struct {
 	pumpPush func(*Ctx, *item.Item) error
 	eosDown  func(*Ctx)
 	pumpCtx  *Ctx
+
+	// endBatch is raised inside a cycle (Ctx.EndBatch) when the pump's next
+	// step would block; the loop ends its batch there.  Only the section's
+	// thread touches it.
+	endBatch bool
 }
+
+// batchCycles is the most cycles a pump runs in one grant before it offers
+// the CPU to its equal-priority peers.  A batch ends earlier where the next
+// step would block: a buffer just filled or emptied (Ctx.EndBatch), or the
+// pull returned the nil item.
+const batchCycles = 16
 
 // buildSection spawns the section's thread and builds its call chains:
 // direct calls where the planner allows them, a coroutine where it does
@@ -324,18 +335,24 @@ func (s *section) run(t *uthread.Thread) {
 // pull functions of all components upstream, then push with the returned
 // item downstream, then schedules the next cycle.
 //
+// Communication points are the preemption points of the paper's cooperative
+// threads (§3.2).  A free-running pump over an all-direct section performs
+// no message operations at all, so an explicit checkpoint per cycle keeps
+// control events flowing and yields to a strictly higher-priority thread.
+// Equal-priority pumps take turns per batch, not per cycle: the grant runs
+// up to batchCycles cycles and ends earlier where the next step would block
+// (a buffer just filled or emptied, the nil item), so two pumps joined by a
+// buffer trade the CPU once per batch.  A pump that sleeps to its next
+// deadline has given the CPU up already and starts a new batch.
+//
 //ipvet:hotpath every item of every flow crosses this loop
 func (s *section) pumpLoop(t *uthread.Thread) {
 	ctx := s.pumpCtx
 	//ipvet:allow hotalloc one-time setup before the loop, not per-item
 	stopped := func() bool { return s.stopping.Load() }
 	var cycle int64
+	batch := 0 // cycles since the pump last offered the CPU to its equals
 	for {
-		// Communication points are the preemption points of the paper's
-		// cooperative threads (§3.2).  A free-running pump over an
-		// all-direct section performs no message operations at all, so an
-		// explicit checkpoint per cycle keeps control events flowing and
-		// yields to equal-or-higher-priority pumps (round-robin).
 		for {
 			m, ok := t.TryReceive(events.IsControl)
 			if !ok {
@@ -343,7 +360,11 @@ func (s *section) pumpLoop(t *uthread.Thread) {
 			}
 			s.handleControlMsg(t, m)
 		}
-		t.Yield()
+		n := 0
+		if batch >= batchCycles || s.endBatch {
+			n, batch, s.endBatch = batch, 0, false
+		}
+		t.YieldAfter(n)
 		if s.stopping.Load() {
 			return
 		}
@@ -358,6 +379,7 @@ func (s *section) pumpLoop(t *uthread.Thread) {
 			if !t.SleepUntilOr(next, stopped) {
 				return
 			}
+			batch = 0
 			if s.paused.Load() {
 				continue
 			}
@@ -366,7 +388,7 @@ func (s *section) pumpLoop(t *uthread.Thread) {
 		// the duration attributed to the whole stride (approximate busy
 		// time); items/cycles are plain atomic adds.  Nothing here
 		// allocates — see TestPumpCountersAllocFree.
-		sampled := cycle&busySampleMask == 0
+		sampled := cycle&busySampleMask == busySamplePhase
 		var t0 time.Time
 		if sampled {
 			//ipvet:allow wallclock busy-time telemetry sample (1 cycle in 16); stats-only, never trace-visible
@@ -378,8 +400,10 @@ func (s *section) pumpLoop(t *uthread.Thread) {
 			return
 		}
 		cycle++
+		batch++
 		s.pipeline.stats.cycles.Add(1)
 		if it == nil {
+			s.endBatch = true
 			continue // nil item: empty non-blocking pull (§2.3)
 		}
 		if err := s.pumpPush(ctx, it); err != nil {

@@ -59,8 +59,13 @@ type pipeCounters struct {
 }
 
 // busySampleMask selects which pump cycles are timed for the approximate
-// busy-time counter (cycle&mask == 0): every 16th.
-const busySampleMask = 15
+// busy-time counter (cycle&mask == busySamplePhase): every 16th.  The phase
+// keeps the sample off the first cycle of a full batch (batchCycles is 16
+// too), the cache-cold one after a switch.
+const (
+	busySampleMask  = 15
+	busySamplePhase = busySampleMask / 2
+)
 
 // PipeStats is a snapshot of one pipeline's activity counters.
 type PipeStats struct {

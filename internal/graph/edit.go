@@ -246,8 +246,8 @@ func (op SwapStage) stage(t *txn) error {
 }
 
 // RebindTenant retunes the deployment's QoS binding live: weight drives the
-// scheduler credit classes (observable in grant shares within one pump
-// cycle), rate/burst reload every admission gate on its next item, and
+// scheduler credit classes (observable in work shares within one pump
+// batch), rate/burst reload every admission gate on its next item, and
 // priority applies to pipelines composed after the change.  RebindTenant
 // needs no quiesce and is the only op remote deployments accept.
 type RebindTenant struct {

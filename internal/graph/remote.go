@@ -896,9 +896,9 @@ func (r *remoteDeployment) stats() GraphStats {
 
 // tenantStats folds the deployment tenant's per-node rollups into one
 // GraphStats row: admission counters and credit debt sum across nodes;
-// Share is the tenant's grant fraction over the grants of every polled
-// node's scheduler.  EVERY client of the target is polled, not just the
-// nodes currently hosting pipes: a Replace or failover moves pipes off a
+// Share is the tenant's charged cycles over the cycles charged on every
+// polled node's scheduler.  EVERY client of the target is polled, not just
+// the nodes currently hosting pipes: a Replace or failover moves pipes off a
 // node without moving its historical admission counters, and dropping such
 // a node from the poll would deflate the cumulative admitted+sheds rollup.
 // An unreachable node contributes its last-known row instead of zero (same
@@ -909,7 +909,7 @@ func (r *remoteDeployment) tenantStats(st *GraphStats) {
 		return
 	}
 	row := TenantStats{Tenant: t.Name(), Weight: t.Weight()}
-	var granted, grants int64
+	var granted, cycles int64
 	polled := false
 	clients, gone := r.clientSnap()
 	for node := range clients {
@@ -942,13 +942,13 @@ func (r *remoteDeployment) tenantStats(st *GraphStats) {
 		row.Sheds += nodeRow.Sheds
 		row.CreditDebt += nodeRow.CreditDebt
 		granted += nodeRow.Granted
-		grants += nodeRow.SchedGrants
+		cycles += nodeRow.SchedCycles
 	}
 	if !polled {
 		return
 	}
-	if grants > 0 {
-		row.Share = float64(granted) / float64(grants)
+	if cycles > 0 {
+		row.Share = float64(granted) / float64(cycles)
 	}
 	st.Tenants = append(st.Tenants, row)
 }

@@ -55,8 +55,9 @@ type TenantStats struct {
 	// the tenant has drawn ahead of its weighted share.  Zero for an idle
 	// or underserved tenant.
 	CreditDebt int64
-	// Share is the fraction of run-token grants the tenant's threads won on
-	// the shards it runs on (0..1; 0 when the schedulers are idle).
+	// Share is the tenant's fraction of the cycles charged on the shards it
+	// runs on (0..1; 0 when the schedulers are idle): its share of work,
+	// however pumps batch their cycles.
 	Share float64
 }
 
@@ -240,17 +241,17 @@ func (d *Deployment) Stats() GraphStats {
 	if t := ld.tenant; t != nil {
 		row := TenantStats{Tenant: t.Name(), Weight: t.Weight(),
 			Admitted: t.Admitted(), Sheds: t.Sheds()}
-		var granted, grants int64
+		var granted, cycles int64
 		// Order-insensitive fold: sums over the per-shard classes.
 		for sh, c := range ld.classes {
 			if debt := c.VTime() - ld.schedOf(sh).FairNow(); debt > 0 {
 				row.CreditDebt += debt
 			}
 			granted += c.Granted()
-			grants += ld.schedOf(sh).Stats().Grants
+			cycles += ld.schedOf(sh).Stats().Cycles
 		}
-		if grants > 0 {
-			row.Share = float64(granted) / float64(grants)
+		if cycles > 0 {
+			row.Share = float64(granted) / float64(cycles)
 		}
 		st.Tenants = append(st.Tenants, row)
 	}

@@ -19,7 +19,10 @@ import (
 //
 // Blocking is integrated with the user-level thread package: a blocked
 // operation suspends the calling thread on a wake message, and control
-// events are still delivered and dispatched while blocked (§3.2).
+// events are still delivered and dispatched while blocked (§3.2).  Before it
+// comes to that, an Insert that fills the buffer or a Remove that empties it
+// ends the calling pump's batch (Ctx.EndBatch), so the pump on the other
+// side runs while there is still work for it and nobody blocks.
 type BoundedBuffer struct {
 	name     string
 	capacity int
@@ -150,6 +153,9 @@ func (b *BoundedBuffer) Insert(ctx *core.Ctx, it *item.Item) error {
 			if n := int64(len(b.q)); n > b.maxFill.Value() {
 				b.maxFill.Set(n)
 			}
+			if len(b.q) == b.capacity {
+				ctx.EndBatch() // the next Insert would block or drop
+			}
 			b.inserts.Inc()
 			b.wakeOneLocked(&b.itemWaiters)
 			b.mu.Unlock()
@@ -201,6 +207,9 @@ func (b *BoundedBuffer) Remove(ctx *core.Ctx) (*item.Item, error) {
 			it := b.q[0]
 			copy(b.q, b.q[1:])
 			b.q = b.q[:len(b.q)-1]
+			if len(b.q) == 0 {
+				ctx.EndBatch() // the next Remove would block or return nil
+			}
 			b.removes.Inc()
 			b.wakeOneLocked(&b.spaceWaiters)
 			b.mu.Unlock()

@@ -62,9 +62,9 @@ type TenantStat struct {
 	// CreditDebt is the class's virtual-time lead over the scheduler's fair
 	// clock (scaled units, 0 when idle or underserved).
 	CreditDebt int64
-	// Granted counts run-token grants to the tenant's threads; SchedGrants
-	// the scheduler's total, so callers can compute occupancy share.
-	Granted, SchedGrants int64
+	// Granted counts the cycles charged to the tenant's threads; SchedCycles
+	// the scheduler's total, so callers can compute the tenant's work share.
+	Granted, SchedCycles int64
 }
 
 // Factory builds a stage from a spec's name and parameters.  Factories are
@@ -519,14 +519,14 @@ func (n *Node) tenantStats() []TenantStat {
 	classes := n.classes
 	n.mu.Unlock()
 	sort.Strings(names)
-	grants := n.sched.Stats().Grants
+	cycles := n.sched.Stats().Cycles
 	fair := n.sched.FairNow()
 	out := make([]TenantStat, 0, len(names))
 	for _, name := range names {
 		t, c := tenants[name], classes[name]
 		row := TenantStat{Name: name, Weight: t.Weight(),
 			Admitted: t.Admitted(), Sheds: t.Sheds(),
-			Granted: c.Granted(), SchedGrants: grants}
+			Granted: c.Granted(), SchedCycles: cycles}
 		if debt := c.VTime() - fair; debt > 0 {
 			row.CreditDebt = debt
 		}

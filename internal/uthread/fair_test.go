@@ -100,6 +100,39 @@ func TestWeightedFairGrantShares(t *testing.T) {
 	}
 }
 
+// TestWeightedFairChargesPerCycle: the account charges the cycles a grant
+// ran, not the grant.  Two classes at weight 1:1, both always ready; one
+// thread ends each grant after 16 units of work (YieldAfter(16)), the other
+// after one.  Work must split 1:1 within 10 % while both are backlogged —
+// charged per grant, the batching thread would do 16 units to the other's 1.
+func TestWeightedFairChargesPerCycle(t *testing.T) {
+	const budget = 4000 // units per thread
+	s := New()
+	var order []byte
+	spawn := func(tag byte, batch int) *Thread {
+		return s.SpawnClassed(string(tag), PriorityNormal, NewSchedClass(string(tag), 1),
+			func(t *Thread, m Message) Disposition {
+				for n := 1; n <= budget; n++ {
+					order = append(order, tag)
+					if n%batch == 0 {
+						t.YieldAfter(batch)
+					}
+				}
+				return Terminate
+			})
+	}
+	for _, th := range []*Thread{spawn('a', 16), spawn('b', 1)} {
+		s.Post(th, Message{Kind: kindData})
+	}
+	runScheduler(t, s)
+	// The window ends when each thread has done half its budget at 1:1.
+	window := string(order[:budget])
+	got := float64(strings.Count(window, "a")) / float64(len(window))
+	if got < 0.5*0.9 || got > 0.5*1.1 {
+		t.Fatalf("batching class did %.3f of the work, want 0.500 ±10%% (units charged per grant, not per cycle?)", got)
+	}
+}
+
 // TestPriorityDominatesFairness: fairness is a tie-break among equal
 // priorities, never an inversion — a high-priority classless thread
 // preempts classed Normal threads regardless of their credit state.

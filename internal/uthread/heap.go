@@ -8,7 +8,8 @@ import (
 
 // readyQueue is a max-heap of runnable threads ordered by cached effective
 // priority, weighted-fair virtual time within a priority level, FIFO among
-// exact equals.  The cached fields (t.effPrio, t.vtSnap) are refreshed at
+// exact equals, save that a thread preempted mid-grant returns to the head
+// (pushFront).  The cached fields (t.effPrio, t.vtSnap) are refreshed at
 // every point a queued thread's ordering inputs can change — push, re-push,
 // and message arrival (fix) — so heap comparisons are plain field compares
 // and peekMax never has to rebuild the heap.  All access happens with the
@@ -19,12 +20,17 @@ import (
 // vnow itself, so with no classes in play every stamp is zero and ordering
 // degenerates to exactly the pre-fairness (priority, FIFO) order.
 type readyQueue struct {
-	items   readyHeap
-	nextSeq uint64
-	vnow    int64
+	items readyHeap
+	// nextSeq numbers admissions at the tail of a priority level, upward;
+	// headSeq numbers returns to its head (pushFront), downward.
+	nextSeq, headSeq int64
+	vnow             int64
 
 	// vnowAtomic mirrors vnow for lock-free stats reads (Scheduler.FairNow).
 	vnowAtomic atomic.Int64
+	// cycles counts the cycles charged at every admission, classed or not
+	// (Stats.Cycles).
+	cycles atomic.Int64
 }
 
 type readyHeap []*Thread
@@ -68,12 +74,15 @@ func (h *readyHeap) Pop() any {
 // weighted-fair virtual-time stamp.  A classed thread is stamped with
 // max(class account, server virtual time) — an idle class forfeits unused
 // credit instead of bursting after idleness (SCFQ start tags) — and the
-// class account is charged one grant's cost per enqueue.  Pushing a thread
+// class account is charged cycles times the per-cycle cost: the cycles of
+// the grant that just ended, which is one unless a batching thread said
+// otherwise (YieldAfter).  Every admission adds its cycles to the
+// scheduler's total, the denominator of a class's share.  Pushing a thread
 // that is already queued refreshes its cached priority instead (idempotent,
 // guarding against double-ready races).
 //
 //ipvet:hotpath ready-queue admission; every wakeup and preemption passes here
-func (q *readyQueue) push(t *Thread) {
+func (q *readyQueue) push(t *Thread, cycles int) {
 	if t.heapIdx >= 0 {
 		q.fix(t)
 		return
@@ -81,22 +90,38 @@ func (q *readyQueue) push(t *Thread) {
 	q.nextSeq++
 	t.readySeq = q.nextSeq
 	t.effPrio = t.effectivePriorityLocked()
+	q.cycles.Add(int64(cycles))
 	if c := t.class; c != nil {
 		vt := c.vtime.Load()
 		if vt < q.vnow {
 			vt = q.vnow
 		}
 		t.vtSnap = vt
-		c.vtime.Store(vt + c.cost.Load())
+		c.vtime.Store(vt + c.cost.Load()*int64(cycles))
+		c.granted.Add(int64(cycles))
 	} else {
 		t.vtSnap = q.vnow
 	}
 	heap.Push(&q.items, t)
 }
 
+// pushFront returns t, preempted by a strictly higher priority in the middle
+// of its grant, to the head of its priority level with the stamp it was
+// granted at: the grant is suspended, not ended, so nothing is charged and
+// the thread resumes before its equals (a preempted thread keeps its turn,
+// as under POSIX SCHED_FIFO).  A batching pump thus finishes its batch after
+// a higher-priority wake instead of going to the back of the queue.
+//
+//ipvet:hotpath every strict preemption passes here
+func (q *readyQueue) pushFront(t *Thread) {
+	q.headSeq--
+	t.readySeq = q.headSeq
+	t.effPrio = t.effectivePriorityLocked()
+	heap.Push(&q.items, t)
+}
+
 // popMax removes and returns the highest-effective-priority thread, or nil.
-// Granting a classed thread advances the server virtual clock to its stamp
-// and charges the grant to its class's counter.
+// Granting a classed thread advances the server virtual clock to its stamp.
 //
 //ipvet:hotpath run-token grant; every context switch passes here
 func (q *readyQueue) popMax() *Thread {
@@ -107,9 +132,6 @@ func (q *readyQueue) popMax() *Thread {
 	if t.vtSnap > q.vnow {
 		q.vnow = t.vtSnap
 		q.vnowAtomic.Store(t.vtSnap)
-	}
-	if t.class != nil {
-		t.class.granted.Add(1)
 	}
 	return t
 }

@@ -33,7 +33,7 @@ type Thread struct {
 	mq       msgQueue
 	waitPred func(Message) bool // non-nil while blocked on a selective receive
 	heapIdx  int                // position in the ready queue, -1 if absent
-	readySeq uint64             // ready-queue arrival order (FIFO tiebreak)
+	readySeq int64              // ready-queue arrival order (FIFO tiebreak)
 	effPrio  Priority           // cached effective priority while queued
 	vtSnap   int64              // cached weighted-fair virtual-time stamp while queued
 
@@ -151,7 +151,7 @@ func (t *Thread) body(yield func(struct{}) bool) {
 			t.terminate()
 			return
 		}
-		t.preemptionPoint(false) // message boundary: round-robin among equals
+		t.preemptionPoint(1) // message boundary: round-robin among equals
 	}
 }
 
@@ -204,10 +204,15 @@ func (t *Thread) yieldToken() {
 	}
 }
 
-// preemptionPoint offers the CPU to a higher-priority ready thread.  Unless
-// strictOnly, equal-priority threads are also given a turn (round-robin at
-// message boundaries).
-func (t *Thread) preemptionPoint(strictOnly bool) {
+// preemptionPoint offers the CPU to a strictly higher-priority ready thread.
+// cycles is the work the grant has done since the thread last offered the
+// CPU to its equals: when it is positive an equal-priority thread is given a
+// turn too (round-robin), and a thread that gives the CPU up goes to the
+// back of its level, charged that many cycles in its weighted-fair account.
+// Zero is a communication point inside a batch: only a higher priority
+// preempts, and the thread waits at the head of its level, uncharged, to
+// finish the grant.
+func (t *Thread) preemptionPoint(cycles int) {
 	s := t.sched
 	s.mu.Lock()
 	if s.stopped {
@@ -221,20 +226,39 @@ func (t *Thread) preemptionPoint(strictOnly bool) {
 	}
 	mine := t.effectivePriorityLocked()
 	theirs := top.effectivePriorityLocked()
-	preempt := theirs > mine || (!strictOnly && theirs == mine)
+	preempt := theirs > mine || (cycles > 0 && theirs == mine)
 	if !preempt {
 		s.mu.Unlock()
 		return
 	}
 	t.state = stateReady
-	s.ready.push(t)
+	if cycles == 0 {
+		s.ready.pushFront(t)
+	} else {
+		s.ready.push(t, cycles)
+	}
 	s.mu.Unlock()
 	t.yieldToken()
 }
 
 // Yield voluntarily offers the CPU to any ready thread of equal or higher
-// effective priority.  Thread-side API.
-func (t *Thread) Yield() { t.preemptionPoint(false) }
+// effective priority, at one cycle's charge: YieldAfter(1).  Thread-side
+// API.
+func (t *Thread) Yield() { t.preemptionPoint(1) }
+
+// YieldAfter is the preemption point of a thread that works in cycles (a
+// pump) and keeps the CPU among equal-priority threads for a batch of them.
+// A strictly higher-priority ready thread takes the CPU at every call.
+// cycles is the length of the batch that ends here: when it is positive the
+// CPU is offered to equal-priority threads as by Yield, and if the thread
+// gives it up, its class is charged cycles cycles, not one, so the
+// weighted-fair share stays a share of work however long a batch runs.
+// YieldAfter(0) ends no batch: a higher priority that takes the CPU then
+// suspends the batch, and the thread resumes it before its equals,
+// uncharged until the batch ends.  Thread-side API.
+//
+//ipvet:hotpath once per pump cycle
+func (t *Thread) YieldAfter(cycles int) { t.preemptionPoint(max(cycles, 0)) }
 
 // Receive suspends until the next message (in constraint order) arrives and
 // returns it.  Thread-side API.
@@ -265,7 +289,7 @@ func (t *Thread) TryReceive(pred func(Message) bool) (Message, bool) {
 func (t *Thread) Send(dst *Thread, msg Message) {
 	msg.Tag = 0
 	t.sendInternal(dst, msg)
-	t.preemptionPoint(true)
+	t.preemptionPoint(0)
 }
 
 func (t *Thread) sendInternal(dst *Thread, msg Message) {
@@ -359,7 +383,7 @@ func (t *Thread) Reply(req Message, data any) {
 		return
 	}
 	t.sendInternal(req.From, Message{Kind: KindReply, Data: data, Tag: req.Tag})
-	t.preemptionPoint(true)
+	t.preemptionPoint(0)
 }
 
 // SleepFor suspends the thread for d on the scheduler's clock, dispatching

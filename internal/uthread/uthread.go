@@ -10,6 +10,14 @@
 // preempted at communication points.  Threads work like extended finite
 // state machines.
 //
+// At every communication point a strictly higher-priority ready thread takes
+// the CPU.  Equal-priority threads take turns at message boundaries (Yield)
+// or, for a thread that works in cycles, at the end of a batch of them
+// (YieldAfter): the Infopipe layer's pump ends its batch after 16 cycles or
+// where its next step would block, so two pumps joined by a buffer trade the
+// CPU once per batch instead of once per item.  The weighted-fair classes
+// (SpawnClassed) are charged per cycle, however the cycles were batched.
+//
 // Inter-thread communication is message passing: asynchronous Send, or
 // synchronous Call when the sender has nothing to do until a reply arrives.
 // Timer signals are mapped to messages by the scheduler, so all events are
@@ -31,7 +39,7 @@
 // never pass through the Go run queue, a third of a microsecond with the
 // scheduling decision around them; a direct function call inside a thread
 // costs nanoseconds.  That gap is the quantitative claim of §4 and is
-// reproduced by BenchmarkContextSwitch / BenchmarkDirectCall.  A thread
+// reproduced by `ipbench switches` (experiments.SwitchVsCall).  A thread
 // that has not been granted yet costs no goroutine, and neither the P nor
 // the OS thread changes hands at a switch: an outside goroutine that is
 // merely runnable on a one-P process waits until the scheduler parks.
@@ -170,6 +178,10 @@ type Stats struct {
 	Grants   int64 // all run-token handoffs
 	Messages int64 // messages enqueued (Send, Post, Call, Reply, timers)
 	Timers   int64 // timer messages fired
+	// Cycles counts the cycles charged at ready-queue admissions: one per
+	// wake or Yield, a whole batch where a thread yields after one
+	// (YieldAfter).  A class's Granted over it is the class's share of work.
+	Cycles int64
 }
 
 // Scheduler owns a set of user-level threads and runs them one at a time in
@@ -251,6 +263,7 @@ func (s *Scheduler) Stats() Stats {
 		Grants:   s.grants.Value(),
 		Messages: s.messages.Value(),
 		Timers:   s.timerCnt.Value(),
+		Cycles:   s.ready.cycles.Load(),
 	}
 }
 
@@ -268,6 +281,7 @@ func (s *Scheduler) ResetStats() {
 	s.grants.Reset()
 	s.messages.Reset()
 	s.timerCnt.Reset()
+	s.ready.cycles.Store(0)
 }
 
 // Spawn creates a thread with the given name, static priority and code
@@ -517,7 +531,7 @@ func (s *Scheduler) enqueueLocked(dst *Thread, msg Message) {
 		if dst.waitPred == nil || dst.waitPred(msg) {
 			dst.state = stateReady
 			dst.waitPred = nil
-			s.ready.push(dst)
+			s.ready.push(dst, 1) // a wake: the grant that blocked is one cycle
 		}
 	case stateReady:
 		// A new message can raise the effective priority (inheritance).
