@@ -11,6 +11,7 @@ import (
 	"infopipes/internal/core"
 	"infopipes/internal/events"
 	"infopipes/internal/graph"
+	"infopipes/internal/leakcheck"
 	"infopipes/internal/netpipe"
 	"infopipes/internal/pipes"
 	"infopipes/internal/remote"
@@ -90,6 +91,7 @@ func (tn *testNode) close() {
 // the health op, counts misses, and surfaces a dead node once as OnDown
 // with the wrapped unreachability error.
 func TestDirectoryHeartbeatAndDeadNode(t *testing.T) {
+	leakcheck.Check(t)
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
 	cat := ss.catalog()
 	a := startNode(t, "alpha", cat)
@@ -163,6 +165,7 @@ func TestDirectoryHeartbeatAndDeadNode(t *testing.T) {
 // skew over the stats op and re-places the movable segment onto alpha,
 // with every item still delivered in order.
 func TestClusterBalancerMovesHotSegment(t *testing.T) {
+	leakcheck.Check(t)
 	const items = 200
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
 	cat := ss.catalog()

@@ -11,6 +11,7 @@ import (
 
 	"infopipes/internal/control"
 	"infopipes/internal/graph"
+	"infopipes/internal/leakcheck"
 	"infopipes/internal/pipes"
 )
 
@@ -104,6 +105,7 @@ func pollCount(t *testing.T, ss *sinkStore, name string, n int, deadline time.Du
 // and the sink trace must come out byte-identical to the no-failure
 // reference — zero loss, zero duplication, order preserved.
 func TestFailoverKillNodeDeterministic(t *testing.T) {
+	leakcheck.Check(t)
 	for _, seed := range []int64{11, 23, 37} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -186,6 +188,7 @@ func TestFailoverKillNodeDeterministic(t *testing.T) {
 // — must produce a byte-identical trace as if nothing happened, and the
 // failed-over branch must still deliver exactly once.
 func TestFailoverSurvivingBranchByteIdentical(t *testing.T) {
+	leakcheck.Check(t)
 	const items = 150
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
 	cat := ss.catalog()
@@ -257,6 +260,7 @@ func TestFailoverSurvivingBranchByteIdentical(t *testing.T) {
 // replays of the previous move — and the sink must still see every item
 // exactly once, in order.
 func TestReplaceRacingStream(t *testing.T) {
+	leakcheck.Check(t)
 	const items = 200
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
 	cat := ss.catalog()
@@ -314,6 +318,7 @@ func TestReplaceRacingStream(t *testing.T) {
 // journal must replay into it, and the flow must complete with zero item
 // loss across the two sink incarnations.
 func TestFailoverTailSegmentDeath(t *testing.T) {
+	leakcheck.Check(t)
 	const items = 60
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
 	cat := ss.catalog()
@@ -421,6 +426,7 @@ func TestFailoverTailSegmentDeath(t *testing.T) {
 // with no healthy placement left the supervisor must give up and latch a
 // terminal error instead of retrying forever — Wait surfaces it.
 func TestSupervisorFailsWhenNoSurvivor(t *testing.T) {
+	leakcheck.Check(t)
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
 	cat := ss.catalog()
 	nodes := []*testNode{
@@ -478,6 +484,7 @@ func TestSupervisorFailsWhenNoSurvivor(t *testing.T) {
 // sink-side per-origin watermarks must absorb the overlap: every item
 // exactly once, each branch's sub-stream still in order.
 func TestFailoverMergeFedSegmentDeath(t *testing.T) {
+	leakcheck.Check(t)
 	const items = 160
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
 	cat := ss.catalog()

@@ -3,6 +3,7 @@ package control
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -234,60 +235,65 @@ func (o *Operator) editOps(edits []OpEdit) ([]graph.EditOp, error) {
 	o.mu.Lock()
 	cat := o.cat
 	o.mu.Unlock()
-	mk := func(s OpStage) (core.Stage, error) {
-		if cat == nil {
-			return core.Stage{}, errors.New("control: operator has no stage catalog (Operator.WithCatalog)")
-		}
-		f, ok := cat[s.Kind]
-		if !ok {
-			return core.Stage{}, fmt.Errorf("control: unknown stage kind %q", s.Kind)
-		}
-		return f(s.Name, s.Args, s.Params)
-	}
 	ops := make([]graph.EditOp, 0, len(edits))
 	for _, e := range edits {
+		sts, err := carried(cat, e)
+		if err != nil {
+			return nil, err
+		}
 		switch e.Kind {
 		case "attach":
-			sts := make([]core.Stage, 0, len(e.Stages))
-			for _, s := range e.Stages {
-				st, err := mk(s)
-				if err != nil {
-					return nil, err
-				}
-				sts = append(sts, st)
-			}
 			ops = append(ops, graph.AttachBranch{Split: e.Split, Stages: sts, Place: e.Place})
 		case "detach":
 			ops = append(ops, graph.DetachBranch{Split: e.Split, Port: e.Port})
 		case "insert":
-			if len(e.Stages) != 1 {
-				return nil, fmt.Errorf("control: insert edit carries %d stages, want 1", len(e.Stages))
-			}
-			st, err := mk(e.Stages[0])
-			if err != nil {
-				return nil, err
-			}
-			ops = append(ops, graph.InsertStage{From: e.From, To: e.To, Stage: st})
+			ops = append(ops, graph.InsertStage{From: e.From, To: e.To, Stage: sts[0]})
 		case "swap":
-			if len(e.Stages) != 1 {
-				return nil, fmt.Errorf("control: swap edit carries %d stages, want 1", len(e.Stages))
-			}
-			st, err := mk(e.Stages[0])
-			if err != nil {
-				return nil, err
-			}
-			ops = append(ops, graph.SwapStage{Node: e.Node, Stage: st})
+			ops = append(ops, graph.SwapStage{Node: e.Node, Stage: sts[0]})
 		case "rebind":
 			ops = append(ops, graph.RebindTenant{
 				Weight: e.Weight,
 				Rate:   e.Rate, Burst: e.Burst, SetRate: e.SetRate,
 				Prio: uthread.Priority(e.Prio), SetPrio: e.SetPrio,
 			})
-		default:
-			return nil, fmt.Errorf("control: unknown edit kind %q", e.Kind)
 		}
 	}
 	return ops, nil
+}
+
+// carriedStages bounds how many stages an edit of each kind carries: an
+// attach at least one, an insert or a swap exactly one, a detach or a rebind
+// none.
+var carriedStages = map[string]struct{ min, max int }{
+	"attach": {1, math.MaxInt}, "insert": {1, 1}, "swap": {1, 1}, "detach": {0, 0}, "rebind": {0, 0},
+}
+
+// carried builds the stages an edit carries through the catalog, once it has
+// checked their count against the edit's kind.
+func carried(cat graph.Catalog, e OpEdit) ([]core.Stage, error) {
+	n, ok := carriedStages[e.Kind]
+	if !ok {
+		return nil, fmt.Errorf("control: unknown edit kind %q", e.Kind)
+	}
+	if len(e.Stages) < n.min || len(e.Stages) > n.max {
+		return nil, fmt.Errorf("control: %s edit carries %d stages", e.Kind, len(e.Stages))
+	}
+	sts := make([]core.Stage, 0, len(e.Stages))
+	for _, s := range e.Stages {
+		if cat == nil {
+			return nil, errors.New("control: operator has no stage catalog (Operator.WithCatalog)")
+		}
+		f, ok := cat[s.Kind]
+		if !ok {
+			return nil, fmt.Errorf("control: unknown stage kind %q", s.Kind)
+		}
+		st, err := f(s.Name, s.Args, s.Params)
+		if err != nil {
+			return nil, err
+		}
+		sts = append(sts, st)
+	}
+	return sts, nil
 }
 
 // OperatorClient is the dialing side of the operator protocol (ipctl).  It

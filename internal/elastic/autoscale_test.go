@@ -13,6 +13,7 @@ import (
 	"infopipes/internal/elastic"
 	"infopipes/internal/graph"
 	"infopipes/internal/item"
+	"infopipes/internal/leakcheck"
 	"infopipes/internal/pipes"
 	"infopipes/internal/shard"
 	"infopipes/internal/vclock"
@@ -56,6 +57,7 @@ func payloadTrace(items []*item.Item) string {
 // tick folds it back to the floor — and the sink trace stays byte-identical
 // to a run that never scaled.
 func TestAutoscalerScaleUpFoldBack(t *testing.T) {
+	leakcheck.Check(t)
 	const items = 2000
 
 	reference := func() string {
@@ -177,6 +179,7 @@ func TestAutoscalerPolicyValidation(t *testing.T) {
 // going down fires the previously installed hook AND folds every scaled
 // stage to its floor — asynchronously, under the shared gate.
 func TestAutoscalerFoldDownOnNodeDown(t *testing.T) {
+	leakcheck.Check(t)
 	const items = 4000
 	for attempt := 0; attempt < 6; attempt++ {
 		g, sink := hotChain(items)

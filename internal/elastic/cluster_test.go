@@ -17,6 +17,7 @@ import (
 	"infopipes/internal/elastic"
 	"infopipes/internal/events"
 	"infopipes/internal/graph"
+	"infopipes/internal/leakcheck"
 	"infopipes/internal/netpipe"
 	"infopipes/internal/pipes"
 	"infopipes/internal/remote"
@@ -146,6 +147,7 @@ func pollSink(t *testing.T, ss *sinkStore, name string, n int) {
 // node leaves — while the sink trace stays byte-identical to an undisturbed
 // run, and the membership log records JOIN/DRAIN/LEAVE in order.
 func TestClusterJoinDrainLeaveByteIdentical(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		items = 300
 		rate  = 400
@@ -231,6 +233,7 @@ func TestClusterJoinDrainLeaveByteIdentical(t *testing.T) {
 // draining with no survivor all refuse cleanly — and the stream completes
 // as if nothing happened.
 func TestClusterRefusals(t *testing.T) {
+	leakcheck.Check(t)
 	const items = 200
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
 	cat := ss.catalog()
@@ -305,6 +308,7 @@ func TestClusterRefusals(t *testing.T) {
 // to a survivor and the merged sink must still see every item exactly once,
 // each origin's sub-stream in order.
 func TestClusterKillReplicaFailover(t *testing.T) {
+	leakcheck.Check(t)
 	const items = 160
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
 	cat := ss.catalog()
@@ -451,6 +455,7 @@ func (g *announcedGate) Lock() {
 // concurrently.  The two segment-movers must serialize — never
 // double-Replace — and the stream must come out byte-identical.
 func TestClusterDrainSerializesWithFailover(t *testing.T) {
+	leakcheck.Check(t)
 	const items = 300
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
 	cat := ss.catalog()
@@ -513,6 +518,7 @@ func TestClusterDrainSerializesWithFailover(t *testing.T) {
 // remote.ErrNodeUnreachable, at once; it neither hangs nor recomposes a
 // segment against the dead node's port.
 func TestClusterDrainRefusesUnrecoveredDeath(t *testing.T) {
+	leakcheck.Check(t)
 	const items = 300
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
 	cat := ss.catalog()
@@ -559,6 +565,7 @@ func TestClusterDrainRefusesUnrecoveredDeath(t *testing.T) {
 // wire — the path ipctl nodes / drain / watch take: node rows, an
 // operator-driven drain, and the cursored JOIN/DRAIN/LEAVE event tail.
 func TestOperatorClusterOps(t *testing.T) {
+	leakcheck.Check(t)
 	const items = 300
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
 	cat := ss.catalog()
@@ -649,6 +656,7 @@ var chaosSeq atomic.Int64
 // failover tests' territory).  The durable lanes' watermarks absorb the
 // duplicates; the trace must still be byte-identical.
 func TestClusterJoinDrainUnderChaos(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		items = 240
 		rate  = 500

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,7 +34,6 @@ type Deployment struct {
 
 	mu          sync.Mutex
 	pipelines   []*core.Pipeline
-	bySegment   map[string]*core.Pipeline
 	links       []*shard.Link
 	gen         int  // bumped by every transaction; stale watchers exit
 	started     bool // Start was requested (re-broadcast after a transaction)
@@ -48,9 +48,8 @@ type Deployment struct {
 
 func newDeployment(name string, bus *events.Bus) *Deployment {
 	return &Deployment{
-		name:      name,
-		bus:       bus,
-		bySegment: make(map[string]*core.Pipeline),
+		name: name,
+		bus:  bus,
 		//ipvet:allow wallclock controller-side Start/Stop event stamp for OnNodes; local targets override with the scheduler's virtual clock (local.go)
 		now:  time.Now,
 		done: make(chan struct{}),
@@ -64,9 +63,7 @@ func newDeployment(name string, bus *events.Bus) *Deployment {
 // on in its recomposed successors).
 func (d *Deployment) seal() {
 	d.mu.Lock()
-	gen := d.gen
-	ps := make([]*core.Pipeline, len(d.pipelines))
-	copy(ps, d.pipelines)
+	gen, ps := d.gen, slices.Clone(d.pipelines)
 	d.mu.Unlock()
 	go func() {
 		for _, p := range ps {
@@ -106,9 +103,7 @@ func (d *Deployment) Bus() *events.Bus { return d.bus }
 func (d *Deployment) Pipelines() []*core.Pipeline {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]*core.Pipeline, len(d.pipelines))
-	copy(out, d.pipelines)
-	return out
+	return slices.Clone(d.pipelines)
 }
 
 // Segment returns the pipeline composed for the named segment (the
@@ -118,7 +113,10 @@ func (d *Deployment) Pipelines() []*core.Pipeline {
 func (d *Deployment) Segment(name string) (*core.Pipeline, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	p, ok := d.bySegment[name]
+	if d.ld == nil || d.ld.segment(name) < 0 {
+		return nil, false
+	}
+	p, ok := d.ld.pipes[d.name+"/"+name]
 	return p, ok
 }
 
@@ -131,7 +129,7 @@ func (d *Deployment) SegmentPlacements() map[string]int {
 		d.remote.mu.Lock()
 		defer d.remote.mu.Unlock()
 		for i, seg := range d.remote.plan.Segments {
-			out[seg.Name()] = d.remote.nodeOf[i]
+			out[seg.Name()] = d.remote.slotOf[i]
 		}
 		return out
 	}
@@ -141,7 +139,7 @@ func (d *Deployment) SegmentPlacements() map[string]int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i, seg := range d.ld.plan.Segments {
-		out[seg.Name()] = d.ld.shardOf[i]
+		out[seg.Name()] = d.ld.slotOf[i]
 	}
 	return out
 }
@@ -150,9 +148,7 @@ func (d *Deployment) SegmentPlacements() map[string]int {
 func (d *Deployment) Links() []*shard.Link {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]*shard.Link, len(d.links))
-	copy(out, d.links)
-	return out
+	return slices.Clone(d.links)
 }
 
 // broadcast publishes a control event on the deployment's bus, stamped with
@@ -226,8 +222,7 @@ func (d *Deployment) Err() error {
 		d.mu.Unlock()
 		return err
 	}
-	ps := make([]*core.Pipeline, len(d.pipelines))
-	copy(ps, d.pipelines)
+	ps := slices.Clone(d.pipelines)
 	d.mu.Unlock()
 	for _, p := range ps {
 		if err := p.Err(); err != nil {

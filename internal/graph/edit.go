@@ -2,9 +2,11 @@ package graph
 
 import (
 	"errors"
-	"sort"
+	"maps"
+	"slices"
 
 	"infopipes/internal/core"
+	"infopipes/internal/qos"
 	"infopipes/internal/uthread"
 )
 
@@ -69,8 +71,8 @@ func (op AttachBranch) stage(t *txn) error {
 	if len(op.Stages) == 0 {
 		return t.errf("AttachBranch on %q with no stages", op.Split)
 	}
-	if op.Place < -1 || op.Place >= t.shards() {
-		return t.errf("AttachBranch on %q placed on shard %d, target has %d", op.Split, op.Place, t.shards())
+	if op.Place < -1 || op.Place >= t.ld.shards() {
+		return t.errf("AttachBranch on %q placed on shard %d, target has %d", op.Split, op.Place, t.ld.shards())
 	}
 	port := n.outs
 	prev, prevPort := op.Split, port
@@ -122,7 +124,7 @@ func (op DetachBranch) stage(t *txn) error {
 	}
 	rec := &detachRec{
 		split: op.Split, port: op.Port, segName: seg.Name(),
-		stageNames: seg.Stages, branchShard: ld.shardOf[branches[op.Port]],
+		stageNames: seg.Stages, branchShard: ld.slotOf[branches[op.Port]],
 	}
 	leaving := make(map[string]bool, len(seg.Stages))
 	for _, name := range seg.Stages {
@@ -268,6 +270,22 @@ func (op RebindTenant) stage(t *txn) error {
 	return nil
 }
 
+// rebind records rebinds in the deployer-side tenant's policy fields, so
+// stats and later composes see the new policy.
+func rebind(t *qos.Tenant, rebinds []RebindTenant) {
+	for _, rb := range rebinds {
+		if rb.Weight > 0 {
+			t.SetWeight(rb.Weight)
+		}
+		if rb.SetRate {
+			t.SetRate(rb.Rate, rb.Burst)
+		}
+		if rb.SetPrio {
+			t.SetPriority(rb.Prio)
+		}
+	}
+}
+
 // outAdder / outDetacher are the live port-surgery capabilities a split tee
 // must implement to accept AttachBranch / DetachBranch (pipes.CopyTee and
 // pipes.RouteTee do).
@@ -324,22 +342,9 @@ func (ld *localDeploy) applyRebinds(rebinds []RebindTenant) error {
 	if ld.tenant == nil {
 		return ErrNoTenant
 	}
-	for _, rb := range rebinds {
-		if rb.Weight > 0 {
-			ld.tenant.SetWeight(rb.Weight)
-		}
-		if rb.SetRate {
-			ld.tenant.SetRate(rb.Rate, rb.Burst)
-		}
-		if rb.SetPrio {
-			ld.tenant.SetPriority(rb.Prio)
-		}
-	}
-	w := ld.tenant.Weight()
-	for i := 0; i < len(ld.classes); i++ { // classes are keyed 0..nShards-1
-		if c := ld.classes[i]; c != nil {
-			c.SetWeight(w)
-		}
+	rebind(ld.tenant, rebinds)
+	for _, c := range ld.classes {
+		c.SetWeight(ld.tenant.Weight())
 	}
 	return nil
 }
@@ -367,78 +372,45 @@ type detachRec struct {
 // drainDetached composes the leaving branches of DetachBranch ops: the
 // tombstoned port's buffer was closed upstream, so the recomposed branch
 // (and its boundary relay, if the branch was linked) drains every in-flight
-// item into its sink and ends with a clean end of stream.  A branch that
-// had already reached end of stream needs no drain.
-//
-// Drain pipelines are off-plan, so redeploy drops them from the books on
-// the NEXT transaction after quiescing them — they must be recomposed here
-// until they reach end of stream, or a branch still mid-drain would be
-// stranded with items in flight and, for a linked branch, a boundary link
-// that never closes (its wake registration would hold the receiving
-// scheduler open forever).  ld.draining carries them across transactions.
+// item into its sink and ends with a clean end of stream.  Drain pipelines
+// are off-plan, so redeploy drops them from the books: ld.draining carries
+// them across transactions, and they are recomposed here until they reach
+// end of stream — or a branch mid-drain would be stranded with items in
+// flight and a boundary link that never closes.
 func (ld *localDeploy) drainDetached(detaches []*detachRec) error {
 	for _, dr := range detaches {
 		ld.draining[dr.segName] = dr
 	}
-	names := make([]string, 0, len(ld.draining))
-	for name := range ld.draining {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, segName := range names {
+	for _, segName := range slices.Sorted(maps.Keys(ld.draining)) {
 		dr := ld.draining[segName]
-		if dr.drain != nil {
-			if dr.drain.ReachedEOS() {
-				// Fully drained in an earlier generation; its pipeline was
-				// dropped from the books by this redeploy, so fold its
-				// counters (and its boundary carrier's) and forget it.
-				ld.foldRetired(ld.g.name+"/"+dr.segName+"/detached", dr.drain)
-				ld.foldDrainCarrier(dr)
-				delete(ld.draining, segName)
-				continue
-			}
-			// Quiesced mid-drain by this transaction: fold the superseded
-			// pipeline's counters and recompose below.
-			ld.foldRetired(ld.g.name+"/"+dr.segName+"/detached", dr.drain)
-		} else if dr.pipe != nil && dr.pipe.ReachedEOS() {
-			ld.foldDrainCarrier(dr)
+		name := ld.name + "/" + dr.segName + "/detached"
+		lane := ld.laneName(dr.split, dr.port)
+		if dr.drain != nil && dr.drain.ReachedEOS() || dr.drain == nil && dr.pipe != nil && dr.pipe.ReachedEOS() {
+			// Fully drained: fold the drain's counters and its off-plan
+			// boundary relay's, and forget them.
+			ld.forget(name)
+			ld.forget(lane + "/relay")
 			delete(ld.draining, segName)
 			continue
 		}
+		// Quiesced mid-drain by this transaction (or not yet drained at
+		// all): compose replaces the superseded pipelines below.
 		trunk := ld.plan.SplitTrunk[dr.split]
-		seed := ld.segOutSpec[trunk]
 		var stages []core.Stage
-		if link := ld.splitLinks[dr.split][dr.port]; link != nil {
-			if err := ld.composeSplitRelay(dr.split, dr.port, dr.branchShard, seed); err != nil {
+		if l := ld.links[lane]; l != nil {
+			l.Retarget(ld.schedOf(dr.branchShard))
+			if err := ld.splitRelay(dr.split, dr.port); err != nil {
 				return err
 			}
-			stages = append(stages, link.ReceiverStages(link.Name())...)
+			stages = append(stages, l.ReceiverStages(lane)...)
 		} else {
 			stages = append(stages, core.Comp(ld.splits[dr.split].OutPort(dr.port)))
 		}
 		stages = append(stages, dr.stageInsts...)
-		name := ld.g.name + "/" + dr.segName + "/detached"
-		p, err := ld.compose(name, dr.branchShard, stages, seed)
-		if err != nil {
+		if _, err := ld.compose(name, dr.branchShard, -1, stages, ld.segOutSpec[trunk], false); err != nil {
 			return err
 		}
-		dr.drain = p
+		dr.drain = ld.pipes[name]
 	}
 	return nil
-}
-
-// foldDrainCarrier folds the boundary-relay carrier of a finished detached
-// branch.  The tombstoned port is off-plan, so redeploy never recomposes
-// its carrier; once the drain ends the carrier has ended too, and folding
-// keeps its items in the retired counters instead of vanishing from stats.
-func (ld *localDeploy) foldDrainCarrier(dr *detachRec) {
-	link := ld.splitLinks[dr.split][dr.port]
-	if link == nil {
-		return
-	}
-	lane := link.Name()
-	if rp := ld.relayPipes[lane]; rp != nil {
-		ld.foldRetired(lane+"/relay", rp)
-		delete(ld.relayPipes, lane)
-	}
 }

@@ -48,7 +48,7 @@ func (d *Deployment) Rendered() map[string][]remote.StageSpec {
 	r := d.remote
 	out := make(map[string][]remote.StageSpec)
 	for si, seg := range r.plan.Segments {
-		out[r.name+"/"+seg.Name()], _ = r.segmentSpecs(si)
+		out[r.name+"/"+seg.Name()], _ = r.segmentParts(si)
 	}
 	relays := func(tees map[string][]int, render func(string, int) []remote.StageSpec) {
 		for tee, ports := range tees {
@@ -59,8 +59,8 @@ func (d *Deployment) Rendered() map[string][]remote.StageSpec {
 			}
 		}
 	}
-	relays(r.plan.SplitBranch, r.splitRelaySpecs)
-	relays(r.plan.MergeBranch, r.mergeRelaySpecs)
+	relays(r.plan.SplitBranch, r.splitRelayParts)
+	relays(r.plan.MergeBranch, r.mergeRelayParts)
 	return out
 }
 

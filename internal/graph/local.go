@@ -3,11 +3,13 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"infopipes/internal/core"
 	"infopipes/internal/events"
 	"infopipes/internal/pipes"
 	"infopipes/internal/qos"
+	"infopipes/internal/remote"
 	"infopipes/internal/shard"
 	"infopipes/internal/typespec"
 	"infopipes/internal/uthread"
@@ -45,14 +47,12 @@ func (t *SchedulerTarget) WithTenant(tn *qos.Tenant) *SchedulerTarget {
 }
 
 func (t *SchedulerTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error) {
-	shardOf := make([]int, len(plan.Segments))
 	ld := &localDeploy{
-		g: g, plan: plan, bus: t.Bus, depth: t.LinkDepth,
-		shardOf: shardOf,
+		g: g, bus: t.Bus, depth: t.LinkDepth,
 		schedOf: func(int) *uthread.Scheduler { return t.Sched },
 		tenant:  t.Tenant,
 	}
-	return ld.run()
+	return ld.run(plan, make([]int, len(plan.Segments)))
 }
 
 // GroupTarget deploys onto a SchedulerGroup: the planner places each
@@ -111,15 +111,14 @@ func (t *GroupTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 		return nil, err
 	}
 	ld := &localDeploy{
-		g: g, plan: plan, bus: t.Bus, depth: t.LinkDepth,
+		g: g, bus: t.Bus, depth: t.LinkDepth,
 		group:   t.Group,
-		shardOf: shardOf,
 		schedOf: t.Group.Scheduler,
 		placeAt: t.Group.PlaceAt,
 		release: t.Group.Release,
 		tenant:  t.Tenant,
 	}
-	d, err := ld.run()
+	d, err := ld.run(plan, shardOf)
 	if err != nil {
 		return nil, err
 	}
@@ -139,30 +138,23 @@ func (t *GroupTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 	return d, nil
 }
 
-// localDeploy composes one pipeline per segment on the schedulers the
-// placement chose, wiring tee ports directly where segments are
-// co-scheduled and inserting shard links (plus relay pipelines at tee
-// boundaries) where they are not.  The structure is retained on the
-// Deployment: Rebalance re-runs the composition with a new placement,
-// reusing the materialized stages and the boundary links (whose queues
-// carry the in-flight items across the migration).
+// localDeploy is the shard host: it renders live stages, joins segments on
+// different shards with shard links, and composes pipelines on the shard's
+// scheduler.  A reconfiguration recomposes the graph over the same stages
+// and links, whose queues carry the in-flight items across.
 type localDeploy struct {
+	wiring[core.Stage, *shard.Link]
 	g       *Graph
-	plan    *core.GraphPlan
 	bus     *events.Bus
 	depth   int
 	group   *shard.Group // nil on a single scheduler
-	shardOf []int
 	schedOf func(i int) *uthread.Scheduler
 	// placeAt/release are the group's load accounting, nil on a single
 	// scheduler; every composed pipeline (relays included) counts.
 	placeAt func(i int)
 	release func(i int)
-	// tenant is the deployment's QoS binding (nil = default tenant).  One
-	// weighted-fair SchedClass is created lazily per shard the tenant's
-	// pipelines touch — a class binds to exactly one scheduler, and the
-	// per-shard instances keep each shard's virtual clock independent (a
-	// tenant's trace on shard k must not depend on its siblings).
+	// tenant is the deployment's QoS binding (nil = default tenant); classes
+	// holds its weighted-fair class on every shard (see run).
 	tenant  *qos.Tenant
 	classes map[int]*uthread.SchedClass
 
@@ -171,75 +163,47 @@ type localDeploy struct {
 	merges map[string]core.MergePoint
 
 	d *Deployment
-	// segOutSpec[i] is the Typespec of the flow leaving segment i's last
-	// declared stage (entering its tail boundary) — the seed carried into
-	// the downstream segment (§2.3 checking does not stop at a tee).
-	segOutSpec  []typespec.Typespec
-	mergeInSpec map[string][]typespec.Typespec
-	cutLinks    []*shard.Link
-	// splitLinks/mergeLinks record the relay link of each tee boundary
-	// (nil while the boundary is wired directly).  Once a boundary has a
-	// link it keeps it across rebalances — the queue holds in-flight items
-	// — even if the segments become co-scheduled again.
-	splitLinks map[string][]*shard.Link
-	mergeLinks map[string][]*shard.Link
-	// relayPipes tracks the relay pipeline of each linked tee boundary by
-	// lane name, so a rebalance can skip relays whose stream already ended.
-	relayPipes map[string]*core.Pipeline
-	// shardByPipe records the shard every pipeline was composed on
+	// pipes holds the pipeline last composed under each name — segments,
+	// relays, drains — so a recomposition can keep one whose stream ended
+	// and fold the counters of one it replaces.
+	pipes map[string]*core.Pipeline
+	// shardByPipe records the shard every live pipeline was composed on
 	// (telemetry attribution).
 	shardByPipe map[*core.Pipeline]int
-	// retired accumulates the pump counters of pipelines replaced by
-	// rebalances, keyed by segment name (segments) or pipeline name
-	// (relays), so Stats stays cumulative across generations.
-	retired map[string]retiredCounts
-	// retiredByShard attributes the same retired counters to the shard the
-	// replaced pipeline actually RAN on — per-shard load must reflect where
-	// the work happened, not where the segment lives now, or the balancer
-	// would chase migrated history around the group.
-	retiredByShard []retiredCounts
-	// rebalance marks a transaction's re-composition pass: links are reused
-	// and retargeted instead of created, finished pipelines are kept.
-	rebalance bool
 	// draining records detached branches still draining their tombstoned
-	// tee ports, keyed by retired segment name.  A later edit quiesces
-	// their drain pipelines along with everything else and redeploy drops
-	// them from the books (they are off-plan), so drainDetached must keep
-	// recomposing them until they reach end of stream — or the branch's
-	// in-flight items and its boundary link's wake registration would be
-	// stranded and the shard group never finish.
+	// tee ports, keyed by retired segment name: they are off-plan, so
+	// drainDetached recomposes them after every edit until they reach end of
+	// stream (see drainDetached).
 	draining map[string]*detachRec
 }
 
-// retiredCounts folds the counters of replaced pipeline generations.
-type retiredCounts struct {
-	items, cycles, busyNs int64
-}
-
-// foldRetired accumulates a replaced pipeline's counters under key and
-// under the shard it ran on, and drops the pipeline from the placement map
-// (its generation is gone; keeping the entry would pin every replaced
-// pipeline in memory forever).  Takes d.mu: Stats reads these maps under
-// the same lock, concurrently with a rebalance.
-func (ld *localDeploy) foldRetired(key string, p *core.Pipeline) {
+// retire folds a replaced pipeline's counters into the ledger under the
+// shard it ran on and drops it from the placement map, under d.mu: Stats
+// reads both under the same lock, concurrently with a rebalance.
+func (ld *localDeploy) retire(name string, p *core.Pipeline) {
 	ps := p.Stats()
 	ld.d.mu.Lock()
 	defer ld.d.mu.Unlock()
-	r := ld.retired[key]
-	r.items += ps.Items
-	r.cycles += ps.Cycles
-	r.busyNs += ps.BusyNanos
-	ld.retired[key] = r
-	if sh, ok := ld.shardByPipe[p]; ok && sh >= 0 && sh < len(ld.retiredByShard) {
-		ld.retiredByShard[sh].items += ps.Items
-		ld.retiredByShard[sh].cycles += ps.Cycles
-		ld.retiredByShard[sh].busyNs += ps.BusyNanos
+	sh, ok := ld.shardByPipe[p]
+	if !ok {
+		sh = -1
 	}
+	ld.ledger.fold(name, sh, counts{ps.Items, ps.Cycles, ps.BusyNanos})
 	delete(ld.shardByPipe, p)
 }
 
-func (ld *localDeploy) run() (*Deployment, error) {
-	g, plan := ld.g, ld.plan
+// forget takes pipeline name off the books for good, folding its counters.
+func (ld *localDeploy) forget(name string) {
+	if p := ld.pipes[name]; p != nil {
+		ld.retire(name, p)
+		ld.d.mu.Lock()
+		delete(ld.pipes, name)
+		ld.d.mu.Unlock()
+	}
+}
+
+func (ld *localDeploy) run(plan *core.GraphPlan, shardOf []int) (*Deployment, error) {
+	g := ld.g
 	var err error
 	ld.stages, ld.splits, ld.merges, err = g.materialize()
 	if err != nil {
@@ -263,67 +227,38 @@ func (ld *localDeploy) run() (*Deployment, error) {
 	}
 	ld.d = newDeployment(g.name, ld.bus)
 	ld.d.ld = ld
-	sched0 := ld.schedOf(0)
-	ld.d.now = sched0.Now
-	ld.segOutSpec = make([]typespec.Typespec, len(plan.Segments))
-	ld.mergeInSpec = make(map[string][]typespec.Typespec)
-	for name, ports := range plan.MergeBranch {
-		ld.mergeInSpec[name] = make([]typespec.Typespec, len(ports))
-	}
-	ld.splitLinks = make(map[string][]*shard.Link)
-	for name, ports := range plan.SplitBranch {
-		ld.splitLinks[name] = make([]*shard.Link, len(ports))
-	}
-	ld.mergeLinks = make(map[string][]*shard.Link)
-	for name, ports := range plan.MergeBranch {
-		ld.mergeLinks[name] = make([]*shard.Link, len(ports))
-	}
-	ld.relayPipes = make(map[string]*core.Pipeline)
+	ld.d.now = ld.schedOf(0).Now
+	ld.setup(ld, g.name, plan, shardOf)
+	ld.pipes = make(map[string]*core.Pipeline)
 	ld.draining = make(map[string]*detachRec)
 	ld.shardByPipe = make(map[*core.Pipeline]int)
-	ld.retired = make(map[string]retiredCounts)
-	nShards := 1
-	if ld.group != nil {
-		nShards = ld.group.Shards()
-	}
-	ld.retiredByShard = make([]retiredCounts, nShards)
 	if ld.tenant != nil {
-		// One weighted-fair class per (tenant, shard): a class binds to
-		// exactly one scheduler, and per-shard virtual clocks keep each
-		// shard's trace independent of its siblings (the determinism harness
-		// re-runs one tenant's flow at 1, 2 and 4 shards and expects
-		// identical per-tenant traces).  Built for every shard up front so
-		// a rebalance can move segments anywhere without mutating the map
-		// Stats reads.
-		ld.classes = make(map[int]*uthread.SchedClass, nShards)
-		for i := 0; i < nShards; i++ {
+		// One weighted-fair class per (tenant, shard): a class binds to one
+		// scheduler, and per-shard classes keep a tenant's trace on one shard
+		// independent of its siblings.  Built for every shard up front, so a
+		// rebalance never mutates the map Stats reads.
+		ld.classes = make(map[int]*uthread.SchedClass, ld.shards())
+		for i := 0; i < ld.shards(); i++ {
 			ld.classes[i] = uthread.NewSchedClass(ld.tenant.Name(), ld.tenant.Weight())
 		}
 	}
-	ld.cutLinks = make([]*shard.Link, len(plan.Cuts))
-	for ci, cut := range plan.Cuts {
-		link := shard.NewLink(fmt.Sprintf("%s/cut%d", g.name, ci),
-			ld.schedOf(ld.shardOf[cut.ToSeg]), ld.depth)
-		ld.cutLinks[ci] = link
-		ld.d.links = append(ld.d.links, link)
-	}
 
 	for _, si := range plan.Order {
-		if err := ld.composeSegment(si); err != nil {
-			// The deployment is dead: stop what already runs and close
-			// every link — a link whose endpoints never composed has no
-			// component left to close it, and an open link holds its
-			// receiving scheduler's external-source reference forever
-			// (the group could never drain).
-			ld.d.broadcast(events.Stop)
-			for _, l := range ld.d.links {
-				l.Close()
-			}
+		if err := ld.place(si); err != nil {
+			ld.d.abandon()
 			return nil, err
 		}
 	}
 	ld.d.seal()
 	return ld.d, nil
+}
+
+// shards reports the target's placement width.
+func (ld *localDeploy) shards() int {
+	if ld.group == nil {
+		return 1
+	}
+	return ld.group.Shards()
 }
 
 // redeploy recomposes the graph for the plan and placement a transaction
@@ -332,291 +267,143 @@ func (ld *localDeploy) run() (*Deployment, error) {
 // carries the stream across — and segments whose stream already ended are
 // kept as-is instead of being recomposed.
 func (ld *localDeploy) redeploy() error {
-	old := make(map[string]*core.Pipeline, len(ld.d.bySegment))
 	ld.d.mu.Lock()
-	for name, p := range ld.d.bySegment {
-		old[name] = p
-	}
 	ld.d.pipelines = nil
 	ld.d.mu.Unlock()
-
 	for _, si := range ld.plan.Order {
-		seg := ld.plan.Segments[si]
-		if p := old[seg.Name()]; p != nil && p.ReachedEOS() {
-			if err := ld.keepSegment(si, p); err != nil {
+		if p := ld.pipes[ld.name+"/"+ld.plan.Segments[si].Name()]; p != nil && p.ReachedEOS() {
+			if err := ld.keep(si, p); err != nil {
 				return err
 			}
 			continue
 		}
-		if p := old[seg.Name()]; p != nil {
-			ld.foldRetired(seg.Name(), p)
-		}
-		if err := ld.composeSegment(si); err != nil {
+		if err := ld.place(si); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// keepSegment re-registers a finished segment pipeline (and the relays of
-// its boundaries) in the new generation without recomposing it: its stream
-// has fully ended, so placement no longer matters and recomposing it would
-// replay end-of-stream into its tail.
-//
-// A split-head relay of a finished branch is necessarily finished too (the
-// relay closes the link on its own end of stream, and the branch can only
-// end after that).  A merge-tail relay sits DOWNSTREAM of the segment and
-// may still be draining the link queue into the merge — it was detached
-// with everything else, so it is recomposed on the merge's (possibly new)
-// shard.
-func (ld *localDeploy) keepSegment(si int, p *core.Pipeline) error {
+// keep re-registers a finished segment pipeline in the new generation
+// without placing it again: recomposing it would replay end-of-stream into
+// its tail.  Its split-head relay has necessarily finished too, but a
+// merge-tail relay sits DOWNSTREAM and may still be draining the link into
+// the merge, so it is recomposed on the merge's (possibly new) shard.
+func (ld *localDeploy) keep(si int, p *core.Pipeline) error {
 	seg := ld.plan.Segments[si]
+	ld.register(p)
+	if h := seg.Head; h.Kind == core.EndSplitOut {
+		if rp := ld.pipes[ld.laneName(h.Node, h.Port)+"/relay"]; rp != nil {
+			ld.register(rp)
+		}
+	}
+	if t := seg.Tail; t.Kind == core.EndMergeIn {
+		lane := ld.laneName(t.Node, t.Port)
+		if l := ld.links[lane]; l != nil {
+			l.Retarget(ld.schedOf(ld.slotOf[ld.plan.MergeDown[t.Node]]))
+			return ld.mergeRelay(si)
+		}
+	}
+	return nil
+}
+
+// register puts a pipeline on the current generation's books.
+func (ld *localDeploy) register(p *core.Pipeline) {
 	ld.d.mu.Lock()
 	ld.d.pipelines = append(ld.d.pipelines, p)
-	if h := seg.Head; h.Kind == core.EndSplitOut {
-		if rp := ld.relayPipes[ld.laneName(h.Node, h.Port)]; rp != nil {
-			ld.d.pipelines = append(ld.d.pipelines, rp)
-		}
-	}
 	ld.d.mu.Unlock()
-	if t := seg.Tail; t.Kind == core.EndMergeIn && ld.mergeLinks[t.Node][t.Port] != nil {
-		return ld.composeMergeRelay(t.Node, t.Port, ld.segOutSpec[si])
-	}
-	return nil
 }
 
-// composeSplitRelay (re)composes the relay pipeline that pumps a split
-// out-port across its boundary link from the trunk's shard, retargeting
-// the link to the branch's shard.  A relay whose stream already ended is
-// kept as-is.  Mirror image of composeMergeRelay, so the relay invariants
-// (EOS keep, retired fold, retarget, relayPipes registration) live in one
-// place per tee direction.
-func (ld *localDeploy) composeSplitRelay(node string, port, branchShard int, seed typespec.Typespec) error {
-	link := ld.splitLinks[node][port]
-	lane := link.Name()
-	if rp := ld.relayPipes[lane]; rp != nil {
-		if rp.ReachedEOS() {
-			ld.d.mu.Lock()
-			ld.d.pipelines = append(ld.d.pipelines, rp)
-			ld.d.mu.Unlock()
-			return nil
-		}
-		ld.foldRetired(lane+"/relay", rp)
+// link binds a shard link delivering to segment to's shard, or retargets a
+// bound one there (its queued items stay put).  A reconfiguration calls it
+// while everything is parked, so no thread waits on the link.
+func (ld *localDeploy) link(lane string, l *shard.Link, _, to int) (*shard.Link, error) {
+	sched := ld.schedOf(ld.slotOf[to])
+	if l != nil {
+		l.Retarget(sched)
+		return l, nil
 	}
-	if ld.rebalance {
-		link.Retarget(ld.schedOf(branchShard))
-	}
-	relay := append([]core.Stage{
-		core.Comp(ld.splits[node].OutPort(port)),
-		core.Pmp(ld.relayPump(lane)),
-	}, link.SenderStages(lane)...)
-	rp, err := ld.compose(lane+"/relay", ld.shardOf[ld.plan.SplitTrunk[node]], relay, seed)
-	if err != nil {
-		return err
-	}
-	ld.relayPipes[lane] = rp
-	return nil
+	l = shard.NewLink(lane, sched, ld.depth)
+	ld.d.mu.Lock()
+	ld.d.links = append(ld.d.links, l)
+	ld.d.mu.Unlock()
+	return l, nil
 }
 
-// composeMergeRelay (re)composes the relay pipeline that drains a merge
-// boundary link into the merge's in-port on the anchor shard, retargeting
-// the link there first.  A relay whose stream already ended is kept as-is.
-// seed is the Typespec of the flow entering the link (the inbound
-// segment's out-spec).  Serves both composeSegment and keepSegment so the
-// relay invariants (EOS keep, retired fold, retarget, relayPipes and
-// mergeInSpec registration) live in one place.
-func (ld *localDeploy) composeMergeRelay(node string, port int, seed typespec.Typespec) error {
-	link := ld.mergeLinks[node][port]
-	lane := link.Name()
-	if rp := ld.relayPipes[lane]; rp != nil {
-		if rp.ReachedEOS() {
-			ld.d.mu.Lock()
-			ld.d.pipelines = append(ld.d.pipelines, rp)
-			ld.d.mu.Unlock()
-			return nil
-		}
-		ld.foldRetired(lane+"/relay", rp)
-	}
-	anchor := ld.shardOf[ld.plan.MergeDown[node]]
-	if ld.rebalance {
-		link.Retarget(ld.schedOf(anchor))
-	}
-	relay := append(link.ReceiverStages(lane),
-		core.Pmp(ld.relayPump(lane)),
-		core.Comp(ld.merges[node].InPort(port)))
-	rp, err := ld.compose(lane+"/relay", anchor, relay, seed)
-	if err != nil {
-		return err
-	}
-	ld.relayPipes[lane] = rp
-	ld.mergeInSpec[node][port] = rp.SpecAt(len(relay) - 2)
-	return nil
+// unlink leaves the link be: a failed placement abandons the deployment.
+func (ld *localDeploy) unlink(string, int) {}
+
+func (ld *localDeploy) recv(lane string, l *shard.Link) []core.Stage { return l.ReceiverStages(lane) }
+
+func (ld *localDeploy) send(lane string, l *shard.Link, _ int) []core.Stage {
+	return l.SenderStages(lane)
 }
 
-// laneName renders the canonical name of a tee-boundary relay lane.
-func (ld *localDeploy) laneName(node string, port int) string {
-	return fmt.Sprintf("%s/%s:%d", ld.g.name, node, port)
+func (ld *localDeploy) tee(e core.SegmentEnd) core.Stage {
+	switch e.Kind {
+	case core.EndSplitOut:
+		return core.Comp(ld.splits[e.Node].OutPort(e.Port))
+	case core.EndSplitTrunk:
+		return core.Comp(ld.splits[e.Node])
+	case core.EndMergeIn:
+		return core.Comp(ld.merges[e.Node].InPort(e.Port))
+	}
+	return core.Comp(ld.merges[e.Node].OutPort())
 }
 
-// classOf returns the tenant's weighted-fair class for one shard (nil
-// without a tenant — the default tenant runs classless, keeping today's
-// ready-queue order byte for byte).  The map is built eagerly in run() and
-// immutable afterwards, so Stats can read it without racing a rebalance's
-// recomposition.
-func (ld *localDeploy) classOf(shardIdx int) *uthread.SchedClass {
-	return ld.classes[shardIdx]
-}
+func (ld *localDeploy) stage(name string) core.Stage { return ld.stages[name] }
 
-// relayPump builds a boundary relay's pump: free-running at the tenant's
+// pump builds a boundary relay's pump: free-running at the tenant's
 // priority, so a lane relay stops flattening the flow's priority to normal —
 // a tenant's effective priority crosses the boundary with its items.
-func (ld *localDeploy) relayPump(lane string) core.Pump {
+func (ld *localDeploy) pump(lane string) core.Stage {
 	prio := uthread.PriorityNormal
 	if ld.tenant != nil {
 		prio = ld.tenant.Priority()
 	}
-	return pipes.NewFreePumpPrio(lane+"/pump", prio)
+	return core.Pmp(pipes.NewFreePumpPrio(lane+"/pump", prio))
 }
 
-func (ld *localDeploy) composeSegment(si int) error {
-	g, plan, seg := ld.g, ld.plan, ld.plan.Segments[si]
-	own := ld.shardOf[si]
-	var stages []core.Stage
-	var seed typespec.Typespec
-
-	switch h := seg.Head; h.Kind {
-	case core.EndSplitOut:
-		split := ld.splits[h.Node]
-		trunk := plan.SplitTrunk[h.Node]
-		seed = ld.segOutSpec[trunk]
-		link := ld.splitLinks[h.Node][h.Port]
-		if ld.shardOf[trunk] == own && link == nil {
-			stages = append(stages, core.Comp(split.OutPort(h.Port)))
-		} else {
-			// The branch runs on another shard (or did at some point —
-			// once linked, a boundary stays linked so its queue survives):
-			// relay the tee port across an auto-inserted link.  The tee's
-			// buffers stay with the trunk; thread transparency is per
-			// scheduler.
-			lane := ld.laneName(h.Node, h.Port)
-			if link == nil {
-				link = shard.NewLink(lane, ld.schedOf(own), ld.depth)
-				ld.splitLinks[h.Node][h.Port] = link
-				ld.addLink(link)
-			}
-			if err := ld.composeSplitRelay(h.Node, h.Port, own, seed); err != nil {
-				return err
-			}
-			stages = append(stages, link.ReceiverStages(lane)...)
-		}
-	case core.EndMergeOut:
-		for port, ts := range ld.mergeInSpec[h.Node] {
-			merged, err := seed.Merge(ts)
-			if err != nil {
-				return fmt.Errorf("graph %q: merging flows into %q: in-port %d: %w",
-					g.name, h.Node, port, err)
-			}
-			seed = merged
-		}
-		stages = append(stages, core.Comp(ld.merges[h.Node].OutPort()))
-	case core.EndCut:
-		seed = ld.segOutSpec[plan.Cuts[h.Port].FromSeg]
-		link := ld.cutLinks[h.Port]
-		if ld.rebalance {
-			link.Retarget(ld.schedOf(own))
-		}
-		stages = append(stages, link.ReceiverStages(link.Name())...)
-	}
-
-	declStart := len(stages)
-	for _, name := range seg.Stages {
-		stages = append(stages, ld.stages[name])
-	}
-	if ld.tenant != nil && seg.Head.Kind == core.EndNone {
-		// Admission control gates TRUE SOURCES, before the first queue: an
-		// over-rate tenant sheds (or blocks) here, where dropping is cheap,
-		// instead of filling shared buffers and links downstream.  The gate
-		// runs in push mode behind the segment's pump (see AdmissionIndex).
-		// Boundary-headed segments carry already-admitted items and are
-		// never re-gated.
-		at := declStart + qos.AdmissionIndex(stages[declStart:]) + 1
-		gate := core.Comp(qos.NewAdmission(g.name+"/"+seg.Name()+"/admit", ld.tenant))
-		stages = append(stages, core.Stage{})
-		copy(stages[at+1:], stages[at:])
-		stages[at] = gate
-	}
-	tailStart := len(stages)
-
-	type mergeRelay struct {
-		node string
-		port int
-	}
-	var pendingRelay *mergeRelay
-	switch t := seg.Tail; t.Kind {
-	case core.EndSplitTrunk:
-		stages = append(stages, core.Comp(ld.splits[t.Node]))
-	case core.EndMergeIn:
-		anchor := ld.shardOf[plan.MergeDown[t.Node]]
-		link := ld.mergeLinks[t.Node][t.Port]
-		if anchor == own && link == nil {
-			stages = append(stages, core.Comp(ld.merges[t.Node].InPort(t.Port)))
-		} else {
-			// The merge's buffer lives with its downstream segment: relay
-			// this branch's tail across a link into the merge's shard.
-			lane := ld.laneName(t.Node, t.Port)
-			if link == nil {
-				link = shard.NewLink(lane, ld.schedOf(anchor), ld.depth)
-				ld.mergeLinks[t.Node][t.Port] = link
-				ld.addLink(link)
-			}
-			// Retargeting (on rebalance) happens in composeMergeRelay.
-			stages = append(stages, link.SenderStages(lane)...)
-			pendingRelay = &mergeRelay{node: t.Node, port: t.Port}
-		}
-	case core.EndCut:
-		stages = append(stages, ld.cutLinks[t.Port].SenderStages(ld.cutLinks[t.Port].Name())...)
-	}
-
-	name := g.name + "/" + seg.Name()
-	p, err := ld.compose(name, own, stages, seed)
-	if err != nil {
-		return err
-	}
+// runs reports whether pipeline name is on the current generation's books
+// on the given shard.
+func (ld *localDeploy) runs(name string, shardIdx int) bool {
 	ld.d.mu.Lock()
-	ld.d.bySegment[seg.Name()] = p
-	ld.d.mu.Unlock()
-	if tailStart > 0 {
-		ld.segOutSpec[si] = p.SpecAt(tailStart - 1)
-	} else {
-		ld.segOutSpec[si] = seed
-	}
-	if t := seg.Tail; t.Kind == core.EndMergeIn && pendingRelay == nil {
-		ld.mergeInSpec[t.Node][t.Port] = ld.segOutSpec[si]
-	}
-	if r := pendingRelay; r != nil {
-		return ld.composeMergeRelay(r.node, r.port, ld.segOutSpec[si])
-	}
-	return nil
+	defer ld.d.mu.Unlock()
+	return slices.ContainsFunc(ld.d.pipelines, func(p *core.Pipeline) bool {
+		sh, live := ld.shardByPipe[p]
+		return live && sh == shardIdx && p.Name() == name
+	})
 }
 
-// addLink registers an auto-inserted link on the deployment.
-func (ld *localDeploy) addLink(l *shard.Link) {
-	ld.d.mu.Lock()
-	ld.d.links = append(ld.d.links, l)
-	ld.d.mu.Unlock()
-}
-
-// compose builds one pipeline of the deployment on the given shard.
-func (ld *localDeploy) compose(name string, shardIdx int, stages []core.Stage, seed typespec.Typespec) (*core.Pipeline, error) {
+// compose builds one pipeline of the deployment on the given shard, under
+// the tenant's class there (none for the default tenant).  A previous
+// generation's pipeline of the same name is kept when its stream ended
+// (recomposing it would replay end-of-stream) and folded into the ledger
+// otherwise.
+func (ld *localDeploy) compose(name string, shardIdx, _ int, stages []core.Stage, seed typespec.Typespec, admit bool) ([]typespec.Typespec, error) {
+	if old := ld.pipes[name]; old != nil {
+		if old.ReachedEOS() {
+			ld.register(old)
+			return old.Plan().Specs, nil
+		}
+		ld.retire(name, old)
+	}
+	gate := -1
+	if admit && ld.tenant != nil {
+		// An over-rate tenant sheds (or blocks) at its true sources, where
+		// dropping is cheap, instead of filling shared buffers downstream.
+		stages, gate = qos.InsertAdmission(stages, name+"/admit", ld.tenant)
+	}
 	p, err := core.Compose(name, ld.schedOf(shardIdx), ld.bus, stages,
 		core.SkipEventCapabilityCheck(), core.WithInputSpec(seed),
-		core.WithSchedClass(ld.classOf(shardIdx)))
+		core.WithSchedClass(ld.classes[shardIdx]))
 	if err != nil {
 		return nil, fmt.Errorf("graph %q: %w", ld.g.name, err)
 	}
 	ld.d.mu.Lock()
 	ld.d.pipelines = append(ld.d.pipelines, p)
 	ld.shardByPipe[p] = shardIdx
+	ld.pipes[name] = p
 	ld.d.mu.Unlock()
 	if yield != nil {
 		// A broadcast delivers in subscription order and runs function
@@ -637,5 +424,63 @@ func (ld *localDeploy) compose(name string, shardIdx int, stages []core.Stage, s
 			ld.release(idx)
 		}()
 	}
-	return p, nil
+	specs := p.Plan().Specs
+	if gate >= 0 {
+		specs = slices.Delete(slices.Clone(specs), gate, gate+1)
+	}
+	return specs, nil
+}
+
+// stats assembles the deployment's live rows: segments in plan order, then
+// the other pipelines of the generation (relays, drains).  A pipeline absent
+// from shardByPipe has been folded by an in-flight rebalance but not yet
+// replaced: its counters already live in the ledger, so adding its live
+// reading again would double-count the snapshot.
+func (ld *localDeploy) stats() GraphStats {
+	d := ld.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	row := func(p *core.Pipeline, seg, slot int) pipeRow {
+		r := pipeRow{name: p.Name(), seg: seg, slot: slot, ran: -1, eos: p.ReachedEOS()}
+		if runsOn, live := ld.shardByPipe[p]; live {
+			ps := p.Stats()
+			r.ran, r.counts = runsOn, counts{ps.Items, ps.Cycles, ps.BusyNanos}
+		}
+		return r
+	}
+	var rows []pipeRow
+	seen := make(map[*core.Pipeline]bool, len(d.pipelines))
+	for i, seg := range ld.plan.Segments {
+		if p := ld.pipes[ld.name+"/"+seg.Name()]; p != nil {
+			seen[p] = true
+			rows = append(rows, row(p, i, ld.slotOf[i]))
+		}
+	}
+	for _, p := range d.pipelines {
+		if !seen[p] {
+			seen[p] = true
+			rows = append(rows, row(p, -1, ld.shardByPipe[p]))
+		}
+	}
+	var tenantRows []remote.TenantStat
+	if t := ld.tenant; t != nil {
+		tenantRows = append(tenantRows, remote.TenantStat{Admitted: t.Admitted(), Sheds: t.Sheds()})
+		for sh := range ld.shards() {
+			c := ld.classes[sh]
+			tr := remote.TenantStat{Granted: c.Granted(), SchedCycles: ld.schedOf(sh).Stats().Cycles}
+			if debt := c.VTime() - ld.schedOf(sh).FairNow(); debt > 0 {
+				tr.CreditDebt = debt
+			}
+			tenantRows = append(tenantRows, tr)
+		}
+	}
+	st := ld.fold(rows, ld.shards(), ld.tenant, tenantRows)
+	for _, l := range d.links {
+		st.Links = append(st.Links, LinkStats{
+			Name: l.Name(), Depth: l.Depth(), HighWater: l.HighWater(),
+			Moved: l.Moved(), Drains: l.Drains(), Wakes: l.Wakes(),
+			Closed: l.Closed(),
+		})
+	}
+	return st
 }

@@ -10,15 +10,11 @@ import (
 )
 
 // This file implements elastic membership at the deployment level: a running
-// OnNodes deployment's node set can GROW (AddNode — the new node becomes a
-// valid Replace/FailOver target) and individual nodes can be RETIRED
-// (MarkNodeGone — after a drain moved every hosted segment off, the index is
-// tombstoned and broadcasts skip it).  Node indices are stable for the
-// deployment's lifetime: joins append, leaves tombstone, nothing ever
-// renumbers — the same invariant the control Directory keeps, so directory
-// indices and deployment indices stay aligned.  The cluster-level
-// choreography (directory registration, drain planning, events) lives in
-// internal/elastic.
+// OnNodes deployment's node set can GROW (AddNode) and nodes can be RETIRED
+// (MarkNodeGone, once a drain moved everything off).  Node indices are
+// stable: joins append, leaves tombstone, nothing ever renumbers — the same
+// invariant the control Directory keeps, so their indices stay aligned.
+// The cluster-level choreography lives in internal/elastic.
 
 // ErrNotElastic marks membership ops against a non-remote deployment: only
 // OnNodes targets have a node set to grow or shrink.
@@ -48,7 +44,6 @@ func (d *Deployment) AddNode(c *remote.Client) (int, error) {
 	r.clients = append(slices.Clip(r.clients), c)
 	r.names = append(slices.Clip(r.names), name)
 	r.gone = append(slices.Clip(r.gone), false)
-	r.retiredByNode = append(slices.Clip(r.retiredByNode), retiredCounts{})
 	if r.started {
 		// The deployment already broadcast its start; a late joiner must
 		// hear it too or segments placed there later never start.

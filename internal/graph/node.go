@@ -123,12 +123,10 @@ func (s *nodeState) drop(lane string, side remote.LaneSide) error {
 }
 
 // listen pre-binds a rendezvous listener for a lane (idempotent: an
-// existing lane returns its bound address), so the deployer can compose
-// topologically — the sender learns the address before the receiving
-// segment is composed, and the receiving segment's ip/tcprecv attaches to
-// the listener the deployer already created.  Durable lanes get the
-// sequence/ack protocol; a chained lane forwards its downstream watermark
-// (see chainAck) instead of acknowledging its own consumption.
+// existing lane returns its bound address); the receiving segment's
+// ip/tcprecv attaches to it.  Durable lanes get the sequence/ack protocol;
+// a chained lane forwards its downstream watermark (see chainAck) instead
+// of acknowledging its own consumption.
 func (s *nodeState) listen(lane, bind string, depth int, dcfg *netpipe.DurableConfig) (laneListener, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -167,10 +165,8 @@ func (s *nodeState) chainAck(lane string, origin, seq int64) {
 	}
 }
 
-// shutdown closes every lane endpoint on the node.  Registered as the
-// node's closer so an in-process Node.Close behaves like a process kill:
-// peers observe EOF on their lane sockets immediately, instead of zombie
-// connections keeping resumable listeners busy forever.
+// shutdown closes every lane endpoint on the node, so an in-process
+// Node.Close behaves like a process kill: peers see EOF at once.
 func (s *nodeState) shutdown() { s.closeLanes("") }
 
 // drained reports whether a split tee and the relay lanes pumping its
@@ -340,68 +336,50 @@ func EnableNode(n *remote.Node, cat Catalog) {
 	// and park for a replacement instead of waiting on a zombie.
 	n.RegisterCloser(st.shutdown)
 
-	splitOf := func(spec remote.StageSpec) (core.SplitPoint, error) {
-		tee := spec.Params["tee"]
-		if tee == "" {
-			tee = spec.Name
+	// The tee boundaries share one instance per graph-prefixed tee name,
+	// built from the spec the first time any of them asks for it.
+	tee := func(spec remote.StageSpec) (core.Stage, error) {
+		merge := spec.Kind == "ip/mergeout" || spec.Kind == "ip/mergein"
+		name, width := spec.Params["tee"], "outs"
+		if merge {
+			name, width = spec.Params["merge"], "ins"
 		}
-		outs, err := intParam(spec.Params, "outs", 0)
-		if err != nil || outs < 2 {
-			return nil, fmt.Errorf("tee %q: bad outs", tee)
-		}
-		return shared(st, st.splits, teeKey(spec.Params, tee), func() (core.SplitPoint, error) {
-			return BuildSplit(tee, spec.Params["kind"], outs, spec.Params)
-		})
-	}
-	n.RegisterSpecFactory("ip/teesink", func(spec remote.StageSpec) (core.Stage, error) {
-		sp, err := splitOf(spec)
-		if err != nil {
-			return core.Stage{}, err
-		}
-		return core.Comp(sp), nil
-	})
-	n.RegisterSpecFactory("ip/teeout", func(spec remote.StageSpec) (core.Stage, error) {
-		sp, err := splitOf(spec)
-		if err != nil {
-			return core.Stage{}, err
-		}
-		port, err := intParam(spec.Params, "port", -1)
-		if err != nil || port < 0 || port >= sp.Outs() {
-			return core.Stage{}, fmt.Errorf("tee %q: bad port", sp.Name())
-		}
-		return core.Comp(sp.OutPort(port)), nil
-	})
-	mergeOf := func(spec remote.StageSpec) (core.MergePoint, error) {
-		name := spec.Params["merge"]
 		if name == "" {
 			name = spec.Name
 		}
-		ins, err := intParam(spec.Params, "ins", 0)
-		if err != nil || ins < 2 {
-			return nil, fmt.Errorf("merge %q: bad ins", name)
+		ports, err := intParam(spec.Params, width, 0)
+		if err != nil || ports < 2 {
+			return core.Stage{}, fmt.Errorf("tee %q: bad %s", name, width)
 		}
-		return shared(st, st.merges, teeKey(spec.Params, name), func() (core.MergePoint, error) {
-			return BuildMerge(name, ins, spec.Params)
+		port, err := intParam(spec.Params, "port", 0)
+		if err != nil || port < 0 || port >= ports {
+			return core.Stage{}, fmt.Errorf("tee %q: bad port", name)
+		}
+		key := teeKey(spec.Params, name)
+		if merge {
+			mp, err := shared(st, st.merges, key, func() (core.MergePoint, error) { return BuildMerge(name, ports, spec.Params) })
+			switch {
+			case err != nil:
+				return core.Stage{}, err
+			case spec.Kind == "ip/mergeout":
+				return core.Comp(mp.OutPort()), nil
+			}
+			return core.Comp(mp.InPort(port)), nil
+		}
+		sp, err := shared(st, st.splits, key, func() (core.SplitPoint, error) {
+			return BuildSplit(name, spec.Params["kind"], ports, spec.Params)
 		})
+		switch {
+		case err != nil:
+			return core.Stage{}, err
+		case spec.Kind == "ip/teesink":
+			return core.Comp(sp), nil
+		}
+		return core.Comp(sp.OutPort(port)), nil
 	}
-	n.RegisterSpecFactory("ip/mergeout", func(spec remote.StageSpec) (core.Stage, error) {
-		mp, err := mergeOf(spec)
-		if err != nil {
-			return core.Stage{}, err
-		}
-		return core.Comp(mp.OutPort()), nil
-	})
-	n.RegisterSpecFactory("ip/mergein", func(spec remote.StageSpec) (core.Stage, error) {
-		mp, err := mergeOf(spec)
-		if err != nil {
-			return core.Stage{}, err
-		}
-		port, err := intParam(spec.Params, "port", -1)
-		if err != nil || port < 0 || port >= mp.Ins() {
-			return core.Stage{}, fmt.Errorf("merge %q: bad port", mp.Name())
-		}
-		return core.Comp(mp.InPort(port)), nil
-	})
+	for _, kind := range []string{"ip/teesink", "ip/teeout", "ip/mergeout", "ip/mergein"} {
+		n.RegisterSpecFactory(kind, tee)
+	}
 
 	n.RegisterSpecFactory("ip/pump", func(spec remote.StageSpec) (core.Stage, error) {
 		// Relay pumps of tenant-bound deployments carry the tenant's
@@ -426,7 +404,7 @@ func EnableNode(n *remote.Node, cat Catalog) {
 		}
 		conn, err := netpipe.Dial(addr)
 		if err != nil {
-			return core.Stage{}, err
+			return core.Stage{}, fmt.Errorf("%w: tcpsend %q: %v", remote.ErrNodeUnreachable, spec.Name, err)
 		}
 		var link *netpipe.TCPLink
 		if spec.Params["durable"] == "1" {

@@ -59,12 +59,12 @@ type moveOp map[string]int
 
 func (op moveOp) stage(t *txn) error {
 	for name, sh := range op {
-		if _, known := t.oldSeg[name]; !known {
+		if t.ld.segment(name) < 0 {
 			return fmt.Errorf("graph %q: rebalance hint for unknown segment %q", t.d.name, name)
 		}
-		if sh < 0 || sh >= t.shards() {
+		if sh < 0 || sh >= t.ld.shards() {
 			return fmt.Errorf("graph %q: segment %q hinted to shard %d, group has %d",
-				t.d.name, name, sh, t.shards())
+				t.d.name, name, sh, t.ld.shards())
 		}
 	}
 	maps.Copy(t.moves, op)

@@ -3,10 +3,10 @@ package graph
 import (
 	"fmt"
 	"maps"
+	"slices"
 
 	"infopipes/internal/core"
 	"infopipes/internal/events"
-	"infopipes/internal/shard"
 	"infopipes/internal/typespec"
 )
 
@@ -54,8 +54,6 @@ type txn struct {
 	index map[string]*node
 	undo  []func()
 
-	oldSeg map[string]int // live plan: segment name -> index
-
 	// Deltas staged by the ops.
 	moves     map[string]int        // segment name -> shard
 	newStages map[string]core.Stage // nodes gaining a (new) live instance
@@ -81,12 +79,8 @@ func (d *Deployment) reconfigure(verb string, ops []EditOp) error {
 		nodes:     append([]*node(nil), g.nodes...),
 		edges:     append([]core.GraphEdgeInfo(nil), g.edges...),
 		index:     maps.Clone(g.index),
-		oldSeg:    make(map[string]int, len(d.ld.plan.Segments)),
 		moves:     make(map[string]int),
 		newStages: make(map[string]core.Stage),
-	}
-	for i, seg := range d.ld.plan.Segments {
-		t.oldSeg[seg.Name()] = i
 	}
 	committed := false
 	defer func() {
@@ -119,14 +113,6 @@ func (d *Deployment) reconfigure(verb string, ops []EditOp) error {
 // errf renders a refusal in the transaction's voice.
 func (t *txn) errf(format string, args ...any) error {
 	return fmt.Errorf("graph %q: %s: "+format, append([]any{t.d.name, t.verb}, args...)...)
-}
-
-// shards reports the target's placement width.
-func (t *txn) shards() int {
-	if t.ld.group == nil {
-		return 1
-	}
-	return t.ld.group.Shards()
 }
 
 // declare adds a plain stage node under its own, so far unused, name.
@@ -188,8 +174,8 @@ func (t *txn) replan() error {
 	t.segOut = make([]typespec.Typespec, len(plan.Segments))
 	for i, seg := range plan.Segments {
 		t.shardOf[i] = -1
-		if oi, ok := t.oldSeg[seg.Name()]; ok {
-			t.shardOf[i] = ld.shardOf[oi]
+		if oi := ld.segment(seg.Name()); oi >= 0 {
+			t.shardOf[i] = ld.slotOf[oi]
 			t.segOut[i] = ld.segOutSpec[oi]
 		}
 	}
@@ -264,7 +250,6 @@ func (t *txn) commit() error {
 		if got := ld.splits[a.split].(outAdder).AddOut(); got != a.port {
 			return t.errf("split %q port drift (declared %d, instance %d)", a.split, a.port, got)
 		}
-		ld.splitLinks[a.split] = append(ld.splitLinks[a.split], nil)
 	}
 	maps.Copy(ld.stages, t.newStages)
 	for _, dr := range t.detaches {
@@ -276,12 +261,10 @@ func (t *txn) commit() error {
 		}
 	}
 	for _, sr := range t.scales {
-		// The new tee pair goes on the books with fresh (unlinked) boundary
-		// tables, sized from the plan as at deploy.
+		// The new tee pair goes on the books; its lanes are new names, so
+		// nothing is linked yet.
 		ld.splits[sr.splitName] = sr.tee
 		ld.merges[sr.mergeName] = sr.om
-		ld.splitLinks[sr.splitName] = make([]*shard.Link, sr.replicas)
-		ld.mergeLinks[sr.mergeName] = make([]*shard.Link, sr.replicas)
 		ld.mergeInSpec[sr.mergeName] = make([]typespec.Typespec, sr.replicas)
 	}
 
@@ -295,24 +278,17 @@ func (t *txn) commit() error {
 	}
 	d.mu.Lock()
 	for _, dr := range t.detaches {
-		dr.pipe = d.bySegment[dr.segName]
+		dr.pipe = ld.pipes[ld.name+"/"+dr.segName]
 	}
-	var stale []string
-	var gone []*core.Pipeline
-	for _, seg := range ld.plan.Segments {
-		if p := d.bySegment[seg.Name()]; p != nil && !live[seg.Name()] {
-			stale, gone = append(stale, seg.Name()), append(gone, p)
-			delete(d.bySegment, seg.Name())
+	old := ld.plan
+	ld.plan, ld.slotOf, ld.segOutSpec = t.plan, t.shardOf, t.segOut
+	d.mu.Unlock()
+	for _, seg := range old.Segments {
+		if !live[seg.Name()] {
+			ld.forget(ld.name + "/" + seg.Name())
 		}
 	}
-	ld.plan, ld.shardOf, ld.segOutSpec = t.plan, t.shardOf, t.segOut
-	d.mu.Unlock()
-	for i, name := range stale {
-		ld.foldRetired(name, gone[i])
-	}
 
-	ld.rebalance = true
-	defer func() { ld.rebalance = false }()
 	if err := ld.redeploy(); err != nil {
 		return err
 	}
@@ -358,10 +334,8 @@ func (t *txn) resume(err error) error {
 }
 
 // abandon winds a dead deployment down: stop whatever is composed AND close
-// every auto-inserted link — a link whose receiver was never recomposed has
-// no component left to close it, and an open link holds its receiving
-// scheduler's external-source reference forever (the group could never
-// drain).
+// every link — one whose receiver never composed would hold its receiving
+// scheduler's external-source reference forever.
 func (d *Deployment) abandon() {
 	d.broadcast(events.Stop)
 	for _, l := range d.Links() {
@@ -373,17 +347,8 @@ func (d *Deployment) abandon() {
 // needs a coroutine thread (the quiesce parks pump threads at cycle
 // boundaries; coroutine rendezvous state cannot be carried across yet).
 func hasCoroutines(p *core.Pipeline) bool {
-	for _, sect := range p.Plan().Sections {
-		for _, pl := range sect.Upstream {
-			if !pl.Direct {
-				return true
-			}
-		}
-		for _, pl := range sect.Downstream {
-			if !pl.Direct {
-				return true
-			}
-		}
-	}
-	return false
+	coroutine := func(pl core.Placement) bool { return !pl.Direct }
+	return slices.ContainsFunc(p.Plan().Sections, func(s core.SectionPlan) bool {
+		return slices.ContainsFunc(s.Upstream, coroutine) || slices.ContainsFunc(s.Downstream, coroutine)
+	})
 }

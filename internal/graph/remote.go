@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -91,31 +90,21 @@ func (t *NodesTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 		return nil, err
 	}
 
-	r := &remoteDeployment{name: g.name, g: g, plan: plan, opt: *t, nodeOf: nodeOf,
+	r := &remoteDeployment{g: g, opt: *t,
 		clients:        slices.Clone(t.Clients),
 		names:          make([]string, len(t.Clients)),
 		gone:           make([]bool, len(t.Clients)),
-		retiredByNode:  make([]retiredCounts, len(t.Clients)),
-		laneAddr:       make(map[string]string),
-		segOutSpec:     make([]typespec.Typespec, len(plan.Segments)),
 		segSections:    make([]int, len(plan.Segments)),
-		laneSeed:       make(map[string]typespec.Typespec),
-		mergeInSpec:    make(map[string][]typespec.Typespec),
 		caps:           new(capSets),
-		retired:        make(map[string]retiredCounts),
 		lastRows:       make(map[int]map[string]remote.PipeStat),
 		lastTenantRows: make(map[int]remote.TenantStat)}
+	r.setup(r, g.name, plan, nodeOf)
 	r.opt.Clients = nil // r.clients is the deployment's only client list
 	for i, c := range r.clients {
 		if r.names[i], err = c.Ping(); err != nil {
 			return nil, fmt.Errorf("graph %q: node %d: %w", g.name, i, err)
 		}
 	}
-	for name, ports := range plan.MergeBranch {
-		r.mergeInSpec[name] = make([]typespec.Typespec, len(ports))
-	}
-	// Topological order with nothing recorded yet: every placement binds its
-	// own lanes and composes its own relays.
 	for _, si := range plan.Order {
 		if err = r.place(si); err != nil {
 			break
@@ -139,13 +128,11 @@ func (t *NodesTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 	return d, nil
 }
 
-// abort best-effort-undoes a partial deployment: stop every pipeline
-// already composed (their threads exit and release the node schedulers'
-// external-source references) and have every node drop the rendezvous
-// listeners, cut links and pipeline registrations of this graph — a failing
-// compose may already have run side-effectful factories (a bound listener
-// holds an external-source reference) before it errored.  A failed deploy
-// thus neither wedges the nodes nor leaks ports, and a retry starts clean.
+// abort best-effort-undoes a partial deployment: it stops every pipeline
+// already composed and has every node drop this graph's listeners, cut
+// links and pipeline registrations — a failing compose may already have run
+// side-effectful factories.  A failed deploy thus neither wedges the nodes
+// nor leaks ports, and a retry starts clean.
 func (r *remoteDeployment) abort() {
 	for _, p := range r.pipes {
 		_ = r.clients[p.client].Stop(p.name)
@@ -155,50 +142,75 @@ func (r *remoteDeployment) abort() {
 	}
 }
 
-// The renderers below turn (plan, nodeOf, recorded lanes) into wire specs —
-// the only place a segment's or a relay's stages are spelled out, so a
-// deploy and a move render the same pipeline the same way.  teeSpec renders
-// the shared-tee boundary spec for a split or merge node; port < 0 means the
-// tee itself rather than one of its ports.
-func (r *remoteDeployment) teeSpec(kind, stageName, teeName string, port int) remote.StageSpec {
-	n := r.g.index[teeName]
-	params := make(map[string]string, len(n.spec.Params)+6)
-	maps.Copy(params, n.spec.Params)
-	params["tee"] = teeName
-	params["merge"] = teeName
-	// The node keys the shared instance by graph-prefixed name, so an
-	// aborted deployment's tees cannot leak into a retry (and two graphs
-	// may use the same tee name).
-	params["graph"] = r.name
+// The node host: the parts below render the wire specs of a segment or a
+// relay — the only place they are spelled out, so a deploy and a move render
+// the same pipeline the same way.  tee renders a shared-tee boundary: the
+// node keys the shared instance by graph-prefixed name, so an aborted
+// deployment's tees cannot leak into a retry (and two graphs may use the
+// same tee name).
+func (r *remoteDeployment) tee(e core.SegmentEnd) remote.StageSpec {
+	n := r.g.index[e.Node]
+	spec := remote.StageSpec{Params: make(map[string]string, len(n.spec.Params)+6)}
+	maps.Copy(spec.Params, n.spec.Params)
+	spec.Params["tee"], spec.Params["merge"], spec.Params["graph"] = e.Node, e.Node, r.name
 	if n.kind == nSplit {
-		params["kind"] = n.spec.Kind
-		params["outs"] = strconv.Itoa(n.outs)
+		spec.Params["kind"] = n.spec.Kind
+		spec.Params["outs"] = strconv.Itoa(n.outs)
 	} else {
-		params["ins"] = strconv.Itoa(n.ins)
+		spec.Params["ins"] = strconv.Itoa(n.ins)
 	}
-	if port >= 0 {
-		params["port"] = strconv.Itoa(port)
+	switch e.Kind {
+	case core.EndSplitOut:
+		spec.Kind, spec.Name = "ip/teeout", fmt.Sprintf("%s.src%d", e.Node, e.Port)
+	case core.EndSplitTrunk:
+		spec.Kind, spec.Name = "ip/teesink", e.Node
+	case core.EndMergeIn:
+		spec.Kind, spec.Name = "ip/mergein", fmt.Sprintf("%s.in%d", e.Node, e.Port)
+	default:
+		spec.Kind, spec.Name = "ip/mergeout", e.Node+".src"
 	}
-	return remote.StageSpec{Kind: kind, Name: stageName, Params: params}
+	if e.Kind == core.EndSplitOut || e.Kind == core.EndMergeIn {
+		spec.Params["port"] = strconv.Itoa(e.Port)
+	}
+	return spec
 }
 
-func (r *remoteDeployment) recvSpecs(lane string) []remote.StageSpec {
+func (r *remoteDeployment) stage(name string) remote.StageSpec {
+	n := r.g.index[name]
+	return remote.StageSpec{Kind: n.spec.Kind, Name: n.name, Args: n.spec.Args, Params: n.spec.Params}
+}
+
+// nodeLink is how the node host realized a link: a TCP lane whose listener
+// answers at addr ("" while a move has it unbound), or a same-node cut
+// link the nodes' ip/cut* factories share by lane name.
+type nodeLink struct {
+	addr  string
+	local bool
+}
+
+func (r *remoteDeployment) recv(lane string, l nodeLink) []remote.StageSpec {
+	params := map[string]string{"lane": lane, "depth": strconv.Itoa(r.opt.LinkDepth)}
+	if l.local {
+		return []remote.StageSpec{{Kind: "ip/cutsrc", Name: lane + "/source", Params: params}}
+	}
 	return []remote.StageSpec{
-		{Kind: "ip/tcprecv", Name: lane + "/source", Params: map[string]string{
-			"lane": lane, "depth": strconv.Itoa(r.opt.LinkDepth)}},
+		{Kind: "ip/tcprecv", Name: lane + "/source", Params: params},
 		{Kind: "ip/unmarshal", Name: lane + "/unmarshal"},
 	}
 }
 
-// sendSpecs renders the sender tail of a lane, dialing its bound listener.
-// Cluster lanes journal on the sender; chain names the sending segment's
-// inbound lane, which should receive the downstream ack watermark (see
-// nodeState.chainAck).
-func (r *remoteDeployment) sendSpecs(lane, chain string) []remote.StageSpec {
-	params := map[string]string{"addr": r.laneAddr[lane], "lane": lane}
+// send renders the sender tail of a lane, dialing its bound listener.
+// Cluster lanes journal on the sender, and chain their acks (see
+// chainLane).
+func (r *remoteDeployment) send(lane string, l nodeLink, from int) []remote.StageSpec {
+	if l.local {
+		return []remote.StageSpec{{Kind: "ip/cutsink", Name: lane + "/sink",
+			Params: map[string]string{"lane": lane, "depth": strconv.Itoa(r.opt.LinkDepth)}}}
+	}
+	params := map[string]string{"addr": l.addr, "lane": lane}
 	if r.opt.ClusterLanes {
 		params["durable"] = "1"
-		if chain != "" {
+		if chain := r.chainLane(from); chain != "" {
 			params["chain"] = chain
 		}
 	}
@@ -208,11 +220,9 @@ func (r *remoteDeployment) sendSpecs(lane, chain string) []remote.StageSpec {
 	}
 }
 
-// pumpSpec renders a relay pump stage.  Tenant-bound deployments run their
-// relays at the tenant's priority, so a high-priority tenant's items keep
-// their precedence through lane relays exactly as they do through local
-// boundary relays.
-func (r *remoteDeployment) pumpSpec(lane string) remote.StageSpec {
+// pump renders a relay pump stage, at the tenant's priority (see
+// localDeploy.pump).
+func (r *remoteDeployment) pump(lane string) remote.StageSpec {
 	spec := remote.StageSpec{Kind: "ip/pump", Name: lane + "/pump"}
 	if t := r.opt.Tenant; t != nil {
 		spec.Params = map[string]string{"prio": strconv.Itoa(int(t.Priority()))}
@@ -220,153 +230,20 @@ func (r *remoteDeployment) pumpSpec(lane string) remote.StageSpec {
 	return spec
 }
 
-func (r *remoteDeployment) teeOutSpec(tee string, port int) remote.StageSpec {
-	return r.teeSpec("ip/teeout", fmt.Sprintf("%s.src%d", tee, port), tee, port)
-}
-
-func (r *remoteDeployment) mergeInStage(merge string, port int) remote.StageSpec {
-	return r.teeSpec("ip/mergein", fmt.Sprintf("%s.in%d", merge, port), merge, port)
-}
-
-// splitRelaySpecs renders the sender relay of a cross-node split branch: it
-// runs on the trunk's node and pumps the tee port into the branch's lane.
-func (r *remoteDeployment) splitRelaySpecs(tee string, port int) []remote.StageSpec {
-	lane := r.laneName(tee, port)
-	return append([]remote.StageSpec{r.teeOutSpec(tee, port), r.pumpSpec(lane)}, r.sendSpecs(lane, "")...)
-}
-
-// mergeRelaySpecs renders the receiver relay of a cross-node merge branch:
-// it runs on the merge's node and pumps the branch's lane into the in-port.
-// The merge host cannot move, so the relay's listener self-acks.
-func (r *remoteDeployment) mergeRelaySpecs(merge string, port int) []remote.StageSpec {
-	lane := r.laneName(merge, port)
-	return append(r.recvSpecs(lane), r.pumpSpec(lane), r.mergeInStage(merge, port))
-}
-
-// segmentSpecs renders segment si's pipeline — head boundary, declared
-// stages, tail boundary — and the index of its first tail stage.
-func (r *remoteDeployment) segmentSpecs(si int) (specs []remote.StageSpec, tailStart int) {
-	seg := r.plan.Segments[si]
-	depth := strconv.Itoa(r.opt.LinkDepth)
-	inLane, outLane := r.segInLane(si), r.segOutLane(si)
-	switch h := seg.Head; {
-	case inLane != "":
-		specs = r.recvSpecs(inLane)
-	case h.Kind == core.EndSplitOut:
-		specs = append(specs, r.teeOutSpec(h.Node, h.Port))
-	case h.Kind == core.EndMergeOut:
-		specs = append(specs, r.teeSpec("ip/mergeout", h.Node+".src", h.Node, -1))
-	case h.Kind == core.EndCut:
-		lane := r.cutLane(h.Port)
-		specs = append(specs, remote.StageSpec{Kind: "ip/cutsrc", Name: lane + "/source",
-			Params: map[string]string{"lane": lane, "depth": depth}})
-	}
-	for _, name := range seg.Stages {
-		n := r.g.index[name]
-		specs = append(specs, remote.StageSpec{Kind: n.spec.Kind, Name: n.name, Args: n.spec.Args, Params: n.spec.Params})
-	}
-	tailStart = len(specs)
-	switch t := seg.Tail; {
-	case outLane != "":
-		specs = append(specs, r.sendSpecs(outLane, r.chainLane(si))...)
-	case t.Kind == core.EndSplitTrunk:
-		specs = append(specs, r.teeSpec("ip/teesink", t.Node, t.Node, -1))
-	case t.Kind == core.EndMergeIn:
-		specs = append(specs, r.mergeInStage(t.Node, t.Port))
-	case t.Kind == core.EndCut:
-		lane := r.cutLane(t.Port)
-		specs = append(specs, remote.StageSpec{Kind: "ip/cutsink", Name: lane + "/sink",
-			Params: map[string]string{"lane": lane, "depth": depth}})
-	}
-	return specs, tailStart
-}
-
-// seed returns the Typespec entering segment si, from what its upstream
-// recorded: the wire spec of its inbound lane, the out-spec of the segment
-// it is wired to directly, or the merge of a merge tee's in-ports.
-func (r *remoteDeployment) seed(si int) (seed typespec.Typespec, err error) {
-	if lane := r.segInLane(si); lane != "" {
-		return r.laneSeed[lane], nil
-	}
-	h := r.plan.Segments[si].Head
-	if h.Kind != core.EndMergeOut {
-		if up := r.plan.Upstream(si); len(up) > 0 {
-			seed = r.segOutSpec[up[0]]
-		}
-		return seed, nil
-	}
-	for port, ts := range r.mergeInSpec[h.Node] {
-		if seed, err = seed.Merge(ts); err != nil {
-			return seed, fmt.Errorf("graph %q: merging flows into %q: in-port %d: %w", r.name, h.Node, port, err)
-		}
-	}
-	return seed, nil
-}
-
-// laneIf returns lane when the boundary between segments from and to runs
-// over TCP: once bound a lane stays one wherever its ends move; unbound, it
-// is one when the ends sit on different nodes (or forced says so).
-func (r *remoteDeployment) laneIf(lane string, from, to int, forced bool) string {
-	if _, bound := r.laneAddr[lane]; bound || forced || r.nodeOf[from] != r.nodeOf[to] {
-		return lane
-	}
-	return ""
-}
-
-// segInLane returns segment si's inbound lane ("" when its head is wired
-// directly).  Cluster lanes are durable, merged flows included: each merge
-// in-port stamps the item's Origin, so the lane journals and dedups on the
-// per-origin-monotone (origin, seq) pair (see item.Item.Origin and netpipe's
-// durable lanes).  ClusterLanes forces every cut onto TCP.
-func (r *remoteDeployment) segInLane(si int) string {
-	switch h := r.plan.Segments[si].Head; h.Kind {
-	case core.EndSplitOut:
-		return r.laneIf(r.laneName(h.Node, h.Port), r.plan.SplitTrunk[h.Node], si, false)
-	case core.EndCut:
-		return r.laneIf(r.cutLane(h.Port), r.plan.Cuts[h.Port].FromSeg, si, r.opt.ClusterLanes)
-	}
-	return ""
-}
-
-// segOutLane returns segment si's (single) outbound lane, "" when its tail
-// is wired directly.
-func (r *remoteDeployment) segOutLane(si int) string {
-	switch t := r.plan.Segments[si].Tail; t.Kind {
-	case core.EndMergeIn:
-		return r.laneIf(r.laneName(t.Node, t.Port), si, r.plan.MergeDown[t.Node], false)
-	case core.EndCut:
-		return r.laneIf(r.cutLane(t.Port), si, r.plan.Cuts[t.Port].ToSeg, r.opt.ClusterLanes)
-	}
-	return ""
-}
-
 // chainLane returns the inbound lane that segment si's outbound sender
 // forwards its acks to — non-empty only when both boundary lanes are
-// durable.  Chaining keeps the UPSTREAM journal covering everything that
-// has not cleared the lane BELOW si, which is what makes losing si (and
-// everything in flight through it) recoverable by replay.
+// durable (a relay, si < 0, has none).  Chaining keeps the UPSTREAM journal
+// covering everything that has not cleared the lane BELOW si, which makes
+// losing si (and everything in flight through it) recoverable by replay.
 func (r *remoteDeployment) chainLane(si int) string {
-	if r.opt.ClusterLanes && r.segOutLane(si) != "" {
-		return r.segInLane(si)
+	if si >= 0 && r.opt.ClusterLanes && r.outLane(si) != "" {
+		return r.inLane(si)
 	}
 	return ""
 }
 
-// laneName renders the canonical name of a tee-boundary lane.
-func (r *remoteDeployment) laneName(node string, port int) string {
-	return fmt.Sprintf("%s/%s:%d", r.name, node, port)
-}
-
-// cutLane renders the canonical name of a cut-edge lane.
-func (r *remoteDeployment) cutLane(ci int) string {
-	return fmt.Sprintf("%s/cut%d", r.name, ci)
-}
-
-// tenantSpec renders the deployment's tenant as a wire spec (nil when the
-// deployment runs as the default tenant).  Each node materializes the
-// tenant once, keyed by name, so every segment and relay of every
-// deployment bound to the same tenant shares one weighted-fair class and
-// one set of admission counters per node.
+// tenantSpec renders the deployment's tenant as a wire spec (nil for the
+// default tenant); each node materializes a tenant once, keyed by name.
 func (r *remoteDeployment) tenantSpec() *remote.TenantSpec {
 	t := r.opt.Tenant
 	if t == nil {
@@ -377,35 +254,47 @@ func (r *remoteDeployment) tenantSpec() *remote.TenantSpec {
 		Shed: int(t.ShedPolicy()), Prio: int(t.Priority())}
 }
 
-// listen pre-binds the rendezvous listener of a lane on the node of its
-// receiving segment and records the address.  Cluster lanes are durable:
-// they park on a bare EOF so a re-placed sender can dial back in, dedup on
-// sequence numbers and send cumulative acks; a listener whose segment sends
-// on into another durable lane is chained — it forwards the downstream
-// watermark instead of acknowledging its own consumption.
-func (r *remoteDeployment) listen(lane string, receiver int) error {
-	node := r.nodeOf[receiver]
-	rep, err := r.clients[node].Lane(remote.LaneRequest{Kind: remote.LaneListen, Lane: lane,
-		Depth: r.opt.LinkDepth, Durable: r.opt.ClusterLanes, Chained: r.chainLane(receiver) == lane})
-	if err != nil {
-		return fmt.Errorf("graph %q: node %d: listen %q: %w", r.name, node, lane, err)
+// link pre-binds the rendezvous listener of a lane on the node of its
+// receiving segment, so the sender knows the address before the receiver
+// exists; a bound lane stays as it is (a move redials its sender instead).
+// Cluster lanes are durable, and a listener whose segment sends on into
+// another durable lane is chained: it forwards the downstream watermark
+// instead of acknowledging its own consumption.  Without cluster lanes a
+// cut between segments on one node is a same-node link.
+func (r *remoteDeployment) link(lane string, l nodeLink, from, to int) (nodeLink, error) {
+	if l != (nodeLink{}) {
+		return l, nil
 	}
-	r.laneAddr[lane] = rep.Addr
-	return nil
+	if !r.opt.ClusterLanes && r.slotOf[from] == r.slotOf[to] {
+		return nodeLink{local: true}, nil
+	}
+	node := r.slotOf[to]
+	rep, err := r.clients[node].Lane(remote.LaneRequest{Kind: remote.LaneListen, Lane: lane,
+		Depth: r.opt.LinkDepth, Durable: r.opt.ClusterLanes, Chained: r.chainLane(to) == lane})
+	if err != nil {
+		return l, fmt.Errorf("graph %q: node %d: listen %q: %w", r.name, node, lane, err)
+	}
+	return nodeLink{addr: rep.Addr}, nil
+}
+
+// unlink drops a listener a failed placement bound: each is a port and a
+// scheduler external-source reference.
+func (r *remoteDeployment) unlink(lane string, to int) {
+	if !r.links[lane].local {
+		_, _ = r.clients[r.slotOf[to]].Lane(remote.LaneRequest{
+			Kind: remote.LaneDrop, Lane: lane, Side: remote.ListenerSide})
+	}
 }
 
 // compose sends one pipeline to a node, seeded with the upstream Typespec,
-// and records where it runs.  Segments skip the per-pipeline
-// event-capability check, exactly like the local deployer (events may be
-// handled in another segment); the deploy checks graph-wide from the sets
-// the replies carry.  admit asks the node to gate the pipeline's source with
-// the tenant's admission control — true only for true-source segments of a
-// tenant-bound deployment (boundary-headed pipelines carry already-admitted
-// items).
-func (r *remoteDeployment) compose(node int, name string, specs []remote.StageSpec, seed typespec.Typespec, seg int, admit bool) (remote.Composed, error) {
-	rep, err := r.clients[node].ComposeTenantSegment(name, specs, seed, r.tenantSpec(), admit)
+// and records where it runs.  The node skips the per-pipeline
+// event-capability check; the deploy checks graph-wide from the sets the
+// replies carry.  The node gates an admitted source with the tenant's
+// admission control.
+func (r *remoteDeployment) compose(name string, node, seg int, specs []remote.StageSpec, seed typespec.Typespec, admit bool) ([]typespec.Typespec, error) {
+	rep, err := r.clients[node].ComposeTenantSegment(name, specs, seed, r.tenantSpec(), admit && r.opt.Tenant != nil)
 	if err != nil {
-		return rep, fmt.Errorf("graph %q: node %d: compose %q: %w", r.name, node, name, err)
+		return nil, fmt.Errorf("graph %q: node %d: compose %q: %w", r.name, node, name, err)
 	}
 	if c := r.caps; c != nil {
 		for _, t := range rep.Sends {
@@ -415,6 +304,9 @@ func (r *remoteDeployment) compose(node int, name string, specs []remote.StageSp
 			c.handles = append(c.handles, events.Type(t))
 		}
 	}
+	if seg >= 0 {
+		r.segSections[seg] = rep.Sections
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if i := r.pipeIndex(name); i >= 0 {
@@ -422,7 +314,7 @@ func (r *remoteDeployment) compose(node int, name string, specs []remote.StageSp
 	} else {
 		r.pipes = append(r.pipes, remotePipe{client: node, name: name, seg: seg})
 	}
-	return rep, nil
+	return rep.Specs, nil
 }
 
 // pipeIndex finds a pipeline's record by name (-1 for none); mu is held.
@@ -440,100 +332,7 @@ func (r *remoteDeployment) hostOf(name string) int {
 	return -1
 }
 
-// place puts segment si on its node: it binds the listeners of its boundary
-// lanes that are not bound, composes the split relays around it that are not
-// on their trunk's node, composes the segment seeded with what its upstream
-// recorded, records what its downstream will need, and composes its merge
-// relay if the merge's node lacks it.  A deploy calls it in topological
-// order with nothing recorded, so each call does all of that; a move calls
-// it for the one segment it unbound, against lanes recorded long ago.  When
-// it fails it drops the listeners it bound: each is a port and a scheduler
-// external-source reference.
-func (r *remoteDeployment) place(si int) (err error) {
-	seg := r.plan.Segments[si]
-	inLane, outLane := r.segInLane(si), r.segOutLane(si)
-	type end struct {
-		lane     string
-		receiver int // the segment the lane's listener belongs to
-	}
-	ends := []end{{inLane, si}}
-	if outLane != "" {
-		ends = append(ends, end{outLane, r.plan.Downstream(si)[0]})
-	}
-	for _, e := range ends {
-		if e.lane == "" || r.laneAddr[e.lane] != "" {
-			continue
-		}
-		if err = r.listen(e.lane, e.receiver); err != nil {
-			return err
-		}
-		defer func() {
-			if err != nil {
-				_, _ = r.clients[r.nodeOf[e.receiver]].Lane(remote.LaneRequest{
-					Kind: remote.LaneDrop, Lane: e.lane, Side: remote.ListenerSide})
-				r.laneAddr[e.lane] = ""
-			}
-		}()
-	}
-
-	// The split tees this segment touches — the one feeding its head, the
-	// one it hosts — want a sender relay beside the tee for every bound
-	// branch lane.  The tee factories are idempotent, so relays and trunk
-	// compose in either order.
-	for _, tee := range []string{seg.Head.Node, seg.Tail.Node} {
-		trunk := r.plan.SplitTrunk[tee]
-		for port := range r.plan.SplitBranch[tee] {
-			lane := r.laneName(tee, port)
-			if r.laneAddr[lane] == "" || r.hostOf(lane+"/relay") == r.nodeOf[trunk] {
-				continue
-			}
-			specs := r.splitRelaySpecs(tee, port)
-			rep, err := r.compose(r.nodeOf[trunk], lane+"/relay", specs, r.segOutSpec[trunk], -1, false)
-			if err != nil {
-				return err
-			}
-			r.laneSeed[lane] = rep.SpecAt(len(specs) - 2) // after the marshal stage
-		}
-	}
-
-	specs, tailStart := r.segmentSpecs(si)
-	seed, err := r.seed(si)
-	if err != nil {
-		return err
-	}
-	admit := r.opt.Tenant != nil && seg.Head.Kind == core.EndNone
-	rep, err := r.compose(r.nodeOf[si], r.name+"/"+seg.Name(), specs, seed, si, admit)
-	if err != nil {
-		return err
-	}
-	r.segSections[si] = rep.Sections
-	r.segOutSpec[si] = seed
-	if tailStart > 0 {
-		r.segOutSpec[si] = rep.SpecAt(tailStart - 1)
-	}
-	// A lane is seeded with its WIRE Typespec — the spec after the marshal
-	// stage, whose carried-item-type property lets the receiving node's
-	// unmarshal restore the logical type.
-	if outLane != "" {
-		r.laneSeed[outLane] = rep.SpecAt(tailStart)
-	}
-
-	if t := seg.Tail; t.Kind == core.EndMergeIn {
-		anchor := r.nodeOf[r.plan.MergeDown[t.Node]]
-		switch {
-		case outLane == "":
-			r.mergeInSpec[t.Node][t.Port] = r.segOutSpec[si]
-		case r.hostOf(outLane+"/relay") != anchor:
-			specs := r.mergeRelaySpecs(t.Node, t.Port)
-			rep, err := r.compose(anchor, outLane+"/relay", specs, r.laneSeed[outLane], -1, false)
-			if err != nil {
-				return err
-			}
-			r.mergeInSpec[t.Node][t.Port] = rep.SpecAt(len(specs) - 2)
-		}
-	}
-	return nil
-}
+func (r *remoteDeployment) runs(name string, node int) bool { return r.hostOf(name) == node }
 
 // capSets are the events some set of pipelines emits and handles.
 type capSets struct{ sends, handles []events.Type }
@@ -545,35 +344,19 @@ type remotePipe struct {
 	seg    int // plan segment index, -1 for relay pipelines
 }
 
-// remoteDeployment is a graph deployed onto remote nodes: the wiring the
-// deploy recorded (Stats and every move go on to use it) and the run state.
-// Segments compose in topological order, every upstream resolving its
-// Typespecs first, so the seed can ride each compose request downstream;
-// rendezvous listeners are pre-bound — the sender knows the address before
-// the receiving segment exists, and that segment's ip/tcprecv attaches to
-// the listener instead of creating one.
+// remoteDeployment is the node host, and a graph deployed onto remote
+// nodes: the wiring the deploy recorded (Stats and every move go on to use
+// it; slotOf, the node by segment, is written under mu) and the run state.
 type remoteDeployment struct {
-	name string
-	g    *Graph
-	plan *core.GraphPlan
+	wiring[remote.StageSpec, nodeLink]
+	g *Graph
 	// opt holds the target's settings as they were at deploy time; its
 	// Clients is nil — clients below is the deployment's own list.
 	opt     NodesTarget
 	clients []*remote.Client
 	names   []string // node names by client index (ping at deploy)
 	pipes   []remotePipe
-	nodeOf  []int // node index by segment; written under mu
 
-	// laneAddr records every boundary that runs over TCP: the address of the
-	// lane's listener, "" while a move has it unbound.
-	laneAddr map[string]string
-	// segOutSpec[i] is the resolved Typespec of the flow leaving segment
-	// i's last declared stage — the seed carried into downstream segments.
-	segOutSpec []typespec.Typespec
-	// laneSeed is the WIRE Typespec entering each TCP lane; seeding the
-	// lane's receiver with it keeps §2.3 checking honest across the hop.
-	laneSeed    map[string]typespec.Typespec
-	mergeInSpec map[string][]typespec.Typespec
 	// segSections[i] is the pump-driven section count of segment i's
 	// composed pipeline (buffers add sections).  A durable self-acking
 	// inbound lane anchors its acks one pop behind the FIRST pump, so only
@@ -600,19 +383,9 @@ type remoteDeployment struct {
 	supervised bool
 	// repGen increments at the start AND end of every move (replaceWindow).
 	repGen uint64
-	// retired folds the pump counters of pipeline generations detached by
-	// Replace, keyed by pipeline name, so Stats stays cumulative.
-	retired       map[string]retiredCounts
-	retiredByNode []retiredCounts
-	// lastRows caches each node's last successful stats rows: a snapshot
-	// that cannot reach a node reuses them instead of zeroing the node,
-	// which would otherwise feed the balancer a false full-history delta
-	// when the node answers again.
-	lastRows map[int]map[string]remote.PipeStat
-	// lastTenantRows caches each node's last tenant rollup for the
-	// deployment's tenant, so an unreachable node keeps contributing its
-	// last-known admission counters to the cumulative rollup instead of
-	// silently deflating admitted+sheds after a failover.
+	// lastRows and lastTenantRows cache each node's last answers, for the
+	// snapshots that cannot reach it (see stats and tenantRows).
+	lastRows       map[int]map[string]remote.PipeStat
 	lastTenantRows map[int]remote.TenantStat
 }
 
@@ -828,138 +601,68 @@ func (r *remoteDeployment) wait() error {
 }
 
 // stats fans the stats op out to every node hosting a piece of the
-// deployment and folds the per-node rows into one GraphStats: segments in
-// plan order (Shard = node index), then relays, with per-node load in
-// Shards and the node names in Nodes.  Counters of generations detached by
-// Replace are folded back in, so rows stay cumulative.
+// deployment and folds the per-node rows into one GraphStats (Shard = node
+// index), with the node names in Nodes.  An unreachable node's pipes fall
+// back to its LAST-KNOWN rows rather than zero: a zeroed snapshot would hand
+// the balancer a false full-history delta the moment the node answers again.
 func (r *remoteDeployment) stats() GraphStats {
-	var st GraphStats
 	pipes := r.pipeList()
 	clients, _ := r.clientSnap() // after pipeList: covers every pipe index
-	st.Shards = make([]ShardLoad, len(clients))
-	r.mu.Lock()
-	st.Nodes = append(st.Nodes, r.names...)
-	for i, ret := range r.retiredByNode {
-		if i < len(st.Shards) {
-			st.Shards[i].Items = ret.items
-			st.Shards[i].BusyNanos = ret.busyNs
-		}
-	}
-	retired := maps.Clone(r.retired)
-	r.mu.Unlock()
-
-	// An unreachable node's pipes fall back to its LAST-KNOWN rows rather
-	// than zero: a zeroed snapshot would hand the balancer a false
-	// full-history delta the moment the node answers again.
 	rows, errs := r.fetch(pipes, clients)
 	r.mu.Lock()
 	for node := range errs {
 		rows[node] = r.lastRows[node]
 	}
+	names := slices.Clone(r.names)
 	r.mu.Unlock()
-
-	add := func(p remotePipe, segName string, relay bool) {
+	prs := make([]pipeRow, len(pipes))
+	for i, p := range pipes {
 		row := rows[p.client][p.name]
-		ret := retired[p.name]
-		s := SegmentStats{
-			Name: segName, Shard: p.client, Relay: relay, Finished: row.EOS,
-			Items:     row.Items + ret.items,
-			Cycles:    row.Cycles + ret.cycles,
-			BusyNanos: row.BusyNanos + ret.busyNs,
-		}
-		st.Segments = append(st.Segments, s)
-		if p.client >= 0 && p.client < len(st.Shards) {
-			st.Shards[p.client].Items += row.Items
-			st.Shards[p.client].BusyNanos += row.BusyNanos
-			if !s.Finished {
-				st.Shards[p.client].Pipelines++
-				if !relay {
-					st.Shards[p.client].Segments++
-				}
-			}
-		}
+		prs[i] = pipeRow{name: p.name, seg: p.seg, slot: p.client, ran: p.client, eos: row.EOS,
+			counts: counts{row.Items, row.Cycles, row.BusyNanos}}
 	}
-	// Segments in plan order first, relays (seg -1, the largest uint) after —
-	// same shape as the local snapshot, so operator tooling and the Balancer
-	// read both alike.
-	slices.SortStableFunc(pipes, func(a, b remotePipe) int { return cmp.Compare(uint(a.seg), uint(b.seg)) })
-	for _, p := range pipes {
-		if p.seg < 0 {
-			add(p, p.name, true)
-		} else {
-			add(p, r.plan.Segments[p.seg].Name(), false)
-		}
-	}
-	r.tenantStats(&st)
+	st := r.fold(prs, len(clients), r.opt.Tenant, r.tenantRows())
+	st.Nodes = names
 	return st
 }
 
-// tenantStats folds the deployment tenant's per-node rollups into one
-// GraphStats row: admission counters and credit debt sum across nodes;
-// Share is the tenant's charged cycles over the cycles charged on every
-// polled node's scheduler.  EVERY client of the target is polled, not just
-// the nodes currently hosting pipes: a Replace or failover moves pipes off a
-// node without moving its historical admission counters, and dropping such
-// a node from the poll would deflate the cumulative admitted+sheds rollup.
-// An unreachable node contributes its last-known row instead of zero (same
-// contract as the pipe rows above).
-func (r *remoteDeployment) tenantStats(st *GraphStats) {
+// tenantRows polls the deployment tenant's rollup on EVERY node of the
+// target, not just the nodes hosting pipes now: a move leaves a node's
+// historical admission counters behind.  An unreachable or departed node
+// contributes its last-known row instead of zero.
+func (r *remoteDeployment) tenantRows() []remote.TenantStat {
 	t := r.opt.Tenant
 	if t == nil {
-		return
+		return nil
 	}
-	row := TenantStats{Tenant: t.Name(), Weight: t.Weight()}
-	var granted, cycles int64
-	polled := false
+	var out []remote.TenantStat
 	clients, gone := r.clientSnap()
-	for node := range clients {
-		var nodeRow remote.TenantStat
-		found, answered := false, false
-		// A departed node is not polled (its client is closed), but its
-		// historical counters still count: it folds in like an unreachable one.
+	for node, c := range clients {
+		r.mu.Lock()
+		row, found := r.lastTenantRows[node]
+		r.mu.Unlock()
 		if !gone[node] {
-			if tenants, err := clients[node].Tenants(); err == nil {
-				answered = true
-				for _, ts := range tenants {
-					if ts.Name == t.Name() {
-						nodeRow, found = ts, true
-					}
+			if tenants, err := c.Tenants(); err == nil {
+				i := slices.IndexFunc(tenants, func(ts remote.TenantStat) bool { return ts.Name == t.Name() })
+				if found = i >= 0; found {
+					row = tenants[i]
+					r.mu.Lock()
+					r.lastTenantRows[node] = row
+					r.mu.Unlock()
 				}
 			}
 		}
-		r.mu.Lock()
 		if found {
-			r.lastTenantRows[node] = nodeRow
-		} else if !answered {
-			nodeRow, found = r.lastTenantRows[node]
+			out = append(out, row)
 		}
-		r.mu.Unlock()
-		if !found {
-			continue
-		}
-		polled = true
-		row.Admitted += nodeRow.Admitted
-		row.Sheds += nodeRow.Sheds
-		row.CreditDebt += nodeRow.CreditDebt
-		granted += nodeRow.Granted
-		cycles += nodeRow.SchedCycles
 	}
-	if !polled {
-		return
-	}
-	if cycles > 0 {
-		row.Share = float64(granted) / float64(cycles)
-	}
-	st.Tenants = append(st.Tenants, row)
+	return out
 }
 
 // rebindTenant applies RebindTenant edit ops to a remote deployment: the
-// deployer-side tenant handle records the new policy (so later composes and
-// stats see it), then the rebind rides a §2.4 op to every node of the
-// target, retuning each node's materialized tenant and weighted-fair class
-// in place.  Weight changes bite within one pump cycle on every node (next
-// ready-queue admission); rate changes on each admission gate's next item.
-// An unreachable node fails the call unless the deployment is supervised —
+// deployer-side tenant records the new policy, then a §2.4 op retunes each
+// node's materialized tenant and weighted-fair class in place.  An
+// unreachable node fails the call unless the deployment is supervised —
 // there the supervisor owns the node's fate, and a re-placement composes
 // against the updated TenantSpec anyway.
 func (r *remoteDeployment) rebindTenant(rebinds []RebindTenant) error {
@@ -967,17 +670,7 @@ func (r *remoteDeployment) rebindTenant(rebinds []RebindTenant) error {
 	if t == nil {
 		return ErrNoTenant
 	}
-	for _, rb := range rebinds {
-		if rb.Weight > 0 {
-			t.SetWeight(rb.Weight)
-		}
-		if rb.SetRate {
-			t.SetRate(rb.Rate, rb.Burst)
-		}
-		if rb.SetPrio {
-			t.SetPriority(rb.Prio)
-		}
-	}
+	rebind(t, rebinds)
 	spec := r.tenantSpec()
 	clients, gone := r.clientSnap()
 	r.mu.Lock()

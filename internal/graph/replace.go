@@ -72,7 +72,7 @@ func (d *Deployment) Replace(hints map[string]int) error {
 		if err := r.replaceable(si, true); err != nil {
 			return err
 		}
-		if r.nodeOf[si] != node {
+		if r.slotOf[si] != node {
 			dests[si] = node
 		}
 	}
@@ -114,10 +114,8 @@ func (d *Deployment) Replaceable(segment string) error {
 }
 
 func (r *remoteDeployment) segIndex(name string) (int, error) {
-	for i, seg := range r.plan.Segments {
-		if seg.Name() == name {
-			return i, nil
-		}
+	if si := r.segment(name); si >= 0 {
+		return si, nil
 	}
 	return 0, fmt.Errorf("graph %q: replace hint for unknown segment %q", r.name, name)
 }
@@ -143,12 +141,10 @@ func (r *remoteDeployment) replaceable(si int, live bool) error {
 		return refuse("is a source segment (its stream position cannot move)")
 	case h.Kind == core.EndMergeOut:
 		return refuse("hosts the merge tee %q", h.Node)
-	case r.segInLane(si) == "" && h.Kind == core.EndSplitOut:
+	case r.inLane(si) == "":
 		return refuse("is wired directly to split %q (no lane to redial)", h.Node)
-	case r.segInLane(si) == "":
-		return refuse("has a same-node link for its inbound cut (deploy with WithClusterLanes)")
 	case !r.opt.ClusterLanes:
-		return refuse("has an inbound lane that is not durable (deploy with WithClusterLanes)")
+		return refuse("has an inbound link that is not a durable lane (deploy with WithClusterLanes)")
 	}
 	// A self-acking inbound listener (no durable outbound lane to chain to)
 	// anchors its acks one pop behind the pipeline's FIRST pump, which only
@@ -180,43 +176,33 @@ func (r *remoteDeployment) replaceable(si int, live bool) error {
 		// directly pulls the shared tee instance itself, and that reference
 		// cannot follow the tee to another node.
 		for _, bi := range r.plan.SplitBranch[t.Node] {
-			if bi >= 0 && r.segInLane(bi) == "" {
+			if bi >= 0 && r.inLane(bi) == "" {
 				return fmt.Errorf("%w: branch %q is wired directly to split %q (move the branch off node %d first)",
-					ErrNotReplaceable, r.plan.Segments[bi].Name(), t.Node, r.nodeOf[si])
+					ErrNotReplaceable, r.plan.Segments[bi].Name(), t.Node, r.slotOf[si])
 			}
 		}
-	case r.segOutLane(si) != "":
-	case t.Kind == core.EndMergeIn:
+	case t.Kind == core.EndMergeIn && r.outLane(si) == "":
 		return refuse("is wired directly to merge %q (no lane to redial)", t.Node)
-	case t.Kind == core.EndCut:
-		return refuse("has a same-node link for its outbound cut (deploy with WithClusterLanes)")
 	}
 	return nil
 }
 
 // move executes one validated segment move through the four steps of
 // Replace.  oldUp says whether the segment's current node is still
-// reachable: a live node gets a graceful detach and sided lane drops — the
-// segment owns its inbound LISTENER and outbound SENDERS there, and its
-// neighbours' halves of the same lanes (possibly on the same node) must
-// survive — while a dead one is never contacted (its sockets died with it).
-//
-// A segment hosting a split tee (live moves only, see replaceable) adds the
-// two steps only a trunk needs.  The tee instance cannot cross nodes, but
-// its SPEC can: after the detach the tee drains through its still-running
-// relays, which then retire with it (drainTee); on the destination the
-// relay pipelines recompose first — their tee factory materializes a fresh
-// tee from the carried spec (kind, ports, selector) — before the trunk
-// attaches the tee sink.  The branch listeners' dedup watermarks absorb
-// what the upstream journal replays through the fresh tee.
-//
-// Once a live move has detached the segment, any failure leaves it on
-// neither node: the error is latched and the graph stopped, like a failed
-// deploy.  Under failover nothing is latched — the caller retries another
-// survivor, and only it knows when to give up (Fail).
+// reachable: a live node gets a graceful detach and sided lane drops (the
+// segment owns its inbound LISTENER and outbound SENDERS there; its
+// neighbours' halves of the same lanes must survive), a dead one is never
+// contacted.  A trunk (live moves only) also drains its tee through its
+// still-running relays (drainTee) before they retire with it; on the
+// destination its relays recompose from the tee's carried spec, and the
+// branch listeners' dedup watermarks absorb what the upstream journal
+// replays through the fresh tee.  Once a live move has detached the
+// segment, a failure leaves it on neither node: the error is latched and
+// the graph stopped.  Under failover nothing is latched — the caller
+// retries another survivor, and only it knows when to give up (Fail).
 func (r *remoteDeployment) move(si, dest int, oldUp bool) error {
 	seg := r.plan.Segments[si]
-	old := r.nodeOf[si]
+	old := r.slotOf[si]
 	pipeName := r.name + "/" + seg.Name()
 	stepErr := func(step string, err error) error {
 		return fmt.Errorf("graph %q: replace %q: %s: %w", r.name, seg.Name(), step, err)
@@ -245,7 +231,7 @@ func (r *remoteDeployment) move(si, dest int, oldUp bool) error {
 	started := r.started
 	r.mu.Unlock()
 
-	inLane, outLane := r.segInLane(si), r.segOutLane(si)
+	inLane, outLane := r.inLane(si), r.outLane(si)
 
 	r.retire(old, oldUp, append([]string{pipeName}, relayPipes...))
 	if oldUp {
@@ -305,17 +291,28 @@ func (r *remoteDeployment) move(si, dest int, oldUp bool) error {
 
 	// Everything else stays recorded; the segment's node flips and its
 	// inbound listener — gone with the old node, or just dropped — is
-	// unbound, so place binds a fresh one, composes the segment (after its
-	// relays, under a trunk) and dials the stationary lanes below it.
+	// unbound, so place binds a fresh one, composes the segment and dials the
+	// stationary lanes below it.  A trunk's relays compose first: their tee
+	// factory rebuilds the tee on the destination from its spec, and the
+	// trunk attaches to that instance.
 	r.mu.Lock()
-	r.nodeOf[si] = dest
+	r.slotOf[si] = dest
 	r.mu.Unlock()
 	if inLane != "" {
-		r.laneAddr[inLane] = ""
+		r.links[inLane] = nodeLink{}
 	}
-	if err := r.place(si); err != nil {
+	var err error
+	for port := range relayLanes {
+		if err = r.splitRelay(teeName, port); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = r.place(si)
+	}
+	if err != nil {
 		r.mu.Lock()
-		r.nodeOf[si] = old
+		r.slotOf[si] = old
 		r.mu.Unlock()
 		return latch(err)
 	}
@@ -324,9 +321,9 @@ func (r *remoteDeployment) move(si, dest int, oldUp bool) error {
 	// that died with the node (a co-placed chain under failover) is not
 	// redialed: its own move composes it against the new listener.
 	if inLane != "" {
-		if sender := r.nodeOf[r.plan.Upstream(si)[0]]; oldUp || sender != old {
+		if sender := r.slotOf[r.plan.Upstream(si)[0]]; oldUp || sender != old {
 			if _, err := r.clients[sender].Lane(remote.LaneRequest{Kind: remote.LaneRedial,
-				Lane: inLane, Addr: r.laneAddr[inLane]}); err != nil {
+				Lane: inLane, Addr: r.links[inLane].addr}); err != nil {
 				return latch(stepErr("redial "+inLane, err))
 			}
 		}
@@ -355,29 +352,21 @@ func (r *remoteDeployment) replaceWindow() (done func()) {
 	}
 }
 
-// retire folds the last-known counters of the pipelines a move is about to
-// abandon on node into the retired stats — best-effort: the recomposed
-// generation reprocesses the replayed tail, so a small overlap is inherent
-// and only affects telemetry, never the stream.  A dead node's rows come
-// from the last snapshot that reached it.
+// retire folds the last-known counters of the pipelines a move abandons on
+// node into the ledger (a dead node's from the last snapshot that reached
+// it) — best-effort: the replayed tail is counted twice, in telemetry only.
 func (r *remoteDeployment) retire(node int, up bool, names []string) {
 	var rows map[string]remote.PipeStat
 	if up {
 		rows, _ = r.rows(r.clients[node], node)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !up {
+	} else {
+		r.mu.Lock()
 		rows = r.lastRows[node]
+		r.mu.Unlock()
 	}
 	for _, name := range names {
-		row, ret := rows[name], r.retired[name]
-		ret.items += row.Items
-		ret.cycles += row.Cycles
-		ret.busyNs += row.BusyNanos
-		r.retired[name] = ret
-		r.retiredByNode[node].items += row.Items
-		r.retiredByNode[node].busyNs += row.BusyNanos
+		row := rows[name]
+		r.ledger.fold(name, node, counts{row.Items, row.Cycles, row.BusyNanos})
 	}
 }
 
@@ -522,7 +511,7 @@ func (d *Deployment) FailOver(dead int, hints map[string]int) error {
 	}
 	dests := make(map[int]int)
 	for si, seg := range r.plan.Segments {
-		if r.nodeOf[si] != dead {
+		if r.slotOf[si] != dead {
 			continue
 		}
 		dest, ok := hints[seg.Name()]

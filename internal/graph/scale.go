@@ -27,10 +27,8 @@ import (
 //
 // After the edit, Deployment.SetReplicas(S, n) retunes the ACTIVE replica
 // count with no quiesce at all: the tee's selector spreads new items over
-// 1..n and idle replicas simply drain.  Scale-out beyond the declared
-// replica count needs another ScaleStage... no — it needs nothing: declare
-// the maximum once, start folded (SetReplicas(S, 1)), and let policy move
-// the knob.
+// 1..n and idle replicas simply drain: declare the maximum once, start
+// folded (SetReplicas(S, 1)), and let policy move the knob.
 
 // ScaleStage is the live-edit operation that turns stage Node into Replicas
 // parallel replicas behind an elastic split and an ordered merge.  The
@@ -186,9 +184,9 @@ func (op ScaleStage) validate(t *txn) (inIdx, outIdx int, err error) {
 			op.Node, len(op.Places), op.Replicas)
 	}
 	for i, p := range op.Places {
-		if p < -1 || p >= t.shards() {
+		if p < -1 || p >= t.ld.shards() {
 			return 0, 0, t.errf("ScaleStage %q replica %d placed on shard %d, target has %d",
-				op.Node, i, p, t.shards())
+				op.Node, i, p, t.ld.shards())
 		}
 	}
 	if n, ok := g.index[op.Node]; !ok || n.kind != nStage {
@@ -253,7 +251,7 @@ func (op ScaleStage) host(t *txn) (shardIdx int, pumpDownstream bool, err error)
 			return 0, false, t.errf("ScaleStage %q: segment %q has %d pumps, want exactly 1 (multi-section segments do not scale)",
 				op.Node, seg.Name(), pumps)
 		}
-		return ld.shardOf[si], pumpIdx > nodeIdx, nil
+		return ld.slotOf[si], pumpIdx > nodeIdx, nil
 	}
 	return 0, false, t.errf("ScaleStage %q not in any planned segment", op.Node)
 }

@@ -3,8 +3,6 @@ package graph
 import (
 	"fmt"
 	"strings"
-
-	"infopipes/internal/core"
 )
 
 // SegmentStats is the activity snapshot of one deployed pipeline: a graph
@@ -76,11 +74,10 @@ type ShardLoad struct {
 }
 
 // GraphStats is the live telemetry of one deployment, collected alloc-free
-// on the hot path (atomic pump counters, lock-guarded link counters) and
-// assembled on demand by Deployment.Stats.  For remote (OnNodes)
-// deployments the snapshot is gathered by fanning the §2.4 stats op out to
-// every node: Shard indices then name cluster nodes (see Nodes) instead of
-// scheduler shards, and the same skew math drives the ClusterBalancer.
+// on the hot path and folded on demand by Deployment.Stats from per-pipeline
+// rows, whichever target took them.  On remote (OnNodes) deployments Shard
+// indices name cluster nodes (see Nodes), and the same skew math drives the
+// ClusterBalancer.
 type GraphStats struct {
 	// Segments lists the graph's segments in plan order, then the relay
 	// pipelines.
@@ -94,9 +91,8 @@ type GraphStats struct {
 	// Nodes names the cluster nodes behind the Shards indices (remote
 	// deployments only; empty on local targets).
 	Nodes []string
-	// Tenants holds the per-tenant QoS rollups: at most one row for a local
-	// deployment (a deployment binds one tenant), one row per tenant name
-	// seen across the nodes of a remote deployment.
+	// Tenants holds the tenant's QoS rollup, folded across shards or nodes:
+	// at most one row (a deployment binds one tenant).
 	Tenants []TenantStats
 }
 
@@ -158,102 +154,11 @@ func (st GraphStats) String() string {
 // stats op out to their nodes and fold the answers into the same shape,
 // with node attribution in Nodes.
 func (d *Deployment) Stats() GraphStats {
-	var st GraphStats
-	if d.remote != nil {
+	switch {
+	case d.remote != nil:
 		return d.remote.stats()
+	case d.ld != nil:
+		return d.ld.stats()
 	}
-	ld := d.ld
-	if ld == nil {
-		return st
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	nShards := 1
-	if ld.group != nil {
-		nShards = ld.group.Shards()
-	}
-	st.Shards = make([]ShardLoad, nShards)
-	for i, r := range ld.retiredByShard {
-		if i < nShards {
-			st.Shards[i].Items = r.items
-			st.Shards[i].BusyNanos = r.busyNs
-		}
-	}
-
-	// Segment rows carry the counters of every generation (retired folds);
-	// shard rows attribute live counters to the shard the pipeline runs on
-	// (its history is already in retiredByShard above).  A pipeline absent
-	// from shardByPipe has been folded by an in-flight rebalance but not
-	// yet replaced in bySegment: its counters already live in `retired`,
-	// so adding its live reading again would double-count the snapshot
-	// (and misattribute it to shard 0) mid-rebalance.
-	add := func(name string, shard int, relay bool, p *core.Pipeline, retired retiredCounts) SegmentStats {
-		var ps core.PipeStats
-		if runsOn, live := ld.shardByPipe[p]; live {
-			ps = p.Stats()
-			if runsOn >= 0 && runsOn < nShards {
-				st.Shards[runsOn].Items += ps.Items
-				st.Shards[runsOn].BusyNanos += ps.BusyNanos
-			}
-		}
-		s := SegmentStats{
-			Name: name, Shard: shard, Relay: relay, Finished: p.ReachedEOS(),
-			Items:     ps.Items + retired.items,
-			Cycles:    ps.Cycles + retired.cycles,
-			BusyNanos: ps.BusyNanos + retired.busyNs,
-		}
-		if shard >= 0 && shard < nShards && !s.Finished {
-			st.Shards[shard].Pipelines++
-			if !relay {
-				st.Shards[shard].Segments++
-			}
-		}
-		return s
-	}
-
-	seen := make(map[string]bool, len(ld.plan.Segments))
-	for i, seg := range ld.plan.Segments {
-		p, ok := d.bySegment[seg.Name()]
-		if !ok {
-			continue
-		}
-		seen[p.Name()] = true
-		st.Segments = append(st.Segments,
-			add(seg.Name(), ld.shardOf[i], false, p, ld.retired[seg.Name()]))
-	}
-	for _, p := range d.pipelines {
-		if seen[p.Name()] {
-			continue
-		}
-		seen[p.Name()] = true
-		st.Segments = append(st.Segments,
-			add(p.Name(), ld.shardByPipe[p], true, p, ld.retired[p.Name()]))
-	}
-
-	for _, l := range d.links {
-		st.Links = append(st.Links, LinkStats{
-			Name: l.Name(), Depth: l.Depth(), HighWater: l.HighWater(),
-			Moved: l.Moved(), Drains: l.Drains(), Wakes: l.Wakes(),
-			Closed: l.Closed(),
-		})
-	}
-	if t := ld.tenant; t != nil {
-		row := TenantStats{Tenant: t.Name(), Weight: t.Weight(),
-			Admitted: t.Admitted(), Sheds: t.Sheds()}
-		var granted, cycles int64
-		// Order-insensitive fold: sums over the per-shard classes.
-		for sh, c := range ld.classes {
-			if debt := c.VTime() - ld.schedOf(sh).FairNow(); debt > 0 {
-				row.CreditDebt += debt
-			}
-			granted += c.Granted()
-			cycles += ld.schedOf(sh).Stats().Cycles
-		}
-		if cycles > 0 {
-			row.Share = float64(granted) / float64(cycles)
-		}
-		st.Tenants = append(st.Tenants, row)
-	}
-	return st
+	return GraphStats{}
 }

@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"slices"
 	"time"
 
 	"infopipes/internal/core"
@@ -76,6 +77,14 @@ func AdmissionIndex(stages []core.Stage) int {
 		}
 	}
 	return 0
+}
+
+// InsertAdmission gates a true-source pipeline with tenant t's admission
+// control: it inserts an Admission named name behind AdmissionIndex and
+// returns the stages and the index the gate took.
+func InsertAdmission(stages []core.Stage, name string, t *Tenant) ([]core.Stage, int) {
+	at := AdmissionIndex(stages) + 1
+	return slices.Insert(stages, at, core.Comp(NewAdmission(name, t))), at
 }
 
 // Tenant returns the tenant this gate admits for.

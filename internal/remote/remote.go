@@ -565,13 +565,9 @@ func (n *Node) compose(req request) (p *core.Pipeline, gate int, err error) {
 	}
 	gate = -1
 	if req.Admit && tenant != nil {
-		// Admission gates the true source before the first queue — over-rate
-		// flows shed (or block) here instead of filling the node's shared
-		// buffers and lanes.  The gate runs in push mode behind the
-		// pipeline's pump (see qos.AdmissionIndex).
-		at := qos.AdmissionIndex(stages) + 1
-		stages = slices.Insert(stages, at, core.Comp(qos.NewAdmission(name+"/admit", tenant)))
-		gate = at
+		// Over-rate flows shed (or block) before the first queue instead of
+		// filling the node's shared buffers and lanes.
+		stages, gate = qos.InsertAdmission(stages, name+"/admit", tenant)
 	}
 	opts := []core.ComposeOption{core.WithInputSpec(req.Seed)}
 	if req.SkipEventCheck {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -20,7 +21,9 @@ import (
 // dial errors, send/receive errors, per-call deadline expiry on a wedged
 // peer, and calls on a closed client.  Application-level errors (a factory
 // rejecting a spec, an unknown pipeline) are NOT wrapped: reaching the peer
-// and being told no is not unreachability.  Inspect with errors.Is.
+// and being told no is not unreachability — unless the peer could not reach a
+// third node (a sender dialing a dead listener), which it reports wrapped,
+// and the wire keeps.  Inspect with errors.Is.
 var ErrNodeUnreachable = errors.New("remote: node unreachable")
 
 // DefaultCallTimeout bounds each control call unless the caller overrides
@@ -31,11 +34,26 @@ const DefaultCallTimeout = 10 * time.Second
 
 // reply is the response envelope: the handler's error travels as text
 // beside the typed body, so the two endpoints' response types carry only
-// their own fields.
+// their own fields.  Wraps names the sentinel the error wraps (1 + its
+// index in sentinels; 0 for none), so errors.Is still sees it on the caller.
 type reply[Resp any] struct {
-	Err  string
-	Body Resp
+	Err   string
+	Wraps int
+	Body  Resp
 }
+
+// sentinels are the errors a handler's error keeps across the wire.
+var sentinels = []error{ErrNodeUnreachable, ErrUnknownFactory, ErrUnknownPipeline}
+
+// remoteError is a handler's error as the caller sees it: the handler's
+// text, wrapping the sentinel the handler's error wrapped.
+type remoteError struct {
+	msg      string
+	sentinel error
+}
+
+func (e remoteError) Error() string { return e.msg }
+func (e remoteError) Unwrap() error { return e.sentinel }
 
 // Server is the serving half of the control transport: it listens, accepts,
 // tracks live connections, and answers each decoded request with the
@@ -111,6 +129,7 @@ func (s *Server[Req, Resp]) serveConn(conn net.Conn) {
 		var err error
 		if out.Body, err = s.handle(req); err != nil {
 			out.Err = err.Error()
+			out.Wraps = 1 + slices.IndexFunc(sentinels, func(s error) bool { return errors.Is(err, s) })
 		}
 		if err := enc.Encode(&out); err != nil {
 			return
@@ -230,7 +249,10 @@ func (c *Conn[Req, Resp]) Close() error {
 
 // Call performs one request/response exchange.  A transport failure is
 // returned wrapped in ErrNodeUnreachable and poisons the connection (see
-// broken); an error the peer's handler returned comes back as plain text.
+// broken); an error the peer's handler returned comes back with its text
+// and the sentinel it wrapped (see sentinels) — a handler's
+// ErrNodeUnreachable names a peer the handler could not reach, not the one
+// called.
 func (c *Conn[Req, Resp]) Call(req Req) (Resp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -250,6 +272,9 @@ func (c *Conn[Req, Resp]) Call(req Req) (Resp, error) {
 		return zero, c.breakConn("receive", err)
 	}
 	if in.Err != "" {
+		if in.Wraps > 0 && in.Wraps <= len(sentinels) {
+			return zero, remoteError{in.Err, sentinels[in.Wraps-1]}
+		}
 		return zero, errors.New(in.Err)
 	}
 	return in.Body, nil
