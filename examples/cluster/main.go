@@ -8,7 +8,7 @@
 //
 // While the stream runs, the program reads Deployment.Stats — assembled by
 // fanning the stats op out to both nodes, with per-node attribution — and
-// then calls Deployment.Replace to move the worker segment from beta onto
+// then calls Deployment.Rebalance to move the worker segment from beta onto
 // alpha MID-STREAM: the control plane pauses the upstream node, waits for
 // the segment to drain, detaches it, recomposes it on alpha seeded with
 // the same Typespec, redials the stationary sender, and resumes.
@@ -200,7 +200,7 @@ func cluster() (string, error) {
 
 	// Move the worker from beta onto alpha, mid-stream: drain, detach,
 	// recompose, redial, resume.
-	if err := d.Replace(map[string]int{"mid>>mp": 0}); err != nil {
+	if err := d.Rebalance(map[string]int{"mid>>mp": 0}); err != nil {
 		return "", err
 	}
 	fmt.Printf("replaced mid>>mp onto alpha: placements now %v\n", d.SegmentPlacements())

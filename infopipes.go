@@ -751,7 +751,7 @@ var (
 	// ErrNodeUnreachable wraps every transport-level failure of a control
 	// call — a dead or wedged node surfaces as this instead of a hang.
 	ErrNodeUnreachable = remote.ErrNodeUnreachable
-	// ErrNotReplaceable marks segments Deployment.Replace cannot move.
+	// ErrNotReplaceable marks segments Deployment.Rebalance cannot move between nodes.
 	ErrNotReplaceable = graph.ErrNotReplaceable
 )
 

@@ -21,7 +21,7 @@
 //     deployment stats on an epoch, detects per-node load skew from item
 //     deltas (the same skew math as graph.Balancer), and re-places the
 //     busiest movable segment from the hottest node onto the coolest
-//     through Deployment.Replace — drain, detach, recompose, redial — so
+//     through Deployment.Rebalance — drain, detach, recompose, redial — so
 //     placement across hosts is runtime policy, exactly as it already is
 //     across shards.
 //
@@ -380,7 +380,7 @@ func (d *Directory) Close() {
 // on a ticker: each Tick is one Deployment.Balance epoch — cluster-wide
 // stats over the §2.4 stats op, per-node skew from epoch item deltas, and
 // the busiest movable segment of the hottest node re-placed onto the
-// coolest via Deployment.Replace.
+// coolest via Deployment.Rebalance.
 type ClusterBalancer struct {
 	d *graph.Deployment
 	b *graph.Balancer

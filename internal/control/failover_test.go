@@ -293,7 +293,7 @@ func TestReplaceRacingStream(t *testing.T) {
 			time.Sleep(time.Duration(i) * 7 * time.Millisecond)
 			// Concurrent moves serialize on the deployment; a move may find
 			// the segment already at its destination, which is fine.
-			_ = d.Replace(map[string]int{"mid0>>mp0": dest})
+			_ = d.Rebalance(map[string]int{"mid0>>mp0": dest})
 		}(i, dest)
 	}
 	wg.Wait()

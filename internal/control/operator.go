@@ -14,7 +14,7 @@ import (
 )
 
 // Operator serves deployment-level operations — segment placements and
-// manual Replace — over the control transport the nodes speak (see
+// manual moves — over the control transport the nodes speak (see
 // remote.Server), so the failover path is operator-drivable (ipctl replace)
 // and not only policy-drivable (the Supervisor).  The deploying process owns
 // the Deployment objects; Operator is the wire between them and an
@@ -199,7 +199,7 @@ func (o *Operator) handle(req opRequest) (opResponse, error) {
 		}
 		switch req.Op {
 		case "replace":
-			err = d.Replace(req.Hints)
+			err = d.Rebalance(req.Hints)
 		case "edit":
 			var ops []graph.EditOp
 			if ops, err = o.editOps(req.Edits); err == nil {
@@ -326,7 +326,7 @@ func (c *OperatorClient) Placements(deployment string) (map[string]int, error) {
 }
 
 // Replace moves segments per hints (segment name → destination node index)
-// through Deployment.Replace and returns the placements afterwards.
+// through Deployment.Rebalance and returns the placements afterwards.
 func (c *OperatorClient) Replace(deployment string, hints map[string]int) (map[string]int, error) {
 	resp, err := c.Call(opRequest{Op: "replace", Deployment: deployment, Hints: hints})
 	return resp.Placements, err

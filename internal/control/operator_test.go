@@ -9,6 +9,7 @@ import (
 	"infopipes/internal/core"
 	"infopipes/internal/graph"
 	"infopipes/internal/item"
+	"infopipes/internal/leakcheck"
 	"infopipes/internal/pipes"
 	"infopipes/internal/qos"
 	"infopipes/internal/shard"
@@ -21,6 +22,7 @@ import (
 // group deployment registered on an Operator.  The stream must keep its
 // exactly-once guarantees across every op.
 func TestOperatorEditEndToEnd(t *testing.T) {
+	leakcheck.Check(t)
 	const items = 4000
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
 

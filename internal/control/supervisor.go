@@ -37,7 +37,7 @@ type Supervisor struct {
 	// elastic.Cluster's Drain, an Autoscaler's fold-back — all of which
 	// hold the same gate.  The gate is held across one node's whole
 	// recovery (all supervised deployments), so a failover and a
-	// concurrent drain or scale-down can never race a double-Replace of
+	// concurrent drain or scale-down can never race a double-Rebalance of
 	// the same segment.  Set it before the first heartbeat.
 	Gate sync.Locker
 

@@ -1,7 +1,7 @@
 // Package elastic is the cluster elasticity layer: it choreographs runtime
 // membership changes (node join, drain, leave), replica scale-out, and
 // multi-level fan-out trees on top of the existing control-plane machinery —
-// the Directory for registration and health, Deployment.Replace for
+// the Directory for registration and health, Deployment.Rebalance for
 // loss-free segment migration, graph.ScaleStage for live replica splits,
 // and the Edit transaction for localized tree surgery.
 //
@@ -9,14 +9,14 @@
 // paper's thesis carries through: distribution, placement, and now cluster
 // SIZE are control policy bound at runtime.  A node joining is a directory
 // registration plus a deployment node-set append; a node draining is a
-// sequence of the same Replace moves the balancer and supervisor already
+// sequence of the same Rebalance moves the balancer and supervisor already
 // use, so the durable-lane journals carry every in-flight item across and
 // the surviving trace is byte-identical; a node leaving is a tombstone.
 //
 // All actors that move segments — the Supervisor's failover, the Cluster's
 // Drain, the Autoscaler's fold-back — serialize on one shared gate
 // (Cluster.Gate, wired into Supervisor.Gate), so no two of them can race a
-// double-Replace of the same segment.
+// double-Rebalance of the same segment.
 package elastic
 
 import (
@@ -195,7 +195,7 @@ func (c *Cluster) Join(addr string) (string, error) {
 }
 
 // Drain migrates every segment hosted on the named node — across all
-// managed deployments — onto healthy survivors via Deployment.Replace, the
+// managed deployments — onto healthy survivors via Deployment.Rebalance, the
 // same loss-free drain/journal/redial move the balancer uses.  Placement is
 // greedy least-loaded over the survivors, orphans in sorted order, so two
 // drains of the same cluster state place identically.  Holds the cluster
@@ -240,7 +240,7 @@ func (c *Cluster) Drain(name string) error {
 }
 
 // drainOne moves one deployment's segments off the node at idx; returns how
-// many it moved.  Replace validates every move before making the first, so
+// many it moved.  Rebalance validates every move before making the first, so
 // a drain is all-or-nothing per deployment: an immovable segment (trunk
 // split host, merge host) means the operator must restructure first.
 func (c *Cluster) drainOne(d *graph.Deployment, idx int) (int, error) {
@@ -254,7 +254,7 @@ func (c *Cluster) drainOne(d *graph.Deployment, idx int) (int, error) {
 	if err != nil || len(hints) == 0 {
 		return 0, err
 	}
-	if err := d.Replace(hints); err != nil {
+	if err := d.Rebalance(hints); err != nil {
 		return 0, err
 	}
 	return len(hints), nil

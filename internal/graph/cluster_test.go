@@ -280,7 +280,7 @@ func TestClusterReplaceTraceIdentical(t *testing.T) {
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
-			if err := d.Replace(map[string]int{"mid>>mp": 0}); err != nil {
+			if err := d.Rebalance(map[string]int{"mid>>mp": 0}); err != nil {
 				t.Fatalf("replace: %v", err)
 			}
 			if got := d.SegmentPlacements()["mid>>mp"]; got != 0 {

@@ -1,211 +1,218 @@
 package graph
 
 import (
-	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"infopipes/internal/core"
 	"infopipes/internal/events"
 	"infopipes/internal/shard"
+	"infopipes/internal/typespec"
 )
 
-// Deployment is the handle on one deployed graph: the pipelines composed
-// for its segments (including auto-inserted relay pipelines), the links
-// joining them, and a joined lifecycle — Start and Stop broadcast once on
-// the shared bus, Done closes when every pipeline has finished, Err reports
-// the first failure anywhere in the graph.
-//
-// Group deployments stay operable while they run: Stats reports per-segment
-// and per-link load, and Rebalance moves segments between shards mid-stream
-// without recomposing the graph by hand (see rebalance.go).
+// Deployment is the handle on one deployed graph and its joined lifecycle:
+// Start and Stop broadcast once to every pipeline (relays included), Done
+// closes when all have finished, Err reports the first failure anywhere.
+// It stays operable while it runs: Stats reports per-segment and per-link
+// load, Rebalance moves segments, Edit changes the flow (reconfigure.go).
 type Deployment struct {
 	name string
 	bus  *events.Bus
-
-	remote *remoteDeployment // non-nil for OnNodes deployments
-	ld     *localDeploy      // non-nil for local targets; wiring state for Stats/Rebalance
-
-	// rbMu serializes reconfigurations — local transactions, remote moves,
-	// node-set changes — against each other (a second one waits for the
-	// first to finish, then runs on the state it left).
+	// host is the shard host (*localDeploy) or the node host
+	// (*remoteDeployment).
+	host target
+	// rbMu serializes reconfigurations and node-set changes.
 	rbMu sync.Mutex
 
-	mu          sync.Mutex
-	pipelines   []*core.Pipeline
-	links       []*shard.Link
-	gen         int  // bumped by every transaction; stale watchers exit
-	started     bool // Start was requested (re-broadcast after a transaction)
-	stopReq     bool // Stop was requested (applied after a transaction)
-	rebalancing bool
-	finished    bool
-	deployErr   error
-	unpin       func() // releases the group's shard pins exactly once
-	now         func() time.Time
-	done        chan struct{}
+	mu sync.Mutex
+	// The lifecycle latch: Start and Stop requested, the first terminal
+	// error.
+	started, stopReq bool
+	err              error
+	// The reconfiguration window: open while one rewires the flow (Start
+	// and Stop wait for it).  gen moves on at both ends, so a watcher or a
+	// poll can tell one ran while it looked away.
+	moving bool
+	gen    uint64
+	done   chan struct{} // closed when a local deployment finishes
 }
 
-func newDeployment(name string, bus *events.Bus) *Deployment {
-	return &Deployment{
-		name: name,
-		bus:  bus,
-		//ipvet:allow wallclock controller-side Start/Stop event stamp for OnNodes; local targets override with the scheduler's virtual clock (local.go)
-		now:  time.Now,
-		done: make(chan struct{}),
+// target is what a deployment runs on.  A reconfiguration stages and
+// replans once (reconfigure.go), then hands the host the delta.
+type target interface {
+	graph() *Graph
+	// wired returns the plan, every segment's slot (shard or node) and the
+	// Typespec leaving it.
+	wired() (plan *core.GraphPlan, slotOf []int, segOut []typespec.Typespec)
+	slots() int
+	// movable reports whether segment si may move (si < 0: whether any
+	// may); live is false when its slot died under it.
+	movable(si int, live bool) error
+	apply(t *txn) error
+	rebind(rebinds []RebindTenant) error // tenant retunes need no quiesce
+	broadcast(ev events.Type)
+	external(fn func())
+	err() error  // the first failure of a pipeline
+	wait() error // until every pipeline has finished
+	stats() GraphStats
+}
+
+func newDeployment(name string, bus *events.Bus, host target) *Deployment {
+	return &Deployment{name: name, bus: bus, host: host, done: make(chan struct{})}
+}
+
+// local returns the shard host, for the verbs only it answers.
+func (d *Deployment) local() (*localDeploy, error) {
+	if ld, ok := d.host.(*localDeploy); ok {
+		return ld, nil
 	}
+	return nil, ErrNotEditable
 }
 
-// seal finishes construction (and every rebalance): it starts a watcher for
-// the current pipeline generation that finishes the deployment once every
-// pipeline has terminated — unless a rebalance superseded the generation in
-// the meantime (detached pipelines terminate too, but the deployment lives
-// on in its recomposed successors).
-func (d *Deployment) seal() {
+// nodes returns the node host, for the verbs only it answers.
+func (d *Deployment) nodes() (*remoteDeployment, error) {
+	if r, ok := d.host.(*remoteDeployment); ok {
+		return r, nil
+	}
+	return nil, ErrNotElastic
+}
+
+// open opens the reconfiguration window once check (run under mu, may be
+// nil) passes and returns the lifecycle requests so far; close closes it.
+func (d *Deployment) open(check func() error) (started, stopReq bool, err error) {
 	d.mu.Lock()
-	gen, ps := d.gen, slices.Clone(d.pipelines)
-	d.mu.Unlock()
-	go func() {
-		for _, p := range ps {
-			<-p.Done()
+	defer d.mu.Unlock()
+	if check != nil {
+		if err := check(); err != nil {
+			return false, false, err
 		}
-		d.maybeFinish(gen)
-	}()
+	}
+	d.moving = true
+	d.gen++
+	return d.started, d.stopReq, nil
 }
 
-// maybeFinish completes the deployment if the watcher's generation is still
-// current: release the shard pins (so an idle group can drain) and close
-// Done.
-func (d *Deployment) maybeFinish(gen int) {
+func (d *Deployment) close() (started, stopReq bool) {
 	d.mu.Lock()
-	if d.gen != gen || d.rebalancing || d.finished {
-		d.mu.Unlock()
-		return
+	defer d.mu.Unlock()
+	d.moving = false
+	d.gen++
+	return d.started, d.stopReq
+}
+
+// latch records err as the terminal error unless one is latched already.
+func (d *Deployment) latch(err error) {
+	d.mu.Lock()
+	if d.err == nil {
+		d.err = err
 	}
-	d.finished = true
-	unpin := d.unpin
-	d.unpin = nil
 	d.mu.Unlock()
-	if unpin != nil {
-		unpin()
-	}
-	close(d.done)
+}
+
+// fail latches err and stops the graph.
+func (d *Deployment) fail(err error) {
+	d.latch(err)
+	d.host.broadcast(events.Stop)
+}
+
+func (d *Deployment) failure() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.err
 }
 
 // Name returns the deployment name (the graph name).
 func (d *Deployment) Name() string { return d.name }
 
-// Bus returns the shared event bus of the deployment.
+// Bus returns the shared event bus of the deployment (nil on remote nodes,
+// whose buses are their own).
 func (d *Deployment) Bus() *events.Bus { return d.bus }
 
 // Pipelines lists every composed pipeline, relays included, in composition
-// order.
+// order (local targets).
 func (d *Deployment) Pipelines() []*core.Pipeline {
+	ld, err := d.local()
+	if err != nil {
+		return nil
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return slices.Clone(d.pipelines)
+	return slices.Clone(ld.pipelines)
 }
 
 // Segment returns the pipeline composed for the named segment (the
 // segment's diagnostic name, "first>>last").  Relay pipelines are not
-// segments.  After a rebalance the handle refers to the recomposed
-// pipeline.
+// segments, and remote segments have no local pipeline.  After a rebalance
+// the handle refers to the recomposed pipeline.
 func (d *Deployment) Segment(name string) (*core.Pipeline, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.ld == nil || d.ld.segment(name) < 0 {
+	ld, err := d.local()
+	if err != nil {
 		return nil, false
 	}
-	p, ok := d.ld.pipes[d.name+"/"+name]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if segmentIndex(ld.plan, name) < 0 {
+		return nil, false
+	}
+	p, ok := ld.pipes[d.name+"/"+name]
 	return p, ok
 }
 
 // SegmentPlacements reports where each segment currently runs: segment name
-// (as accepted by Rebalance and Replace) to shard index — or node index for
-// remote deployments.  All zero on a single-scheduler target.
+// (as accepted by Rebalance) to shard index — or node index for remote
+// deployments.  All zero on a single-scheduler target.
 func (d *Deployment) SegmentPlacements() map[string]int {
-	out := make(map[string]int)
-	if d.remote != nil {
-		d.remote.mu.Lock()
-		defer d.remote.mu.Unlock()
-		for i, seg := range d.remote.plan.Segments {
-			out[seg.Name()] = d.remote.slotOf[i]
-		}
-		return out
-	}
-	if d.ld == nil {
-		return out
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for i, seg := range d.ld.plan.Segments {
-		out[seg.Name()] = d.ld.slotOf[i]
+	plan, slotOf, _ := d.host.wired()
+	out := make(map[string]int, len(plan.Segments))
+	for i, seg := range plan.Segments {
+		out[seg.Name()] = slotOf[i]
 	}
 	return out
 }
 
-// Links lists the auto-inserted shard links (local deployments).
+// Links lists the auto-inserted shard links (local targets).
 func (d *Deployment) Links() []*shard.Link {
+	ld, err := d.local()
+	if err != nil {
+		return nil
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return slices.Clone(d.links)
-}
-
-// broadcast publishes a control event on the deployment's bus, stamped with
-// the deployment clock.
-func (d *Deployment) broadcast(t events.Type) {
-	d.bus.Broadcast(events.Event{Type: t, Time: d.now(), Origin: d.name})
+	return slices.Clone(ld.shardLinks)
 }
 
 // External runs fn as one action of an external actor on the deployment's
-// group (shard.Group.External): the group's virtual clock stands still
-// until fn returns, so whatever fn reads and posts happens at one instant.
-// Everything in this package that posts into a running deployment from the
-// caller's goroutine goes through here; so should a controller loop that
-// reads Stats and then acts on them.  Targets without a group clock —
-// one scheduler, remote nodes, a real-clock group — just run fn.
-func (d *Deployment) External(fn func()) {
-	if d.ld == nil || d.ld.group == nil {
-		fn()
-		return
-	}
-	d.ld.group.External(fn)
-}
+// group (shard.Group.External): the group clock stands still until fn
+// returns, so whatever fn reads and posts happens at one instant — use it
+// for a controller loop that reads Stats and then acts.  Targets without a
+// group clock just run fn.
+func (d *Deployment) External(fn func()) { d.host.external(fn) }
 
-// Start broadcasts the start event once on the shared bus: every pump in
-// every segment reacts, exactly like Pipeline.Start on a linear pipeline.
-// During a rebalance the start is deferred until the recomposed pipelines
-// are in place.
-func (d *Deployment) Start() {
-	if d.remote != nil {
-		d.remote.start()
-		return
-	}
-	d.mu.Lock()
-	d.started = true
-	rb := d.rebalancing
-	d.mu.Unlock()
-	if rb {
-		return
-	}
-	d.External(func() { d.broadcast(events.Start) })
-}
+// Start broadcasts the start event once to every pipeline, exactly like
+// Pipeline.Start on a linear pipeline.  During a reconfiguration it waits
+// until the rewired pipelines are in place.
+func (d *Deployment) Start() { d.request(events.Start) }
 
-// Stop broadcasts the stop event to the whole deployment.  A Stop that
-// races a Rebalance is applied as soon as the rebalance completes.
-func (d *Deployment) Stop() {
-	if d.remote != nil {
-		d.remote.stop()
-		return
-	}
+// Stop broadcasts the stop event to the whole deployment; during a
+// reconfiguration, once it completes.
+func (d *Deployment) Stop() { d.request(events.Stop) }
+
+// request records a lifecycle request and broadcasts it unless the
+// reconfiguration window is open: its end broadcasts it then.
+func (d *Deployment) request(ev events.Type) {
 	d.mu.Lock()
-	d.stopReq = true
-	rb := d.rebalancing
-	d.mu.Unlock()
-	if rb {
-		return
+	if ev == events.Start {
+		d.started = true
+	} else {
+		d.stopReq = true
 	}
-	d.External(func() { d.broadcast(events.Stop) })
+	moving := d.moving
+	d.mu.Unlock()
+	if !moving {
+		d.host.broadcast(ev)
+	}
 }
 
 // Done is closed when every pipeline of the deployment has terminated.
@@ -214,31 +221,18 @@ func (d *Deployment) Done() <-chan struct{} { return d.done }
 
 // Err reports the first failure of any pipeline in the deployment.
 func (d *Deployment) Err() error {
-	if d.remote != nil {
-		return d.remote.err()
-	}
-	d.mu.Lock()
-	if err := d.deployErr; err != nil {
-		d.mu.Unlock()
+	if err := d.failure(); err != nil {
 		return err
 	}
-	ps := slices.Clone(d.pipelines)
-	d.mu.Unlock()
-	for _, p := range ps {
-		if err := p.Err(); err != nil {
-			return fmt.Errorf("%s: %w", p.Name(), err)
-		}
-	}
-	return nil
+	return d.host.err()
 }
 
 // Wait blocks until the deployment has finished and reports the first
 // failure.  The caller still drives the scheduler(s): run the scheduler or
 // group the graph was deployed on.
-func (d *Deployment) Wait() error {
-	if d.remote != nil {
-		return d.remote.wait()
-	}
-	<-d.done
-	return d.Err()
-}
+func (d *Deployment) Wait() error { return d.host.wait() }
+
+// Stats assembles the deployment's live telemetry, at any time (during a
+// reconfiguration it shows the generation being replaced).  Remote
+// deployments fold their nodes' answers into the same shape.
+func (d *Deployment) Stats() GraphStats { return d.host.stats() }

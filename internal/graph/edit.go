@@ -13,22 +13,16 @@ import (
 // This file implements Deployment.Edit: live graph surgery.  The paper's
 // thesis — flow structure and placement are policy, not code — extends to
 // the time axis here: a subscriber joining a split, a filter spliced into an
-// edge, a stage implementation swapped, or a tenant's share retuned are all
-// runtime operations on a deployed graph.  Each op type stages its delta
-// into the reconfiguration transaction (reconfigure.go), which applies the
-// batch at one pump-cycle boundary and rolls it back without touching the
-// running flow when validation fails.
-//
-// Determinism contract: an edit quiesces the deployment at a pump-cycle
-// boundary on the frozen virtual clock, so branches the edit does not touch
-// resume exactly where they left off — their item traces are byte-identical
-// to an unedited run (the randomized harness asserts this across 1-, 2- and
-// 4-shard targets).
+// edge, a stage swapped or a tenant retuned are runtime operations, each
+// staged into the reconfiguration transaction (reconfigure.go).  Branches
+// an edit does not touch resume exactly where they left off on the frozen
+// virtual clock: their traces are byte-identical to an unedited run.
 
 // Edit errors.
 var (
-	// ErrNotEditable marks structural edit ops against a target that cannot
-	// apply them: remote deployments support RebindTenant only for now.
+	// ErrNotEditable marks structural edit ops, and the replica knobs,
+	// against a target that cannot apply them: remote deployments support
+	// RebindTenant only for now.
 	ErrNotEditable = errors.New("graph: deployment target cannot apply structural edits (remote targets support RebindTenant only)")
 	// ErrNoTenant marks a RebindTenant against a tenant-less deployment.
 	ErrNoTenant = errors.New("graph: deployment has no tenant to rebind")
@@ -60,19 +54,23 @@ type AttachBranch struct {
 }
 
 func (op AttachBranch) stage(t *txn) error {
-	g := t.ld.g
+	ld, err := t.d.local()
+	if err != nil {
+		return err
+	}
+	g := t.g
 	n, ok := g.index[op.Split]
 	if !ok || n.kind != nSplit {
 		return t.errf("AttachBranch target %q is not a split", op.Split)
 	}
-	if _, ok := t.ld.splits[op.Split].(outAdder); !ok {
+	if _, ok := ld.splits[op.Split].(outAdder); !ok {
 		return t.errf("split %q does not support live port surgery", op.Split)
 	}
 	if len(op.Stages) == 0 {
 		return t.errf("AttachBranch on %q with no stages", op.Split)
 	}
-	if op.Place < -1 || op.Place >= t.ld.shards() {
-		return t.errf("AttachBranch on %q placed on shard %d, target has %d", op.Split, op.Place, t.ld.shards())
+	if op.Place < -1 || op.Place >= ld.slots() {
+		return t.errf("AttachBranch on %q placed on shard %d, target has %d", op.Split, op.Place, ld.slots())
 	}
 	port := n.outs
 	prev, prevPort := op.Split, port
@@ -105,7 +103,11 @@ type DetachBranch struct {
 }
 
 func (op DetachBranch) stage(t *txn) error {
-	ld, g := t.ld, t.ld.g
+	ld, err := t.d.local()
+	if err != nil {
+		return err
+	}
+	g := t.g
 	n, ok := g.index[op.Split]
 	if !ok || n.kind != nSplit {
 		return t.errf("DetachBranch target %q is not a split", op.Split)
@@ -169,7 +171,10 @@ type InsertStage struct {
 }
 
 func (op InsertStage) stage(t *txn) error {
-	g := t.ld.g
+	if _, err := t.d.local(); err != nil {
+		return err
+	}
+	g := t.g
 	for _, ref := range []string{op.From, op.To} {
 		if n, ok := g.index[ref]; !ok || n.kind != nStage {
 			return t.errf("InsertStage endpoint %q is not a plain stage", ref)
@@ -215,12 +220,15 @@ type SwapStage struct {
 }
 
 func (op SwapStage) stage(t *txn) error {
-	g := t.ld.g
-	n, ok := g.index[op.Node]
+	ld, err := t.d.local()
+	if err != nil {
+		return err
+	}
+	n, ok := t.g.index[op.Node]
 	if !ok || n.kind != nStage {
 		return t.errf("SwapStage target %q is not a plain stage", op.Node)
 	}
-	cur, ok := t.ld.stages[op.Node]
+	cur, ok := ld.stages[op.Node]
 	if !ok {
 		return t.errf("stage %q has no live instance", op.Node)
 	}
@@ -236,7 +244,7 @@ func (op SwapStage) stage(t *txn) error {
 		return t.errf("replacement for %q changes the stage flavor (pump vs component)", op.Node)
 	}
 	if rn := op.Stage.Name(); rn != op.Node {
-		if _, dup := g.index[rn]; dup {
+		if _, dup := t.g.index[rn]; dup {
 			return t.errf("replacement name %q collides with another node", rn)
 		}
 	}
@@ -251,7 +259,7 @@ func (op SwapStage) stage(t *txn) error {
 // scheduler credit classes (observable in work shares within one pump
 // batch), rate/burst reload every admission gate on its next item, and
 // priority applies to pipelines composed after the change.  RebindTenant
-// needs no quiesce and is the only op remote deployments accept.
+// needs no quiesce and is the only edit op remote deployments accept.
 type RebindTenant struct {
 	// Weight is the new weighted-fair share; 0 keeps the current weight.
 	Weight int
@@ -292,49 +300,24 @@ func rebind(t *qos.Tenant, rebinds []RebindTenant) {
 type outAdder interface{ AddOut() int }
 type outDetacher interface{ DetachOut(int) error }
 
-// Edit applies a batch of live-edit operations to the running deployment as
-// one transaction: every op is validated against the current graph first —
-// a rejected batch leaves the flow untouched — then the deployment quiesces
-// at a pump-cycle boundary, the graph is re-planned, and the touched
-// pipelines are recomposed while unchanged branches resume exactly where
-// they left off.  RebindTenant ops need no quiesce: a batch of nothing else
-// applies immediately, and beside structural ops they apply as the flow
-// resumes.
-//
-// Failures after the quiesce point (a composition the planner could not
-// foresee) wind the deployment down like a failed deploy: the error is
-// preserved through Err/Wait and no item loss is silently papered over.
-func (d *Deployment) Edit(ops ...EditOp) error {
-	var rebinds []RebindTenant
-	for _, op := range ops {
-		if rb, ok := op.(RebindTenant); ok {
-			rebinds = append(rebinds, rb)
-		}
-	}
-	structural := len(rebinds) < len(ops)
-	if d.remote != nil {
-		if structural {
-			return ErrNotEditable
-		}
-		return d.remote.rebindTenant(rebinds)
-	}
-	if d.ld == nil {
-		return ErrNotEditable
-	}
-	if !structural {
-		var err error
-		d.External(func() { err = d.ld.applyRebinds(rebinds) })
-		return err
-	}
-	if len(rebinds) > 0 && d.ld.tenant == nil {
-		return ErrNoTenant
-	}
-	return d.reconfigure("edit", ops)
+// Edit applies a batch of live-edit operations as one transaction: every
+// op is validated first — a rejected batch leaves the flow untouched — then
+// the deployment quiesces at a pump-cycle boundary, is re-planned, and the
+// touched pipelines recompose.  RebindTenant ops need no quiesce: alone they
+// apply at once, beside structural ops as the flow resumes.  Structural ops
+// refuse remote deployments with ErrNotEditable.  A failure after the
+// quiesce (a composition the planner could not foresee) winds the
+// deployment down and is preserved through Err/Wait.
+func (d *Deployment) Edit(ops ...EditOp) error { return d.reconfigure("edit", ops) }
+
+func (ld *localDeploy) rebind(rebinds []RebindTenant) error {
+	var err error
+	ld.external(func() { err = ld.applyRebinds(rebinds) })
+	return err
 }
 
-// applyRebinds applies tenant retunes to the local deployment: the tenant's
-// policy fields first (so stats and later deploys agree), then the live
-// per-shard credit classes.
+// applyRebinds retunes the tenant's policy fields (so stats and later
+// deploys agree), then the live per-shard credit classes.
 func (ld *localDeploy) applyRebinds(rebinds []RebindTenant) error {
 	if len(rebinds) == 0 {
 		return nil
@@ -370,13 +353,10 @@ type detachRec struct {
 }
 
 // drainDetached composes the leaving branches of DetachBranch ops: the
-// tombstoned port's buffer was closed upstream, so the recomposed branch
-// (and its boundary relay, if the branch was linked) drains every in-flight
-// item into its sink and ends with a clean end of stream.  Drain pipelines
-// are off-plan, so redeploy drops them from the books: ld.draining carries
-// them across transactions, and they are recomposed here until they reach
-// end of stream — or a branch mid-drain would be stranded with items in
-// flight and a boundary link that never closes.
+// tombstoned port's buffer was closed upstream, so the branch (and its
+// relay, if linked) drains every in-flight item into its sink and ends
+// cleanly.  Drain pipelines are off-plan: ld.draining carries them across
+// transactions, which recompose them here until they reach end of stream.
 func (ld *localDeploy) drainDetached(detaches []*detachRec) error {
 	for _, dr := range detaches {
 		ld.draining[dr.segName] = dr

@@ -32,12 +32,15 @@ func DescheduleControllers() (restore func()) {
 func (d *Deployment) Quiescing() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.rebalancing
+	return d.moving
 }
 
 // ReplaceWindow holds the deployment's replace window open, as a move does
 // while it rewires pipes, until the returned func is called.
-func (d *Deployment) ReplaceWindow() (done func()) { return d.remote.replaceWindow() }
+func (d *Deployment) ReplaceWindow() (done func()) {
+	_, _, _ = d.open(nil)
+	return func() { d.close() }
+}
 
 // Rendered returns what the remote engine's one renderer makes of every
 // pipeline of the deployment right now, by pipeline name: the segments, and
@@ -45,7 +48,7 @@ func (d *Deployment) ReplaceWindow() (done func()) { return d.remote.replaceWind
 func (d *Deployment) Rendered() map[string][]remote.StageSpec {
 	d.rbMu.Lock()
 	defer d.rbMu.Unlock()
-	r := d.remote
+	r, _ := d.nodes()
 	out := make(map[string][]remote.StageSpec)
 	for si, seg := range r.plan.Segments {
 		out[r.name+"/"+seg.Name()], _ = r.segmentParts(si)

@@ -47,24 +47,20 @@ func (t *SchedulerTarget) WithTenant(tn *qos.Tenant) *SchedulerTarget {
 }
 
 func (t *SchedulerTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error) {
-	ld := &localDeploy{
-		g: g, bus: t.Bus, depth: t.LinkDepth,
+	ld := &localDeploy{bus: t.Bus, depth: t.LinkDepth,
 		schedOf: func(int) *uthread.Scheduler { return t.Sched },
 		tenant:  t.Tenant,
 	}
-	return ld.run(plan, make([]int, len(plan.Segments)))
+	return ld.run(g, plan, make([]int, len(plan.Segments)))
 }
 
 // GroupTarget deploys onto a SchedulerGroup: the planner places each
 // segment on a shard (honoring Place hints; unhinted segments stay with
 // their tee-adjacent neighbours, and free-standing ones follow the group's
 // placement policy) and joins segments that land on different shards with
-// auto-inserted shard links plus relay pipelines at tee boundaries.
-//
-// Group deployments are rebalancable: Deployment.Rebalance re-places
-// segments on the live group mid-stream (the deployment pins every shard
-// with an external-source reference until it finishes, so shards stay
-// available as migration targets even while empty).
+// auto-inserted shard links plus relay pipelines at tee boundaries.  The
+// deployment pins every shard until it finishes, so Rebalance can move a
+// segment onto an empty one.
 type GroupTarget struct {
 	Group *shard.Group
 	// Bus is the shared event service (nil for a deployment-private bus).
@@ -110,27 +106,24 @@ func (t *GroupTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 	if err != nil {
 		return nil, err
 	}
-	ld := &localDeploy{
-		g: g, bus: t.Bus, depth: t.LinkDepth,
+	ld := &localDeploy{bus: t.Bus, depth: t.LinkDepth,
 		group:   t.Group,
 		schedOf: t.Group.Scheduler,
 		placeAt: t.Group.PlaceAt,
 		release: t.Group.Release,
 		tenant:  t.Tenant,
 	}
-	d, err := ld.run(plan, shardOf)
+	d, err := ld.run(g, plan, shardOf)
 	if err != nil {
 		return nil, err
 	}
-	// Pin every shard for the deployment's lifetime: an empty shard's Run
-	// would otherwise return (no threads, no external sources) and a later
-	// Rebalance could never migrate a segment onto it.  Released in
-	// maybeFinish.
+	// Pin every shard while the deployment lives, or an empty one's Run
+	// returns before a Rebalance can use it.  Released in maybeFinish.
 	n := t.Group.Shards()
 	for i := 0; i < n; i++ {
 		t.Group.Scheduler(i).AddExternalSource()
 	}
-	d.unpin = func() {
+	ld.unpin = func() {
 		for i := 0; i < n; i++ {
 			t.Group.Scheduler(i).ReleaseExternalSource()
 		}
@@ -144,15 +137,16 @@ func (t *GroupTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 // and links, whose queues carry the in-flight items across.
 type localDeploy struct {
 	wiring[core.Stage, *shard.Link]
-	g       *Graph
 	bus     *events.Bus
 	depth   int
 	group   *shard.Group // nil on a single scheduler
 	schedOf func(i int) *uthread.Scheduler
 	// placeAt/release are the group's load accounting, nil on a single
-	// scheduler; every composed pipeline (relays included) counts.
+	// scheduler; every composed pipeline (relays included) counts.  failed
+	// closes when the deploy fails: its pipelines never run.
 	placeAt func(i int)
 	release func(i int)
+	failed  chan struct{}
 	// tenant is the deployment's QoS binding (nil = default tenant); classes
 	// holds its weighted-fair class on every shard (see run).
 	tenant  *qos.Tenant
@@ -162,7 +156,12 @@ type localDeploy struct {
 	splits map[string]core.SplitPoint
 	merges map[string]core.MergePoint
 
-	d *Deployment
+	// Under d.mu: the current generation's pipelines, the links in creation
+	// order, and the end of the deployment (unpin runs exactly once).
+	pipelines  []*core.Pipeline
+	shardLinks []*shard.Link
+	finished   bool
+	unpin      func()
 	// pipes holds the pipeline last composed under each name — segments,
 	// relays, drains — so a recomposition can keep one whose stream ended
 	// and fold the counters of one it replaces.
@@ -171,9 +170,7 @@ type localDeploy struct {
 	// (telemetry attribution).
 	shardByPipe map[*core.Pipeline]int
 	// draining records detached branches still draining their tombstoned
-	// tee ports, keyed by retired segment name: they are off-plan, so
-	// drainDetached recomposes them after every edit until they reach end of
-	// stream (see drainDetached).
+	// tee ports, by retired segment name (see drainDetached).
 	draining map[string]*detachRec
 }
 
@@ -202,73 +199,155 @@ func (ld *localDeploy) forget(name string) {
 	}
 }
 
-func (ld *localDeploy) run(plan *core.GraphPlan, shardOf []int) (*Deployment, error) {
-	g := ld.g
+func (ld *localDeploy) run(g *Graph, plan *core.GraphPlan, shardOf []int) (*Deployment, error) {
 	var err error
 	ld.stages, ld.splits, ld.merges, err = g.materialize()
 	if err != nil {
 		return nil, err
 	}
-	// The §2.3 event-capability check runs graph-wide: an event emitted in
-	// one segment may well be handled in another (that is what the shared
-	// bus is for), so the per-pipeline check is skipped below.
-	all := make([]core.Stage, 0, len(ld.stages))
-	for _, n := range g.nodes {
-		if n.kind == nStage {
-			all = append(all, ld.stages[n.name])
-		}
-	}
-	if err := core.CheckEventCapabilities(all); err != nil {
+	if err := ld.checkEvents(g, nil); err != nil {
 		return nil, fmt.Errorf("graph %q: %w", g.name, err)
 	}
 
 	if ld.bus == nil {
 		ld.bus = &events.Bus{}
 	}
-	ld.d = newDeployment(g.name, ld.bus)
-	ld.d.ld = ld
-	ld.d.now = ld.schedOf(0).Now
-	ld.setup(ld, g.name, plan, shardOf)
+	d := newDeployment(g.name, ld.bus, ld)
+	ld.setup(ld, d, g, plan, shardOf)
 	ld.pipes = make(map[string]*core.Pipeline)
 	ld.draining = make(map[string]*detachRec)
 	ld.shardByPipe = make(map[*core.Pipeline]int)
+	ld.failed = make(chan struct{})
 	if ld.tenant != nil {
 		// One weighted-fair class per (tenant, shard): a class binds to one
 		// scheduler, and per-shard classes keep a tenant's trace on one shard
 		// independent of its siblings.  Built for every shard up front, so a
 		// rebalance never mutates the map Stats reads.
-		ld.classes = make(map[int]*uthread.SchedClass, ld.shards())
-		for i := 0; i < ld.shards(); i++ {
+		ld.classes = make(map[int]*uthread.SchedClass, ld.slots())
+		for i := 0; i < ld.slots(); i++ {
 			ld.classes[i] = uthread.NewSchedClass(ld.tenant.Name(), ld.tenant.Weight())
 		}
 	}
 
 	for _, si := range plan.Order {
 		if err := ld.place(si); err != nil {
-			ld.d.abandon()
+			ld.abandon()
+			close(ld.failed)
 			return nil, err
 		}
 	}
-	ld.d.seal()
-	return ld.d, nil
+	ld.seal()
+	return d, nil
 }
 
-// shards reports the target's placement width.
-func (ld *localDeploy) shards() int {
+// checkEvents runs the §2.3 event-capability check graph-wide over the
+// declared stages, fresh instances first: an event emitted in one segment
+// may well be handled in another (that is what the shared bus is for), so
+// compose skips the per-pipeline check.
+func (ld *localDeploy) checkEvents(g *Graph, fresh map[string]core.Stage) error {
+	var all []core.Stage
+	for _, n := range g.nodes {
+		if st, ok := fresh[n.name]; ok {
+			all = append(all, st)
+		} else if n.kind == nStage {
+			all = append(all, ld.stages[n.name])
+		}
+	}
+	return core.CheckEventCapabilities(all)
+}
+
+// seal starts a watcher that finishes the deployment once every pipeline
+// of the current generation has terminated — unless a reconfiguration
+// superseded the generation meanwhile (its detached pipelines terminate
+// too).
+func (ld *localDeploy) seal() {
+	d := ld.d
+	d.mu.Lock()
+	gen, ps := d.gen, slices.Clone(ld.pipelines)
+	d.mu.Unlock()
+	go func() {
+		for _, p := range ps {
+			<-p.Done()
+		}
+		ld.maybeFinish(gen)
+	}()
+}
+
+// maybeFinish completes the deployment if generation gen is still current:
+// it releases the shard pins (so an idle group can drain) and closes Done.
+func (ld *localDeploy) maybeFinish(gen uint64) {
+	d := ld.d
+	d.mu.Lock()
+	if d.gen != gen || d.moving || ld.finished {
+		d.mu.Unlock()
+		return
+	}
+	ld.finished = true
+	unpin := ld.unpin
+	ld.unpin = nil
+	d.mu.Unlock()
+	if unpin != nil {
+		unpin()
+	}
+	close(d.done)
+}
+
+// slots reports the target's placement width.
+func (ld *localDeploy) slots() int {
 	if ld.group == nil {
 		return 1
 	}
 	return ld.group.Shards()
 }
 
-// redeploy recomposes the graph for the plan and placement a transaction
-// just committed; every pipeline of the previous generation is already
-// detached.  Stages, tees and links are reused — their buffered state
-// carries the stream across — and segments whose stream already ended are
-// kept as-is instead of being recomposed.
+// movable lets any segment of a group move; a single scheduler has nowhere
+// to move one, and a shard does not die.
+func (ld *localDeploy) movable(_ int, live bool) error {
+	if ld.group == nil || !live {
+		return ErrNotRebalancable
+	}
+	return nil
+}
+
+func (ld *localDeploy) external(fn func()) {
+	if ld.group == nil {
+		fn()
+		return
+	}
+	ld.group.External(fn)
+}
+
+// emit publishes a control event on the deployment's bus, stamped with the
+// scheduler clock.
+func (ld *localDeploy) emit(ev events.Type) {
+	ld.bus.Broadcast(events.Event{Type: ev, Time: ld.schedOf(0).Now(), Origin: ld.name})
+}
+
+func (ld *localDeploy) broadcast(ev events.Type) { ld.external(func() { ld.emit(ev) }) }
+
+func (ld *localDeploy) err() error {
+	ld.d.mu.Lock()
+	ps := slices.Clone(ld.pipelines)
+	ld.d.mu.Unlock()
+	for _, p := range ps {
+		if err := p.Err(); err != nil {
+			return fmt.Errorf("%s: %w", p.Name(), err)
+		}
+	}
+	return nil
+}
+
+func (ld *localDeploy) wait() error {
+	<-ld.d.done
+	return ld.d.Err()
+}
+
+// redeploy recomposes the graph for the plan a transaction just committed,
+// over the same stages, tees and links (their buffered state carries the
+// stream across); segments whose stream already ended are kept as they are.
 func (ld *localDeploy) redeploy() error {
 	ld.d.mu.Lock()
-	ld.d.pipelines = nil
+	ld.pipelines = nil
 	ld.d.mu.Unlock()
 	for _, si := range ld.plan.Order {
 		if p := ld.pipes[ld.name+"/"+ld.plan.Segments[si].Name()]; p != nil && p.ReachedEOS() {
@@ -285,10 +364,9 @@ func (ld *localDeploy) redeploy() error {
 }
 
 // keep re-registers a finished segment pipeline in the new generation
-// without placing it again: recomposing it would replay end-of-stream into
-// its tail.  Its split-head relay has necessarily finished too, but a
-// merge-tail relay sits DOWNSTREAM and may still be draining the link into
-// the merge, so it is recomposed on the merge's (possibly new) shard.
+// without placing it again (that would replay end-of-stream into its tail).
+// Its split-head relay has finished too, but a merge-tail relay may still
+// be draining the link into the merge: it recomposes on the merge's shard.
 func (ld *localDeploy) keep(si int, p *core.Pipeline) error {
 	seg := ld.plan.Segments[si]
 	ld.register(p)
@@ -310,13 +388,12 @@ func (ld *localDeploy) keep(si int, p *core.Pipeline) error {
 // register puts a pipeline on the current generation's books.
 func (ld *localDeploy) register(p *core.Pipeline) {
 	ld.d.mu.Lock()
-	ld.d.pipelines = append(ld.d.pipelines, p)
+	ld.pipelines = append(ld.pipelines, p)
 	ld.d.mu.Unlock()
 }
 
 // link binds a shard link delivering to segment to's shard, or retargets a
-// bound one there (its queued items stay put).  A reconfiguration calls it
-// while everything is parked, so no thread waits on the link.
+// bound one there while everything is parked (its queued items stay put).
 func (ld *localDeploy) link(lane string, l *shard.Link, _, to int) (*shard.Link, error) {
 	sched := ld.schedOf(ld.slotOf[to])
 	if l != nil {
@@ -325,7 +402,7 @@ func (ld *localDeploy) link(lane string, l *shard.Link, _, to int) (*shard.Link,
 	}
 	l = shard.NewLink(lane, sched, ld.depth)
 	ld.d.mu.Lock()
-	ld.d.links = append(ld.d.links, l)
+	ld.shardLinks = append(ld.shardLinks, l)
 	ld.d.mu.Unlock()
 	return l, nil
 }
@@ -353,9 +430,8 @@ func (ld *localDeploy) tee(e core.SegmentEnd) core.Stage {
 
 func (ld *localDeploy) stage(name string) core.Stage { return ld.stages[name] }
 
-// pump builds a boundary relay's pump: free-running at the tenant's
-// priority, so a lane relay stops flattening the flow's priority to normal —
-// a tenant's effective priority crosses the boundary with its items.
+// pump builds a boundary relay's pump, free-running at the tenant's
+// priority: the tenant's priority crosses the boundary with its items.
 func (ld *localDeploy) pump(lane string) core.Stage {
 	prio := uthread.PriorityNormal
 	if ld.tenant != nil {
@@ -364,22 +440,20 @@ func (ld *localDeploy) pump(lane string) core.Stage {
 	return core.Pmp(pipes.NewFreePumpPrio(lane+"/pump", prio))
 }
 
-// runs reports whether pipeline name is on the current generation's books
-// on the given shard.
+// runs reports whether pipeline name runs on the shard in this generation.
 func (ld *localDeploy) runs(name string, shardIdx int) bool {
 	ld.d.mu.Lock()
 	defer ld.d.mu.Unlock()
-	return slices.ContainsFunc(ld.d.pipelines, func(p *core.Pipeline) bool {
+	return slices.ContainsFunc(ld.pipelines, func(p *core.Pipeline) bool {
 		sh, live := ld.shardByPipe[p]
 		return live && sh == shardIdx && p.Name() == name
 	})
 }
 
-// compose builds one pipeline of the deployment on the given shard, under
-// the tenant's class there (none for the default tenant).  A previous
-// generation's pipeline of the same name is kept when its stream ended
-// (recomposing it would replay end-of-stream) and folded into the ledger
-// otherwise.
+// compose builds one pipeline on the given shard, under the tenant's class
+// there.  A previous generation's pipeline of the same name is kept when
+// its stream ended (recomposing would replay end-of-stream) and folded into
+// the ledger otherwise.
 func (ld *localDeploy) compose(name string, shardIdx, _ int, stages []core.Stage, seed typespec.Typespec, admit bool) ([]typespec.Typespec, error) {
 	if old := ld.pipes[name]; old != nil {
 		if old.ReachedEOS() {
@@ -398,10 +472,10 @@ func (ld *localDeploy) compose(name string, shardIdx, _ int, stages []core.Stage
 		core.SkipEventCapabilityCheck(), core.WithInputSpec(seed),
 		core.WithSchedClass(ld.classes[shardIdx]))
 	if err != nil {
-		return nil, fmt.Errorf("graph %q: %w", ld.g.name, err)
+		return nil, fmt.Errorf("graph %q: %w", ld.name, err)
 	}
 	ld.d.mu.Lock()
-	ld.d.pipelines = append(ld.d.pipelines, p)
+	ld.pipelines = append(ld.pipelines, p)
 	ld.shardByPipe[p] = shardIdx
 	ld.pipes[name] = p
 	ld.d.mu.Unlock()
@@ -420,7 +494,10 @@ func (ld *localDeploy) compose(name string, shardIdx, _ int, stages []core.Stage
 		idx := shardIdx
 		ld.placeAt(idx)
 		go func() {
-			<-p.Done()
+			select {
+			case <-p.Done():
+			case <-ld.failed:
+			}
 			ld.release(idx)
 		}()
 	}
@@ -432,10 +509,9 @@ func (ld *localDeploy) compose(name string, shardIdx, _ int, stages []core.Stage
 }
 
 // stats assembles the deployment's live rows: segments in plan order, then
-// the other pipelines of the generation (relays, drains).  A pipeline absent
-// from shardByPipe has been folded by an in-flight rebalance but not yet
-// replaced: its counters already live in the ledger, so adding its live
-// reading again would double-count the snapshot.
+// the generation's other pipelines (relays, drains).  One absent from
+// shardByPipe was folded by an in-flight reconfiguration: its counters live
+// in the ledger already.
 func (ld *localDeploy) stats() GraphStats {
 	d := ld.d
 	d.mu.Lock()
@@ -449,14 +525,14 @@ func (ld *localDeploy) stats() GraphStats {
 		return r
 	}
 	var rows []pipeRow
-	seen := make(map[*core.Pipeline]bool, len(d.pipelines))
+	seen := make(map[*core.Pipeline]bool, len(ld.pipelines))
 	for i, seg := range ld.plan.Segments {
 		if p := ld.pipes[ld.name+"/"+seg.Name()]; p != nil {
 			seen[p] = true
 			rows = append(rows, row(p, i, ld.slotOf[i]))
 		}
 	}
-	for _, p := range d.pipelines {
+	for _, p := range ld.pipelines {
 		if !seen[p] {
 			seen[p] = true
 			rows = append(rows, row(p, -1, ld.shardByPipe[p]))
@@ -465,7 +541,7 @@ func (ld *localDeploy) stats() GraphStats {
 	var tenantRows []remote.TenantStat
 	if t := ld.tenant; t != nil {
 		tenantRows = append(tenantRows, remote.TenantStat{Admitted: t.Admitted(), Sheds: t.Sheds()})
-		for sh := range ld.shards() {
+		for sh := range ld.slots() {
 			c := ld.classes[sh]
 			tr := remote.TenantStat{Granted: c.Granted(), SchedCycles: ld.schedOf(sh).Stats().Cycles}
 			if debt := c.VTime() - ld.schedOf(sh).FairNow(); debt > 0 {
@@ -474,8 +550,8 @@ func (ld *localDeploy) stats() GraphStats {
 			tenantRows = append(tenantRows, tr)
 		}
 	}
-	st := ld.fold(rows, ld.shards(), ld.tenant, tenantRows)
-	for _, l := range d.links {
+	st := ld.fold(rows, ld.slots(), ld.tenant, tenantRows)
+	for _, l := range ld.shardLinks {
 		st.Links = append(st.Links, LinkStats{
 			Name: l.Name(), Depth: l.Depth(), HighWater: l.HighWater(),
 			Moved: l.Moved(), Drains: l.Drains(), Wakes: l.Wakes(),

@@ -9,25 +9,22 @@ import (
 	"infopipes/internal/remote"
 )
 
-// This file implements elastic membership at the deployment level: a running
-// OnNodes deployment's node set can GROW (AddNode) and nodes can be RETIRED
-// (MarkNodeGone, once a drain moved everything off).  Node indices are
-// stable: joins append, leaves tombstone, nothing ever renumbers — the same
-// invariant the control Directory keeps, so their indices stay aligned.
-// The cluster-level choreography lives in internal/elastic.
+// This file holds the verbs only the node host answers: elastic membership
+// (AddNode, MarkNodeGone once a drain moved everything off; indices are
+// stable — joins append, leaves tombstone, as in the control Directory) and
+// supervision (Supervise, Fail, Finished serve internal/control).
 
-// ErrNotElastic marks membership ops against a non-remote deployment: only
+// ErrNotElastic marks node-only verbs against a local deployment: only
 // OnNodes targets have a node set to grow or shrink.
 var ErrNotElastic = errors.New("graph: deployment target has no cluster node set (deploy with OnNodes)")
 
 // AddNode extends a running remote deployment's node set with a freshly
-// joined node's control client and returns its node index.  The node hosts
-// nothing until a Replace, FailOver or balancer move places a segment there;
-// it immediately receives deployment-wide broadcasts (start/stop) and tenant
-// rebinds.  Serialized with Replace/FailOver/Edit under the same lock.
+// joined node's client and returns its node index.  The node hosts nothing
+// until a move places a segment there, but hears start, stop and rebinds.
 func (d *Deployment) AddNode(c *remote.Client) (int, error) {
-	if d.remote == nil {
-		return 0, ErrNotElastic
+	r, err := d.nodes()
+	if err != nil {
+		return 0, err
 	}
 	name, err := c.Ping()
 	if err != nil {
@@ -35,21 +32,24 @@ func (d *Deployment) AddNode(c *remote.Client) (int, error) {
 	}
 	d.rbMu.Lock()
 	defer d.rbMu.Unlock()
-	r := d.remote
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	// Copy-on-write (a clipped slice reallocates on append): published
 	// slices are never mutated, so lock-free snapshot holders (clientSnap)
 	// stay consistent.
 	r.clients = append(slices.Clip(r.clients), c)
 	r.names = append(slices.Clip(r.names), name)
 	r.gone = append(slices.Clip(r.gone), false)
-	if r.started {
+	idx := len(r.clients) - 1
+	r.mu.Unlock()
+	d.mu.Lock()
+	started := d.started
+	d.mu.Unlock()
+	if started {
 		// The deployment already broadcast its start; a late joiner must
 		// hear it too or segments placed there later never start.
-		_ = c.SendEvent(events.Event{Type: events.Start, Origin: r.name})
+		_ = c.SendEvent(events.Event{Type: events.Start, Origin: d.name})
 	}
-	return len(r.clients) - 1, nil
+	return idx, nil
 }
 
 // MarkNodeGone tombstones a node index after a drain: the deployment stops
@@ -57,12 +57,12 @@ func (d *Deployment) AddNode(c *remote.Client) (int, error) {
 // still hosts any pipeline of this deployment — leave is only safe once the
 // drain moved everything off.
 func (d *Deployment) MarkNodeGone(node int) error {
-	if d.remote == nil {
-		return ErrNotElastic
+	r, err := d.nodes()
+	if err != nil {
+		return err
 	}
 	d.rbMu.Lock()
 	defer d.rbMu.Unlock()
-	r := d.remote
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if node < 0 || node >= len(r.clients) {
@@ -79,12 +79,13 @@ func (d *Deployment) MarkNodeGone(node int) error {
 }
 
 // NodeCount reports the deployment's current node-set size (tombstoned
-// leavers included — indices are stable).
+// leavers included — indices are stable); 0 on local targets.
 func (d *Deployment) NodeCount() int {
-	if d.remote == nil {
+	r, err := d.nodes()
+	if err != nil {
 		return 0
 	}
-	clients, _ := d.remote.clientSnap()
+	clients, _ := r.clientSnap()
 	return len(clients)
 }
 
@@ -92,14 +93,65 @@ func (d *Deployment) NodeCount() int {
 // included) currently sit on the given node index — the emptiness check a
 // drain uses to prove a node is clear.
 func (d *Deployment) NodeHosts(node int) int {
-	if d.remote == nil {
+	r, err := d.nodes()
+	if err != nil {
 		return 0
 	}
 	n := 0
-	for _, p := range d.remote.pipeList() {
+	for _, p := range r.pipeList() {
 		if p.client == node {
 			n++
 		}
 	}
 	return n
+}
+
+// Supervise marks the deployment as owned by a failure supervisor: Wait and
+// Err treat an unreachable node as pending (the supervisor either heals the
+// deployment by failing its segments over, or latches a terminal error via
+// Fail) instead of failing fast.
+func (d *Deployment) Supervise() {
+	if r, err := d.nodes(); err == nil {
+		r.mu.Lock()
+		r.supervised = true
+		r.mu.Unlock()
+	}
+}
+
+// Fail latches a terminal deployment error and stops the graph: the
+// supervisor calls it when a dead node's segments cannot be placed on any
+// healthy survivor.  Wait and Err return the latched error.
+func (d *Deployment) Fail(err error) {
+	if _, nerr := d.nodes(); nerr == nil && err != nil {
+		d.fail(err)
+	}
+}
+
+// Finished reports whether the stream has provably delivered its end of
+// stream: every reachable pipeline is done AND every terminal (true-sink)
+// segment is among them.  An unreachable tail may still have journaled
+// items above it its dead node never consumed, so it reports unfinished;
+// unreachable NON-terminal pipes do not count once EOS made it through the
+// reachable tails.
+func (d *Deployment) Finished() bool {
+	r, err := d.nodes()
+	if err != nil {
+		return false
+	}
+	tails := 0
+	for _, p := range r.poll() {
+		switch {
+		case !p.seen:
+			if p.tail {
+				return false
+			}
+		case !p.row.Done:
+			return false
+		case p.tail:
+			tails++
+		}
+	}
+	// With the whole deployment unreachable (no tail answered), nothing
+	// proves the stream ended — report unfinished.
+	return tails > 0
 }

@@ -36,11 +36,9 @@ type laneListener struct {
 	addr string
 }
 
-// abort tears down what a failed deployment left behind: the composed
-// pipelines are stopped and unregistered (freeing their names for a
-// retry), shared tees are forgotten, and the lane endpoints are closed —
-// everything matched by the graph-name prefix, so other deployments on the
-// node are untouched.
+// abort tears down what a failed deployment left behind under the
+// graph-name prefix: its pipelines stop and free their names for a retry,
+// its shared tees are forgotten and its lane endpoints closed.
 func (s *nodeState) abort(prefix string) {
 	for _, name := range s.node.PipelineNames() {
 		if !strings.HasPrefix(name, prefix) {
@@ -89,14 +87,11 @@ func (s *nodeState) closeLanes(prefix string) {
 	}
 }
 
-// drop closes and forgets the TCP state of one exact lane on one side —
-// the listener, the registered sender link, or both — when a re-placement
-// moves the lane's pipeline to another node.  The sides are separate
-// because a lane's sender and listener may share a node (upstream and
-// downstream segments co-placed): dropping a moved segment's sender must
-// not tear down its stationary neighbour's listener.  Sender connections
-// close WITHOUT an EOS frame, so the peer's resumable listener parks the
-// lane for the replacement sender instead of ending the stream.
+// drop closes and forgets one side of a lane — the listener, the sender,
+// or both — when a move takes the lane's pipeline to another node.  A
+// lane's two sides may share a node, and a moved sender must not take its
+// stationary neighbour's listener along.  Senders close WITHOUT an EOS
+// frame, so the peer's resumable listener parks for the replacement.
 func (s *nodeState) drop(lane string, side remote.LaneSide) error {
 	if side < remote.BothSides || side > remote.SenderSide {
 		return fmt.Errorf("graph: drop %q: unknown lane side %d", lane, side)
@@ -151,11 +146,9 @@ func (s *nodeState) listen(lane, bind string, depth int, dcfg *netpipe.DurableCo
 }
 
 // chainAck forwards a downstream ack watermark to the inbound listener of
-// the segment whose outbound sender received it: the upstream journal then
-// covers everything not yet consumed past this segment.  The listener is
-// looked up at ack time, so compose order and re-placement don't matter; a
-// missing listener (segment moved away) makes the ack a no-op, which is
-// safe — acks are pure progress hints.
+// the segment whose outbound sender received it, so the upstream journal
+// covers everything not yet consumed past the segment.  A listener missing
+// at ack time (the segment moved away) makes it a no-op: acks are hints.
 func (s *nodeState) chainAck(lane string, origin, seq int64) {
 	s.mu.Lock()
 	l, ok := s.listeners[lane]
@@ -170,28 +163,16 @@ func (s *nodeState) chainAck(lane string, origin, seq int64) {
 func (s *nodeState) shutdown() { s.closeLanes("") }
 
 // drained reports whether a split tee and the relay lanes pumping its
-// out-ports have pushed everything they will ever push onto the wire: every
-// out-port buffer holds zero items and every named lane is connected and
-// quiescent.  The re-placement path polls it after detaching the trunk —
-// once true, every item that ever entered the tee is either consumed by a
-// branch listener or sitting in its inbox, so the tee and its relays can be
-// torn down without loss.
-//
-// The journals need NOT be empty: a self-acking branch listener's ack
-// anchor runs one pop behind consumption and acks only on a cadence, so a
-// quiescent relay journal permanently retains a delivered-but-unacked tail.
-// Those entries are safe to discard — sendDurable writes each frame to the
-// socket before returning (a failed write parks the lane, which the probe
-// rejects), a graceful close flushes the TCP send buffer, and the
-// stationary listener's dedup watermark advances at injection, so anything
-// the upstream journal replays through the rebuilt tee is absorbed.
-//
-// Relay pumps run concurrently with this probe, so a single sample could
-// catch an item in a pump's hand (popped from the buffer, not yet
-// journaled); the probe therefore samples twice with a settle delay and
-// requires both samples to see empty buffers and an unchanged monotone
-// sent-frame count on every lane — with the trunk detached no new items
-// arrive, so agreement means the relays are parked on empty buffers.
+// out-ports have pushed everything onto the wire: every out-port buffer is
+// empty and every named lane connected and quiescent.  A move polls it after
+// detaching the trunk; once true, every item that entered the tee is
+// consumed by a branch listener or in its inbox.  The relay journals need
+// not be empty: a self-acking listener acks on a cadence, one pop behind,
+// but each frame was written before sendDurable returned and the listener's
+// dedup watermark absorbs whatever the upstream journal replays through the
+// rebuilt tee.  A sample could catch an item in a relay pump's hand, so the
+// probe samples twice with a settle delay and wants empty buffers and an
+// unchanged sent-frame count both times.
 func (s *nodeState) drained(tee string, lanes []string) bool {
 	sample := func() (sig []int64, ok bool) {
 		s.mu.Lock()
@@ -420,12 +401,20 @@ func EnableNode(n *remote.Node, cat Catalog) {
 		}
 		// Register the sender by lane so the redial lane op can retarget it
 		// when the receiving segment is re-placed onto another node.
-		if lane := spec.Params["lane"]; lane != "" {
+		lane := spec.Params["lane"]
+		if lane != "" {
 			st.mu.Lock()
 			st.senders[lane] = link
 			st.mu.Unlock()
 		}
-		return core.Comp(link.NewSink(spec.Name)), nil
+		return core.Comp(senderSink{link.NewSink(spec.Name).(laneSink), func() error {
+			st.mu.Lock()
+			if st.senders[lane] == link {
+				delete(st.senders, lane)
+			}
+			st.mu.Unlock()
+			return link.Close()
+		}}), nil
 	})
 	n.RegisterSpecFactory("ip/tcprecv", func(spec remote.StageSpec) (core.Stage, error) {
 		lane := spec.Params["lane"]
@@ -462,6 +451,21 @@ func EnableNode(n *remote.Node, cat Catalog) {
 
 	n.HandleLanes(st.lane)
 }
+
+// senderSink is ip/tcpsend's stage.  A compose that fails after building it
+// closes it (remote.Node closes every io.Closer a failed compose built):
+// the dialed link closes and its lane registration goes.
+type senderSink struct {
+	laneSink
+	close func() error
+}
+
+type laneSink interface {
+	core.Consumer
+	core.EOSSink
+}
+
+func (s senderSink) Close() error { return s.close() }
 
 // lane serves the cluster lane operations of the extended §2.4 protocol:
 // the deployer pre-binds rendezvous listeners so it can compose segments

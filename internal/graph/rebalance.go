@@ -2,17 +2,15 @@ package graph
 
 import (
 	"errors"
-	"fmt"
-	"maps"
 	"sort"
 )
 
 // Rebalancing errors.
 var (
 	// ErrNotRebalancable marks a deployment whose target has no placement
-	// dimension to adjust (single scheduler) or whose placement is not
-	// locally controlled (remote nodes).
-	ErrNotRebalancable = errors.New("graph: deployment target cannot rebalance (deploy OnGroup)")
+	// dimension to adjust (single scheduler), and a failover off a shard
+	// (shards do not die under a deployment).
+	ErrNotRebalancable = errors.New("graph: deployment target cannot rebalance (deploy OnGroup or OnNodes)")
 	// ErrNotMigratable marks a deployment with pipelines that run
 	// coroutine threads: migration quiesces at pump-cycle boundaries, which
 	// covers direct placements only.
@@ -21,54 +19,20 @@ var (
 	ErrDeploymentDone = errors.New("graph: deployment already finished")
 )
 
-// Rebalance moves segments of a live group deployment between shards
-// without losing a single in-flight item: the operator (or a BalancePolicy)
-// hands in new placement hints — segment name (see SegmentPlacements) to
-// shard index — and the deployment
-//
-//  1. quiesces: every pipeline of the current generation detaches at a
-//     pump-cycle boundary (an interrupted blocked push force-completes into
-//     its destination queue, which survives the migration; nothing is
-//     mistaken for end-of-stream),
-//  2. re-plans: the stored segmentation is re-wired for the new placement —
-//     boundary links are reused and retargeted so their queued items ride
-//     along, boundaries that newly cross shards get links, and segments
-//     whose stream already ended are kept as-is,
-//  3. resumes: the same stage instances are recomposed on their new
-//     schedulers and the start event is re-broadcast.
-//
-// Segments not named in hints keep their current shard.  Under the group's
-// shared virtual clock the migration is invisible in the item trace: the
-// transaction holds the clock from quiesce to resume (shard.Group.External)
-// and the anchored pump schedules resume exactly where they left
-// off — the randomized determinism harness asserts byte-identical traces
-// with and without a mid-stream rebalance.
-//
-// Concurrent Rebalance calls are serialized; a Stop that races a Rebalance
-// is applied when the rebalance completes.  Only OnGroup deployments
-// rebalance.
+// Rebalance moves segments of a live deployment without losing an in-flight
+// item: hints map segment names (see SegmentPlacements) to shard indices on
+// a group, node indices on nodes; segments not named stay put.  A group
+// quiesces every pipeline at a pump-cycle boundary, retargets the boundary
+// links (their queues carry the items along) and recomposes the same stage
+// instances on their new schedulers at one instant of the group clock, so
+// the item trace is the one an unmoved run writes.  Nodes move each segment
+// on its own over durable lanes (deploy WithClusterLanes); a segment that
+// holds stream position or shared tee state refuses with ErrNotReplaceable
+// (see Replaceable).  Concurrent calls serialize, a Stop that races one
+// applies when it completes, and a single scheduler answers
+// ErrNotRebalancable.
 func (d *Deployment) Rebalance(hints map[string]int) error {
-	if d.remote != nil || d.ld == nil || d.ld.group == nil {
-		return ErrNotRebalancable
-	}
 	return d.reconfigure("rebalance", []EditOp{moveOp(hints)})
-}
-
-// moveOp is Rebalance's delta: segment name to destination shard.
-type moveOp map[string]int
-
-func (op moveOp) stage(t *txn) error {
-	for name, sh := range op {
-		if t.ld.segment(name) < 0 {
-			return fmt.Errorf("graph %q: rebalance hint for unknown segment %q", t.d.name, name)
-		}
-		if sh < 0 || sh >= t.ld.shards() {
-			return fmt.Errorf("graph %q: segment %q hinted to shard %d, group has %d",
-				t.d.name, name, sh, t.ld.shards())
-		}
-	}
-	maps.Copy(t.moves, op)
-	return nil
 }
 
 // BalancePolicy parameterizes the automatic rebalancer.
@@ -82,9 +46,8 @@ type BalancePolicy struct {
 	// (default 1024).
 	MinItems int64
 	// Movable, when set, restricts which segments the balancer may propose
-	// moving.  Left nil, a remote deployment skips the segments
-	// Deployment.Replace cannot re-place (sources, tee hosts, directly
-	// wired boundaries) and a local one may move any.
+	// moving.  Left nil, the balancer skips the segments Deployment.Replaceable
+	// refuses (on nodes: sources, tee hosts, directly wired boundaries).
 	Movable func(segment string) bool
 }
 
@@ -180,17 +143,12 @@ func (b *Balancer) Plan(st GraphStats) (map[string]int, bool) {
 }
 
 // Balance runs one epoch of the balancer against the deployment: snapshot
-// stats, plan, and move if warranted — Rebalance between shards on a group
-// target, Replace between nodes on a remote one, where a policy without a
-// Movable filter proposes only segments that are Replaceable.  Reports
-// whether a move was made.
+// stats, plan, and Rebalance if warranted; a policy without a Movable
+// filter proposes only segments that are Replaceable.  Reports whether a
+// move was made.
 func (d *Deployment) Balance(b *Balancer) (moved bool, err error) {
-	move := d.Rebalance
-	if d.remote != nil {
-		move = d.Replace
-		if b.policy.Movable == nil {
-			b.policy.Movable = func(seg string) bool { return d.Replaceable(seg) == nil }
-		}
+	if b.policy.Movable == nil {
+		b.policy.Movable = func(seg string) bool { return d.Replaceable(seg) == nil }
 	}
 	// One external action: the move lands at the instant the stats were read.
 	d.External(func() {
@@ -198,7 +156,7 @@ func (d *Deployment) Balance(b *Balancer) (moved bool, err error) {
 		if !ok {
 			return
 		}
-		if err = move(hints); err == nil {
+		if err = d.Rebalance(hints); err == nil {
 			moved = true
 		}
 	})

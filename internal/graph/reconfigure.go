@@ -10,42 +10,32 @@ import (
 	"infopipes/internal/typespec"
 )
 
-// This file is the one reconfiguration engine of local deployments.  Every
-// change to a running flow — Rebalance's segment moves, Edit's structural
-// ops, ScaleStage — is a delta staged into one txn, and reconfigure runs
-// the txn through the same five steps:
-//
-//  1. stage: each op validates itself against the declaration as left by
-//     the ops before it and rewrites the declaration layer,
-//  2. replan: the edited declaration is re-planned, the event capabilities
-//     re-checked, and placement remapped onto the new plan by segment name,
-//  3. quiesce: every pipeline detaches at a pump-cycle boundary (an
-//     interrupted blocked push force-completes into its destination queue,
-//     which survives; the group's virtual clock is held from here to the
-//     end of step 5),
-//  4. commit: tee ports, stage table and plan are swapped while everything
-//     is parked, and the graph recomposes over the same stage instances
-//     and boundary links,
-//  5. resume: the generation watcher restarts and Start/Stop re-broadcast.
-//
-// A failure in steps 1–3 rolls the declaration layer back and the running
-// flow never notices the attempt.  A failure in step 4 is past the point of
-// no return: the deployment winds down like a failed deploy and the error
-// is latched for Err/Wait.
+// This file is the one entry for every change to a running flow, on either
+// target: Rebalance's and FailOver's moves and Edit's ops are deltas staged
+// into one txn.  Each op validates itself against the declaration the ops
+// before it left and rewrites it; the declaration is re-planned; then the
+// host applies the delta.  The shard host quiesces every pipeline at a
+// pump-cycle boundary (an interrupted blocked push force-completes into its
+// destination queue; the group clock is held throughout), commits while
+// everything is parked, recomposes over the same stages and links, and
+// resumes.  The node host moves each segment on its own (replace.go).  A
+// failure before the host commits rolls the declaration back; one after it
+// winds the deployment down and is latched for Err/Wait.
 
 // yield is nil except in this package's tests (export_test.go), which point
 // it at a function that gives the CPU away for a few milliseconds.  It runs
 // where an external action is half done — between two Detach calls in
-// quiesce, and between two pipelines' deliveries of a Start broadcast (see
-// localDeploy.compose) — so that what a loaded multi-core host does to a
-// controller goroutine now and then happens every time, on one core.
+// quiesce, and between two pipelines' deliveries of a Start broadcast — so
+// what a loaded host does to a controller now and then happens every time.
 var yield func()
 
 // txn is one reconfiguration transaction.
 type txn struct {
-	d    *Deployment
-	ld   *localDeploy
-	verb string // "rebalance" or "edit": the voice of the txn's errors
+	d         *Deployment
+	g         *Graph
+	verb      string // "rebalance", "failover" or "edit": the voice of the txn's errors
+	lost      bool   // the moves leave a slot that died (FailOver)
+	committed bool   // the host is past the point of no return
 
 	// Declaration-layer snapshot plus the undo log for node fields the ops
 	// changed in place.
@@ -55,36 +45,34 @@ type txn struct {
 	undo  []func()
 
 	// Deltas staged by the ops.
-	moves     map[string]int        // segment name -> shard
+	moves     map[string]int        // segment name -> slot
 	newStages map[string]core.Stage // nodes gaining a (new) live instance
 	attaches  []attachRec
 	detaches  []*detachRec
 	scales    []*scaleRec
 	rebinds   []RebindTenant
 
-	// The re-planned state commit installs.
-	plan    *core.GraphPlan
-	shardOf []int
-	segOut  []typespec.Typespec
+	// The re-planned state the host installs.
+	plan   *core.GraphPlan
+	slotOf []int
+	segOut []typespec.Typespec
 }
 
-// reconfigure runs ops as one transaction against the live deployment.  It
-// is the only code that quiesces a local deployment; concurrent calls
-// serialize on rbMu, and a Stop that races one is applied when it resumes.
-func (d *Deployment) reconfigure(verb string, ops []EditOp) error {
+// reconfigure runs ops as one transaction against the live deployment;
+// concurrent calls serialize on rbMu.  Tenant retunes alone need no quiesce.
+func (d *Deployment) reconfigure(verb string, ops []EditOp) (err error) {
 	d.rbMu.Lock()
 	defer d.rbMu.Unlock()
-	g := d.ld.g
-	t := &txn{d: d, ld: d.ld, verb: verb,
-		nodes:     append([]*node(nil), g.nodes...),
-		edges:     append([]core.GraphEdgeInfo(nil), g.edges...),
+	g := d.host.graph()
+	t := &txn{d: d, g: g, verb: verb,
+		nodes:     slices.Clone(g.nodes),
+		edges:     slices.Clone(g.edges),
 		index:     maps.Clone(g.index),
 		moves:     make(map[string]int),
 		newStages: make(map[string]core.Stage),
 	}
-	committed := false
 	defer func() {
-		if !committed {
+		if err != nil && !t.committed {
 			t.rollback()
 		}
 	}()
@@ -93,21 +81,13 @@ func (d *Deployment) reconfigure(verb string, ops []EditOp) error {
 			return err
 		}
 	}
+	if len(t.rebinds) == len(ops) {
+		return d.host.rebind(t.rebinds)
+	}
 	if err := t.replan(); err != nil {
 		return err
 	}
-	// From the first Detach to the last re-broadcast Start the flow is half
-	// parked: the group clock must not move, or the pipelines still (or
-	// already) running would tick ahead of the parked ones.
-	var err error
-	d.External(func() {
-		if err = t.quiesce(); err != nil {
-			return
-		}
-		committed = true
-		err = t.resume(t.commit())
-	})
-	return err
+	return d.host.apply(t)
 }
 
 // errf renders a refusal in the transaction's voice.
@@ -123,7 +103,7 @@ func (t *txn) declare(st core.Stage, place int) (string, error) {
 	if !comp && !buf && !pump {
 		return "", t.errf("zero-valued stage")
 	}
-	g, name := t.ld.g, st.Name()
+	g, name := t.g, st.Name()
 	if _, dup := g.index[name]; dup {
 		return "", t.errf("stage name %q already in the graph", name)
 	}
@@ -139,85 +119,154 @@ func (t *txn) rollback() {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		t.undo[i]()
 	}
-	g := t.ld.g
-	g.nodes, g.edges, g.index = t.nodes, t.edges, t.index
+	t.g.nodes, t.g.edges, t.g.index = t.nodes, t.edges, t.index
 }
 
-// replan plans the staged declaration and maps the plan-indexed deployment
-// state onto it by segment name.  Ops never rename surviving segments they
-// do not scale (an insert lands strictly between a segment's first and last
-// stage; a swap keeps the node name), so a name match means "same segment,
-// keep its shard and out-spec".  New segments take their hint or inherit
-// across their tee, then the staged moves and scale pins apply.
+// replan plans the staged declaration and maps the plan-indexed state onto
+// it by segment name: ops never rename a segment they do not scale, so a
+// name match keeps its slot and out-spec.  New segments take their hint or
+// inherit across their tee, then the staged moves and scale pins apply.
 func (t *txn) replan() error {
-	ld, g := t.ld, t.ld.g
-	plan, err := core.PlanGraph(g.infos(), g.edges)
+	plan, err := core.PlanGraph(t.g.infos(), t.g.edges)
 	if err != nil {
 		return t.errf("%w", err)
 	}
-	all := make([]core.Stage, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		if n.kind != nStage {
-			continue
-		}
-		if st, ok := t.newStages[n.name]; ok {
-			all = append(all, st)
-		} else {
-			all = append(all, ld.stages[n.name])
-		}
-	}
-	if err := core.CheckEventCapabilities(all); err != nil {
-		return t.errf("%w", err)
-	}
-
-	t.shardOf = make([]int, len(plan.Segments))
+	old, slotOf, segOut := t.d.host.wired()
+	t.slotOf = make([]int, len(plan.Segments))
 	t.segOut = make([]typespec.Typespec, len(plan.Segments))
 	for i, seg := range plan.Segments {
-		t.shardOf[i] = -1
-		if oi := ld.segment(seg.Name()); oi >= 0 {
-			t.shardOf[i] = ld.slotOf[oi]
-			t.segOut[i] = ld.segOutSpec[oi]
+		t.slotOf[i] = -1
+		if oi := segmentIndex(old, seg.Name()); oi >= 0 {
+			t.slotOf[i], t.segOut[i] = slotOf[oi], segOut[oi]
+		}
+		if slot, ok := t.moves[seg.Name()]; ok {
+			t.slotOf[i] = slot
 		}
 	}
-	placeUnresolved(plan, t.shardOf, func() int { return 0 })
-	for i, seg := range plan.Segments {
-		if sh, ok := t.moves[seg.Name()]; ok {
-			t.shardOf[i] = sh
-		}
-	}
-	pinScalePlacements(plan, t.shardOf, t.scales)
+	placeUnresolved(plan, t.slotOf, func() int { return 0 })
+	pinScalePlacements(plan, t.slotOf, t.scales)
 	t.plan = plan
 	return nil
 }
 
+// segmentIndex returns the index of the named segment in plan, -1 for none.
+func segmentIndex(plan *core.GraphPlan, name string) int {
+	return slices.IndexFunc(plan.Segments, func(s *core.GraphSegment) bool { return s.Name() == name })
+}
+
+// movable validates moving the named segment to slot: the segment is
+// known, the slot in range, and the host lets the segment move.
+func (d *Deployment) movable(name string, slot int, live bool) error {
+	plan, _, _ := d.host.wired()
+	si := segmentIndex(plan, name)
+	switch n := d.host.slots(); {
+	case si < 0:
+		return fmt.Errorf("graph %q: hint for unknown segment %q", d.name, name)
+	case slot < 0 || slot >= n:
+		return fmt.Errorf("graph %q: segment %q hinted to slot %d, the target has %d", d.name, name, slot, n)
+	}
+	return d.host.movable(si, live)
+}
+
+// moveOp is Rebalance's delta: segment name to destination slot.
+type moveOp map[string]int
+
+func (op moveOp) stage(t *txn) error {
+	if err := t.d.host.movable(-1, true); err != nil {
+		return err
+	}
+	for _, name := range slices.Sorted(maps.Keys(op)) {
+		if err := t.d.movable(name, op[name], true); err != nil {
+			return err
+		}
+	}
+	maps.Copy(t.moves, op)
+	return nil
+}
+
+// failOp is FailOver's delta: every segment on the dead slot, to its hinted
+// survivor.
+type failOp struct {
+	dead  int
+	hints map[string]int
+}
+
+func (op failOp) stage(t *txn) error {
+	if err := t.d.host.movable(-1, false); err != nil {
+		return err
+	}
+	if n := t.d.host.slots(); op.dead < 0 || op.dead >= n {
+		return t.errf("node %d is not among the target's %d", op.dead, n)
+	}
+	plan, slotOf, _ := t.d.host.wired()
+	for si, seg := range plan.Segments {
+		if slotOf[si] != op.dead {
+			continue
+		}
+		dest, ok := op.hints[seg.Name()]
+		if !ok {
+			return t.errf("no destination for segment %q on dead node %d", seg.Name(), op.dead)
+		}
+		if dest == op.dead {
+			return t.errf("segment %q hinted back to its dead node %d", seg.Name(), op.dead)
+		}
+		if err := t.d.movable(seg.Name(), dest, false); err != nil {
+			return err
+		}
+		t.moves[seg.Name()] = dest
+	}
+	t.lost = true
+	return nil
+}
+
+// apply runs a replanned transaction on the shard host: it checks the
+// staged stage set's event capabilities, then quiesces, commits and resumes
+// as one external action — while the flow is half parked the group clock
+// must not move, or the pipelines still running would tick ahead.
+func (ld *localDeploy) apply(t *txn) error {
+	if len(t.rebinds) > 0 && ld.tenant == nil {
+		return ErrNoTenant
+	}
+	if err := ld.checkEvents(t.g, t.newStages); err != nil {
+		return t.errf("%w", err)
+	}
+	var err error
+	ld.external(func() {
+		if err = ld.quiesce(t); err != nil {
+			return
+		}
+		t.committed = true
+		err = ld.resume(t, ld.commit(t))
+	})
+	return err
+}
+
 // quiesce parks the whole deployment: it refuses finished, failed and
-// coroutine-threaded deployments, opens the rebalancing window (Start/Stop
-// defer, the generation watcher stands down), detaches every pipeline of
-// the old generation and waits for its threads to exit.  The shard pins
-// taken at deploy keep every scheduler alive through the window.
-func (t *txn) quiesce() error {
-	d := t.d
-	d.mu.Lock()
-	if d.finished {
-		d.mu.Unlock()
-		return ErrDeploymentDone
-	}
-	for _, p := range d.pipelines {
-		if perr := p.Err(); perr != nil {
-			// A failed pipeline has already dropped its in-flight item and
-			// broadcast a stop; recomposing over it would erase the evidence.
-			d.mu.Unlock()
-			return fmt.Errorf("graph %q: %s refused, pipeline %s failed: %w", d.name, t.verb, p.Name(), perr)
+// coroutine-threaded deployments, opens the reconfiguration window, detaches
+// every pipeline of the old generation and waits for its threads to exit.
+func (ld *localDeploy) quiesce(t *txn) error {
+	d := ld.d
+	var old []*core.Pipeline
+	if _, _, err := d.open(func() error {
+		if ld.finished {
+			return ErrDeploymentDone
 		}
-		if !p.ReachedEOS() && hasCoroutines(p) {
-			d.mu.Unlock()
-			return fmt.Errorf("%w (%s)", ErrNotMigratable, p.Name())
+		for _, p := range ld.pipelines {
+			if perr := p.Err(); perr != nil {
+				// A failed pipeline has already dropped its in-flight item
+				// and broadcast a stop; recomposing over it would erase the
+				// evidence.
+				return fmt.Errorf("graph %q: %s refused, pipeline %s failed: %w", d.name, t.verb, p.Name(), perr)
+			}
+			if !p.ReachedEOS() && hasCoroutines(p) {
+				return fmt.Errorf("%w (%s)", ErrNotMigratable, p.Name())
+			}
 		}
+		old = slices.Clone(ld.pipelines)
+		return nil
+	}); err != nil {
+		return err
 	}
-	d.rebalancing = true
-	d.gen++
-	old := append([]*core.Pipeline(nil), d.pipelines...)
-	d.mu.Unlock()
 
 	for _, p := range old {
 		p.Detach()
@@ -228,14 +277,12 @@ func (t *txn) quiesce() error {
 	for _, p := range old {
 		<-p.Done()
 	}
-	// A pipeline that FAILED during the detach (rather than parking cleanly)
-	// lost its in-flight item: resuming would silently drop data.  Abort —
-	// the old generation stays registered, so Err/Wait keep reporting the
-	// failure.
+	// A pipeline that FAILED during the detach lost its in-flight item:
+	// abort, and the old generation stays registered for Err/Wait.
 	for _, p := range old {
 		if perr := p.Err(); perr != nil {
-			t.reopen(nil)
-			d.abandon()
+			ld.reopen(t, nil)
+			ld.abandon()
 			return fmt.Errorf("graph %q: %s aborted, pipeline %s failed: %w", d.name, t.verb, p.Name(), perr)
 		}
 	}
@@ -244,8 +291,7 @@ func (t *txn) quiesce() error {
 
 // commit applies the staged deltas while everything is parked: tee port
 // surgery, the stage table, the plan swap, then the recomposition.
-func (t *txn) commit() error {
-	ld, d := t.ld, t.d
+func (ld *localDeploy) commit(t *txn) error {
 	for _, a := range t.attaches {
 		if got := ld.splits[a.split].(outAdder).AddOut(); got != a.port {
 			return t.errf("split %q port drift (declared %d, instance %d)", a.split, a.port, got)
@@ -269,20 +315,19 @@ func (t *txn) commit() error {
 	}
 
 	// Swap the plan.  Segment names that vanish with it (a detached branch;
-	// the trunk and tail a scale renamed) leave the books: their counters
-	// fold into the retired stats before redeploy composes the new names
-	// over the same stage instances.
+	// the trunk and tail a scale renamed) leave the books, their counters
+	// folded into the ledger.
 	live := make(map[string]bool, len(t.plan.Segments))
 	for _, seg := range t.plan.Segments {
 		live[seg.Name()] = true
 	}
-	d.mu.Lock()
+	ld.d.mu.Lock()
 	for _, dr := range t.detaches {
 		dr.pipe = ld.pipes[ld.name+"/"+dr.segName]
 	}
 	old := ld.plan
-	ld.plan, ld.slotOf, ld.segOutSpec = t.plan, t.shardOf, t.segOut
-	d.mu.Unlock()
+	ld.plan, ld.slotOf, ld.segOutSpec = t.plan, t.slotOf, t.segOut
+	ld.d.mu.Unlock()
 	for _, seg := range old.Segments {
 		if !live[seg.Name()] {
 			ld.forget(ld.name + "/" + seg.Name())
@@ -295,40 +340,35 @@ func (t *txn) commit() error {
 	return ld.drainDetached(t.detaches)
 }
 
-// reopen closes the rebalancing window: err (a failed commit) is latched
-// for Err/Wait, and a watcher starts for the generation now on the books.
-func (t *txn) reopen(err error) (started, stopReq bool) {
-	d := t.d
-	d.mu.Lock()
-	d.rebalancing = false
-	started, stopReq = d.started, d.stopReq
-	if err != nil && d.deployErr == nil {
-		d.deployErr = fmt.Errorf("graph %q: %s: %w", d.name, t.verb, err)
+// reopen closes the window, latches err (a failed commit) and watches the
+// generation now on the books.
+func (ld *localDeploy) reopen(t *txn, err error) (started, stopReq bool) {
+	if err != nil {
+		ld.d.latch(t.errf("%w", err))
 	}
-	d.mu.Unlock()
-	d.seal()
+	started, stopReq = ld.d.close()
+	ld.seal()
 	return started, stopReq
 }
 
-// resume ends the transaction: a failed commit winds the deployment down
-// and surfaces the error — never resume a stream that silently lost
-// structure — otherwise tenant rebinds apply and the Start/Stop requests
-// seen so far re-broadcast to the recomposed generation.
-func (t *txn) resume(err error) error {
-	d := t.d
-	started, stopReq := t.reopen(err)
+// resume ends the transaction: a failed commit winds the deployment down —
+// never resume a stream that silently lost structure — otherwise tenant
+// rebinds apply and the Start/Stop requests re-broadcast to the new
+// generation.
+func (ld *localDeploy) resume(t *txn, err error) error {
+	started, stopReq := ld.reopen(t, err)
 	if err != nil {
-		d.abandon()
-		return d.Err()
+		ld.abandon()
+		return ld.d.Err()
 	}
-	if err := t.ld.applyRebinds(t.rebinds); err != nil {
+	if err := ld.applyRebinds(t.rebinds); err != nil {
 		return err
 	}
 	if started {
-		d.broadcast(events.Start)
+		ld.emit(events.Start)
 	}
 	if stopReq {
-		d.broadcast(events.Stop)
+		ld.emit(events.Stop)
 	}
 	return nil
 }
@@ -336,9 +376,9 @@ func (t *txn) resume(err error) error {
 // abandon winds a dead deployment down: stop whatever is composed AND close
 // every link — one whose receiver never composed would hold its receiving
 // scheduler's external-source reference forever.
-func (d *Deployment) abandon() {
-	d.broadcast(events.Stop)
-	for _, l := range d.Links() {
+func (ld *localDeploy) abandon() {
+	ld.emit(events.Stop)
+	for _, l := range ld.d.Links() {
 		l.Close()
 	}
 }

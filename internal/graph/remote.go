@@ -17,15 +17,13 @@ import (
 )
 
 // NodesTarget deploys a spec-backed graph onto remote nodes (§2.4 remote
-// setup, driven entirely by the deployer): each segment is composed on one
-// node through the control protocol, tees are shared between a node's
-// pipelines via the idempotent ip/ factories, and cross-node edges become
-// TCP netpipes.  Segments compose in TOPOLOGICAL order — the deployer
-// pre-binds every rendezvous listener through the listen lane op before
-// the sender dials — so each segment's compose request carries its upstream
-// segment's resolved Typespec: §2.3 flow checking spans node boundaries,
-// and a mistyped cross-node edge fails at deploy time.  Every target node
-// must have been prepared with EnableNode.
+// setup, driven by the deployer): each segment is composed on one node
+// through the control protocol, tees are shared between a node's pipelines
+// via the idempotent ip/ factories, and cross-node edges become TCP
+// netpipes.  Segments compose in topological order, each carrying its
+// upstream's resolved Typespec, so §2.3 flow checking spans nodes and a
+// mistyped cross-node edge fails at deploy.  Prepare every node with
+// EnableNode.
 type NodesTarget struct {
 	// Clients are the nodes' control clients.  Deploy copies the list: a
 	// deployment that grows (AddNode) never touches its target.
@@ -33,14 +31,12 @@ type NodesTarget struct {
 	// LinkDepth bounds the receive inboxes and same-node cut links
 	// (0 = default).
 	LinkDepth int
-	// ClusterLanes makes every cut edge a durable TCP lane, even when both
-	// endpoints land on the same node: a lane parks on a bare connection
-	// EOF instead of ending the stream, and its sender can be redialed — the
-	// wiring contract Deployment.Replace needs to move a segment between
-	// nodes at run time.  Items are sequence-numbered (per merge origin),
-	// journaled on the sender until acknowledged, and deduplicated on the
-	// receiver, so a redial or failover resumes the stream with zero loss
-	// and zero duplication.
+	// ClusterLanes makes every cut edge a durable TCP lane, even within one
+	// node: it parks on a bare connection EOF and its sender can be
+	// redialed, the contract Deployment.Rebalance needs to move a segment
+	// between nodes.  Items are journaled until acknowledged and
+	// deduplicated on the receiver, so a redial or failover resumes the
+	// stream with zero loss and zero duplication.
 	ClusterLanes bool
 	// Tenant binds the deployment to a QoS tenant (nil = default tenant).
 	// Every node hosting a segment materializes the tenant locally:
@@ -90,7 +86,7 @@ func (t *NodesTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 		return nil, err
 	}
 
-	r := &remoteDeployment{g: g, opt: *t,
+	r := &remoteDeployment{opt: *t,
 		clients:        slices.Clone(t.Clients),
 		names:          make([]string, len(t.Clients)),
 		gone:           make([]bool, len(t.Clients)),
@@ -98,7 +94,8 @@ func (t *NodesTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 		caps:           new(capSets),
 		lastRows:       make(map[int]map[string]remote.PipeStat),
 		lastTenantRows: make(map[int]remote.TenantStat)}
-	r.setup(r, g.name, plan, nodeOf)
+	d := newDeployment(g.name, nil, r)
+	r.setup(r, d, g, plan, nodeOf)
 	r.opt.Clients = nil // r.clients is the deployment's only client list
 	for i, c := range r.clients {
 		if r.names[i], err = c.Ping(); err != nil {
@@ -123,16 +120,12 @@ func (t *NodesTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 		return nil, err
 	}
 	r.caps = nil
-	d := newDeployment(g.name, nil)
-	d.remote = r
 	return d, nil
 }
 
 // abort best-effort-undoes a partial deployment: it stops every pipeline
 // already composed and has every node drop this graph's listeners, cut
-// links and pipeline registrations — a failing compose may already have run
-// side-effectful factories.  A failed deploy thus neither wedges the nodes
-// nor leaks ports, and a retry starts clean.
+// links and pipeline registrations, so a retry starts clean.
 func (r *remoteDeployment) abort() {
 	for _, p := range r.pipes {
 		_ = r.clients[p.client].Stop(p.name)
@@ -256,11 +249,10 @@ func (r *remoteDeployment) tenantSpec() *remote.TenantSpec {
 
 // link pre-binds the rendezvous listener of a lane on the node of its
 // receiving segment, so the sender knows the address before the receiver
-// exists; a bound lane stays as it is (a move redials its sender instead).
-// Cluster lanes are durable, and a listener whose segment sends on into
-// another durable lane is chained: it forwards the downstream watermark
-// instead of acknowledging its own consumption.  Without cluster lanes a
-// cut between segments on one node is a same-node link.
+// exists; a bound lane stays (a move redials its sender instead).  Cluster
+// lanes are durable, and a listener whose segment sends on into another
+// one is chained (see chainLane).  Without cluster lanes a cut within one
+// node is a same-node link.
 func (r *remoteDeployment) link(lane string, l nodeLink, from, to int) (nodeLink, error) {
 	if l != (nodeLink{}) {
 		return l, nil
@@ -287,10 +279,9 @@ func (r *remoteDeployment) unlink(lane string, to int) {
 }
 
 // compose sends one pipeline to a node, seeded with the upstream Typespec,
-// and records where it runs.  The node skips the per-pipeline
-// event-capability check; the deploy checks graph-wide from the sets the
-// replies carry.  The node gates an admitted source with the tenant's
-// admission control.
+// and records where it runs.  The deploy checks event capabilities
+// graph-wide from the sets the replies carry; the node gates an admitted
+// source with the tenant's admission control.
 func (r *remoteDeployment) compose(name string, node, seg int, specs []remote.StageSpec, seed typespec.Typespec, admit bool) ([]typespec.Typespec, error) {
 	rep, err := r.clients[node].ComposeTenantSegment(name, specs, seed, r.tenantSpec(), admit && r.opt.Tenant != nil)
 	if err != nil {
@@ -346,10 +337,9 @@ type remotePipe struct {
 
 // remoteDeployment is the node host, and a graph deployed onto remote
 // nodes: the wiring the deploy recorded (Stats and every move go on to use
-// it; slotOf, the node by segment, is written under mu) and the run state.
+// it; slotOf, the node by segment, is written under d.mu) and the run state.
 type remoteDeployment struct {
 	wiring[remote.StageSpec, nodeLink]
-	g *Graph
 	// opt holds the target's settings as they were at deploy time; its
 	// Clients is nil — clients below is the deployment's own list.
 	opt     NodesTarget
@@ -358,90 +348,64 @@ type remoteDeployment struct {
 	pipes   []remotePipe
 
 	// segSections[i] is the pump-driven section count of segment i's
-	// composed pipeline (buffers add sections).  A durable self-acking
-	// inbound lane anchors its acks one pop behind the FIRST pump, so only
-	// single-section segments can prove end-of-segment consumption —
-	// replaceable() refuses the rest.
+	// composed pipeline (buffers add sections; see movable).
 	segSections []int
 	// caps collects the event-capability sets the compose replies carry
 	// while the deploy runs; nil once its graph-wide check has passed.
 	caps *capSets
 
-	mu        sync.Mutex
-	startErr  error
-	started   bool
-	replacing bool
-	// gone[i] marks node i as drained and departed (elastic leave): the
-	// entry keeps its index — pipes never reference it again after the
-	// drain — but broadcasts and rebinds skip it.  Copy-on-write under mu,
-	// like clients/names (see clientSnap).
+	mu sync.Mutex
+	// gone[i] marks node i as drained and departed (elastic leave): it keeps
+	// its index, but broadcasts and rebinds skip it.  Copy-on-write under
+	// mu, like clients/names (see clientSnap).
 	gone []bool
 	// supervised deployments treat an unreachable node as PENDING instead
-	// of fatal: a Supervisor owns the failure — it either fails the node's
-	// segments over to survivors (and the poll heals) or latches a terminal
-	// error via Fail.  Unsupervised deployments keep the fail-fast contract.
+	// of fatal: a Supervisor fails its segments over or latches via Fail.
 	supervised bool
-	// repGen increments at the start AND end of every move (replaceWindow).
-	repGen uint64
 	// lastRows and lastTenantRows cache each node's last answers, for the
 	// snapshots that cannot reach it (see stats and tenantRows).
 	lastRows       map[int]map[string]remote.PipeStat
 	lastTenantRows map[int]remote.TenantStat
 }
 
-// clientSnap returns the current client list and its gone markers, one per
-// client.  Both slices are copy-on-write: AddNode and MarkNodeGone publish
-// fresh ones under mu and never mutate a published slice, so a snapshot
-// stays valid lock-free.
-// Replace-path code running under Deployment.rbMu may keep reading r.clients
-// directly — AddNode serializes on rbMu too.
+// clientSnap returns the current client list and its gone markers.  Both
+// are copy-on-write (AddNode and MarkNodeGone publish fresh slices under
+// mu), so a snapshot stays valid lock-free; code under rbMu may read
+// r.clients directly.
 func (r *remoteDeployment) clientSnap() ([]*remote.Client, []bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.clients, r.gone
 }
 
-// broadcast sends the event to every node still in the deployment and
-// reports the first failure.  It does not stop at one: a dead node must not
-// keep the nodes after it from hearing a stop.
-func (r *remoteDeployment) broadcast(t events.Type) error {
+// broadcast sends ev to every node still in the deployment, past any
+// that fails: a dead node must not keep the nodes after it from hearing a
+// stop.  A failed start rolls every reachable node back with a stop and
+// latches the error, so Wait and Err report it; a stop is best effort (Wait
+// and Err report an unreachable node anyway).
+func (r *remoteDeployment) broadcast(ev events.Type) {
 	clients, gone := r.clientSnap()
 	var first error
 	for i, c := range clients {
 		if gone[i] {
 			continue
 		}
-		if err := c.SendEvent(events.Event{Type: t, Origin: r.name}); err != nil && first == nil {
+		if err := c.SendEvent(events.Event{Type: ev, Origin: r.name}); err != nil && first == nil {
 			first = err
 		}
 	}
-	return first
-}
-
-// start broadcasts the start event to every node.  A failure (a node died)
-// leaves the deployment without one of its parts: roll every reachable node
-// back with a stop and latch the error so Wait and Err report it instead of
-// polling never-started pipelines forever.
-func (r *remoteDeployment) start() {
-	r.mu.Lock()
-	r.started = true
-	r.mu.Unlock()
-	if err := r.broadcast(events.Start); err != nil {
-		r.fail(fmt.Errorf("graph %q: start failed, deployment rolled back: %w", r.name, err))
+	if first != nil && ev == events.Start {
+		r.d.fail(fmt.Errorf("graph %q: start failed, deployment rolled back: %w", r.name, first))
 	}
 }
 
-// stop is best effort: a node it cannot reach is one Wait and Err already
-// report as unreachable, so the error is dropped here.
-func (r *remoteDeployment) stop() { _ = r.broadcast(events.Stop) }
+// slots reports the node-set size; moves and AddNode hold rbMu, so the
+// list is stable under it.
+func (r *remoteDeployment) slots() int { return len(r.clients) }
 
-func (r *remoteDeployment) failure() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.startErr
-}
+func (r *remoteDeployment) external(fn func()) { fn() }
 
-// pipeList snapshots the pipes under the lock (Replace rewrites entries).
+// pipeList snapshots the pipes under the lock (a move rewrites entries).
 func (r *remoteDeployment) pipeList() []remotePipe {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -503,25 +467,24 @@ type polledPipe struct {
 }
 
 // poll is the one place the deployer asks its nodes how the pipelines are
-// doing: it snapshots the pipes, then the clients (the client list only
-// grows, so the later snapshot covers every pipe's node index), fetches
-// each hosting node's rows once, and judges every pipe that has none.
-// Every pipe is looked at every time — stopping at the first unfinished one
-// would keep a dead node's pipelines out of reach of the unreachability
-// check and hang a Wait.
+// doing: it snapshots the pipes, then the clients (which only grow, so the
+// later snapshot covers every pipe), fetches each hosting node's rows once,
+// and judges every pipe that has none — every time, or a dead node's pipes
+// would escape the unreachability check and hang a Wait.
 func (r *remoteDeployment) poll() []polledPipe {
-	r.mu.Lock()
-	gen := r.repGen
-	r.mu.Unlock()
+	r.d.mu.Lock()
+	gen := r.d.gen
+	r.d.mu.Unlock()
 	pipes := r.pipeList()
 	clients, _ := r.clientSnap()
 	rows, errs := r.fetch(pipes, clients)
-	// A move (Replace, FailOver) in flight at any point of the poll — even
-	// one that started AND finished while a request was out, hence the
-	// generation — may have left a pipe missing from the node the snapshot
-	// places it on.
+	// A move in flight at any point of the poll (hence the generation) may
+	// have left a pipe missing from the node the snapshot places it on.
+	r.d.mu.Lock()
+	rewiring := r.d.moving || r.d.gen != gen
+	r.d.mu.Unlock()
 	r.mu.Lock()
-	rewiring, supervised := r.replacing || r.repGen != gen, r.supervised
+	supervised := r.supervised
 	r.mu.Unlock()
 	out := make([]polledPipe, len(pipes))
 	for i, p := range pipes {
@@ -558,9 +521,6 @@ func (r *remoteDeployment) poll() []polledPipe {
 }
 
 func (r *remoteDeployment) err() error {
-	if err := r.failure(); err != nil {
-		return err
-	}
 	for _, p := range r.poll() {
 		if p.err != nil {
 			return p.err
@@ -577,7 +537,7 @@ func (r *remoteDeployment) err() error {
 // node surfaces as a wrapped remote.ErrNodeUnreachable instead of hanging.
 func (r *remoteDeployment) wait() error {
 	for {
-		if err := r.failure(); err != nil {
+		if err := r.d.failure(); err != nil {
 			return err
 		}
 		done, reachable := true, 0
@@ -593,18 +553,17 @@ func (r *remoteDeployment) wait() error {
 			}
 		}
 		if done && reachable > 0 {
-			return r.err()
+			return r.d.Err()
 		}
 		//ipvet:allow wallclock completion poll interval against live remote nodes; their flows run on their own clocks
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// stats fans the stats op out to every node hosting a piece of the
-// deployment and folds the per-node rows into one GraphStats (Shard = node
-// index), with the node names in Nodes.  An unreachable node's pipes fall
-// back to its LAST-KNOWN rows rather than zero: a zeroed snapshot would hand
-// the balancer a false full-history delta the moment the node answers again.
+// stats folds every hosting node's rows into one GraphStats (Shard = node
+// index, names in Nodes).  An unreachable node's pipes fall back to its
+// LAST-KNOWN rows: zeros would hand the balancer a false full-history delta
+// the moment the node answers again.
 func (r *remoteDeployment) stats() GraphStats {
 	pipes := r.pipeList()
 	clients, _ := r.clientSnap() // after pipeList: covers every pipe index
@@ -626,10 +585,9 @@ func (r *remoteDeployment) stats() GraphStats {
 	return st
 }
 
-// tenantRows polls the deployment tenant's rollup on EVERY node of the
-// target, not just the nodes hosting pipes now: a move leaves a node's
-// historical admission counters behind.  An unreachable or departed node
-// contributes its last-known row instead of zero.
+// tenantRows polls the tenant's rollup on EVERY node, not just the ones
+// hosting pipes now (a move leaves admission counters behind); an
+// unreachable or departed node contributes its last-known row.
 func (r *remoteDeployment) tenantRows() []remote.TenantStat {
 	t := r.opt.Tenant
 	if t == nil {
@@ -659,13 +617,13 @@ func (r *remoteDeployment) tenantRows() []remote.TenantStat {
 	return out
 }
 
-// rebindTenant applies RebindTenant edit ops to a remote deployment: the
+// rebind applies RebindTenant edit ops to a remote deployment: the
 // deployer-side tenant records the new policy, then a §2.4 op retunes each
 // node's materialized tenant and weighted-fair class in place.  An
 // unreachable node fails the call unless the deployment is supervised —
 // there the supervisor owns the node's fate, and a re-placement composes
 // against the updated TenantSpec anyway.
-func (r *remoteDeployment) rebindTenant(rebinds []RebindTenant) error {
+func (r *remoteDeployment) rebind(rebinds []RebindTenant) error {
 	t := r.opt.Tenant
 	if t == nil {
 		return ErrNoTenant

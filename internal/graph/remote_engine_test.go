@@ -167,7 +167,7 @@ func TestReplaceRendersAsDeployDid(t *testing.T) {
 		t.Fatalf("deploy rendered %s as\n  %q\nwant\n  %q", seg, got, want)
 	}
 	for _, dest := range []int{2, 0, 1} {
-		if err := d.Replace(map[string]int{seg: dest}); err != nil {
+		if err := d.Rebalance(map[string]int{seg: dest}); err != nil {
 			t.Fatalf("replace onto node %d: %v", dest, err)
 		}
 		for name, specs := range d.Rendered() {
@@ -322,6 +322,17 @@ func TestDeployRoundTrips(t *testing.T) {
 	}
 	if n := served() - before - 2; n != 5 { // less the two health requests of the first count
 		t.Errorf("the deploy cost %d control round trips, want 5 (2 ping, 1 listen, 2 compose)", n)
+	}
+	// Moving the tail segment onto node 0 before the start: its counters
+	// retire (a stats fetch), node 1 detaches it and drops its listener,
+	// node 0 binds a fresh one and composes it, and the stationary sender
+	// there redials.
+	before = served()
+	if err := d.Rebalance(map[string]int{"out>>sink": 0}); err != nil {
+		t.Fatalf("move: %v", err)
+	}
+	if n := served() - before - 2; n != 6 {
+		t.Errorf("the move cost %d control round trips, want 6 (1 stats, 1 detach, 1 drop, 1 listen, 1 compose, 1 redial)", n)
 	}
 	d.Start()
 	if err := d.Wait(); err != nil {

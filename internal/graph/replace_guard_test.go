@@ -56,7 +56,7 @@ func TestReplaceRefusesBufferedSelfAckingSegment(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "buffers items internally") {
 		t.Fatalf("Replaceable(%q) = %v, want the buffered-segment reason", seg, err)
 	}
-	if err := d.Replace(map[string]int{seg: 2}); !errors.Is(err, graph.ErrNotReplaceable) {
+	if err := d.Rebalance(map[string]int{seg: 2}); !errors.Is(err, graph.ErrNotReplaceable) {
 		t.Fatalf("Replace(%q) = %v, want ErrNotReplaceable", seg, err)
 	}
 

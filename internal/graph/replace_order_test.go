@@ -64,7 +64,7 @@ func TestReplaceMoveOrderIsDeterministic(t *testing.T) {
 		mu.Lock()
 		built = nil
 		mu.Unlock()
-		if err := d.Replace(map[string]int{"up>>upp": dest, "down>>downp": dest}); err != nil {
+		if err := d.Rebalance(map[string]int{"up>>upp": dest, "down>>downp": dest}); err != nil {
 			t.Fatalf("run %d: replace: %v", run, err)
 		}
 		mu.Lock()

@@ -90,7 +90,7 @@ func TestReplaceMovesSplitTrunkMidStream(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if err := d.Replace(map[string]int{trunk: 2}); err != nil {
+	if err := d.Rebalance(map[string]int{trunk: 2}); err != nil {
 		t.Fatalf("replace trunk: %v", err)
 	}
 	if got := d.SegmentPlacements()[trunk]; got != 2 {

@@ -16,19 +16,13 @@ import (
 //	                 ├─ S#1  >> S#1/p ─┤
 //	                 └─ S#n-1>> S#n-1/p┘
 //
-// behind an auto-inserted elastic route-split (pipes.ElasticTee — pure
-// (Seq-1) mod active selector) and a seq-ordered fold-in
-// (pipes.OrderedMerge), so segment identity becomes (stage, replica-index):
-// each replica is its own branch segment ("S#i>>S#i/p"), placeable on its
-// own shard, visible in GraphStats under its own name.  Because the merge
-// reconstructs the exact trunk order, every trace downstream of the merge
-// is byte-identical whatever the replica count or interleaving — scaling is
-// invisible, which is what lets the Autoscaler retune it from load policy.
-//
-// After the edit, Deployment.SetReplicas(S, n) retunes the ACTIVE replica
-// count with no quiesce at all: the tee's selector spreads new items over
-// 1..n and idle replicas simply drain: declare the maximum once, start
-// folded (SetReplicas(S, 1)), and let policy move the knob.
+// behind an elastic route-split (pipes.ElasticTee, a pure (Seq-1) mod
+// active selector) and a seq-ordered fold-in (pipes.OrderedMerge): each
+// replica is its own branch segment ("S#i>>S#i/p"), placeable on its own
+// shard.  The merge rebuilds the exact trunk order, so every trace below it
+// is byte-identical whatever the replica count — scaling is invisible, and
+// the Autoscaler retunes it from load policy: SetReplicas(S, n) moves the
+// ACTIVE count with no quiesce at all, and idle replicas simply drain.
 
 // ScaleStage is the live-edit operation that turns stage Node into Replicas
 // parallel replicas behind an elastic split and an ordered merge.  The
@@ -66,13 +60,17 @@ type scaleRec struct {
 // stage validates the op and rewrites the declaration layer: replica nodes,
 // the tee pair, and one branch per replica between them.
 func (op ScaleStage) stage(t *txn) error {
-	g := t.ld.g
-	inIdx, outIdx, err := op.validate(t)
+	ld, err := t.d.local()
+	if err != nil {
+		return err
+	}
+	g := t.g
+	inIdx, outIdx, err := op.validate(t, ld)
 	if err != nil {
 		return err
 	}
 	n, in, out := g.index[op.Node], g.edges[inIdx], g.edges[outIdx]
-	oldShard, pumpDownstream, err := op.host(t)
+	oldShard, pumpDownstream, err := op.host(t, ld)
 	if err != nil {
 		return err
 	}
@@ -174,8 +172,8 @@ func (op ScaleStage) stage(t *txn) error {
 // validate checks the op's shape and that the stage is a plain component
 // interior to its segment: exactly one plain non-cut in-edge and one plain
 // non-cut out-edge, both to plain stages.  It returns their edge indices.
-func (op ScaleStage) validate(t *txn) (inIdx, outIdx int, err error) {
-	g := t.ld.g
+func (op ScaleStage) validate(t *txn, ld *localDeploy) (inIdx, outIdx int, err error) {
+	g := t.g
 	if op.Replicas < 2 {
 		return 0, 0, t.errf("ScaleStage %q to %d replicas; want at least 2", op.Node, op.Replicas)
 	}
@@ -184,15 +182,15 @@ func (op ScaleStage) validate(t *txn) (inIdx, outIdx int, err error) {
 			op.Node, len(op.Places), op.Replicas)
 	}
 	for i, p := range op.Places {
-		if p < -1 || p >= t.ld.shards() {
+		if p < -1 || p >= ld.slots() {
 			return 0, 0, t.errf("ScaleStage %q replica %d placed on shard %d, target has %d",
-				op.Node, i, p, t.ld.shards())
+				op.Node, i, p, ld.slots())
 		}
 	}
 	if n, ok := g.index[op.Node]; !ok || n.kind != nStage {
 		return 0, 0, t.errf("ScaleStage target %q is not a plain stage", op.Node)
 	}
-	cur, ok := t.ld.stages[op.Node]
+	cur, ok := ld.stages[op.Node]
 	if !ok {
 		return 0, 0, t.errf("stage %q has no live instance", op.Node)
 	}
@@ -234,8 +232,7 @@ func (op ScaleStage) validate(t *txn) (inIdx, outIdx int, err error) {
 // host locates the live segment hosting the stage and its single pump: it
 // returns the segment's shard and whether the pump sits downstream of the
 // stage.
-func (op ScaleStage) host(t *txn) (shardIdx int, pumpDownstream bool, err error) {
-	ld := t.ld
+func (op ScaleStage) host(t *txn, ld *localDeploy) (shardIdx int, pumpDownstream bool, err error) {
 	for si, seg := range ld.plan.Segments {
 		nodeIdx := slices.Index(seg.Stages, op.Node)
 		if nodeIdx < 0 {
@@ -308,14 +305,15 @@ func (d *Deployment) Replicas(stage string) (active, declared int, err error) {
 // ElasticTee behind it.  Local deployments only — replica scale-out is a
 // structural edit, and those are local-target for now.
 func (d *Deployment) elasticOf(stage string) (*pipes.ElasticTee, error) {
-	if d.ld == nil {
-		return nil, ErrNotEditable
+	ld, err := d.local()
+	if err != nil {
+		return nil, err
 	}
 	d.rbMu.Lock()
 	defer d.rbMu.Unlock()
-	sp, ok := d.ld.splits[stage+".split"]
+	sp, ok := ld.splits[stage+".split"]
 	if !ok {
-		sp, ok = d.ld.splits[stage]
+		sp, ok = ld.splits[stage]
 	}
 	if !ok {
 		return nil, fmt.Errorf("graph %q: %q is not a scaled stage", d.name, stage)

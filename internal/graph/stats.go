@@ -147,18 +147,3 @@ func (st GraphStats) String() string {
 	}
 	return b.String()
 }
-
-// Stats assembles the deployment's live telemetry.  Safe to call at any
-// time, including while a rebalance or replace is in flight (the snapshot
-// then shows the generation being replaced).  Remote deployments fan the
-// stats op out to their nodes and fold the answers into the same shape,
-// with node attribution in Nodes.
-func (d *Deployment) Stats() GraphStats {
-	switch {
-	case d.remote != nil:
-		return d.remote.stats()
-	case d.ld != nil:
-		return d.ld.stats()
-	}
-	return GraphStats{}
-}

@@ -475,7 +475,7 @@ func TestRemoteTenantCountersSurviveReplace(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	const mid = "mid>>mp"
-	if err := d.Replace(map[string]int{mid: 2}); err != nil {
+	if err := d.Rebalance(map[string]int{mid: 2}); err != nil {
 		t.Fatalf("replace %q: %v", mid, err)
 	}
 	if got := d.SegmentPlacements()[mid]; got != 2 {

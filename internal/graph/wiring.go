@@ -13,15 +13,13 @@ import (
 )
 
 // This file decides, once for every target, how a segment meets its
-// neighbours: a direct tee port, the tee sink, a merge in-port, the merge
-// out-port, or a link.  A cut is always a link; a tee port becomes one when
-// its ends sit on different slots (shards or nodes), and once linked stays
-// linked wherever they move, so the link's queue or journal carries the
-// in-flight items.  Relays compose just before their branch and just after
-// it: thread spawn order is the ready queue's tie-break.  What needs the
-// target is a host's: a shard group renders live core.Stages joined by
-// shard.Links, a node set remote.StageSpecs joined by TCP lanes (or
-// same-node cut links).
+// neighbours: a direct tee port, the tee sink, a merge port, or a link.  A
+// cut is always a link; a tee port becomes one when its ends sit on
+// different slots, and stays one wherever they move, so the link's queue or
+// journal carries the in-flight items.  Relays compose just before and
+// after their branch: spawn order is the ready queue's tie-break.  A host
+// renders for its target: live core.Stages joined by shard.Links, or
+// remote.StageSpecs joined by TCP lanes (or same-node cut links).
 
 // host renders, links and composes for one target.  P is what a part list
 // holds; L is how a link is realized, its zero value an unbound link.
@@ -51,31 +49,39 @@ type host[P any, L comparable] interface {
 // wiring is a deployment's boundary state, the same for every target.
 type wiring[P any, L comparable] struct {
 	h      host[P, L]
+	d      *Deployment
+	g      *Graph
 	name   string
 	plan   *core.GraphPlan
 	slotOf []int // shard or node by segment
 	// links is the one table of links, keyed by lane name: present once a
 	// boundary is linked, the zero L while a move has it unbound.
 	links map[string]L
-	// segOutSpec[i] is the Typespec leaving segment i's last declared stage
-	// — the seed carried into what is wired to it directly (§2.3 checking
-	// does not stop at a tee).  laneSeed is the Typespec entering each
-	// link's receiving end; mergeInSpec the one entering each merge in-port.
+	// segOutSpec[i] is the Typespec leaving segment i's last declared stage,
+	// the seed of what is wired to it directly (§2.3 checking crosses tees);
+	// laneSeed enters each link's receiving end, mergeInSpec each merge
+	// in-port.
 	segOutSpec  []typespec.Typespec
 	laneSeed    map[string]typespec.Typespec
 	mergeInSpec map[string][]typespec.Typespec
 	ledger      ledger
 }
 
-// setup starts the wiring of a deployment of plan placed by slotOf.
-func (w *wiring[P, L]) setup(h host[P, L], name string, plan *core.GraphPlan, slotOf []int) {
-	w.h, w.name, w.plan, w.slotOf = h, name, plan, slotOf
+// setup starts the wiring of deployment d of g's plan placed by slotOf.
+func (w *wiring[P, L]) setup(h host[P, L], d *Deployment, g *Graph, plan *core.GraphPlan, slotOf []int) {
+	w.h, w.d, w.g, w.name, w.plan, w.slotOf = h, d, g, d.name, plan, slotOf
 	w.links, w.laneSeed = make(map[string]L), make(map[string]typespec.Typespec)
 	w.segOutSpec, w.mergeInSpec = make([]typespec.Typespec, len(plan.Segments)), make(map[string][]typespec.Typespec)
 	for name, ports := range plan.MergeBranch {
 		w.mergeInSpec[name] = make([]typespec.Typespec, len(ports))
 	}
 	w.ledger.byName, w.ledger.bySlot = make(map[string]counts), make(map[int]counts)
+}
+
+func (w *wiring[P, L]) graph() *Graph { return w.g }
+
+func (w *wiring[P, L]) wired() (*core.GraphPlan, []int, []typespec.Typespec) {
+	return w.plan, w.slotOf, w.segOutSpec
 }
 
 // laneName renders the canonical name of a tee-boundary lane.
@@ -86,11 +92,6 @@ func (w *wiring[P, L]) laneName(node string, port int) string {
 // cutLane renders the canonical name of a cut-edge lane.
 func (w *wiring[P, L]) cutLane(ci int) string {
 	return fmt.Sprintf("%s/cut%d", w.name, ci)
-}
-
-// segment returns the index of the named segment, -1 for none.
-func (w *wiring[P, L]) segment(name string) int {
-	return slices.IndexFunc(w.plan.Segments, func(s *core.GraphSegment) bool { return s.Name() == name })
 }
 
 // linkIf returns lane when the tee boundary between segments from and to is
@@ -304,9 +305,9 @@ type counts struct {
 }
 
 // ledger folds the counters of the pipeline generations a reconfiguration
-// retired, by pipeline name and by the slot each ran on, so Stats stays
-// cumulative — and per-slot load reflects where work happened, not where a
-// segment lives now (the balancer would chase migrated history otherwise).
+// retired, by pipeline name and by the slot each ran on: Stats stays
+// cumulative, and per-slot load reflects where work happened (else the
+// balancer would chase migrated history).
 type ledger struct {
 	mu     sync.Mutex
 	byName map[string]counts

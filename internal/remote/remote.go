@@ -14,6 +14,7 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -322,7 +323,7 @@ type response struct {
 	// Sections is the pump-driven section count of the pipeline a compose
 	// just built (buffers add sections).  Spec kinds are opaque to a
 	// deployer, so only the node knows whether a stage materialized as a
-	// buffer; the graph deployer gates Replace on it (see replaceable).
+	// buffer; the graph deployer gates a move on it (see replaceable).
 	Sections int
 	// Specs is the resolved Typespec after every stage a compose was asked
 	// for (an admission gate the node inserted is not counted).
@@ -550,6 +551,11 @@ func (n *Node) compose(req request) (p *core.Pipeline, gate int, err error) {
 		tenant, class = n.tenantFor(req.Tenant)
 	}
 	stages := make([]core.Stage, 0, len(req.Stages)+1)
+	defer func() {
+		if err != nil {
+			closeBuilt(stages)
+		}
+	}()
 	for _, sp := range req.Stages {
 		n.mu.Lock()
 		f, ok := n.factories[sp.Kind]
@@ -586,6 +592,18 @@ func (n *Node) compose(req request) (p *core.Pipeline, gate int, err error) {
 	}
 	n.pipelines[name] = p
 	return p, gate, nil
+}
+
+// closeBuilt closes what the factories of a failed compose opened: every
+// built component that is an io.Closer (a dialed lane sender, say).
+func closeBuilt(stages []core.Stage) {
+	for _, st := range stages {
+		if c, ok := st.IsComponent(); ok {
+			if cl, ok := c.(io.Closer); ok {
+				_ = cl.Close()
+			}
+		}
+	}
 }
 
 // Client drives a remote node over the control transport (see Conn, whose
