@@ -41,7 +41,7 @@ func TestFacadeGraph(t *testing.T) {
 	if err := d.Wait(); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
-	// CopyTee multicasts: both copies of every item reach the sink.
+	// A copy split multicasts: both copies of every item reach the sink.
 	if sink.Count() != 2*items {
 		t.Fatalf("sink received %d items, want %d", sink.Count(), 2*items)
 	}

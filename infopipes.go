@@ -276,10 +276,11 @@ type (
 	GraphStageFactory = graph.StageFactory
 	// GraphPlan is the planner's segmentation of a graph (diagnostics).
 	GraphPlan = core.GraphPlan
-	// SplitTee is the fan-out surface the planner composes against
-	// (CopyTee and RouteTee implement it).
+	// SplitTee is the fan-out surface the planner composes against; the
+	// one split tee (NewCopyTee, NewRouteTee: copy or route) implements it.
 	SplitTee = core.SplitPoint
-	// MergeTeePoint is the fan-in surface (MergeTee implements it).
+	// MergeTeePoint is the fan-in surface; the one merge tee (NewMergeTee:
+	// arrival order) implements it.
 	MergeTeePoint = core.MergePoint
 
 	// GraphStats is a deployment's live telemetry snapshot: per-segment

@@ -432,7 +432,7 @@ func TestGlueWrappersForceCoroutines(t *testing.T) {
 }
 
 func TestUnwrappableComponentRejected(t *testing.T) {
-	// A RouteTee declares Wrappable()=false; placing it in pull mode
+	// A route split (NewRouteTee) declares Wrappable()=false; placing it in pull mode
 	// (upstream of the pump) must fail composition (§3.3 switch rules).
 	s := uthread.New()
 	tee := pipes.NewRouteTee("route", 2, 4, typespec.Block, typespec.Block,

@@ -39,7 +39,7 @@ import (
 type Tree struct {
 	name string
 	grp  *shard.Group
-	root *pipes.CopyTee
+	root *pipes.Split
 
 	mu      sync.Mutex
 	trunkG  *graph.Graph
@@ -56,7 +56,7 @@ type Tree struct {
 type treeRelay struct {
 	prefix  string
 	pending []pendingLeaf
-	tee     *pipes.CopyTee
+	tee     *pipes.Split
 	dep     *graph.Deployment
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"infopipes/internal/core"
+	"infopipes/internal/pipes"
 	"infopipes/internal/qos"
 	"infopipes/internal/uthread"
 )
@@ -63,8 +64,9 @@ func (op AttachBranch) stage(t *txn) error {
 	if !ok || n.kind != nSplit {
 		return t.errf("AttachBranch target %q is not a split", op.Split)
 	}
-	if _, ok := ld.splits[op.Split].(outAdder); !ok {
-		return t.errf("split %q does not support live port surgery", op.Split)
+	tee, err := t.portSplit(ld, op.Split)
+	if err != nil {
+		return err
 	}
 	if len(op.Stages) == 0 {
 		return t.errf("AttachBranch on %q with no stages", op.Split)
@@ -86,7 +88,7 @@ func (op AttachBranch) stage(t *txn) error {
 	}
 	n.outs++
 	t.undo = append(t.undo, func() { n.outs-- })
-	t.attaches = append(t.attaches, attachRec{split: op.Split, port: port})
+	t.attaches = append(t.attaches, attachRec{tee: tee, port: port})
 	return nil
 }
 
@@ -112,8 +114,9 @@ func (op DetachBranch) stage(t *txn) error {
 	if !ok || n.kind != nSplit {
 		return t.errf("DetachBranch target %q is not a split", op.Split)
 	}
-	if _, ok := ld.splits[op.Split].(outDetacher); !ok {
-		return t.errf("split %q does not support live port surgery", op.Split)
+	tee, err := t.portSplit(ld, op.Split)
+	if err != nil {
+		return err
 	}
 	branches := ld.plan.SplitBranch[op.Split]
 	if op.Port < 0 || op.Port >= len(branches) || branches[op.Port] < 0 {
@@ -125,7 +128,7 @@ func (op DetachBranch) stage(t *txn) error {
 			seg.Name(), op.Split)
 	}
 	rec := &detachRec{
-		split: op.Split, port: op.Port, segName: seg.Name(),
+		tee: tee, port: op.Port, segName: seg.Name(),
 		stageNames: seg.Stages, branchShard: ld.slotOf[branches[op.Port]],
 	}
 	leaving := make(map[string]bool, len(seg.Stages))
@@ -294,11 +297,19 @@ func rebind(t *qos.Tenant, rebinds []RebindTenant) {
 	}
 }
 
-// outAdder / outDetacher are the live port-surgery capabilities a split tee
-// must implement to accept AttachBranch / DetachBranch (pipes.CopyTee and
-// pipes.RouteTee do).
-type outAdder interface{ AddOut() int }
-type outDetacher interface{ DetachOut(int) error }
+// portSplit resolves the live split an AttachBranch or DetachBranch operates
+// on.  A spread split is refused: its seq merge cannot grow with it, so a
+// new port would carry trunk items out of the rebuilt stream.
+func (t *txn) portSplit(ld *localDeploy, name string) (*pipes.Split, error) {
+	sp, ok := ld.splits[name].(*pipes.Split)
+	if !ok {
+		return nil, t.errf("split %q does not support live port surgery", name)
+	}
+	if sp.Spread() {
+		return nil, t.errf("split %q spreads a scaled stage over its replicas; retune it with SetReplicas", name)
+	}
+	return sp, nil
+}
 
 // Edit applies a batch of live-edit operations as one transaction: every
 // op is validated first — a rejected batch leaves the flow untouched — then
@@ -335,14 +346,14 @@ func (ld *localDeploy) applyRebinds(rebinds []RebindTenant) error {
 // attachRec carries one validated AttachBranch to the commit: the new
 // port's index (the split's outs before the attach).
 type attachRec struct {
-	split string
-	port  int
+	tee  *pipes.Split
+	port int
 }
 
 // detachRec carries one validated DetachBranch through the transaction and,
 // while the branch drains, across later ones (localDeploy.draining).
 type detachRec struct {
-	split       string
+	tee         *pipes.Split
 	port        int
 	segName     string
 	stageNames  []string
@@ -364,7 +375,7 @@ func (ld *localDeploy) drainDetached(detaches []*detachRec) error {
 	for _, segName := range slices.Sorted(maps.Keys(ld.draining)) {
 		dr := ld.draining[segName]
 		name := ld.name + "/" + dr.segName + "/detached"
-		lane := ld.laneName(dr.split, dr.port)
+		lane := ld.laneName(dr.tee.Name(), dr.port)
 		if dr.drain != nil && dr.drain.ReachedEOS() || dr.drain == nil && dr.pipe != nil && dr.pipe.ReachedEOS() {
 			// Fully drained: fold the drain's counters and its off-plan
 			// boundary relay's, and forget them.
@@ -375,16 +386,16 @@ func (ld *localDeploy) drainDetached(detaches []*detachRec) error {
 		}
 		// Quiesced mid-drain by this transaction (or not yet drained at
 		// all): compose replaces the superseded pipelines below.
-		trunk := ld.plan.SplitTrunk[dr.split]
+		trunk := ld.plan.SplitTrunk[dr.tee.Name()]
 		var stages []core.Stage
 		if l := ld.links[lane]; l != nil {
 			l.Retarget(ld.schedOf(dr.branchShard))
-			if err := ld.splitRelay(dr.split, dr.port); err != nil {
+			if err := ld.splitRelay(dr.tee.Name(), dr.port); err != nil {
 				return err
 			}
 			stages = append(stages, l.ReceiverStages(lane)...)
 		} else {
-			stages = append(stages, core.Comp(ld.splits[dr.split].OutPort(dr.port)))
+			stages = append(stages, core.Comp(dr.tee.OutPort(dr.port)))
 		}
 		stages = append(stages, dr.stageInsts...)
 		if _, err := ld.compose(name, dr.branchShard, -1, stages, ld.segOutSpec[trunk], false); err != nil {

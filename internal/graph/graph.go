@@ -356,7 +356,7 @@ func (g *Graph) materialize() (map[string]core.Stage, map[string]core.SplitPoint
 
 // BuildSplit materializes a spec-backed split tee; shared with the node-side
 // remote factories so local and remote deployments build identical tees.
-func BuildSplit(name, kind string, outs int, params map[string]string) (core.SplitPoint, error) {
+func BuildSplit(name, kind string, outs int, params map[string]string) (*pipes.Split, error) {
 	capacity, push, pull, err := teeBufferParams(params)
 	if err != nil {
 		return nil, fmt.Errorf("split %q: %w", name, err)
@@ -379,8 +379,8 @@ func BuildSplit(name, kind string, outs int, params map[string]string) (core.Spl
 
 // BuildMerge materializes a spec-backed merge tee: arrival order by
 // default, ascending-Seq reconstruction with ord=seq (the replica fold-in;
-// see pipes.OrderedMerge for the 1:1 seq-preserving contract).
-func BuildMerge(name string, ins int, params map[string]string) (core.MergePoint, error) {
+// see pipes.NewElasticTee for the 1:1 seq-preserving contract).
+func BuildMerge(name string, ins int, params map[string]string) (*pipes.Merge, error) {
 	capacity, push, pull, err := teeBufferParams(params)
 	if err != nil {
 		return nil, fmt.Errorf("merge %q: %w", name, err)

@@ -219,7 +219,7 @@ func TestGraphDeterministicAcrossTargets(t *testing.T) {
 
 // TestGraphValidationErrors covers the planner's error taxonomy.
 func TestGraphValidationErrors(t *testing.T) {
-	mk := func() (*graph.Graph, *pipes.MergeTee, *pipes.CopyTee) {
+	mk := func() (*graph.Graph, *pipes.Merge, *pipes.Split) {
 		g := graph.New("v")
 		tee := pipes.NewCopyTee("tee", 2, 4, typespec.Block, typespec.Block)
 		mrg := pipes.NewMergeTee("mrg", 2, 4, typespec.Block, typespec.Block)

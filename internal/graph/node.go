@@ -23,8 +23,8 @@ type nodeState struct {
 	node *remote.Node
 
 	mu        sync.Mutex
-	splits    map[string]core.SplitPoint
-	merges    map[string]core.MergePoint
+	splits    map[string]*pipes.Split
+	merges    map[string]*pipes.Merge
 	links     map[string]*shard.Link
 	listeners map[string]laneListener
 	senders   map[string]*netpipe.TCPLink
@@ -185,15 +185,8 @@ func (s *nodeState) drained(tee string, lanes []string) bool {
 		}
 		s.mu.Unlock()
 		if hosted {
-			bufs, can := sp.(interface {
-				Outs() int
-				OutBuffer(int) *pipes.BoundedBuffer
-			})
-			if !can {
-				return nil, false
-			}
-			for i := 0; i < bufs.Outs(); i++ {
-				if bufs.OutBuffer(i).Len() != 0 {
+			for i := 0; i < sp.Outs(); i++ {
+				if sp.OutBuffer(i).Len() != 0 {
 					return nil, false
 				}
 			}
@@ -300,8 +293,8 @@ func intParam(params map[string]string, key string, def int) (int, error) {
 func EnableNode(n *remote.Node, cat Catalog) {
 	st := &nodeState{
 		node:      n,
-		splits:    make(map[string]core.SplitPoint),
-		merges:    make(map[string]core.MergePoint),
+		splits:    make(map[string]*pipes.Split),
+		merges:    make(map[string]*pipes.Merge),
 		links:     make(map[string]*shard.Link),
 		listeners: make(map[string]laneListener),
 		senders:   make(map[string]*netpipe.TCPLink),
@@ -338,7 +331,7 @@ func EnableNode(n *remote.Node, cat Catalog) {
 		}
 		key := teeKey(spec.Params, name)
 		if merge {
-			mp, err := shared(st, st.merges, key, func() (core.MergePoint, error) { return BuildMerge(name, ports, spec.Params) })
+			mp, err := shared(st, st.merges, key, func() (*pipes.Merge, error) { return BuildMerge(name, ports, spec.Params) })
 			switch {
 			case err != nil:
 				return core.Stage{}, err
@@ -347,7 +340,7 @@ func EnableNode(n *remote.Node, cat Catalog) {
 			}
 			return core.Comp(mp.InPort(port)), nil
 		}
-		sp, err := shared(st, st.splits, key, func() (core.SplitPoint, error) {
+		sp, err := shared(st, st.splits, key, func() (*pipes.Split, error) {
 			return BuildSplit(name, spec.Params["kind"], ports, spec.Params)
 		})
 		switch {

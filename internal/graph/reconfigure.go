@@ -293,13 +293,13 @@ func (ld *localDeploy) quiesce(t *txn) error {
 // surgery, the stage table, the plan swap, then the recomposition.
 func (ld *localDeploy) commit(t *txn) error {
 	for _, a := range t.attaches {
-		if got := ld.splits[a.split].(outAdder).AddOut(); got != a.port {
-			return t.errf("split %q port drift (declared %d, instance %d)", a.split, a.port, got)
+		if got := a.tee.AddOut(); got != a.port {
+			return t.errf("split %q port drift (declared %d, instance %d)", a.tee.Name(), a.port, got)
 		}
 	}
 	maps.Copy(ld.stages, t.newStages)
 	for _, dr := range t.detaches {
-		if err := ld.splits[dr.split].(outDetacher).DetachOut(dr.port); err != nil {
+		if err := dr.tee.DetachOut(dr.port); err != nil {
 			return t.errf("%w", err)
 		}
 		for _, name := range dr.stageNames {

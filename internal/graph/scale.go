@@ -16,8 +16,8 @@ import (
 //	                 ├─ S#1  >> S#1/p ─┤
 //	                 └─ S#n-1>> S#n-1/p┘
 //
-// behind an elastic route-split (pipes.ElasticTee, a pure (Seq-1) mod
-// active selector) and a seq-ordered fold-in (pipes.OrderedMerge): each
+// behind a spread split (pipes.NewElasticTee, a pure (Seq-1) mod active
+// selector) and a seq-order merge (pipes.NewOrderedMerge): each
 // replica is its own branch segment ("S#i>>S#i/p"), placeable on its own
 // shard.  The merge rebuilds the exact trunk order, so every trace below it
 // is byte-identical whatever the replica count — scaling is invisible, and
@@ -53,8 +53,8 @@ type scaleRec struct {
 	replicas  int
 	places    []int
 	oldShard  int
-	tee       *pipes.ElasticTee
-	om        *pipes.OrderedMerge
+	tee       *pipes.Split
+	om        *pipes.Merge
 }
 
 // stage validates the op and rewrites the declaration layer: replica nodes,
@@ -113,7 +113,7 @@ func (op ScaleStage) stage(t *txn) error {
 	rec := &scaleRec{splitName: op.Node + ".split", mergeName: op.Node + ".merge",
 		replicas: op.Replicas, places: op.Places, oldShard: oldShard}
 	rec.tee = pipes.NewElasticTee(rec.splitName, op.Replicas, 8, typespec.Block, typespec.Block)
-	rec.om = pipes.NewOrderedMerge(rec.mergeName, op.Replicas, 8, typespec.Block, typespec.Block, rec.tee.BaseRef())
+	rec.om = pipes.NewOrderedMerge(rec.mergeName, op.Replicas, 8, typespec.Block, typespec.Block, rec.tee)
 	split := &node{name: rec.splitName, kind: nSplit, split: rec.tee, outs: op.Replicas, place: -1}
 	merge := &node{name: rec.mergeName, kind: nMerge, merge: rec.om, ins: op.Replicas, place: -1}
 	g.nodes = append(g.nodes, split, merge)
@@ -301,10 +301,10 @@ func (d *Deployment) Replicas(stage string) (active, declared int, err error) {
 	return tee.Active(), tee.Outs(), nil
 }
 
-// elasticOf resolves a stage name (or its split's name) to the live
-// ElasticTee behind it.  Local deployments only — replica scale-out is a
+// elasticOf resolves a stage name (or its split's name) to the live spread
+// split behind it.  Local deployments only — replica scale-out is a
 // structural edit, and those are local-target for now.
-func (d *Deployment) elasticOf(stage string) (*pipes.ElasticTee, error) {
+func (d *Deployment) elasticOf(stage string) (*pipes.Split, error) {
 	ld, err := d.local()
 	if err != nil {
 		return nil, err
@@ -313,14 +313,10 @@ func (d *Deployment) elasticOf(stage string) (*pipes.ElasticTee, error) {
 	defer d.rbMu.Unlock()
 	sp, ok := ld.splits[stage+".split"]
 	if !ok {
-		sp, ok = ld.splits[stage]
+		sp = ld.splits[stage]
 	}
-	if !ok {
-		return nil, fmt.Errorf("graph %q: %q is not a scaled stage", d.name, stage)
+	if tee, ok := sp.(*pipes.Split); ok && tee.Spread() {
+		return tee, nil
 	}
-	tee, ok := sp.(*pipes.ElasticTee)
-	if !ok {
-		return nil, fmt.Errorf("graph %q: split %q is not elastic", d.name, stage)
-	}
-	return tee, nil
+	return nil, fmt.Errorf("graph %q: %q is neither a scaled stage nor a spread split", d.name, stage)
 }

@@ -52,30 +52,34 @@ func workReplica(i int) (core.Stage, error) {
 	})), nil
 }
 
+// scaleReference runs buildScaleChain(items) unscaled on one shard and
+// returns its sink trace.
+func scaleReference(t *testing.T, items int64) string {
+	t.Helper()
+	g, sink := buildScaleChain(items)
+	grp := shard.NewGroup(shard.WithShardCount(1))
+	d, err := g.Deploy(graph.OnGroup(grp))
+	if err != nil {
+		t.Fatalf("reference deploy: %v", err)
+	}
+	grp.Start()
+	d.Start()
+	if err := d.Wait(); err != nil {
+		t.Fatalf("reference wait: %v", err)
+	}
+	if err := grp.Wait(); err != nil {
+		t.Fatalf("reference group wait: %v", err)
+	}
+	return scaleTrace(sink.Items())
+}
+
 // TestScaleStageMidStreamByteIdentical scales the work stage 1→4 while the
 // stream runs, folds back to 1 active replica mid-stream, and compares the
 // sink trace byte-for-byte against an unscaled reference run — on 1, 2 and
 // 4 scheduler shards, with replicas spread across shards where they exist.
 func TestScaleStageMidStreamByteIdentical(t *testing.T) {
 	const items = 1200
-
-	reference := func() string {
-		g, sink := buildScaleChain(items)
-		grp := shard.NewGroup(shard.WithShardCount(1))
-		d, err := g.Deploy(graph.OnGroup(grp))
-		if err != nil {
-			t.Fatalf("reference deploy: %v", err)
-		}
-		grp.Start()
-		d.Start()
-		if err := d.Wait(); err != nil {
-			t.Fatalf("reference wait: %v", err)
-		}
-		if err := grp.Wait(); err != nil {
-			t.Fatalf("reference group wait: %v", err)
-		}
-		return scaleTrace(sink.Items())
-	}()
+	reference := scaleReference(t, items)
 
 	for _, shards := range []int{1, 2, 4} {
 		shards := shards
@@ -142,6 +146,59 @@ func TestScaleStageMidStreamByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestScaleStageRefusesPortSurgery pins that a scaled stage's split takes
+// no AttachBranch or DetachBranch: its seq merge cannot grow with it, so an
+// attached port would carry trunk items away from the merged stream.  The
+// edits fail naming SetReplicas, the replica count stays, and the sink trace
+// is the unscaled one.
+func TestScaleStageRefusesPortSurgery(t *testing.T) {
+	const items = 1200
+	reference := scaleReference(t, items)
+	for attempt := 0; attempt < 6; attempt++ {
+		g, sink := buildScaleChain(items)
+		grp := shard.NewGroup(shard.WithShardCount(2))
+		d, err := g.Deploy(graph.OnGroup(grp))
+		if err != nil {
+			t.Fatalf("deploy: %v", err)
+		}
+		grp.Start()
+		d.Start()
+		editWait(d, sink, items/8)
+		err = d.Edit(graph.ScaleStage{Node: "work", Replicas: 2, Build: workReplica})
+		scaled := err == nil
+		if scaled {
+			side := pipes.NewCollectSink("side")
+			err = d.Edit(graph.AttachBranch{Split: "work.split", Place: -1,
+				Stages: []core.Stage{core.Pmp(pipes.NewFreePump("side/p")), core.Comp(side)}})
+			if err == nil || !strings.Contains(err.Error(), "SetReplicas") {
+				t.Fatalf("AttachBranch on a scaled stage's split: err = %v, want one naming SetReplicas", err)
+			}
+			err = d.Edit(graph.DetachBranch{Split: "work.split", Port: 1})
+			if err == nil || !strings.Contains(err.Error(), "SetReplicas") {
+				t.Fatalf("DetachBranch on a scaled stage's split: err = %v, want one naming SetReplicas", err)
+			}
+			if a, n, rerr := d.Replicas("work"); rerr != nil || a != 2 || n != 2 {
+				t.Fatalf("Replicas = %d/%d, %v; want 2/2", a, n, rerr)
+			}
+		} else if err != graph.ErrDeploymentDone {
+			t.Fatalf("scale edit: %v", err)
+		}
+		if werr := d.Wait(); werr != nil {
+			t.Fatalf("wait: %v", werr)
+		}
+		if gerr := grp.Wait(); gerr != nil {
+			t.Fatalf("group wait: %v", gerr)
+		}
+		if got := scaleTrace(sink.Items()); got != reference {
+			t.Fatalf("sink trace diverged from the unscaled reference (%d items vs %d)", sink.Count(), items)
+		}
+		if scaled {
+			return
+		}
+	}
+	t.Fatal("scale edit never landed mid-stream in 6 runs")
 }
 
 // TestScaleStageValidationAndRollback exercises the Phase-1 refusals: each

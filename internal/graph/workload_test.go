@@ -65,32 +65,35 @@ func chainShape(caps ...int) func(*graph.Graph, core.Component) {
 	}
 }
 
-// teeShape adds src -> pump -> tee -> two pumped branches -> merge -> pump
-// -> sink, every tee and merge port a 64-slot blocking buffer.
-func teeShape(copyTee bool) func(*graph.Graph, core.Component) {
+// teeShape adds src -> pump -> tee -> n pumped branches -> merge -> pump
+// -> sink; tees builds the split and the merge, every port of which is a
+// 64-slot blocking buffer.
+func teeShape(n int, tees func() (core.SplitPoint, core.MergePoint)) func(*graph.Graph, core.Component) {
 	return func(g *graph.Graph, sink core.Component) {
 		g.Add(core.Comp(pipes.NewCounterSource("src", workItems)))
 		g.Add(core.Pmp(pipes.NewFreePump("p0")))
-		if copyTee {
-			g.Split(pipes.NewCopyTee("tee", 2, 64, typespec.Block, typespec.Block))
-		} else {
-			g.Split(pipes.NewRouteTee("tee", 2, 64, typespec.Block, typespec.Block,
-				func(it *item.Item) int { return int(it.Seq % 2) }))
-		}
-		for _, b := range []string{"a", "b"} {
+		sp, mp := tees()
+		g.Split(sp)
+		g.Merge(mp)
+		for i := 0; i < n; i++ {
+			b := string(rune('a' + i))
 			g.Add(core.Comp(pipes.NewFuncFilter("w"+b, func(_ *core.Ctx, it *item.Item) (*item.Item, error) {
 				return it, nil
 			})))
 			g.Add(core.Pmp(pipes.NewFreePump("p" + b)))
+			g.Pipe(fmt.Sprintf("tee:%d", i), "w"+b, "p"+b, fmt.Sprintf("mrg:%d", i))
 		}
-		g.Merge(pipes.NewMergeTee("mrg", 2, 64, typespec.Block, typespec.Block))
 		g.Add(core.Pmp(pipes.NewFreePump("po")))
 		g.Add(core.Comp(sink))
 		g.Pipe("src", "p0", "tee")
-		g.Pipe("tee:0", "wa", "pa", "mrg:0")
-		g.Pipe("tee:1", "wb", "pb", "mrg:1")
 		g.Pipe("mrg", "po", sink.Name())
 	}
+}
+
+// arrivalMerge is the 2-way arrival-order merge behind the copy and route
+// shapes.
+func arrivalMerge() core.MergePoint {
+	return pipes.NewMergeTee("mrg", 2, 64, typespec.Block, typespec.Block)
 }
 
 // TestWorkPerItem pins the scheduler work each flow shape costs per item,
@@ -140,7 +143,11 @@ func TestWorkPerItem(t *testing.T) {
 		},
 		{
 			// Per-item round-robin: 80 013 / 20 019.
-			name: "route_tee_merge", build: teeShape(false),
+			name: "route_tee_merge",
+			build: teeShape(2, func() (core.SplitPoint, core.MergePoint) {
+				return pipes.NewRouteTee("tee", 2, 64, typespec.Block, typespec.Block,
+					func(it *item.Item) int { return int(it.Seq % 2) }), arrivalMerge()
+			}),
 			switches: 5008, messages: 18, delivered: workItems,
 		},
 		{
@@ -153,8 +160,21 @@ func TestWorkPerItem(t *testing.T) {
 			// sent to the back of the queue it kept the merge full and every
 			// item paid a wake: 7.97 switches / 2.99 messages per item.
 			// Per-item round-robin: 159 630 / 59 699.
-			name: "copy_tee_merge", build: teeShape(true),
+			name: "copy_tee_merge",
+			build: teeShape(2, func() (core.SplitPoint, core.MergePoint) {
+				return pipes.NewCopyTee("tee", 2, 64, typespec.Block, typespec.Block), arrivalMerge()
+			}),
 			switches: 10000, messages: 22, delivered: 2 * workItems,
+		},
+		{
+			// The replica scale-out ring: a spread split over three
+			// replica branches and a seq merge that rebuilds the trunk.
+			name: "spread_seq_merge",
+			build: teeShape(3, func() (core.SplitPoint, core.MergePoint) {
+				tee := pipes.NewElasticTee("tee", 3, 64, typespec.Block, typespec.Block)
+				return tee, pipes.NewOrderedMerge("mrg", 3, 64, typespec.Block, typespec.Block, tee)
+			}),
+			switches: 6260, messages: 25, delivered: workItems,
 		},
 	}
 	for _, sh := range shapes {

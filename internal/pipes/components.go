@@ -2,6 +2,7 @@ package pipes
 
 import (
 	"sync"
+	"time"
 
 	"infopipes/internal/core"
 	"infopipes/internal/events"
@@ -273,7 +274,7 @@ func (d *DelayFilter) Style() core.Style { return core.StyleFunction }
 // Convert implements core.Function.
 func (d *DelayFilter) Convert(ctx *core.Ctx, it *item.Item) (*item.Item, error) {
 	if ns := d.cost(it); ns > 0 {
-		ctx.Thread().SleepFor(nsToDuration(ns))
+		ctx.Thread().SleepFor(time.Duration(ns))
 	}
 	return it, nil
 }

@@ -10,12 +10,12 @@ import (
 	"infopipes/internal/uthread"
 )
 
-// elasticRing composes source >> ElasticTee >> n replica branches >>
-// OrderedMerge >> sink on one scheduler and returns the sink.  branchStage
+// elasticRing composes source >> spread Split >> n replica branches >>
+// seq Merge >> sink on one scheduler and returns the sink.  branchStage
 // (optional) is cloned per branch via the factory to transform items
 // mid-branch.
-func elasticRing(t *testing.T, s *uthread.Scheduler, tee *pipes.ElasticTee,
-	om *pipes.OrderedMerge, count int64, branchStage func(i int) core.Stage) (*core.Pipeline, *pipes.CollectSink) {
+func elasticRing(t *testing.T, s *uthread.Scheduler, tee *pipes.Split,
+	om *pipes.Merge, count int64, branchStage func(i int) core.Stage) (*core.Pipeline, *pipes.CollectSink) {
 	t.Helper()
 	trunk, err := core.Compose("trunk", s, nil, []core.Stage{
 		core.Comp(pipes.NewCounterSource("src", count)),
@@ -84,7 +84,7 @@ func TestElasticTeeSpreadsBySeq(t *testing.T) {
 			}
 		}
 	}
-	if b := tee.BaseRef().Load(); b != 1 {
+	if b := pipes.SplitBase(tee); b != 1 {
 		t.Errorf("base = %d, want 1", b)
 	}
 }
@@ -174,7 +174,7 @@ func TestOrderedMergeReconstructsTrunk(t *testing.T) {
 	// output is the exact trunk stream in ascending Seq order.
 	s := uthread.New()
 	tee := pipes.NewElasticTee("el", 4, 8, typespec.Block, typespec.Block)
-	om := pipes.NewOrderedMerge("om", 4, 8, typespec.Block, typespec.Block, tee.BaseRef())
+	om := pipes.NewOrderedMerge("om", 4, 8, typespec.Block, typespec.Block, tee)
 	trunk, sink := elasticRing(t, s, tee, om, 50, nil)
 	trunk.Start()
 	if err := s.Run(); err != nil {
@@ -200,7 +200,7 @@ func TestOrderedMergeAdoptsBase(t *testing.T) {
 	// a Seq-1 that will never come.
 	s := uthread.New()
 	tee := pipes.NewElasticTee("el", 2, 8, typespec.Block, typespec.Block)
-	om := pipes.NewOrderedMerge("om", 2, 8, typespec.Block, typespec.Block, tee.BaseRef())
+	om := pipes.NewOrderedMerge("om", 2, 8, typespec.Block, typespec.Block, tee)
 	trunk, err := core.Compose("trunk", s, nil, []core.Stage{
 		core.Comp(pipes.NewGeneratorSource("src", typespec.Typespec{}, 10,
 			func(ctx *core.Ctx, seq int64) (*item.Item, error) {
@@ -250,7 +250,7 @@ func TestOrderedMergeFlushesAcrossGaps(t *testing.T) {
 	// order instead of wedging.
 	s := uthread.New()
 	tee := pipes.NewElasticTee("el", 3, 16, typespec.Block, typespec.Block)
-	om := pipes.NewOrderedMerge("om", 3, 16, typespec.Block, typespec.Block, tee.BaseRef())
+	om := pipes.NewOrderedMerge("om", 3, 16, typespec.Block, typespec.Block, tee)
 	trunk, sink := elasticRing(t, s, tee, om, 20, func(i int) core.Stage {
 		return core.Comp(pipes.NewFuncFilter("f", func(_ *core.Ctx, it *item.Item) (*item.Item, error) {
 			if it.Seq == 7 {

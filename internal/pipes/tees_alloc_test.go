@@ -12,7 +12,7 @@ import (
 
 // TestCopyTeeFanOutDoesNotAllocate is the regression guard for the pooled
 // item freelist and copy-on-write attrs: multicasting a nil-attrs item
-// through a CopyTee must not allocate per fan-out — the clone header comes
+// through a copy split must not allocate per fan-out — the clone header comes
 // from the freelist and there is no attribute map to copy.  The measurement
 // runs on a scheduler thread because buffer operations need a live Ctx.
 func TestCopyTeeFanOutDoesNotAllocate(t *testing.T) {
@@ -59,7 +59,7 @@ func TestCopyTeeFanOutDoesNotAllocate(t *testing.T) {
 		t.Fatal("measurement never ran")
 	}
 	if perFanOut >= 1 {
-		t.Errorf("CopyTee fan-out allocates %v/op for nil-attrs items, want 0", perFanOut)
+		t.Errorf("copy split fan-out allocates %v/op for nil-attrs items, want 0", perFanOut)
 	}
 }
 
