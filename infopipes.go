@@ -725,8 +725,9 @@ type (
 	Autoscaler = elastic.Autoscaler
 	// AutoscalePolicy declares how one stage scales.
 	AutoscalePolicy = elastic.Policy
-	// FanOutTree is the multi-level distribution tree: trunk, relays, and
-	// churn-safe leaf subscriptions; TreeSub is one subscription handle.
+	// FanOutTree is the multi-level distribution tree, deployed as one
+	// graph: trunk, relays, and churn-safe leaf subscriptions, each one edit
+	// that pauses only the leaf's relay; TreeSub is one subscription handle.
 	FanOutTree = elastic.Tree
 	TreeSub    = elastic.Sub
 )

@@ -128,8 +128,8 @@ func (d *Deployment) Name() string { return d.name }
 // whose buses are their own).
 func (d *Deployment) Bus() *events.Bus { return d.bus }
 
-// Pipelines lists every composed pipeline, relays included, in composition
-// order (local targets).
+// Pipelines lists the pipelines of the current generation, relays included
+// (local targets).
 func (d *Deployment) Pipelines() []*core.Pipeline {
 	ld, err := d.local()
 	if err != nil {

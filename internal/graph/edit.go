@@ -313,12 +313,13 @@ func (t *txn) portSplit(ld *localDeploy, name string) (*pipes.Split, error) {
 
 // Edit applies a batch of live-edit operations as one transaction: every
 // op is validated first — a rejected batch leaves the flow untouched — then
-// the deployment quiesces at a pump-cycle boundary, is re-planned, and the
-// touched pipelines recompose.  RebindTenant ops need no quiesce: alone they
-// apply at once, beside structural ops as the flow resumes.  Structural ops
-// refuse remote deployments with ErrNotEditable.  A failure after the
-// quiesce (a composition the planner could not foresee) winds the
-// deployment down and is preserved through Err/Wait.
+// the deployment is re-planned, and the pipelines the batch affects quiesce
+// at a pump-cycle boundary and recompose while the rest run on.
+// RebindTenant ops need no quiesce: alone they apply at once, beside
+// structural ops as the flow resumes.  Structural ops refuse remote
+// deployments with ErrNotEditable.  A failure after the quiesce (a
+// composition the planner could not foresee) winds the deployment down and
+// is preserved through Err/Wait.
 func (d *Deployment) Edit(ops ...EditOp) error { return d.reconfigure("edit", ops) }
 
 func (ld *localDeploy) rebind(rebinds []RebindTenant) error {
@@ -367,7 +368,7 @@ type detachRec struct {
 // tombstoned port's buffer was closed upstream, so the branch (and its
 // relay, if linked) drains every in-flight item into its sink and ends
 // cleanly.  Drain pipelines are off-plan: ld.draining carries them across
-// transactions, which recompose them here until they reach end of stream.
+// transactions, which keep them running until they reach end of stream.
 func (ld *localDeploy) drainDetached(detaches []*detachRec) error {
 	for _, dr := range detaches {
 		ld.draining[dr.segName] = dr
@@ -384,21 +385,20 @@ func (ld *localDeploy) drainDetached(detaches []*detachRec) error {
 			delete(ld.draining, segName)
 			continue
 		}
-		// Quiesced mid-drain by this transaction (or not yet drained at
-		// all): compose replaces the superseded pipelines below.
-		trunk := ld.plan.SplitTrunk[dr.tee.Name()]
-		var stages []core.Stage
+		// A drain runs on (no transaction quiesces one); its relay is
+		// recomposed only where its tee moved.
+		stages := []core.Stage{core.Comp(dr.tee.OutPort(dr.port))}
 		if l := ld.links[lane]; l != nil {
-			l.Retarget(ld.schedOf(dr.branchShard))
 			if err := ld.splitRelay(dr.tee.Name(), dr.port); err != nil {
 				return err
 			}
-			stages = append(stages, l.ReceiverStages(lane)...)
-		} else {
-			stages = append(stages, core.Comp(dr.tee.OutPort(dr.port)))
+			stages = l.ReceiverStages(lane)
+		}
+		if ld.runs(name, dr.branchShard) {
+			continue
 		}
 		stages = append(stages, dr.stageInsts...)
-		if _, err := ld.compose(name, dr.branchShard, -1, stages, ld.segOutSpec[trunk], false); err != nil {
+		if _, err := ld.compose(name, dr.branchShard, -1, stages, ld.segOutSpec[ld.plan.SplitTrunk[dr.tee.Name()]], false); err != nil {
 			return err
 		}
 		dr.drain = ld.pipes[name]

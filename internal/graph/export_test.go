@@ -90,3 +90,6 @@ func (g *Graph) DeclString() string {
 	fmt.Fprintf(&b, "index %v\n", keys)
 	return b.String()
 }
+
+// DrainTee exposes the operator side of a trunk move's tee drain.
+var DrainTee = drainTee

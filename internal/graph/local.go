@@ -133,8 +133,8 @@ func (t *GroupTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 
 // localDeploy is the shard host: it renders live stages, joins segments on
 // different shards with shard links, and composes pipelines on the shard's
-// scheduler.  A reconfiguration recomposes the graph over the same stages
-// and links, whose queues carry the in-flight items across.
+// scheduler.  A reconfiguration recomposes the pipelines it affects over the
+// same stages and links, whose queues carry the in-flight items across.
 type localDeploy struct {
 	wiring[core.Stage, *shard.Link]
 	bus     *events.Bus
@@ -163,7 +163,7 @@ type localDeploy struct {
 	finished   bool
 	unpin      func()
 	// pipes holds the pipeline last composed under each name — segments,
-	// relays, drains — so a recomposition can keep one whose stream ended
+	// relays, drains — so a recomposition can keep one it did not detach
 	// and fold the counters of one it replaces.
 	pipes map[string]*core.Pipeline
 	// shardByPipe records the shard every live pipeline was composed on
@@ -195,6 +195,7 @@ func (ld *localDeploy) forget(name string) {
 		ld.retire(name, p)
 		ld.d.mu.Lock()
 		delete(ld.pipes, name)
+		ld.pipelines = slices.DeleteFunc(ld.pipelines, func(q *core.Pipeline) bool { return q == p })
 		ld.d.mu.Unlock()
 	}
 }
@@ -326,10 +327,7 @@ func (ld *localDeploy) emit(ev events.Type) {
 func (ld *localDeploy) broadcast(ev events.Type) { ld.external(func() { ld.emit(ev) }) }
 
 func (ld *localDeploy) err() error {
-	ld.d.mu.Lock()
-	ps := slices.Clone(ld.pipelines)
-	ld.d.mu.Unlock()
-	for _, p := range ps {
+	for _, p := range ld.d.Pipelines() {
 		if err := p.Err(); err != nil {
 			return fmt.Errorf("%s: %w", p.Name(), err)
 		}
@@ -342,58 +340,39 @@ func (ld *localDeploy) wait() error {
 	return ld.d.Err()
 }
 
-// redeploy recomposes the graph for the plan a transaction just committed,
-// over the same stages, tees and links (their buffered state carries the
-// stream across); segments whose stream already ended are kept as they are.
+// redeploy recomposes what the quiesce detached, for the plan a transaction
+// just committed, over the same stages, tees and links (their buffered state
+// carries the stream across).  A segment that runs on keeps its pipeline;
+// only its linked tee ports' relays recompose, where replaced.
 func (ld *localDeploy) redeploy() error {
 	ld.d.mu.Lock()
-	ld.pipelines = nil
+	ld.pipelines = slices.DeleteFunc(ld.pipelines, (*core.Pipeline).Detached)
 	ld.d.mu.Unlock()
 	for _, si := range ld.plan.Order {
-		if p := ld.pipes[ld.name+"/"+ld.plan.Segments[si].Name()]; p != nil && p.ReachedEOS() {
-			if err := ld.keep(si, p); err != nil {
+		seg := ld.plan.Segments[si]
+		if !ld.runs(ld.name+"/"+seg.Name(), ld.slotOf[si]) {
+			if err := ld.place(si); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := ld.place(si); err != nil {
-			return err
+		if h := seg.Head; h.Kind == core.EndSplitOut && ld.links[ld.laneName(h.Node, h.Port)] != nil {
+			if err := ld.splitRelay(h.Node, h.Port); err != nil {
+				return err
+			}
+		}
+		if t := seg.Tail; t.Kind == core.EndMergeIn && ld.links[ld.laneName(t.Node, t.Port)] != nil {
+			ld.links[ld.laneName(t.Node, t.Port)].Retarget(ld.schedOf(ld.slotOf[ld.plan.MergeDown[t.Node]]))
+			if err := ld.mergeRelay(si); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
-}
-
-// keep re-registers a finished segment pipeline in the new generation
-// without placing it again (that would replay end-of-stream into its tail).
-// Its split-head relay has finished too, but a merge-tail relay may still
-// be draining the link into the merge: it recomposes on the merge's shard.
-func (ld *localDeploy) keep(si int, p *core.Pipeline) error {
-	seg := ld.plan.Segments[si]
-	ld.register(p)
-	if h := seg.Head; h.Kind == core.EndSplitOut {
-		if rp := ld.pipes[ld.laneName(h.Node, h.Port)+"/relay"]; rp != nil {
-			ld.register(rp)
-		}
-	}
-	if t := seg.Tail; t.Kind == core.EndMergeIn {
-		lane := ld.laneName(t.Node, t.Port)
-		if l := ld.links[lane]; l != nil {
-			l.Retarget(ld.schedOf(ld.slotOf[ld.plan.MergeDown[t.Node]]))
-			return ld.mergeRelay(si)
-		}
-	}
-	return nil
-}
-
-// register puts a pipeline on the current generation's books.
-func (ld *localDeploy) register(p *core.Pipeline) {
-	ld.d.mu.Lock()
-	ld.pipelines = append(ld.pipelines, p)
-	ld.d.mu.Unlock()
 }
 
 // link binds a shard link delivering to segment to's shard, or retargets a
-// bound one there while everything is parked (its queued items stay put).
+// bound one there while its receiver is parked (its queued items stay put).
 func (ld *localDeploy) link(lane string, l *shard.Link, _, to int) (*shard.Link, error) {
 	sched := ld.schedOf(ld.slotOf[to])
 	if l != nil {
@@ -440,26 +419,17 @@ func (ld *localDeploy) pump(lane string) core.Stage {
 	return core.Pmp(pipes.NewFreePumpPrio(lane+"/pump", prio))
 }
 
-// runs reports whether pipeline name runs on the shard in this generation.
-func (ld *localDeploy) runs(name string, shardIdx int) bool {
-	ld.d.mu.Lock()
-	defer ld.d.mu.Unlock()
-	return slices.ContainsFunc(ld.pipelines, func(p *core.Pipeline) bool {
-		sh, live := ld.shardByPipe[p]
-		return live && sh == shardIdx && p.Name() == name
-	})
+// runs reports whether pipeline name was not detached: a transaction left it
+// running, or its stream ended (recomposing would replay end-of-stream).
+func (ld *localDeploy) runs(name string, _ int) bool {
+	p := ld.pipes[name]
+	return p != nil && !p.Detached()
 }
 
 // compose builds one pipeline on the given shard, under the tenant's class
-// there.  A previous generation's pipeline of the same name is kept when
-// its stream ended (recomposing would replay end-of-stream) and folded into
-// the ledger otherwise.
+// there; the one it replaces, detached, is folded into the ledger.
 func (ld *localDeploy) compose(name string, shardIdx, _ int, stages []core.Stage, seed typespec.Typespec, admit bool) ([]typespec.Typespec, error) {
 	if old := ld.pipes[name]; old != nil {
-		if old.ReachedEOS() {
-			ld.register(old)
-			return old.Plan().Specs, nil
-		}
 		ld.retire(name, old)
 	}
 	gate := -1

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -162,17 +163,17 @@ func (s *nodeState) chainAck(lane string, origin, seq int64) {
 // Node.Close behaves like a process kill: peers see EOF at once.
 func (s *nodeState) shutdown() { s.closeLanes("") }
 
-// drained reports whether a split tee and the relay lanes pumping its
-// out-ports have pushed everything onto the wire: every out-port buffer is
-// empty and every named lane connected and quiescent.  A move polls it after
-// detaching the trunk; once true, every item that entered the tee is
-// consumed by a branch listener or in its inbox.  The relay journals need
-// not be empty: a self-acking listener acks on a cadence, one pop behind,
-// but each frame was written before sendDurable returned and the listener's
-// dedup watermark absorbs whatever the upstream journal replays through the
-// rebuilt tee.  A sample could catch an item in a relay pump's hand, so the
-// probe samples twice with a settle delay and wants empty buffers and an
-// unchanged sent-frame count both times.
+// drained waits until a split tee and the relay lanes pumping its out-ports
+// have pushed everything onto the wire: every out-port buffer empty and
+// every named lane connected and quiescent.  Then every item that entered
+// the tee is consumed by a branch listener or in its inbox; the relay
+// journals need not be empty (a self-acking listener acks one pop behind,
+// and its dedup watermark absorbs what the upstream journal replays through
+// the rebuilt tee).  A sample could catch an item in a relay pump's hand, so
+// a round samples twice around a settle delay and wants empty buffers and an
+// unchanged sent-frame count both times.  It gives up after drainRounds,
+// which keeps one request short: the operator's control client, which a
+// Directory heartbeats too, is held for the whole request.
 func (s *nodeState) drained(tee string, lanes []string) bool {
 	sample := func() (sig []int64, ok bool) {
 		s.mu.Lock()
@@ -200,23 +201,18 @@ func (s *nodeState) drained(tee string, lanes []string) bool {
 		}
 		return sig, true
 	}
-	first, ok := sample()
-	if !ok {
-		return false
-	}
-	//ipvet:allow wallclock settle delay between drain samples; the probe runs on the control goroutine, not a flow path
-	time.Sleep(10 * time.Millisecond)
-	second, ok := sample()
-	if !ok || len(first) != len(second) {
-		return false
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			return false
+	for range drainRounds {
+		first, ok := sample()
+		//ipvet:allow wallclock settle delay between drain samples; the probe runs on the control goroutine, not a flow path
+		time.Sleep(10 * time.Millisecond)
+		if second, again := sample(); ok && again && slices.Equal(first, second) {
+			return true
 		}
 	}
-	return true
+	return false
 }
+
+const drainRounds, drainCalls = 20, 50 // 200 ms of settle delays per request, 10 s per drain
 
 // droptee forgets a shared split instance when a re-placement moves its
 // hosting segment to another node: the idempotent factory must build a

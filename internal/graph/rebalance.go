@@ -11,9 +11,9 @@ var (
 	// dimension to adjust (single scheduler), and a failover off a shard
 	// (shards do not die under a deployment).
 	ErrNotRebalancable = errors.New("graph: deployment target cannot rebalance (deploy OnGroup or OnNodes)")
-	// ErrNotMigratable marks a deployment with pipelines that run
-	// coroutine threads: migration quiesces at pump-cycle boundaries, which
-	// covers direct placements only.
+	// ErrNotMigratable marks a reconfiguration whose affected set holds a
+	// pipeline running coroutine threads (the quiesce parks pump-cycle
+	// boundaries: direct placements only); one outside the set runs on.
 	ErrNotMigratable = errors.New("graph: pipeline runs coroutine threads; migration supports direct placements only")
 	// ErrDeploymentDone marks a Rebalance after the deployment finished.
 	ErrDeploymentDone = errors.New("graph: deployment already finished")
@@ -22,10 +22,11 @@ var (
 // Rebalance moves segments of a live deployment without losing an in-flight
 // item: hints map segment names (see SegmentPlacements) to shard indices on
 // a group, node indices on nodes; segments not named stay put.  A group
-// quiesces every pipeline at a pump-cycle boundary, retargets the boundary
-// links (their queues carry the items along) and recomposes the same stage
-// instances on their new schedulers at one instant of the group clock, so
-// the item trace is the one an unmoved run writes.  Nodes move each segment
+// quiesces the moved segments and their relays at a pump-cycle boundary,
+// retargets the boundary links (their queues carry the items along) and
+// recomposes the same stage instances on their new schedulers at one
+// instant of the group clock, so the item trace is the one an unmoved run
+// writes; every other pipeline runs on.  Nodes move each segment
 // on its own over durable lanes (deploy WithClusterLanes); a segment that
 // holds stream position or shared tee state refuses with ErrNotReplaceable
 // (see Replaceable).  Concurrent calls serialize, a Stop that races one

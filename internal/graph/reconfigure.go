@@ -14,13 +14,14 @@ import (
 // target: Rebalance's and FailOver's moves and Edit's ops are deltas staged
 // into one txn.  Each op validates itself against the declaration the ops
 // before it left and rewrites it; the declaration is re-planned; then the
-// host applies the delta.  The shard host quiesces every pipeline at a
-// pump-cycle boundary (an interrupted blocked push force-completes into its
-// destination queue; the group clock is held throughout), commits while
-// everything is parked, recomposes over the same stages and links, and
-// resumes.  The node host moves each segment on its own (replace.go).  A
-// failure before the host commits rolls the declaration back; one after it
-// winds the deployment down and is latched for Err/Wait.
+// host applies the delta.  The shard host quiesces the pipelines the delta
+// affects at a pump-cycle boundary (an interrupted blocked push
+// force-completes into its destination queue; the group clock is held
+// throughout), commits while they are parked, recomposes them over the same
+// stages and links, and resumes; every other pipeline runs on.  The node
+// host moves each segment on its own (replace.go).  A failure before the
+// host commits rolls the declaration back; one after it winds the
+// deployment down and is latched for Err/Wait.
 
 // yield is nil except in this package's tests (export_test.go), which point
 // it at a function that gives the CPU away for a few milliseconds.  It runs
@@ -220,9 +221,9 @@ func (op failOp) stage(t *txn) error {
 }
 
 // apply runs a replanned transaction on the shard host: it checks the
-// staged stage set's event capabilities, then quiesces, commits and resumes
-// as one external action — while the flow is half parked the group clock
-// must not move, or the pipelines still running would tick ahead.
+// staged stage set's event capabilities, then quiesces the affected set,
+// commits and resumes as one external action — while part of the flow is
+// parked the group clock must not move, or the rest would tick ahead.
 func (ld *localDeploy) apply(t *txn) error {
 	if len(t.rebinds) > 0 && ld.tenant == nil {
 		return ErrNoTenant
@@ -241,11 +242,59 @@ func (ld *localDeploy) apply(t *txn) error {
 	return err
 }
 
-// quiesce parks the whole deployment: it refuses finished, failed and
-// coroutine-threaded deployments, opens the reconfiguration window, detaches
-// every pipeline of the old generation and waits for its threads to exit.
+// affected names the pipelines the transaction replaces: each segment it
+// moves, edits, scales, renames or drops, every segment downstream of an
+// edited or new one (the Typespec entering it may change, and only a
+// recompose checks it), the trunk of a split whose ports change, a segment
+// whose tee port turns into a link, and each relay whose branch is replaced
+// or whose tee moves.  The rest runs on: a link across the boundary is
+// retargeted in place, its queue parking a pushing upstream.
+func (ld *localDeploy) affected(t *txn) map[string]bool {
+	np, ns := t.plan, t.slotOf
+	becomesLink := func(lane string, from, to int) bool { return ld.links[lane] == nil && ns[from] != ns[to] }
+	kept, reseeded := make(map[string]bool), make([]bool, len(np.Segments))
+	for _, si := range np.Order {
+		seg := np.Segments[si]
+		oi := segmentIndex(ld.plan, seg.Name())
+		reseeded[si] = oi < 0 || slices.ContainsFunc(np.Upstream(si), func(u int) bool { return reseeded[u] })
+		if reseeded[si] {
+			continue
+		}
+		was, h, tl := ld.plan.Segments[oi], seg.Head, seg.Tail
+		reseeded[si] = !slices.Equal(seg.Stages, was.Stages) || h != was.Head || tl != was.Tail ||
+			slices.ContainsFunc(seg.Stages, func(n string) bool { _, ok := t.newStages[n]; return ok })
+		switch {
+		case reseeded[si], ns[si] != ld.slotOf[oi],
+			tl.Kind == core.EndSplitTrunk && slices.ContainsFunc(t.attaches, func(a attachRec) bool { return a.tee.Name() == tl.Node }),
+			tl.Kind == core.EndSplitTrunk && slices.ContainsFunc(t.detaches, func(d *detachRec) bool { return d.tee.Name() == tl.Node }),
+			h.Kind == core.EndSplitOut && becomesLink(ld.laneName(h.Node, h.Port), np.SplitTrunk[h.Node], si),
+			tl.Kind == core.EndMergeIn && becomesLink(ld.laneName(tl.Node, tl.Port), si, np.MergeDown[tl.Node]):
+		default:
+			kept[seg.Name()] = true
+		}
+	}
+	set := make(map[string]bool)
+	for _, seg := range ld.plan.Segments {
+		set[ld.name+"/"+seg.Name()] = !kept[seg.Name()]
+	}
+	relays := func(branches map[string][]int, anchor, newAnchor map[string]int) {
+		for _, tee := range slices.Sorted(maps.Keys(branches)) {
+			moved := ld.slotOf[anchor[tee]] != ns[newAnchor[tee]]
+			for port, b := range branches[tee] {
+				set[ld.laneName(tee, port)+"/relay"] = moved || b >= 0 && !kept[ld.plan.Segments[b].Name()]
+			}
+		}
+	}
+	relays(ld.plan.SplitBranch, ld.plan.SplitTrunk, np.SplitTrunk)
+	relays(ld.plan.MergeBranch, ld.plan.MergeDown, np.MergeDown)
+	return set
+}
+
+// quiesce parks the affected set: it refuses a finished deployment, a failed
+// pipeline anywhere and a coroutine-threaded one in the set, opens the
+// window, detaches the set's running pipelines and waits for their threads.
 func (ld *localDeploy) quiesce(t *txn) error {
-	d := ld.d
+	d, affected := ld.d, ld.affected(t)
 	var old []*core.Pipeline
 	if _, _, err := d.open(func() error {
 		if ld.finished {
@@ -258,11 +307,13 @@ func (ld *localDeploy) quiesce(t *txn) error {
 				// evidence.
 				return fmt.Errorf("graph %q: %s refused, pipeline %s failed: %w", d.name, t.verb, p.Name(), perr)
 			}
-			if !p.ReachedEOS() && hasCoroutines(p) {
-				return fmt.Errorf("%w (%s)", ErrNotMigratable, p.Name())
+			if affected[p.Name()] && !p.ReachedEOS() {
+				old = append(old, p)
 			}
 		}
-		old = slices.Clone(ld.pipelines)
+		if i := slices.IndexFunc(old, hasCoroutines); i >= 0 {
+			return fmt.Errorf("%w (%s)", ErrNotMigratable, old[i].Name())
+		}
 		return nil
 	}); err != nil {
 		return err
@@ -281,7 +332,8 @@ func (ld *localDeploy) quiesce(t *txn) error {
 	// abort, and the old generation stays registered for Err/Wait.
 	for _, p := range old {
 		if perr := p.Err(); perr != nil {
-			ld.reopen(t, nil)
+			d.close()
+			ld.seal()
 			ld.abandon()
 			return fmt.Errorf("graph %q: %s aborted, pipeline %s failed: %w", d.name, t.verb, p.Name(), perr)
 		}
@@ -289,8 +341,8 @@ func (ld *localDeploy) quiesce(t *txn) error {
 	return nil
 }
 
-// commit applies the staged deltas while everything is parked: tee port
-// surgery, the stage table, the plan swap, then the recomposition.
+// commit applies the staged deltas while the affected set is parked: tee
+// port surgery, the stage table, the plan swap, then the recomposition.
 func (ld *localDeploy) commit(t *txn) error {
 	for _, a := range t.attaches {
 		if got := a.tee.AddOut(); got != a.port {
@@ -317,10 +369,6 @@ func (ld *localDeploy) commit(t *txn) error {
 	// Swap the plan.  Segment names that vanish with it (a detached branch;
 	// the trunk and tail a scale renamed) leave the books, their counters
 	// folded into the ledger.
-	live := make(map[string]bool, len(t.plan.Segments))
-	for _, seg := range t.plan.Segments {
-		live[seg.Name()] = true
-	}
 	ld.d.mu.Lock()
 	for _, dr := range t.detaches {
 		dr.pipe = ld.pipes[ld.name+"/"+dr.segName]
@@ -329,7 +377,7 @@ func (ld *localDeploy) commit(t *txn) error {
 	ld.plan, ld.slotOf, ld.segOutSpec = t.plan, t.slotOf, t.segOut
 	ld.d.mu.Unlock()
 	for _, seg := range old.Segments {
-		if !live[seg.Name()] {
+		if segmentIndex(ld.plan, seg.Name()) < 0 {
 			ld.forget(ld.name + "/" + seg.Name())
 		}
 	}
@@ -340,23 +388,17 @@ func (ld *localDeploy) commit(t *txn) error {
 	return ld.drainDetached(t.detaches)
 }
 
-// reopen closes the window, latches err (a failed commit) and watches the
-// generation now on the books.
-func (ld *localDeploy) reopen(t *txn, err error) (started, stopReq bool) {
+// resume ends the transaction: it closes the window and watches the
+// generation now on the books.  A failed commit is latched and winds the
+// deployment down — never resume a stream that silently lost structure —
+// otherwise tenant rebinds apply and the Start/Stop requests re-broadcast
+// to the new generation.
+func (ld *localDeploy) resume(t *txn, err error) error {
 	if err != nil {
 		ld.d.latch(t.errf("%w", err))
 	}
-	started, stopReq = ld.d.close()
+	started, stopReq := ld.d.close()
 	ld.seal()
-	return started, stopReq
-}
-
-// resume ends the transaction: a failed commit winds the deployment down —
-// never resume a stream that silently lost structure — otherwise tenant
-// rebinds apply and the Start/Stop requests re-broadcast to the new
-// generation.
-func (ld *localDeploy) resume(t *txn, err error) error {
-	started, stopReq := ld.reopen(t, err)
 	if err != nil {
 		ld.abandon()
 		return ld.d.Err()

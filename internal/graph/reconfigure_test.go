@@ -76,7 +76,10 @@ func newTxnRig(t *testing.T) *txnRig {
 	g.Pipe("src", "pump", "slow", "work", "f", "cpy")
 	g.Split(pipes.NewCopyTee("aux", 2, 8, typespec.Block, typespec.Block))
 	g.Add(core.Pmp(pipes.NewFreePump("p2")))
-	g.Pipe("cpy:2", "p2", "aux")
+	// want checks the type a branch receives: a kept branch never
+	// recomposes, so only the affected set's downstream rule re-checks it.
+	g.Add(core.Comp(txnIdent("want").WithInputSpec(typespec.New("test/counter"))))
+	g.Pipe("cpy:2", "p2", "want", "aux")
 	for _, b := range []struct {
 		from, pump, sink string
 		place            int
@@ -130,8 +133,10 @@ func txnTrace(sink *pipes.CollectSink) string {
 // failing inside the quiesce — must leave the declaration layer (nodes,
 // edges, index, outs/detachedOuts) and the placements exactly as they were,
 // and, while the flow is intact, every sink's trace complete.  A failed
-// recomposition is past that point: the deployment winds down with the
-// error latched, its links closed and the group able to drain.
+// recomposition is past that point, whether it fails in an edited segment
+// or in an unedited one downstream whose input type the edit changed: the
+// deployment winds down with the error latched, its links closed and the
+// group able to drain.
 func TestEditTxnRollbackAtEveryPhase(t *testing.T) {
 	ops := []struct {
 		name string
@@ -153,7 +158,13 @@ func TestEditTxnRollbackAtEveryPhase(t *testing.T) {
 				return core.Comp(txnWork(fmt.Sprintf("work#%d", i))), nil
 			}}
 		}},
-		{"move", func() graph.EditOp { return graph.MoveOp(map[string]int{"p0>>sink0": 1}) }},
+		// The move takes the trunk, which holds the stage the quiesce phase
+		// fails: a txn quiesces only the pipelines it affects.
+		{"move", func() graph.EditOp { return graph.MoveOp(map[string]int{"src>>f": 1}) }},
+		// A branch move leaves the trunk outside its affected set: beside
+		// the quiesce phase's failing trunk it succeeds, and the trunk's
+		// failure then ends the deployment.
+		{"move-branch", func() graph.EditOp { return graph.MoveOp(map[string]int{"p0>>sink0": 1}) }},
 	}
 	phases := []struct {
 		name   string
@@ -175,6 +186,12 @@ func TestEditTxnRollbackAtEveryPhase(t *testing.T) {
 			return []graph.EditOp{graph.InsertStage{From: "pump", To: "slow",
 				Stage: core.Comp(txnIdent("mistyped").WithInputSpec(typespec.New("test/other")))}}
 		}, "edit:"},
+		// The swap retypes the trunk's output, which the unedited branch
+		// through want rejects: it must recompose and fail, not run on.
+		{"reseed", func() []graph.EditOp {
+			retype := func(typespec.Typespec) typespec.Typespec { return typespec.New("test/other") }
+			return []graph.EditOp{graph.SwapStage{Node: "slow", Stage: core.Comp(txnIdent("retyped").WithTransform(retype))}}
+		}, "edit:"},
 	}
 	for _, oc := range ops {
 		for _, ph := range phases {
@@ -186,10 +203,22 @@ func TestEditTxnRollbackAtEveryPhase(t *testing.T) {
 					<-r.entered
 				}
 				err := r.d.Edit(append([]graph.EditOp{oc.op()}, ph.poison()...)...)
+				if oc.name == "move-branch" && ph.name == "quiesce" {
+					if err != nil {
+						t.Fatalf("Edit = %v, want the branch move to succeed beside the failing trunk", err)
+					}
+					if werr := r.d.Wait(); werr == nil || !strings.Contains(werr.Error(), "synthetic failure inside the quiesce") {
+						t.Fatalf("Wait = %v, want the trunk's failure", werr)
+					}
+					if gerr := r.grp.Wait(); gerr != nil {
+						t.Fatalf("group wait: %v", gerr)
+					}
+					return
+				}
 				if err == nil || !strings.Contains(err.Error(), ph.want) {
 					t.Fatalf("Edit = %v, want an error containing %q", err, ph.want)
 				}
-				rolledBack := ph.name != "recompose"
+				rolledBack := ph.name != "recompose" && ph.name != "reseed"
 				if rolledBack {
 					if got := r.g.DeclString(); got != declBefore {
 						t.Fatalf("declaration layer not restored:\n got: %s\nwant: %s", got, declBefore)

@@ -3,7 +3,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"infopipes/internal/core"
 	"infopipes/internal/events"
@@ -293,28 +292,20 @@ func (r *remoteDeployment) retire(node int, up bool, names []string) {
 
 // drainTee empties a split tee whose trunk was just detached, then retires
 // its relays: the still-running relays pump the tee's out-port buffers into
-// the branch lanes, and the drained probe is polled until every buffer is
-// empty and every relay lane connected and quiescent — every item that
-// entered the tee is then on a branch listener's side of the wire, and the
-// listeners' dedup watermarks absorb whatever the discarded relay journals
-// would replay (see nodeState.drained).  It reports false, relays
-// untouched, when the tee never drains.  Otherwise the relays detach at a
-// pump-cycle boundary and emptiness is checked again: a straggler the last
-// probe caught between a buffer pop and a journal append shows up here.
+// the branch lanes, and the node answers the drained probe once every item
+// that entered the tee is on a branch listener's side of the wire (see
+// nodeState.drained), asked up to drainCalls times.  It reports false,
+// relays untouched, when the tee never drains.  Otherwise the relays detach
+// at a pump-cycle boundary and the probe asks once more: a straggler the
+// last answer caught between a buffer pop and a journal append shows here.
 func drainTee(c *remote.Client, teeKey string, lanes []string) (bool, error) {
 	probe := remote.LaneRequest{Kind: remote.LaneDrained, Tee: teeKey, Lanes: lanes}
-	deadline := time.Now().Add(10 * time.Second) //ipvet:allow wallclock drain deadline against a live remote node; its relays run on their own clock
-	for {
-		rep, err := c.Lane(probe)
-		if err != nil {
-			return false, fmt.Errorf("probe: %w", err)
-		}
-		if rep.Drained {
-			break
-		}
-		if !time.Now().Before(deadline) { //ipvet:allow wallclock drain deadline check
-			return false, nil
-		}
+	rep, err := c.Lane(probe)
+	for call := 1; err == nil && !rep.Drained && call < drainCalls; call++ {
+		rep, err = c.Lane(probe)
+	}
+	if err != nil || !rep.Drained {
+		return false, err
 	}
 	for _, lane := range lanes {
 		if err := c.Detach(lane + "/relay"); err != nil {

@@ -8,9 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"infopipes/internal/control"
 	"infopipes/internal/graph"
 	"infopipes/internal/leakcheck"
 	"infopipes/internal/pipes"
+	"infopipes/internal/remote"
 )
 
 // splitTrunkGraph declares the trunk-move topology: the source feeds a cut
@@ -54,7 +56,8 @@ func sinkTrace(sink *pipes.CollectSink) string {
 // tee is rebuilt from its carried spec on the destination; the upstream
 // journal replays the unacked tail through it.  Both branch sinks must see
 // their deterministic sub-streams byte-identical to a no-move run — zero
-// loss, zero duplication, order preserved.
+// loss, zero duplication, order preserved — and the old node serves a fixed
+// number of control requests for it.
 func TestReplaceMovesSplitTrunkMidStream(t *testing.T) {
 	leakcheck.Check(t)
 	const items = 160
@@ -90,8 +93,23 @@ func TestReplaceMovesSplitTrunkMidStream(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	requests := func() int64 {
+		h, err := b.client.Health()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Requests
+	}
+	before := requests()
 	if err := d.Rebalance(map[string]int{trunk: 2}); err != nil {
 		t.Fatalf("replace trunk: %v", err)
+	}
+	// The old node serves a fixed count however long the tee takes to
+	// drain: 1 stats, 1 detach, 2 drain probes (the node waits out the
+	// drain itself), 2 relay detaches, 3 drops (the listener and two
+	// relay senders) and 1 droptee.
+	if n := requests() - before - 1; n != 10 { // less the second health request
+		t.Errorf("the trunk move cost the old node %d control requests, want 10", n)
 	}
 	if got := d.SegmentPlacements()[trunk]; got != 2 {
 		t.Fatalf("trunk placed on node %d after replace, want 2", got)
@@ -115,6 +133,74 @@ func TestReplaceMovesSplitTrunkMidStream(t *testing.T) {
 	}
 	if got := sinkTrace(sinkb); got != wantB.String() {
 		t.Fatalf("branch b diverged across the trunk move\n got: %s\nwant: %s", got, wantB.String())
+	}
+}
+
+// TestDrainLetsHeartbeatsThrough holds a tee drain open against a tee no
+// branch reads, on the control client a Directory heartbeats: the node
+// bounds each drained request, so a heartbeat round completes while the
+// drain is still in progress, and the drain ends once the tee is gone.
+func TestDrainLetsHeartbeatsThrough(t *testing.T) {
+	leakcheck.Check(t)
+	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
+	a := startNode(t, "alpha", tc.catalog())
+	if err := a.client.Compose("stuck/trunk", []remote.StageSpec{
+		{Kind: "counter", Name: "src", Args: []string{"100"}},
+		{Kind: "fpump", Name: "pump"},
+		{Kind: "ip/teesink", Name: "tee", Params: map[string]string{"graph": "stuck", "outs": "2"}},
+	}); err != nil {
+		t.Fatalf("compose: %v", err)
+	}
+	if err := a.client.Start("stuck/trunk"); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	dir := control.NewDirectory()
+	defer dir.Close()
+	name, err := dir.Register(a.client.Addr())
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	c, _ := dir.Client(name)
+	type result struct {
+		drained bool
+		err     error
+	}
+	done := make(chan result, 1)
+	requests := func() int64 {
+		h, err := a.client.Health()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Requests
+	}
+	before := requests()
+	go func() {
+		ok, err := graph.DrainTee(c, "stuck/tee", nil)
+		done <- result{ok, err}
+	}()
+	// The drain is in progress once the node counts a request beyond the
+	// polls' own (each poll is a round trip of its own, so none sleeps).
+	for polls := int64(1); requests()-before <= polls; polls++ {
+	}
+	for range 3 {
+		start := time.Now()
+		if n := dir.Heartbeat(); n != 1 {
+			t.Fatalf("heartbeat saw %d healthy nodes, want 1", n)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Fatalf("a heartbeat round took %v behind the drain", took)
+		}
+		select {
+		case r := <-done:
+			t.Fatalf("the drain of a tee no branch reads ended: %+v", r)
+		default:
+		}
+	}
+	if _, err := a.client.Lane(remote.LaneRequest{Kind: remote.LaneAbort, Prefix: "stuck/"}); err != nil {
+		t.Fatalf("abort: %v", err)
+	}
+	if r := <-done; !r.drained || r.err != nil {
+		t.Fatalf("drain after the tee went = %+v, want drained", r)
 	}
 }
 

@@ -47,10 +47,10 @@ const (
 // Ports can be added and detached at runtime (AddOut/DetachOut) — the live
 // graph-edit surface.  Ports are never renumbered: a detached port is a
 // tombstone.  Both mutate the port table without a lock, so they are only
-// safe while every pipeline touching the tee is quiesced (detached at a
-// pump-cycle boundary with its threads joined); Deployment.Edit provides
-// exactly that window, and refuses a spread split, whose paired merge
-// cannot grow with it.
+// safe while the trunk pushing into the tee is quiesced (detached at a
+// pump-cycle boundary with its threads joined; a branch holds its own port
+// buffer and may run on); Deployment.Edit provides exactly that window, and
+// refuses a spread split, whose paired merge cannot grow with it.
 type Split struct {
 	core.Base
 	choice   choice

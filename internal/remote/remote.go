@@ -145,7 +145,7 @@ const (
 	LaneListen  LaneKind = iota + 1 // pre-bind Lane's rendezvous listener (idempotent; Addr asks for a bind address), reply its address
 	LaneDrop                        // close and forget Side of Lane
 	LaneRedial                      // point the registered sender of Lane at Addr
-	LaneDrained                     // probe whether split Tee and its relay Lanes are empty
+	LaneDrained                     // wait, node-bounded, until split Tee and its relay Lanes are empty
 	LaneDropTee                     // forget the shared split instance Tee
 	LaneAbort                       // tear down every pipeline, tee and lane under Prefix
 )

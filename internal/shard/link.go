@@ -119,8 +119,11 @@ func (l *Link) Closed() bool {
 // the segment is recomposed on the new shard, so the external-source
 // reference follows the receiver.  Queued items (and any unconsumed batch
 // remainder) stay put — they are handed to the recomposed receiver in
-// order.  No thread may be parked on the link when it is retargeted; a
-// no-op on a closed link.
+// order.  No receiver may be parked on the link when it is retargeted (a
+// running sender may: its wakes go through its own scheduler); a no-op on a
+// closed link.  The new reference is taken under the lock: a sender's Close
+// racing the retarget releases whichever scheduler it finds, and that one
+// must already hold it.
 func (l *Link) Retarget(rxSched *uthread.Scheduler) {
 	l.mu.Lock()
 	old := l.rxSched
@@ -128,9 +131,9 @@ func (l *Link) Retarget(rxSched *uthread.Scheduler) {
 		l.mu.Unlock()
 		return
 	}
+	rxSched.AddExternalSource()
 	l.rxSched = rxSched
 	l.mu.Unlock()
-	rxSched.AddExternalSource()
 	old.ReleaseExternalSource()
 }
 
