@@ -4,10 +4,12 @@
 // One branching pipeline (source -> route split -> two filter chains ->
 // merge -> sink) is written as a single spec-backed graph and deployed,
 // unchanged, onto two different targets: a single scheduler and a 2-shard
-// SchedulerGroup with one branch hinted to the second shard (the planner
-// auto-inserts the cross-shard links and relay pipelines).  Both targets
-// share the deterministic virtual-clock default, so the two deployments
-// produce byte-identical item traces — placement is invisible to the flow.
+// SchedulerGroup with one branch hinted to the second shard.  The hint adds
+// no pipeline and no link: the branch reads the split's port buffer and
+// fills the merge's from shard 1, and a buffer wakes each waiting thread on
+// its own shard.  Both targets share the deterministic virtual-clock
+// default, so the two deployments produce byte-identical item traces —
+// placement is invisible to the flow.
 package main
 
 import (

@@ -144,9 +144,11 @@ func onGroupWithRebalance() (string, error) {
 		return "", err
 	}
 	st = d.Stats()
-	fmt.Printf("after drain: %d auto-inserted links", len(st.Links))
-	for _, l := range st.Links {
-		fmt.Printf("  [%s moved=%d]", l.Name, l.Moved)
+	// The moved branches read and fill the tees' buffers from their new
+	// shards: no link was inserted, and each shard's items show the work.
+	fmt.Printf("after drain: %d links, pump items per shard", len(st.Links))
+	for i, sh := range st.Shards {
+		fmt.Printf("  [%d: %d]", i, sh.Items)
 	}
 	fmt.Println()
 	return trace(sink), nil

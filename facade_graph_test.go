@@ -57,8 +57,8 @@ func TestFacadeGraph(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deploy text graph: %v", err)
 	}
-	if len(td.Links()) == 0 {
-		t.Fatal("no links despite @1 hints")
+	if at := td.SegmentPlacements()["pb"]; at != 1 || len(td.Links()) != 0 {
+		t.Fatalf("branch pb on shard %d with %d links; want shard 1 and no link", at, len(td.Links()))
 	}
 	td.Start()
 	if err := group.Run(); err != nil {

@@ -260,10 +260,10 @@ type (
 	// then Deploy against a placement target.
 	Graph = graph.Graph
 	// GraphDeployment joins Start/Stop/Err/Done/Wait across every pipeline
-	// a deployed graph composed (relays included).
+	// a deployed graph composed.
 	GraphDeployment = graph.Deployment
 	// GraphTarget is a deployment destination: OnScheduler (one scheduler),
-	// OnGroup (sharded runtime, auto-inserted ShardLinks), or OnNodes
+	// OnGroup (sharded runtime, a ShardLink at every cut edge), or OnNodes
 	// (remote nodes joined by TCP netpipes).
 	GraphTarget = graph.Target
 	// GraphNodeOption adjusts one node declaration (GraphPlace, GraphArgs,
@@ -288,9 +288,10 @@ type (
 	// and wake counts, and per-shard load — collected alloc-free on the
 	// hot path, assembled on demand by GraphDeployment.Stats.
 	GraphStats = graph.GraphStats
-	// GraphSegmentStats is one segment's (or relay's) telemetry row.
+	// GraphSegmentStats is one segment's (or off-plan pipeline's) telemetry
+	// row.
 	GraphSegmentStats = graph.SegmentStats
-	// GraphLinkStats is one auto-inserted link's telemetry row.
+	// GraphLinkStats is one cut edge's link telemetry row.
 	GraphLinkStats = graph.LinkStats
 	// GraphShardLoad is the per-shard aggregate of a deployment.
 	GraphShardLoad = graph.ShardLoad

@@ -743,7 +743,6 @@ func TestPullSwitchSharedUpstream(t *testing.T) {
 	// the shared upstream; together the branches see every item once.
 	s := uthread.New()
 	buf := pipes.NewBuffer("shared", 16)
-	buf.BindScheduler(s)
 	// Fill the buffer via a trunk pipeline.
 	trunk, err := core.Compose("trunk", s, nil, []core.Stage{
 		core.Comp(pipes.NewCounterSource("src", 10)),

@@ -10,13 +10,6 @@ import (
 	"infopipes/internal/uthread"
 )
 
-// schedulerBound is implemented by stages (buffers, netpipe endpoints) that
-// need the scheduler to post wake-up messages from outside the thread
-// system.  Compose binds them automatically.
-type schedulerBound interface {
-	BindScheduler(*uthread.Scheduler)
-}
-
 // Pipeline is a composed Infopipe: an ordered set of stages, the activity
 // plan derived from them, and the running sections.  Build with Compose,
 // drive with Start/Stop/Pause/Resume, observe with Done and Err.
@@ -141,9 +134,6 @@ func Compose(name string, sched *uthread.Scheduler, bus *events.Bus, stages []St
 	}
 	for i, st := range stages {
 		p.stageIdx[st.Name()] = i
-		if sb, ok := boundOf(st); ok {
-			sb.BindScheduler(sched)
-		}
 	}
 
 	// Locate the boundary buffers of each section and build the runtime.
@@ -165,22 +155,6 @@ func Compose(name string, sched *uthread.Scheduler, bus *events.Bus, stages []St
 	// must wait rather than declare deadlock while this pipeline lives.
 	sched.AddExternalSource()
 	return p, nil
-}
-
-func boundOf(st Stage) (schedulerBound, bool) {
-	switch st.kind {
-	case kindComponent:
-		sb, ok := st.comp.(schedulerBound)
-		return sb, ok
-	case kindBuffer:
-		sb, ok := st.buf.(schedulerBound)
-		return sb, ok
-	case kindPump:
-		sb, ok := st.pump.(schedulerBound)
-		return sb, ok
-	default:
-		return nil, false
-	}
 }
 
 // propagateSpecs walks the stage list, checking compatibility and applying

@@ -11,8 +11,8 @@ import (
 )
 
 // Deployment is the handle on one deployed graph and its joined lifecycle:
-// Start and Stop broadcast once to every pipeline (relays included), Done
-// closes when all have finished, Err reports the first failure anywhere.
+// Start and Stop broadcast once to every pipeline, Done closes when all
+// have finished, Err reports the first failure anywhere.
 // It stays operable while it runs: Stats reports per-segment and per-link
 // load, Rebalance moves segments, Edit changes the flow (reconfigure.go).
 type Deployment struct {
@@ -128,8 +128,9 @@ func (d *Deployment) Name() string { return d.name }
 // whose buses are their own).
 func (d *Deployment) Bus() *events.Bus { return d.bus }
 
-// Pipelines lists the pipelines of the current generation, relays included
-// (local targets).
+// Pipelines lists the pipelines of the current generation (local targets):
+// one per segment, plus any detached branch still draining.  No relay: a
+// branch on another shard reads its tee port's buffer itself.
 func (d *Deployment) Pipelines() []*core.Pipeline {
 	ld, err := d.local()
 	if err != nil {
@@ -141,9 +142,9 @@ func (d *Deployment) Pipelines() []*core.Pipeline {
 }
 
 // Segment returns the pipeline composed for the named segment (the
-// segment's diagnostic name, "first>>last").  Relay pipelines are not
-// segments, and remote segments have no local pipeline.  After a rebalance
-// the handle refers to the recomposed pipeline.
+// segment's diagnostic name, "first>>last").  Remote segments have no
+// local pipeline.  After a rebalance the handle refers to the recomposed
+// pipeline.
 func (d *Deployment) Segment(name string) (*core.Pipeline, bool) {
 	ld, err := d.local()
 	if err != nil {
@@ -172,7 +173,9 @@ func (d *Deployment) SegmentPlacements() map[string]int {
 	return out
 }
 
-// Links lists the auto-inserted shard links (local targets).
+// Links lists the shard links inserted at the graph's cut edges (local
+// targets); a tee port is never a link here, whatever shard its branch is
+// placed on.
 func (d *Deployment) Links() []*shard.Link {
 	ld, err := d.local()
 	if err != nil {

@@ -365,10 +365,10 @@ type detachRec struct {
 }
 
 // drainDetached composes the leaving branches of DetachBranch ops: the
-// tombstoned port's buffer was closed upstream, so the branch (and its
-// relay, if linked) drains every in-flight item into its sink and ends
-// cleanly.  Drain pipelines are off-plan: ld.draining carries them across
-// transactions, which keep them running until they reach end of stream.
+// tombstoned port's buffer was closed upstream, so the branch drains every
+// in-flight item into its sink and ends cleanly.  Drain pipelines are
+// off-plan: ld.draining carries them across transactions, which keep them
+// running until they reach end of stream.
 func (ld *localDeploy) drainDetached(detaches []*detachRec) error {
 	for _, dr := range detaches {
 		ld.draining[dr.segName] = dr
@@ -376,28 +376,17 @@ func (ld *localDeploy) drainDetached(detaches []*detachRec) error {
 	for _, segName := range slices.Sorted(maps.Keys(ld.draining)) {
 		dr := ld.draining[segName]
 		name := ld.name + "/" + dr.segName + "/detached"
-		lane := ld.laneName(dr.tee.Name(), dr.port)
 		if dr.drain != nil && dr.drain.ReachedEOS() || dr.drain == nil && dr.pipe != nil && dr.pipe.ReachedEOS() {
-			// Fully drained: fold the drain's counters and its off-plan
-			// boundary relay's, and forget them.
+			// Fully drained: fold the drain's counters and forget it.
 			ld.forget(name)
-			ld.forget(lane + "/relay")
 			delete(ld.draining, segName)
 			continue
 		}
-		// A drain runs on (no transaction quiesces one); its relay is
-		// recomposed only where its tee moved.
-		stages := []core.Stage{core.Comp(dr.tee.OutPort(dr.port))}
-		if l := ld.links[lane]; l != nil {
-			if err := ld.splitRelay(dr.tee.Name(), dr.port); err != nil {
-				return err
-			}
-			stages = l.ReceiverStages(lane)
-		}
-		if ld.runs(name, dr.branchShard) {
+		// A drain runs on: no transaction quiesces one.
+		if ld.runs(name) {
 			continue
 		}
-		stages = append(stages, dr.stageInsts...)
+		stages := append([]core.Stage{core.Comp(dr.tee.OutPort(dr.port))}, dr.stageInsts...)
 		if _, err := ld.compose(name, dr.branchShard, -1, stages, ld.segOutSpec[ld.plan.SplitTrunk[dr.tee.Name()]], false); err != nil {
 			return err
 		}

@@ -548,10 +548,10 @@ func TestTenantCountersSurviveRebalanceMidOverload(t *testing.T) {
 // branch is detached at a random point — often while the stream's end is
 // already propagating — and the edit must neither double-close a port on
 // the downstream merge, nor lose or duplicate an item on the surviving
-// path, nor leak the detached branch's relay pipeline (a leak would hang
+// path, nor leak the detached branch's drain pipeline (a leak would hang
 // the group's Wait).  The detached branch lives on a different shard than
-// the trunk, so its drain rides a boundary relay.  Runs under -race in the
-// chaos CI job.
+// the trunk, so its drain reads the tombstoned port across shards.  Runs
+// under -race in the chaos CI job.
 func TestEditDetachBranchRacingEOS(t *testing.T) {
 	const items = 60
 	hr := rand.New(rand.NewSource(0xde7ac4))
@@ -564,7 +564,7 @@ func TestEditDetachBranchRacingEOS(t *testing.T) {
 		cpy := pipes.NewCopyTee("cpy", 2, 8, typespec.Block, typespec.Block)
 		g.Split(cpy)
 		g.Pipe("src", "pump", "cpy")
-		// Port 0: the leaving branch, placed off-trunk so the drain relays.
+		// Port 0: the leaving branch, placed off-trunk so the drain crosses shards.
 		sinkd := pipes.NewCollectSink("sinkd")
 		g.Add(core.Pmp(pipes.NewFreePump("pd")), graph.Place(1))
 		g.Add(core.Comp(sinkd), graph.Place(1))

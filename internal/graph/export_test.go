@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"infopipes/internal/core"
 	"infopipes/internal/remote"
 )
 
@@ -53,17 +54,17 @@ func (d *Deployment) Rendered() map[string][]remote.StageSpec {
 	for si, seg := range r.plan.Segments {
 		out[r.name+"/"+seg.Name()], _ = r.segmentParts(si)
 	}
-	relays := func(tees map[string][]int, render func(string, int) []remote.StageSpec) {
+	relays := func(tees map[string][]int, kind core.SegmentEndKind) {
 		for tee, ports := range tees {
 			for port := range ports {
 				if name := r.laneName(tee, port) + "/relay"; r.hostOf(name) >= 0 {
-					out[name] = render(tee, port)
+					out[name] = r.relayParts(core.SegmentEnd{Kind: kind, Node: tee, Port: port})
 				}
 			}
 		}
 	}
-	relays(r.plan.SplitBranch, r.splitRelayParts)
-	relays(r.plan.MergeBranch, r.mergeRelayParts)
+	relays(r.plan.SplitBranch, core.EndSplitOut)
+	relays(r.plan.MergeBranch, core.EndMergeIn)
 	return out
 }
 

@@ -299,8 +299,9 @@ type Target interface {
 }
 
 // Deploy plans the graph and binds it to the target: one pipeline per
-// segment, auto-inserted links and relay pipelines where adjacent segments
-// land on different schedulers or nodes.  The returned Deployment joins
+// segment, and a link at every cut edge.  A tee port whose ends land on
+// different nodes is a lane too, pumped by a relay pipeline beside its tee;
+// on a scheduler or a group every tee port is the tee's own buffer.  The returned Deployment joins
 // Start/Stop/Err/Done across all of them.
 func (g *Graph) Deploy(t Target) (*Deployment, error) {
 	plan, err := g.Plan()

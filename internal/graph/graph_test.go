@@ -159,9 +159,9 @@ func TestGraphMatchesHandWiredTees(t *testing.T) {
 }
 
 // TestGraphDeterministicAcrossTargets is the acceptance check: the same
-// branching graph deployed on (a) one scheduler and (b) a 2-shard group
-// with auto-inserted links yields byte-identical item traces under the
-// group's virtual clock, run after run.
+// branching graph deployed on (a) one scheduler and (b) a 2-shard group,
+// branch B reading its tee port from the other shard, yields byte-identical
+// item traces under the group's virtual clock, run after run.
 func TestGraphDeterministicAcrossTargets(t *testing.T) {
 	const items = 30
 	runScheduler := func() string {
@@ -188,8 +188,8 @@ func TestGraphDeterministicAcrossTargets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("deploy(group): %v", err)
 		}
-		if len(d.Links()) == 0 {
-			t.Fatal("no links auto-inserted for the cross-shard branch")
+		if at := d.SegmentPlacements()["fb>>pb"]; at != 1 || len(d.Links()) != 0 {
+			t.Fatalf("branch B on shard %d with %d links; want shard 1 and no link", at, len(d.Links()))
 		}
 		d.Start()
 		if err := grp.Run(); err != nil {
@@ -377,9 +377,9 @@ func TestGraphCutEdge(t *testing.T) {
 	}
 }
 
-// TestGraphCrossShardFanout runs a copy-tee fan-out/fan-in with both
-// branches on a different shard than the trunk, checking per-branch FIFO
-// subsequences (run under -race in CI).
+// TestGraphCrossShardFanout runs a copy-tee fan-out with both branches on a
+// different shard than the trunk, each reading its tee port's buffer
+// directly, checking per-branch FIFO subsequences (run under -race in CI).
 func TestGraphCrossShardFanout(t *testing.T) {
 	const items = 50
 	g := graph.New("fan")
@@ -402,8 +402,9 @@ func TestGraphCrossShardFanout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	if len(d.Links()) != 2 {
-		t.Fatalf("links = %d, want 2", len(d.Links()))
+	at := d.SegmentPlacements()
+	if at["pa>>sa"] != 1 || at["pb>>sb"] != 2 || len(d.Links()) != 0 {
+		t.Fatalf("placements %v with %d links; want pa>>sa on 1, pb>>sb on 2 and no link", at, len(d.Links()))
 	}
 	d.Start()
 	if err := grp.Run(); err != nil {
@@ -421,5 +422,48 @@ func TestGraphCrossShardFanout(t *testing.T) {
 				t.Fatalf("sink %s item %d has seq %d (reordered)", name, i, it.Seq)
 			}
 		}
+	}
+}
+
+// TestFinishedOnLocalTargets: Finished answers on a scheduler and a group as
+// it does on nodes — false before the stream starts, true once Wait has
+// seen it end.
+func TestFinishedOnLocalTargets(t *testing.T) {
+	for _, target := range []string{"scheduler", "group"} {
+		t.Run(target, func(t *testing.T) {
+			g := graph.New("fin-" + target)
+			g.Add(core.Comp(pipes.NewCounterSource("src", 20)))
+			g.Add(core.Pmp(pipes.NewFreePump("pump")))
+			g.Add(core.Comp(pipes.NewCollectSink("sink")), graph.Place(1))
+			g.Pipe("src", "pump", "sink")
+			var run func() error
+			var d *graph.Deployment
+			var err error
+			if target == "scheduler" {
+				sched := uthread.New()
+				d, err = g.Deploy(graph.OnScheduler(sched))
+				run = sched.Run
+			} else {
+				grp := shard.NewGroup(shard.WithShardCount(2))
+				d, err = g.Deploy(graph.OnGroup(grp))
+				run = grp.Run
+			}
+			if err != nil {
+				t.Fatalf("deploy: %v", err)
+			}
+			if d.Finished() {
+				t.Fatal("Finished before Start")
+			}
+			d.Start()
+			if err := run(); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if err := d.Wait(); err != nil {
+				t.Fatalf("wait: %v", err)
+			}
+			if !d.Finished() {
+				t.Fatal("not Finished after Wait")
+			}
+		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"infopipes/internal/core"
 	"infopipes/internal/events"
-	"infopipes/internal/pipes"
 	"infopipes/internal/qos"
 	"infopipes/internal/remote"
 	"infopipes/internal/shard"
@@ -38,9 +37,11 @@ func OnScheduler(s *uthread.Scheduler) *SchedulerTarget {
 
 // WithTenant binds every pipeline of the deployment to a tenant: its
 // threads share the scheduler under the tenant's weight (weighted-fair run
-// token grants), its true sources pass the tenant's admission control, and
-// its relays pump at the tenant's priority.  Placement stays a separate,
-// orthogonal policy — the same graph deploys under any tenant.
+// token grants) and its true sources pass the tenant's admission control.
+// No pipeline of the deployment is a relay, so none pumps at the tenant's
+// priority (on nodes the lane relays do: NodesTarget.Tenant).  Placement
+// stays a separate, orthogonal policy — the same graph deploys under any
+// tenant.
 func (t *SchedulerTarget) WithTenant(tn *qos.Tenant) *SchedulerTarget {
 	t.Tenant = tn
 	return t
@@ -57,15 +58,16 @@ func (t *SchedulerTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, e
 // GroupTarget deploys onto a SchedulerGroup: the planner places each
 // segment on a shard (honoring Place hints; unhinted segments stay with
 // their tee-adjacent neighbours, and free-standing ones follow the group's
-// placement policy) and joins segments that land on different shards with
-// auto-inserted shard links plus relay pipelines at tee boundaries.  The
+// placement policy).  A cut edge is an auto-inserted shard link; a tee port
+// is the tee's own buffer, read or filled from whatever shard its branch
+// runs on, so a placement hint adds no pipeline and no link.  The
 // deployment pins every shard until it finishes, so Rebalance can move a
 // segment onto an empty one.
 type GroupTarget struct {
 	Group *shard.Group
 	// Bus is the shared event service (nil for a deployment-private bus).
 	Bus *events.Bus
-	// LinkDepth bounds the auto-inserted links (0 = the link default).
+	// LinkDepth bounds the cut-edge links (0 = the link default).
 	LinkDepth int
 	// Tenant binds the deployment to a QoS tenant (nil = default tenant).
 	// See SchedulerTarget.WithTenant.
@@ -78,8 +80,8 @@ func OnGroup(gr *shard.Group) *GroupTarget {
 }
 
 // WithTenant binds every pipeline of the deployment to a tenant (one
-// weighted-fair class per shard the tenant touches).  See
-// SchedulerTarget.WithTenant.
+// weighted-fair class per shard the tenant touches; no relay pumps at its
+// priority, as none is composed).  See SchedulerTarget.WithTenant.
 func (t *GroupTarget) WithTenant(tn *qos.Tenant) *GroupTarget {
 	t.Tenant = tn
 	return t
@@ -131,8 +133,8 @@ func (t *GroupTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 	return d, nil
 }
 
-// localDeploy is the shard host: it renders live stages, joins segments on
-// different shards with shard links, and composes pipelines on the shard's
+// localDeploy is the shard host: it renders live stages, joins the segments
+// of a cut with a shard link, and composes pipelines on the shard's
 // scheduler.  A reconfiguration recomposes the pipelines it affects over the
 // same stages and links, whose queues carry the in-flight items across.
 type localDeploy struct {
@@ -142,7 +144,7 @@ type localDeploy struct {
 	group   *shard.Group // nil on a single scheduler
 	schedOf func(i int) *uthread.Scheduler
 	// placeAt/release are the group's load accounting, nil on a single
-	// scheduler; every composed pipeline (relays included) counts.  failed
+	// scheduler; every composed pipeline (drains included) counts.  failed
 	// closes when the deploy fails: its pipelines never run.
 	placeAt func(i int)
 	release func(i int)
@@ -156,15 +158,16 @@ type localDeploy struct {
 	splits map[string]core.SplitPoint
 	merges map[string]core.MergePoint
 
-	// Under d.mu: the current generation's pipelines, the links in creation
-	// order, and the end of the deployment (unpin runs exactly once).
+	// Under d.mu: the current generation's pipelines, the cut links in
+	// creation order, and the end of the deployment (unpin runs exactly
+	// once).
 	pipelines  []*core.Pipeline
 	shardLinks []*shard.Link
 	finished   bool
 	unpin      func()
-	// pipes holds the pipeline last composed under each name — segments,
-	// relays, drains — so a recomposition can keep one it did not detach
-	// and fold the counters of one it replaces.
+	// pipes holds the pipeline last composed under each name — segments and
+	// drains — so a recomposition can keep one it did not detach and fold
+	// the counters of one it replaces.
 	pipes map[string]*core.Pipeline
 	// shardByPipe records the shard every live pipeline was composed on
 	// (telemetry attribution).
@@ -342,28 +345,14 @@ func (ld *localDeploy) wait() error {
 
 // redeploy recomposes what the quiesce detached, for the plan a transaction
 // just committed, over the same stages, tees and links (their buffered state
-// carries the stream across).  A segment that runs on keeps its pipeline;
-// only its linked tee ports' relays recompose, where replaced.
+// carries the stream across).  A segment that runs on keeps its pipeline.
 func (ld *localDeploy) redeploy() error {
 	ld.d.mu.Lock()
 	ld.pipelines = slices.DeleteFunc(ld.pipelines, (*core.Pipeline).Detached)
 	ld.d.mu.Unlock()
 	for _, si := range ld.plan.Order {
-		seg := ld.plan.Segments[si]
-		if !ld.runs(ld.name+"/"+seg.Name(), ld.slotOf[si]) {
+		if !ld.runs(ld.name + "/" + ld.plan.Segments[si].Name()) {
 			if err := ld.place(si); err != nil {
-				return err
-			}
-			continue
-		}
-		if h := seg.Head; h.Kind == core.EndSplitOut && ld.links[ld.laneName(h.Node, h.Port)] != nil {
-			if err := ld.splitRelay(h.Node, h.Port); err != nil {
-				return err
-			}
-		}
-		if t := seg.Tail; t.Kind == core.EndMergeIn && ld.links[ld.laneName(t.Node, t.Port)] != nil {
-			ld.links[ld.laneName(t.Node, t.Port)].Retarget(ld.schedOf(ld.slotOf[ld.plan.MergeDown[t.Node]]))
-			if err := ld.mergeRelay(si); err != nil {
 				return err
 			}
 		}
@@ -371,8 +360,12 @@ func (ld *localDeploy) redeploy() error {
 	return nil
 }
 
-// link binds a shard link delivering to segment to's shard, or retargets a
-// bound one there while its receiver is parked (its queued items stay put).
+// apart is false: the shards of a group share one address space.
+func (ld *localDeploy) apart(int, int) bool { return false }
+
+// link binds the shard link of a cut delivering to segment to's shard, or
+// retargets a bound one there while its receiver is parked (its queued items
+// stay put).
 func (ld *localDeploy) link(lane string, l *shard.Link, _, to int) (*shard.Link, error) {
 	sched := ld.schedOf(ld.slotOf[to])
 	if l != nil {
@@ -385,9 +378,6 @@ func (ld *localDeploy) link(lane string, l *shard.Link, _, to int) (*shard.Link,
 	ld.d.mu.Unlock()
 	return l, nil
 }
-
-// unlink leaves the link be: a failed placement abandons the deployment.
-func (ld *localDeploy) unlink(string, int) {}
 
 func (ld *localDeploy) recv(lane string, l *shard.Link) []core.Stage { return l.ReceiverStages(lane) }
 
@@ -409,19 +399,9 @@ func (ld *localDeploy) tee(e core.SegmentEnd) core.Stage {
 
 func (ld *localDeploy) stage(name string) core.Stage { return ld.stages[name] }
 
-// pump builds a boundary relay's pump, free-running at the tenant's
-// priority: the tenant's priority crosses the boundary with its items.
-func (ld *localDeploy) pump(lane string) core.Stage {
-	prio := uthread.PriorityNormal
-	if ld.tenant != nil {
-		prio = ld.tenant.Priority()
-	}
-	return core.Pmp(pipes.NewFreePumpPrio(lane+"/pump", prio))
-}
-
 // runs reports whether pipeline name was not detached: a transaction left it
 // running, or its stream ended (recomposing would replay end-of-stream).
-func (ld *localDeploy) runs(name string, _ int) bool {
+func (ld *localDeploy) runs(name string) bool {
 	p := ld.pipes[name]
 	return p != nil && !p.Detached()
 }
@@ -479,7 +459,7 @@ func (ld *localDeploy) compose(name string, shardIdx, _ int, stages []core.Stage
 }
 
 // stats assembles the deployment's live rows: segments in plan order, then
-// the generation's other pipelines (relays, drains).  One absent from
+// the generation's other pipelines (drains).  One absent from
 // shardByPipe was folded by an in-flight reconfiguration: its counters live
 // in the ledger already.
 func (ld *localDeploy) stats() GraphStats {

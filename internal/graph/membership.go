@@ -132,11 +132,17 @@ func (d *Deployment) Fail(err error) {
 // segment is among them.  An unreachable tail may still have journaled
 // items above it its dead node never consumed, so it reports unfinished;
 // unreachable NON-terminal pipes do not count once EOS made it through the
-// reachable tails.
+// reachable tails.  On a scheduler or a group it reports whether Done has
+// closed.
 func (d *Deployment) Finished() bool {
 	r, err := d.nodes()
 	if err != nil {
-		return false
+		select {
+		case <-d.done:
+			return true
+		default:
+			return false
+		}
 	}
 	tails := 0
 	for _, p := range r.poll() {

@@ -102,18 +102,51 @@ var parityShapes = []parityShape{
 // TestWiringParityAcrossTargets: a shard group and a node set wire the same
 // graph the same way.  Every shape deploys under every assignment of its
 // segments to two slots, OnGroup (two shards) and OnNodes (two in-process
-// nodes on plain lanes), and both list the same pipelines — segments and
-// relays — on the same slots.
+// nodes on plain lanes), and both list the same segments on the same slots.
+// A tee port is a lane only between address spaces, so the nodes add a relay
+// beside the tee exactly at each port whose ends sit on different nodes, and
+// the group adds none.
 func TestWiringParityAcrossTargets(t *testing.T) {
 	leakcheck.Check(t)
 	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
 	cat := tc.catalog()
 	a, b := startNode(t, "alpha", cat), startNode(t, "beta", cat)
-	rows := func(d *graph.Deployment) []string {
-		var out []string
+	row := func(name string, relay bool, slot int) string {
+		return fmt.Sprintf("%s relay=%v slot=%d", name, relay, slot)
+	}
+	rows := func(d *graph.Deployment) (segments, relays []string) {
 		for _, s := range d.Stats().Segments {
-			out = append(out, fmt.Sprintf("%s relay=%v slot=%d", s.Name, s.Relay, s.Shard))
+			if s.Relay {
+				relays = append(relays, row(s.Name, true, s.Shard))
+			} else {
+				segments = append(segments, row(s.Name, false, s.Shard))
+			}
 		}
+		slices.Sort(segments)
+		slices.Sort(relays)
+		return segments, relays
+	}
+	// laneRelays lists the relays a node host composes for d: one beside
+	// the tee of every port whose ends are on different nodes.
+	laneRelays := func(g *graph.Graph, d *graph.Deployment) []string {
+		plan, err := g.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := d.SegmentPlacements()
+		slot := func(si int) int { return at[plan.Segments[si].Name()] }
+		var out []string
+		add := func(ports map[string][]int, anchor map[string]int) {
+			for tee, branches := range ports {
+				for port, b := range branches {
+					if b >= 0 && slot(b) != slot(anchor[tee]) {
+						out = append(out, row(fmt.Sprintf("%s/%s:%d/relay", d.Name(), tee, port), true, slot(anchor[tee])))
+					}
+				}
+			}
+		}
+		add(plan.SplitBranch, plan.SplitTrunk)
+		add(plan.MergeBranch, plan.MergeDown)
 		slices.Sort(out)
 		return out
 	}
@@ -128,7 +161,7 @@ func TestWiringParityAcrossTargets(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: deploy on the group: %v", name, err)
 			}
-			onGroup := rows(dg)
+			onGroup, groupRelays := rows(dg)
 			dg.Start()
 			if err := grp.Run(); err != nil {
 				t.Fatalf("%s: run the group: %v", name, err)
@@ -141,13 +174,18 @@ func TestWiringParityAcrossTargets(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: deploy on the nodes: %v", name, err)
 			}
-			onNodes := rows(dn)
+			onNodes, nodeRelays := rows(dn)
+			wantRelays := laneRelays(g, dn)
 			dn.Start()
 			if err := dn.Wait(); err != nil {
 				t.Fatalf("%s: wait on the nodes: %v", name, err)
 			}
 			if !slices.Equal(onGroup, onNodes) {
 				t.Errorf("%s wires differently\n on the group: %q\n on the nodes: %q", name, onGroup, onNodes)
+			}
+			if len(groupRelays) > 0 || !slices.Equal(nodeRelays, wantRelays) {
+				t.Errorf("%s relays\n on the group: %q (want none)\n on the nodes: %q\n want: %q",
+					name, groupRelays, nodeRelays, wantRelays)
 			}
 		}
 	}

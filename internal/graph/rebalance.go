@@ -22,8 +22,8 @@ var (
 // Rebalance moves segments of a live deployment without losing an in-flight
 // item: hints map segment names (see SegmentPlacements) to shard indices on
 // a group, node indices on nodes; segments not named stay put.  A group
-// quiesces the moved segments and their relays at a pump-cycle boundary,
-// retargets the boundary links (their queues carry the items along) and
+// quiesces the moved segments at a pump-cycle boundary, retargets their cut
+// links (their queues and the tees' buffers carry the items along) and
 // recomposes the same stage instances on their new schedulers at one
 // instant of the group clock, so the item trace is the one an unmoved run
 // writes; every other pipeline runs on.  Nodes move each segment

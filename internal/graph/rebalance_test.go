@@ -96,8 +96,9 @@ func TestRebalanceMovesSegmentMidRun(t *testing.T) {
 	}
 }
 
-// TestRebalanceDiamondZeroLoss migrates tee-boundary segments (relay
-// creation on previously direct boundaries) under load.
+// TestRebalanceDiamondZeroLoss migrates tee-boundary segments under load:
+// a moved branch goes on reading and filling the same tee buffers from its
+// new shard.
 func TestRebalanceDiamondZeroLoss(t *testing.T) {
 	const items = 400
 	g, sink := diamond("rbd", items, -1)

@@ -245,13 +245,11 @@ func (ld *localDeploy) apply(t *txn) error {
 // affected names the pipelines the transaction replaces: each segment it
 // moves, edits, scales, renames or drops, every segment downstream of an
 // edited or new one (the Typespec entering it may change, and only a
-// recompose checks it), the trunk of a split whose ports change, a segment
-// whose tee port turns into a link, and each relay whose branch is replaced
-// or whose tee moves.  The rest runs on: a link across the boundary is
-// retargeted in place, its queue parking a pushing upstream.
+// recompose checks it), and the trunk of a split whose ports change.  The
+// rest runs on: a tee port's buffer is read and filled from any shard, and
+// a cut's link is retargeted in place, its queue parking a pushing upstream.
 func (ld *localDeploy) affected(t *txn) map[string]bool {
 	np, ns := t.plan, t.slotOf
-	becomesLink := func(lane string, from, to int) bool { return ld.links[lane] == nil && ns[from] != ns[to] }
 	kept, reseeded := make(map[string]bool), make([]bool, len(np.Segments))
 	for _, si := range np.Order {
 		seg := np.Segments[si]
@@ -266,9 +264,7 @@ func (ld *localDeploy) affected(t *txn) map[string]bool {
 		switch {
 		case reseeded[si], ns[si] != ld.slotOf[oi],
 			tl.Kind == core.EndSplitTrunk && slices.ContainsFunc(t.attaches, func(a attachRec) bool { return a.tee.Name() == tl.Node }),
-			tl.Kind == core.EndSplitTrunk && slices.ContainsFunc(t.detaches, func(d *detachRec) bool { return d.tee.Name() == tl.Node }),
-			h.Kind == core.EndSplitOut && becomesLink(ld.laneName(h.Node, h.Port), np.SplitTrunk[h.Node], si),
-			tl.Kind == core.EndMergeIn && becomesLink(ld.laneName(tl.Node, tl.Port), si, np.MergeDown[tl.Node]):
+			tl.Kind == core.EndSplitTrunk && slices.ContainsFunc(t.detaches, func(d *detachRec) bool { return d.tee.Name() == tl.Node }):
 		default:
 			kept[seg.Name()] = true
 		}
@@ -277,16 +273,6 @@ func (ld *localDeploy) affected(t *txn) map[string]bool {
 	for _, seg := range ld.plan.Segments {
 		set[ld.name+"/"+seg.Name()] = !kept[seg.Name()]
 	}
-	relays := func(branches map[string][]int, anchor, newAnchor map[string]int) {
-		for _, tee := range slices.Sorted(maps.Keys(branches)) {
-			moved := ld.slotOf[anchor[tee]] != ns[newAnchor[tee]]
-			for port, b := range branches[tee] {
-				set[ld.laneName(tee, port)+"/relay"] = moved || b >= 0 && !kept[ld.plan.Segments[b].Name()]
-			}
-		}
-	}
-	relays(ld.plan.SplitBranch, ld.plan.SplitTrunk, np.SplitTrunk)
-	relays(ld.plan.MergeBranch, ld.plan.MergeDown, np.MergeDown)
 	return set
 }
 

@@ -213,8 +213,8 @@ func (r *remoteDeployment) send(lane string, l nodeLink, from int) []remote.Stag
 	}
 }
 
-// pump renders a relay pump stage, at the tenant's priority (see
-// localDeploy.pump).
+// pump renders a relay pump stage, free-running at the tenant's priority:
+// the tenant's priority crosses the lane with its items.
 func (r *remoteDeployment) pump(lane string) remote.StageSpec {
 	spec := remote.StageSpec{Kind: "ip/pump", Name: lane + "/pump"}
 	if t := r.opt.Tenant; t != nil {
@@ -222,6 +222,68 @@ func (r *remoteDeployment) pump(lane string) remote.StageSpec {
 	}
 	return spec
 }
+
+// place wires segment si on its node, and beside the tee of each of its
+// tee ports that is a lane the relay that pumps it: a split's composes just
+// before the branch (its wire Typespec seeds the branch), a merge's just
+// after it.  When it fails it drops the listeners it bound.
+func (r *remoteDeployment) place(si int) (err error) {
+	fresh, err := r.bind(si)
+	defer func() {
+		if err != nil {
+			for _, e := range fresh {
+				r.unlink(e.lane, e.to)
+				r.links[e.lane] = nodeLink{}
+			}
+		}
+	}()
+	seg, out := r.plan.Segments[si], r.outLane(si)
+	if h := seg.Head; err == nil && h.Kind == core.EndSplitOut && r.inLane(si) != "" {
+		trunk := r.plan.SplitTrunk[h.Node]
+		err = r.relay(h, r.slotOf[trunk], r.segOutSpec[trunk])
+	}
+	if err == nil {
+		err = r.composeSegment(si)
+	}
+	if t := seg.Tail; err == nil && t.Kind == core.EndMergeIn && out != "" {
+		err = r.relay(t, r.slotOf[r.plan.MergeDown[t.Node]], r.laneSeed[out])
+	}
+	return err
+}
+
+// relay composes the relay of tee port e, a lane, beside its tee on node
+// at, unless it runs there already, and records the Typespec entering its
+// last part: the lane's seed, or the merge in-port's.
+func (r *remoteDeployment) relay(e core.SegmentEnd, at int, seed typespec.Typespec) error {
+	lane := r.laneName(e.Node, e.Port)
+	if r.runs(lane+"/relay", at) {
+		return nil
+	}
+	parts := r.relayParts(e)
+	specs, err := r.compose(lane+"/relay", at, -1, parts, seed, false)
+	if err != nil {
+		return err
+	}
+	if e.Kind == core.EndSplitOut {
+		r.laneSeed[lane] = specAt(specs, len(parts)-2)
+	} else {
+		r.mergeInSpec[e.Node][e.Port] = specAt(specs, len(parts)-2)
+	}
+	return nil
+}
+
+// relayParts renders the relay of tee port e: beside a split it pumps the
+// out-port into the lane, beside a merge the lane into the in-port.
+func (r *remoteDeployment) relayParts(e core.SegmentEnd) []remote.StageSpec {
+	lane := r.laneName(e.Node, e.Port)
+	if e.Kind == core.EndSplitOut {
+		return append([]remote.StageSpec{r.tee(e), r.pump(lane)}, r.send(lane, r.links[lane], -1)...)
+	}
+	return append(r.recv(lane, r.links[lane]), r.pump(lane), r.tee(e))
+}
+
+// apart tells nodes apart: each is its own address space.
+func (r *remoteDeployment) apart(a, b int) bool { return a != b }
 
 // chainLane returns the inbound lane that segment si's outbound sender
 // forwards its acks to — non-empty only when both boundary lanes are
@@ -323,6 +385,7 @@ func (r *remoteDeployment) hostOf(name string) int {
 	return -1
 }
 
+// runs reports whether pipeline name was last composed on node.
 func (r *remoteDeployment) runs(name string, node int) bool { return r.hostOf(name) == node }
 
 // capSets are the events some set of pipelines emits and handles.

@@ -241,7 +241,7 @@ func (r *remoteDeployment) move(si, dest int, started, oldUp bool) error {
 	}
 	var err error
 	for port := range relayLanes {
-		if err = r.splitRelay(teeName, port); err != nil {
+		if err = r.relay(core.SegmentEnd{Kind: core.EndSplitOut, Node: teeName, Port: port}, dest, r.segOutSpec[si]); err != nil {
 			break
 		}
 	}

@@ -6,17 +6,20 @@ import (
 )
 
 // SegmentStats is the activity snapshot of one deployed pipeline: a graph
-// segment or an auto-inserted relay.  The counters are cumulative since
-// deploy (they survive rebalances: the recomposed pipeline is a new
-// instance, so the deployment folds the retired generations' counts in).
+// segment, a node host's relay, or a detached branch still draining.  The
+// counters are cumulative since deploy (they survive rebalances: the
+// recomposed pipeline is a new instance, so the deployment folds the
+// retired generations' counts in).
 type SegmentStats struct {
-	// Name is the segment's diagnostic name ("first>>last"), or the relay
-	// lane name for relays.
+	// Name is the segment's diagnostic name ("first>>last"), or the
+	// pipeline's own name off the plan.
 	Name string
 	// Shard is the index the pipeline currently runs on (0 on a single
 	// scheduler).
 	Shard int
-	// Relay marks auto-inserted relay pipelines (tee-boundary lanes).
+	// Relay marks a pipeline off the plan: on nodes, the relay beside a tee
+	// whose port is a lane; on a scheduler or a group, which compose no
+	// relay, a detached branch still draining.
 	Relay bool
 	// Finished reports whether the segment's stream fully ended.
 	Finished bool
@@ -62,10 +65,10 @@ type TenantStats struct {
 // ShardLoad aggregates a deployment's activity per shard.
 type ShardLoad struct {
 	// Pipelines counts the deployment's pipelines currently placed on the
-	// shard (relays included, finished ones excluded).
+	// shard (relays and drains included, finished ones excluded).
 	Pipelines int
-	// Segments counts the unfinished non-relay segments currently on the
-	// shard (the units a rebalance can move).
+	// Segments counts the unfinished plan segments currently on the shard
+	// (the units a rebalance can move).
 	Segments int
 	// Items and BusyNanos sum the pump counters of the work that RAN on
 	// this shard (cumulative since deploy; a migrated segment's history
@@ -79,11 +82,12 @@ type ShardLoad struct {
 // indices name cluster nodes (see Nodes), and the same skew math drives the
 // ClusterBalancer.
 type GraphStats struct {
-	// Segments lists the graph's segments in plan order, then the relay
-	// pipelines.
+	// Segments lists the graph's segments in plan order, then the
+	// pipelines off the plan (Relay).
 	Segments []SegmentStats
-	// Links lists the auto-inserted links in creation order (local targets
-	// only; remote lanes are TCP connections, observed via inbox counters).
+	// Links lists the cut edges' shard links in creation order (local
+	// targets only; remote lanes are TCP connections, observed via inbox
+	// counters).
 	Links []LinkStats
 	// Shards aggregates per shard — one entry per scheduler shard on local
 	// targets, one per cluster node on remote deployments.

@@ -14,21 +14,22 @@ import (
 
 // This file decides, once for every target, how a segment meets its
 // neighbours: a direct tee port, the tee sink, a merge port, or a link.  A
-// cut is always a link; a tee port becomes one when its ends sit on
-// different slots, and stays one wherever they move, so the link's queue or
-// journal carries the in-flight items.  Relays compose just before and
-// after their branch: spawn order is the ready queue's tie-break.  A host
-// renders for its target: live core.Stages joined by shard.Links, or
-// remote.StageSpecs joined by TCP lanes (or same-node cut links).
+// cut is always a link; a tee port is one only when its ends sit in
+// different address spaces, and then stays one wherever they move, so the
+// link's journal carries the in-flight items.  On a group every shard shares
+// one address space: a branch reads its tee port's buffer on whatever shard
+// it runs.  A host renders for its target: live core.Stages joined by
+// shard.Links, or remote.StageSpecs joined by TCP lanes (or same-node cut
+// links), with relays at the tee ports that are lanes (remote.go).
 
 // host renders, links and composes for one target.  P is what a part list
 // holds; L is how a link is realized, its zero value an unbound link.
 type host[P any, L comparable] interface {
+	// apart reports whether slots a and b are different address spaces.
+	apart(a, b int) bool
 	// link realizes lane from segment from to segment to: it binds l when it
 	// is unbound and points a bound one at to's slot if the target can.
 	link(lane string, l L, from, to int) (L, error)
-	// unlink drops what link bound for a placement that then failed.
-	unlink(lane string, to int)
 	recv(lane string, l L) []P
 	// send renders the sending end of lane for segment from (-1: a relay).
 	send(lane string, l L, from int) []P
@@ -36,14 +37,12 @@ type host[P any, L comparable] interface {
 	// in-port or out-port.
 	tee(e core.SegmentEnd) P
 	stage(name string) P
-	pump(lane string) P
 	// compose composes pipeline name from parts on slot (seg is its plan
-	// segment, -1 for a relay) and returns the Typespec leaving every part.
+	// segment, -1 for a pipeline off the plan) and returns the Typespec
+	// leaving every part.
 	// admit asks for the tenant's admission gate: the segment is a true
 	// source.
 	compose(name string, slot, seg int, parts []P, seed typespec.Typespec, admit bool) ([]typespec.Typespec, error)
-	// runs reports whether pipeline name runs on slot in this generation.
-	runs(name string, slot int) bool
 }
 
 // wiring is a deployment's boundary state, the same for every target.
@@ -95,9 +94,9 @@ func (w *wiring[P, L]) cutLane(ci int) string {
 }
 
 // linkIf returns lane when the tee boundary between segments from and to is
-// a link: once linked, or when its ends sit on different slots.
+// a link: once linked, or when its ends sit in different address spaces.
 func (w *wiring[P, L]) linkIf(lane string, from, to int) string {
-	if _, linked := w.links[lane]; linked || w.slotOf[from] != w.slotOf[to] {
+	if _, linked := w.links[lane]; linked || w.h.apart(w.slotOf[from], w.slotOf[to]) {
 		return lane
 	}
 	return ""
@@ -151,22 +150,6 @@ func (w *wiring[P, L]) segmentParts(si int) (parts []P, tailStart int) {
 	return parts, tailStart
 }
 
-// splitRelayParts renders the relay that pumps a split out-port into its
-// lane, beside the tee.
-func (w *wiring[P, L]) splitRelayParts(tee string, port int) []P {
-	lane := w.laneName(tee, port)
-	return append([]P{w.h.tee(core.SegmentEnd{Kind: core.EndSplitOut, Node: tee, Port: port}), w.h.pump(lane)},
-		w.h.send(lane, w.links[lane], -1)...)
-}
-
-// mergeRelayParts renders the relay that pumps a lane into a merge
-// in-port, beside the merge.
-func (w *wiring[P, L]) mergeRelayParts(merge string, port int) []P {
-	lane := w.laneName(merge, port)
-	return append(w.h.recv(lane, w.links[lane]), w.h.pump(lane),
-		w.h.tee(core.SegmentEnd{Kind: core.EndMergeIn, Node: merge, Port: port}))
-}
-
 // specAt returns the Typespec leaving part i of a composed part list.
 func specAt(specs []typespec.Typespec, i int) typespec.Typespec {
 	if i < 0 || i >= len(specs) {
@@ -197,46 +180,52 @@ func (w *wiring[P, L]) seed(si int) (seed typespec.Typespec, err error) {
 	return seed, nil
 }
 
-// place wires segment si on its slot.  A deploy calls it in topological
-// order, so each call binds both links and composes both relays; a
-// reconfiguration calls it again over links bound long ago.  When it fails
-// it drops the links it bound.
-func (w *wiring[P, L]) place(si int) (err error) {
-	seg := w.plan.Segments[si]
-	in, out := w.inLane(si), w.outLane(si)
-	type end struct {
-		lane     string
-		from, to int
+// boundary is one linked end of a segment: lane from segment from to to.
+type boundary struct {
+	lane     string
+	from, to int
+}
+
+// bind binds the links at segment si's ends and returns those it bound
+// afresh, also when it fails part way.
+func (w *wiring[P, L]) bind(si int) ([]boundary, error) {
+	var ends, fresh []boundary
+	if in := w.inLane(si); in != "" {
+		ends = append(ends, boundary{in, w.plan.Upstream(si)[0], si})
 	}
-	var ends []end
-	if in != "" {
-		ends = append(ends, end{in, w.plan.Upstream(si)[0], si})
-	}
-	if out != "" {
-		ends = append(ends, end{out, si, w.plan.Downstream(si)[0]})
+	if out := w.outLane(si); out != "" {
+		ends = append(ends, boundary{out, si, w.plan.Downstream(si)[0]})
 	}
 	for _, e := range ends {
 		var zero L
-		l := w.links[e.lane]
-		if l, err = w.h.link(e.lane, l, e.from, e.to); err != nil {
-			return err
+		was := w.links[e.lane]
+		l, err := w.h.link(e.lane, was, e.from, e.to)
+		if err != nil {
+			return fresh, err
 		}
-		if w.links[e.lane] == zero {
-			defer func() {
-				if err != nil {
-					w.h.unlink(e.lane, e.to)
-					w.links[e.lane] = zero
-				}
-			}()
+		if was == zero {
+			fresh = append(fresh, e)
 		}
 		w.links[e.lane] = l
 	}
+	return fresh, nil
+}
 
-	if h := seg.Head; h.Kind == core.EndSplitOut && in != "" {
-		if err = w.splitRelay(h.Node, h.Port); err != nil {
-			return err
-		}
+// place wires segment si on its slot: it binds the links at its ends and
+// composes it.  A deploy calls it in topological order; a reconfiguration
+// calls it again over links bound long ago.
+func (w *wiring[P, L]) place(si int) error {
+	if _, err := w.bind(si); err != nil {
+		return err
 	}
+	return w.composeSegment(si)
+}
+
+// composeSegment composes segment si over its bound links and records the
+// Typespecs it leaves at its tail and on its outbound link.
+func (w *wiring[P, L]) composeSegment(si int) error {
+	seg := w.plan.Segments[si]
+	out := w.outLane(si)
 	parts, tailStart := w.segmentParts(si)
 	seed, err := w.seed(si)
 	if err != nil {
@@ -256,46 +245,9 @@ func (w *wiring[P, L]) place(si int) (err error) {
 	if out != "" {
 		w.laneSeed[out] = specAt(specs, len(parts)-2)
 	}
-	if t := seg.Tail; t.Kind == core.EndMergeIn {
-		if out == "" {
-			w.mergeInSpec[t.Node][t.Port] = w.segOutSpec[si]
-			return nil
-		}
-		return w.mergeRelay(si)
+	if t := seg.Tail; t.Kind == core.EndMergeIn && out == "" {
+		w.mergeInSpec[t.Node][t.Port] = w.segOutSpec[si]
 	}
-	return nil
-}
-
-// splitRelay composes the relay of a linked split out-port on its trunk's
-// slot, unless it runs there already.
-func (w *wiring[P, L]) splitRelay(tee string, port int) error {
-	lane, trunk := w.laneName(tee, port), w.plan.SplitTrunk[tee]
-	if w.h.runs(lane+"/relay", w.slotOf[trunk]) {
-		return nil
-	}
-	parts := w.splitRelayParts(tee, port)
-	specs, err := w.h.compose(lane+"/relay", w.slotOf[trunk], -1, parts, w.segOutSpec[trunk], false)
-	if err != nil {
-		return err
-	}
-	w.laneSeed[lane] = specAt(specs, len(parts)-2)
-	return nil
-}
-
-// mergeRelay composes the relay that drains segment si's linked merge
-// in-port on the merge's slot, unless it runs there already.
-func (w *wiring[P, L]) mergeRelay(si int) error {
-	t, lane := w.plan.Segments[si].Tail, w.outLane(si)
-	anchor := w.slotOf[w.plan.MergeDown[t.Node]]
-	if w.h.runs(lane+"/relay", anchor) {
-		return nil
-	}
-	parts := w.mergeRelayParts(t.Node, t.Port)
-	specs, err := w.h.compose(lane+"/relay", anchor, -1, parts, w.laneSeed[lane], false)
-	if err != nil {
-		return err
-	}
-	w.mergeInSpec[t.Node][t.Port] = specAt(specs, len(parts)-2)
 	return nil
 }
 
@@ -331,7 +283,7 @@ func (l *ledger) fold(name string, slot int, c counts) {
 // pipeRow is one pipeline's live reading, as its host took it.
 type pipeRow struct {
 	name string
-	seg  int // plan segment index, -1 for a relay
+	seg  int // plan segment index, -1 for a pipeline off the plan
 	slot int // where the deployment places it now
 	ran  int // where the live counters were earned, -1 for nowhere
 	eos  bool
@@ -339,11 +291,12 @@ type pipeRow struct {
 }
 
 // fold folds per-pipeline rows, the ledger and the tenant's per-slot rows
-// into one GraphStats: segments in plan order, then relays, each cumulative
-// across generations, with per-slot load.
+// into one GraphStats: segments in plan order, then the pipelines off the
+// plan (relays, drains), each cumulative across generations, with per-slot
+// load.
 func (w *wiring[P, L]) fold(rows []pipeRow, slots int, t *qos.Tenant, tenantRows []remote.TenantStat) GraphStats {
 	st := GraphStats{Shards: make([]ShardLoad, slots)}
-	// Relays (seg -1, the largest uint) after the segments.
+	// Off-plan pipelines (seg -1, the largest uint) after the segments.
 	slices.SortStableFunc(rows, func(a, b pipeRow) int { return cmp.Compare(uint(a.seg), uint(b.seg)) })
 	w.ledger.mu.Lock()
 	defer w.ledger.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"infopipes/internal/graph"
 	"infopipes/internal/item"
 	"infopipes/internal/pipes"
+	"infopipes/internal/shard"
 	"infopipes/internal/typespec"
 	"infopipes/internal/uthread"
 )
@@ -211,5 +212,59 @@ func TestWorkPerItem(t *testing.T) {
 					sh.switches, per(sh.switches), sh.messages, per(sh.messages))
 			}
 		})
+	}
+}
+
+// TestWorkPerItemTwoShards pins the work of fanout_shards's shape on a
+// 2-shard virtual-clock group — a route split, branch B hinted onto shard
+// 1, an arrival merge — as counts that do not depend on timing: the
+// pipelines composed, the links inserted, and the pump items shard 0 runs
+// per item delivered.  Branch B reads its tee port and fills its merge port
+// from shard 1, so no link and no relay pipeline is composed: shard 0 pumps
+// each item in the trunk and at the merge, and half of them in branch A.
+func TestWorkPerItemTwoShards(t *testing.T) {
+	const items = 2000
+	const pipelines, links, shard0PerItem = 4, 0, 2.5
+	g := graph.New("fan2")
+	g.Add(core.Comp(pipes.NewCounterSource("src", items)))
+	g.Add(core.Pmp(pipes.NewFreePump("pump")))
+	g.Split(pipes.NewRouteTee("tee", 2, 64, typespec.Block, typespec.Block,
+		func(it *item.Item) int { return int(it.Seq % 2) }))
+	g.Add(core.Pmp(pipes.NewFreePump("pa")))
+	g.Add(core.Pmp(pipes.NewFreePump("pb")), graph.Place(1))
+	g.Merge(arrivalMerge())
+	g.Add(core.Pmp(pipes.NewFreePump("po")))
+	sink := pipes.NewCollectSink("sink")
+	g.Add(core.Comp(sink))
+	g.Pipe("src", "pump", "tee")
+	g.Pipe("tee:0", "pa", "mrg:0")
+	g.Pipe("tee:1", "pb", "mrg:1")
+	g.Pipe("mrg", "po", "sink")
+
+	grp := shard.NewGroup(shard.WithShardCount(2))
+	d, err := g.Deploy(graph.OnGroup(grp))
+	if err != nil {
+		t.Fatalf("deploy: %v", err)
+	}
+	d.Start()
+	if err := grp.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if err := d.Wait(); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if sink.Count() != items {
+		t.Fatalf("sink received %d items, want %d", sink.Count(), items)
+	}
+	if got := d.SegmentPlacements()["pb"]; got != 1 {
+		t.Fatalf("branch B runs on shard %d, want 1", got)
+	}
+	st := d.Stats()
+	perItem := float64(st.Shards[0].Items) / items
+	t.Logf("%d pipelines, %d links, shard 0 pumps %d items (%.2f per item delivered)",
+		len(d.Pipelines()), len(d.Links()), st.Shards[0].Items, perItem)
+	if len(d.Pipelines()) != pipelines || len(d.Links()) != links || perItem != shard0PerItem {
+		t.Errorf("%d pipelines, %d links, %.2f shard-0 pump items per item; golden %d, %d, %.2f",
+			len(d.Pipelines()), len(d.Links()), perItem, pipelines, links, shard0PerItem)
 	}
 }

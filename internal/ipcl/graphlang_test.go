@@ -66,8 +66,8 @@ func TestBuildGraphSplitMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Links()) == 0 {
-		t.Fatal("hinted branch produced no cross-shard links")
+	if at := d.SegmentPlacements()["b>>pb"]; at != 1 || len(d.Links()) != 0 {
+		t.Fatalf("hinted branch b>>pb on shard %d with %d links; want shard 1 and no link", at, len(d.Links()))
 	}
 	d.Start()
 	if err := grp.Run(); err != nil {

@@ -19,7 +19,9 @@ import (
 //
 // Blocking is integrated with the user-level thread package: a blocked
 // operation suspends the calling thread on a wake message, and control
-// events are still delivered and dispatched while blocked (§3.2).  Before it
+// events are still delivered and dispatched while blocked (§3.2).  Each wake
+// goes through the waiter's own scheduler, so the two ends may run on
+// different shards (a tee port read by a branch on another shard).  Before it
 // comes to that, an Insert that fills the buffer or a Remove that empties it
 // ends the calling pump's batch (Ctx.EndBatch), so the pump on the other
 // side runs while there is still work for it and nobody blocks.
@@ -29,25 +31,17 @@ type BoundedBuffer struct {
 	pushPol  typespec.BlockPolicy
 	pullPol  typespec.BlockPolicy
 
-	mu      sync.Mutex
-	q       []*item.Item
-	closed  bool
-	sched   *uthread.Scheduler
-	nextTok uint64
-	// Waiters are threads suspended in Remove (waiting for items) or
-	// Insert (waiting for space); each holds a unique wake token.
-	itemWaiters  []bufWaiter
-	spaceWaiters []bufWaiter
+	mu     sync.Mutex
+	q      []*item.Item
+	closed bool
+	// Threads suspended in Remove (waiting for items) or Insert (waiting
+	// for space).
+	itemWaiters, spaceWaiters core.WaiterList
 
 	drops   trace.Counter
 	inserts trace.Counter
 	removes trace.Counter
 	maxFill trace.Gauge
-}
-
-type bufWaiter struct {
-	th  *uthread.Thread
-	tok uint64
 }
 
 var _ core.Buffer = (*BoundedBuffer)(nil)
@@ -77,14 +71,6 @@ func NewBufferPolicy(name string, capacity int, push, pull typespec.BlockPolicy)
 		pullPol:  pull,
 		q:        make([]*item.Item, 0, capacity),
 	}
-}
-
-// BindScheduler lets the composition layer attach the scheduler used for
-// wake-up messages.
-func (b *BoundedBuffer) BindScheduler(s *uthread.Scheduler) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.sched = s
 }
 
 // Name implements core.Buffer.
@@ -125,12 +111,10 @@ func (b *BoundedBuffer) HandleEvent(events.Event) {}
 func (b *BoundedBuffer) CloseUpstream() {
 	b.mu.Lock()
 	b.closed = true
-	waiters := b.itemWaiters
-	b.itemWaiters = nil
-	sched := b.sched
+	waiters := b.itemWaiters.TakeAll()
 	b.mu.Unlock()
 	for _, w := range waiters {
-		postWake(sched, w)
+		w.Wake(core.MsgBufferWake)
 	}
 }
 
@@ -148,7 +132,12 @@ func (b *BoundedBuffer) Insert(ctx *core.Ctx, it *item.Item) error {
 	t := ctx.Thread()
 	for {
 		b.mu.Lock()
-		if len(b.q) < b.capacity {
+		// Migration teardown interrupting a blocked push force-completes
+		// the handoff over capacity: the buffer outlives the section's
+		// threads, so the item in hand must not be lost.  The overshoot is
+		// bounded by the number of blocked pushers and drains once the
+		// recomposed pipeline resumes.
+		if len(b.q) < b.capacity || b.pushPol != typespec.NonBlock && ctx.Stopping() && ctx.Detaching() {
 			b.q = append(b.q, it)
 			if n := int64(len(b.q)); n > b.maxFill.Value() {
 				b.maxFill.Set(n)
@@ -157,8 +146,11 @@ func (b *BoundedBuffer) Insert(ctx *core.Ctx, it *item.Item) error {
 				ctx.EndBatch() // the next Insert would block or drop
 			}
 			b.inserts.Inc()
-			b.wakeOneLocked(&b.itemWaiters)
+			w, ok := b.itemWaiters.PopFront()
 			b.mu.Unlock()
+			if ok {
+				w.Wake(core.MsgBufferWake)
+			}
 			return nil
 		}
 		if b.pushPol == typespec.NonBlock {
@@ -167,27 +159,12 @@ func (b *BoundedBuffer) Insert(ctx *core.Ctx, it *item.Item) error {
 			return nil // drop the pushed item (§2.3)
 		}
 		if ctx.Stopping() {
-			if ctx.Detaching() {
-				// Migration teardown interrupted a blocked push: the buffer
-				// outlives the section's threads, so force-complete the
-				// handoff over capacity rather than lose the item in hand.
-				// The overshoot is bounded by the number of blocked pushers
-				// and drains once the recomposed pipeline resumes.
-				b.q = append(b.q, it)
-				if n := int64(len(b.q)); n > b.maxFill.Value() {
-					b.maxFill.Set(n)
-				}
-				b.inserts.Inc()
-				b.wakeOneLocked(&b.itemWaiters)
-				b.mu.Unlock()
-				return nil
-			}
 			b.mu.Unlock()
 			return core.ErrStopped
 		}
-		tok := b.registerLocked(&b.spaceWaiters, t)
+		tok := b.spaceWaiters.Register(t)
 		b.mu.Unlock()
-		if err := b.await(ctx, t, tok); err != nil {
+		if err := b.await(ctx, t, &b.spaceWaiters, tok); err != nil {
 			if ctx.Detaching() {
 				continue // re-enter: the detach branch above completes the push
 			}
@@ -211,8 +188,11 @@ func (b *BoundedBuffer) Remove(ctx *core.Ctx) (*item.Item, error) {
 				ctx.EndBatch() // the next Remove would block or return nil
 			}
 			b.removes.Inc()
-			b.wakeOneLocked(&b.spaceWaiters)
+			w, ok := b.spaceWaiters.PopFront()
 			b.mu.Unlock()
+			if ok {
+				w.Wake(core.MsgBufferWake)
+			}
 			return it, nil
 		}
 		if b.closed {
@@ -227,29 +207,29 @@ func (b *BoundedBuffer) Remove(ctx *core.Ctx) (*item.Item, error) {
 			b.mu.Unlock()
 			return nil, core.ErrStopped
 		}
-		tok := b.registerLocked(&b.itemWaiters, t)
+		tok := b.itemWaiters.Register(t)
 		b.mu.Unlock()
-		if err := b.await(ctx, t, tok); err != nil {
+		if err := b.await(ctx, t, &b.itemWaiters, tok); err != nil {
 			return nil, err
 		}
 	}
 }
 
-// await suspends the calling thread until its wake token arrives,
-// dispatching control events that arrive in the meantime (§3.2).  On
-// return, the waiter registration and any in-flight wake are consumed.
+// await suspends the calling thread until its wake token from list
+// arrives, dispatching control events that arrive in the meantime (§3.2).
+// On return, the waiter registration and any in-flight wake are consumed.
 //
 //ipvet:hotpath one per blocked Insert or Remove: once per item on a saturated flow
-func (b *BoundedBuffer) await(ctx *core.Ctx, t *uthread.Thread, tok uint64) error {
+func (b *BoundedBuffer) await(ctx *core.Ctx, t *uthread.Thread, list *core.WaiterList, tok uint64) error {
 	for {
 		m := t.ReceiveTagged(core.MsgBufferWake, tok)
 		if m.Kind == core.MsgBufferWake {
-			b.deregister(tok)
+			b.deregister(list, tok)
 			return nil
 		}
 		t.DispatchControl(m)
 		if ctx.Stopping() {
-			if !b.deregister(tok) {
+			if !b.deregister(list, tok) {
 				// A wake was already posted; consume it so it cannot
 				// confuse a later wait.
 				core.DiscardWake(t, core.MsgBufferWake, tok)
@@ -259,48 +239,10 @@ func (b *BoundedBuffer) await(ctx *core.Ctx, t *uthread.Thread, tok uint64) erro
 	}
 }
 
-// registerLocked adds the thread to a waiter list and returns its token.
-func (b *BoundedBuffer) registerLocked(list *[]bufWaiter, t *uthread.Thread) uint64 {
-	b.nextTok++
-	*list = append(*list, bufWaiter{th: t, tok: b.nextTok})
-	return b.nextTok
-}
-
-// deregister removes the token from whichever list holds it, reporting
-// whether it was still registered (false means a wake is in flight).
-func (b *BoundedBuffer) deregister(tok uint64) bool {
+// deregister takes the token off list, reporting whether it was still
+// registered (false means a wake is in flight).
+func (b *BoundedBuffer) deregister(list *core.WaiterList, tok uint64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, list := range [...]*[]bufWaiter{&b.itemWaiters, &b.spaceWaiters} {
-		for i, w := range *list {
-			if w.tok == tok {
-				*list = append((*list)[:i], (*list)[i+1:]...)
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// wakeOneLocked pops the first waiter and posts its wake message.  The rest
-// shift down: re-slicing from the front would give the array's capacity away
-// one waiter at a time, and every later registration would reallocate.
-func (b *BoundedBuffer) wakeOneLocked(list *[]bufWaiter) {
-	if len(*list) == 0 {
-		return
-	}
-	w := (*list)[0]
-	*list = append((*list)[:0], (*list)[1:]...)
-	postWake(b.sched, w)
-}
-
-func postWake(sched *uthread.Scheduler, w bufWaiter) {
-	if sched == nil {
-		return
-	}
-	sched.Post(w.th, uthread.Message{
-		Kind:       core.MsgBufferWake,
-		Tag:        w.tok,
-		Constraint: uthread.At(uthread.PriorityHigh),
-	})
+	return list.Remove(tok)
 }

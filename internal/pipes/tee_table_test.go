@@ -17,11 +17,10 @@ import (
 // shared port table or the shared merge shows on every row at once.
 
 // onThread runs fn once on a scheduler thread (buffer operations need a
-// live Ctx); bind binds the tee under test to the same scheduler.
-func onThread(t *testing.T, bind func(*uthread.Scheduler), fn func(ctx *core.Ctx)) {
+// live Ctx).
+func onThread(t *testing.T, fn func(ctx *core.Ctx)) {
 	t.Helper()
 	s := uthread.New()
-	bind(s)
 	p, err := core.Compose("table", s, nil, []core.Stage{
 		core.Comp(pipes.NewCounterSource("src", 1)),
 		core.Pmp(pipes.NewFreePump("pump")),
@@ -99,7 +98,7 @@ func TestTeeTableSplit(t *testing.T) {
 			if sp.Wrappable() != r.wrappable {
 				t.Errorf("Wrappable = %v, want %v", sp.Wrappable(), r.wrappable)
 			}
-			onThread(t, sp.BindScheduler, func(ctx *core.Ctx) {
+			onThread(t, func(ctx *core.Ctx) {
 				pushed := map[int64]*item.Item{}
 				for seq := int64(1); seq <= 6; seq++ {
 					it := item.New(seq, seq, ctx.Now())
@@ -155,7 +154,7 @@ func TestTeeTableSplit(t *testing.T) {
 			if sp.OutBuffer(0).Closed() {
 				t.Error("last live port closed by a refused detach")
 			}
-			onThread(t, sp.BindScheduler, func(ctx *core.Ctx) {
+			onThread(t, func(ctx *core.Ctx) {
 				for seq := int64(1); seq <= 3; seq++ {
 					if err := sp.Push(ctx, item.New(seq, seq, ctx.Now())); err != nil {
 						t.Fatal(err)
@@ -211,7 +210,7 @@ func TestTeeTableMerge(t *testing.T) {
 	for _, r := range rows {
 		t.Run(r.name+"/origin", func(t *testing.T) {
 			m := r.mk()
-			onThread(t, m.BindScheduler, func(ctx *core.Ctx) {
+			onThread(t, func(ctx *core.Ctx) {
 				it := item.New(1, 1, ctx.Now())
 				it.Origin = 5
 				if err := in(m, 1).Push(ctx, it); err != nil {
@@ -225,7 +224,7 @@ func TestTeeTableMerge(t *testing.T) {
 		})
 		t.Run(r.name+"/eos", func(t *testing.T) {
 			m := r.mk()
-			onThread(t, m.BindScheduler, func(ctx *core.Ctx) {
+			onThread(t, func(ctx *core.Ctx) {
 				in(m, 0).HandleEOS(ctx)
 				in(m, 0).HandleEOS(ctx)
 				if m.OutBuffer().Closed() {

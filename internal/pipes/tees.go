@@ -11,7 +11,6 @@ import (
 	"infopipes/internal/events"
 	"infopipes/internal/item"
 	"infopipes/internal/typespec"
-	"infopipes/internal/uthread"
 )
 
 // This file implements the multi-port components of §2.1/§3.3: tees for
@@ -166,13 +165,6 @@ func (t *Split) SetActive(n int) int {
 // Active reports the current number of item-receiving replicas.
 func (t *Split) Active() int { return int(t.active.Load()) }
 
-// BindScheduler forwards the scheduler binding to the internal buffers.
-func (t *Split) BindScheduler(s *uthread.Scheduler) {
-	for _, b := range t.outs {
-		b.BindScheduler(s)
-	}
-}
-
 // Style implements core.Component.
 func (t *Split) Style() core.Style { return core.StyleConsumer }
 
@@ -270,10 +262,10 @@ func (t *Split) OutPort(i int) core.Component { return t.Out(i) }
 // it is: its output is the trunk stream, already unique and monotone per
 // origin, so durable lanes downstream journal it unchanged.
 //
-// Mutual exclusion: the in-ports are sinks of pipelines on the merge's own
-// scheduler, so data-path pushes are serialized by it.  The mutex is for
-// the out-of-band paths (Stop events arrive on the deployment's goroutine)
-// and is never held across a blocking buffer Insert — a release in
+// Mutual exclusion: the in-ports are sinks of pipelines on any shard, and
+// Stop events arrive on the deployment's goroutine.  In arrival order the
+// output buffer's lock serializes the pushes; in seq order mu guards the
+// window and is never held across a blocking buffer Insert — a release in
 // progress is marked by `draining`, and other entrants deposit and leave.
 type Merge struct {
 	core.Base
@@ -319,9 +311,6 @@ func NewMergeTee(name string, n, capacity int, push, pull typespec.BlockPolicy) 
 func NewOrderedMerge(name string, n, capacity int, push, pull typespec.BlockPolicy, split *Split) *Merge {
 	return newMerge(name, n, capacity, push, pull, true, split)
 }
-
-// BindScheduler forwards the scheduler binding to the internal buffer.
-func (t *Merge) BindScheduler(s *uthread.Scheduler) { t.out.BindScheduler(s) }
 
 // In returns the i-th input as a sink component for a trunk pipeline.
 func (t *Merge) In(i int) *MergeIn {
@@ -500,9 +489,6 @@ var _ core.Producer = (*BufferSource)(nil)
 func NewBufferSource(name string, buf *BoundedBuffer) *BufferSource {
 	return &BufferSource{Base: core.Base{CompName: name}, buf: buf}
 }
-
-// BindScheduler forwards the scheduler binding to the buffer.
-func (s *BufferSource) BindScheduler(sch *uthread.Scheduler) { s.buf.BindScheduler(sch) }
 
 // Style implements core.Component.
 func (s *BufferSource) Style() core.Style { return core.StyleProducer }

@@ -18,7 +18,6 @@ import (
 func TestCopyTeeFanOutDoesNotAllocate(t *testing.T) {
 	s := uthread.New()
 	tee := pipes.NewCopyTee("tee", 2, 64, typespec.Block, typespec.Block)
-	tee.BindScheduler(s)
 	var perFanOut float64
 	measured := false
 	sink := pipes.NewFuncSink("measure", func(ctx *core.Ctx, it *item.Item) error {
@@ -69,7 +68,6 @@ func TestCopyTeeFanOutDoesNotAllocate(t *testing.T) {
 func TestCopyTeeSharedAttrsStayIsolated(t *testing.T) {
 	s := uthread.New()
 	tee := pipes.NewCopyTee("tee", 2, 8, typespec.Block, typespec.Block)
-	tee.BindScheduler(s)
 	var got [2]string
 	sink := pipes.NewFuncSink("drive", func(ctx *core.Ctx, it *item.Item) error {
 		in := item.New("payload", 1, ctx.Now()).WithAttr("tag", "orig")
