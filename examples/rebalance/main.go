@@ -19,22 +19,17 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"infopipes"
 )
 
-const items = 40
+const (
+	items = 40
+	rate  = 200 // items per virtual second
+)
 
-// declare builds the graph.  With gate non-nil, the trunk stalls (in real
-// time — the whole virtual-clock group freezes with it) when item
-// items/4 passes, until the gate's release channel closes: a deterministic
-// mid-stream rendezvous for the rebalance.
-type gateCtl struct {
-	reached chan struct{}
-	release chan struct{}
-}
-
-func declare(gate *gateCtl) (*infopipes.Graph, *infopipes.CollectSink) {
+func declare() (*infopipes.Graph, *infopipes.CollectSink) {
 	sink := infopipes.NewCollectSink("sink")
 	tee := infopipes.NewRouteTee("tee", 2, 8, infopipes.Block, infopipes.Block,
 		func(it *infopipes.Item) int { return int((it.Seq - 1) % 2) })
@@ -47,17 +42,7 @@ func declare(gate *gateCtl) (*infopipes.Graph, *infopipes.CollectSink) {
 	}
 	g := infopipes.NewGraph("rebalance")
 	g.Add(infopipes.Comp(infopipes.NewCounterSource("src", items)), infopipes.GraphPlace(0))
-	g.Add(infopipes.Pmp(infopipes.NewClockedPump("pump", 200)), infopipes.GraphPlace(0))
-	if gate != nil {
-		g.Add(infopipes.Comp(infopipes.NewFuncFilter("gate",
-			func(_ *infopipes.Ctx, it *infopipes.Item) (*infopipes.Item, error) {
-				if it.Seq == items/4 {
-					close(gate.reached)
-					<-gate.release
-				}
-				return it, nil
-			})), infopipes.GraphPlace(0))
-	}
+	g.Add(infopipes.Pmp(infopipes.NewClockedPump("pump", rate)), infopipes.GraphPlace(0))
 	g.Split(tee)
 	g.Add(tag("fa", "a"), infopipes.GraphPlace(0))
 	g.Add(infopipes.Pmp(infopipes.NewFreePump("pa")), infopipes.GraphPlace(0))
@@ -66,11 +51,7 @@ func declare(gate *gateCtl) (*infopipes.Graph, *infopipes.CollectSink) {
 	g.Merge(mrg)
 	g.Add(infopipes.Pmp(infopipes.NewFreePump("po")), infopipes.GraphPlace(0))
 	g.Add(infopipes.Comp(sink), infopipes.GraphPlace(0))
-	if gate != nil {
-		g.Pipe("src", "pump", "gate", "tee")
-	} else {
-		g.Pipe("src", "pump", "tee")
-	}
+	g.Pipe("src", "pump", "tee")
 	g.Pipe("tee:0", "fa", "pa", "mrg:0")
 	g.Pipe("tee:1", "fb", "pb", "mrg:1")
 	g.Pipe("mrg", "po", "sink")
@@ -86,7 +67,7 @@ func trace(sink *infopipes.CollectSink) string {
 }
 
 func onScheduler() (string, error) {
-	g, sink := declare(nil)
+	g, sink := declare()
 	sched := infopipes.NewScheduler()
 	d, err := g.Deploy(infopipes.OnScheduler(sched))
 	if err != nil {
@@ -100,50 +81,55 @@ func onScheduler() (string, error) {
 }
 
 func onGroupWithRebalance() (string, error) {
-	gate := &gateCtl{reached: make(chan struct{}), release: make(chan struct{})}
-	g, sink := declare(gate)
+	g, sink := declare()
 	grp := infopipes.NewSchedulerGroup(infopipes.ShardCount(4))
 	d, err := g.Deploy(infopipes.OnGroup(grp))
 	if err != nil {
 		return "", err
 	}
-	grp.Start()
-	d.Start()
-
-	// The gate freezes the whole group when item items/4 passes the trunk:
-	// a deterministic mid-stream point to read the telemetry an operator
-	// would act on...
-	<-gate.reached
-	st := d.Stats()
-	fmt.Printf("mid-stream telemetry (%d/%d items at the sink):\n", sink.Count(), items)
-	for i, sh := range st.Shards {
-		fmt.Printf("  shard %d: %d live pipelines, %d items moved\n", i, sh.Pipelines, sh.Items)
-	}
-	// ...then resume and scatter the hot branches, mid-stream.  On a
-	// loaded host the remaining items can drain before the rebalance
-	// lands; that run simply demonstrates nothing moved.
-	close(gate.release)
-	err = d.Rebalance(map[string]int{
-		"fa>>pa":   1,
-		"fb>>pb":   2,
-		"po>>sink": 3,
+	// The move is an appointment at the virtual instant the source is a
+	// quarter through: the whole group stands still while it runs, so it
+	// reads the telemetry an operator would act on, and the rebalance lands
+	// mid-stream, on every run and on any host.
+	moved := make(chan error, 1)
+	grp.At(infopipes.Epoch.Add(items/4*time.Second/rate), func() {
+		st := d.Stats()
+		fmt.Printf("mid-stream telemetry (%d/%d items at the sink):\n", sink.Count(), items)
+		for i, sh := range st.Shards {
+			fmt.Printf("  shard %d: %d live pipelines, %d items moved\n", i, sh.Pipelines, sh.Items)
+		}
+		// ...then scatter the hot branches.
+		err := d.Rebalance(map[string]int{
+			"fa>>pa":   1,
+			"fb>>pb":   2,
+			"po>>sink": 3,
+		})
+		if err == nil {
+			fmt.Printf("rebalanced at item %d: placements now %v\n", sink.Count(), d.SegmentPlacements())
+		}
+		moved <- err
 	})
-	switch {
-	case err == nil:
-		fmt.Printf("rebalanced at item %d: placements now %v\n", sink.Count(), d.SegmentPlacements())
-	case errors.Is(err, infopipes.ErrDeploymentDone):
-		fmt.Println("stream drained before the rebalance landed (loaded host); nothing migrated")
-	default:
-		return "", err
-	}
-
+	// Start the group and the flow under one hold: an idle group with no
+	// deadline between the two would run the appointment at once.
+	grp.External(func() {
+		grp.Start()
+		d.Start()
+	})
 	if err := d.Wait(); err != nil {
 		return "", err
 	}
 	if err := grp.Wait(); err != nil {
 		return "", err
 	}
-	st = d.Stats()
+	select {
+	case err := <-moved:
+		if err != nil {
+			return "", fmt.Errorf("mid-stream rebalance: %w", err)
+		}
+	default:
+		return "", errors.New("the stream drained before the rebalance's appointment ran; nothing migrated")
+	}
+	st := d.Stats()
 	// The moved branches read and fill the tees' buffers from their new
 	// shards: no link was inserted, and each shard's items show the work.
 	fmt.Printf("after drain: %d links, pump items per shard", len(st.Links))

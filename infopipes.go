@@ -687,13 +687,6 @@ type (
 	ClusterDirectory = control.Directory
 	// ClusterNodeHealth is one directory entry's last known state.
 	ClusterNodeHealth = control.NodeHealth
-	// ClusterBalancer re-places segments of a remote deployment between
-	// nodes from stats-epoch skew (the cluster form of Balancer).
-	ClusterBalancer = control.ClusterBalancer
-	// ClusterSupervisor fails deployments over when the directory reports a
-	// node down: journals replay the in-flight items onto a healthy
-	// survivor and the flow keeps running.
-	ClusterSupervisor = control.Supervisor
 	// ClusterOperator serves deployment-level replace/placements calls for
 	// out-of-process operator tools (ipctl replace); OperatorClient dials it.
 	ClusterOperator = control.Operator
@@ -713,18 +706,15 @@ type (
 // ---- Elastic cluster ----
 
 type (
-	// ElasticCluster choreographs runtime membership — node join, drain,
-	// leave — for managed deployments against a ClusterDirectory; its Gate
-	// serializes every segment-moving control actor (failover, drain,
-	// autoscaler fold-back).
+	// ElasticCluster is the one control loop over a ClusterDirectory: it
+	// applies failover, join / drain / leave, balance and autoscale
+	// decisions one at a time on one clock, and logs each (Events).
 	ElasticCluster = elastic.Cluster
-	// ElasticEvent is one membership transition in the cluster's log.
+	// ElasticEvent is one action in the cluster's log.
 	ElasticEvent     = elastic.Event
 	ElasticEventKind = elastic.EventKind
-	// Autoscaler tracks a deployment's load and adjusts a stage's active
-	// replica count between a policy's Min and Max.
-	Autoscaler = elastic.Autoscaler
-	// AutoscalePolicy declares how one stage scales.
+	// AutoscalePolicy declares how one stage scales (ElasticCluster.Autoscale):
+	// its active replica count tracks load between the policy's Min and Max.
 	AutoscalePolicy = elastic.Policy
 	// FanOutTree is the multi-level distribution tree, deployed as one
 	// graph: trunk, relays, and churn-safe leaf subscriptions, each one edit
@@ -736,21 +726,25 @@ type (
 // Elastic cluster constructors and event kinds.
 var (
 	NewElasticCluster = elastic.NewCluster
-	NewAutoscaler     = elastic.NewAutoscaler
 	NewFanOutTree     = elastic.NewTree
 
-	ElasticJoin  = elastic.Join
-	ElasticDrain = elastic.Drain
-	ElasticLeave = elastic.Leave
+	ElasticJoin     = elastic.Join
+	ElasticDrain    = elastic.Drain
+	ElasticLeave    = elastic.Leave
+	ElasticDown     = elastic.Down
+	ElasticUp       = elastic.Up
+	ElasticFailover = elastic.Failover
+	ElasticRetry    = elastic.Retry
+	ElasticFail     = elastic.Fail
+	ElasticBalance  = elastic.Balance
+	ElasticScale    = elastic.Scale
 )
 
 // Cluster control-plane constructors and errors.
 var (
-	NewClusterDirectory  = control.NewDirectory
-	NewClusterBalancer   = control.NewClusterBalancer
-	NewClusterSupervisor = control.NewSupervisor
-	NewClusterOperator   = control.NewOperator
-	DialOperator         = control.DialOperator
+	NewClusterDirectory = control.NewDirectory
+	NewClusterOperator  = control.NewOperator
+	DialOperator        = control.DialOperator
 	// ErrNodeUnreachable wraps every transport-level failure of a control
 	// call — a dead or wedged node surfaces as this instead of a hang.
 	ErrNodeUnreachable = remote.ErrNodeUnreachable

@@ -5,11 +5,13 @@
 // Three pieces compose:
 //
 //   - Directory — a node registry with heartbeat health checking.  Nodes
-//     are registered by control address; the directory polls each node's
-//     health op on an interval, marks nodes down after consecutive missed
-//     heartbeats (surfacing the wrapped remote.ErrNodeUnreachable instead
-//     of letting deployments hang), and hands its clients to graph.OnNodes
-//     so deployment and monitoring share connections.
+//     are registered by control address; each Heartbeat polls every node's
+//     health op, marks nodes down after consecutive missed heartbeats
+//     (surfacing the wrapped remote.ErrNodeUnreachable instead of letting
+//     deployments hang) and returns the transitions to its caller — the
+//     elastic.Cluster control loop, which heartbeats on its own clock and
+//     fails segments over.  Its clients go to graph.OnNodes so deployment
+//     and monitoring share connections.
 //
 //   - Remote telemetry — graph deployments on OnNodes targets implement
 //     Stats() by fanning the stats op out to every node and folding the
@@ -17,13 +19,8 @@
 //     (see graph.GraphStats.Nodes); cmd/ipctl renders the same snapshot for
 //     operators.
 //
-//   - ClusterBalancer — the cluster form of the PR-4 Balancer: it polls
-//     deployment stats on an epoch, detects per-node load skew from item
-//     deltas (the same skew math as graph.Balancer), and re-places the
-//     busiest movable segment from the hottest node onto the coolest
-//     through Deployment.Rebalance — drain, detach, recompose, redial — so
-//     placement across hosts is runtime policy, exactly as it already is
-//     across shards.
+//   - Operator — the deployment-level endpoint out-of-process tools
+//     (ipctl replace / edit / nodes / drain / watch) drive.
 //
 // RAFDA's argument — distribution policy bound and re-bound separately from
 // application logic — is the through-line: the graph says nothing about
@@ -37,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"infopipes/internal/graph"
 	"infopipes/internal/remote"
 )
 
@@ -49,8 +45,6 @@ type NodeHealth struct {
 	Healthy bool
 	// Misses counts consecutive failed heartbeats (0 when healthy).
 	Misses int
-	// LastSeen is the wall-clock time of the last successful heartbeat.
-	LastSeen time.Time
 	// Pipelines, Switches and Uptime mirror the node's health report.
 	Pipelines int
 	Switches  int64
@@ -65,9 +59,9 @@ type NodeHealth struct {
 }
 
 // Directory is the cluster node registry: it owns one control client per
-// registered node, heartbeats them on an interval, and reports health.
-// Register every node, hand Clients() to graph.OnNodes, then Start the
-// heartbeat loop.
+// registered node, heartbeats them when asked, and reports health.
+// Register every node and hand Clients() to graph.OnNodes; an
+// elastic.Cluster heartbeats it on the loop's clock.
 type Directory struct {
 	// MaxMisses is the number of consecutive failed heartbeats before a
 	// node is marked down (default 3).
@@ -82,19 +76,11 @@ type Directory struct {
 	// each pause is jittered up to +50% so a cluster of directories does not
 	// retry in lockstep.
 	ProbeBackoff time.Duration
-	// OnDown, when set, is called once per transition of a node to
-	// unhealthy, with the node name and the heartbeat error.
-	OnDown func(name string, err error)
-	// OnUp, when set, is called once per transition of a node back to
-	// healthy after it was marked down.
-	OnUp func(name string)
 
 	mu      sync.Mutex
 	names   []string
 	clients map[string]*remote.Client
 	health  map[string]*NodeHealth
-	stop    chan struct{}
-	done    chan struct{}
 }
 
 // NewDirectory creates an empty node registry.
@@ -128,8 +114,7 @@ func (d *Directory) Register(addr string) (string, error) {
 	}
 	d.names = append(d.names, name)
 	d.clients[name] = c
-	//ipvet:allow wallclock operator-facing health stamp; the control plane runs on the real network, not the virtual clock
-	d.health[name] = &NodeHealth{Name: name, Addr: addr, Healthy: true, LastSeen: time.Now()}
+	d.health[name] = &NodeHealth{Name: name, Addr: addr, Healthy: true}
 	return name, nil
 }
 
@@ -192,15 +177,14 @@ func (d *Directory) Clients() []*remote.Client {
 // Heartbeat polls every registered node's health op once and updates the
 // registry: a reachable node refreshes its entry, an unreachable one counts
 // a miss and transitions to down at MaxMisses.  Returns the number of
-// healthy nodes.  Start runs this on an interval; tests and one-shot tools
-// call it directly.
+// healthy nodes and, in registration order, the entries whose health
+// flipped (down, or back up), once per flip.
 //
 // Nodes are probed CONCURRENTLY: a dead node burns its ProbeRetries
 // reconnect attempts (with jittered backoffs) without delaying the probes
 // of every node after it, so down-detection latency stays one probe's
-// worth no matter how many nodes are down.  Registry updates and the
-// OnDown/OnUp callbacks still run sequentially, in registration order.
-func (d *Directory) Heartbeat() int {
+// worth no matter how many nodes are down.
+func (d *Directory) Heartbeat() (healthy int, changed []NodeHealth) {
 	d.mu.Lock()
 	names := make([]string, 0, len(d.names))
 	for _, n := range d.names {
@@ -216,8 +200,6 @@ func (d *Directory) Heartbeat() int {
 	maxMisses := d.MaxMisses
 	retries := d.ProbeRetries
 	backoff := d.ProbeBackoff
-	onDown := d.OnDown
-	onUp := d.OnUp
 	d.mu.Unlock()
 
 	type probeResult struct {
@@ -236,7 +218,6 @@ func (d *Directory) Heartbeat() int {
 	}
 	wg.Wait()
 
-	healthy := 0
 	for i, name := range names {
 		h, err := results[i].h, results[i].err
 		d.mu.Lock()
@@ -245,31 +226,26 @@ func (d *Directory) Heartbeat() int {
 			wentUp := !entry.Healthy
 			entry.Healthy = true
 			entry.Misses = 0
-			//ipvet:allow wallclock operator-facing health stamp for a live probe answer
-			entry.LastSeen = time.Now()
 			entry.Pipelines = h.Pipelines
 			entry.Switches = h.Switches
 			entry.Uptime = time.Duration(h.UptimeNanos)
 			entry.Err = nil
 			healthy++
-			d.mu.Unlock()
-			if wentUp && onUp != nil {
-				onUp(name)
+			if wentUp {
+				changed = append(changed, *entry)
 			}
+			d.mu.Unlock()
 			continue
 		}
 		entry.Misses++
 		entry.Err = err
-		wentDown := entry.Healthy && entry.Misses >= maxMisses
-		if wentDown {
+		if entry.Healthy && entry.Misses >= maxMisses {
 			entry.Healthy = false
+			changed = append(changed, *entry)
 		}
 		d.mu.Unlock()
-		if wentDown && onDown != nil {
-			onDown(name, err)
-		}
 	}
-	return healthy
+	return healthy, changed
 }
 
 // probe performs one health check with ProbeRetries in-probe retries: a
@@ -326,95 +302,11 @@ func (d *Directory) Healthy(name string) bool {
 	return ok && h.Healthy
 }
 
-// Start launches the heartbeat loop on its own goroutine.  Stop it with
-// Stop (or Close).
-func (d *Directory) Start(every time.Duration) {
-	d.mu.Lock()
-	if d.stop != nil {
-		d.mu.Unlock()
-		return
-	}
-	d.stop = make(chan struct{})
-	d.done = make(chan struct{})
-	stop, done := d.stop, d.done
-	d.mu.Unlock()
-	go func() {
-		defer close(done)
-		//ipvet:allow wallclock heartbeat ticker drives real cluster probes, not flow time
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				d.Heartbeat()
-			}
-		}
-	}()
-}
-
-// Stop halts the heartbeat loop (the clients stay open).
-func (d *Directory) Stop() {
-	d.mu.Lock()
-	stop, done := d.stop, d.done
-	d.stop, d.done = nil, nil
-	d.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
-
-// Close stops the heartbeat loop and closes every control client.
+// Close closes every control client.
 func (d *Directory) Close() {
-	d.Stop()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, c := range d.clients {
 		c.Close()
-	}
-}
-
-// ClusterBalancer drives policy-driven re-placement of a remote deployment
-// on a ticker: each Tick is one Deployment.Balance epoch — cluster-wide
-// stats over the §2.4 stats op, per-node skew from epoch item deltas, and
-// the busiest movable segment of the hottest node re-placed onto the
-// coolest via Deployment.Rebalance.
-type ClusterBalancer struct {
-	d *graph.Deployment
-	b *graph.Balancer
-}
-
-// NewClusterBalancer builds a balancer for one remote deployment; zero
-// policy fields take the graph.BalancePolicy defaults.
-func NewClusterBalancer(d *graph.Deployment, p graph.BalancePolicy) *ClusterBalancer {
-	return &ClusterBalancer{d: d, b: graph.NewBalancer(p)}
-}
-
-// Tick runs one balancing epoch.  Reports whether a move was made.
-func (cb *ClusterBalancer) Tick() (bool, error) { return cb.d.Balance(cb.b) }
-
-// Run ticks the balancer on an interval until stop closes or a tick fails
-// with anything but a benign skip.  The returned count is the number of
-// moves made.
-func (cb *ClusterBalancer) Run(every time.Duration, stop <-chan struct{}) (int, error) {
-	moves := 0
-	//ipvet:allow wallclock balancer tick interval is operator policy on the real cluster
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return moves, nil
-		case <-t.C:
-			moved, err := cb.Tick()
-			if err != nil {
-				return moves, err
-			}
-			if moved {
-				moves++
-			}
-		}
 	}
 }

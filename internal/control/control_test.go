@@ -9,6 +9,7 @@ import (
 
 	"infopipes/internal/control"
 	"infopipes/internal/core"
+	"infopipes/internal/elastic"
 	"infopipes/internal/events"
 	"infopipes/internal/graph"
 	"infopipes/internal/leakcheck"
@@ -88,7 +89,7 @@ func (tn *testNode) close() {
 }
 
 // TestDirectoryHeartbeatAndDeadNode: the directory tracks node health over
-// the health op, counts misses, and surfaces a dead node once as OnDown
+// the health op, counts misses, and reports a dead node's transition once,
 // with the wrapped unreachability error.
 func TestDirectoryHeartbeatAndDeadNode(t *testing.T) {
 	leakcheck.Check(t)
@@ -99,13 +100,6 @@ func TestDirectoryHeartbeatAndDeadNode(t *testing.T) {
 
 	dir := control.NewDirectory()
 	dir.MaxMisses = 2
-	var downMu sync.Mutex
-	downs := make(map[string]error)
-	dir.OnDown = func(name string, err error) {
-		downMu.Lock()
-		downs[name] = err
-		downMu.Unlock()
-	}
 	defer dir.Close()
 	for _, n := range []*testNode{a, b} {
 		if _, err := dir.Register(n.addr); err != nil {
@@ -115,8 +109,8 @@ func TestDirectoryHeartbeatAndDeadNode(t *testing.T) {
 	if got := dir.Names(); len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
 		t.Fatalf("names = %v", got)
 	}
-	if healthy := dir.Heartbeat(); healthy != 2 {
-		t.Fatalf("healthy = %d, want 2", healthy)
+	if healthy, changed := dir.Heartbeat(); healthy != 2 || len(changed) != 0 {
+		t.Fatalf("healthy = %d, transitions %+v; want 2 and none", healthy, changed)
 	}
 	for _, h := range dir.Snapshot() {
 		if !h.Healthy || h.Err != nil {
@@ -125,45 +119,34 @@ func TestDirectoryHeartbeatAndDeadNode(t *testing.T) {
 	}
 
 	b.close()
-	if healthy := dir.Heartbeat(); healthy != 1 {
-		t.Fatalf("healthy = %d after first miss, want 1", healthy)
+	if healthy, changed := dir.Heartbeat(); healthy != 1 || len(changed) != 0 {
+		t.Fatalf("after the first miss: healthy = %d, transitions %+v; want 1 and none", healthy, changed)
 	}
 	if !dir.Healthy("beta") {
 		t.Fatal("beta marked down before MaxMisses")
 	}
-	dir.Heartbeat() // second miss: transition to down
+	_, changed := dir.Heartbeat() // second miss: transition to down
 	if dir.Healthy("beta") {
 		t.Fatal("beta still healthy after MaxMisses misses")
 	}
-	downMu.Lock()
-	err, fired := downs["beta"]
-	downMu.Unlock()
-	if !fired {
-		t.Fatal("OnDown never fired for beta")
+	if len(changed) != 1 || changed[0].Name != "beta" || changed[0].Healthy {
+		t.Fatalf("transitions = %+v, want beta down", changed)
 	}
-	if !errors.Is(err, remote.ErrNodeUnreachable) {
-		t.Fatalf("OnDown err = %v, want wrapped ErrNodeUnreachable", err)
+	if !errors.Is(changed[0].Err, remote.ErrNodeUnreachable) {
+		t.Fatalf("down err = %v, want wrapped ErrNodeUnreachable", changed[0].Err)
 	}
 	if !dir.Healthy("alpha") {
 		t.Fatal("alpha went down with beta")
 	}
-	// Repeated misses do not re-fire OnDown.
-	downMu.Lock()
-	downs["beta"] = nil
-	downMu.Unlock()
-	dir.Heartbeat()
-	downMu.Lock()
-	refired := downs["beta"] != nil
-	downMu.Unlock()
-	if refired {
-		t.Fatal("OnDown fired again for an already-down node")
+	if _, changed := dir.Heartbeat(); len(changed) != 0 {
+		t.Fatalf("an already-down node reported again: %+v", changed)
 	}
 }
 
 // TestClusterBalancerMovesHotSegment: a 2-node cluster with three chain
-// segments piled onto beta; one balancer tick detects the per-node item
-// skew over the stats op and re-places the movable segment onto alpha,
-// with every item still delivered in order.
+// segments piled onto beta; one tick of the control loop's balance policy
+// detects the per-node item skew over the stats op and re-places the
+// movable segment onto alpha, with every item still delivered in order.
 func TestClusterBalancerMovesHotSegment(t *testing.T) {
 	leakcheck.Check(t)
 	const items = 200
@@ -224,13 +207,12 @@ func TestClusterBalancerMovesHotSegment(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	cb := control.NewClusterBalancer(d, graph.BalancePolicy{SkewThreshold: 1.5, MinItems: 32})
-	moved, err := cb.Tick()
-	if err != nil {
-		t.Fatalf("tick: %v", err)
-	}
-	if !moved {
-		t.Fatalf("balancer made no move; stats:\n%v", d.Stats())
+	cl := elastic.NewCluster(dir, vclock.NewVirtual(), 0)
+	cl.Balance(d, graph.BalancePolicy{SkewThreshold: 1.5, MinItems: 32})
+	cl.Start()
+	defer cl.Stop()
+	if evs := tick(t, cl); logLine(evs) != "BALANCE " {
+		t.Fatalf("the tick applied %q, want one balance move; stats:\n%v", logLine(evs), d.Stats())
 	}
 	if got := d.SegmentPlacements()["f1>>p1"]; got != 0 {
 		t.Fatalf("f1>>p1 on node %d after balancing, want 0 (alpha)", got)

@@ -10,9 +10,11 @@ import (
 	"time"
 
 	"infopipes/internal/control"
+	"infopipes/internal/elastic"
 	"infopipes/internal/graph"
 	"infopipes/internal/leakcheck"
 	"infopipes/internal/pipes"
+	"infopipes/internal/vclock"
 )
 
 // trace renders a sink's item sequence as one string, so two runs can be
@@ -59,25 +61,31 @@ func buildChain(name string, items, rate, mids int, places []int) *graph.Graph {
 	return g
 }
 
-// superviseCluster registers the nodes in a fast-heartbeat directory and
-// puts the deployment under failover supervision.
-func superviseCluster(t *testing.T, nodes []*testNode, d *graph.Deployment) (*control.Directory, *control.Supervisor) {
+// fastDirectory registers the nodes, in order, in a directory that declares
+// a node down after two missed heartbeats.
+func fastDirectory(t *testing.T, nodes ...*testNode) *control.Directory {
 	t.Helper()
 	dir := control.NewDirectory()
 	dir.MaxMisses = 2
 	dir.ProbeRetries = 1
 	dir.ProbeBackoff = 5 * time.Millisecond
+	t.Cleanup(dir.Close)
 	for _, n := range nodes {
 		if _, err := dir.Register(n.addr); err != nil {
 			t.Fatalf("register %s: %v", n.addr, err)
 		}
 	}
-	sup := control.NewSupervisor(dir)
-	sup.Backoff = 25 * time.Millisecond
-	sup.Manage(d)
-	dir.Start(15 * time.Millisecond)
-	t.Cleanup(dir.Close)
-	return dir, sup
+	return dir
+}
+
+// supervise puts the deployment under a started control loop on clock that
+// ticks every period (0: only when Tick is called); cleanup stops it.
+func supervise(t *testing.T, dir *control.Directory, d *graph.Deployment, clock vclock.Clock, every time.Duration) *elastic.Cluster {
+	cl := elastic.NewCluster(dir, clock, every)
+	cl.Manage(d)
+	cl.Start()
+	t.Cleanup(cl.Stop)
+	return cl
 }
 
 // pollCount waits for a sink (possibly still nil in its store) to reach n
@@ -131,41 +139,20 @@ func TestFailoverKillNodeDeterministic(t *testing.T) {
 				startNode(t, "beta", cat),
 				startNode(t, "gamma", cat),
 			}
-			dir := control.NewDirectory()
-			dir.MaxMisses = 2
-			dir.ProbeRetries = 1
-			dir.ProbeBackoff = 5 * time.Millisecond
-			for _, n := range nodes {
-				if _, err := dir.Register(n.addr); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sup := control.NewSupervisor(dir)
-			sup.Backoff = 25 * time.Millisecond
-			var fo []string
-			var foMu sync.Mutex
-			sup.OnFailover = func(dep, node string, err error) {
-				foMu.Lock()
-				fo = append(fo, fmt.Sprintf("%s/%s: %v", dep, node, err))
-				foMu.Unlock()
-			}
-
+			dir := fastDirectory(t, nodes...)
 			g := buildChain("killchain", items, rate, mids, places)
 			d, err := g.Deploy(graph.OnNodes(dir.Clients()...).WithClusterLanes())
 			if err != nil {
 				t.Fatalf("deploy: %v", err)
 			}
-			sup.Manage(d)
-			dir.Start(15 * time.Millisecond)
-			t.Cleanup(dir.Close)
+			cl := supervise(t, dir, d, vclock.Real{}, 15*time.Millisecond)
 			d.Start()
 
 			pollCount(t, ss, "sink", killAt, 20*time.Second)
 			nodes[victim].close() // kill -9: sockets die, journals on survivors live on
 
 			if err := d.Wait(); err != nil {
-				foMu.Lock()
-				t.Fatalf("wait after kill: %v (failovers: %v)", err, fo)
+				t.Fatalf("wait after kill: %v (log: %+v)", err, cl.Events(0))
 			}
 			ss.mu.Lock()
 			sink := ss.sinks["sink"]
@@ -214,25 +201,13 @@ func TestFailoverSurvivingBranchByteIdentical(t *testing.T) {
 	g.Cut("pb", "out")
 	g.Pipe("out", "sinkb")
 
-	dir := control.NewDirectory()
-	dir.MaxMisses = 2
-	dir.ProbeRetries = 1
-	dir.ProbeBackoff = 5 * time.Millisecond
-	for _, n := range nodes {
-		if _, err := dir.Register(n.addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sup := control.NewSupervisor(dir)
-	sup.Backoff = 25 * time.Millisecond
+	dir := fastDirectory(t, nodes...)
 
 	d, err := g.Deploy(graph.OnNodes(dir.Clients()...).WithClusterLanes())
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	sup.Manage(d)
-	dir.Start(15 * time.Millisecond)
-	t.Cleanup(dir.Close)
+	supervise(t, dir, d, vclock.Real{}, 15*time.Millisecond)
 	d.Start()
 
 	pollCount(t, ss, "sinkb", items/3, 20*time.Second)
@@ -327,17 +302,7 @@ func TestFailoverTailSegmentDeath(t *testing.T) {
 		startNode(t, "beta", cat),
 		startNode(t, "gamma", cat),
 	}
-	dir := control.NewDirectory()
-	dir.MaxMisses = 2
-	dir.ProbeRetries = 1
-	dir.ProbeBackoff = 5 * time.Millisecond
-	for _, n := range nodes {
-		if _, err := dir.Register(n.addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sup := control.NewSupervisor(dir)
-	sup.Backoff = 25 * time.Millisecond
+	dir := fastDirectory(t, nodes...)
 
 	// Fast producer, slow consumer: the source segment finishes long before
 	// the tail has consumed the lane's journaled backlog.
@@ -354,9 +319,7 @@ func TestFailoverTailSegmentDeath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	sup.Manage(d)
-	dir.Start(15 * time.Millisecond)
-	t.Cleanup(dir.Close)
+	supervise(t, dir, d, vclock.Real{}, 15*time.Millisecond)
 	d.Start()
 
 	// Wait until the upstream pipe is DONE (its EOS is on the lane) while
@@ -422,9 +385,48 @@ func TestFailoverTailSegmentDeath(t *testing.T) {
 	}
 }
 
+// tick runs one tick of the control loop.
+func tick(t *testing.T, cl *elastic.Cluster) []elastic.Event {
+	t.Helper()
+	evs, err := cl.Tick()
+	if err != nil {
+		t.Fatalf("tick: %v", err)
+	}
+	return evs
+}
+
+// logLine renders log entries as "KIND node, ..." for comparisons.
+func logLine(evs []elastic.Event) string {
+	parts := make([]string, len(evs))
+	for i, ev := range evs {
+		parts[i] = fmt.Sprintf("%s %s", ev.Kind, ev.Node)
+	}
+	return strings.Join(parts, ", ")
+}
+
+// awaitEvent waits on the loop's log for its first entry of kind about node.
+func awaitEvent(t *testing.T, cl *elastic.Cluster, kind elastic.EventKind, node string) elastic.Event {
+	t.Helper()
+	timeout := time.After(20 * time.Second)
+	for seen := 0; ; {
+		for _, ev := range cl.Events(seen) {
+			if ev.Kind == kind && ev.Node == node {
+				return ev
+			}
+			seen = ev.Seq
+		}
+		select {
+		case <-cl.Watch(seen):
+		case <-timeout:
+			t.Fatalf("no %s %s in the loop's log: %s", kind, node, logLine(cl.Events(0)))
+		}
+	}
+}
+
 // TestSupervisorFailsWhenNoSurvivor kills every node of a 2-node cluster:
-// with no healthy placement left the supervisor must give up and latch a
-// terminal error instead of retrying forever — Wait surfaces it.
+// with no healthy placement left the loop must give up and latch a terminal
+// error instead of retrying forever — Wait surfaces it.  The retries are
+// appointments on the loop's virtual clock, one backoff apart.
 func TestSupervisorFailsWhenNoSurvivor(t *testing.T) {
 	leakcheck.Check(t)
 	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
@@ -433,32 +435,33 @@ func TestSupervisorFailsWhenNoSurvivor(t *testing.T) {
 		startNode(t, "alpha", cat),
 		startNode(t, "beta", cat),
 	}
-	dir := control.NewDirectory()
-	dir.MaxMisses = 2
-	dir.ProbeRetries = 1
-	dir.ProbeBackoff = 5 * time.Millisecond
-	for _, n := range nodes {
-		if _, err := dir.Register(n.addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sup := control.NewSupervisor(dir)
-	sup.Attempts = 2
-	sup.Backoff = 20 * time.Millisecond
-
+	dir := fastDirectory(t, nodes...)
 	g := buildChain("doomed", 500, 200, 1, []int{0, 1, 0})
 	d, err := g.Deploy(graph.OnNodes(dir.Clients()...).WithClusterLanes())
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	sup.Manage(d)
-	dir.Start(15 * time.Millisecond)
-	t.Cleanup(dir.Close)
+	cl := supervise(t, dir, d, vclock.NewVirtual(), 0)
 	d.Start()
 	pollCount(t, ss, "sink", 10, 20*time.Second)
 	nodes[1].close()
 	nodes[0].close()
+	tick(t, cl)
+	if got := logLine(tick(t, cl)); got != "DOWN alpha, RETRY alpha, DOWN beta, RETRY beta" {
+		t.Fatalf("second missed heartbeat applied %q", got)
+	}
 
+	fail := awaitEvent(t, cl, elastic.Fail, "alpha")
+	var retries []time.Time
+	for _, ev := range cl.Events(0) {
+		if ev.Kind == elastic.Retry && ev.Node == "alpha" {
+			retries = append(retries, ev.At)
+		}
+	}
+	if len(retries) != 2 || !retries[0].Equal(vclock.Epoch) ||
+		retries[1].Sub(retries[0]) <= 0 || fail.At.Sub(retries[1]) != retries[1].Sub(retries[0]) {
+		t.Fatalf("attempts at %v then FAIL at %v, want two retries one backoff apart from the epoch and the FAIL one more backoff on", retries, fail.At)
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- d.Wait() }()
 	select {
@@ -471,6 +474,64 @@ func TestSupervisorFailsWhenNoSurvivor(t *testing.T) {
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatal("wait hung after the whole cluster died")
+	}
+}
+
+// TestFailoverRetriedAtAppointment: a failover whose first attempt fails is
+// tried again at its appointment on the loop's clock — a virtual one, so
+// nothing here sleeps for it.  Beta (the mid segment's host) dies, then
+// gamma (the emptiest survivor) dies before the directory has noticed: the
+// first attempt places the segment on gamma and fails; the retry, one
+// backoff later, heartbeats first (gamma is down now) and places it on
+// alpha.  The trace comes out byte-identical.
+func TestFailoverRetriedAtAppointment(t *testing.T) {
+	leakcheck.Check(t)
+	const (
+		items   = 150
+		backoff = 50 * time.Millisecond // the loop's failover backoff
+	)
+	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
+	cat := ss.catalog()
+	nodes := []*testNode{
+		startNode(t, "alpha", cat),
+		startNode(t, "beta", cat),
+		startNode(t, "gamma", cat),
+	}
+	dir := fastDirectory(t, nodes...)
+	g := buildChain("retrychain", items, 300, 1, []int{0, 1, 0})
+	d, err := g.Deploy(graph.OnNodes(dir.Clients()...).WithClusterLanes())
+	if err != nil {
+		t.Fatalf("deploy: %v", err)
+	}
+	cl := supervise(t, dir, d, vclock.NewVirtual(), 0)
+	d.Start()
+	pollCount(t, ss, "sink", items/4, 20*time.Second)
+
+	nodes[1].close()
+	tick(t, cl) // beta's first miss
+	nodes[2].close()
+	evs := tick(t, cl) // beta's second: down, and the attempt on gamma fails
+	if got := logLine(evs); got != "DOWN beta, RETRY beta" {
+		t.Fatalf("second missed heartbeat applied %q, want a down and a failed first attempt", got)
+	}
+	moved := awaitEvent(t, cl, elastic.Failover, "beta")
+	if want := evs[1].At.Add(backoff); !moved.At.Equal(want) {
+		t.Fatalf("failover applied at %v, want its appointment %v", moved.At, want)
+	}
+	if got := logLine(cl.Events(evs[1].Seq)); got != "DOWN gamma, FAILOVER beta" {
+		t.Fatalf("the retry applied %q, want gamma's down and then beta's failover", got)
+	}
+	if node := d.SegmentPlacements()["mid0>>mp0"]; node != 0 {
+		t.Fatalf("mid segment failed over onto node %d, want alpha (0)", node)
+	}
+	if err := d.Wait(); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	ss.mu.Lock()
+	sink := ss.sinks["sink"]
+	ss.mu.Unlock()
+	if got, want := trace(sink), refTrace(items); got != want {
+		t.Fatalf("trace diverged across the retried failover\n got: %s\nwant: %s", got, want)
 	}
 }
 
@@ -519,25 +580,13 @@ func TestFailoverMergeFedSegmentDeath(t *testing.T) {
 	g.Cut("mp", "out")
 	g.Pipe("out", "sink")
 
-	dir := control.NewDirectory()
-	dir.MaxMisses = 2
-	dir.ProbeRetries = 1
-	dir.ProbeBackoff = 5 * time.Millisecond
-	for _, n := range nodes {
-		if _, err := dir.Register(n.addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sup := control.NewSupervisor(dir)
-	sup.Backoff = 25 * time.Millisecond
+	dir := fastDirectory(t, nodes...)
 
 	d, err := g.Deploy(graph.OnNodes(dir.Clients()...).WithClusterLanes())
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	sup.Manage(d)
-	dir.Start(15 * time.Millisecond)
-	t.Cleanup(dir.Close)
+	supervise(t, dir, d, vclock.Real{}, 15*time.Millisecond)
 	d.Start()
 
 	pollCount(t, ss, "sink", items/4, 20*time.Second)

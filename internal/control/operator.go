@@ -16,7 +16,7 @@ import (
 // Operator serves deployment-level operations — segment placements and
 // manual moves — over the control transport the nodes speak (see
 // remote.Server), so the failover path is operator-drivable (ipctl replace)
-// and not only policy-drivable (the Supervisor).  The deploying process owns
+// and not only policy-drivable (elastic.Cluster).  The deploying process owns
 // the Deployment objects; Operator is the wire between them and an
 // out-of-process operator tool.
 type Operator struct {

@@ -3,8 +3,6 @@ package elastic_test
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,6 +50,21 @@ func payloadTrace(items []*item.Item) string {
 	return b.String()
 }
 
+// hotCluster puts the deployment under a started control loop on a virtual
+// clock that ticks only when told, with one policy for the "work" stage.
+func hotCluster(t *testing.T, dir *control.Directory, d *graph.Deployment, max int) *elastic.Cluster {
+	t.Helper()
+	cl := elastic.NewCluster(dir, vclock.NewVirtual(), 0)
+	// TargetPerTick 1: any progress at all makes the stage hot, so the
+	// first post-prime tick scales to Max.
+	if err := cl.Autoscale(d, elastic.Policy{Stage: "work", Max: max, TargetPerTick: 1, Build: hotReplica}); err != nil {
+		t.Fatalf("autoscale policy: %v", err)
+	}
+	cl.Start()
+	t.Cleanup(cl.Stop)
+	return cl
+}
+
 // TestAutoscalerScaleUpFoldBack drives the observe/decide/act loop by hand:
 // a hot tick inserts the split and widens the stage to its ceiling, a cold
 // tick folds it back to the floor — and the sink trace stays byte-identical
@@ -84,18 +97,9 @@ func TestAutoscalerScaleUpFoldBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	var scaleLog []string
-	a := elastic.NewAutoscaler(d, &sync.Mutex{})
-	a.OnScale = func(stage string, active int) {
-		scaleLog = append(scaleLog, fmt.Sprintf("%s=%d", stage, active))
-	}
-	// TargetPerTick 1: any progress at all makes the stage hot, so the
-	// first post-prime tick scales to Max.
-	if err := a.Add(elastic.Policy{Stage: "work", Max: 4, TargetPerTick: 1, Build: hotReplica}); err != nil {
-		t.Fatalf("add policy: %v", err)
-	}
-	if out, err := a.Tick(); err != nil || out != nil {
-		t.Fatalf("priming tick: out=%v err=%v", out, err)
+	cl := hotCluster(t, control.NewDirectory(), d, 4)
+	if evs, err := cl.Tick(); err != nil || len(evs) != 0 {
+		t.Fatalf("priming tick: log %+v err=%v", evs, err)
 	}
 	// The controller acts at the virtual instant the 2 kHz source is an
 	// eighth through: time stands still for the whole appointment, so the
@@ -103,26 +107,22 @@ func TestAutoscalerScaleUpFoldBack(t *testing.T) {
 	res := make(chan error, 1)
 	grp.At(vclock.Epoch.Add(items/8*time.Second/2000), func() {
 		res <- func() error {
-			out, err := a.Tick()
+			evs, err := cl.Tick()
 			if err != nil {
 				return fmt.Errorf("hot tick: %v", err)
 			}
 			active, declared, err := d.Replicas("work")
-			if err != nil || out["work"] != 4 || active != 4 || declared != 4 {
-				return fmt.Errorf("hot tick: out=%v replicas=%d/%d err=%v, want 4/4", out, active, declared, err)
+			if err != nil || scaleLog(evs) != "work=4" || active != 4 || declared != 4 {
+				return fmt.Errorf("hot tick: log %q replicas=%d/%d err=%v, want work=4 and 4/4", scaleLog(evs), active, declared, err)
 			}
-			// Two immediate ticks see zero delta: the stage is cold, fold
-			// back to the floor.  The split stays — only the active width
-			// shrinks.
-			if _, err := a.Tick(); err != nil {
-				return fmt.Errorf("cold tick: %v", err)
-			}
-			out, err = a.Tick()
-			if err != nil {
-				return fmt.Errorf("cold tick: %v", err)
-			}
-			if out["work"] != 1 {
-				return fmt.Errorf("cold tick: out=%v, want work=1", out)
+			// The next tick sees zero delta: the stage is cold, fold back
+			// to the floor.  The split stays — only the active width
+			// shrinks.  The one after has nothing left to change.
+			for i, want := range []string{"work=1", ""} {
+				evs, err := cl.Tick()
+				if err != nil || scaleLog(evs) != want {
+					return fmt.Errorf("cold tick %d: log %q err=%v, want %q", i, scaleLog(evs), err, want)
+				}
 			}
 			if active, declared, err := d.Replicas("work"); err != nil || active != 1 || declared != 4 {
 				return fmt.Errorf("after fold: replicas=%d/%d err=%v, want 1/4", active, declared, err)
@@ -151,14 +151,22 @@ func TestAutoscalerScaleUpFoldBack(t *testing.T) {
 	if got := payloadTrace(sink.Items()); got != reference {
 		t.Fatalf("scaled trace diverged from reference (%d items vs %d)", sink.Count(), items)
 	}
-	if len(scaleLog) == 0 || scaleLog[len(scaleLog)-1] != "work=1" {
-		t.Fatalf("scale log = %v, want to end with work=1", scaleLog)
-	}
 }
 
-// TestAutoscalerPolicyValidation pins the Add refusals.
+// scaleLog renders the SCALE entries of a tick's log as "stage=n ...".
+func scaleLog(evs []elastic.Event) string {
+	var out []string
+	for _, ev := range evs {
+		if ev.Kind == elastic.Scale {
+			out = append(out, ev.Detail[strings.LastIndexByte(ev.Detail, ' ')+1:])
+		}
+	}
+	return strings.Join(out, " ")
+}
+
+// TestAutoscalerPolicyValidation pins the Autoscale refusals.
 func TestAutoscalerPolicyValidation(t *testing.T) {
-	a := elastic.NewAutoscaler(nil, &sync.Mutex{})
+	cl := elastic.NewCluster(control.NewDirectory(), vclock.NewVirtual(), 0)
 	cases := []struct {
 		p    elastic.Policy
 		want string
@@ -168,85 +176,75 @@ func TestAutoscalerPolicyValidation(t *testing.T) {
 		{elastic.Policy{Stage: "w", Max: 4}, "must be positive"},
 	}
 	for _, c := range cases {
-		err := a.Add(c.p)
+		err := cl.Autoscale(nil, c.p)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("Add(%+v) = %v, want %q", c.p, err, c.want)
+			t.Fatalf("Autoscale(%+v) = %v, want %q", c.p, err, c.want)
 		}
 	}
 }
 
-// TestAutoscalerFoldDownOnNodeDown pins the BindDirectory chain: a node
-// going down fires the previously installed hook AND folds every scaled
-// stage to its floor — asynchronously, under the shared gate.
+// TestAutoscalerFoldDownOnNodeDown: the tick whose heartbeat sees a node
+// die folds every scaled stage to its floor in the same loop step, and the
+// autoscale step after it only re-primes.  Both ticks run at one virtual
+// instant of the group, a sixteenth into the stream.
 func TestAutoscalerFoldDownOnNodeDown(t *testing.T) {
 	leakcheck.Check(t)
 	const items = 4000
-	for attempt := 0; attempt < 6; attempt++ {
-		g, sink := hotChain(items)
-		grp := shard.NewGroup(shard.WithShardCount(1))
-		d, err := g.Deploy(graph.OnGroup(grp))
-		if err != nil {
-			t.Fatalf("deploy: %v", err)
-		}
-		a := elastic.NewAutoscaler(d, &sync.Mutex{})
-		if err := a.Add(elastic.Policy{Stage: "work", Max: 3, TargetPerTick: 1, Build: hotReplica}); err != nil {
-			t.Fatalf("add policy: %v", err)
-		}
-		var prevCalled atomic.Bool
-		dir := &control.Directory{}
-		dir.OnDown = func(string, error) { prevCalled.Store(true) }
-		a.BindDirectory(dir)
+	ss := &sinkStore{sinks: make(map[string]*pipes.CollectSink)}
+	spare := startClusterNode(t, "spare", ss.catalog())
+	dir := control.NewDirectory()
+	dir.MaxMisses = 1
+	dir.ProbeRetries = 0
+	t.Cleanup(dir.Close)
+	registerAll(t, dir, spare)
 
+	g, sink := hotChain(items)
+	grp := shard.NewGroup(shard.WithShardCount(1))
+	d, err := g.Deploy(graph.OnGroup(grp))
+	if err != nil {
+		t.Fatalf("deploy: %v", err)
+	}
+	cl := hotCluster(t, dir, d, 3)
+	if _, err := cl.Tick(); err != nil {
+		t.Fatalf("priming tick: %v", err)
+	}
+	res := make(chan error, 1)
+	grp.At(vclock.Epoch.Add(items/16*time.Second/2000), func() {
+		res <- func() error {
+			evs, err := cl.Tick()
+			if active, _, rerr := d.Replicas("work"); err != nil || rerr != nil || active != 3 {
+				return fmt.Errorf("hot tick: log %q err=%v, replicas %d (%v), want 3", scaleLog(evs), err, active, rerr)
+			}
+			spare.close()
+			evs, err = cl.Tick()
+			if err != nil || len(evs) != 2 || evs[0].Kind != elastic.Down || evs[0].Node != "spare" || scaleLog(evs) != "work=1" {
+				return fmt.Errorf("down tick: log %+v err=%v, want spare's DOWN and work=1", evs, err)
+			}
+			if active, _, err := d.Replicas("work"); err != nil || active != 1 {
+				return fmt.Errorf("after the fold: replicas %d err=%v, want 1", active, err)
+			}
+			return nil
+		}()
+	})
+	grp.External(func() {
 		grp.Start()
 		d.Start()
-		if _, err := a.Tick(); err != nil {
-			t.Fatalf("priming tick: %v", err)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for sink.Count() < items/8 {
-			if time.Now().After(deadline) {
-				t.Fatal("stream never progressed")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if _, err := a.Tick(); err != nil {
-			t.Fatalf("hot tick: %v", err)
-		}
-		if active, _, err := d.Replicas("work"); err != nil || active != 3 {
-			if err := d.Wait(); err != nil {
-				t.Fatalf("wait: %v", err)
-			}
-			if err := grp.Wait(); err != nil {
-				t.Fatalf("group wait: %v", err)
-			}
-			continue // drained before scaling; retry
-		}
-
-		dir.OnDown("gone-node", fmt.Errorf("probe timeout"))
-		if !prevCalled.Load() {
-			t.Fatal("chained OnDown skipped the previously installed hook")
-		}
-		deadline = time.Now().Add(10 * time.Second)
-		for {
-			active, _, err := d.Replicas("work")
-			if err == nil && active == 1 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("fold-down never landed: active=%d err=%v", active, err)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if err := d.Wait(); err != nil {
-			t.Fatalf("wait: %v", err)
-		}
-		if err := grp.Wait(); err != nil {
-			t.Fatalf("group wait: %v", err)
-		}
-		if sink.Count() != items {
-			t.Fatalf("sink holds %d items, want %d", sink.Count(), items)
-		}
-		return
+	})
+	if err := d.Wait(); err != nil {
+		t.Fatalf("wait: %v", err)
 	}
-	t.Fatal("scale-up never landed mid-stream in 6 runs")
+	if err := grp.Wait(); err != nil {
+		t.Fatalf("group wait: %v", err)
+	}
+	select {
+	case err := <-res:
+		if err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Fatal("the stream drained and the controller's appointment never ran")
+	}
+	if sink.Count() != items {
+		t.Fatalf("sink holds %d items, want %d", sink.Count(), items)
+	}
 }

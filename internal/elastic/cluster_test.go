@@ -128,6 +128,28 @@ func drainChain(name string, items, rate, midPlace, tailPlace int) *graph.Graph 
 	return g
 }
 
+// startLoop builds and starts a control loop on a virtual clock that ticks
+// only when told; cleanup stops it.
+func startLoop(t *testing.T, dir *control.Directory, deps ...*graph.Deployment) *elastic.Cluster {
+	t.Helper()
+	cl := elastic.NewCluster(dir, vclock.NewVirtual(), 0)
+	for _, d := range deps {
+		cl.Manage(d)
+	}
+	cl.Start()
+	t.Cleanup(cl.Stop)
+	return cl
+}
+
+// logLine renders log entries as "KIND node, ..." for comparisons.
+func logLine(evs []elastic.Event) string {
+	parts := make([]string, len(evs))
+	for i, ev := range evs {
+		parts[i] = fmt.Sprintf("%s %s", ev.Kind, ev.Node)
+	}
+	return strings.Join(parts, ", ")
+}
+
 // pollSink waits for a node-hosted collect sink to reach n items.
 func pollSink(t *testing.T, ss *sinkStore, name string, n int) {
 	t.Helper()
@@ -166,15 +188,7 @@ func TestClusterJoinDrainLeaveByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	cl := elastic.NewCluster(dir)
-	cl.Manage(d)
-	var evMu sync.Mutex
-	var kinds []elastic.EventKind
-	cl.OnEvent = func(ev elastic.Event) {
-		evMu.Lock()
-		kinds = append(kinds, ev.Kind)
-		evMu.Unlock()
-	}
+	cl := startLoop(t, dir, d)
 	d.Start()
 	pollSink(t, ss, "sink", items/8)
 
@@ -204,16 +218,12 @@ func TestClusterJoinDrainLeaveByteIdentical(t *testing.T) {
 		t.Fatalf("trace diverged across join/drain/leave\n got: %s\nwant: %s", got, want)
 	}
 
-	evMu.Lock()
-	gotKinds := append([]elastic.EventKind(nil), kinds...)
-	evMu.Unlock()
-	want := []elastic.EventKind{elastic.Join, elastic.Drain, elastic.Leave}
-	if fmt.Sprint(gotKinds) != fmt.Sprint(want) {
-		t.Fatalf("event kinds = %v, want %v", gotKinds, want)
-	}
 	evs := cl.Events(0)
-	if len(evs) != 3 || evs[0].Seq != 1 || evs[2].Seq != 3 {
-		t.Fatalf("event log = %+v, want 3 entries seq 1..3", evs)
+	if got := logLine(evs); got != "JOIN gamma, DRAIN beta, LEAVE beta" {
+		t.Fatalf("event log = %q, want gamma's join, then beta's drain and leave", got)
+	}
+	if evs[0].Seq != 1 || evs[2].Seq != 3 {
+		t.Fatalf("event log = %+v, want seq 1..3", evs)
 	}
 	if !strings.Contains(evs[1].Detail, "segments=1") {
 		t.Fatalf("drain event detail = %q, want segments=1", evs[1].Detail)
@@ -249,8 +259,7 @@ func TestClusterRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	cl := elastic.NewCluster(dir)
-	cl.Manage(d)
+	cl := startLoop(t, dir, d)
 
 	cases := []struct {
 		name string
@@ -291,8 +300,7 @@ func TestClusterRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("solo deploy: %v", err)
 	}
-	cl2 := elastic.NewCluster(dir2)
-	cl2.Manage(d2)
+	cl2 := startLoop(t, dir2, d2)
 	if err := cl2.Drain("rsolo"); err == nil || !strings.Contains(err.Error(), "no healthy node") {
 		t.Fatalf("solo drain: err = %v, want no-healthy-node refusal", err)
 	}
@@ -303,10 +311,10 @@ func TestClusterRefusals(t *testing.T) {
 }
 
 // TestClusterKillReplicaFailover kills the node hosting one branch of a
-// route-split diamond — a "replica" of the parallel region — while the
-// Supervisor shares the cluster's gate.  The failover must move the branch
-// to a survivor and the merged sink must still see every item exactly once,
-// each origin's sub-stream in order.
+// route-split diamond — a "replica" of the parallel region — under a
+// control loop that heartbeats on the real clock.  The failover must move
+// the branch to a survivor and the merged sink must still see every item
+// exactly once, each origin's sub-stream in order.
 func TestClusterKillReplicaFailover(t *testing.T) {
 	leakcheck.Check(t)
 	const items = 160
@@ -342,18 +350,14 @@ func TestClusterKillReplicaFailover(t *testing.T) {
 	t.Cleanup(dir.Close)
 	registerAll(t, dir, alpha, beta, gamma)
 
-	cl := elastic.NewCluster(dir)
-	sup := control.NewSupervisor(dir)
-	sup.Backoff = 25 * time.Millisecond
-	sup.Gate = cl.Gate()
-
 	d, err := g.Deploy(graph.OnNodes(dir.Clients()...).WithClusterLanes())
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
+	cl := elastic.NewCluster(dir, vclock.Real{}, 15*time.Millisecond)
 	cl.Manage(d)
-	sup.Manage(d)
-	dir.Start(15 * time.Millisecond)
+	cl.Start()
+	t.Cleanup(cl.Stop)
 	d.Start()
 
 	pollSink(t, ss, "sink", items/4)
@@ -409,7 +413,7 @@ func crossChain(name string, items int) *graph.Graph {
 }
 
 // fastDirectory is a directory that declares a node down after two missed
-// 15 ms heartbeats.
+// heartbeats.
 func fastDirectory(t *testing.T) *control.Directory {
 	t.Helper()
 	dir := control.NewDirectory()
@@ -420,40 +424,24 @@ func fastDirectory(t *testing.T) *control.Directory {
 	return dir
 }
 
-// awaitDown blocks until the directory reports the named node unhealthy.
-func awaitDown(t *testing.T, dir *control.Directory, name string) {
+// markDown heartbeats the directory until it reports the named node down.
+// The test calls it, not the loop, so the loop hears of the death only if
+// the test posts it.
+func markDown(t *testing.T, dir *control.Directory, name string) {
 	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		for _, h := range dir.Snapshot() {
-			if h.Name == name && !h.Healthy {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("directory never noticed that %s died", name)
-		}
-		time.Sleep(time.Millisecond)
+	for range dir.MaxMisses {
+		dir.Heartbeat()
+	}
+	if dir.Healthy(name) {
+		t.Fatalf("directory still counts %s healthy after %d missed heartbeats", name, dir.MaxMisses)
 	}
 }
 
-// announcedGate closes held the first time it is locked.
-type announcedGate struct {
-	sync.Locker
-	once sync.Once
-	held chan struct{}
-}
-
-func (g *announcedGate) Lock() {
-	g.Locker.Lock()
-	g.once.Do(func() { close(g.held) })
-}
-
-// TestClusterDrainSerializesWithFailover pins the shared-gate rule under
-// the race detector: a node dies (the Supervisor holds the gate across its
-// whole recovery) while an operator drain of ANOTHER node fires
-// concurrently.  The two segment-movers must serialize — never
-// double-Replace — and the stream must come out byte-identical.
+// TestClusterDrainSerializesWithFailover: a node-down report and an
+// operator drain of ANOTHER node are posted together.  The loop applies
+// them one after the other, in queue order — the failover moves everything
+// off the dead node before the drain decides — never interleaved, and the
+// stream comes out byte-identical.
 func TestClusterDrainSerializesWithFailover(t *testing.T) {
 	leakcheck.Check(t)
 	const items = 300
@@ -465,45 +453,29 @@ func TestClusterDrainSerializesWithFailover(t *testing.T) {
 
 	dir := fastDirectory(t)
 	registerAll(t, dir, alpha, beta, gamma)
-
-	cl := elastic.NewCluster(dir)
-	sup := control.NewSupervisor(dir)
-	sup.Backoff = 25 * time.Millisecond
-	gate := &announcedGate{Locker: cl.Gate(), held: make(chan struct{})}
-	sup.Gate = gate
-
 	d, err := crossChain("draincross", items).Deploy(graph.OnNodes(dir.Clients()...).WithClusterLanes())
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	cl.Manage(d)
-	sup.Manage(d)
-	dir.Start(15 * time.Millisecond)
+	cl := startLoop(t, dir, d)
 	d.Start()
 
 	pollSink(t, ss, "sink", items/6)
-	gamma.close() // mid1's host dies; the supervisor will take the gate
-
-	// Drain beta once the recovery HAS the gate — not as soon as the
-	// directory shows gamma down: the supervisor takes the gate on a
-	// goroutine of its own after that, and a drain that slips in between
-	// meets an unrecovered death (TestClusterDrainRefusesUnrecoveredDeath).
-	// The drain blocks on the gate until the failover finishes; it must
-	// never interleave with it.
-	select {
-	case <-gate.held:
-	case <-time.After(20 * time.Second):
-		t.Fatal("the supervisor never took the gate for the dead node")
-	}
+	gamma.close() // mid1's host dies
+	markDown(t, dir, "dgamma")
+	cl.PostDown("dgamma")
 	if err := cl.Drain("dbeta"); err != nil {
-		t.Fatalf("drain racing failover: %v", err)
+		t.Fatalf("drain posted behind the failover: %v", err)
+	}
+	if got := logLine(cl.Events(0)); got != "DOWN dgamma, FAILOVER dgamma, DRAIN dbeta" {
+		t.Fatalf("the loop applied %q, want the down's failover, then the drain", got)
 	}
 
 	if err := d.Wait(); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
 	if got, want := seqTrace(ss.get("sink").Items()), refSeqTrace(items); got != want {
-		t.Fatalf("trace diverged with drain racing failover\n got: %s\nwant: %s", got, want)
+		t.Fatalf("trace diverged with drain behind failover\n got: %s\nwant: %s", got, want)
 	}
 	for seg, node := range d.SegmentPlacements() {
 		if node == 1 || node == 2 {
@@ -512,11 +484,12 @@ func TestClusterDrainSerializesWithFailover(t *testing.T) {
 	}
 }
 
-// TestClusterDrainRefusesUnrecoveredDeath: a drain that wins the gate while
-// another node is down and still hosts segments — here no supervisor ever
-// recovers it — moves nothing and says so with an error wrapping
+// TestClusterDrainRefusesUnrecoveredDeath: a drain while another node is
+// down and still hosts segments — the directory knows, but no failover has
+// applied — moves nothing and says so with an error wrapping
 // remote.ErrNodeUnreachable, at once; it neither hangs nor recomposes a
-// segment against the dead node's port.
+// segment against the dead node's port.  Once the down is posted and its
+// failover has moved everything, the same drain goes through.
 func TestClusterDrainRefusesUnrecoveredDeath(t *testing.T) {
 	leakcheck.Check(t)
 	const items = 300
@@ -528,36 +501,37 @@ func TestClusterDrainRefusesUnrecoveredDeath(t *testing.T) {
 
 	dir := fastDirectory(t)
 	registerAll(t, dir, alpha, beta, gamma)
-	cl := elastic.NewCluster(dir)
 	d, err := crossChain("drainunrec", items).Deploy(graph.OnNodes(dir.Clients()...).WithClusterLanes())
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	t.Cleanup(d.Stop)
-	cl.Manage(d)
-	dir.Start(15 * time.Millisecond)
+	cl := startLoop(t, dir, d)
 	d.Start()
 
 	pollSink(t, ss, "sink", items/6)
 	before := d.SegmentPlacements()
 	gamma.close()
-	awaitDown(t, dir, "ugamma")
+	markDown(t, dir, "ugamma")
 
-	done := make(chan error, 1)
-	go func() { done <- cl.Drain("ubeta") }()
-	select {
-	case err := <-done:
-		if !errors.Is(err, remote.ErrNodeUnreachable) {
-			t.Fatalf("drain beside an unrecovered death = %v, want an error wrapping remote.ErrNodeUnreachable", err)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("drain beside an unrecovered death hung")
+	if err := cl.Drain("ubeta"); !errors.Is(err, remote.ErrNodeUnreachable) {
+		t.Fatalf("drain beside an unrecovered death = %v, want an error wrapping remote.ErrNodeUnreachable", err)
 	}
 	if after := d.SegmentPlacements(); !maps.Equal(before, after) {
 		t.Fatalf("a refused drain moved segments: %v -> %v", before, after)
 	}
 	if evs := cl.Events(0); len(evs) != 0 {
 		t.Fatalf("a refused drain logged %v", evs)
+	}
+
+	cl.PostDown("ugamma")
+	if err := cl.Drain("ubeta"); err != nil {
+		t.Fatalf("drain after the failover: %v", err)
+	}
+	if err := d.Wait(); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if got, want := seqTrace(ss.get("sink").Items()), refSeqTrace(items); got != want {
+		t.Fatalf("trace diverged across the refused and the accepted drain\n got: %s\nwant: %s", got, want)
 	}
 }
 
@@ -581,8 +555,7 @@ func TestOperatorClusterOps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	cl := elastic.NewCluster(dir)
-	cl.Manage(d)
+	cl := startLoop(t, dir, d)
 
 	op := control.NewOperator().WithCluster(cl)
 	op.Register(d)
@@ -684,8 +657,7 @@ func TestClusterJoinDrainUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	cl := elastic.NewCluster(dir)
-	cl.Manage(d)
+	cl := startLoop(t, dir, d)
 	d.Start()
 	pollSink(t, ss, "sink", items/8)
 

@@ -423,7 +423,7 @@ type remoteDeployment struct {
 	// mu, like clients/names (see clientSnap).
 	gone []bool
 	// supervised deployments treat an unreachable node as PENDING instead
-	// of fatal: a Supervisor fails its segments over or latches via Fail.
+	// of fatal: elastic.Cluster fails its segments over or latches via Fail.
 	supervised bool
 	// lastRows and lastTenantRows cache each node's last answers, for the
 	// snapshots that cannot reach it (see stats and tenantRows).

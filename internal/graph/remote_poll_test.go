@@ -54,9 +54,9 @@ func TestRemoteWaitMissingPipeline(t *testing.T) {
 	}
 }
 
-// TestRemoteFinishedRacesAddNode: Supervisor.onDown calls Finished on the
-// directory's goroutine exactly when an elastic join may be publishing a
-// longer client list; the poll must read it through the same snapshot as
+// TestRemoteFinishedRacesAddNode: Finished (a failover's first question)
+// may run on one goroutine while AddNode (a join) publishes a longer client
+// list on another; the poll must read it through the same snapshot as
 // every other reader.  Run under -race.
 func TestRemoteFinishedRacesAddNode(t *testing.T) {
 	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}

@@ -32,7 +32,7 @@ func (d *Deployment) Replaceable(segment string) error {
 }
 
 // FailOver moves every segment hosted on a dead node onto the hinted
-// survivors — Rebalance's disaster path, driven by Directory.OnDown.  The
+// survivors — Rebalance's disaster path, driven by elastic.Cluster.  The
 // dead node is never contacted: peers hold parked, redialable lane halves,
 // and the upstream durable journals carry every item the chain below the
 // dead segments had not consumed.  hints must cover every segment on the

@@ -184,7 +184,7 @@ func TestDrainLetsHeartbeatsThrough(t *testing.T) {
 	}
 	for range 3 {
 		start := time.Now()
-		if n := dir.Heartbeat(); n != 1 {
+		if n, _ := dir.Heartbeat(); n != 1 {
 			t.Fatalf("heartbeat saw %d healthy nodes, want 1", n)
 		}
 		if took := time.Since(start); took > 2*time.Second {

@@ -21,7 +21,7 @@ import (
 // replica is its own branch segment ("S#i>>S#i/p"), placeable on its own
 // shard.  The merge rebuilds the exact trunk order, so every trace below it
 // is byte-identical whatever the replica count — scaling is invisible, and
-// the Autoscaler retunes it from load policy: SetReplicas(S, n) moves the
+// elastic.Cluster retunes it from load policy: SetReplicas(S, n) moves the
 // ACTIVE count with no quiesce at all, and idle replicas simply drain.
 
 // ScaleStage is the live-edit operation that turns stage Node into Replicas
@@ -279,7 +279,7 @@ func pinScalePlacements(newPlan *core.GraphPlan, newShard []int, scales []*scale
 }
 
 // SetReplicas retunes how many replicas of a scaled stage receive new items,
-// clamped to 1..declared — the no-quiesce knob behind the Autoscaler.  The
+// clamped to 1..declared — the no-quiesce knob behind autoscaling.  The
 // stage must have been scaled by a ScaleStage edit (or declared as an
 // elastic split).  Returns the clamped active count.
 func (d *Deployment) SetReplicas(stage string, replicas int) (int, error) {

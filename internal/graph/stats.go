@@ -79,8 +79,8 @@ type ShardLoad struct {
 // GraphStats is the live telemetry of one deployment, collected alloc-free
 // on the hot path and folded on demand by Deployment.Stats from per-pipeline
 // rows, whichever target took them.  On remote (OnNodes) deployments Shard
-// indices name cluster nodes (see Nodes), and the same skew math drives the
-// ClusterBalancer.
+// indices name cluster nodes (see Nodes), and the same skew math drives
+// elastic.Cluster's balance policy.
 type GraphStats struct {
 	// Segments lists the graph's segments in plan order, then the
 	// pipelines off the plan (Relay).
