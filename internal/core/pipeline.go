@@ -230,11 +230,12 @@ func (p *Pipeline) EventCapabilities() (sends, handles []events.Type) {
 	return EventCapabilitySets(p.stages)
 }
 
-// Start broadcasts the start event: pumps react to it and begin moving data
-// (the paper's send_event(START)).
+// Start broadcasts the start event on the pipeline's bus: the pumps of every
+// pipeline on that bus begin moving data (the paper's send_event(START)).
 func (p *Pipeline) Start() { p.broadcast(events.Start) }
 
-// Stop broadcasts the stop event, shutting every section down.
+// Stop broadcasts the stop event on the pipeline's bus, shutting down every
+// section of every pipeline on it.
 func (p *Pipeline) Stop() { p.broadcast(events.Stop) }
 
 // Pause broadcasts the pause event; pumps suspend at the next cycle.

@@ -58,7 +58,7 @@ func declare(g *graph.Graph, place int, stages ...core.Stage) []string {
 
 // Start deploys the tree with the leaves subscribed so far (relays stay with
 // the trunk, leaves carry their own hints) and starts it, before
-// Group.Start: a group started empty exits at once (graph.ErrGroupExited).
+// Group.Start: a group started empty exits at once (graph.ErrTargetExited).
 func (t *Tree) Start() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -10,9 +10,10 @@ import (
 	"infopipes/internal/typespec"
 )
 
-// Deployment is the handle on one deployed graph and its joined lifecycle:
-// Start and Stop broadcast once to every pipeline, Done closes when all
-// have finished, Err reports the first failure anywhere.
+// Deployment is the handle on one deployed graph and its joined lifecycle.
+// It is its own event scope on every target: Start and Stop reach its
+// pipelines and no other deployment's, Done closes when all have finished,
+// Err reports the first failure anywhere.
 // It stays operable while it runs: Stats reports per-segment and per-link
 // load, Rebalance moves segments, Edit changes the flow (reconfigure.go).
 type Deployment struct {
@@ -124,8 +125,8 @@ func (d *Deployment) failure() error {
 // Name returns the deployment name (the graph name).
 func (d *Deployment) Name() string { return d.name }
 
-// Bus returns the shared event bus of the deployment (nil on remote nodes,
-// whose buses are their own).
+// Bus returns the deployment's own event bus on a local target (nil on
+// nodes, where the deployment has a bus of its own on each node).
 func (d *Deployment) Bus() *events.Bus { return d.bus }
 
 // Pipelines lists the pipelines of the current generation (local targets):
@@ -193,13 +194,13 @@ func (d *Deployment) Links() []*shard.Link {
 // group clock just run fn.
 func (d *Deployment) External(fn func()) { d.host.external(fn) }
 
-// Start broadcasts the start event once to every pipeline, exactly like
-// Pipeline.Start on a linear pipeline.  During a reconfiguration it waits
-// until the rewired pipelines are in place.
+// Start broadcasts the start event once to every pipeline of the
+// deployment, like Pipeline.Start on a linear pipeline, and to no other.
+// During a reconfiguration it waits until the rewired pipelines are in place.
 func (d *Deployment) Start() { d.request(events.Start) }
 
-// Stop broadcasts the stop event to the whole deployment; during a
-// reconfiguration, once it completes.
+// Stop broadcasts the stop event to the whole deployment and no other; during
+// a reconfiguration, once it completes.
 func (d *Deployment) Stop() { d.request(events.Stop) }
 
 // request records a lifecycle request and broadcasts it unless the

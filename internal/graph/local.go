@@ -20,8 +20,6 @@ import (
 // collapses the placement dimension entirely.
 type SchedulerTarget struct {
 	Sched *uthread.Scheduler
-	// Bus is the shared event service (nil for a deployment-private bus).
-	Bus *events.Bus
 	// LinkDepth bounds the cut-edge links (0 = the link default).
 	LinkDepth int
 	// Tenant binds the deployment to a QoS tenant (nil = default tenant:
@@ -48,7 +46,11 @@ func (t *SchedulerTarget) WithTenant(tn *qos.Tenant) *SchedulerTarget {
 }
 
 func (t *SchedulerTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error) {
-	ld := &localDeploy{bus: t.Bus, depth: t.LinkDepth,
+	if !t.Sched.AddExternalSource() {
+		return nil, fmt.Errorf("graph %q: %w", g.name, ErrTargetExited)
+	}
+	defer t.Sched.ReleaseExternalSource()
+	ld := &localDeploy{depth: t.LinkDepth,
 		schedOf: func(int) *uthread.Scheduler { return t.Sched },
 		tenant:  t.Tenant,
 	}
@@ -65,8 +67,6 @@ func (t *SchedulerTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, e
 // segment onto an empty one.
 type GroupTarget struct {
 	Group *shard.Group
-	// Bus is the shared event service (nil for a deployment-private bus).
-	Bus *events.Bus
 	// LinkDepth bounds the cut-edge links (0 = the link default).
 	LinkDepth int
 	// Tenant binds the deployment to a QoS tenant (nil = default tenant).
@@ -87,15 +87,12 @@ func (t *GroupTarget) WithTenant(tn *qos.Tenant) *GroupTarget {
 	return t
 }
 
-// ErrGroupExited marks a deploy onto a group whose shards have already
-// returned from Run — a group started while still empty exits at once.
-// Deploy first, then start the group.
-var ErrGroupExited = errors.New("graph: group has already exited (deploy before Group.Start)")
+// ErrTargetExited marks a deploy onto a scheduler, or a shard of a group,
+// whose Run has already returned — one started while still empty returns at
+// once.  Deploy first, then run the scheduler or start the group.
+var ErrTargetExited = errors.New("graph: target has already exited (deploy before Run or Group.Start)")
 
 func (t *GroupTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error) {
-	if t.Group.Exited() {
-		return nil, fmt.Errorf("graph %q: %w", g.name, ErrGroupExited)
-	}
 	// The placement policy decides free-standing chains only; accounting
 	// happens per composed pipeline (placeAt/release in compose below), so
 	// undo Place's own bookkeeping right away.
@@ -108,29 +105,25 @@ func (t *GroupTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 	if err != nil {
 		return nil, err
 	}
-	ld := &localDeploy{bus: t.Bus, depth: t.LinkDepth,
+	// Pin every shard while the deployment lives, or an empty one's Run
+	// returns before a Rebalance can use it.  Released in maybeFinish.
+	unpin, ok := t.Group.Pin()
+	if !ok {
+		return nil, fmt.Errorf("graph %q: %w", g.name, ErrTargetExited)
+	}
+	ld := &localDeploy{depth: t.LinkDepth,
 		group:   t.Group,
 		schedOf: t.Group.Scheduler,
 		placeAt: t.Group.PlaceAt,
 		release: t.Group.Release,
 		tenant:  t.Tenant,
+		unpin:   unpin,
 	}
 	d, err := ld.run(g, plan, shardOf)
 	if err != nil {
-		return nil, err
+		unpin()
 	}
-	// Pin every shard while the deployment lives, or an empty one's Run
-	// returns before a Rebalance can use it.  Released in maybeFinish.
-	n := t.Group.Shards()
-	for i := 0; i < n; i++ {
-		t.Group.Scheduler(i).AddExternalSource()
-	}
-	ld.unpin = func() {
-		for i := 0; i < n; i++ {
-			t.Group.Scheduler(i).ReleaseExternalSource()
-		}
-	}
-	return d, nil
+	return d, err
 }
 
 // localDeploy is the shard host: it renders live stages, joins the segments
@@ -213,9 +206,7 @@ func (ld *localDeploy) run(g *Graph, plan *core.GraphPlan, shardOf []int) (*Depl
 		return nil, fmt.Errorf("graph %q: %w", g.name, err)
 	}
 
-	if ld.bus == nil {
-		ld.bus = &events.Bus{}
-	}
+	ld.bus = &events.Bus{} // the deployment's own event scope
 	d := newDeployment(g.name, ld.bus, ld)
 	ld.setup(ld, d, g, plan, shardOf)
 	ld.pipes = make(map[string]*core.Pipeline)
@@ -321,13 +312,13 @@ func (ld *localDeploy) external(fn func()) {
 	ld.group.External(fn)
 }
 
-// emit publishes a control event on the deployment's bus, stamped with the
-// scheduler clock.
-func (ld *localDeploy) emit(ev events.Type) {
-	ld.bus.Broadcast(events.Event{Type: ev, Time: ld.schedOf(0).Now(), Origin: ld.name})
+// broadcast publishes a control event on the deployment's own bus, stamped
+// with the scheduler clock, as one external action.
+func (ld *localDeploy) broadcast(ev events.Type) {
+	ld.external(func() {
+		ld.bus.Broadcast(events.Event{Type: ev, Time: ld.schedOf(0).Now(), Origin: ld.name})
+	})
 }
-
-func (ld *localDeploy) broadcast(ev events.Type) { ld.external(func() { ld.emit(ev) }) }
 
 func (ld *localDeploy) err() error {
 	for _, p := range ld.d.Pipelines() {

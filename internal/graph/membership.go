@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"infopipes/internal/events"
 	"infopipes/internal/remote"
 )
 
@@ -20,7 +19,8 @@ var ErrNotElastic = errors.New("graph: deployment target has no cluster node set
 
 // AddNode extends a running remote deployment's node set with a freshly
 // joined node's client and returns its node index.  The node hosts nothing
-// until a move places a segment there, but hears start, stop and rebinds.
+// until a move places a segment there, which starts it if the deployment
+// has started; it hears rebinds from now on.
 func (d *Deployment) AddNode(c *remote.Client) (int, error) {
 	r, err := d.nodes()
 	if err != nil {
@@ -41,14 +41,6 @@ func (d *Deployment) AddNode(c *remote.Client) (int, error) {
 	r.gone = append(slices.Clip(r.gone), false)
 	idx := len(r.clients) - 1
 	r.mu.Unlock()
-	d.mu.Lock()
-	started := d.started
-	d.mu.Unlock()
-	if started {
-		// The deployment already broadcast its start; a late joiner must
-		// hear it too or segments placed there later never start.
-		_ = c.SendEvent(events.Event{Type: events.Start, Origin: d.name})
-	}
 	return idx, nil
 }
 

@@ -393,10 +393,10 @@ func (ld *localDeploy) resume(t *txn, err error) error {
 		return err
 	}
 	if started {
-		ld.emit(events.Start)
+		ld.broadcast(events.Start)
 	}
 	if stopReq {
-		ld.emit(events.Stop)
+		ld.broadcast(events.Stop)
 	}
 	return nil
 }
@@ -405,7 +405,7 @@ func (ld *localDeploy) resume(t *txn, err error) error {
 // every link — one whose receiver never composed would hold its receiving
 // scheduler's external-source reference forever.
 func (ld *localDeploy) abandon() {
-	ld.emit(events.Stop)
+	ld.broadcast(events.Stop)
 	for _, l := range ld.d.Links() {
 		l.Close()
 	}

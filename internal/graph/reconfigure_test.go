@@ -20,6 +20,7 @@ import (
 	"infopipes/internal/pipes"
 	"infopipes/internal/shard"
 	"infopipes/internal/typespec"
+	"infopipes/internal/uthread"
 )
 
 // This file tests the reconfiguration transaction itself (reconfigure.go):
@@ -354,7 +355,34 @@ func TestDeployOnExitedGroupFailsFast(t *testing.T) {
 		t.Fatalf("empty group wait: %v", err)
 	}
 	g, _ := cutGraph("late", 10, 1000, 1)
-	if _, err := g.Deploy(graph.OnGroup(grp)); !errors.Is(err, graph.ErrGroupExited) {
-		t.Fatalf("deploy on an exited group = %v, want ErrGroupExited", err)
+	if _, err := g.Deploy(graph.OnGroup(grp)); !errors.Is(err, graph.ErrTargetExited) {
+		t.Fatalf("deploy on an exited group = %v, want ErrTargetExited", err)
 	}
+}
+
+// TestDeployOnFinishedSchedulerFailsFast: a scheduler run while still empty
+// returns at once, and deploying onto it fails with the same typed error as
+// an exited group, instead of composing pipelines that never run and a Wait
+// that never returns.
+func TestDeployOnFinishedSchedulerFailsFast(t *testing.T) {
+	sched := uthread.New()
+	if err := <-sched.RunBackground(); err != nil {
+		t.Fatalf("empty scheduler run: %v", err)
+	}
+	g, _ := cutGraph("late", 10, 1000, 1)
+	d, err := g.Deploy(graph.OnScheduler(sched))
+	if errors.Is(err, graph.ErrTargetExited) {
+		return
+	}
+	if err == nil {
+		d.Start()
+		waited := make(chan error, 1)
+		go func() { waited <- d.Wait() }()
+		select {
+		case err = <-waited:
+		case <-time.After(2 * time.Second):
+			t.Fatal("deploy onto a finished scheduler succeeded, and its Wait still blocks after 2 s")
+		}
+	}
+	t.Fatalf("deploy on a finished scheduler = %v, want ErrTargetExited", err)
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -123,13 +124,10 @@ func (t *NodesTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 	return d, nil
 }
 
-// abort best-effort-undoes a partial deployment: it stops every pipeline
-// already composed and has every node drop this graph's listeners, cut
-// links and pipeline registrations, so a retry starts clean.
+// abort best-effort-undoes a partial deployment: every node stops and
+// drops this graph's pipelines, listeners and cut links, so a retry starts
+// clean.
 func (r *remoteDeployment) abort() {
-	for _, p := range r.pipes {
-		_ = r.clients[p.client].Stop(p.name)
-	}
 	for _, c := range r.clients {
 		_, _ = c.Lane(remote.LaneRequest{Kind: remote.LaneAbort, Prefix: r.name + "/"})
 	}
@@ -441,21 +439,32 @@ func (r *remoteDeployment) clientSnap() ([]*remote.Client, []bool) {
 	return r.clients, r.gone
 }
 
-// broadcast sends ev to every node still in the deployment, past any
-// that fails: a dead node must not keep the nodes after it from hearing a
-// stop.  A failed start rolls every reachable node back with a stop and
-// latches the error, so Wait and Err report it; a stop is best effort (Wait
-// and Err report an unreachable node anyway).
+// broadcast sends ev to the deployment on every node that hosts one of its
+// pipelines, past any that fails: a dead node must not keep the nodes after
+// it from hearing a stop.  One start or stop op per node reaches all of the
+// deployment there, whose pipelines share a bus of their own, and nothing
+// else; a pipeline the node no longer knows is passed over for the next.  A
+// failed start rolls every reachable node back with a stop and latches the
+// error, so Wait and Err report it; a stop is best effort (Wait and Err
+// report an unreachable node anyway).
 func (r *remoteDeployment) broadcast(ev events.Type) {
-	clients, gone := r.clientSnap()
+	pipes := r.pipeList()
+	clients, gone := r.clientSnap() // after pipeList: covers every pipe index
 	var first error
 	for i, c := range clients {
-		if gone[i] {
-			continue
+		op := c.Stop
+		if ev == events.Start {
+			op = c.Start
 		}
-		if err := c.SendEvent(events.Event{Type: ev, Origin: r.name}); err != nil && first == nil {
-			first = err
+		var err error
+		for _, p := range pipes {
+			if p.client == i && !gone[i] {
+				if err = op(p.name); err == nil {
+					break
+				}
+			}
 		}
+		first = cmp.Or(first, err)
 	}
 	if first != nil && ev == events.Start {
 		r.d.fail(fmt.Errorf("graph %q: start failed, deployment rolled back: %w", r.name, first))

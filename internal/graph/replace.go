@@ -197,7 +197,7 @@ func (r *remoteDeployment) move(si, dest int, started, oldUp bool) error {
 					return latch(err)
 				}
 				if started {
-					_ = c.SendEvent(events.Event{Type: events.Start, Origin: r.name})
+					_ = c.Start(pipeName)
 				}
 				return err
 			}
@@ -267,7 +267,7 @@ func (r *remoteDeployment) move(si, dest int, started, oldUp bool) error {
 		}
 	}
 	if started {
-		_ = r.clients[dest].SendEvent(events.Event{Type: events.Start, Origin: r.name})
+		_ = r.clients[dest].Start(pipeName) // its deployment there: the relays too
 	}
 	return nil
 }

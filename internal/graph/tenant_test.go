@@ -86,8 +86,10 @@ func runTenantsOnScheduler(t *testing.T, slots []tenantSlot) []tenantRun {
 	return outs
 }
 
-// runTenantsOnGroup is runTenantsOnScheduler on an n-shard group.
-func runTenantsOnGroup(t *testing.T, slots []tenantSlot, shards int) []tenantRun {
+// runTenantsOnGroup is runTenantsOnScheduler on an n-shard group.  With
+// stop >= 0 it stops that slot's deployment at the virtual instant its
+// stream is a quarter through.
+func runTenantsOnGroup(t *testing.T, slots []tenantSlot, shards, stop int) []tenantRun {
 	t.Helper()
 	grp := shard.NewGroup(shard.WithShardCount(shards))
 	gens := make([]*dagGen, len(slots))
@@ -104,10 +106,15 @@ func runTenantsOnGroup(t *testing.T, slots []tenantSlot, shards int) []tenantRun
 		}
 		deps[i] = d
 	}
-	grp.Start()
-	for _, d := range deps {
-		d.Start()
+	if stop >= 0 {
+		grp.At(gens[stop].midStream(), deps[stop].Stop)
 	}
+	grp.External(func() {
+		grp.Start()
+		for _, d := range deps {
+			d.Start()
+		}
+	})
 	for i, d := range deps {
 		if err := d.Wait(); err != nil {
 			t.Fatalf("tenant %s: %d-shard wait: %v", tenants[i].Name(), shards, err)
@@ -128,7 +135,9 @@ func runTenantsOnGroup(t *testing.T, slots []tenantSlot, shards int) []tenantRun
 // scheduler and on 2- and 4-shard groups.  Weighted-fair scheduling and
 // admission control may reorder WORK between tenants, but each tenant's
 // per-sink trace, admitted count and shed count must stay byte-identical
-// across all three targets.
+// across all three targets.  In a last row the first tenant's deployment is
+// stopped a quarter through its stream, and the others' traces and counts
+// must not change: a deployment is its own event scope.
 func TestMultiTenantGraphDeterminism(t *testing.T) {
 	slots := tenantSlots()
 	want := runTenantsOnScheduler(t, slots)
@@ -143,7 +152,7 @@ func TestMultiTenantGraphDeterminism(t *testing.T) {
 		t.Fatal("rate-limited tenant shed nothing; the harness is not exercising admission")
 	}
 	for _, shards := range []int{2, 4} {
-		got := runTenantsOnGroup(t, slots, shards)
+		got := runTenantsOnGroup(t, slots, shards, -1)
 		for i := range slots {
 			if got[i].trace != want[i].trace {
 				t.Fatalf("tenant slot %d: %d-shard trace diverged\n%s",
@@ -153,6 +162,16 @@ func TestMultiTenantGraphDeterminism(t *testing.T) {
 				t.Fatalf("tenant slot %d: %d-shard admission diverged: admitted %d/sheds %d, want %d/%d",
 					i, shards, got[i].admitted, got[i].sheds, want[i].admitted, want[i].sheds)
 			}
+		}
+	}
+	got := runTenantsOnGroup(t, slots, 2, 0)
+	if len(got[0].trace) >= len(want[0].trace) {
+		t.Fatal("the stopped tenant delivered its whole stream: the stop row shows nothing")
+	}
+	for i := 1; i < len(slots); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("tenant slot %d changed when slot 0 was stopped mid-stream: admitted %d/sheds %d, want %d/%d\n%s",
+				i, got[i].admitted, got[i].sheds, want[i].admitted, want[i].sheds, divergence(got[i].trace, want[i].trace))
 		}
 	}
 }

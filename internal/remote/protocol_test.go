@@ -3,12 +3,15 @@ package remote_test
 import (
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"infopipes/internal/core"
+	"infopipes/internal/events"
 	"infopipes/internal/item"
+	"infopipes/internal/pipes"
 	"infopipes/internal/remote"
 	"infopipes/internal/typespec"
 )
@@ -121,33 +124,36 @@ func TestRemoteSeededComposeChecksFlow(t *testing.T) {
 	}
 }
 
-// TestRemoteCapsRoundTrip: the caps op serves a pipeline's event-capability
-// sets for the deployer's graph-wide §2.3 check.
+// capsFilter passes items through and declares one local event it sends
+// and one it handles.
+type capsFilter struct{ *pipes.FuncFilter }
+
+func (capsFilter) SendsLocalEvents() []events.Type   { return []events.Type{"tick"} }
+func (capsFilter) HandlesLocalEvents() []events.Type { return []events.Type{"tock"} }
+
+// TestRemoteCapsRoundTrip: a segment compose's reply carries the pipeline's
+// event-capability sets, for the deployer's graph-wide §2.3 check.
 func TestRemoteCapsRoundTrip(t *testing.T) {
-	_, _, addr := newTestNode(t, "nodeA")
+	node, _, addr := newTestNode(t, "nodeA")
+	node.RegisterFactory("caps", func(n string, _ map[string]string) (core.Stage, error) {
+		return core.Comp(capsFilter{pipes.NewFuncFilter(n, func(_ *core.Ctx, it *item.Item) (*item.Item, error) { return it, nil })}), nil
+	})
 	c, err := remote.Dial(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	if err := c.Compose("g/flow", []remote.StageSpec{
+	rep, err := c.ComposeTenantSegment("g/flow", []remote.StageSpec{
 		{Kind: "counter-source", Name: "src", Params: map[string]string{"limit": "1"}},
+		{Kind: "caps", Name: "caps"},
 		{Kind: "free-pump", Name: "pump"},
 		{Kind: "collect-sink", Name: "sink"},
-	}); err != nil {
+	}, typespec.Typespec{}, nil, false)
+	if err != nil {
 		t.Fatalf("compose: %v", err)
 	}
-	sends, handles, err := c.Caps("g/flow")
-	if err != nil {
-		t.Fatalf("caps: %v", err)
-	}
-	// The standard test stages declare no local capabilities; the call
-	// itself round-tripping empty sets is the contract.
-	if len(sends) != 0 || len(handles) != 0 {
-		t.Logf("caps: sends=%v handles=%v", sends, handles)
-	}
-	if _, _, err := c.Caps("nope"); err == nil {
-		t.Fatal("caps of unknown pipeline succeeded")
+	if !slices.Equal(rep.Sends, []string{"tick"}) || !slices.Equal(rep.Handles, []string{"tock"}) {
+		t.Fatalf("compose reply caps: sends=%v handles=%v, want [tick] and [tock]", rep.Sends, rep.Handles)
 	}
 }
 

@@ -7,7 +7,7 @@
 // factories; it serves a small gob-encoded control protocol over TCP.  A
 // Client composes pipelines from stage specifications on a remote node,
 // starts and stops them, queries resolved Typespecs, injects control events
-// into the remote bus, and manages the node's cluster lanes through typed
+// into the node's bus, and manages the node's cluster lanes through typed
 // requests (LaneRequest).
 package remote
 
@@ -104,7 +104,10 @@ type Node struct {
 	requests atomic.Int64
 }
 
-// NewNode creates a node over the given scheduler and bus.
+// NewNode creates a node over the given scheduler and bus.  The bus is the
+// event op's and the plain Compose pipelines'; each graph deployment's
+// segments share a bus of their own, so one deployment's start, stop or
+// failure never reaches another's.
 func NewNode(name string, sched *uthread.Scheduler, bus *events.Bus) *Node {
 	n := &Node{
 		name:      name,
@@ -120,7 +123,7 @@ func NewNode(name string, sched *uthread.Scheduler, bus *events.Bus) *Node {
 // Name returns the node name (the Typespec location of its pipelines).
 func (n *Node) Name() string { return n.name }
 
-// Bus returns the node's event bus.
+// Bus returns the node's own event bus, which no graph segment is on.
 func (n *Node) Bus() *events.Bus { return n.bus }
 
 // Scheduler returns the node's scheduler.
@@ -270,17 +273,18 @@ func (n *Node) Close() {
 
 // Wire protocol.
 type request struct {
-	Op         string // ping | compose | start | stop | detach | query | stats | tenants | rebind | health | caps | event | lane
+	Op         string // ping | compose | start | stop | detach | query | stats | tenants | rebind | health | event | lane
 	Pipeline   string
 	Stages     []StageSpec
 	StageIndex int
 	Event      events.Event
 	Prefix     string // stats: pipeline-name prefix
 	Lane       LaneRequest
-	// SkipEventCheck composes without the per-pipeline §2.3 event-
-	// capability check: graph deployments run that check graph-wide on
-	// the deployer instead, since an event emitted in one segment may be
-	// handled in another.
+	// SkipEventCheck composes a graph deployment's segment, named
+	// "deployment/...", on that deployment's bus and without the
+	// per-pipeline §2.3 event-capability check: the deployer runs that
+	// graph-wide, since an event emitted in one segment may be handled in
+	// another.
 	SkipEventCheck bool
 	// Seed carries the upstream Typespec into a compose (zero = none): the
 	// node seeds spec propagation with it (core.WithInputSpec), so §2.3 flow
@@ -332,8 +336,7 @@ type response struct {
 	Stats   []PipeStat
 	Tenants []TenantStat
 	Health  Health
-	// Sends/Handles are the event-capability sets of a pipeline (compose
-	// and caps ops).
+	// Sends/Handles are the event-capability sets of a composed pipeline.
 	Sends, Handles []string
 }
 
@@ -356,7 +359,7 @@ func (n *Node) handle(req request) (response, error) {
 		}
 		sends, handles := p.EventCapabilities()
 		resp.Sends, resp.Handles = typeStrings(sends), typeStrings(handles)
-	case "start", "stop", "query", "caps":
+	case "start", "stop", "query":
 		p, ok := n.Pipeline(req.Pipeline)
 		if !ok {
 			return response{}, ErrUnknownPipeline
@@ -368,9 +371,6 @@ func (n *Node) handle(req request) (response, error) {
 			p.Stop()
 		case "query":
 			resp.Spec = p.SpecAt(req.StageIndex)
-		case "caps":
-			sends, handles := p.EventCapabilities()
-			resp.Sends, resp.Handles = typeStrings(sends), typeStrings(handles)
 		}
 	case "detach":
 		// Tear one pipeline down for re-placement: no event broadcast (the
@@ -582,13 +582,26 @@ func (n *Node) compose(req request) (p *core.Pipeline, gate int, err error) {
 	if class != nil {
 		opts = append(opts, core.WithSchedClass(class))
 	}
-	if p, err = core.Compose(name, n.sched, n.bus, stages, opts...); err != nil {
-		return nil, -1, err
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, dup := n.pipelines[name]; dup {
 		return nil, -1, fmt.Errorf("remote: pipeline %q already exists", name)
+	}
+	// A segment joins its deployment's bus, which lives with its pipelines.
+	// n.mu is held from the lookup to the registration, so two segments of
+	// one deployment composed at once find one bus (Compose calls only the
+	// stages' Typespec getters).
+	bus := n.bus
+	if dep, _, ok := strings.Cut(name, "/"); ok && req.SkipEventCheck {
+		bus = &events.Bus{}
+		for other, q := range n.pipelines {
+			if strings.HasPrefix(other, dep+"/") && q.Bus() != n.bus {
+				bus = q.Bus()
+			}
+		}
+	}
+	if p, err = core.Compose(name, n.sched, bus, stages, opts...); err != nil {
+		return nil, -1, err
 	}
 	n.pipelines[name] = p
 	return p, gate, nil
@@ -636,7 +649,8 @@ func (c *Client) Compose(pipeline string, stages []StageSpec) error {
 // ComposeSegment creates a pipeline that is one segment of a graph
 // deployment: the per-pipeline §2.3 event-capability check is skipped,
 // exactly as the local graph deployer skips it — an event emitted in one
-// segment may be handled in another.
+// segment may be handled in another.  A pipeline named "deployment/..."
+// joins that deployment's own bus on the node.
 func (c *Client) ComposeSegment(pipeline string, stages []StageSpec) error {
 	_, err := c.Call(request{Op: "compose", Pipeline: pipeline, Stages: stages, SkipEventCheck: true})
 	return err
@@ -712,14 +726,6 @@ func (c *Client) Health() (Health, error) {
 	return resp.Health, err
 }
 
-// Caps fetches the event-capability sets of a remote pipeline, so a cluster
-// deployer can run the graph-wide §2.3 check across segments on different
-// nodes.
-func (c *Client) Caps(pipeline string) (sends, handles []string, err error) {
-	resp, err := c.Call(request{Op: "caps", Pipeline: pipeline})
-	return resp.Sends, resp.Handles, err
-}
-
 // Lane runs one cluster lane operation on the node (see LaneKind) — the
 // §2.4 extension behind cluster lane management.
 func (c *Client) Lane(req LaneRequest) (LaneReply, error) {
@@ -727,13 +733,14 @@ func (c *Client) Lane(req LaneRequest) (LaneReply, error) {
 	return resp.Lane, err
 }
 
-// Start broadcasts the start of a remote pipeline.
+// Start broadcasts the start event on a remote pipeline's bus: a graph
+// segment's reaches its deployment on that node, a plain one's the node's.
 func (c *Client) Start(pipeline string) error {
 	_, err := c.Call(request{Op: "start", Pipeline: pipeline})
 	return err
 }
 
-// Stop broadcasts the stop of a remote pipeline.
+// Stop broadcasts the stop event on a remote pipeline's bus (see Start).
 func (c *Client) Stop(pipeline string) error {
 	_, err := c.Call(request{Op: "stop", Pipeline: pipeline})
 	return err
@@ -746,9 +753,9 @@ func (c *Client) QuerySpec(pipeline string, idx int) (typespec.Typespec, error) 
 	return resp.Spec, err
 }
 
-// SendEvent injects a control event into the remote node's bus (remote
-// control-event delivery, §2.4).  Event data must be gob-encodable;
-// register custom types with gob.Register.
+// SendEvent injects a control event into the remote node's own bus (remote
+// control-event delivery, §2.4), which no graph segment hears.  Event data
+// must be gob-encodable; register custom types with gob.Register.
 func (c *Client) SendEvent(ev events.Event) error {
 	_, err := c.Call(request{Op: "event", Event: ev})
 	return err

@@ -323,14 +323,22 @@ func (g *Group) Wait() error {
 	return g.err
 }
 
-// Exited reports whether every shard's Run has already returned: nothing
-// placed on the group from now on would ever run.
-func (g *Group) Exited() bool {
-	select {
-	case <-g.done:
-		return true
-	default:
-		return false
+// Pin holds every shard up — an idle shard's Run does not return — until
+// unpin is called.  It pins nothing and reports false if a shard's Run has
+// already returned: nothing placed there would ever run.
+func (g *Group) Pin() (unpin func(), ok bool) {
+	for i, s := range g.shards {
+		if !s.AddExternalSource() {
+			g.release(g.shards[:i])
+			return nil, false
+		}
+	}
+	return func() { g.release(g.shards) }, true
+}
+
+func (g *Group) release(shards []*uthread.Scheduler) {
+	for _, s := range shards {
+		s.ReleaseExternalSource()
 	}
 }
 

@@ -295,11 +295,17 @@ func (s *Scheduler) Spawn(name string, prio Priority, code CodeFunc) *Thread {
 
 // AddExternalSource tells the scheduler that messages may arrive from
 // outside (network readers, OS signals), so an idle state with no timers is
-// not a deadlock.  Pair with ReleaseExternalSource.
-func (s *Scheduler) AddExternalSource() {
+// not a deadlock.  Pair with ReleaseExternalSource.  It reports false, and
+// registers nothing, once the scheduler has stopped: its Run has returned
+// or is returning, and nothing placed on it would ever run.
+func (s *Scheduler) AddExternalSource() bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopped {
+		return false
+	}
 	s.extRefs++
-	s.mu.Unlock()
+	return true
 }
 
 // ReleaseExternalSource undoes AddExternalSource and nudges the scheduler so
@@ -411,6 +417,7 @@ func (s *Scheduler) Run() error {
 		}
 		if s.live == 0 {
 			if s.extRefs == 0 {
+				s.stopped = true // decided under the lock: AddExternalSource refuses from here
 				s.mu.Unlock()
 				return nil
 			}
