@@ -23,6 +23,16 @@ type EOSSink interface {
 	HandleEOS(ctx *Ctx)
 }
 
+// BatchEnder is an optional extension for components that hold work back for
+// a batch (a TCP sink staging frames for one socket write).  BatchEnd runs on
+// the section's pump thread whenever that thread gives up the CPU: at the end
+// of a batch, before the thread parks in any wait, and when the section's run
+// ends — and after every cycle of a pump that keeps time, so a paced item is
+// never held back.
+type BatchEnder interface {
+	BatchEnd()
+}
+
 // placementRT is the runtime realisation of a Placement.
 type placementRT struct {
 	comp Component
@@ -46,6 +56,7 @@ type section struct {
 	thread *uthread.Thread
 	coros  []*coro        // the coroutine set less the pump, in build order
 	owned  []*placementRT // every component of the section, in stage order
+	enders []BatchEnder   // the owned components that implement BatchEnder
 
 	stopping  atomic.Bool
 	migrating atomic.Bool
@@ -148,7 +159,11 @@ func buildSection(p *Pipeline, sp SectionPlan, upBuf, downBuf Buffer) *section {
 
 	for _, pls := range [][]Placement{sp.Upstream, sp.Downstream} {
 		for _, pl := range pls {
-			s.owned = append(s.owned, p.placements[pl.Component])
+			rt := p.placements[pl.Component]
+			s.owned = append(s.owned, rt)
+			if be, ok := rt.comp.(BatchEnder); ok {
+				s.enders = append(s.enders, be)
+			}
 		}
 	}
 	return s
@@ -329,6 +344,15 @@ func (s *section) run(t *uthread.Thread) {
 	defer s.stopCoros()
 	s.pumpLoop(t)
 	s.drainControls(t)
+	s.batchEnd()
+}
+
+// batchEnd tells the section's batch enders that its thread gives up the
+// CPU.
+func (s *section) batchEnd() {
+	for _, be := range s.enders {
+		be.BatchEnd()
+	}
 }
 
 // pumpLoop is the section's engine (§3.1/§4): the pump's thread calls the
@@ -343,7 +367,10 @@ func (s *section) run(t *uthread.Thread) {
 // up to batchCycles cycles and ends earlier where the next step would block
 // (a buffer just filled or emptied, the nil item), so two pumps joined by a
 // buffer trade the CPU once per batch.  A pump that sleeps to its next
-// deadline has given the CPU up already and starts a new batch.
+// deadline has given the CPU up already and starts a new batch.  Every batch
+// end, and every park in between (installDispatch), is a BatchEnd; so is
+// every cycle of a pump that keeps time, which must not hold back an item it
+// moved late (catching up on its clock, it does not sleep between cycles).
 //
 //ipvet:hotpath every item of every flow crosses this loop
 func (s *section) pumpLoop(t *uthread.Thread) {
@@ -352,6 +379,7 @@ func (s *section) pumpLoop(t *uthread.Thread) {
 	stopped := func() bool { return s.stopping.Load() }
 	var cycle int64
 	batch := 0 // cycles since the pump last offered the CPU to its equals
+	paced := s.pump.Class() != FreeRunning
 	for {
 		for {
 			m, ok := t.TryReceive(events.IsControl)
@@ -363,6 +391,9 @@ func (s *section) pumpLoop(t *uthread.Thread) {
 		n := 0
 		if batch >= batchCycles || s.endBatch {
 			n, batch, s.endBatch = batch, 0, false
+		}
+		if n > 0 || paced {
+			s.batchEnd()
 		}
 		t.YieldAfter(n)
 		if s.stopping.Load() {
@@ -445,11 +476,15 @@ func (s *section) drainControls(t *uthread.Thread) {
 
 // installDispatch hooks control-event delivery into blocked operations
 // (§3.2: control events can be delivered while threads are blocked in a
-// push or pull).
+// push or pull), and the batch end into every park: a thread that waits on
+// an empty link, a full journal or its clock gives up the CPU there.
 func (s *section) installDispatch(t *uthread.Thread) {
 	t.SetControlDispatch(events.IsControl, func(t *uthread.Thread, m uthread.Message) {
 		s.handleControlMsg(t, m)
 	})
+	if len(s.enders) > 0 {
+		t.SetParkHook(s.batchEnd)
+	}
 }
 
 // handleControlMsg unwraps and processes one control message on thread t.

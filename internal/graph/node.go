@@ -441,9 +441,8 @@ func EnableNode(n *remote.Node, cat Catalog) {
 	n.HandleLanes(st.lane)
 }
 
-// senderSink is ip/tcpsend's stage.  A compose that fails after building it
-// closes it (remote.Node closes every io.Closer a failed compose built):
-// the dialed link closes and its lane registration goes.
+// senderSink is ip/tcpsend's stage.  A failed compose closes it (remote.Node
+// closes every io.Closer it built): the link and its lane registration go.
 type senderSink struct {
 	laneSink
 	close func() error
@@ -452,6 +451,7 @@ type senderSink struct {
 type laneSink interface {
 	core.Consumer
 	core.EOSSink
+	core.BatchEnder // the sink stages a batch's frames for one write
 }
 
 func (s senderSink) Close() error { return s.close() }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -64,6 +65,14 @@ var (
 	binByType  = map[reflect.Type]*binCodec{}
 	binByID    [256]*binCodec
 	errBinSkip = fmt.Errorf("netpipe: payload not binary-codable")
+)
+
+// The decoder's malformed-frame errors that carry no detail: sentinels, so
+// the per-item decode path allocates nothing even when it fails.
+var (
+	errEmptyFrame         = errors.New("netpipe: unmarshal: empty frame")
+	errTruncatedTimeFlag  = errors.New("netpipe: binary decode: truncated time flag")
+	errTruncatedTimestamp = errors.New("netpipe: binary decode: truncated timestamp")
 )
 
 // RegisterBinaryPayload installs a binary codec for the concrete type of
@@ -369,7 +378,7 @@ func (m *BinaryMarshaller) marshalFallback(it *item.Item) ([]byte, error) {
 //ipvet:hotpath per-item wire decoding on the receive side
 func (m *BinaryMarshaller) Unmarshal(data []byte) (*item.Item, error) {
 	if len(data) == 0 {
-		return nil, fmt.Errorf("netpipe: unmarshal: empty frame") //ipvet:allow hotalloc malformed-frame error path
+		return nil, errEmptyFrame
 	}
 	switch data[0] {
 	case wireBinary:
@@ -407,13 +416,13 @@ func parseItem(src []byte) (*item.Item, error) {
 	}
 	var created time.Time
 	if len(src) == 0 {
-		return nil, fmt.Errorf("netpipe: binary decode: truncated time flag") //ipvet:allow hotalloc malformed-frame error path
+		return nil, errTruncatedTimeFlag
 	}
 	flag := src[0]
 	src = src[1:]
 	if flag&1 != 0 {
 		if len(src) < 8 {
-			return nil, fmt.Errorf("netpipe: binary decode: truncated timestamp") //ipvet:allow hotalloc malformed-frame error path
+			return nil, errTruncatedTimestamp
 		}
 		created = time.Unix(0, int64(binary.BigEndian.Uint64(src)))
 		src = src[8:]

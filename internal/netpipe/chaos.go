@@ -9,20 +9,22 @@ import (
 )
 
 // Chaos is a seeded, deterministic fault injector for TCP lanes: it wraps a
-// connection's producer side and misbehaves per frame (every TCPLink write
-// is exactly one frame, so per-write decisions are per-frame decisions).
-// The faults model what real TCP can do to a lane:
+// connection's producer side and misbehaves per write.  A TCPLink write is a
+// batch — the frames its sending pump staged since it last gave up the CPU,
+// one frame on a paced lane — so the fault rates below are per write, and a
+// fault hits every frame of the batch.  The faults model what real TCP can
+// do to a lane:
 //
-//   - drop: the frame is swallowed and the connection severed — the tail of
+//   - drop: the write is swallowed and the connection severed — the tail of
 //     a stream lost inside a dying socket.  Durable lanes recover it from
 //     the journal after a Redial.
-//   - dup: the frame is written twice — a replay overlap.  The receiver's
-//     dedup watermark must drop the second copy.
-//   - delay: the frame is written after a bounded, seeded pause.
+//   - dup: the write is sent twice — a replay overlap.  The receiver's
+//     dedup watermark must drop the second copy of each frame.
+//   - delay: the write goes out after a bounded, seeded pause.
 //   - stall: writes freeze for a window (a short partition), then heal.
-//   - kill: half the frame's bytes are written, then the connection is
-//     severed — the receiver sees a short read mid-frame, which must park
-//     the lane, not terminate the stream.
+//   - kill: half the write's bytes go out, then the connection is severed —
+//     the receiver sees a short read mid-frame, which must park the lane,
+//     not terminate the stream.
 //
 // All decisions come from one seeded PRNG, so a failing run replays
 // identically from its seed.
@@ -35,7 +37,7 @@ type Chaos struct {
 	StallOneIn int
 	KillOneIn  int
 
-	MaxDelay time.Duration // per-frame delay bound (default 2ms)
+	MaxDelay time.Duration // per-write delay bound (default 2ms)
 	StallFor time.Duration // partition window (default 20ms)
 }
 
@@ -44,7 +46,7 @@ type ChaosStats struct {
 	Writes, Drops, Dups, Delays, Stalls, Kills int64
 }
 
-// ChaosConn wraps a net.Conn with seeded per-frame fault injection on the
+// ChaosConn wraps a net.Conn with seeded per-write fault injection on the
 // write side; reads pass through untouched.
 type ChaosConn struct {
 	net.Conn
@@ -122,7 +124,7 @@ func (c *ChaosConn) roll(oneIn int) bool {
 	return oneIn > 0 && c.rng.Intn(oneIn) == 0
 }
 
-// Write implements net.Conn with per-frame fault injection.
+// Write implements net.Conn with per-write fault injection.
 func (c *ChaosConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	if c.severed {
@@ -143,7 +145,7 @@ func (c *ChaosConn) Write(p []byte) (int, error) {
 		c.stats.Drops++
 		c.severLocked()
 		c.mu.Unlock()
-		// The frame vanished inside the socket: report success, like a
+		// The write vanished inside the socket: report success, like a
 		// kernel that buffered bytes the peer never got.
 		return len(p), nil
 	}
@@ -175,7 +177,7 @@ func (c *ChaosConn) Write(p []byte) (int, error) {
 		c.mu.Lock()
 		c.severLocked()
 		c.mu.Unlock()
-		return n, fmt.Errorf("netpipe: chaos: killed mid-frame after %d bytes", n)
+		return n, fmt.Errorf("netpipe: chaos: killed mid-write after %d bytes", n)
 	}
 	n, err := c.Conn.Write(p)
 	if err != nil {

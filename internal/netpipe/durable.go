@@ -1,6 +1,7 @@
 package netpipe
 
 import (
+	"bufio"
 	"net"
 	"time"
 
@@ -31,8 +32,8 @@ import (
 // construction.  Origin-0 traffic (no merge upstream) leaves the origin field
 // off the wire.
 
-// laneWriteTimeout bounds each durable frame write, so a partitioned peer
-// parks the connection instead of wedging the sender.
+// laneWriteTimeout bounds each durable write — one batch of frames — so a
+// partitioned peer parks the connection instead of wedging the sender.
 const laneWriteTimeout = 5 * time.Second
 
 // DurableConfig configures a durable lane endpoint.  The lane's tuning is
@@ -130,14 +131,16 @@ func (l *TCPLink) LaneStats() LaneStats {
 	}
 }
 
-// sendDurable journals one frame and puts it on the wire.  A full journal
-// blocks (with control dispatch, mirroring shard links) until acks trim it;
-// a detaching pipeline force-completes over the limit so teardown never
-// deadlocks on a dead peer.  A write error parks the connection — the frame
-// is journaled, a later Redial replays it — so the pipeline keeps producing
-// into the journal while the lane is down.
+// sendDurable journals one frame and stages it for the wire (written at the
+// batch end, or at once past the buffer's cap).  A full journal blocks (with
+// control dispatch, mirroring shard links) until acks trim it — the park
+// writes what is staged first, so the receiver can ack it; a detaching
+// pipeline force-completes over the limit so teardown never deadlocks on a
+// dead peer.  A write error parks the connection — the frame is journaled, a
+// later Redial replays it — so the pipeline keeps producing into the journal
+// while the lane is down.
 //
-//ipvet:hotpath durable-lane send: journal append + framed write per item
+//ipvet:hotpath durable-lane send: journal append + framed staging per item
 func (l *TCPLink) sendDurable(t *uthread.Thread, stopping, detaching func() bool, h frameHeader, data []byte) error {
 	d := l.dur
 	for {
@@ -152,7 +155,7 @@ func (l *TCPLink) sendDurable(t *uthread.Thread, stopping, detaching func() bool
 		}
 		if !full {
 			if write {
-				_ = l.writeOrParkLocked(h, data)
+				_ = l.writeFrameLocked(h, data) // a failed write parks (flushLocked)
 			}
 			l.mu.Unlock()
 			return err
@@ -179,18 +182,19 @@ func (l *TCPLink) sendEOSDurable() error {
 	// A write failure parks the connection with the EOS latched pending; the
 	// replay after a Redial re-sends it, so this is not the pipeline's error.
 	if h, write := l.dur.tx.eos(); write {
-		_ = l.writeOrParkLocked(h, nil)
+		_ = l.writeFrameLocked(h, nil)
+		_ = l.flushLocked()
 	}
 	return nil
 }
 
 // armWriteDeadlineLocked refreshes the connection's write deadline when
 // less than half the timeout remains, so the deadline syscall is paid once
-// per ~laneWriteTimeout/2 of traffic, not once per frame.  The effective
+// per ~laneWriteTimeout/2 of traffic, not once per write.  The effective
 // per-write bound stays within [timeout/2, timeout].  setConnLocked zeroes
 // wdUntil, so a fresh connection is always armed.
 //
-//ipvet:hotpath runs under l.mu on every framed write
+//ipvet:hotpath runs under l.mu on every batch write
 func (l *TCPLink) armWriteDeadlineLocked() {
 	//ipvet:allow wallclock amortized write-deadline re-arm on a real socket
 	if now := time.Now(); l.dur.wdUntil.Sub(now) < laneWriteTimeout/2 {
@@ -199,22 +203,9 @@ func (l *TCPLink) armWriteDeadlineLocked() {
 	}
 }
 
-// writeOrParkLocked writes one durable data or EOS frame.  On error the
-// connection is parked (closed and nilled) so the journal carries the stream
-// until a Redial.
-//
-//ipvet:hotpath per-frame durable write
-func (l *TCPLink) writeOrParkLocked(h frameHeader, payload []byte) error {
-	err := l.writeFrameLocked(h, payload)
-	if err != nil && l.conn != nil {
-		l.conn.Close()
-		l.setConnLocked(nil)
-	}
-	return err
-}
-
-// writeAcksLocked writes the receiver's acks and keeps the slice for reuse.
-// A failed write is left to the next connection's handshake.
+// writeAcksLocked writes the receiver's acks at once, in one write, and
+// keeps the slice for reuse.  A failed write is left to the next
+// connection's handshake.
 //
 //ipvet:hotpath ack writes on the receiver's cadence
 func (l *TCPLink) writeAcksLocked(due []laneAck) {
@@ -222,6 +213,7 @@ func (l *TCPLink) writeAcksLocked(due []laneAck) {
 	for _, a := range due {
 		_ = l.writeFrameLocked(frameHeader{kind: kindAck}.withSeq(a.origin, a.seq), nil)
 	}
+	_ = l.flushLocked()
 }
 
 // ackLoop reads cumulative acks off a sender connection until it dies.  A
@@ -229,9 +221,10 @@ func (l *TCPLink) writeAcksLocked(due []laneAck) {
 // can no longer be trusted: the connection is dropped, the next write parks
 // the lane, and a Redial's handshake + replay resynchronise it.
 func (l *TCPLink) ackLoop(conn net.Conn) {
+	r := bufio.NewReader(conn)
 	var lenBuf [4]byte
 	for {
-		body, err := readFrame(conn, &lenBuf)
+		body, err := readFrame(r, &lenBuf)
 		if err != nil {
 			break
 		}

@@ -1,6 +1,7 @@
 package netpipe_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -196,19 +197,29 @@ func TestDurableRedialReplaysJournal(t *testing.T) {
 	}
 }
 
-// corruptingConn writes one frame with an unknown tag ahead of its at-th
-// Write — line noise between two well-formed frames.
+// corruptingConn writes one frame with an unknown tag at the frame boundary
+// ahead of the at-th frame it carries — line noise between two well-formed
+// frames.  A write holds whole frames (a batch of them), so the boundary is
+// found by walking the length prefixes.
 type corruptingConn struct {
 	net.Conn
 	at     int32
-	writes atomic.Int32
+	frames atomic.Int32
 }
 
 func (c *corruptingConn) Write(p []byte) (int, error) {
-	if c.writes.Add(1) == c.at {
-		if _, err := c.Conn.Write([]byte{0, 0, 0, 1, 0x7f}); err != nil {
+	for off := 0; off+4 <= len(p); off += 4 + int(binary.BigEndian.Uint32(p[off:])) {
+		if c.frames.Add(1) != c.at {
+			continue
+		}
+		if _, err := c.Conn.Write(p[:off]); err != nil {
 			return 0, err
 		}
+		if _, err := c.Conn.Write([]byte{0, 0, 0, 1, 0x7f}); err != nil {
+			return off, err
+		}
+		n, err := c.Conn.Write(p[off:])
+		return off + n, err
 	}
 	return c.Conn.Write(p)
 }
@@ -432,16 +443,21 @@ func (r *chaosRedialer) halt() netpipe.ChaosStats {
 }
 
 // TestDurableLaneUnderChaos runs the full protocol against the seeded fault
-// injector — frames dropped inside dying sockets, duplicated, delayed,
-// stalled, and killed mid-frame, with the lane redialed after every sever —
-// and requires the sink to stay exactly-once, in order, for every seed.
+// injector — writes (each a batch of frames) dropped inside dying sockets,
+// duplicated, delayed, stalled, and killed mid-write, with the lane redialed
+// after every sever — and requires the sink to stay exactly-once, in order,
+// for every seed.  The fault rates are per write, and a saturated lane
+// writes once per batch, so the stream is long enough and the rates high
+// enough that every seed severs the lane and duplicates a write at least
+// chaosFloor times: a run that injects fewer has not tested the protocol.
 func TestDurableLaneUnderChaos(t *testing.T) {
+	const items, chaosFloor = 20000, 10
 	chaos := netpipe.Chaos{
-		DropOneIn:  40,
-		DupOneIn:   25,
-		DelayOneIn: 15,
-		StallOneIn: 90,
-		KillOneIn:  60,
+		DropOneIn:  10,
+		DupOneIn:   4,
+		DelayOneIn: 8,
+		StallOneIn: 40,
+		KillOneIn:  10,
 		MaxDelay:   500 * time.Microsecond,
 		StallFor:   5 * time.Millisecond,
 	}
@@ -454,17 +470,17 @@ func TestDurableLaneUnderChaos(t *testing.T) {
 				first = c
 				return c, err
 			}
-			p := startDurablePair(t, 400, 0, 32, dial, true)
+			p := startDurablePair(t, items, 0, 32, dial, true)
 			red := newChaosRedialer(p.txLink, p.addr, first, seed*1000, chaos)
 			waitSched(t, "producer", p.txDone, false)
 			waitSched(t, "consumer", p.rxDone, false)
 			stats := red.halt()
-			assertExactlyOnce(t, p.sink, 400)
-			if stats.Drops+stats.Kills+stats.Dups == 0 {
-				t.Logf("chaos injected no faults for seed %d (stats %+v)", seed, stats)
-			} else {
-				t.Logf("survived chaos: %+v, receiver dropped %d dups, sender replayed %d",
-					stats, p.rxLink.LaneStats().Dups, p.txLink.LaneStats().Replays)
+			assertExactlyOnce(t, p.sink, items)
+			t.Logf("survived chaos: %+v, receiver dropped %d dups, sender replayed %d",
+				stats, p.rxLink.LaneStats().Dups, p.txLink.LaneStats().Replays)
+			if severs := stats.Drops + stats.Kills; severs < chaosFloor || stats.Dups < chaosFloor {
+				t.Errorf("chaos injected %d severs and %d duplicated writes for seed %d, want at least %d of each",
+					severs, stats.Dups, seed, chaosFloor)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package netpipe
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -187,4 +188,16 @@ func readFrame(r io.Reader, lenBuf *[4]byte) ([]byte, error) {
 		return nil, err
 	}
 	return body, nil
+}
+
+// frameBuffered reports whether r's buffer already holds a whole frame, so
+// that reading it costs no syscall.  A length prefix no frame can have
+// counts as whole: readFrame reports it without reading further.
+func frameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < 4 {
+		return false
+	}
+	p, _ := r.Peek(4)
+	n := binary.BigEndian.Uint32(p)
+	return n == 0 || n > maxFrame || r.Buffered()-4 >= int(n)
 }

@@ -51,34 +51,63 @@ func newInbox(limit int) *inbox {
 	return &inbox{limit: limit}
 }
 
-// inject appends a frame and wakes one blocked puller at wakeAt — the
-// cross-flow QoS path: a priority-tagged frame wakes the puller at the
-// SENDER's effective priority (already floored through core.WakePrio), so a
-// high-priority tenant's items preempt on the receiving scheduler too.  Safe
-// from any goroutine.  A full blockFull inbox blocks the caller (a TCP reader
-// goroutine, never a scheduler thread), so durable-lane backpressure
-// propagates to the sender through TCP flow control; any other full inbox,
-// and a closed one, drops the frame and reports false.
+// inject appends one frame, as injectBatch does a batch of one.
 func (b *inbox) inject(e frameEntry, wakeAt uthread.Priority) bool {
+	return b.injectBatch([]frameEntry{e}, wakeAt)
+}
+
+// injectBatch appends the frames of one read and wakes one blocked puller
+// per frame appended, at most — one wake for the usual single puller — at
+// wakeAt: the cross-flow QoS path, where a priority-tagged frame wakes the
+// puller at the SENDER's effective priority (already floored through
+// core.WakePrio, the batch's top), so a high-priority tenant's items preempt
+// on the receiving scheduler too.  Safe from any goroutine.  A full
+// blockFull inbox wakes its puller for what it already holds and blocks the
+// caller (a TCP reader goroutine, never a scheduler thread), so durable-lane
+// backpressure propagates to the sender through TCP flow control; any other
+// full inbox, and a closed one, drops the frames that do not fit and
+// reports false.
+func (b *inbox) injectBatch(es []frameEntry, wakeAt uthread.Priority) bool {
 	b.mu.Lock()
-	for b.err == nil && b.blockFull && b.limit > 0 && len(b.q) >= b.limit {
-		if b.pushCond == nil {
-			b.pushCond = sync.NewCond(&b.mu)
+	pending := 0 // frames appended since the last wake
+	for i, e := range es {
+		for b.err == nil && b.blockFull && b.limit > 0 && len(b.q) >= b.limit {
+			if pending > 0 {
+				b.wakeLocked(pending, wakeAt)
+				pending = 0
+				continue
+			}
+			if b.pushCond == nil {
+				b.pushCond = sync.NewCond(&b.mu)
+			}
+			b.pushCond.Wait()
 		}
-		b.pushCond.Wait()
+		if b.err != nil || (b.limit > 0 && len(b.q) >= b.limit) {
+			b.wakeLocked(pending, wakeAt)
+			b.mu.Unlock()
+			b.drops.Add(int64(len(es) - i))
+			return false
+		}
+		b.q = append(b.q, e)
+		pending++
 	}
-	if b.err != nil || (b.limit > 0 && len(b.q) >= b.limit) {
-		b.mu.Unlock()
-		b.drops.Inc()
-		return false
-	}
-	b.q = append(b.q, e)
-	w, ok := b.waiters.PopFront()
+	b.wakeLocked(pending, wakeAt)
 	b.mu.Unlock()
-	if ok {
-		w.WakeAt(msgNetWake, wakeAt)
-	}
 	return true
+}
+
+// wakeLocked wakes up to n blocked pullers, longest-parked first, at wakeAt;
+// it releases b.mu for each wake.
+func (b *inbox) wakeLocked(n int, wakeAt uthread.Priority) {
+	for ; n > 0; n-- {
+		w, ok := b.waiters.PopFront()
+		if !ok {
+			return
+		}
+		b.mu.Unlock()
+		w.WakeAt(msgNetWake, wakeAt)
+		b.mu.Lock()
+	}
 }
 
 // close ends the inbox with err — what pullers get once the queue drains —

@@ -24,13 +24,13 @@ func TestTCPSendAfterCloseReportsStopped(t *testing.T) {
 	go io.Copy(io.Discard, c2) //nolint:errcheck — drain until close
 	link := NewTCPSenderLink(c1)
 
-	if err := link.send(dataHeader(uthread.PriorityNormal), []byte("alive")); err != nil {
+	if err := link.send(dataHeader(uthread.PriorityNormal), []byte("alive"), true); err != nil {
 		t.Fatalf("send on live link: %v", err)
 	}
 	if err := link.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if err := link.send(dataHeader(uthread.PriorityNormal), []byte("dead")); !errors.Is(err, core.ErrStopped) {
+	if err := link.send(dataHeader(uthread.PriorityNormal), []byte("dead"), true); !errors.Is(err, core.ErrStopped) {
 		t.Fatalf("send after Close = %v, want core.ErrStopped", err)
 	}
 

@@ -36,16 +36,16 @@ func TestPrioFramesThroughReader(t *testing.T) {
 	sched.Post(th, uthread.Message{Kind: kindTestKick})
 	done := sched.RunBackground()
 
-	if err := tx.send(dataHeader(uthread.PriorityControl), []byte("express")); err != nil {
+	if err := tx.send(dataHeader(uthread.PriorityControl), []byte("express"), true); err != nil {
 		t.Fatalf("send tagged: %v", err)
 	}
-	if err := tx.send(dataHeader(uthread.PriorityNormal), []byte("default")); err != nil {
+	if err := tx.send(dataHeader(uthread.PriorityNormal), []byte("default"), true); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	if err := tx.send(dataHeader(uthread.PriorityHigh), []byte("urgent")); err != nil {
+	if err := tx.send(dataHeader(uthread.PriorityHigh), []byte("urgent"), true); err != nil {
 		t.Fatalf("send tagged: %v", err)
 	}
-	if err := tx.send(frameHeader{kind: kindEOS}, nil); err != nil {
+	if err := tx.send(frameHeader{kind: kindEOS}, nil, true); err != nil {
 		t.Fatalf("send EOS: %v", err)
 	}
 

@@ -1,6 +1,7 @@
 package netpipe
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -20,6 +21,11 @@ import (
 // one-byte type tag; the receiver side runs a reader goroutine that
 // injects frames into the consumer scheduler (network packets mapped to
 // messages, §4).  Use a real clock on schedulers that talk TCP.
+//
+// A lane pays per batch, not per frame: the sink stages the frames of its
+// pump's batch and writes them in one write when the pump's thread gives up
+// the CPU (core.BatchEnder), and the reader hands the frames of one read to
+// the inbox as one batch with one wake.
 type TCPLink struct {
 	rxNode string
 
@@ -27,7 +33,10 @@ type TCPLink struct {
 	conn   net.Conn
 	ln     net.Listener // non-nil on listener links until the peer connects
 	closed bool
-	txBuf  []byte // reusable transmit frame buffer, guarded by mu
+	txBuf  []byte // frames staged for the next write, guarded by mu
+	// txErr is a plain sender's failed write, reported by every later send
+	// so the pipeline fails; a durable sender parks instead.
+	txErr error
 	// dur is the durable-lane state (durable.go); nil on plain links.  A
 	// durable listener is resumable: a bare EOF parks it until a replacement
 	// sender dials in, and only an explicit EOS frame ends the stream.
@@ -186,80 +195,152 @@ func (l *TCPLink) readLoop() {
 // ends, and reports how: nil for a bare EOF or a torn-down connection (not
 // the stream's end — a resumable listener awaits a replacement sender),
 // core.ErrEOS for an explicit EOS frame, ErrMalformedFrame for bytes that
-// are not a frame this link accepts from a sender.
+// are not a frame this link accepts from a sender.  The frames of one read
+// — the first one waited for, then every whole frame the buffer already
+// holds — enter the inbox as one batch with one wake, at the batch's top
+// priority; the frames ahead of an EOS or a malformed frame are delivered.
 func (l *TCPLink) readFrames(conn net.Conn) error {
+	r := bufio.NewReaderSize(conn, rxBufBytes)
 	var lenBuf [4]byte
+	var batch []frameEntry
 	for {
-		body, err := readFrame(conn, &lenBuf)
-		if err == ErrMalformedFrame {
-			return err
-		}
-		if err != nil {
-			return nil
-		}
-		h, payload, ok := parseFrame(body)
-		if !ok || !h.fromSender(l.dur != nil) {
-			return ErrMalformedFrame
-		}
-		if l.dur != nil && !l.accept(h) {
-			continue // replayed frame the pipeline already consumed
-		}
-		if h.kind == kindEOS {
-			return core.ErrEOS
-		}
-		wakeAt := uthread.PriorityHigh
-		if h.flags&flagPrio != 0 {
-			wakeAt = core.WakePrio(uthread.Priority(h.prio))
-		}
-		if !l.inbox.inject(frameEntry{origin: h.origin, seq: h.seq, data: payload}, wakeAt) && l.dur != nil {
+		var wakeAt uthread.Priority
+		var end error
+		var more bool
+		batch, wakeAt, end, more = l.readBatch(r, &lenBuf, batch[:0])
+		ok := l.inbox.injectBatch(batch, wakeAt)
+		clear(batch) // the inbox holds the payloads now
+		if !ok && l.dur != nil {
 			return nil // a blocking inbox refuses only when the link is closing
+		}
+		if !more {
+			return end
 		}
 	}
 }
 
-// setConnLocked installs conn (nil parks the link).  A fresh connection has
-// no write deadline armed yet.
+// readBatch appends the frames of one read to batch and reports the wake
+// priority they ask for; more is false once the connection has ended, and
+// end then says how (see readFrames).
+func (l *TCPLink) readBatch(r *bufio.Reader, lenBuf *[4]byte, batch []frameEntry) (_ []frameEntry, wakeAt uthread.Priority, end error, more bool) {
+	wakeAt = uthread.PriorityHigh
+	for {
+		body, err := readFrame(r, lenBuf)
+		if err == ErrMalformedFrame {
+			return batch, wakeAt, err, false
+		}
+		if err != nil {
+			return batch, wakeAt, nil, false
+		}
+		h, payload, ok := parseFrame(body)
+		if !ok || !h.fromSender(l.dur != nil) {
+			return batch, wakeAt, ErrMalformedFrame, false
+		}
+		// A durable lane drops a replayed frame the pipeline already consumed.
+		if l.dur == nil || l.accept(h) {
+			if h.kind == kindEOS {
+				return batch, wakeAt, core.ErrEOS, false
+			}
+			if h.flags&flagPrio != 0 {
+				wakeAt = max(wakeAt, core.WakePrio(uthread.Priority(h.prio)))
+			}
+			batch = append(batch, frameEntry{origin: h.origin, seq: h.seq, data: payload})
+		}
+		if !frameBuffered(r) {
+			return batch, wakeAt, nil, true
+		}
+	}
+}
+
+// rxBufBytes sizes the reader's buffer: one read takes in up to this many
+// bytes of frames.
+const rxBufBytes = 64 << 10
+
+// txFlushBytes caps the transmit buffer: a frame that takes it past this
+// many bytes is written at once, batch end or not.
+const txFlushBytes = 64 << 10
+
+// setConnLocked installs conn (nil parks the link).  A fresh connection
+// starts with nothing staged, no send error and no write deadline armed.
 func (l *TCPLink) setConnLocked(conn net.Conn) {
 	l.conn = conn
+	l.txBuf = l.txBuf[:0]
+	l.txErr = nil
 	if l.dur != nil {
 		l.dur.wdUntil = time.Time{}
 	}
 }
 
-// writeFrameLocked encodes one frame into the link's transmit buffer (l.mu
-// serialises writers, so one buffer per connection is enough) and writes it,
-// under the durable lane's write deadline when there is one.  Every frame
-// this package puts on a TCP connection goes through here; what a failure
-// means is the caller's policy.
+// writeFrameLocked encodes one frame onto the link's transmit buffer (l.mu
+// serialises writers, so one buffer per connection is enough); flushLocked
+// writes what is staged, at once when the buffer passes txFlushBytes.  Every
+// frame this package puts on a TCP connection goes through these two.
 //
-//ipvet:hotpath per-frame write; reuses the connection's transmit buffer
+//ipvet:hotpath per-frame staging; appends to the connection's transmit buffer
 func (l *TCPLink) writeFrameLocked(h frameHeader, payload []byte) error {
 	if l.conn == nil {
 		// A listener link whose peer has not connected yet, or a parked
 		// durable lane: refuse rather than dereference.
 		return ErrNoConn
 	}
-	l.txBuf = appendFrame(l.txBuf[:0], h, payload)
+	l.txBuf = appendFrame(l.txBuf, h, payload)
+	if len(l.txBuf) >= txFlushBytes {
+		return l.flushLocked()
+	}
+	return nil
+}
+
+// flushLocked writes the staged frames in one write, under the durable
+// lane's write deadline when there is one.  A failed write is the role's
+// policy: a durable sender parks (its journal holds every staged frame, and
+// a Redial replays them), a plain sender keeps the error for its next send,
+// and a receiver leaves a lost ack to the next connection's handshake.
+//
+//ipvet:hotpath one write per batch of frames
+func (l *TCPLink) flushLocked() error {
+	if len(l.txBuf) == 0 {
+		return nil
+	}
+	if l.conn == nil {
+		l.txBuf = l.txBuf[:0]
+		return ErrNoConn
+	}
 	if l.dur != nil {
 		l.armWriteDeadlineLocked()
 	}
 	_, err := l.conn.Write(l.txBuf)
+	l.txBuf = l.txBuf[:0]
+	switch {
+	case err == nil, l.inbox != nil:
+	case l.dur != nil:
+		l.conn.Close()
+		l.setConnLocked(nil)
+	default:
+		l.txErr = err
+	}
 	return err
 }
 
-// send writes one frame on a plain sender link.  Sending on a closed link
-// reports core.ErrStopped: silently returning success here made
-// tcpSink.Push drop items on the floor after Close while the pipeline kept
-// pumping.
+// send stages one frame on a plain sender link, and writes the staged
+// frames at once when now is set.  Sending on a closed link reports
+// core.ErrStopped: silently returning success here made tcpSink.Push drop
+// items on the floor after Close while the pipeline kept pumping.  A write
+// that failed, here or at a batch end, fails this send and every later one.
 //
 //ipvet:hotpath per-item send on a plain lane
-func (l *TCPLink) send(h frameHeader, payload []byte) error {
+func (l *TCPLink) send(h frameHeader, payload []byte, now bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return core.ErrStopped
 	}
-	err := l.writeFrameLocked(h, payload)
+	err := l.txErr
+	if err == nil {
+		err = l.writeFrameLocked(h, payload)
+	}
+	if err == nil && now {
+		err = l.flushLocked()
+	}
 	if err != nil && err != ErrNoConn {
 		return fmt.Errorf("netpipe: tcp send: %w", err) //ipvet:allow hotalloc dead-connection error path, not steady state
 	}
@@ -273,6 +354,9 @@ func (l *TCPLink) Close() error {
 	if l.closed {
 		l.mu.Unlock()
 		return nil
+	}
+	if l.dur == nil {
+		_ = l.flushLocked() // what a plain send accepted goes out ahead of the close
 	}
 	l.closed = true
 	conn := l.conn
@@ -332,12 +416,17 @@ func (l *TCPLink) ResumeConn(conn net.Conn) error {
 		conn.Close()
 		return core.ErrStopped
 	}
+	if l.dur == nil {
+		_ = l.flushLocked() // a plain link's staged frames belong to the old peer
+	}
 	old := l.conn
 	l.setConnLocked(conn)
 	var rerr error
 	if l.dur != nil && l.inbox == nil {
 		go l.ackLoop(conn)
-		rerr = l.dur.tx.replay(l.writeOrParkLocked)
+		if rerr = l.dur.tx.replay(l.writeFrameLocked); rerr == nil {
+			rerr = l.flushLocked()
+		}
 	}
 	l.mu.Unlock()
 	if old != nil {
@@ -366,8 +455,9 @@ type tcpSink struct {
 }
 
 var (
-	_ core.Consumer = (*tcpSink)(nil)
-	_ core.EOSSink  = (*tcpSink)(nil)
+	_ core.Consumer   = (*tcpSink)(nil)
+	_ core.EOSSink    = (*tcpSink)(nil)
+	_ core.BatchEnder = (*tcpSink)(nil)
 )
 
 // Style implements core.Component.
@@ -397,7 +487,8 @@ func (s *tcpSink) Push(ctx *core.Ctx, it *item.Item) error {
 		// durable lane journals and dedups on the pair end to end.
 		err = s.link.sendDurable(ctx.Thread(), ctx.Stopping, ctx.Detaching, dataHeader(prio).withSeq(it.Origin, it.Seq), data)
 	} else {
-		err = s.link.send(dataHeader(prio), data)
+		// Outside a pipeline no batch end will come: write at once.
+		err = s.link.send(dataHeader(prio), data, ctx == nil)
 	}
 	if err == nil {
 		it.Recycle() // wire item consumed: its bytes are on the network
@@ -407,6 +498,14 @@ func (s *tcpSink) Push(ctx *core.Ctx, it *item.Item) error {
 
 // HandleEOS implements core.EOSSink.
 func (s *tcpSink) HandleEOS(*core.Ctx) { s.sendEOS() }
+
+// BatchEnd implements core.BatchEnder: the sending pump's thread gives up
+// the CPU, so the frames its batch staged go out in one write.
+func (s *tcpSink) BatchEnd() {
+	s.link.mu.Lock()
+	_ = s.link.flushLocked() // a failure is flushLocked's policy
+	s.link.mu.Unlock()
+}
 
 // HandleEvent implements core.Component.
 func (s *tcpSink) HandleEvent(_ *core.Ctx, ev events.Event) {
@@ -420,7 +519,7 @@ func (s *tcpSink) sendEOS() {
 		_ = s.link.sendEOSDurable()
 		return
 	}
-	_ = s.link.send(frameHeader{kind: kindEOS}, nil)
+	_ = s.link.send(frameHeader{kind: kindEOS}, nil, true)
 }
 
 // NewSource returns the consumer-side endpoint component.

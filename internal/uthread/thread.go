@@ -46,6 +46,10 @@ type Thread struct {
 	// while it is blocked.
 	ctrlMatch  func(Message) bool
 	ctrlHandle func(*Thread, Message)
+	// parkHook runs on the thread each time it is about to park in a wait,
+	// so work it staged (a TCP sink's frames) is written before it waits.
+	// Set via SetParkHook by the thread itself.
+	parkHook func()
 
 	// The coroutine: next resumes it and stop unwinds it — both made at the
 	// first grant and used only by the goroutine in Run — and yield, the
@@ -94,6 +98,12 @@ func (t *Thread) SetControlDispatch(match func(Message) bool, handle func(*Threa
 	t.ctrlMatch = match
 	t.ctrlHandle = handle
 }
+
+// SetParkHook installs fn to run on the thread whenever a wait is about to
+// park it (a message wait, a sleep, a Call): the thread gives up the CPU
+// there, so a stage that holds back work for a batch hands it on first.
+// fn must not wait for a message itself.  Thread-side API.
+func (t *Thread) SetParkHook(fn func()) { t.parkHook = fn }
 
 // effectivePriorityLocked derives the scheduling priority per §4: the
 // constraint of the message being processed; else, for a waiting thread, the
@@ -176,6 +186,7 @@ func (t *Thread) terminate() {
 //ipvet:hotpath every blocking operation of every thread
 func (t *Thread) awaitMessage(pred func(Message) bool) Message {
 	s := t.sched
+	hooked := t.parkHook == nil
 	for {
 		s.mu.Lock()
 		if s.stopped {
@@ -186,10 +197,19 @@ func (t *Thread) awaitMessage(pred func(Message) bool) Message {
 			s.mu.Unlock()
 			return m
 		}
+		if !hooked {
+			// About to park: run the park hook, then look again, since
+			// what it wrote may already have been answered.
+			s.mu.Unlock()
+			hooked = true
+			t.parkHook()
+			continue
+		}
 		t.state = stateBlocked
 		t.waitPred = pred
 		s.mu.Unlock()
 		t.yieldToken()
+		hooked = t.parkHook == nil
 	}
 }
 
