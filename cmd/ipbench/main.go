@@ -174,10 +174,10 @@ func rebalanceSkew() error {
 	}
 	fmt.Printf("E21 — live rebalance: %d items, spin=%d, %d chains skewed onto shard 0 of %d\n",
 		items, spin, chains, shards)
-	fmt.Printf("%-26s %10s %12s %14s %12s %8s\n", "phase", "items", "wall (ms)", "items/s", "switches", "links")
+	fmt.Printf("%-26s %10s %12s %14s %12s\n", "phase", "items", "wall (ms)", "items/s", "switches")
 	for _, r := range []experiments.RebalanceRow{before, after} {
-		fmt.Printf("%-26s %10d %12.1f %14.0f %12d %8d\n",
-			r.Phase, r.Items, float64(r.Wall.Microseconds())/1e3, r.Throughput, r.Switches, r.Links)
+		fmt.Printf("%-26s %10d %12.1f %14.0f %12d\n",
+			r.Phase, r.Items, float64(r.Wall.Microseconds())/1e3, r.Throughput, r.Switches)
 	}
 	gain := after.Throughput / before.Throughput
 	fmt.Printf("gain: %.2fx items/s after spreading the chains off the hot shard (gate: >= 1.10x)\n", gain)

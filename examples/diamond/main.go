@@ -76,7 +76,7 @@ func deployOnScheduler() (string, error) {
 	if err := d.Wait(); err != nil {
 		return "", err
 	}
-	fmt.Printf("  %d pipelines, 0 links (everything in-process)\n", len(d.Pipelines()))
+	fmt.Printf("  %d pipelines\n", len(d.Pipelines()))
 	return trace(sinks["collect"]), nil
 }
 
@@ -98,11 +98,7 @@ func deployOnGroup() (string, error) {
 	if err := d.Wait(); err != nil {
 		return "", err
 	}
-	fmt.Printf("  %d pipelines, %d auto-inserted links", len(d.Pipelines()), len(d.Links()))
-	for _, l := range d.Links() {
-		fmt.Printf("  [%s: moved %d]", l.Name(), l.Moved())
-	}
-	fmt.Println()
+	fmt.Printf("  %d pipelines\n", len(d.Pipelines()))
 	return trace(sinks["collect"]), nil
 }
 

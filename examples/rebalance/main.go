@@ -3,9 +3,9 @@
 // A branching flow (clocked source -> route split -> two worker chains ->
 // merge -> sink) deploys onto a 4-shard group with EVERYTHING crammed onto
 // shard 0.  While the stream runs, the program reads Deployment.Stats (the
-// per-segment/per-link/per-shard telemetry collected alloc-free on the hot
-// path), then calls Deployment.Rebalance to scatter the worker branches
-// across the group — mid-stream, with items in flight, zero items lost.
+// per-segment/per-shard telemetry collected alloc-free on the hot path),
+// then calls Deployment.Rebalance to scatter the worker branches across the
+// group — mid-stream, with items in flight, zero items lost.
 //
 // Everything runs on the deterministic shared virtual clock, and the final
 // trace is compared against a single-scheduler deployment of the same
@@ -131,8 +131,8 @@ func onGroupWithRebalance() (string, error) {
 	}
 	st := d.Stats()
 	// The moved branches read and fill the tees' buffers from their new
-	// shards: no link was inserted, and each shard's items show the work.
-	fmt.Printf("after drain: %d links, pump items per shard", len(st.Links))
+	// shards, and each shard's items show the work.
+	fmt.Printf("after drain: pump items per shard")
 	for i, sh := range st.Shards {
 		fmt.Printf("  [%d: %d]", i, sh.Items)
 	}

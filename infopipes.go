@@ -26,9 +26,9 @@
 //
 // Real flows are graphs: they split, merge, and span schedulers and hosts.
 // The Graph API declares the flow once and binds the placement as policy —
-// the same graph deploys onto one scheduler, a sharded runtime (the planner
-// auto-inserts ShardLinks where segments land on different shards), or
-// remote nodes (TCP netpipes):
+// the same graph deploys onto one scheduler, a sharded runtime (segments on
+// different shards meet at a buffer, as on one scheduler), or remote nodes
+// (TCP netpipes):
 //
 //	g := infopipes.NewGraph("diamond")
 //	g.AddSpec("src", "counter", infopipes.GraphArgs("300"))
@@ -263,8 +263,9 @@ type (
 	// a deployed graph composed.
 	GraphDeployment = graph.Deployment
 	// GraphTarget is a deployment destination: OnScheduler (one scheduler),
-	// OnGroup (sharded runtime, a ShardLink at every cut edge), or OnNodes
-	// (remote nodes joined by TCP netpipes).
+	// OnGroup (sharded runtime, a buffer at every cut edge and tee port,
+	// whatever shards its ends run on), or OnNodes (remote nodes joined by
+	// TCP netpipes).
 	GraphTarget = graph.Target
 	// GraphNodeOption adjusts one node declaration (GraphPlace, GraphArgs,
 	// GraphParam).
@@ -284,15 +285,13 @@ type (
 	MergeTeePoint = core.MergePoint
 
 	// GraphStats is a deployment's live telemetry snapshot: per-segment
-	// pump counters (items, cycles, approximate busy time), per-link depth
-	// and wake counts, and per-shard load — collected alloc-free on the
-	// hot path, assembled on demand by GraphDeployment.Stats.
+	// pump counters (items, cycles, approximate busy time) and per-shard
+	// load — collected alloc-free on the hot path, assembled on demand by
+	// GraphDeployment.Stats.
 	GraphStats = graph.GraphStats
 	// GraphSegmentStats is one segment's (or off-plan pipeline's) telemetry
 	// row.
 	GraphSegmentStats = graph.SegmentStats
-	// GraphLinkStats is one cut edge's link telemetry row.
-	GraphLinkStats = graph.LinkStats
 	// GraphShardLoad is the per-shard aggregate of a deployment.
 	GraphShardLoad = graph.ShardLoad
 	// BalancePolicy parameterizes the automatic rebalancer (skew threshold

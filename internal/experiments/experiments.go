@@ -526,7 +526,6 @@ type RebalanceRow struct {
 	Wall       time.Duration
 	Throughput float64 // items per second through the probes
 	Switches   int64   // uthread context switches during the phase
-	Links      int     // auto-inserted shard links at phase end
 }
 
 // RebalanceSkew measures live graph rebalancing (ROADMAP work-stealing and
@@ -630,9 +629,9 @@ func RebalanceSkew(items int64, spin, chains, shards int) (before, after Rebalan
 	}
 	before = RebalanceRow{Phase: "skewed (all on shard 0)", Items: preItems,
 		Wall: preWall, Throughput: float64(preItems) / preWall.Seconds(),
-		Switches: preSwitches, Links: 0}
+		Switches: preSwitches}
 	after = RebalanceRow{Phase: "rebalanced (spread)", Items: items - midItems,
 		Wall: endWall, Throughput: float64(items-midItems) / endWall.Seconds(),
-		Switches: grp.Stats().Switches - preSwitches, Links: len(d.Links())}
+		Switches: grp.Stats().Switches - preSwitches}
 	return before, after, nil
 }

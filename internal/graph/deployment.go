@@ -14,7 +14,7 @@ import (
 // It is its own event scope on every target: Start and Stop reach its
 // pipelines and no other deployment's, Done closes when all have finished,
 // Err reports the first failure anywhere.
-// It stays operable while it runs: Stats reports per-segment and per-link
+// It stays operable while it runs: Stats reports per-segment and per-shard
 // load, Rebalance moves segments, Edit changes the flow (reconfigure.go).
 type Deployment struct {
 	name string
@@ -174,18 +174,9 @@ func (d *Deployment) SegmentPlacements() map[string]int {
 	return out
 }
 
-// Links lists the shard links inserted at the graph's cut edges (local
-// targets); a tee port is never a link here, whatever shard its branch is
-// placed on.
-func (d *Deployment) Links() []*shard.Link {
-	ld, err := d.local()
-	if err != nil {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return slices.Clone(ld.shardLinks)
-}
+// Links returns nil: inside one address space a cut is a buffer, as a tee
+// port is, never a shard link.  It stays for the benchmark module's calls.
+func (d *Deployment) Links() []*shard.Link { return nil }
 
 // External runs fn as one action of an external actor on the deployment's
 // group (shard.Group.External): the group clock stands still until fn

@@ -2,8 +2,8 @@
 // an information-flow graph — named stages, fan-out and fan-in tees,
 // explicit cut points — exactly once, and bind the placement as policy by
 // deploying the same graph onto a single scheduler (everything in-process),
-// a SchedulerGroup (the planner cuts the graph into per-shard segments
-// joined by auto-inserted shard links), or remote nodes (segments composed
+// a SchedulerGroup (the planner cuts the graph into per-shard segments that
+// meet at buffers, as on one scheduler), or remote nodes (segments composed
 // through the §2.4 remote-setup protocol, joined by TCP netpipes).
 //
 // The separation follows RAFDA's argument that logical composition and
@@ -232,9 +232,9 @@ func (g *Graph) Pipe(refs ...string) *Graph {
 }
 
 // Cut connects two plain stages across an explicit segment boundary: the
-// deployment target joins the two segments with a shard link (local
-// targets) or a TCP netpipe (remote targets), letting the flow change
-// shards or nodes mid-chain.
+// deployment target joins the two segments with a buffer inside one address
+// space (a scheduler, a group, one node) or a TCP netpipe between nodes,
+// letting the flow change shards or nodes mid-chain.
 func (g *Graph) Cut(from, to string) *Graph {
 	return g.edge(from, to, true)
 }
@@ -299,10 +299,10 @@ type Target interface {
 }
 
 // Deploy plans the graph and binds it to the target: one pipeline per
-// segment, and a link at every cut edge.  A tee port whose ends land on
-// different nodes is a lane too, pumped by a relay pipeline beside its tee;
-// on a scheduler or a group every tee port is the tee's own buffer.  The returned Deployment joins
-// Start/Stop/Err/Done across all of them.
+// segment, and at every cut edge a buffer, or a TCP lane between nodes.  A
+// tee port whose ends land on different nodes is a lane too, pumped by a
+// relay pipeline beside its tee; elsewhere it is the tee's own buffer.  The
+// returned Deployment joins Start/Stop/Err/Done across all of them.
 func (g *Graph) Deploy(t Target) (*Deployment, error) {
 	plan, err := g.Plan()
 	if err != nil {
@@ -467,7 +467,7 @@ func resolvePlacement(g *Graph, plan *core.GraphPlan, capacity int, slot string,
 
 // placeUnresolved fills the unresolved (-1) entries of out: a hinted
 // segment takes its hint, unhinted segments inherit across tee boundaries
-// — keeping a tee and its port pipelines together costs no links — and
+// — keeping a tee and its port pipelines together costs no lanes — and
 // free-standing chains (true sources, cut heads) fall to the target's
 // placement policy.  plan.Order guarantees the upstream side resolves
 // first.

@@ -340,7 +340,8 @@ func TestGraphTypespecAcrossBranches(t *testing.T) {
 }
 
 // TestGraphCutEdge: an explicit Cut boundary splits a linear chain into two
-// segments joined by a link, usable to move the tail to another shard.
+// segments joined by a buffer, so the tail runs on the shard it is hinted
+// onto and pumps every item there.
 func TestGraphCutEdge(t *testing.T) {
 	const items = 25
 	g := graph.New("cut")
@@ -359,8 +360,8 @@ func TestGraphCutEdge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	if len(d.Links()) != 1 {
-		t.Fatalf("links = %d, want 1", len(d.Links()))
+	if at := d.SegmentPlacements()["pump2>>sink"]; at != 1 {
+		t.Fatalf("tail placed on shard %d, want 1", at)
 	}
 	d.Start()
 	if err := grp.Run(); err != nil {
@@ -372,8 +373,8 @@ func TestGraphCutEdge(t *testing.T) {
 	if sink.Count() != items {
 		t.Fatalf("sink received %d, want %d", sink.Count(), items)
 	}
-	if moved := d.Links()[0].Moved(); moved != items {
-		t.Fatalf("link moved %d, want %d", moved, items)
+	if sh := d.Stats().Shards; sh[0].Items != items || sh[1].Items != items {
+		t.Fatalf("pump items per shard %d and %d, want %d on each", sh[0].Items, sh[1].Items, items)
 	}
 }
 

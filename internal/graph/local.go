@@ -7,6 +7,7 @@ import (
 
 	"infopipes/internal/core"
 	"infopipes/internal/events"
+	"infopipes/internal/pipes"
 	"infopipes/internal/qos"
 	"infopipes/internal/remote"
 	"infopipes/internal/shard"
@@ -15,13 +16,11 @@ import (
 )
 
 // SchedulerTarget deploys every segment onto one scheduler: the whole graph
-// in-process, joined through the tees' internal buffers (and same-scheduler
-// links at cut edges).  Placement hints are ignored — a single scheduler
+// in-process, joined through the tees' internal buffers and, at cut edges,
+// a 64-item buffer.  Placement hints are ignored — a single scheduler
 // collapses the placement dimension entirely.
 type SchedulerTarget struct {
 	Sched *uthread.Scheduler
-	// LinkDepth bounds the cut-edge links (0 = the link default).
-	LinkDepth int
 	// Tenant binds the deployment to a QoS tenant (nil = default tenant:
 	// today's scheduling and admission behavior, byte for byte).  See
 	// WithTenant.
@@ -50,7 +49,7 @@ func (t *SchedulerTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, e
 		return nil, fmt.Errorf("graph %q: %w", g.name, ErrTargetExited)
 	}
 	defer t.Sched.ReleaseExternalSource()
-	ld := &localDeploy{depth: t.LinkDepth,
+	ld := &localDeploy{
 		schedOf: func(int) *uthread.Scheduler { return t.Sched },
 		tenant:  t.Tenant,
 	}
@@ -60,15 +59,13 @@ func (t *SchedulerTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, e
 // GroupTarget deploys onto a SchedulerGroup: the planner places each
 // segment on a shard (honoring Place hints; unhinted segments stay with
 // their tee-adjacent neighbours, and free-standing ones follow the group's
-// placement policy).  A cut edge is an auto-inserted shard link; a tee port
-// is the tee's own buffer, read or filled from whatever shard its branch
-// runs on, so a placement hint adds no pipeline and no link.  The
-// deployment pins every shard until it finishes, so Rebalance can move a
-// segment onto an empty one.
+// placement policy).  A cut edge and a tee port are both a buffer, read or
+// filled from whatever shard the segment at either end runs on, so a
+// placement hint adds no pipeline and no link.  The deployment pins every
+// shard until it finishes, so Rebalance can move a segment onto an empty
+// one.
 type GroupTarget struct {
 	Group *shard.Group
-	// LinkDepth bounds the cut-edge links (0 = the link default).
-	LinkDepth int
 	// Tenant binds the deployment to a QoS tenant (nil = default tenant).
 	// See SchedulerTarget.WithTenant.
 	Tenant *qos.Tenant
@@ -111,7 +108,7 @@ func (t *GroupTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 	if !ok {
 		return nil, fmt.Errorf("graph %q: %w", g.name, ErrTargetExited)
 	}
-	ld := &localDeploy{depth: t.LinkDepth,
+	ld := &localDeploy{
 		group:   t.Group,
 		schedOf: t.Group.Scheduler,
 		placeAt: t.Group.PlaceAt,
@@ -127,13 +124,13 @@ func (t *GroupTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 }
 
 // localDeploy is the shard host: it renders live stages, joins the segments
-// of a cut with a shard link, and composes pipelines on the shard's
-// scheduler.  A reconfiguration recomposes the pipelines it affects over the
-// same stages and links, whose queues carry the in-flight items across.
+// of a cut with a one-port copy split (newCut), and composes
+// pipelines on the shard's scheduler.  A reconfiguration recomposes the
+// pipelines it affects over the same stages, tees and cuts, whose buffers
+// carry the in-flight items across.
 type localDeploy struct {
-	wiring[core.Stage, *shard.Link]
+	wiring[core.Stage, *pipes.Split]
 	bus     *events.Bus
-	depth   int
 	group   *shard.Group // nil on a single scheduler
 	schedOf func(i int) *uthread.Scheduler
 	// placeAt/release are the group's load accounting, nil on a single
@@ -151,13 +148,11 @@ type localDeploy struct {
 	splits map[string]core.SplitPoint
 	merges map[string]core.MergePoint
 
-	// Under d.mu: the current generation's pipelines, the cut links in
-	// creation order, and the end of the deployment (unpin runs exactly
-	// once).
-	pipelines  []*core.Pipeline
-	shardLinks []*shard.Link
-	finished   bool
-	unpin      func()
+	// Under d.mu: the current generation's pipelines and the end of the
+	// deployment (unpin runs exactly once).
+	pipelines []*core.Pipeline
+	finished  bool
+	unpin     func()
 	// pipes holds the pipeline last composed under each name — segments and
 	// drains — so a recomposition can keep one it did not detach and fold
 	// the counters of one it replaces.
@@ -226,7 +221,7 @@ func (ld *localDeploy) run(g *Graph, plan *core.GraphPlan, shardOf []int) (*Depl
 
 	for _, si := range plan.Order {
 		if err := ld.place(si); err != nil {
-			ld.abandon()
+			ld.broadcast(events.Stop)
 			close(ld.failed)
 			return nil, err
 		}
@@ -335,7 +330,7 @@ func (ld *localDeploy) wait() error {
 }
 
 // redeploy recomposes what the quiesce detached, for the plan a transaction
-// just committed, over the same stages, tees and links (their buffered state
+// just committed, over the same stages, tees and cuts (their buffered state
 // carries the stream across).  A segment that runs on keeps its pipeline.
 func (ld *localDeploy) redeploy() error {
 	ld.d.mu.Lock()
@@ -354,26 +349,27 @@ func (ld *localDeploy) redeploy() error {
 // apart is false: the shards of a group share one address space.
 func (ld *localDeploy) apart(int, int) bool { return false }
 
-// link binds the shard link of a cut delivering to segment to's shard, or
-// retargets a bound one there while its receiver is parked (its queued items
-// stay put).
-func (ld *localDeploy) link(lane string, l *shard.Link, _, to int) (*shard.Link, error) {
-	sched := ld.schedOf(ld.slotOf[to])
-	if l != nil {
-		l.Retarget(sched)
-		return l, nil
+// newCut builds the buffer of a cut edge inside one address space: a
+// one-port copy split of 64 items, whose port wakes each waiter on its own
+// scheduler, so a move keeps it as it is.
+func newCut(lane string) *pipes.Split {
+	return pipes.NewCopyTee(lane, 1, 64, typespec.Block, typespec.Block)
+}
+
+// link builds the buffer of a cut once and returns a bound one unchanged.
+func (ld *localDeploy) link(lane string, l *pipes.Split, _, _ int) (*pipes.Split, error) {
+	if l == nil {
+		l = newCut(lane)
 	}
-	l = shard.NewLink(lane, sched, ld.depth)
-	ld.d.mu.Lock()
-	ld.shardLinks = append(ld.shardLinks, l)
-	ld.d.mu.Unlock()
 	return l, nil
 }
 
-func (ld *localDeploy) recv(lane string, l *shard.Link) []core.Stage { return l.ReceiverStages(lane) }
+func (ld *localDeploy) recv(_ string, l *pipes.Split) []core.Stage {
+	return []core.Stage{core.Comp(l.OutPort(0))}
+}
 
-func (ld *localDeploy) send(lane string, l *shard.Link, _ int) []core.Stage {
-	return l.SenderStages(lane)
+func (ld *localDeploy) send(_ string, l *pipes.Split, _ int) []core.Stage {
+	return []core.Stage{core.Comp(l)}
 }
 
 func (ld *localDeploy) tee(e core.SegmentEnd) core.Stage {
@@ -491,13 +487,5 @@ func (ld *localDeploy) stats() GraphStats {
 			tenantRows = append(tenantRows, tr)
 		}
 	}
-	st := ld.fold(rows, ld.slots(), ld.tenant, tenantRows)
-	for _, l := range ld.shardLinks {
-		st.Links = append(st.Links, LinkStats{
-			Name: l.Name(), Depth: l.Depth(), HighWater: l.HighWater(),
-			Moved: l.Moved(), Drains: l.Drains(), Wakes: l.Wakes(),
-			Closed: l.Closed(),
-		})
-	}
-	return st
+	return ld.fold(rows, ld.slots(), ld.tenant, tenantRows)
 }

@@ -12,21 +12,20 @@ import (
 	"infopipes/internal/netpipe"
 	"infopipes/internal/pipes"
 	"infopipes/internal/remote"
-	"infopipes/internal/shard"
 	"infopipes/internal/uthread"
 )
 
 // nodeState holds the shared instances a graph deployment creates on one
-// remote node: tees referenced by several pipelines, same-node cut links,
-// and rendezvous listeners with their bound addresses.  Factories are
-// idempotent per instance name, so composition order does not matter.
+// remote node: tees referenced by several pipelines, the buffers of
+// same-node cuts (one-port splits, kept with the tees), and rendezvous
+// listeners with their bound addresses.  Factories are idempotent per
+// instance name, so composition order does not matter.
 type nodeState struct {
 	node *remote.Node
 
 	mu        sync.Mutex
 	splits    map[string]*pipes.Split
 	merges    map[string]*pipes.Merge
-	links     map[string]*shard.Link
 	listeners map[string]laneListener
 	senders   map[string]*netpipe.TCPLink
 }
@@ -70,20 +69,16 @@ func takePrefix[T any](m map[string]T, prefix string) (out []T) {
 
 // closeLanes closes and forgets every lane endpoint under prefix — listener
 // links (their accept goroutines hold scheduler external-source
-// references), sender links, same-node cut links.
+// references) and sender links.
 func (s *nodeState) closeLanes(prefix string) {
 	s.mu.Lock()
 	listeners := takePrefix(s.listeners, prefix)
 	senders := takePrefix(s.senders, prefix)
-	links := takePrefix(s.links, prefix)
 	s.mu.Unlock()
 	for _, l := range listeners {
 		l.Close()
 	}
 	for _, l := range senders {
-		l.Close()
-	}
-	for _, l := range links {
 		l.Close()
 	}
 }
@@ -262,13 +257,6 @@ func shared[T any](s *nodeState, m map[string]T, key string, build func() (T, er
 	return v, err
 }
 
-func (s *nodeState) link(lane string, depth int) *shard.Link {
-	l, _ := shared(s, s.links, lane, func() (*shard.Link, error) {
-		return shard.NewLink(lane, s.node.Scheduler(), depth), nil
-	})
-	return l
-}
-
 func intParam(params map[string]string, key string, def int) (int, error) {
 	v, ok := params[key]
 	if !ok {
@@ -284,14 +272,13 @@ func intParam(params map[string]string, key string, def int) (int, error) {
 // EnableNode prepares a remote node to host graph segments: every catalog
 // kind becomes a component factory, and the "ip/..." factories provide the
 // segment boundaries — tee ports shared between the node's pipelines,
-// rendezvous TCP endpoints for cross-node edges, and same-node cut links.
+// rendezvous TCP endpoints for cross-node edges, and same-node cut buffers.
 // Call once per node before deploying graphs onto it.
 func EnableNode(n *remote.Node, cat Catalog) {
 	st := &nodeState{
 		node:      n,
 		splits:    make(map[string]*pipes.Split),
 		merges:    make(map[string]*pipes.Merge),
-		links:     make(map[string]*shard.Link),
 		listeners: make(map[string]laneListener),
 		senders:   make(map[string]*netpipe.TCPLink),
 	}
@@ -423,20 +410,20 @@ func EnableNode(n *remote.Node, cat Catalog) {
 		}
 		return core.Comp(link.NewSource(spec.Name)), nil
 	})
-	n.RegisterSpecFactory("ip/cutsink", func(spec remote.StageSpec) (core.Stage, error) {
-		depth, err := intParam(spec.Params, "depth", 0)
-		if err != nil {
-			return core.Stage{}, err
+	// A same-node cut is the buffer the shard host makes of a cut, shared
+	// by its two ends as the tee factories share tees, under its lane name
+	// ("g/cut0") and a ':', which no tee name holds (it would read as a
+	// port), so a tee the graph names cut0 is another instance.
+	cut := func(spec remote.StageSpec) (core.Stage, error) {
+		lane := spec.Params["lane"]
+		sp, _ := shared(st, st.splits, lane+":", func() (*pipes.Split, error) { return newCut(lane), nil })
+		if spec.Kind == "ip/cutsink" {
+			return core.Comp(sp), nil
 		}
-		return core.Comp(st.link(spec.Params["lane"], depth).NewSink(spec.Name)), nil
-	})
-	n.RegisterSpecFactory("ip/cutsrc", func(spec remote.StageSpec) (core.Stage, error) {
-		depth, err := intParam(spec.Params, "depth", 0)
-		if err != nil {
-			return core.Stage{}, err
-		}
-		return core.Comp(st.link(spec.Params["lane"], depth).NewSource(spec.Name)), nil
-	})
+		return core.Comp(sp.OutPort(0)), nil
+	}
+	n.RegisterSpecFactory("ip/cutsink", cut)
+	n.RegisterSpecFactory("ip/cutsrc", cut)
 
 	n.HandleLanes(st.lane)
 }

@@ -22,16 +22,15 @@ var (
 // Rebalance moves segments of a live deployment without losing an in-flight
 // item: hints map segment names (see SegmentPlacements) to shard indices on
 // a group, node indices on nodes; segments not named stay put.  A group
-// quiesces the moved segments at a pump-cycle boundary, retargets their cut
-// links (their queues and the tees' buffers carry the items along) and
-// recomposes the same stage instances on their new schedulers at one
-// instant of the group clock, so the item trace is the one an unmoved run
-// writes; every other pipeline runs on.  Nodes move each segment
-// on its own over durable lanes (deploy WithClusterLanes); a segment that
-// holds stream position or shared tee state refuses with ErrNotReplaceable
-// (see Replaceable).  Concurrent calls serialize, a Stop that races one
-// applies when it completes, and a single scheduler answers
-// ErrNotRebalancable.
+// quiesces the moved segments at a pump-cycle boundary (the buffers of the
+// cuts and tees carry the items along) and recomposes the same stage
+// instances on their new schedulers at one instant of the group clock, so
+// the item trace is the one an unmoved run writes; every other pipeline runs
+// on.  Nodes move each segment on its own over durable lanes (deploy
+// WithClusterLanes); a segment that holds stream position or shared tee
+// state refuses with ErrNotReplaceable (see Replaceable).  Concurrent calls
+// serialize, a Stop that races one applies when it completes, and a single
+// scheduler answers ErrNotRebalancable.
 func (d *Deployment) Rebalance(hints map[string]int) error {
 	return d.reconfigure("rebalance", []EditOp{moveOp(hints)})
 }

@@ -18,7 +18,7 @@ import (
 // affects at a pump-cycle boundary (an interrupted blocked push
 // force-completes into its destination queue; the group clock is held
 // throughout), commits while they are parked, recomposes them over the same
-// stages and links, and resumes; every other pipeline runs on.  The node
+// stages, tees and cuts, and resumes; every other pipeline runs on.  The node
 // host moves each segment on its own (replace.go).  A failure before the
 // host commits rolls the declaration back; one after it winds the
 // deployment down and is latched for Err/Wait.
@@ -246,8 +246,8 @@ func (ld *localDeploy) apply(t *txn) error {
 // moves, edits, scales, renames or drops, every segment downstream of an
 // edited or new one (the Typespec entering it may change, and only a
 // recompose checks it), and the trunk of a split whose ports change.  The
-// rest runs on: a tee port's buffer is read and filled from any shard, and
-// a cut's link is retargeted in place, its queue parking a pushing upstream.
+// rest runs on: a tee port's buffer and a cut's are read and filled from any
+// shard, and a full one parks a pushing upstream.
 func (ld *localDeploy) affected(t *txn) map[string]bool {
 	np, ns := t.plan, t.slotOf
 	kept, reseeded := make(map[string]bool), make([]bool, len(np.Segments))
@@ -320,7 +320,7 @@ func (ld *localDeploy) quiesce(t *txn) error {
 		if perr := p.Err(); perr != nil {
 			d.close()
 			ld.seal()
-			ld.abandon()
+			ld.broadcast(events.Stop)
 			return fmt.Errorf("graph %q: %s aborted, pipeline %s failed: %w", d.name, t.verb, p.Name(), perr)
 		}
 	}
@@ -386,7 +386,7 @@ func (ld *localDeploy) resume(t *txn, err error) error {
 	started, stopReq := ld.d.close()
 	ld.seal()
 	if err != nil {
-		ld.abandon()
+		ld.broadcast(events.Stop)
 		return ld.d.Err()
 	}
 	if err := ld.applyRebinds(t.rebinds); err != nil {
@@ -399,16 +399,6 @@ func (ld *localDeploy) resume(t *txn, err error) error {
 		ld.broadcast(events.Stop)
 	}
 	return nil
-}
-
-// abandon winds a dead deployment down: stop whatever is composed AND close
-// every link — one whose receiver never composed would hold its receiving
-// scheduler's external-source reference forever.
-func (ld *localDeploy) abandon() {
-	ld.broadcast(events.Stop)
-	for _, l := range ld.d.Links() {
-		l.Close()
-	}
 }
 
 // hasCoroutines reports whether any component placement of the pipeline

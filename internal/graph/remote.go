@@ -29,9 +29,6 @@ type NodesTarget struct {
 	// Clients are the nodes' control clients.  Deploy copies the list: a
 	// deployment that grows (AddNode) never touches its target.
 	Clients []*remote.Client
-	// LinkDepth bounds the receive inboxes and same-node cut links
-	// (0 = default).
-	LinkDepth int
 	// ClusterLanes makes every cut edge a durable TCP lane, even within one
 	// node: it parks on a bare connection EOF and its sender can be
 	// redialed, the contract Deployment.Rebalance needs to move a segment
@@ -125,8 +122,8 @@ func (t *NodesTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 }
 
 // abort best-effort-undoes a partial deployment: every node stops and
-// drops this graph's pipelines, listeners and cut links, so a retry starts
-// clean.
+// drops this graph's pipelines, listeners and cut buffers, so a retry
+// starts clean.
 func (r *remoteDeployment) abort() {
 	for _, c := range r.clients {
 		_, _ = c.Lane(remote.LaneRequest{Kind: remote.LaneAbort, Prefix: r.name + "/"})
@@ -173,14 +170,14 @@ func (r *remoteDeployment) stage(name string) remote.StageSpec {
 
 // nodeLink is how the node host realized a link: a TCP lane whose listener
 // answers at addr ("" while a move has it unbound), or a same-node cut
-// link the nodes' ip/cut* factories share by lane name.
+// buffer the nodes' ip/cut* factories share by lane name.
 type nodeLink struct {
 	addr  string
 	local bool
 }
 
 func (r *remoteDeployment) recv(lane string, l nodeLink) []remote.StageSpec {
-	params := map[string]string{"lane": lane, "depth": strconv.Itoa(r.opt.LinkDepth)}
+	params := map[string]string{"lane": lane}
 	if l.local {
 		return []remote.StageSpec{{Kind: "ip/cutsrc", Name: lane + "/source", Params: params}}
 	}
@@ -195,8 +192,7 @@ func (r *remoteDeployment) recv(lane string, l nodeLink) []remote.StageSpec {
 // chainLane).
 func (r *remoteDeployment) send(lane string, l nodeLink, from int) []remote.StageSpec {
 	if l.local {
-		return []remote.StageSpec{{Kind: "ip/cutsink", Name: lane + "/sink",
-			Params: map[string]string{"lane": lane, "depth": strconv.Itoa(r.opt.LinkDepth)}}}
+		return []remote.StageSpec{{Kind: "ip/cutsink", Name: lane + "/sink", Params: map[string]string{"lane": lane}}}
 	}
 	params := map[string]string{"addr": l.addr, "lane": lane}
 	if r.opt.ClusterLanes {
@@ -312,7 +308,7 @@ func (r *remoteDeployment) tenantSpec() *remote.TenantSpec {
 // exists; a bound lane stays (a move redials its sender instead).  Cluster
 // lanes are durable, and a listener whose segment sends on into another
 // one is chained (see chainLane).  Without cluster lanes a cut within one
-// node is a same-node link.
+// node is a same-node cut buffer.
 func (r *remoteDeployment) link(lane string, l nodeLink, from, to int) (nodeLink, error) {
 	if l != (nodeLink{}) {
 		return l, nil
@@ -322,7 +318,7 @@ func (r *remoteDeployment) link(lane string, l nodeLink, from, to int) (nodeLink
 	}
 	node := r.slotOf[to]
 	rep, err := r.clients[node].Lane(remote.LaneRequest{Kind: remote.LaneListen, Lane: lane,
-		Depth: r.opt.LinkDepth, Durable: r.opt.ClusterLanes, Chained: r.chainLane(to) == lane})
+		Durable: r.opt.ClusterLanes, Chained: r.chainLane(to) == lane})
 	if err != nil {
 		return l, fmt.Errorf("graph %q: node %d: listen %q: %w", r.name, node, lane, err)
 	}

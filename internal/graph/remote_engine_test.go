@@ -111,20 +111,20 @@ func TestRenderPinned(t *testing.T) {
 	}
 	const tee, mrg = "graph=rg kind=route merge=tee outs=2", "graph=rg ins=2 merge=mrg"
 	want := map[string][]string{
-		"rg/src>>pump": {"counter src 30", "cpump pump 2000", "ip/cutsink rg/cut0/sink  depth=0 lane=rg/cut0"},
-		"rg/pre>>prep": {"ip/cutsrc rg/cut0/source  depth=0 lane=rg/cut0", "probe pre", "fpump prep",
+		"rg/src>>pump": {"counter src 30", "cpump pump 2000", "ip/cutsink rg/cut0/sink  lane=rg/cut0"},
+		"rg/pre>>prep": {"ip/cutsrc rg/cut0/source  lane=rg/cut0", "probe pre", "fpump prep",
 			"ip/teesink tee  " + tee + " sel=mod tee=tee"},
 		"rg/fa>>pa": {"ip/teeout tee.src0  " + tee + " port=0 sel=mod tee=tee", "probe fa", "fpump pa",
 			"ip/mergein mrg.in0  " + mrg + " port=0 tee=mrg"},
-		"rg/fb>>pb": {"ip/tcprecv rg/tee:1/source  depth=0 lane=rg/tee:1", "ip/unmarshal rg/tee:1/unmarshal",
+		"rg/fb>>pb": {"ip/tcprecv rg/tee:1/source  lane=rg/tee:1", "ip/unmarshal rg/tee:1/unmarshal",
 			"probe fb", "fpump pb", "ip/marshal rg/mrg:1/marshal", "ip/tcpsend rg/mrg:1/sink  lane=rg/mrg:1"},
 		"rg/tee:1/relay": {"ip/teeout tee.src1  " + tee + " port=1 sel=mod tee=tee", "ip/pump rg/tee:1/pump",
 			"ip/marshal rg/tee:1/marshal", "ip/tcpsend rg/tee:1/sink  lane=rg/tee:1"},
-		"rg/mrg:1/relay": {"ip/tcprecv rg/mrg:1/source  depth=0 lane=rg/mrg:1", "ip/unmarshal rg/mrg:1/unmarshal",
+		"rg/mrg:1/relay": {"ip/tcprecv rg/mrg:1/source  lane=rg/mrg:1", "ip/unmarshal rg/mrg:1/unmarshal",
 			"ip/pump rg/mrg:1/pump", "ip/mergein mrg.in1  " + mrg + " port=1 tee=mrg"},
 		"rg/po": {"ip/mergeout mrg.src  " + mrg + " tee=mrg", "fpump po",
 			"ip/marshal rg/cut1/marshal", "ip/tcpsend rg/cut1/sink  lane=rg/cut1"},
-		"rg/out>>sink": {"ip/tcprecv rg/cut1/source  depth=0 lane=rg/cut1", "ip/unmarshal rg/cut1/unmarshal",
+		"rg/out>>sink": {"ip/tcprecv rg/cut1/source  lane=rg/cut1", "ip/unmarshal rg/cut1/unmarshal",
 			"fpump out", "collect sink"},
 	}
 	got := d.Rendered()
@@ -160,7 +160,7 @@ func TestReplaceRendersAsDeployDid(t *testing.T) {
 	}
 	const seg = "fb>>pb"
 	deployed := d.Rendered()
-	want := []string{"ip/tcprecv rc/tee:1/source  depth=0 lane=rc/tee:1", "ip/unmarshal rc/tee:1/unmarshal",
+	want := []string{"ip/tcprecv rc/tee:1/source  lane=rc/tee:1", "ip/unmarshal rc/tee:1/unmarshal",
 		"probe fb", "fpump pb", "ip/marshal rc/mrg:1/marshal",
 		"ip/tcpsend rc/mrg:1/sink  chain=rc/tee:1 durable=1 lane=rc/mrg:1"}
 	if got := specLines(deployed["rc/"+seg]); !reflect.DeepEqual(got, want) {

@@ -28,18 +28,6 @@ type SegmentStats struct {
 	Items, Cycles, BusyNanos int64
 }
 
-// LinkStats is the activity snapshot of one auto-inserted shard link.
-type LinkStats struct {
-	Name string
-	// Depth is the current queue depth; HighWater the deepest it has been.
-	Depth, HighWater int
-	// Moved counts items handed across; Drains batched handoffs; Wakes
-	// cross-scheduler wake posts.
-	Moved, Drains, Wakes int64
-	// Closed reports whether the stream over the link ended.
-	Closed bool
-}
-
 // TenantStats is the per-tenant QoS rollup of one deployment: admission
 // outcomes from the tenant's counters, and weighted-fair scheduling state
 // folded across the shards the tenant's pipelines touch.
@@ -85,10 +73,6 @@ type GraphStats struct {
 	// Segments lists the graph's segments in plan order, then the
 	// pipelines off the plan (Relay).
 	Segments []SegmentStats
-	// Links lists the cut edges' shard links in creation order (local
-	// targets only; remote lanes are TCP connections, observed via inbox
-	// counters).
-	Links []LinkStats
 	// Shards aggregates per shard — one entry per scheduler shard on local
 	// targets, one per cluster node on remote deployments.
 	Shards []ShardLoad
@@ -136,10 +120,6 @@ func (st GraphStats) String() string {
 		}
 		fmt.Fprintf(&b, "%s %-28s shard=%d items=%d busy_ms=%d %s\n",
 			kind, seg.Name, seg.Shard, seg.Items, seg.BusyNanos/1e6, state)
-	}
-	for _, l := range st.Links {
-		fmt.Fprintf(&b, "lnk %-28s depth=%d hiwater=%d moved=%d drains=%d wakes=%d\n",
-			l.Name, l.Depth, l.HighWater, l.Moved, l.Drains, l.Wakes)
 	}
 	for i, sh := range st.Shards {
 		fmt.Fprintf(&b, "shd %-28d pipelines=%d items=%d busy_ms=%d\n",

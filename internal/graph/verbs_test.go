@@ -186,7 +186,7 @@ func TestVerbTargetTable(t *testing.T) {
 			return nil
 		}, want{}},
 		{"Links and Pipelines", func(vt *verbTarget) error {
-			if local := vt.name != "nodes"; (len(vt.d.Links()) > 0) != local || (len(vt.d.Pipelines()) > 0) != local {
+			if local := vt.name != "nodes"; len(vt.d.Links()) > 0 || (len(vt.d.Pipelines()) > 0) != local {
 				return fmt.Errorf("%d links, %d pipelines", len(vt.d.Links()), len(vt.d.Pipelines()))
 			}
 			return nil

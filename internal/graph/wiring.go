@@ -16,11 +16,11 @@ import (
 // neighbours: a direct tee port, the tee sink, a merge port, or a link.  A
 // cut is always a link; a tee port is one only when its ends sit in
 // different address spaces, and then stays one wherever they move, so the
-// link's journal carries the in-flight items.  On a group every shard shares
-// one address space: a branch reads its tee port's buffer on whatever shard
-// it runs.  A host renders for its target: live core.Stages joined by
-// shard.Links, or remote.StageSpecs joined by TCP lanes (or same-node cut
-// links), with relays at the tee ports that are lanes (remote.go).
+// link's journal carries the in-flight items.  Inside one address space a
+// link is a buffer, read or filled on whatever shard a segment runs.  A host
+// renders for its target: live core.Stages (local.go), or remote.StageSpecs
+// joined by TCP lanes or same-node cut buffers, with relays at the tee ports
+// that are lanes (remote.go).
 
 // host renders, links and composes for one target.  P is what a part list
 // holds; L is how a link is realized, its zero value an unbound link.
@@ -28,7 +28,7 @@ type host[P any, L comparable] interface {
 	// apart reports whether slots a and b are different address spaces.
 	apart(a, b int) bool
 	// link realizes lane from segment from to segment to: it binds l when it
-	// is unbound and points a bound one at to's slot if the target can.
+	// is unbound and returns a bound one as it is.
 	link(lane string, l L, from, to int) (L, error)
 	recv(lane string, l L) []P
 	// send renders the sending end of lane for segment from (-1: a relay).

@@ -31,16 +31,17 @@ type BoundedBuffer struct {
 	pushPol  typespec.BlockPolicy
 	pullPol  typespec.BlockPolicy
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// q[head:] are the queued items: a Remove pops at head, and an Insert
+	// that finds the backing array full moves them down to its start.
 	q      []*item.Item
+	head   int
 	closed bool
 	// Threads suspended in Remove (waiting for items) or Insert (waiting
 	// for space).
 	itemWaiters, spaceWaiters core.WaiterList
 
 	drops   trace.Counter
-	inserts trace.Counter
-	removes trace.Counter
 	maxFill trace.Gauge
 }
 
@@ -85,7 +86,7 @@ func (b *BoundedBuffer) Spec() (push, pull typespec.BlockPolicy) {
 func (b *BoundedBuffer) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.q)
+	return len(b.q) - b.head
 }
 
 // Cap implements core.Buffer.
@@ -93,12 +94,6 @@ func (b *BoundedBuffer) Cap() int { return b.capacity }
 
 // Drops reports items dropped by the non-blocking push policy.
 func (b *BoundedBuffer) Drops() int64 { return b.drops.Value() }
-
-// Inserts reports accepted items.
-func (b *BoundedBuffer) Inserts() int64 { return b.inserts.Value() }
-
-// Removes reports removed items.
-func (b *BoundedBuffer) Removes() int64 { return b.removes.Value() }
 
 // MaxFill reports the high-water mark of the fill level.
 func (b *BoundedBuffer) MaxFill() int64 { return b.maxFill.Value() }
@@ -125,7 +120,9 @@ func (b *BoundedBuffer) Closed() bool {
 	return b.closed
 }
 
-// Insert implements core.Buffer (the push side).
+// Insert implements core.Buffer (the push side).  A parked Remove is woken
+// at the pushing thread's priority when that is above the PriorityHigh
+// floor, so a high-priority sender keeps its priority across the buffer.
 //
 //ipvet:hotpath one per item per buffer
 func (b *BoundedBuffer) Insert(ctx *core.Ctx, it *item.Item) error {
@@ -137,19 +134,22 @@ func (b *BoundedBuffer) Insert(ctx *core.Ctx, it *item.Item) error {
 		// threads, so the item in hand must not be lost.  The overshoot is
 		// bounded by the number of blocked pushers and drains once the
 		// recomposed pipeline resumes.
-		if len(b.q) < b.capacity || b.pushPol != typespec.NonBlock && ctx.Stopping() && ctx.Detaching() {
-			b.q = append(b.q, it)
-			if n := int64(len(b.q)); n > b.maxFill.Value() {
-				b.maxFill.Set(n)
+		if n := len(b.q) - b.head; n < b.capacity || b.pushPol != typespec.NonBlock && ctx.Stopping() && ctx.Detaching() {
+			if len(b.q) == cap(b.q) && b.head > 0 {
+				clear(b.q[copy(b.q, b.q[b.head:]):])
+				b.q, b.head = b.q[:n], 0
 			}
-			if len(b.q) == b.capacity {
+			b.q = append(b.q, it)
+			if int64(n+1) > b.maxFill.Value() {
+				b.maxFill.Set(int64(n + 1))
+			}
+			if n+1 == b.capacity {
 				ctx.EndBatch() // the next Insert would block or drop
 			}
-			b.inserts.Inc()
 			w, ok := b.itemWaiters.PopFront()
 			b.mu.Unlock()
 			if ok {
-				w.Wake(core.MsgBufferWake)
+				w.WakeAt(core.MsgBufferWake, core.WakePrio(core.SenderPriority(t)))
 			}
 			return nil
 		}
@@ -180,14 +180,14 @@ func (b *BoundedBuffer) Remove(ctx *core.Ctx) (*item.Item, error) {
 	t := ctx.Thread()
 	for {
 		b.mu.Lock()
-		if len(b.q) > 0 {
-			it := b.q[0]
-			copy(b.q, b.q[1:])
-			b.q = b.q[:len(b.q)-1]
-			if len(b.q) == 0 {
+		if b.head < len(b.q) {
+			it := b.q[b.head]
+			b.q[b.head] = nil
+			b.head++
+			if b.head == len(b.q) {
+				b.q, b.head = b.q[:0], 0
 				ctx.EndBatch() // the next Remove would block or return nil
 			}
-			b.removes.Inc()
 			w, ok := b.spaceWaiters.PopFront()
 			b.mu.Unlock()
 			if ok {

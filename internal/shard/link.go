@@ -33,7 +33,6 @@ type Link struct {
 	mu        sync.Mutex
 	q         []*item.Item
 	closed    bool
-	released  bool
 	rxWaiters core.WaiterList
 	txWaiters core.WaiterList
 	moved     int64 // items handed across, for diagnostics
@@ -112,29 +111,6 @@ func (l *Link) Closed() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.closed
-}
-
-// Retarget moves the link's delivery to a new receiving scheduler: the
-// rebalancer calls it after the old receiver pipeline detached and before
-// the segment is recomposed on the new shard, so the external-source
-// reference follows the receiver.  Queued items (and any unconsumed batch
-// remainder) stay put — they are handed to the recomposed receiver in
-// order.  No receiver may be parked on the link when it is retargeted (a
-// running sender may: its wakes go through its own scheduler); a no-op on a
-// closed link.  The new reference is taken under the lock: a sender's Close
-// racing the retarget releases whichever scheduler it finds, and that one
-// must already hold it.
-func (l *Link) Retarget(rxSched *uthread.Scheduler) {
-	l.mu.Lock()
-	old := l.rxSched
-	if l.released || old == rxSched {
-		l.mu.Unlock()
-		return
-	}
-	rxSched.AddExternalSource()
-	l.rxSched = rxSched
-	l.mu.Unlock()
-	old.ReleaseExternalSource()
 }
 
 // send hands one item across, blocking while the queue is full.  Called on a
@@ -269,16 +245,11 @@ func (l *Link) Close() {
 	}
 	l.closed = true
 	waiters := append(l.rxWaiters.TakeAll(), l.txWaiters.TakeAll()...)
-	release := !l.released
-	l.released = true
-	rxSched := l.rxSched
 	l.mu.Unlock()
 	for _, w := range waiters {
 		w.Wake(msgShardWake)
 	}
-	if release {
-		rxSched.ReleaseExternalSource()
-	}
+	l.rxSched.ReleaseExternalSource()
 }
 
 // NewSink returns the sender-side endpoint component (a consumer).
