@@ -136,6 +136,64 @@ func TestSameNodeCutBesideTeeNamedCut0(t *testing.T) {
 	}
 }
 
+// TestRedeployAfterFinishOnNode: a graph that ran to completion on a node
+// leaves nothing registered there once Wait has seen it finish, so the same
+// graph deploys onto the same node again; Stats, Err and a second Wait
+// answer from the final rows.
+func TestRedeployAfterFinishOnNode(t *testing.T) {
+	const items = 40
+	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
+	a := startNode(t, "alpha", tc.catalog())
+	g := graph.New("again")
+	g.AddSpec("src", "counter", graph.WithArgs(strconv.Itoa(items)))
+	g.AddSpec("pump", "fpump")
+	g.AddSpec("pump2", "fpump")
+	g.SplitSpec("tee", "copy", 2)
+	g.AddSpec("pa", "fpump")
+	g.AddSpec("sa", "collect")
+	g.AddSpec("pb", "fpump")
+	g.AddSpec("sb", "collect")
+	g.Pipe("src", "pump")
+	g.Cut("pump", "pump2")
+	g.Pipe("pump2", "tee")
+	g.Pipe("tee:0", "pa", "sa")
+	g.Pipe("tee:1", "pb", "sb")
+
+	for run := 1; run <= 2; run++ {
+		d, err := g.Deploy(graph.OnNodes(a.client))
+		if err != nil {
+			t.Fatalf("run %d: deploy: %v", run, err)
+		}
+		d.Start()
+		if err := d.Wait(); err != nil {
+			t.Fatalf("run %d: wait: %v", run, err)
+		}
+		tc.mu.Lock()
+		for _, name := range []string{"sa", "sb"} {
+			inOrder(t, name, tc.sinks[name], items)
+		}
+		tc.mu.Unlock()
+		if rows, err := a.client.Stats("again/"); err != nil || len(rows) != 0 {
+			t.Fatalf("run %d: the node still hosts %d pipelines of the finished graph (err %v)", run, len(rows), err)
+		}
+		if err := d.Wait(); err != nil {
+			t.Fatalf("run %d: second wait: %v", run, err)
+		}
+		if err := d.Err(); err != nil {
+			t.Fatalf("run %d: err after the finish: %v", run, err)
+		}
+		st := d.Stats()
+		for _, seg := range st.Segments {
+			if want := int64(items); !seg.Finished || seg.Items != want {
+				t.Errorf("run %d: %s reads finished=%v items=%d after the finish, want true/%d", run, seg.Name, seg.Finished, seg.Items, want)
+			}
+		}
+		if len(st.Segments) != 4 {
+			t.Errorf("run %d: stats list %d segments, want 4", run, len(st.Segments))
+		}
+	}
+}
+
 // TestCutWakesAtSenderPriority: a sender pump above PriorityHigh feeds a
 // 2-shard cut, and the receiver parked on the empty cut is woken at the
 // sender's priority.  A hog at a priority between PriorityHigh and the

@@ -45,7 +45,7 @@ func (d *Deployment) ReplaceWindow() (done func()) {
 
 // Rendered returns what the remote engine's one renderer makes of every
 // pipeline of the deployment right now, by pipeline name: the segments, and
-// the split and merge relays that are composed.
+// the merge relays that are composed.
 func (d *Deployment) Rendered() map[string][]remote.StageSpec {
 	d.rbMu.Lock()
 	defer d.rbMu.Unlock()
@@ -54,17 +54,13 @@ func (d *Deployment) Rendered() map[string][]remote.StageSpec {
 	for si, seg := range r.plan.Segments {
 		out[r.name+"/"+seg.Name()], _ = r.segmentParts(si)
 	}
-	relays := func(tees map[string][]int, kind core.SegmentEndKind) {
-		for tee, ports := range tees {
-			for port := range ports {
-				if name := r.laneName(tee, port) + "/relay"; r.hostOf(name) >= 0 {
-					out[name] = r.relayParts(core.SegmentEnd{Kind: kind, Node: tee, Port: port})
-				}
+	for tee, ports := range r.plan.MergeBranch {
+		for port := range ports {
+			if name := r.laneName(tee, port) + "/relay"; r.hostOf(name) >= 0 {
+				out[name] = r.relayParts(core.SegmentEnd{Kind: core.EndMergeIn, Node: tee, Port: port})
 			}
 		}
 	}
-	relays(r.plan.SplitBranch, core.EndSplitOut)
-	relays(r.plan.MergeBranch, core.EndMergeIn)
 	return out
 }
 
@@ -91,6 +87,3 @@ func (g *Graph) DeclString() string {
 	fmt.Fprintf(&b, "index %v\n", keys)
 	return b.String()
 }
-
-// DrainTee exposes the operator side of a trunk move's tee drain.
-var DrainTee = drainTee

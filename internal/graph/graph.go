@@ -300,8 +300,9 @@ type Target interface {
 
 // Deploy plans the graph and binds it to the target: one pipeline per
 // segment, and at every cut edge a buffer, or a TCP lane between nodes.  A
-// tee port whose ends land on different nodes is a lane too, pumped by a
-// relay pipeline beside its tee; elsewhere it is the tee's own buffer.  The
+// tee port whose ends land on different nodes is a lane too: a split's port
+// is the lane's sending end, and a relay pipeline beside a merge pumps the
+// lane into its in-port; elsewhere a port is the tee's own buffer.  The
 // returned Deployment joins Start/Stop/Err/Done across all of them.
 func (g *Graph) Deploy(t Target) (*Deployment, error) {
 	plan, err := g.Plan()

@@ -36,7 +36,7 @@ func OnScheduler(s *uthread.Scheduler) *SchedulerTarget {
 // threads share the scheduler under the tenant's weight (weighted-fair run
 // token grants) and its true sources pass the tenant's admission control.
 // No pipeline of the deployment is a relay, so none pumps at the tenant's
-// priority (on nodes the lane relays do: NodesTarget.Tenant).  Placement
+// priority (on nodes the lanes carry it: NodesTarget.Tenant).  Placement
 // stays a separate, orthogonal policy — the same graph deploys under any
 // tenant.
 func (t *SchedulerTarget) WithTenant(tn *qos.Tenant) *SchedulerTarget {

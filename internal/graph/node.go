@@ -1,14 +1,14 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"infopipes/internal/core"
+	"infopipes/internal/item"
 	"infopipes/internal/netpipe"
 	"infopipes/internal/pipes"
 	"infopipes/internal/remote"
@@ -113,32 +113,74 @@ func (s *nodeState) drop(lane string, side remote.LaneSide) error {
 	return nil
 }
 
-// listen pre-binds a rendezvous listener for a lane (idempotent: an
-// existing lane returns its bound address); the receiving segment's
-// ip/tcprecv attaches to it.  Durable lanes get the sequence/ack protocol;
-// a chained lane forwards its downstream watermark (see chainAck) instead
-// of acknowledging its own consumption.
-func (s *nodeState) listen(lane, bind string, depth int, dcfg *netpipe.DurableConfig) (laneListener, error) {
+// listen pre-binds a rendezvous listener for a lane on loopback
+// (idempotent: an existing lane returns its bound address); the receiving
+// segment's ip/tcprecv attaches to it.  Durable lanes get the sequence/ack
+// protocol; a chained lane forwards its downstream watermark (see chainAck)
+// instead of acknowledging its own consumption.
+func (s *nodeState) listen(lane string, dcfg *netpipe.DurableConfig) (laneListener, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if l, ok := s.listeners[lane]; ok {
 		return l, nil
 	}
-	if bind == "" {
-		bind = "127.0.0.1:0"
-	}
 	var l laneListener
 	var err error
 	if dcfg != nil {
-		l.TCPLink, l.addr, err = netpipe.NewDurableTCPListenerLink(bind, s.node.Scheduler(), s.node.Name(), depth, *dcfg)
+		l.TCPLink, l.addr, err = netpipe.NewDurableTCPListenerLink("127.0.0.1:0", s.node.Scheduler(), s.node.Name(), 0, *dcfg)
 	} else {
-		l.TCPLink, l.addr, err = netpipe.NewTCPListenerLink(bind, s.node.Scheduler(), s.node.Name(), depth)
+		l.TCPLink, l.addr, err = netpipe.NewTCPListenerLink("127.0.0.1:0", s.node.Scheduler(), s.node.Name(), 0)
 	}
 	if err != nil {
 		return laneListener{}, err
 	}
 	s.listeners[lane] = l
 	return l, nil
+}
+
+// dial connects the sending end of a lane to its listener at addr and
+// registers it by lane, so LaneRedial can retarget it when the receiving
+// segment moves to another node and LaneDrop can close it.
+func (s *nodeState) dial(lane, addr string, durable bool) (*netpipe.TCPLink, error) {
+	conn, err := netpipe.Dial(addr)
+	if err != nil {
+		return nil, fmt.Errorf("%w: lane %q: %v", remote.ErrNodeUnreachable, lane, err)
+	}
+	link := netpipe.NewTCPSenderLink(conn)
+	if durable {
+		link = netpipe.NewDurableTCPSenderLink(conn, netpipe.DurableConfig{})
+	}
+	if lane != "" {
+		s.mu.Lock()
+		s.senders[lane] = link
+		s.mu.Unlock()
+	}
+	return link, nil
+}
+
+// outlets makes each lane port of a split the sending end of its lane:
+// the marshal filter's conversion, then the TCP link, both run by the
+// trunk's pump thread.  The spec names each lane port's lane and listener
+// ("lane.P", "addr.P") and the tenant's priority ("prio"), which the
+// frames carry across.  A failure forgets the split and the links it
+// dialed, so the idempotent factory builds both afresh on a retry.
+func (s *nodeState) outlets(key string, sp *pipes.Split, params map[string]string) error {
+	prio, err := intParam(params, "prio", 0)
+	for port := 0; err == nil && port < sp.Outs(); port++ {
+		lane := params["lane."+strconv.Itoa(port)]
+		if lane == "" {
+			continue
+		}
+		var link *netpipe.TCPLink
+		if link, err = s.dial(lane, params["addr."+strconv.Itoa(port)], params["durable"] == "1"); err == nil {
+			sp.SetOutlet(port, laneOutlet{link.NewSinkAt(lane+"/sink", uthread.Priority(prio)).(laneSink),
+				netpipe.NewMarshalFilter(lane+"/marshal", netpipe.NewStreamingBinaryMarshaller())})
+		}
+	}
+	if err != nil {
+		_ = s.droptee(key)
+	}
+	return err
 }
 
 // chainAck forwards a downstream ack watermark to the inbound listener of
@@ -158,64 +200,29 @@ func (s *nodeState) chainAck(lane string, origin, seq int64) {
 // Node.Close behaves like a process kill: peers see EOF at once.
 func (s *nodeState) shutdown() { s.closeLanes("") }
 
-// drained waits until a split tee and the relay lanes pumping its out-ports
-// have pushed everything onto the wire: every out-port buffer empty and
-// every named lane connected and quiescent.  Then every item that entered
-// the tee is consumed by a branch listener or in its inbox; the relay
-// journals need not be empty (a self-acking listener acks one pop behind,
-// and its dedup watermark absorbs what the upstream journal replays through
-// the rebuilt tee).  A sample could catch an item in a relay pump's hand, so
-// a round samples twice around a settle delay and wants empty buffers and an
-// unchanged sent-frame count both times.  It gives up after drainRounds,
-// which keeps one request short: the operator's control client, which a
-// Directory heartbeats too, is held for the whole request.
-func (s *nodeState) drained(tee string, lanes []string) bool {
-	sample := func() (sig []int64, ok bool) {
-		s.mu.Lock()
-		sp, hosted := s.splits[tee]
-		var senders []*netpipe.TCPLink
-		for _, lane := range lanes {
-			if l, exists := s.senders[lane]; exists {
-				senders = append(senders, l)
-			}
-		}
-		s.mu.Unlock()
-		if hosted {
-			for i := 0; i < sp.Outs(); i++ {
-				if sp.OutBuffer(i).Len() != 0 {
-					return nil, false
-				}
-			}
-		}
-		for _, l := range senders {
-			st := l.LaneStats()
-			if st.Parked {
-				return nil, false
-			}
-			sig = append(sig, st.Sent)
-		}
-		return sig, true
-	}
-	for range drainRounds {
-		first, ok := sample()
-		//ipvet:allow wallclock settle delay between drain samples; the probe runs on the control goroutine, not a flow path
-		time.Sleep(10 * time.Millisecond)
-		if second, again := sample(); ok && again && slices.Equal(first, second) {
-			return true
-		}
-	}
-	return false
-}
-
-const drainRounds, drainCalls = 20, 50 // 200 ms of settle delays per request, 10 s per drain
-
-// droptee forgets a shared split instance when a re-placement moves its
-// hosting segment to another node: the idempotent factory must build a
-// fresh tee if the segment ever moves back, not resurrect the old one.
-func (s *nodeState) droptee(tee string) {
+// droptee forgets a shared split instance when a move takes its trunk to
+// another node, and closes its lane outlets without an EOS frame, so the
+// branches' listeners park for the outlets the trunk's new node dials: the
+// idempotent factory must build a fresh tee if the trunk ever moves back,
+// not resurrect the old one.  A parked outlet refuses it: its journal holds
+// frames no branch has seen, which closing it would lose.  One sample is
+// enough, as the trunk is detached: every frame it pushed is on a
+// connection or in the journal of a parked outlet.
+func (s *nodeState) droptee(tee string) error {
 	s.mu.Lock()
+	for lane, l := range s.senders {
+		if strings.HasPrefix(lane, tee+":") && l.LaneStats().Parked {
+			s.mu.Unlock()
+			return fmt.Errorf("graph: split %q: a lane outlet is parked (dropping it would lose its journal)", tee)
+		}
+	}
 	delete(s.splits, tee)
+	outlets := takePrefix(s.senders, tee+":")
 	s.mu.Unlock()
+	for _, l := range outlets {
+		l.Close()
+	}
+	return nil
 }
 
 // redial points the registered sender link of a lane at a new address (the
@@ -323,23 +330,27 @@ func EnableNode(n *remote.Node, cat Catalog) {
 			}
 			return core.Comp(mp.InPort(port)), nil
 		}
+		built := false
 		sp, err := shared(st, st.splits, key, func() (*pipes.Split, error) {
+			built = true
 			return BuildSplit(name, spec.Params["kind"], ports, spec.Params)
 		})
 		switch {
 		case err != nil:
 			return core.Stage{}, err
-		case spec.Kind == "ip/teesink":
-			return core.Comp(sp), nil
+		case spec.Kind != "ip/teesink":
+			return core.Comp(sp.OutPort(port)), nil
+		case built:
+			err = st.outlets(key, sp, spec.Params)
 		}
-		return core.Comp(sp.OutPort(port)), nil
+		return core.Comp(sp), err
 	}
 	for _, kind := range []string{"ip/teesink", "ip/teeout", "ip/mergeout", "ip/mergein"} {
 		n.RegisterSpecFactory(kind, tee)
 	}
 
 	n.RegisterSpecFactory("ip/pump", func(spec remote.StageSpec) (core.Stage, error) {
-		// Relay pumps of tenant-bound deployments carry the tenant's
+		// Merge relay pumps of tenant-bound deployments carry the tenant's
 		// priority ("prio" param), so a lane relay keeps the flow's
 		// priority across the hop instead of flattening it to normal.
 		prio, err := intParam(spec.Params, "prio", int(uthread.PriorityNormal))
@@ -355,33 +366,16 @@ func EnableNode(n *remote.Node, cat Catalog) {
 		return core.Comp(netpipe.NewUnmarshalFilter(spec.Name, netpipe.NewBinaryMarshaller())), nil
 	})
 	n.RegisterSpecFactory("ip/tcpsend", func(spec remote.StageSpec) (core.Stage, error) {
-		addr := spec.Params["addr"]
-		if addr == "" {
-			return core.Stage{}, fmt.Errorf("tcpsend %q: no addr", spec.Name)
-		}
-		conn, err := netpipe.Dial(addr)
-		if err != nil {
-			return core.Stage{}, fmt.Errorf("%w: tcpsend %q: %v", remote.ErrNodeUnreachable, spec.Name, err)
-		}
-		var link *netpipe.TCPLink
-		if spec.Params["durable"] == "1" {
-			link = netpipe.NewDurableTCPSenderLink(conn, netpipe.DurableConfig{})
-			// A chained sender forwards its acks to the segment's inbound
-			// listener, so the upstream journal keeps covering this
-			// segment's in-flight items until they clear the lane below.
-			if chain := spec.Params["chain"]; chain != "" {
-				link.SetOnAck(func(origin, seq int64) { st.chainAck(chain, origin, seq) })
-			}
-		} else {
-			link = netpipe.NewTCPSenderLink(conn)
-		}
-		// Register the sender by lane so the redial lane op can retarget it
-		// when the receiving segment is re-placed onto another node.
 		lane := spec.Params["lane"]
-		if lane != "" {
-			st.mu.Lock()
-			st.senders[lane] = link
-			st.mu.Unlock()
+		link, err := st.dial(lane, spec.Params["addr"], spec.Params["durable"] == "1")
+		if err != nil {
+			return core.Stage{}, fmt.Errorf("tcpsend %q: %w", spec.Name, err)
+		}
+		// A chained sender forwards its acks to the segment's inbound
+		// listener, so the upstream journal keeps covering this segment's
+		// in-flight items until they clear the lane below.
+		if chain := spec.Params["chain"]; chain != "" && link.Durable() {
+			link.SetOnAck(func(origin, seq int64) { st.chainAck(chain, origin, seq) })
 		}
 		return core.Comp(senderSink{link.NewSink(spec.Name).(laneSink), func() error {
 			st.mu.Lock()
@@ -393,18 +387,10 @@ func EnableNode(n *remote.Node, cat Catalog) {
 		}}), nil
 	})
 	n.RegisterSpecFactory("ip/tcprecv", func(spec remote.StageSpec) (core.Stage, error) {
-		lane := spec.Params["lane"]
-		if lane == "" {
-			lane = spec.Name
-		}
-		depth, err := intParam(spec.Params, "depth", 0)
-		if err != nil {
-			return core.Stage{}, err
-		}
 		// A lane the deployer pre-bound (the listen lane op, or an earlier
 		// factory run of the same lane) is attached, not re-created — the
 		// listener's address is already in the sender's hands.
-		link, err := st.listen(lane, spec.Params["addr"], depth, nil)
+		link, err := st.listen(cmp.Or(spec.Params["lane"], spec.Name), nil)
 		if err != nil {
 			return core.Stage{}, err
 		}
@@ -427,6 +413,23 @@ func EnableNode(n *remote.Node, cat Catalog) {
 
 	n.HandleLanes(st.lane)
 }
+
+// laneOutlet is a split's port whose branch runs on another node: the
+// sending end of the branch's lane, run by the trunk's pump thread.
+type laneOutlet struct {
+	laneSink // its BatchEnd writes what the trunk's batch staged
+	marshal  core.Function
+}
+
+func (o laneOutlet) Insert(ctx *core.Ctx, it *item.Item) error {
+	wire, err := o.marshal.Convert(ctx, it)
+	if err != nil {
+		return err
+	}
+	return o.Push(ctx, wire)
+}
+
+func (o laneOutlet) CloseUpstream() { o.HandleEOS(nil) }
 
 // senderSink is ip/tcpsend's stage.  A failed compose closes it (remote.Node
 // closes every io.Closer it built): the link and its lane registration go.
@@ -456,16 +459,14 @@ func (s *nodeState) lane(req remote.LaneRequest) (rep remote.LaneReply, err erro
 			dcfg = &netpipe.DurableConfig{Chained: req.Chained}
 		}
 		var l laneListener
-		l, err = s.listen(req.Lane, req.Addr, req.Depth, dcfg)
+		l, err = s.listen(req.Lane, dcfg)
 		rep.Addr = l.addr
 	case remote.LaneDrop:
 		err = s.drop(req.Lane, req.Side)
 	case remote.LaneRedial:
 		err = s.redial(req.Lane, req.Addr)
-	case remote.LaneDrained:
-		rep.Drained = s.drained(req.Tee, req.Lanes)
 	case remote.LaneDropTee:
-		s.droptee(req.Tee)
+		err = s.droptee(req.Tee)
 	case remote.LaneAbort:
 		s.abort(req.Prefix)
 	default:

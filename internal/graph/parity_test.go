@@ -103,9 +103,10 @@ var parityShapes = []parityShape{
 // graph the same way.  Every shape deploys under every assignment of its
 // segments to two slots, OnGroup (two shards) and OnNodes (two in-process
 // nodes on plain lanes), and both list the same segments on the same slots.
-// A tee port is a lane only between address spaces, so the nodes add a relay
-// beside the tee exactly at each port whose ends sit on different nodes, and
-// the group adds none.
+// A tee port is a lane only between address spaces.  A split's port that is
+// a lane is the lane's sender, so the nodes compose a relay only beside a
+// merge, exactly at each in-port whose ends sit on different nodes, and the
+// group composes none.
 func TestWiringParityAcrossTargets(t *testing.T) {
 	leakcheck.Check(t)
 	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
@@ -127,7 +128,7 @@ func TestWiringParityAcrossTargets(t *testing.T) {
 		return segments, relays
 	}
 	// laneRelays lists the relays a node host composes for d: one beside
-	// the tee of every port whose ends are on different nodes.
+	// the merge of every in-port whose ends are on different nodes.
 	laneRelays := func(g *graph.Graph, d *graph.Deployment) []string {
 		plan, err := g.Plan()
 		if err != nil {
@@ -145,7 +146,6 @@ func TestWiringParityAcrossTargets(t *testing.T) {
 				}
 			}
 		}
-		add(plan.SplitBranch, plan.SplitTrunk)
 		add(plan.MergeBranch, plan.MergeDown)
 		slices.Sort(out)
 		return out

@@ -12,6 +12,7 @@ import (
 
 	"infopipes/internal/core"
 	"infopipes/internal/events"
+	"infopipes/internal/netpipe"
 	"infopipes/internal/qos"
 	"infopipes/internal/remote"
 	"infopipes/internal/typespec"
@@ -39,8 +40,9 @@ type NodesTarget struct {
 	// Tenant binds the deployment to a QoS tenant (nil = default tenant).
 	// Every node hosting a segment materializes the tenant locally:
 	// weighted-fair scheduling against the node's other tenants, admission
-	// control at true sources, and tenant-priority relay pumps — the same
-	// isolation contract as SchedulerTarget.WithTenant, spanning nodes.
+	// control at true sources, and the tenant's priority on the lanes of
+	// split ports and merge relays — the same isolation contract as
+	// SchedulerTarget.WithTenant, spanning nodes.
 	Tenant *qos.Tenant
 }
 
@@ -121,9 +123,9 @@ func (t *NodesTarget) deploy(g *Graph, plan *core.GraphPlan) (*Deployment, error
 	return d, nil
 }
 
-// abort best-effort-undoes a partial deployment: every node stops and
-// drops this graph's pipelines, listeners and cut buffers, so a retry
-// starts clean.
+// abort best-effort-undoes a partial deployment, or frees a finished one:
+// every node stops and drops this graph's pipelines, tees, lanes and cut
+// buffers, so a retry or a redeploy starts clean.
 func (r *remoteDeployment) abort() {
 	for _, c := range r.clients {
 		_, _ = c.Lane(remote.LaneRequest{Kind: remote.LaneAbort, Prefix: r.name + "/"})
@@ -135,7 +137,8 @@ func (r *remoteDeployment) abort() {
 // the same pipeline the same way.  tee renders a shared-tee boundary: the
 // node keys the shared instance by graph-prefixed name, so an aborted
 // deployment's tees cannot leak into a retry (and two graphs may use the
-// same tee name).
+// same tee name).  A split's sink names each port that is a lane and its
+// listener: the node makes that port the lane's sending end.
 func (r *remoteDeployment) tee(e core.SegmentEnd) remote.StageSpec {
 	n := r.g.index[e.Node]
 	spec := remote.StageSpec{Params: make(map[string]string, len(n.spec.Params)+6)}
@@ -152,6 +155,20 @@ func (r *remoteDeployment) tee(e core.SegmentEnd) remote.StageSpec {
 		spec.Kind, spec.Name = "ip/teeout", fmt.Sprintf("%s.src%d", e.Node, e.Port)
 	case core.EndSplitTrunk:
 		spec.Kind, spec.Name = "ip/teesink", e.Node
+		for port, lane := range r.portLanes(e.Node) {
+			if lane != "" {
+				spec.Params["lane."+strconv.Itoa(port)] = lane
+				spec.Params["addr."+strconv.Itoa(port)] = r.links[lane].addr
+			}
+		}
+		// Cluster lanes journal on the sender, and the tenant's priority
+		// crosses with the items (the trunk's pump runs at its own).
+		if r.opt.ClusterLanes {
+			spec.Params["durable"] = "1"
+		}
+		if t := r.opt.Tenant; t != nil {
+			spec.Params["prio"] = strconv.Itoa(int(t.Priority()))
+		}
 	case core.EndMergeIn:
 		spec.Kind, spec.Name = "ip/mergein", fmt.Sprintf("%s.in%d", e.Node, e.Port)
 	default:
@@ -207,21 +224,17 @@ func (r *remoteDeployment) send(lane string, l nodeLink, from int) []remote.Stag
 	}
 }
 
-// pump renders a relay pump stage, free-running at the tenant's priority:
-// the tenant's priority crosses the lane with its items.
-func (r *remoteDeployment) pump(lane string) remote.StageSpec {
-	spec := remote.StageSpec{Kind: "ip/pump", Name: lane + "/pump"}
-	if t := r.opt.Tenant; t != nil {
-		spec.Params = map[string]string{"prio": strconv.Itoa(int(t.Priority()))}
-	}
-	return spec
-}
+// ErrNonBlockingSplit refuses a split whose push policy does not block when
+// one of its ports is a lane: a lane's sending end blocks, so the policy
+// has no lane form.
+var ErrNonBlockingSplit = errors.New("graph: a split that does not block on push has no lane port")
 
-// place wires segment si on its node, and beside the tee of each of its
-// tee ports that is a lane the relay that pumps it: a split's composes just
-// before the branch (its wire Typespec seeds the branch), a merge's just
-// after it.  When it fails it drops the listeners it bound.
+// place wires segment si on its node, records the wire Typespec entering
+// each lane of the split it feeds, and composes the relay of a merge
+// in-port that is a lane just after it.  When it fails it drops the
+// listeners it bound.
 func (r *remoteDeployment) place(si int) (err error) {
+	seg, out := r.plan.Segments[si], r.outLane(si)
 	fresh, err := r.bind(si)
 	defer func() {
 		if err != nil {
@@ -231,13 +244,16 @@ func (r *remoteDeployment) place(si int) (err error) {
 			}
 		}
 	}()
-	seg, out := r.plan.Segments[si], r.outLane(si)
-	if h := seg.Head; err == nil && h.Kind == core.EndSplitOut && r.inLane(si) != "" {
-		trunk := r.plan.SplitTrunk[h.Node]
-		err = r.relay(h, r.slotOf[trunk], r.segOutSpec[trunk])
-	}
 	if err == nil {
 		err = r.composeSegment(si)
+	}
+	if t := seg.Tail; err == nil && t.Kind == core.EndSplitTrunk {
+		wire := netpipe.NewMarshalFilter(t.Node+"/marshal", nil).TransformSpec(r.segOutSpec[si])
+		for _, lane := range r.portLanes(t.Node) {
+			if lane != "" {
+				r.laneSeed[lane] = wire
+			}
+		}
 	}
 	if t := seg.Tail; err == nil && t.Kind == core.EndMergeIn && out != "" {
 		err = r.relay(t, r.slotOf[r.plan.MergeDown[t.Node]], r.laneSeed[out])
@@ -245,35 +261,32 @@ func (r *remoteDeployment) place(si int) (err error) {
 	return err
 }
 
-// relay composes the relay of tee port e, a lane, beside its tee on node
-// at, unless it runs there already, and records the Typespec entering its
-// last part: the lane's seed, or the merge in-port's.
+// relay composes the relay of merge in-port e, a lane, beside its merge on
+// node at, unless it runs there already, and records the Typespec entering
+// the in-port.
 func (r *remoteDeployment) relay(e core.SegmentEnd, at int, seed typespec.Typespec) error {
 	lane := r.laneName(e.Node, e.Port)
-	if r.runs(lane+"/relay", at) {
+	if r.hostOf(lane+"/relay") == at {
 		return nil
 	}
 	parts := r.relayParts(e)
 	specs, err := r.compose(lane+"/relay", at, -1, parts, seed, false)
-	if err != nil {
-		return err
-	}
-	if e.Kind == core.EndSplitOut {
-		r.laneSeed[lane] = specAt(specs, len(parts)-2)
-	} else {
+	if err == nil {
 		r.mergeInSpec[e.Node][e.Port] = specAt(specs, len(parts)-2)
 	}
-	return nil
+	return err
 }
 
-// relayParts renders the relay of tee port e: beside a split it pumps the
-// out-port into the lane, beside a merge the lane into the in-port.
+// relayParts renders the relay of merge in-port e: a pump, free-running at
+// the tenant's priority, pumps the lane into the in-port, so the tenant's
+// priority crosses the lane with its items.
 func (r *remoteDeployment) relayParts(e core.SegmentEnd) []remote.StageSpec {
 	lane := r.laneName(e.Node, e.Port)
-	if e.Kind == core.EndSplitOut {
-		return append([]remote.StageSpec{r.tee(e), r.pump(lane)}, r.send(lane, r.links[lane], -1)...)
+	pump := remote.StageSpec{Kind: "ip/pump", Name: lane + "/pump"}
+	if t := r.opt.Tenant; t != nil {
+		pump.Params = map[string]string{"prio": strconv.Itoa(int(t.Priority()))}
 	}
-	return append(r.recv(lane, r.links[lane]), r.pump(lane), r.tee(e))
+	return append(r.recv(lane, r.links[lane]), pump, r.tee(e))
 }
 
 // apart tells nodes apart: each is its own address space.
@@ -281,11 +294,11 @@ func (r *remoteDeployment) apart(a, b int) bool { return a != b }
 
 // chainLane returns the inbound lane that segment si's outbound sender
 // forwards its acks to — non-empty only when both boundary lanes are
-// durable (a relay, si < 0, has none).  Chaining keeps the UPSTREAM journal
-// covering everything that has not cleared the lane BELOW si, which makes
-// losing si (and everything in flight through it) recoverable by replay.
+// durable.  Chaining keeps the UPSTREAM journal covering everything that
+// has not cleared the lane BELOW si, which makes losing si (and everything
+// in flight through it) recoverable by replay.
 func (r *remoteDeployment) chainLane(si int) string {
-	if si >= 0 && r.opt.ClusterLanes && r.outLane(si) != "" {
+	if r.opt.ClusterLanes && r.outLane(si) != "" {
 		return r.inLane(si)
 	}
 	return ""
@@ -312,6 +325,11 @@ func (r *remoteDeployment) tenantSpec() *remote.TenantSpec {
 func (r *remoteDeployment) link(lane string, l nodeLink, from, to int) (nodeLink, error) {
 	if l != (nodeLink{}) {
 		return l, nil
+	}
+	if t := r.plan.Segments[from].Tail; t.Kind == core.EndSplitTrunk { // a lane port of split t
+		if _, push, _, err := teeBufferParams(r.g.index[t.Node].spec.Params); err == nil && push != typespec.Block {
+			return l, fmt.Errorf("%w: split %q, lane %q", ErrNonBlockingSplit, t.Node, lane)
+		}
 	}
 	if !r.opt.ClusterLanes && r.slotOf[from] == r.slotOf[to] {
 		return nodeLink{local: true}, nil
@@ -379,9 +397,6 @@ func (r *remoteDeployment) hostOf(name string) int {
 	return -1
 }
 
-// runs reports whether pipeline name was last composed on node.
-func (r *remoteDeployment) runs(name string, node int) bool { return r.hostOf(name) == node }
-
 // capSets are the events some set of pipelines emits and handles.
 type capSets struct{ sends, handles []events.Type }
 
@@ -423,6 +438,10 @@ type remoteDeployment struct {
 	// snapshots that cannot reach it (see stats and tenantRows).
 	lastRows       map[int]map[string]remote.PipeStat
 	lastTenantRows map[int]remote.TenantStat
+	// final is the poll that saw the flow finish, once Wait has freed the
+	// deployment's state on its nodes: later polls answer from it, and
+	// Stats from lastRows.
+	final []polledPipe
 }
 
 // clientSnap returns the current client list and its gone markers.  Both
@@ -504,6 +523,12 @@ func (r *remoteDeployment) rows(c *remote.Client, node int) (map[string]remote.P
 // sequence; a dead node costs one call deadline once, then its poisoned
 // client fails fast on every later fetch.
 func (r *remoteDeployment) fetch(pipes []remotePipe, clients []*remote.Client) (map[int]map[string]remote.PipeStat, map[int]error) {
+	r.mu.Lock()
+	if r.final != nil { // Wait freed the nodes: their last rows stand
+		defer r.mu.Unlock()
+		return maps.Clone(r.lastRows), nil
+	}
+	r.mu.Unlock()
 	rows := make(map[int]map[string]remote.PipeStat)
 	errs := make(map[int]error)
 	for _, p := range pipes {
@@ -540,6 +565,12 @@ type polledPipe struct {
 // and judges every pipe that has none — every time, or a dead node's pipes
 // would escape the unreachability check and hang a Wait.
 func (r *remoteDeployment) poll() []polledPipe {
+	r.mu.Lock()
+	final := r.final
+	r.mu.Unlock()
+	if final != nil {
+		return final
+	}
 	r.d.mu.Lock()
 	gen := r.d.gen
 	r.d.mu.Unlock()
@@ -600,16 +631,19 @@ func (r *remoteDeployment) err() error {
 	return nil
 }
 
-// wait polls the nodes until every pipeline of the deployment has finished.
-// A failed Start short-circuits with the rollback error; an unreachable
-// node surfaces as a wrapped remote.ErrNodeUnreachable instead of hanging.
+// wait polls the nodes until every pipeline of the deployment has finished,
+// then frees the deployment's pipelines, tees and lanes on every node, so
+// the graph's name is free there again.  A failed Start short-circuits with
+// the rollback error; an unreachable node surfaces as a wrapped
+// remote.ErrNodeUnreachable instead of hanging.
 func (r *remoteDeployment) wait() error {
 	for {
 		if err := r.d.failure(); err != nil {
 			return err
 		}
 		done, reachable := true, 0
-		for _, p := range r.poll() {
+		polled := r.poll()
+		for _, p := range polled {
 			switch {
 			case p.err != nil:
 				return p.err
@@ -621,6 +655,10 @@ func (r *remoteDeployment) wait() error {
 			}
 		}
 		if done && reachable > 0 {
+			r.mu.Lock()
+			r.final = polled
+			r.mu.Unlock()
+			r.abort()
 			return r.d.Err()
 		}
 		//ipvet:allow wallclock completion poll interval against live remote nodes; their flows run on their own clocks

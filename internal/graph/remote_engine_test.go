@@ -24,40 +24,42 @@ func (tc *testCatalog) sink(name string) *pipes.CollectSink {
 	return tc.sinks[name]
 }
 
-// freeAddr returns a loopback address nothing listens on.
-func freeAddr(t *testing.T) string {
+// listenLane pre-binds a lane's rendezvous listener on the node behind c,
+// as a deployer does, and returns the address it answers on.  Listen is
+// idempotent per lane, so a placement that binds the lane afterwards gets
+// this listener.
+func listenLane(t *testing.T, c *remote.Client, req remote.LaneRequest) string {
 	t.Helper()
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	req.Kind = remote.LaneListen
+	rep, err := c.Lane(req)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("listen %q: %v", req.Lane, err)
 	}
-	defer probe.Close()
-	return probe.Addr().String()
+	return rep.Addr
 }
 
-// assertNoListener fails the test when the node behind c still holds a
-// rendezvous listener for lane.  Listen is idempotent per lane, so only a
-// lane with no listener left binds the free address it is asked for.
-func assertNoListener(t *testing.T, c *remote.Client, lane string) {
+// assertNoListener fails the test when the listener that answered at addr
+// is still bound: only a closed listener's port binds again.  The probe
+// holds the port until the test ends, so a listener bound next answers
+// elsewhere.
+func assertNoListener(t *testing.T, addr string) {
 	t.Helper()
-	free := freeAddr(t)
-	rep, err := c.Lane(remote.LaneRequest{Kind: remote.LaneListen, Lane: lane, Addr: free})
-	if err != nil || rep.Addr != free {
-		t.Fatalf("a listener for %q is still bound: listen = %q, %v; want %q", lane, rep.Addr, err, free)
+	probe, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("the listener at %s is still bound: %v", addr, err)
 	}
-	if _, err := c.Lane(remote.LaneRequest{Kind: remote.LaneDrop, Lane: lane, Side: remote.ListenerSide}); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { probe.Close() })
 }
 
 // specLines renders stage specs one line each — kind, name, args, sorted
-// params — leaving out addr, the one param that differs from run to run.
+// params — leaving out the listener addresses (addr, and a split sink's
+// addr.P), the params that differ from run to run.
 func specLines(specs []remote.StageSpec) []string {
 	out := make([]string, len(specs))
 	for i, sp := range specs {
 		var params []string
 		for k, v := range sp.Params {
-			if k != "addr" {
+			if k != "addr" && !strings.HasPrefix(k, "addr.") {
 				params = append(params, k+"="+v)
 			}
 		}
@@ -113,13 +115,11 @@ func TestRenderPinned(t *testing.T) {
 	want := map[string][]string{
 		"rg/src>>pump": {"counter src 30", "cpump pump 2000", "ip/cutsink rg/cut0/sink  lane=rg/cut0"},
 		"rg/pre>>prep": {"ip/cutsrc rg/cut0/source  lane=rg/cut0", "probe pre", "fpump prep",
-			"ip/teesink tee  " + tee + " sel=mod tee=tee"},
+			"ip/teesink tee  graph=rg kind=route lane.1=rg/tee:1 merge=tee outs=2 sel=mod tee=tee"},
 		"rg/fa>>pa": {"ip/teeout tee.src0  " + tee + " port=0 sel=mod tee=tee", "probe fa", "fpump pa",
 			"ip/mergein mrg.in0  " + mrg + " port=0 tee=mrg"},
 		"rg/fb>>pb": {"ip/tcprecv rg/tee:1/source  lane=rg/tee:1", "ip/unmarshal rg/tee:1/unmarshal",
 			"probe fb", "fpump pb", "ip/marshal rg/mrg:1/marshal", "ip/tcpsend rg/mrg:1/sink  lane=rg/mrg:1"},
-		"rg/tee:1/relay": {"ip/teeout tee.src1  " + tee + " port=1 sel=mod tee=tee", "ip/pump rg/tee:1/pump",
-			"ip/marshal rg/tee:1/marshal", "ip/tcpsend rg/tee:1/sink  lane=rg/tee:1"},
 		"rg/mrg:1/relay": {"ip/tcprecv rg/mrg:1/source  lane=rg/mrg:1", "ip/unmarshal rg/mrg:1/unmarshal",
 			"ip/pump rg/mrg:1/pump", "ip/mergein mrg.in1  " + mrg + " port=1 tee=mrg"},
 		"rg/po": {"ip/mergeout mrg.src  " + mrg + " tee=mrg", "fpump po",
@@ -266,10 +266,13 @@ func TestFailOverFailedMoveDropsListener(t *testing.T) {
 	}
 	b.close() // beta dies mid-stream with mid>>mp on it
 
+	// The move binds gamma's listener of the segment's inbound lane, as
+	// the deploy would: durable, and chained to the lane below.
+	bound := listenLane(t, c.client, remote.LaneRequest{Lane: "fo/cut0", Durable: true, Chained: true})
 	if err := d.FailOver(1, map[string]int{"mid>>mp": 2}); err == nil {
 		t.Fatal("failover onto a node lacking the probe kind succeeded")
 	}
-	assertNoListener(t, c.client, "fo/cut0")
+	assertNoListener(t, bound)
 	if got := d.SegmentPlacements()["mid>>mp"]; got != 1 {
 		t.Fatalf("failed failover left the segment placed on node %d, want 1", got)
 	}
@@ -345,13 +348,9 @@ func TestLaneOps(t *testing.T) {
 	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
 	n := startNode(t, "alpha", tc.catalog())
 	const lane = "ops/cut0"
-	listen := func(bind string) string {
+	listen := func() string {
 		t.Helper()
-		rep, err := n.client.Lane(remote.LaneRequest{Kind: remote.LaneListen, Lane: lane, Addr: bind, Durable: true})
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		return rep.Addr
+		return listenLane(t, n.client, remote.LaneRequest{Lane: lane, Durable: true})
 	}
 	op := func(req remote.LaneRequest) error {
 		_, err := n.client.Lane(req)
@@ -361,11 +360,8 @@ func TestLaneOps(t *testing.T) {
 		return op(remote.LaneRequest{Kind: remote.LaneRedial, Lane: lane, Addr: addr})
 	}
 
-	first := freeAddr(t)
-	if got := listen(first); got != first {
-		t.Fatalf("listen bound %q, want the address asked for, %q", got, first)
-	}
-	if got := listen(freeAddr(t)); got != first {
+	first := listen()
+	if got := listen(); got != first {
 		t.Fatalf("a second listen on the lane answered %q, want the bound %q (idempotent)", got, first)
 	}
 	if err := redial(first); err == nil {
@@ -382,14 +378,16 @@ func TestLaneOps(t *testing.T) {
 		t.Fatalf("compose sender: %v", err)
 	}
 
-	// Dropping the listener leaves the sender up: it can be redialed at a
-	// fresh listener, which binds the new address because the old one is gone.
+	// Dropping the listener closes it and leaves the sender up: it can be
+	// redialed at a fresh listener, which answers elsewhere, as the probe
+	// holds the old port.
 	if err := op(remote.LaneRequest{Kind: remote.LaneDrop, Lane: lane, Side: remote.ListenerSide}); err != nil {
 		t.Fatalf("drop listener: %v", err)
 	}
-	second := freeAddr(t)
-	if got := listen(second); got != second {
-		t.Fatalf("listen after the listener was dropped answered %q, want a fresh %q", got, second)
+	assertNoListener(t, first)
+	second := listen()
+	if second == first {
+		t.Fatalf("listen after the listener was dropped answered the old %q", second)
 	}
 	if err := redial(second); err != nil {
 		t.Fatalf("redial after dropping only the listener: %v", err)
@@ -401,7 +399,7 @@ func TestLaneOps(t *testing.T) {
 	if err := redial(second); err == nil {
 		t.Fatal("redial succeeded after the sender was dropped")
 	}
-	if got := listen(freeAddr(t)); got != second {
+	if got := listen(); got != second {
 		t.Fatalf("listen after the sender was dropped answered %q, want the bound %q", got, second)
 	}
 
@@ -415,11 +413,11 @@ func TestLaneOps(t *testing.T) {
 			t.Errorf("%s: the node accepted %+v", name, req)
 		}
 	}
-	if got := listen(freeAddr(t)); got != second {
+	if got := listen(); got != second {
 		t.Fatalf("a refused op disturbed the lane: listen answered %q, want %q", got, second)
 	}
 	if err := op(remote.LaneRequest{Kind: remote.LaneAbort, Prefix: "ops/"}); err != nil {
 		t.Fatalf("abort: %v", err)
 	}
-	assertNoListener(t, n.client, lane)
+	assertNoListener(t, second)
 }

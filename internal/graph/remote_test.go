@@ -231,19 +231,20 @@ func TestGraphRemoteAbortOnFailure(t *testing.T) {
 	}
 
 	// Branch B on beta, whose catalog lacks "probe": composing that
-	// segment fails AFTER the merge relay (and its listener) already
-	// composed on alpha.
+	// segment fails AFTER the listener of its merge lane was bound on alpha
+	// (pre-bound here, so the test knows its address: listen is idempotent
+	// per lane, and the deploy adopts it).
+	bound := listenLane(t, clientA, remote.LaneRequest{Lane: "ab/mrg:1"})
 	if _, err := declare(1).Deploy(graph.OnNodes(clientA, clientB)); err == nil {
 		t.Fatal("deploy succeeded although beta lacks the probe kind")
 	}
 	// Rollback removed what the partial deploy created on alpha: no pipeline
-	// row is left under the graph prefix, and the merge relay's rendezvous
-	// listener is gone — listen is idempotent per lane, so only a lane with
-	// no listener left binds the fresh address it is asked for.
+	// row is left under the graph prefix, and the merge lane's rendezvous
+	// listener is closed.
 	if rows, err := clientA.Stats("ab/"); err != nil || len(rows) != 0 {
 		t.Fatalf("pipelines survived the aborted deployment: %+v (err %v)", rows, err)
 	}
-	assertNoListener(t, clientA, "ab/mrg:1")
+	assertNoListener(t, bound)
 
 	// The corrected graph — same name, branch B moved to alpha — deploys
 	// cleanly afterwards: the aborted pipelines freed their names.

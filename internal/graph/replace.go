@@ -36,7 +36,8 @@ func (d *Deployment) Replaceable(segment string) error {
 // dead node is never contacted: peers hold parked, redialable lane halves,
 // and the upstream durable journals carry every item the chain below the
 // dead segments had not consumed.  hints must cover every segment on the
-// dead node; one that hosts a tee (its relays died with it) fails the call.
+// dead node; one that hosts a tee (its outlets' journals died with it)
+// fails the call.
 // On error the failed segment's placement reverts to the dead node and
 // nothing is latched: the caller may retry other survivors, and only it
 // knows when to give up (Fail).  Shards do not die: a group answers
@@ -79,8 +80,9 @@ func (r *remoteDeployment) apply(t *txn) (err error) {
 // lane needs a single-pump segment (so its ack anchor proves consumption —
 // see netpipe's laneRx.pop), and neither stream position (sources) nor a
 // merge tee lives in the segment.  Split trunks move on the live path only:
-// the tee drains on the still-running old node and is rebuilt from its
-// spec on the destination (see move); a dead node cannot drain.
+// the old node closes the tee's lane outlets, whose frames are on their
+// connections (see move), and the tee is rebuilt from its spec on the
+// destination; a dead node's outlet journals died with it.
 func (r *remoteDeployment) movable(si int, live bool) error {
 	if !r.opt.ClusterLanes {
 		return errNotRedialable
@@ -109,7 +111,7 @@ func (r *remoteDeployment) movable(si int, live bool) error {
 	switch t := seg.Tail; {
 	case t.Kind == core.EndSplitTrunk:
 		if !live {
-			return refuse("hosts the split tee %q (its relay journals died with the node)", t.Node)
+			return refuse("hosts the split tee %q (its outlet journals died with the node)", t.Node)
 		}
 		// The upstream journal replays its unacked tail through a FRESH tee,
 		// so routing must be a pure function of the item: round-robin state
@@ -141,8 +143,8 @@ func (r *remoteDeployment) movable(si int, live bool) error {
 // below park), places it on dest the way the deploy did, and redials the
 // stationary upstream sender, whose journal replays into the dedup
 // watermarks below: exactly-once at the boundary.  A dead old node (!oldUp)
-// is never contacted.  A trunk first drains its tee through its relays
-// (drainTee); on dest they recompose from the tee's spec.  A failure after
+// is never contacted.  A trunk's tee goes with its lane outlets (see
+// nodeState.droptee) and is rebuilt from its spec on dest.  A failure after
 // a live detach leaves the segment on neither node: it is latched and the
 // graph stopped.
 func (r *remoteDeployment) move(si, dest int, started, oldUp bool) error {
@@ -158,22 +160,9 @@ func (r *remoteDeployment) move(si, dest int, started, oldUp bool) error {
 		}
 		return err
 	}
-
-	// A trunk moves with one relay pipeline per branch lane.
-	var relayLanes, relayPipes []string
-	teeName := seg.Tail.Node
-	teeKey := r.name + "/" + teeName // the node registers shared tees graph-prefixed
-	if seg.Tail.Kind == core.EndSplitTrunk {
-		for port := range r.plan.SplitBranch[teeName] {
-			lane := r.laneName(teeName, port)
-			relayLanes = append(relayLanes, lane)
-			relayPipes = append(relayPipes, lane+"/relay")
-		}
-	}
-
 	inLane, outLane := r.inLane(si), r.outLane(si)
 
-	r.retire(old, oldUp, append([]string{pipeName}, relayPipes...))
+	r.retire(old, oldUp, []string{pipeName})
 	if oldUp {
 		c := r.clients[old]
 		// Detach BEFORE dropping the inbound listener: dropping first would
@@ -182,17 +171,13 @@ func (r *remoteDeployment) move(si, dest int, started, oldUp bool) error {
 		if err := c.Detach(pipeName); err != nil {
 			return stepErr("detach", err)
 		}
-		if len(relayLanes) > 0 {
-			drained, err := drainTee(c, teeKey, relayLanes)
-			if err != nil {
-				return latch(stepErr("drain", err))
-			}
-			if !drained {
-				// The branches stopped acknowledging — put the trunk back
-				// where it was (its listener, tee and relays are all still in
-				// place) and leave the deployment running.
-				err := fmt.Errorf("graph %q: move %q: split %q never drained (a branch is not consuming)",
-					r.name, seg.Name(), teeName)
+		if t := seg.Tail; t.Kind == core.EndSplitTrunk {
+			if _, err := c.Lane(remote.LaneRequest{Kind: remote.LaneDropTee, Tee: r.name + "/" + t.Node}); err != nil {
+				// A parked outlet holds the journal of frames its branch has
+				// not seen: put the trunk back where it was (its listener, tee
+				// and outlets are all still in place) and leave the
+				// deployment running.
+				err = stepErr("droptee", err)
 				if rerr := r.place(si); rerr != nil {
 					return latch(err)
 				}
@@ -213,42 +198,23 @@ func (r *remoteDeployment) move(si, dest int, started, oldUp bool) error {
 				return err
 			}
 		}
-		senders := relayLanes // a trunk sends through its relays, any other segment on its outbound lane
 		if outLane != "" {
-			senders = []string{outLane}
-		}
-		for _, lane := range senders {
-			if err := drop(lane, remote.SenderSide); err != nil {
+			if err := drop(outLane, remote.SenderSide); err != nil {
 				return err
-			}
-		}
-		if len(relayLanes) > 0 {
-			if _, err := c.Lane(remote.LaneRequest{Kind: remote.LaneDropTee, Tee: teeKey}); err != nil {
-				return latch(stepErr("droptee", err))
 			}
 		}
 	}
 
 	// The segment's node flips and its inbound listener is unbound, so place
-	// binds a fresh one, composes the segment and dials the stationary lanes
-	// below it.  A trunk's relays compose first: their tee factory rebuilds
-	// the tee on dest, and the trunk attaches to that instance.
+	// binds a fresh one, composes the segment (a trunk's tee and outlets with
+	// it) and dials the stationary lanes below it.
 	r.d.mu.Lock()
 	r.slotOf[si] = dest
 	r.d.mu.Unlock()
 	if inLane != "" {
 		r.links[inLane] = nodeLink{}
 	}
-	var err error
-	for port := range relayLanes {
-		if err = r.relay(core.SegmentEnd{Kind: core.EndSplitOut, Node: teeName, Port: port}, dest, r.segOutSpec[si]); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = r.place(si)
-	}
-	if err != nil {
+	if err := r.place(si); err != nil {
 		r.d.mu.Lock()
 		r.slotOf[si] = old
 		r.d.mu.Unlock()
@@ -267,7 +233,7 @@ func (r *remoteDeployment) move(si, dest int, started, oldUp bool) error {
 		}
 	}
 	if started {
-		_ = r.clients[dest].Start(pipeName) // its deployment there: the relays too
+		_ = r.clients[dest].Start(pipeName) // its deployment there
 	}
 	return nil
 }
@@ -288,32 +254,4 @@ func (r *remoteDeployment) retire(node int, up bool, names []string) {
 		row := rows[name]
 		r.ledger.fold(name, node, counts{row.Items, row.Cycles, row.BusyNanos})
 	}
-}
-
-// drainTee empties a split tee whose trunk was just detached, then retires
-// its relays: the still-running relays pump the tee's out-port buffers into
-// the branch lanes, and the node answers the drained probe once every item
-// that entered the tee is on a branch listener's side of the wire (see
-// nodeState.drained), asked up to drainCalls times.  It reports false,
-// relays untouched, when the tee never drains.  Otherwise the relays detach
-// at a pump-cycle boundary and the probe asks once more: a straggler the
-// last answer caught between a buffer pop and a journal append shows here.
-func drainTee(c *remote.Client, teeKey string, lanes []string) (bool, error) {
-	probe := remote.LaneRequest{Kind: remote.LaneDrained, Tee: teeKey, Lanes: lanes}
-	rep, err := c.Lane(probe)
-	for call := 1; err == nil && !rep.Drained && call < drainCalls; call++ {
-		rep, err = c.Lane(probe)
-	}
-	if err != nil || !rep.Drained {
-		return false, err
-	}
-	for _, lane := range lanes {
-		if err := c.Detach(lane + "/relay"); err != nil {
-			return false, fmt.Errorf("detach relay of %q: %w", lane, err)
-		}
-	}
-	if rep, err := c.Lane(probe); err != nil || !rep.Drained {
-		return false, fmt.Errorf("split not empty after relay detach (err=%v)", err)
-	}
-	return true, nil
 }

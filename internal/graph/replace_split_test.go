@@ -3,16 +3,17 @@ package graph_test
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"infopipes/internal/control"
 	"infopipes/internal/graph"
 	"infopipes/internal/leakcheck"
+	"infopipes/internal/netpipe"
 	"infopipes/internal/pipes"
-	"infopipes/internal/remote"
 )
 
 // splitTrunkGraph declares the trunk-move topology: the source feeds a cut
@@ -52,9 +53,9 @@ func sinkTrace(sink *pipes.CollectSink) string {
 
 // TestReplaceMovesSplitTrunkMidStream is the satellite regression: a
 // segment hosting a split tee moves between nodes while the stream runs.
-// The trunk detaches, the tee drains through its relays, and an identical
-// tee is rebuilt from its carried spec on the destination; the upstream
-// journal replays the unacked tail through it.  Both branch sinks must see
+// The trunk detaches, the old node drops the tee with its lane outlets, and
+// an identical tee is rebuilt from its carried spec on the destination; the
+// upstream journal replays the unacked tail through it.  Both branch sinks must see
 // their deterministic sub-streams byte-identical to a no-move run — zero
 // loss, zero duplication, order preserved — and the old node serves a fixed
 // number of control requests for it.
@@ -79,20 +80,8 @@ func TestReplaceMovesSplitTrunkMidStream(t *testing.T) {
 	d.Start()
 
 	// Let the stream get demonstrably going, then move the trunk (and with
-	// it the tee and both relay pipelines) from beta onto gamma.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		tc.mu.Lock()
-		sink := tc.sinks["sinka"]
-		tc.mu.Unlock()
-		if sink != nil && sink.Count() >= items/8 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stream never got going")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// it the tee and both lane outlets) from beta onto gamma.
+	waitSink(t, tc, "sinka", items/8)
 	requests := func() int64 {
 		h, err := b.client.Health()
 		if err != nil {
@@ -104,12 +93,11 @@ func TestReplaceMovesSplitTrunkMidStream(t *testing.T) {
 	if err := d.Rebalance(map[string]int{trunk: 2}); err != nil {
 		t.Fatalf("replace trunk: %v", err)
 	}
-	// The old node serves a fixed count however long the tee takes to
-	// drain: 1 stats, 1 detach, 2 drain probes (the node waits out the
-	// drain itself), 2 relay detaches, 3 drops (the listener and two
-	// relay senders) and 1 droptee.
-	if n := requests() - before - 1; n != 10 { // less the second health request
-		t.Errorf("the trunk move cost the old node %d control requests, want 10", n)
+	// The old node serves a fixed count, and nothing waits for the tee:
+	// 1 stats, 1 detach, 1 droptee (the tee and its two lane outlets) and
+	// 1 drop (the inbound listener).
+	if n := requests() - before - 1; n != 4 { // less the second health request
+		t.Errorf("the trunk move cost the old node %d control requests, want 4", n)
 	}
 	if got := d.SegmentPlacements()[trunk]; got != 2 {
 		t.Fatalf("trunk placed on node %d after replace, want 2", got)
@@ -136,71 +124,223 @@ func TestReplaceMovesSplitTrunkMidStream(t *testing.T) {
 	}
 }
 
-// TestDrainLetsHeartbeatsThrough holds a tee drain open against a tee no
-// branch reads, on the control client a Directory heartbeats: the node
-// bounds each drained request, so a heartbeat round completes while the
-// drain is still in progress, and the drain ends once the tee is gone.
-func TestDrainLetsHeartbeatsThrough(t *testing.T) {
-	leakcheck.Check(t)
+// waitSink waits up to 10 s for the catalog's sink name to hold n items.
+func waitSink(t *testing.T, tc *testCatalog, name string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		tc.mu.Lock()
+		sink := tc.sinks[name]
+		tc.mu.Unlock()
+		if sink != nil && sink.Count() >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sink %s never reached %d items", name, n)
+		}
+	}
+}
+
+// TestSplitTrunkNodeHostsOnePipeline: a split port whose branch runs on
+// another node is the sending end of the branch's lane, so the trunk's node
+// hosts the trunk and nothing beside it (a relay pipeline per branch lane
+// made it three).
+func TestSplitTrunkNodeHostsOnePipeline(t *testing.T) {
 	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
-	a := startNode(t, "alpha", tc.catalog())
-	if err := a.client.Compose("stuck/trunk", []remote.StageSpec{
-		{Kind: "counter", Name: "src", Args: []string{"100"}},
-		{Kind: "fpump", Name: "pump"},
-		{Kind: "ip/teesink", Name: "tee", Params: map[string]string{"graph": "stuck", "outs": "2"}},
-	}); err != nil {
-		t.Fatalf("compose: %v", err)
-	}
-	if err := a.client.Start("stuck/trunk"); err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	dir := control.NewDirectory()
-	defer dir.Close()
-	name, err := dir.Register(a.client.Addr())
+	cat := tc.catalog()
+	a, b, c := startNode(t, "alpha", cat), startNode(t, "beta", cat), startNode(t, "gamma", cat)
+	d, err := splitTrunkGraph("onepipe", 40, 1, 0, "mod").Deploy(graph.OnNodes(a.client, b.client, c.client))
 	if err != nil {
-		t.Fatalf("register: %v", err)
+		t.Fatalf("deploy: %v", err)
 	}
-	c, _ := dir.Client(name)
-	type result struct {
-		drained bool
-		err     error
+	if n := d.NodeHosts(1); n != 1 {
+		t.Errorf("the trunk's node hosts %d pipelines of the deployment, want 1", n)
 	}
-	done := make(chan result, 1)
-	requests := func() int64 {
-		h, err := a.client.Health()
+	if rows, err := b.client.Stats("onepipe/"); err != nil || len(rows) != 1 {
+		t.Errorf("the trunk's node answers %d pipeline rows (err %v), want 1", len(rows), err)
+	}
+	d.Start()
+	if err := d.Wait(); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+}
+
+// copySplitGraph is the copy-split trunk-move topology: the source feeds a
+// cut onto a trunk on node 1 that copies every item to three branches, two
+// on node 0 and one on node 2.
+func copySplitGraph(name string, items int) *graph.Graph {
+	g := graph.New(name)
+	g.AddSpec("src", "counter", graph.WithArgs(strconv.Itoa(items)), graph.Place(0))
+	g.AddSpec("pump", "cpump", graph.WithArgs("400"), graph.Place(0))
+	g.AddSpec("tk", "probe", graph.Place(1))
+	g.AddSpec("tp", "fpump", graph.Place(1))
+	g.SplitSpec("tee", "copy", 3, graph.Place(1))
+	g.Pipe("src", "pump")
+	g.Cut("pump", "tk")
+	g.Pipe("tk", "tp", "tee")
+	for port, node := range []int{0, 0, 2} {
+		f, p, sink := fmt.Sprintf("f%d", port), fmt.Sprintf("p%d", port), fmt.Sprintf("sink%d", port)
+		g.AddSpec(f, "probe", graph.Place(node))
+		g.AddSpec(p, "fpump", graph.Place(node))
+		g.AddSpec(sink, "collect", graph.Place(node))
+		g.Pipe(fmt.Sprintf("tee:%d", port), f, p, sink)
+	}
+	return g
+}
+
+// TestReplaceMovesCopySplitTrunkMidStream moves a copy split's trunk from
+// node 1 onto node 2 while the stream runs: two branches stay remote, and
+// the third now shares the trunk's node over its lane.  Every branch trace
+// is byte-identical to a run without the move.
+func TestReplaceMovesCopySplitTrunkMidStream(t *testing.T) {
+	leakcheck.Check(t)
+	const items, trunk = 160, "tk>>tp"
+	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
+	cat := tc.catalog()
+	a, b, c := startNode(t, "alpha", cat), startNode(t, "beta", cat), startNode(t, "gamma", cat)
+	traces := func() []string {
+		tc.mu.Lock()
+		defer tc.mu.Unlock()
+		return []string{sinkTrace(tc.sinks["sink0"]), sinkTrace(tc.sinks["sink1"]), sinkTrace(tc.sinks["sink2"])}
+	}
+	run := func(name string, move bool) []string {
+		t.Helper()
+		d, err := copySplitGraph(name, items).Deploy(graph.OnNodes(a.client, b.client, c.client).WithClusterLanes())
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: deploy: %v", name, err)
 		}
-		return h.Requests
+		d.Start()
+		if move {
+			waitSink(t, tc, "sink0", items/8)
+			if err := d.Rebalance(map[string]int{trunk: 2}); err != nil {
+				t.Fatalf("%s: move the trunk: %v", name, err)
+			}
+			if got := d.SegmentPlacements()[trunk]; got != 2 {
+				t.Fatalf("%s: trunk on node %d after the move, want 2", name, got)
+			}
+		}
+		if err := d.Wait(); err != nil {
+			t.Fatalf("%s: wait: %v", name, err)
+		}
+		return traces()
 	}
-	before := requests()
-	go func() {
-		ok, err := graph.DrainTee(c, "stuck/tee", nil)
-		done <- result{ok, err}
-	}()
-	// The drain is in progress once the node counts a request beyond the
-	// polls' own (each poll is a round trip of its own, so none sleeps).
-	for polls := int64(1); requests()-before <= polls; polls++ {
-	}
-	for range 3 {
-		start := time.Now()
-		if n, _ := dir.Heartbeat(); n != 1 {
-			t.Fatalf("heartbeat saw %d healthy nodes, want 1", n)
-		}
-		if took := time.Since(start); took > 2*time.Second {
-			t.Fatalf("a heartbeat round took %v behind the drain", took)
-		}
-		select {
-		case r := <-done:
-			t.Fatalf("the drain of a tee no branch reads ended: %+v", r)
-		default:
+	want := run("copyref", false)
+	got := run("copymove", true)
+	for port := range want {
+		if got[port] != want[port] {
+			t.Fatalf("branch %d diverged across the trunk move\n got: %s\nwant: %s", port, got[port], want[port])
 		}
 	}
-	if _, err := a.client.Lane(remote.LaneRequest{Kind: remote.LaneAbort, Prefix: "stuck/"}); err != nil {
-		t.Fatalf("abort: %v", err)
+	if n := strings.Count(want[0], " "); n != items {
+		t.Fatalf("the run without the move delivered %d items per branch, want %d", n, items)
 	}
-	if r := <-done; !r.drained || r.err != nil {
-		t.Fatalf("drain after the tee went = %+v, want drained", r)
+}
+
+// TestReplaceTrunkRefusedWhileOutletParked severs the connection of one of
+// a trunk's lane outlets, so the outlet parks with the frames its branch has
+// not seen in its journal.  A move of the trunk would drop that journal: it
+// is refused, the trunk goes back where it was, and the other branch still
+// receives its whole sub-stream.
+func TestReplaceTrunkRefusedWhileOutletParked(t *testing.T) {
+	const items, trunk = 160, "tk>>tp"
+	var mu sync.Mutex
+	conns := make(map[string]*netpipe.ChaosConn) // by the address each dialed
+	netpipe.SetDialWrapper(func(conn net.Conn) net.Conn {
+		cc := netpipe.NewChaosConn(conn, 1, netpipe.Chaos{})
+		mu.Lock()
+		conns[conn.RemoteAddr().String()] = cc
+		mu.Unlock()
+		return cc
+	})
+	t.Cleanup(func() { netpipe.SetDialWrapper(nil) })
+	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
+	cat := tc.catalog()
+	a, b, c := startNode(t, "alpha", cat), startNode(t, "beta", cat), startNode(t, "gamma", cat)
+	d, err := splitTrunkGraph("parked", items, 1, 0, "mod").Deploy(graph.OnNodes(a.client, b.client, c.client).WithClusterLanes())
+	if err != nil {
+		t.Fatalf("deploy: %v", err)
+	}
+	d.Start()
+	waitSink(t, tc, "sinka", items/8)
+
+	// Port 0 feeds branch a: its outlet dialed the listener the trunk's
+	// rendered sink names.
+	var outlet string
+	for _, part := range d.Rendered()["parked/"+trunk] {
+		if part.Kind == "ip/teesink" {
+			outlet = part.Params["addr.0"]
+		}
+	}
+	mu.Lock()
+	cc := conns[outlet]
+	mu.Unlock()
+	if cc == nil {
+		t.Fatalf("no lane connection dialed %q", outlet)
+	}
+	cc.Close()
+	// Branch b's items interleave with branch a's, so once four more reach
+	// sink b the trunk has written to the severed outlet, and it parked.
+	tc.mu.Lock()
+	sinkb := tc.sinks["sinkb"]
+	tc.mu.Unlock()
+	waitSink(t, tc, "sinkb", sinkb.Count()+4)
+
+	if err := d.Rebalance(map[string]int{trunk: 2}); err == nil || !strings.Contains(err.Error(), "parked") {
+		t.Fatalf("moving the trunk with a parked outlet = %v, want a refusal naming the parked outlet", err)
+	}
+	if got := d.SegmentPlacements()[trunk]; got != 1 {
+		t.Fatalf("trunk on node %d after the refused move, want 1", got)
+	}
+	if err := d.Err(); err != nil {
+		t.Fatalf("the refused move latched the deployment: %v", err)
+	}
+	waitSink(t, tc, "sinkb", items/2)
+	var wantB strings.Builder
+	for i := 2; i <= items; i += 2 {
+		fmt.Fprintf(&wantB, "%d ", i)
+	}
+	if got := sinkTrace(sinkb); got != wantB.String() {
+		t.Fatalf("branch b diverged after the refused move\n got: %s\nwant: %s", got, wantB.String())
+	}
+	d.Stop()
+	if err := d.Wait(); err != nil {
+		t.Fatalf("wait after stop: %v", err)
+	}
+}
+
+// TestNonBlockingSplitHasNoLanePort: a split that drops when a port is
+// full has no lane form, so a deploy that makes one of its ports a lane is
+// refused; with every branch beside the trunk it deploys.
+func TestNonBlockingSplitHasNoLanePort(t *testing.T) {
+	tc := &testCatalog{sinks: make(map[string]*pipes.CollectSink)}
+	cat := tc.catalog()
+	a, b := startNode(t, "alpha", cat), startNode(t, "beta", cat)
+	declare := func(name string, branchB int) *graph.Graph {
+		g := graph.New(name)
+		g.AddSpec("src", "counter", graph.WithArgs("20"))
+		g.AddSpec("pump", "fpump")
+		g.SplitSpec("tee", "copy", 2, graph.WithParam("push", "nonblock"))
+		g.AddSpec("pa", "fpump")
+		g.AddSpec("sa", "collect")
+		g.AddSpec("pb", "fpump", graph.Place(branchB))
+		g.AddSpec("sb", "collect", graph.Place(branchB))
+		g.Pipe("src", "pump", "tee")
+		g.Pipe("tee:0", "pa", "sa")
+		g.Pipe("tee:1", "pb", "sb")
+		return g
+	}
+	if _, err := declare("droplane", 1).Deploy(graph.OnNodes(a.client, b.client)); !errors.Is(err, graph.ErrNonBlockingSplit) {
+		t.Fatalf("deploying a non-blocking split with a lane port = %v, want ErrNonBlockingSplit", err)
+	}
+	if rows, err := b.client.Stats("droplane/"); err != nil || len(rows) != 0 {
+		t.Fatalf("the refused deploy left %d pipelines behind (err %v)", len(rows), err)
+	}
+	d, err := declare("droplocal", 0).Deploy(graph.OnNodes(a.client, b.client))
+	if err != nil {
+		t.Fatalf("deploying a non-blocking split with its branches beside it: %v", err)
+	}
+	d.Start()
+	if err := d.Wait(); err != nil {
+		t.Fatalf("wait: %v", err)
 	}
 }
 

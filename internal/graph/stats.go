@@ -17,8 +17,8 @@ type SegmentStats struct {
 	// Shard is the index the pipeline currently runs on (0 on a single
 	// scheduler).
 	Shard int
-	// Relay marks a pipeline off the plan: on nodes, the relay beside a tee
-	// whose port is a lane; on a scheduler or a group, which compose no
+	// Relay marks a pipeline off the plan: on nodes, the relay beside a merge
+	// whose in-port is a lane; on a scheduler or a group, which compose no
 	// relay, a detached branch still draining.
 	Relay bool
 	// Finished reports whether the segment's stream fully ended.

@@ -376,6 +376,13 @@ func TestRemoteTenantEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
+	// Port 1 is a lane: the trunk's pump thread sends on it, at the
+	// tenant's priority, not its own.
+	trunk := d.Rendered()["qrd/src>>pump"]
+	if sink := trunk[len(trunk)-1]; sink.Kind != "ip/teesink" || sink.Params["lane.1"] != "qrd/tee:1" ||
+		sink.Params["prio"] != strconv.Itoa(int(uthread.PriorityHigh)) {
+		t.Fatalf("the trunk ends in %s %v, want a split sink with lane port 1 at the tenant's priority", sink.Kind, sink.Params)
+	}
 	d.Start()
 	if err := d.Wait(); err != nil {
 		t.Fatalf("wait: %v", err)

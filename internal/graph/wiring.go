@@ -19,8 +19,8 @@ import (
 // link's journal carries the in-flight items.  Inside one address space a
 // link is a buffer, read or filled on whatever shard a segment runs.  A host
 // renders for its target: live core.Stages (local.go), or remote.StageSpecs
-// joined by TCP lanes or same-node cut buffers, with relays at the tee ports
-// that are lanes (remote.go).
+// joined by TCP lanes or same-node cut buffers (remote.go): a split's port
+// that is a lane is its sending end, a merge's gets a relay.
 
 // host renders, links and composes for one target.  P is what a part list
 // holds; L is how a link is realized, its zero value an unbound link.
@@ -31,7 +31,7 @@ type host[P any, L comparable] interface {
 	// is unbound and returns a bound one as it is.
 	link(lane string, l L, from, to int) (L, error)
 	recv(lane string, l L) []P
-	// send renders the sending end of lane for segment from (-1: a relay).
+	// send renders the sending end of lane for segment from.
 	send(lane string, l L, from int) []P
 	// tee renders the tee boundary e: a split's out-port or sink, a merge's
 	// in-port or out-port.
@@ -126,6 +126,19 @@ func (w *wiring[P, L]) outLane(si int) string {
 	return ""
 }
 
+// portLanes returns the lanes of split tee's ports by port, "" for a port
+// wired directly.
+func (w *wiring[P, L]) portLanes(tee string) []string {
+	branches := w.plan.SplitBranch[tee]
+	lanes := make([]string, len(branches))
+	for port, bi := range branches {
+		if bi >= 0 {
+			lanes[port] = w.inLane(bi)
+		}
+	}
+	return lanes
+}
+
 // segmentParts renders segment si — head boundary, declared stages, tail
 // boundary — and the index of its first tail part.
 func (w *wiring[P, L]) segmentParts(si int) (parts []P, tailStart int) {
@@ -186,8 +199,8 @@ type boundary struct {
 	from, to int
 }
 
-// bind binds the links at segment si's ends and returns those it bound
-// afresh, also when it fails part way.
+// bind binds the links at segment si's ends, and at the ports of the split
+// it feeds, and returns those it bound afresh, also when it fails part way.
 func (w *wiring[P, L]) bind(si int) ([]boundary, error) {
 	var ends, fresh []boundary
 	if in := w.inLane(si); in != "" {
@@ -195,6 +208,13 @@ func (w *wiring[P, L]) bind(si int) ([]boundary, error) {
 	}
 	if out := w.outLane(si); out != "" {
 		ends = append(ends, boundary{out, si, w.plan.Downstream(si)[0]})
+	}
+	if t := w.plan.Segments[si].Tail; t.Kind == core.EndSplitTrunk {
+		for port, lane := range w.portLanes(t.Node) {
+			if lane != "" {
+				ends = append(ends, boundary{lane, si, w.plan.SplitBranch[t.Node][port]})
+			}
+		}
 	}
 	for _, e := range ends {
 		var zero L

@@ -47,59 +47,6 @@ func (c *countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// socketPipe is net.Pipe with a send buffer at each end, as a kernel socket
-// has: a write returns once queued, and the peer reads each write's bytes
-// whole.  (A bare pipe blocks a writer until the peer reads, so a durable
-// sender writing under its link's lock and a receiver writing an ack under
-// its own would wait for each other.)
-func socketPipe() (net.Conn, net.Conn) {
-	a, b := net.Pipe()
-	return newSendBuffered(a), newSendBuffered(b)
-}
-
-type sendBuffered struct {
-	net.Conn
-	mu     sync.Mutex
-	q      chan []byte
-	closed bool
-}
-
-func newSendBuffered(c net.Conn) *sendBuffered {
-	// Room for every write of a row (a few hundred), so a write never
-	// blocks, not even under s.mu.
-	s := &sendBuffered{Conn: c, q: make(chan []byte, 1<<14)}
-	go func() {
-		for p := range s.q {
-			if _, err := c.Write(p); err != nil {
-				break
-			}
-		}
-		c.Close()
-	}()
-	return s
-}
-
-func (s *sendBuffered) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, net.ErrClosed
-	}
-	s.q <- append([]byte(nil), p...)
-	return len(p), nil
-}
-
-// Close lets the queued writes go out first.
-func (s *sendBuffered) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.closed {
-		s.closed = true
-		close(s.q)
-	}
-	return nil
-}
-
 // countDataFrames parses a run of whole frames and counts the data frames.
 func countDataFrames(p []byte) (data int) {
 	for len(p) >= 5 {
@@ -121,13 +68,15 @@ type laneWork struct {
 	writesPerItem, readsPerItem, framesPerWrite float64
 }
 
-// runCountedLane streams n 8-byte items through a TCPLink over net.Pipe —
-// a free pump, or one clocked at 1 kHz on a virtual clock — and counts the
-// lane's syscalls.  A durable receiver is the listener link's reader and
-// inbox on an established connection.
-func runCountedLane(t *testing.T, n int64, durable, paced bool) laneWork {
+// runCountedLane streams n items of size bytes through a TCPLink over a bare
+// net.Pipe — a free pump, or one clocked at 1 kHz on a virtual clock — and
+// counts the lane's syscalls.  A pipe has no send buffer: every write waits
+// for the peer's read, so a lane that wrote while holding the lock its own
+// readers need would stall here.  A durable receiver is the listener link's
+// reader and inbox (inbox frames deep) on an established connection.
+func runCountedLane(t *testing.T, n int64, size int, durable, paced bool, inbox int) laneWork {
 	t.Helper()
-	c1, c2 := socketPipe()
+	c1, c2 := net.Pipe()
 	txConn, rxConn := &countingConn{Conn: c1}, &countingConn{Conn: c2}
 	txClock := vclock.Clock(vclock.Real{})
 	if paced {
@@ -139,7 +88,7 @@ func runCountedLane(t *testing.T, n int64, durable, paced bool) laneWork {
 	if durable {
 		tx = NewDurableTCPSenderLink(txConn, DurableConfig{})
 		rx = &TCPLink{conn: rxConn, dur: newDurable(DurableConfig{}), rxSched: rxS,
-			inbox: newInbox(64), readerDone: make(chan struct{})}
+			inbox: newInbox(inbox), readerDone: make(chan struct{})}
 		rx.inbox.blockFull = true
 		rxS.AddExternalSource()
 		go rx.readLoop()
@@ -154,7 +103,7 @@ func runCountedLane(t *testing.T, n int64, durable, paced bool) laneWork {
 	if paced {
 		pump = pipes.NewClockedPump("pump", 1000)
 	}
-	payload := make([]byte, 8)
+	payload := make([]byte, size)
 	var seq int64
 	src := pipes.NewPullSwitch("src", func(ctx *core.Ctx) (*item.Item, error) {
 		if seq == n {
@@ -210,22 +159,24 @@ func runCountedLane(t *testing.T, n int64, durable, paced bool) laneWork {
 }
 
 // TestLaneWorkPerItem pins the syscalls a TCP lane item costs, as exact
-// counts over net.Pipe.  A saturated pump's 16-cycle batch is one write
-// and, on the receiving side, one read; a paced pump gives the CPU up after
-// every item, so each item is its own write and waits for nothing.
+// counts over a bare net.Pipe.  A saturated pump's 16-cycle batch is one
+// write and, on the receiving side, one read; a paced pump gives the CPU up
+// after every item, so each item is its own write and waits for nothing.
 func TestLaneWorkPerItem(t *testing.T) {
 	rows := []struct {
 		name           string
 		n              int64
+		size           int
 		durable, paced bool
 		want           laneWork
 	}{
-		{"plain_saturated", 4096, false, false, laneWork{1.0 / 16, 1.0 / 16, 16}},
-		{"durable_saturated", 4096, true, false, laneWork{1.0 / 16, 1.0 / 16, 16}},
-		{"plain_paced", 64, false, true, laneWork{1, 1, 1}},
+		{"plain_saturated", 4096, 8, false, false, laneWork{1.0 / 16, 1.0 / 16, 16}},
+		{"durable_saturated", 4096, 8, true, false, laneWork{1.0 / 16, 1.0 / 16, 16}},
+		{"plain_paced", 64, 8, false, true, laneWork{1, 1, 1}},
+		{"plain_4k_saturated", 1024, 4096, false, false, laneWork{1.0 / 16, 1.0 / 16, 16}},
 	}
 	for _, r := range rows {
-		got := runCountedLane(t, r.n, r.durable, r.paced)
+		got := runCountedLane(t, r.n, r.size, r.durable, r.paced, 64)
 		t.Logf("%-18s writes_per_item %.4f  reads_per_item %.4f  frames_per_write %.2f",
 			r.name, got.writesPerItem, got.readsPerItem, got.framesPerWrite)
 		if got != r.want {
@@ -235,4 +186,17 @@ func TestLaneWorkPerItem(t *testing.T) {
 			t.Errorf("%s: %.4f writes per item, above the 1/8 bound", r.name, got.writesPerItem)
 		}
 	}
+}
+
+// TestDurableLaneOneSlotInboxOverBarePipe runs a durable lane to completion
+// with a one-frame inbox over a bare pipe.  The receiver's reader then
+// waits for the consumer at almost every frame, and the consumer writes an
+// ack every 64 items, so the sender's data writes and the receiver's ack
+// writes wait on each other's readers all the time: a lane that writes
+// under the lock its reader needs stalls until the write deadline parks it.
+func TestDurableLaneOneSlotInboxOverBarePipe(t *testing.T) {
+	const n = 4096
+	got := runCountedLane(t, n, 8, true, false, 1)
+	t.Logf("writes_per_item %.4f  reads_per_item %.4f  frames_per_write %.2f",
+		got.writesPerItem, got.readsPerItem, got.framesPerWrite)
 }

@@ -155,9 +155,9 @@ func (l *TCPLink) sendDurable(t *uthread.Thread, stopping, detaching func() bool
 		}
 		if !full {
 			if write {
-				_ = l.writeFrameLocked(h, data) // a failed write parks (flushLocked)
+				_ = l.writeFrameLocked(h, data)
 			}
-			l.mu.Unlock()
+			_ = l.unlockFull() // a failed write parks (flushUnlock)
 			return err
 		}
 		tok := d.txWaiters.Register(t)
@@ -175,16 +175,16 @@ func (l *TCPLink) sendDurable(t *uthread.Thread, stopping, detaching func() bool
 // sendEOSDurable records and transmits the terminal frame.  Idempotent.
 func (l *TCPLink) sendEOSDurable() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return core.ErrStopped
 	}
 	// A write failure parks the connection with the EOS latched pending; the
 	// replay after a Redial re-sends it, so this is not the pipeline's error.
 	if h, write := l.dur.tx.eos(); write {
 		_ = l.writeFrameLocked(h, nil)
-		_ = l.flushLocked()
 	}
+	_ = l.flushUnlock()
 	return nil
 }
 
@@ -203,17 +203,17 @@ func (l *TCPLink) armWriteDeadlineLocked() {
 	}
 }
 
-// writeAcksLocked writes the receiver's acks at once, in one write, and
-// keeps the slice for reuse.  A failed write is left to the next
-// connection's handshake.
+// writeAcksUnlock writes the receiver's acks at once, in one write, keeps
+// the slice for reuse and releases l.mu, which the caller holds.  A failed
+// write is left to the next connection's handshake.
 //
 //ipvet:hotpath ack writes on the receiver's cadence
-func (l *TCPLink) writeAcksLocked(due []laneAck) {
+func (l *TCPLink) writeAcksUnlock(due []laneAck) {
 	l.dur.due = due[:0]
 	for _, a := range due {
 		_ = l.writeFrameLocked(frameHeader{kind: kindAck}.withSeq(a.origin, a.seq), nil)
 	}
-	_ = l.flushLocked()
+	_ = l.flushUnlock()
 }
 
 // ackLoop reads cumulative acks off a sender connection until it dies.  A
@@ -297,8 +297,7 @@ func (l *TCPLink) popDurable(t *uthread.Thread, stopping func() bool) (frameEntr
 	} else if err == core.ErrEOS && d.rx.end() {
 		due = append(due, laneAck{0, ackAll})
 	}
-	l.writeAcksLocked(due)
-	l.mu.Unlock()
+	l.writeAcksUnlock(due)
 	return e, err
 }
 
@@ -312,10 +311,11 @@ func (l *TCPLink) PushAck(origin, seq int64) {
 		return
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.closed {
-		l.writeAcksLocked(l.dur.rx.push(laneAck{origin, seq}, l.dur.due[:0]))
+	if l.closed {
+		l.mu.Unlock()
+		return
 	}
+	l.writeAcksUnlock(l.dur.rx.push(laneAck{origin, seq}, l.dur.due[:0]))
 }
 
 // AckAllSeq is the cumulative watermark meaning "everything, including end

@@ -138,6 +138,18 @@ func appendFrame(dst []byte, h frameHeader, payload []byte) []byte {
 	return dst
 }
 
+// frameRun returns the length of the run of whole frames at the start of
+// b, a run of whole frames, that ends with the first frame to reach limit
+// bytes, or at the end of b: what staging writes at once when a frame takes
+// the buffer to limit.
+func frameRun(b []byte, limit int) int {
+	n := 0
+	for n < len(b) && n < limit {
+		n += 4 + int(binary.BigEndian.Uint32(b[n:]))
+	}
+	return n
+}
+
 // parseFrame splits a frame body (the bytes after the length prefix) into
 // header and payload; the payload aliases body.  ok is false for an unknown
 // kind or flag bit and for a body shorter than the fields its tag announces.

@@ -1,12 +1,14 @@
 package netpipe
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"testing"
 	"time"
 
 	"infopipes/internal/core"
+	"infopipes/internal/item"
 	"infopipes/internal/uthread"
 	"infopipes/internal/vclock"
 )
@@ -100,5 +102,40 @@ func TestDurableJournalKeepsPriority(t *testing.T) {
 	plain := frameHeader{kind: kindData, flags: flagSeq, seq: 2}
 	if entries[1].hdr != plain || string(entries[1].data) != "plain" {
 		t.Fatalf("entry 2 hdr=%+v data=%q, want untagged hdr=%+v data=plain", entries[1].hdr, entries[1].data, plain)
+	}
+}
+
+// TestSinkAtCarriesItsPriority: a sink made with NewSinkAt tags its frames
+// with its own priority whatever the sending thread's (a split's lane port
+// carries its tenant's priority from the trunk's pump thread); NewSink's
+// frames from outside a pipeline stay untagged.
+func TestSinkAtCarriesItsPriority(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prio uthread.Priority
+		flag bool
+	}{{"at high", uthread.PriorityHigh, true}, {"thread's", 0, false}} {
+		server, client := net.Pipe()
+		tx := NewTCPSenderLink(client)
+		sink := tx.NewSinkAt("sink", tc.prio).(core.Consumer)
+		pushed := make(chan error, 1)
+		go func() { pushed <- sink.Push(nil, item.New([]byte("x"), 1, time.Time{})) }()
+		var lenBuf [4]byte
+		body, err := readFrame(bufio.NewReader(server), &lenBuf)
+		if err != nil {
+			t.Fatalf("%s: read: %v", tc.name, err)
+		}
+		h, _, ok := parseFrame(body)
+		if !ok || h.kind != kindData {
+			t.Fatalf("%s: not a data frame: %+v", tc.name, h)
+		}
+		if got := h.flags&flagPrio != 0; got != tc.flag || (got && h.prio != prioByte(tc.prio)) {
+			t.Fatalf("%s: frame prio flag %v byte %d, want flag %v byte %d", tc.name, got, h.prio, tc.flag, prioByte(tc.prio))
+		}
+		if err := <-pushed; err != nil {
+			t.Fatalf("%s: push: %v", tc.name, err)
+		}
+		_ = tx.Close()
+		_ = server.Close()
 	}
 }

@@ -34,6 +34,11 @@ type TCPLink struct {
 	ln     net.Listener // non-nil on listener links until the peer connects
 	closed bool
 	txBuf  []byte // frames staged for the next write, guarded by mu
+	// wmu serialises socket writes, which never run under mu: the link's
+	// readers (accept, applyAck) need mu while a write waits for the peer.
+	// wbuf is the buffer the last write sent, guarded by wmu.
+	wmu  sync.Mutex
+	wbuf []byte
 	// txErr is a plain sender's failed write, reported by every later send
 	// so the pipeline fails; a durable sender parks instead.
 	txErr error
@@ -134,9 +139,10 @@ func (l *TCPLink) acceptAndRead(ln net.Listener) {
 			l.ln = nil
 		}
 		if l.dur != nil {
-			l.writeAcksLocked(l.dur.rx.handshake(l.dur.due[:0]))
+			l.writeAcksUnlock(l.dur.rx.handshake(l.dur.due[:0]))
+		} else {
+			l.mu.Unlock()
 		}
-		l.mu.Unlock()
 		if !resumable {
 			ln.Close()
 		}
@@ -272,9 +278,9 @@ func (l *TCPLink) setConnLocked(conn net.Conn) {
 }
 
 // writeFrameLocked encodes one frame onto the link's transmit buffer (l.mu
-// serialises writers, so one buffer per connection is enough); flushLocked
-// writes what is staged, at once when the buffer passes txFlushBytes.  Every
-// frame this package puts on a TCP connection goes through these two.
+// serialises writers, so one buffer per connection is enough); flushUnlock
+// writes what is staged.  Every frame this package puts on a TCP connection
+// goes through these two.
 //
 //ipvet:hotpath per-frame staging; appends to the connection's transmit buffer
 func (l *TCPLink) writeFrameLocked(h frameHeader, payload []byte) error {
@@ -284,40 +290,71 @@ func (l *TCPLink) writeFrameLocked(h frameHeader, payload []byte) error {
 		return ErrNoConn
 	}
 	l.txBuf = appendFrame(l.txBuf, h, payload)
-	if len(l.txBuf) >= txFlushBytes {
-		return l.flushLocked()
-	}
 	return nil
 }
 
-// flushLocked writes the staged frames in one write, under the durable
-// lane's write deadline when there is one.  A failed write is the role's
-// policy: a durable sender parks (its journal holds every staged frame, and
-// a Redial replays them), a plain sender keeps the error for its next send,
-// and a receiver leaves a lost ack to the next connection's handshake.
+// unlockFull releases l.mu, writing what is staged first once it passes
+// txFlushBytes.
+func (l *TCPLink) unlockFull() error {
+	if len(l.txBuf) >= txFlushBytes {
+		return l.flushUnlock()
+	}
+	l.mu.Unlock()
+	return nil
+}
+
+// flushUnlock writes the staged frames in one write (after a replay, in
+// runs that end at the first frame to reach txFlushBytes, as staging would
+// have flushed them), under the durable lane's write deadline
+// when there is one, and releases l.mu, which the caller holds.  The write
+// runs under wmu, not mu, so the link's readers never wait for the peer;
+// wmu is taken before mu is released, so batches reach the socket in the
+// order they were staged.  A failed write is the role's policy: a durable
+// sender parks (its journal holds every staged frame, and a Redial replays
+// them), a plain sender keeps the error for its next send, and a receiver
+// leaves a lost ack to the next connection's handshake.
 //
 //ipvet:hotpath one write per batch of frames
-func (l *TCPLink) flushLocked() error {
-	if len(l.txBuf) == 0 {
-		return nil
-	}
-	if l.conn == nil {
+func (l *TCPLink) flushUnlock() error {
+	staged, conn := len(l.txBuf), l.conn
+	if staged == 0 || conn == nil {
 		l.txBuf = l.txBuf[:0]
-		return ErrNoConn
+		l.mu.Unlock()
+		if staged > 0 {
+			return ErrNoConn
+		}
+		return nil
 	}
 	if l.dur != nil {
 		l.armWriteDeadlineLocked()
 	}
-	_, err := l.conn.Write(l.txBuf)
-	l.txBuf = l.txBuf[:0]
+	l.wmu.Lock()
+	out := l.txBuf
+	l.txBuf, l.wbuf = l.wbuf[:0], out
+	l.mu.Unlock()
+	var err error
+	for b := out; len(b) > 0 && err == nil; {
+		n := frameRun(b, txFlushBytes)
+		_, err = conn.Write(b[:n])
+		b = b[n:]
+	}
+	if cap(out) > 4*txFlushBytes {
+		l.wbuf = nil // a replayed journal's buffer is not kept
+	}
+	l.wmu.Unlock()
+	if err == nil {
+		return nil
+	}
+	l.mu.Lock()
 	switch {
-	case err == nil, l.inbox != nil:
+	case l.conn != conn, l.inbox != nil: // a redial replaced it, or a receiver
 	case l.dur != nil:
-		l.conn.Close()
+		conn.Close()
 		l.setConnLocked(nil)
 	default:
 		l.txErr = err
 	}
+	l.mu.Unlock()
 	return err
 }
 
@@ -330,16 +367,21 @@ func (l *TCPLink) flushLocked() error {
 //ipvet:hotpath per-item send on a plain lane
 func (l *TCPLink) send(h frameHeader, payload []byte, now bool) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return core.ErrStopped
 	}
 	err := l.txErr
 	if err == nil {
 		err = l.writeFrameLocked(h, payload)
 	}
-	if err == nil && now {
-		err = l.flushLocked()
+	switch {
+	case err != nil:
+		l.mu.Unlock()
+	case now:
+		err = l.flushUnlock()
+	default:
+		err = l.unlockFull()
 	}
 	if err != nil && err != ErrNoConn {
 		return fmt.Errorf("netpipe: tcp send: %w", err) //ipvet:allow hotalloc dead-connection error path, not steady state
@@ -351,12 +393,13 @@ func (l *TCPLink) send(h frameHeader, payload []byte, now bool) error {
 // goroutine and waits for it to exit.
 func (l *TCPLink) Close() error {
 	l.mu.Lock()
+	if l.dur == nil && !l.closed {
+		_ = l.flushUnlock() // what a plain send accepted goes out ahead of the close
+		l.mu.Lock()
+	}
 	if l.closed {
 		l.mu.Unlock()
 		return nil
-	}
-	if l.dur == nil {
-		_ = l.flushLocked() // what a plain send accepted goes out ahead of the close
 	}
 	l.closed = true
 	conn := l.conn
@@ -417,22 +460,25 @@ func (l *TCPLink) ResumeConn(conn net.Conn) error {
 		return core.ErrStopped
 	}
 	if l.dur == nil {
-		_ = l.flushLocked() // a plain link's staged frames belong to the old peer
+		_ = l.flushUnlock() // a plain link's staged frames belong to the old peer
+		l.mu.Lock()
 	}
-	old := l.conn
+	// The old connection closes before anything is written on the new one:
+	// a write still waiting on it fails and lets the write lock go.
+	if l.conn != nil {
+		l.conn.Close()
+	}
 	l.setConnLocked(conn)
-	var rerr error
-	if l.dur != nil && l.inbox == nil {
-		go l.ackLoop(conn)
-		if rerr = l.dur.tx.replay(l.writeFrameLocked); rerr == nil {
-			rerr = l.flushLocked()
-		}
+	if l.dur == nil || l.inbox != nil {
+		l.mu.Unlock()
+		return nil
 	}
-	l.mu.Unlock()
-	if old != nil {
-		old.Close()
+	go l.ackLoop(conn)
+	if err := l.dur.tx.replay(l.writeFrameLocked); err != nil {
+		l.mu.Unlock()
+		return err
 	}
-	return rerr
+	return l.flushUnlock()
 }
 
 // Dropped reports how many inbound frames the receiver side discarded
@@ -449,9 +495,17 @@ func (l *TCPLink) NewSink(name string) core.Component {
 	return &tcpSink{Base: core.Base{CompName: name}, link: l}
 }
 
+// NewSinkAt is NewSink whose frames carry priority prio, not the sending
+// thread's (0 keeps the thread's): a split's lane port carries its tenant's
+// priority from the trunk's pump thread.
+func (l *TCPLink) NewSinkAt(name string, prio uthread.Priority) core.Component {
+	return &tcpSink{Base: core.Base{CompName: name}, link: l, prio: prio}
+}
+
 type tcpSink struct {
 	core.Base
 	link *TCPLink
+	prio uthread.Priority
 }
 
 var (
@@ -475,11 +529,15 @@ func (s *tcpSink) Push(ctx *core.Ctx, it *item.Item) error {
 		return fmt.Errorf("netpipe: tcp sink %q: payload %T is not []byte (insert a marshal filter)", s.Name(), it.Payload)
 	}
 	// The sender's effective priority (the tenant priority carried by the
-	// pump constraint) rides the wire when it is non-default, so the
-	// receiving scheduler enqueues at the sender's priority.
-	prio := uthread.PriorityNormal
-	if ctx != nil {
-		prio = core.SenderPriority(ctx.Thread())
+	// pump constraint, or the sink's own) rides the wire when it is
+	// non-default, so the receiving scheduler enqueues at the sender's
+	// priority.
+	prio := s.prio
+	if prio == 0 {
+		prio = uthread.PriorityNormal
+		if ctx != nil {
+			prio = core.SenderPriority(ctx.Thread())
+		}
 	}
 	var err error
 	if s.link.dur != nil {
@@ -503,8 +561,7 @@ func (s *tcpSink) HandleEOS(*core.Ctx) { s.sendEOS() }
 // the CPU, so the frames its batch staged go out in one write.
 func (s *tcpSink) BatchEnd() {
 	s.link.mu.Lock()
-	_ = s.link.flushLocked() // a failure is flushLocked's policy
-	s.link.mu.Unlock()
+	_ = s.link.flushUnlock() // a failure is flushUnlock's policy
 }
 
 // HandleEvent implements core.Component.

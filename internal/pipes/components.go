@@ -138,15 +138,11 @@ func (s *CollectSink) ArrivalJitter() float64 {
 	if len(snap) < 3 {
 		return 0
 	}
-	gaps := make([]float64, len(snap)-1)
+	var gaps trace.Series
 	for i := 1; i < len(snap); i++ {
-		gaps[i-1] = snap[i] - snap[i-1]
+		gaps.Observe(snap[i] - snap[i-1])
 	}
-	var g trace.Series
-	for _, v := range gaps {
-		g.Observe(v)
-	}
-	return g.Jitter()
+	return gaps.Jitter()
 }
 
 // FuncSink is a consumer-style sink calling fn per item.
@@ -308,10 +304,7 @@ func (f *DropFilter) Style() core.Style { return core.StyleFunction }
 func (f *DropFilter) SetLevel(level int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if level < 0 {
-		level = 0
-	}
-	f.level = level
+	f.level = max(level, 0)
 }
 
 // Level reports the current drop level.

@@ -24,6 +24,14 @@ func PairAssemble(a, b *item.Item) *item.Item {
 	return out
 }
 
+// orAssemble returns a, or PairAssemble when a is nil.
+func orAssemble(a Assemble) Assemble {
+	if a == nil {
+		return PairAssemble
+	}
+	return a
+}
+
 func earlier(a, b time.Time) time.Time {
 	if b.Before(a) {
 		return b
@@ -45,10 +53,7 @@ var _ core.Consumer = (*DefragConsumer)(nil)
 // NewDefragConsumer builds the push-style defragmenter.  A nil assemble
 // uses PairAssemble.
 func NewDefragConsumer(name string, assemble Assemble) *DefragConsumer {
-	if assemble == nil {
-		assemble = PairAssemble
-	}
-	return &DefragConsumer{Base: core.Base{CompName: name}, assemble: assemble}
+	return &DefragConsumer{Base: core.Base{CompName: name}, assemble: orAssemble(assemble)}
 }
 
 // Style implements core.Component.
@@ -79,10 +84,7 @@ var _ core.Producer = (*DefragProducer)(nil)
 
 // NewDefragProducer builds the pull-style defragmenter.
 func NewDefragProducer(name string, assemble Assemble) *DefragProducer {
-	if assemble == nil {
-		assemble = PairAssemble
-	}
-	return &DefragProducer{Base: core.Base{CompName: name}, assemble: assemble}
+	return &DefragProducer{Base: core.Base{CompName: name}, assemble: orAssemble(assemble)}
 }
 
 // Style implements core.Component.
@@ -119,10 +121,7 @@ var _ core.Active = (*DefragActive)(nil)
 
 // NewDefragActive builds the active defragmenter.
 func NewDefragActive(name string, assemble Assemble) *DefragActive {
-	if assemble == nil {
-		assemble = PairAssemble
-	}
-	return &DefragActive{Base: core.Base{CompName: name}, assemble: assemble}
+	return &DefragActive{Base: core.Base{CompName: name}, assemble: orAssemble(assemble)}
 }
 
 // Style implements core.Component.
@@ -170,6 +169,14 @@ func PairFragment(it *item.Item) []*item.Item {
 	return []*item.Item{a, b}
 }
 
+// orFragment returns f, or PairFragment when f is nil.
+func orFragment(f Fragment) Fragment {
+	if f == nil {
+		return PairFragment
+	}
+	return f
+}
+
 // FragConsumer is the push-style fragmenter: for a fragmenter, push is the
 // simpler operation (the paper's observation inverted from the
 // defragmenter).
@@ -182,10 +189,7 @@ var _ core.Consumer = (*FragConsumer)(nil)
 
 // NewFragConsumer builds the push-style fragmenter.
 func NewFragConsumer(name string, fragment Fragment) *FragConsumer {
-	if fragment == nil {
-		fragment = PairFragment
-	}
-	return &FragConsumer{Base: core.Base{CompName: name}, fragment: fragment}
+	return &FragConsumer{Base: core.Base{CompName: name}, fragment: orFragment(fragment)}
 }
 
 // Style implements core.Component.
@@ -215,10 +219,7 @@ var _ core.Producer = (*FragProducer)(nil)
 
 // NewFragProducer builds the pull-style fragmenter.
 func NewFragProducer(name string, fragment Fragment) *FragProducer {
-	if fragment == nil {
-		fragment = PairFragment
-	}
-	return &FragProducer{Base: core.Base{CompName: name}, fragment: fragment}
+	return &FragProducer{Base: core.Base{CompName: name}, fragment: orFragment(fragment)}
 }
 
 // Style implements core.Component.
@@ -256,10 +257,7 @@ var _ core.Active = (*FragActive)(nil)
 
 // NewFragActive builds the active fragmenter.
 func NewFragActive(name string, fragment Fragment) *FragActive {
-	if fragment == nil {
-		fragment = PairFragment
-	}
-	return &FragActive{Base: core.Base{CompName: name}, fragment: fragment}
+	return &FragActive{Base: core.Base{CompName: name}, fragment: orFragment(fragment)}
 }
 
 // Style implements core.Component.

@@ -189,8 +189,8 @@ func TestOrderedMergeReconstructsTrunk(t *testing.T) {
 			t.Fatalf("order broken at %d: seq %d", i, it.Seq)
 		}
 	}
-	if om.Pending() != 0 {
-		t.Errorf("reorder window not drained: %d", om.Pending())
+	if pipes.Pending(om) != 0 {
+		t.Errorf("reorder window not drained: %d", pipes.Pending(om))
 	}
 }
 

@@ -40,7 +40,14 @@ const (
 	spread
 )
 
-// Split is the splitting tee: one trunk in, Outs() branch buffers out, and
+// Outlet is where a Split port puts its items: a BoundedBuffer, or the
+// sending end of a lane to another address space (SetOutlet).
+type Outlet interface {
+	Insert(ctx *core.Ctx, it *item.Item) error
+	CloseUpstream()
+}
+
+// Split is the splitting tee: one trunk in, Outs() branch outlets out, and
 // a choice of copy, route or spread deciding which ports get each item.
 //
 // Ports can be added and detached at runtime (AddOut/DetachOut) — the live
@@ -54,7 +61,7 @@ type Split struct {
 	core.Base
 	choice   choice
 	sel      func(*item.Item) int // route only
-	outs     []*BoundedBuffer
+	outs     []Outlet
 	detached []bool
 	lastLive int  // highest attached port: a copy gets the original, not a clone
 	ended    bool // trunk EOS seen: late-attached ports close immediately
@@ -69,6 +76,7 @@ var (
 	_ core.Consumer   = (*Split)(nil)
 	_ core.EOSSink    = (*Split)(nil)
 	_ core.SplitPoint = (*Split)(nil)
+	_ core.BatchEnder = (*Split)(nil)
 )
 
 func newSplit(name string, c choice, n, capacity int, push, pull typespec.BlockPolicy,
@@ -145,6 +153,19 @@ func (t *Split) DetachOut(i int) error {
 	}
 	t.outs[i].CloseUpstream()
 	return nil
+}
+
+// SetOutlet puts o in place of port i's buffer before the trunk runs.
+func (t *Split) SetOutlet(i int, o Outlet) { t.outs[i] = o }
+
+// BatchEnd implements core.BatchEnder: an outlet that holds items back for
+// a batch lets them go when the trunk's thread gives up the CPU.
+func (t *Split) BatchEnd() {
+	for _, o := range t.outs {
+		if be, ok := o.(core.BatchEnder); ok {
+			be.BatchEnd()
+		}
+	}
 }
 
 // Spread reports whether the split spreads items over replicas
@@ -236,14 +257,14 @@ func (t *Split) HandleEvent(_ *core.Ctx, ev events.Event) {
 	}
 }
 
-// Out returns the i-th output as a passive source component for a branch
-// pipeline.
+// Out returns the i-th output, a buffer port, as a passive source component
+// for a branch pipeline.
 func (t *Split) Out(i int) *BufferSource {
-	return NewBufferSource(fmt.Sprintf("%s.src%d", t.Name(), i), t.outs[i])
+	return NewBufferSource(fmt.Sprintf("%s.src%d", t.Name(), i), t.OutBuffer(i))
 }
 
-// OutBuffer exposes the i-th internal buffer (fill-level sensors).
-func (t *Split) OutBuffer(i int) *BoundedBuffer { return t.outs[i] }
+// OutBuffer exposes the i-th buffer port (fill-level sensors).
+func (t *Split) OutBuffer(i int) *BoundedBuffer { return t.outs[i].(*BoundedBuffer) }
 
 // Outs implements core.SplitPoint.
 func (t *Split) Outs() int { return len(t.outs) }
@@ -332,13 +353,6 @@ func (t *Merge) InPort(i int) core.Component { return t.In(i) }
 
 // OutPort implements core.MergePoint.
 func (t *Merge) OutPort() core.Component { return t.Out() }
-
-// Pending reports the current reorder-window occupancy (tests, sensors).
-func (t *Merge) Pending() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.pending)
-}
 
 // reorder deposits one arrival and releases the contiguous run starting at
 // next.  Only one thread releases at a time; concurrent entrants deposit
@@ -525,11 +539,6 @@ func (s *PullSwitch) Out(i int) *PullSwitchOut {
 	return &PullSwitchOut{Base: core.Base{CompName: fmt.Sprintf("%s.out%d", s.name, i)}, sw: s}
 }
 
-// pull forwards one upstream pull.
-func (s *PullSwitch) pull(ctx *core.Ctx) (*item.Item, error) {
-	return s.upstream(ctx)
-}
-
 // PullSwitchOut is one passive out-port of a PullSwitch.
 type PullSwitchOut struct {
 	core.Base
@@ -545,4 +554,4 @@ func (o *PullSwitchOut) Style() core.Style { return core.StyleProducer }
 func (o *PullSwitchOut) Wrappable() bool { return false }
 
 // Pull implements core.Producer.
-func (o *PullSwitchOut) Pull(ctx *core.Ctx) (*item.Item, error) { return o.sw.pull(ctx) }
+func (o *PullSwitchOut) Pull(ctx *core.Ctx) (*item.Item, error) { return o.sw.upstream(ctx) }

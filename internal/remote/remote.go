@@ -145,11 +145,10 @@ func (n *Node) RegisterSpecFactory(kind string, f SpecFactory) {
 type LaneKind int
 
 const (
-	LaneListen  LaneKind = iota + 1 // pre-bind Lane's rendezvous listener (idempotent; Addr asks for a bind address), reply its address
+	LaneListen  LaneKind = iota + 1 // pre-bind Lane's rendezvous listener on loopback (idempotent), reply its address
 	LaneDrop                        // close and forget Side of Lane
 	LaneRedial                      // point the registered sender of Lane at Addr
-	LaneDrained                     // wait, node-bounded, until split Tee and its relay Lanes are empty
-	LaneDropTee                     // forget the shared split instance Tee
+	LaneDropTee                     // forget the shared split instance Tee and close its lane outlets, unless one is parked
 	LaneAbort                       // tear down every pipeline, tee and lane under Prefix
 )
 
@@ -170,22 +169,17 @@ type LaneRequest struct {
 	Lane string
 	Side LaneSide
 	Addr string
-	// Depth bounds a listener's inbox (0 = default).  Durable listeners run
-	// the sequence/ack protocol, acknowledging what they consume; a Chained
-	// one forwards its downstream watermark instead.
-	Depth   int
+	// Durable listeners run the sequence/ack protocol, acknowledging what
+	// they consume; a Chained one forwards its downstream watermark instead.
 	Durable bool
 	Chained bool
 	Tee     string
-	Lanes   []string
 	Prefix  string
 }
 
-// LaneReply answers a LaneRequest: the bound address (listen) or the probe's
-// verdict (drained).
+// LaneReply answers a LaneRequest: the bound address (listen).
 type LaneReply struct {
-	Addr    string
-	Drained bool
+	Addr string
 }
 
 // HandleLanes installs the handler behind the lane op (the graph support
